@@ -153,9 +153,14 @@ resume-smoke:
 	$(GO) test -run TestResumeEndToEnd -count=1 -v .
 
 # End-to-end determinism guard: the tiny Table 2 experiment must print
-# byte-identical output at GOMAXPROCS=1 and GOMAXPROCS=4, and the
+# byte-identical output at GOMAXPROCS=1 and GOMAXPROCS=4, the
 # kill-at-step-k resume property must hold across every combination of
-# kill step, batch size, EMA mode and LoRA/full-training mode.
+# kill step, batch size, EMA mode and LoRA/full-training mode, and the
+# sampler must be bit-identical to its oracles: the shared-trunk split
+# forward against plain forward pairs and solo SampleLegacy runs, and
+# seeded output against the golden digests recorded before the blocked
+# kernel and the split forward landed (the only check that sees a
+# change the in-binary oracles share).
 verify-determinism:
 	$(GO) build -o /tmp/traceval-det ./cmd/traceval
 	GOMAXPROCS=1 /tmp/traceval-det -fast table2 > /tmp/det_p1.txt
@@ -165,6 +170,10 @@ verify-determinism:
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
+	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork' -count=1 ./internal/diffusion
+	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests' -count=1 ./internal/lora
+	$(GO) test -run 'TestGoldenSeededDigests' -count=1 ./internal/core
+	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical"
 
 # Short fuzzing pass over the binary-format decoders.
 fuzz:

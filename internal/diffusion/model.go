@@ -23,6 +23,32 @@ type Denoiser interface {
 	Shape() (h, w int)
 }
 
+// SplitForwarder is optionally implemented by a Denoiser whose forward
+// factors as Forward(x, t, class, control) =
+// Head(Trunk(x, t), class, ControlFeatures(control)), where only the
+// head sees the class. The two halves of a classifier-free-guided pair
+// differ in nothing but the class row, and a flow's control image never
+// changes, so a sampler that holds this interface runs the trunk once
+// per step for both halves, the head once over the pair's stacked rows,
+// and the control projection once per flow (Scheduler does, when given
+// no forward override). Every method computes each output row from the
+// matching input rows alone, so stacking rows changes no row's bytes,
+// and a model's Forward is this composition through the same methods:
+// there is one copy of its arithmetic.
+type SplitForwarder interface {
+	// ControlFeatures projects control images (n·H·W elements, any
+	// shape) to the [n, hidden] rows the head adds in.
+	ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V
+	// Trunk computes everything that depends only on x_t and the
+	// timestep: the pre-class hidden rows h [n, hidden] and the
+	// time-gated input skip [n, H·W].
+	Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V)
+	// Head finishes the forward for one class per row: h, skip, class
+	// and ctrl (nil for no control) all have the same row count, and
+	// the result is ε [rows, 1, H, W].
+	Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V
+}
+
 // timeEmbedDim is the sinusoidal timestep feature width.
 const timeEmbedDim = 64
 
@@ -96,30 +122,57 @@ func (m *MLPDenoiser) Params() []*nn.V {
 	return ps
 }
 
-// Forward implements Denoiser.
+// Forward implements Denoiser as head∘trunk (see SplitForwarder).
 func (m *MLPDenoiser) Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
-	n := xt.X.Shape[0]
-	d := m.H * m.W
-	x2 := tp.Reshape(xt, n, d)
+	return ForwardSplit(m, tp, xt, steps, class, control)
+}
 
-	tfeat := tp.TimeEmbed(steps, timeEmbedDim)
-	h := m.xProj.Apply(tp, x2)
-	temb := m.timeProj.Apply(tp, tfeat)
-	h = tp.Add(h, temb)
-	cemb := m.classEmb.Apply(tp, class)
-	h = tp.Add(h, cemb)
+// ForwardSplit is the plain forward of a SplitForwarder: trunk, control
+// projection, head, each over the same rows.
+//
+//tracelint:hotpath
+func ForwardSplit(m SplitForwarder, tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
+	h, skip := m.Trunk(tp, xt, steps)
+	var ctrl *nn.V
 	if control != nil {
-		ctrl := tp.Input(control.Reshape(n, d))
-		h = tp.Add(h, m.ctrlProj.Apply(tp, ctrl))
+		ctrl = m.ControlFeatures(tp, control)
+	}
+	return m.Head(tp, h, skip, class, ctrl)
+}
+
+// ControlFeatures implements SplitForwarder.
+//
+//tracelint:hotpath
+func (m *MLPDenoiser) ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V {
+	d := m.H * m.W
+	return m.ctrlProj.Apply(tp, tp.Input(control.Reshape(control.Len()/d, d)))
+}
+
+// Trunk implements SplitForwarder: x projection plus time embedding,
+// and the time-gated input skip (see the gate field's comment).
+//
+//tracelint:hotpath
+func (m *MLPDenoiser) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) {
+	x2 := tp.Reshape(xt, xt.X.Shape[0], m.H*m.W)
+	tfeat := tp.TimeEmbed(steps, timeEmbedDim)
+	h = tp.Add(m.xProj.Apply(tp, x2), m.timeProj.Apply(tp, tfeat))
+	skip = tp.MulScalarBroadcast(x2, m.gate.Apply(tp, tfeat))
+	return h, skip
+}
+
+// Head implements SplitForwarder.
+//
+//tracelint:hotpath
+func (m *MLPDenoiser) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V {
+	h = tp.Add(h, m.classEmb.Apply(tp, class))
+	if ctrl != nil {
+		h = tp.Add(h, ctrl)
 	}
 	h = tp.SiLU(m.norm1.Apply(tp, h))
 	h2 := tp.SiLU(m.norm2.Apply(tp, m.hid.Apply(tp, h)))
 	h = tp.Add(h, h2) // residual
-	eps := m.out.Apply(tp, h)
-	// Time-gated input skip (see the gate field's comment).
-	skip := tp.MulScalarBroadcast(x2, m.gate.Apply(tp, tfeat))
-	eps = tp.Add(eps, skip)
-	return tp.Reshape(eps, n, 1, m.H, m.W)
+	eps := tp.Add(m.out.Apply(tp, h), skip)
+	return tp.Reshape(eps, eps.X.Shape[0], 1, m.H, m.W)
 }
 
 // UNetDenoiser is a small convolutional U-Net ε-predictor: a stem

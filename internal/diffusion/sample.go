@@ -49,13 +49,14 @@ type ForwardFunc func(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *
 // Sample draws cfg.N images [N,1,H,W] from the model under sched.
 //
 // The whole batch is admitted to a step Scheduler and stepped until
-// every flow completes: each timestep runs ONE forward over all N
-// flows, so the denoiser sees [N,·] tensors big enough for the
-// parallel kernel layer instead of N batch-1 calls below its work
-// threshold (the PR 2 end-to-end regression). The DDPM/DDIM update is
-// then applied per flow from that flow's private RNG stream. Callers
-// that need mid-generation admission and retirement drive a Scheduler
-// directly (the serving engine does).
+// every flow completes: each timestep runs ONE batched evaluation over
+// all N flows (for an MLP model the shared-trunk split forward, unless
+// cfg.ExtraForward overrides it), so the denoiser sees [N,·] tensors
+// big enough for the parallel kernel layer instead of N batch-1 calls
+// below its work threshold (the PR 2 end-to-end regression). The
+// DDPM/DDIM update is then applied per flow from that flow's private
+// RNG stream. Callers that need mid-generation admission and
+// retirement drive a Scheduler directly (the serving engine does).
 //
 // Determinism: every kernel computes each output row with an
 // accumulation order independent of the batch's row count, so the
@@ -66,15 +67,17 @@ type ForwardFunc func(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *
 // function of each flow's seed regardless of batch composition or
 // GOMAXPROCS.
 func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, error) {
-	forward, err := sampleSetup(model, cfg)
-	if err != nil {
+	if err := validateSample(model, cfg); err != nil {
 		return nil, err
 	}
 	h, w := model.Shape()
 	n, d := cfg.N, h*w
 	rngs := flowStreams(cfg)
 
-	eng := NewScheduler(model, sched, forward)
+	// A nil ExtraForward stays nil: the scheduler then takes the split
+	// path for models that have one (see NewScheduler).
+	eng := NewScheduler(model, sched, cfg.ExtraForward)
+	eng.growTo(n) // the batch size is known: size the row buffers once
 	out := tensor.New(n, 1, h, w)
 	for i, r := range rngs {
 		if _, err := eng.Admit(FlowSpec{
@@ -96,16 +99,20 @@ func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, 
 
 // SampleLegacy draws cfg.N images with the pre-batching orchestration:
 // flow-parallel, step-serial, one goroutine-pool task per flow running
-// batch-1 forwards. It is retained as the reference implementation for
-// the batched path's bit-identity property test and as a fallback for
+// batch-1 plain forwards (two per guided step, control projected in
+// each). It is retained as the reference implementation for the
+// batched path's bit-identity property test and as a fallback for
 // callers that want per-flow latency over batch throughput. Each
 // worker's tensor ops run under tensor.Serial: the pool already owns
 // the CPUs, and intra-kernel sharding on top of it only adds dispatch
 // overhead and contention.
 func SampleLegacy(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, error) {
-	forward, err := sampleSetup(model, cfg)
-	if err != nil {
+	if err := validateSample(model, cfg); err != nil {
 		return nil, err
+	}
+	forward := cfg.ExtraForward
+	if forward == nil {
+		forward = model.Forward
 	}
 	h, w := model.Shape()
 	n, d := cfg.N, h*w
@@ -137,21 +144,18 @@ func SampleLegacy(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Te
 	return out, nil
 }
 
-// sampleSetup validates cfg and resolves the forward function.
-func sampleSetup(model Denoiser, cfg SampleConfig) (ForwardFunc, error) {
+// validateSample checks cfg against the model.
+func validateSample(model Denoiser, cfg SampleConfig) error {
 	if cfg.N <= 0 {
-		return nil, fmt.Errorf("diffusion: sample N must be positive")
+		return fmt.Errorf("diffusion: sample N must be positive")
 	}
 	if len(cfg.FlowSeeds) != 0 && len(cfg.FlowSeeds) != cfg.N {
-		return nil, fmt.Errorf("diffusion: %d flow seeds for N=%d", len(cfg.FlowSeeds), cfg.N)
+		return fmt.Errorf("diffusion: %d flow seeds for N=%d", len(cfg.FlowSeeds), cfg.N)
 	}
 	if cfg.Class < 0 || cfg.Class >= model.NullClass() {
-		return nil, fmt.Errorf("diffusion: class %d out of range [0,%d)", cfg.Class, model.NullClass())
+		return fmt.Errorf("diffusion: class %d out of range [0,%d)", cfg.Class, model.NullClass())
 	}
-	if cfg.ExtraForward != nil {
-		return cfg.ExtraForward, nil
-	}
-	return model.Forward, nil
+	return nil
 }
 
 // flowStreams builds one private RNG stream per flow. With FlowSeeds

@@ -13,9 +13,10 @@ import (
 // equivModel builds an MLP denoiser whose zero-initialized layers
 // (output projection, ControlNet hook) are given real weights, so
 // sampler-equivalence comparisons exercise the full network rather
-// than just the time-gated input skip.
+// than just the time-gated input skip. The hidden width differs from
+// H·W so a control-feature row and an image row cannot be confused.
 func equivModel(r *stats.RNG, h, w int) *MLPDenoiser {
-	m := NewMLPDenoiser(r, h, w, 32, 2)
+	m := NewMLPDenoiser(r, h, w, 24, 2)
 	m.OutLayer().W.X.Randn(r, 0.05)
 	m.CtrlProjLayer().W.X.Randn(r, 0.05)
 	return m
@@ -40,8 +41,12 @@ func bitsEqual(a, b []float32) (int, bool) {
 // ControlNet conditioning, with batch-seeded and flow-seeded RNG
 // layouts, and at GOMAXPROCS 1 and 8, Sample (step-serial, batch-wide)
 // must produce byte-identical output to SampleLegacy (flow-parallel,
-// batch-1 forwards). This is what makes batching purely a scheduling
-// decision: no experiment or seeded serving request can observe it.
+// batch-1 plain forwards) — both on the scheduler's split path (no
+// ExtraForward: trunk once, head over the stacked pair, control
+// projected at admission) and on its plain path (an ExtraForward
+// override). This is what makes batching, and the shared trunk, purely
+// scheduling decisions: no experiment or seeded serving request can
+// observe them.
 func TestBatchedMatchesLegacy(t *testing.T) {
 	r := stats.NewRNG(11)
 	h, w := 4, 8
@@ -127,6 +132,7 @@ type churnFlow struct {
 	class    int
 	guidance float64
 	ddim     int
+	control  *tensor.Tensor
 	id       FlowID
 	out      []float32
 	retired  bool
@@ -136,9 +142,12 @@ type churnFlow struct {
 // TestSchedulerChurnBitIdentity is the continuous-batching bit-identity
 // property test: flows join the in-flight batch and retire at
 // randomized step boundaries, mixing DDPM with heterogeneous DDIM step
-// counts, classes and guidance scales in one batch, with and without
-// ControlNet conditioning, at GOMAXPROCS 1 and 8 — and every completed
-// flow's bytes must equal a solo SampleLegacy run of that flow alone.
+// counts, classes and guidance scales (guided beside unguided) in one
+// batch, with and without ControlNet conditioning (each flow its own
+// control image, so its control row must follow it through every
+// swapRows/dropRow), on the scheduler's split path (nil override) and
+// its plain path, at GOMAXPROCS 1 and 8 — and every completed flow's
+// bytes must equal a solo SampleLegacy run of that flow alone.
 // This is the contract that lets traced admit a request into a batch
 // that is already at step 37 without the response bytes depending on
 // it. Runs under -race in CI (make race).
@@ -147,7 +156,6 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 	h, w := 4, 8
 	model := equivModel(r, h, w)
 	sched := NewSchedule(ScheduleCosine, 12)
-	control := tensor.New(1, h, w).Randn(r, 1)
 	d := h * w
 
 	ddimChoices := []int{0, 3, 4, 6} // 0 = full DDPM, rest heterogeneous DDIM budgets
@@ -156,13 +164,17 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, ctl := range []*tensor.Tensor{nil, control} {
+		for _, variant := range []struct {
+			ctl      bool
+			override ForwardFunc
+		}{{false, nil}, {true, nil}, {true, model.Forward}} {
 			// budget 3 forces the step-row cap through constant
 			// least-attained reordering under churn; 0 steps every row.
 			for _, budget := range []int{0, 3} {
-				name := fmt.Sprintf("procs=%d/ctl=%v/budget=%d", procs, ctl != nil, budget)
+				name := fmt.Sprintf("procs=%d/ctl=%v/override=%v/budget=%d",
+					procs, variant.ctl, variant.override != nil, budget)
 				driver := stats.NewRNG(97) // deterministic churn script
-				eng := NewScheduler(model, sched, nil)
+				eng := NewScheduler(model, sched, variant.override)
 				eng.SetStepRows(budget)
 				var flows []*churnFlow
 				byID := map[FlowID]*churnFlow{}
@@ -183,12 +195,15 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 							ddim:     ddimChoices[driver.Uint64()%4],
 							out:      make([]float32, d),
 						}
+						if variant.ctl {
+							cf.control = tensor.New(1, h, w).Randn(stats.NewRNG(cf.seed^0xc0), 1)
+						}
 						id, err := eng.Admit(FlowSpec{
 							Class:         cf.class,
 							GuidanceScale: cf.guidance,
 							DDIMSteps:     cf.ddim,
 							RNG:           stats.NewRNG(cf.seed),
-							Control:       ctl,
+							Control:       cf.control,
 							Out:           cf.out,
 						})
 						if err != nil {
@@ -249,7 +264,7 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 					}
 					solo, err := SampleLegacy(model, sched, SampleConfig{
 						Class: cf.class, N: 1, GuidanceScale: cf.guidance,
-						DDIMSteps: cf.ddim, Control: ctl, FlowSeeds: []uint64{cf.seed},
+						DDIMSteps: cf.ddim, Control: cf.control, FlowSeeds: []uint64{cf.seed},
 					})
 					if err != nil {
 						t.Fatalf("%s: solo reference: %v", name, err)

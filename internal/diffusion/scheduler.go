@@ -136,8 +136,10 @@ func (f *schedFlow) curT() int {
 // A Scheduler is NOT safe for concurrent use: one goroutine owns it
 // (the serving engine's step loop, or a Sample call).
 type Scheduler struct {
-	sched     *Schedule
+	sched *Schedule
+	// Exactly one of forward and split is set (see NewScheduler).
 	forward   ForwardFunc
+	split     SplitForwarder
 	nullClass int
 	h, w, d   int
 
@@ -146,19 +148,26 @@ type Scheduler struct {
 	// The DDPM/DDIM updates run in place here, so rows are only copied
 	// on admission, compaction and completion — never per step.
 	xbuf []float32
-	// cbuf mirrors xbuf for per-flow control rows when control is on.
+	// cbuf mirrors xbuf for per-flow control rows when control is on,
+	// cw elements per row: the flow's control image (cw = d) on the
+	// plain path, its control features (cw = hidden) on the split path,
+	// projected once at admission so no step runs the control
+	// projection.
 	cbuf      []float32
+	cw        int
 	controlOn bool
 	// stepRows caps the rows advanced per Step (0 = all): see
 	// SetStepRows.
 	stepRows int
-	// rowTmp is the d-element scratch for swapping two packed rows.
+	// rowTmp is the scratch for swapping two packed rows (max(d, cw)).
 	rowTmp []float32
 
-	tp     *nn.Tape
-	steps  []int
-	classC []int
-	classU []int
+	tp    *nn.Tape
+	steps []int
+	// class holds two entries per row: a step over n rows reads
+	// class[:n] as the flows' classes and class[n:2n] as the null class,
+	// contiguous so a guided split step hands the head one [2n] slice.
+	class []int
 	// epsBuf holds the per-row guidance-combined ε when any active flow
 	// is guided (unguided rows are copied through from ε_cond).
 	epsBuf []float32
@@ -175,12 +184,17 @@ type Scheduler struct {
 }
 
 // NewScheduler builds an empty engine over the model and schedule.
-// forward overrides the model's forward pass (LoRA, ablations); nil
-// means model.Forward.
+// forward overrides the model's forward pass (ablations, timing
+// probes, SampleLegacy's oracle wiring): a step then runs it once, and
+// once more with the null class when any stepping flow is guided — the
+// plain path. With a nil forward, a model that implements
+// SplitForwarder takes the split path instead: each flow's control
+// image is projected once at Admit, and a step runs the trunk once over
+// its n rows and the head once over the stacked conditional and
+// unconditional rows, which is bit-identical to the plain path because
+// every kernel computes a row from that row alone. Any other model
+// (UNet) with a nil forward runs the plain path through model.Forward.
 func NewScheduler(model Denoiser, sched *Schedule, forward ForwardFunc) *Scheduler {
-	if forward == nil {
-		forward = model.Forward
-	}
 	h, w := model.Shape()
 	s := &Scheduler{
 		sched:     sched,
@@ -190,6 +204,13 @@ func NewScheduler(model Denoiser, sched *Schedule, forward ForwardFunc) *Schedul
 		tp:     nn.NewTape(),
 		viewN:  -1,
 		rowTmp: make([]float32, h*w),
+	}
+	if forward == nil {
+		if sf, ok := model.(SplitForwarder); ok {
+			s.split = sf
+		} else {
+			s.forward = model.Forward
+		}
 	}
 	s.tp.EnableReuse()
 	s.tp.SetNoGrad(true)
@@ -245,14 +266,27 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 		f.pos = s.sched.T - 1
 	}
 
+	// The flow's control row as cbuf stores it. On the split path that
+	// is the projected image: it never changes over the flow's life, so
+	// projecting here replaces one projection per forward. The tape is
+	// idle between steps; Recycle below returns the projection's values.
+	var crow []float32
+	if hasControl {
+		crow = spec.Control.Data[:s.d]
+		if s.split != nil {
+			crow = s.split.ControlFeatures(s.tp, tensor.FromSlice(crow, 1, s.d)).X.Data
+		}
+		s.cw = len(crow)
+	}
 	row := len(s.flows)
 	s.growTo(row + 1)
 	seg := s.xbuf[row*s.d : (row+1)*s.d]
 	for j := range seg {
 		seg[j] = float32(spec.RNG.NormFloat64())
 	}
-	if s.controlOn {
-		copy(s.cbuf[row*s.d:(row+1)*s.d], spec.Control.Data[:s.d])
+	if hasControl {
+		copy(s.cbuf[row*s.cw:(row+1)*s.cw], crow)
+		s.tp.Recycle()
 	}
 	s.flows = append(s.flows, f)
 	s.stats.Admitted++
@@ -273,29 +307,34 @@ func (s *Scheduler) Retire(id FlowID) {
 
 // growTo makes the packed buffers and index slices hold at least n
 // rows, preserving live rows. Geometric growth keeps admission churn
-// amortized-O(row).
+// amortized-O(row). The control buffer is sized on first need: only a
+// conditioned batch has one, and its row width is known only then.
 func (s *Scheduler) growTo(n int) {
-	if n*s.d <= len(s.xbuf) {
-		return
+	rows := len(s.steps)
+	if n > rows {
+		if rows < 4 {
+			rows = 4
+		}
+		for rows < n {
+			rows *= 2
+		}
+		xbuf := make([]float32, rows*s.d)
+		copy(xbuf, s.xbuf[:len(s.flows)*s.d])
+		s.xbuf = xbuf
+		s.epsBuf = make([]float32, rows*s.d)
+		s.steps = make([]int, rows)
+		s.class = make([]int, 2*rows)
+		s.viewN = -1 // backing arrays moved; view headers are stale
 	}
-	rows := len(s.xbuf) / s.d
-	if rows < 4 {
-		rows = 4
+	if s.controlOn && len(s.cbuf) < rows*s.cw {
+		cbuf := make([]float32, rows*s.cw)
+		copy(cbuf, s.cbuf[:len(s.flows)*s.cw])
+		s.cbuf = cbuf
+		if len(s.rowTmp) < s.cw {
+			s.rowTmp = make([]float32, s.cw)
+		}
+		s.viewN = -1
 	}
-	for rows < n {
-		rows *= 2
-	}
-	xbuf := make([]float32, rows*s.d)
-	copy(xbuf, s.xbuf[:len(s.flows)*s.d])
-	s.xbuf = xbuf
-	cbuf := make([]float32, rows*s.d)
-	copy(cbuf, s.cbuf[:min(len(s.cbuf), len(s.flows)*s.d)])
-	s.cbuf = cbuf
-	s.epsBuf = make([]float32, rows*s.d)
-	s.steps = make([]int, rows)
-	s.classC = make([]int, rows)
-	s.classU = make([]int, rows)
-	s.viewN = -1 // backing arrays moved; view headers are stale
 }
 
 // SetStepRows caps the rows advanced per Step call at n (0 restores
@@ -322,7 +361,7 @@ func (s *Scheduler) dropRow(i int) {
 	if i != last {
 		copy(s.xbuf[i*s.d:(i+1)*s.d], s.xbuf[last*s.d:(last+1)*s.d])
 		if s.controlOn {
-			copy(s.cbuf[i*s.d:(i+1)*s.d], s.cbuf[last*s.d:(last+1)*s.d])
+			copy(s.cbuf[i*s.cw:(i+1)*s.cw], s.cbuf[last*s.cw:(last+1)*s.cw])
 		}
 		s.flows[i] = s.flows[last]
 	}
@@ -335,17 +374,21 @@ func (s *Scheduler) swapRows(i, j int) {
 	if i == j {
 		return
 	}
-	ri, rj := s.xbuf[i*s.d:(i+1)*s.d], s.xbuf[j*s.d:(j+1)*s.d]
-	copy(s.rowTmp, ri)
-	copy(ri, rj)
-	copy(rj, s.rowTmp)
+	s.swapSeg(s.xbuf, s.d, i, j)
 	if s.controlOn {
-		ci, cj := s.cbuf[i*s.d:(i+1)*s.d], s.cbuf[j*s.d:(j+1)*s.d]
-		copy(s.rowTmp, ci)
-		copy(ci, cj)
-		copy(cj, s.rowTmp)
+		s.swapSeg(s.cbuf, s.cw, i, j)
 	}
 	s.flows[i], s.flows[j] = s.flows[j], s.flows[i]
+}
+
+// swapSeg exchanges rows i and j of a packed buffer of the given row
+// width through rowTmp.
+func (s *Scheduler) swapSeg(buf []float32, width, i, j int) {
+	ri, rj := buf[i*width:(i+1)*width], buf[j*width:(j+1)*width]
+	tmp := s.rowTmp[:width]
+	copy(tmp, ri)
+	copy(ri, rj)
+	copy(rj, tmp)
 }
 
 // selectActive applies the step-row budget: when the batch exceeds it,
@@ -382,29 +425,72 @@ func (s *Scheduler) selectActive() int {
 	return s.stepRows
 }
 
-// views returns the [n,1,H,W] tensor headers over the packed buffers,
-// rebuilding them only when n or the backing arrays changed — a stable
-// batch reuses the same headers every step.
+// views returns the tensor headers over the first n packed rows — x as
+// [n,1,H,W]; control as [n,1,H,W] images on the plain path, [n,cw]
+// features on the split path, nil when control is off — rebuilding
+// them only when n or the backing arrays changed: a stable batch reuses
+// the same headers every step.
 func (s *Scheduler) views(n int) (x, c *tensor.Tensor) {
 	if s.viewN != n {
 		//tracelint:allow hotalloc — header-only rebuild when batch composition changes; stable batches reuse it
 		s.xView = tensor.FromSlice(s.xbuf[:n*s.d], n, 1, s.h, s.w)
-		if s.controlOn {
-			//tracelint:allow hotalloc — header-only rebuild when batch composition changes; stable batches reuse it
-			s.cView = tensor.FromSlice(s.cbuf[:n*s.d], n, 1, s.h, s.w)
-		} else {
+		switch {
+		case !s.controlOn:
 			s.cView = nil
+		case s.split != nil:
+			//tracelint:allow hotalloc — header-only rebuild when batch composition changes; stable batches reuse it
+			s.cView = tensor.FromSlice(s.cbuf[:n*s.cw], n, s.cw)
+		default:
+			//tracelint:allow hotalloc — header-only rebuild when batch composition changes; stable batches reuse it
+			s.cView = tensor.FromSlice(s.cbuf[:n*s.cw], n, 1, s.h, s.w)
 		}
 		s.viewN = n
 	}
 	return s.xView, s.cView
 }
 
+// predict evaluates ε for the first n rows at their timesteps, with
+// s.steps and s.class already filled: cond is ε under each flow's own
+// class, and uncond, when guided, ε under the null class (nil
+// otherwise). Both are tape-owned and valid until the next Recycle.
+//
+// Plain path: one forward, and a second under the null class when
+// guided. Split path: the trunk once; then the head once — over the n
+// rows when unguided, over 2n rows when guided, the trunk rows and
+// control features stacked twice under class[:n] ‖ class[n:2n].
+//
+//tracelint:hotpath
+func (s *Scheduler) predict(n int, guided bool) (cond, uncond []float32) {
+	xv, cv := s.views(n)
+	tp := s.tp
+	if s.split == nil {
+		cond = s.forward(tp, tp.Input(xv), s.steps[:n], s.class[:n], cv).X.Data
+		if guided {
+			uncond = s.forward(tp, tp.Input(xv), s.steps[:n], s.class[n:2*n], cv).X.Data
+		}
+		return cond, uncond
+	}
+	h, skip := s.split.Trunk(tp, tp.Input(xv), s.steps[:n])
+	var ctrl *nn.V
+	if cv != nil {
+		ctrl = tp.Input(cv)
+	}
+	if !guided {
+		return s.split.Head(tp, h, skip, s.class[:n], ctrl).X.Data, nil
+	}
+	h, skip = tp.Concat0(h, h), tp.Concat0(skip, skip)
+	if ctrl != nil {
+		ctrl = tp.Concat0(ctrl, ctrl)
+	}
+	eps := s.split.Head(tp, h, skip, s.class[:2*n], ctrl).X.Data
+	return eps[:n*s.d], eps[n*s.d:]
+}
+
 // Step advances the active flows by one step of their own plans:
 // retired flows are dropped first, the step-row budget (if set) picks
-// the least-remaining-work flows to advance, then ONE batched forward (a
-// guided pair when any stepping flow is guided) evaluates ε for the
-// stepping rows at their per-row timesteps, and each flow's DDPM/DDIM
+// the least-remaining-work flows to advance, then ONE batched evaluation
+// (predict: a guided pair when any stepping flow is guided) gives ε for
+// the stepping rows at their per-row timesteps, and each flow's DDPM/DDIM
 // update runs in place from its own coefficients and private stream.
 // Flows whose plan is exhausted copy their row into Out and leave the
 // batch; their IDs are returned (the slice is reused across calls —
@@ -429,17 +515,13 @@ func (s *Scheduler) Step() []FlowID {
 	guided := false
 	for i, f := range s.flows[:n] {
 		s.steps[i] = f.curT()
-		s.classC[i] = f.class
-		s.classU[i] = s.nullClass
+		s.class[i] = f.class
+		s.class[n+i] = s.nullClass
 		guided = guided || f.guided
 	}
-	xv, cv := s.views(n)
-	tp := s.tp
-	epsC := s.forward(tp, tp.Input(xv), s.steps[:n], s.classC[:n], cv)
-	eps := epsC.X.Data
+	eps, ud := s.predict(n, guided)
 	if guided {
-		epsU := s.forward(tp, tp.Input(xv), s.steps[:n], s.classU[:n], cv)
-		cd, ud := epsC.X.Data, epsU.X.Data
+		cd := eps
 		for i, f := range s.flows[:n] {
 			seg := s.epsBuf[i*s.d : (i+1)*s.d]
 			if f.guided {
@@ -464,8 +546,8 @@ func (s *Scheduler) Step() []FlowID {
 		}
 		f.pos--
 	}
-	tp.Reset()
-	tp.Recycle()
+	s.tp.Reset()
+	s.tp.Recycle()
 	s.stats.Steps++
 	s.stats.FlowSteps += uint64(n)
 

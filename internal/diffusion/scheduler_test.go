@@ -3,6 +3,7 @@ package diffusion
 import (
 	"testing"
 
+	"trafficdiff/internal/nn"
 	"trafficdiff/internal/stats"
 	"trafficdiff/internal/tensor"
 )
@@ -236,6 +237,90 @@ func TestSchedulerGrowthPreservesFlows(t *testing.T) {
 		}
 		if i, ok := bitsEqual(f.out, solo.Data); !ok {
 			t.Errorf("seed %d diverges from solo at [%d] after mid-flight growth", f.seed, i)
+		}
+	}
+}
+
+// countingSplit wraps an MLP denoiser and tallies the rows each half of
+// the split forward is asked to compute.
+type countingSplit struct {
+	*MLPDenoiser
+	t                                *testing.T
+	trunkCalls, headCalls, ctrlCalls int
+	trunkRows, headRows, ctrlRows    int
+}
+
+func (c *countingSplit) Forward(*nn.Tape, *nn.V, []int, []int, *tensor.Tensor) *nn.V {
+	c.t.Fatal("split path called the plain Forward")
+	return nil
+}
+
+func (c *countingSplit) ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V {
+	c.ctrlCalls++
+	out := c.MLPDenoiser.ControlFeatures(tp, control)
+	c.ctrlRows += out.X.Shape[0]
+	return out
+}
+
+func (c *countingSplit) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) {
+	c.trunkCalls++
+	c.trunkRows += len(steps)
+	return c.MLPDenoiser.Trunk(tp, xt, steps)
+}
+
+func (c *countingSplit) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V {
+	c.headCalls++
+	c.headRows += len(class)
+	return c.MLPDenoiser.Head(tp, h, skip, class, ctrl)
+}
+
+// TestSchedulerSplitStepWork counts the work of the split path: with no
+// override, a guided step over n rows runs the trunk (the x projection)
+// once over n rows and the head (the output projection) once over 2n,
+// and never the control projection, which ran once per flow at Admit —
+// three n-row big products per step where the plain path's two forwards
+// run six. An unguided step runs the head over n rows.
+func TestSchedulerSplitStepWork(t *testing.T) {
+	r := stats.NewRNG(59)
+	h, w := 4, 8
+	model := &countingSplit{MLPDenoiser: equivModel(r, h, w), t: t}
+	sched := NewSchedule(ScheduleCosine, 12)
+	control := tensor.New(1, h, w).Randn(r, 1)
+	const n, ddim = 5, 4
+
+	for _, guidance := range []float64{2, 1} {
+		*model = countingSplit{MLPDenoiser: model.MLPDenoiser, t: t}
+		eng := NewScheduler(model, sched, nil)
+		for i := 0; i < n; i++ {
+			if _, err := eng.Admit(FlowSpec{
+				Class: i % 2, GuidanceScale: guidance, DDIMSteps: ddim,
+				RNG: stats.NewRNG(uint64(i + 1)), Control: control, Out: make([]float32, h*w),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if model.ctrlCalls != n || model.ctrlRows != n {
+			t.Fatalf("w=%v: %d control projections over %d rows at admission, want %d over %d",
+				guidance, model.ctrlCalls, model.ctrlRows, n, n)
+		}
+		for eng.Active() > 0 {
+			eng.Step()
+		}
+		headRows := 2 * n
+		if guidance == 1 {
+			headRows = n
+		}
+		if model.trunkCalls != ddim || model.trunkRows != ddim*n {
+			t.Errorf("w=%v: trunk ran %d times over %d rows, want %d over %d",
+				guidance, model.trunkCalls, model.trunkRows, ddim, ddim*n)
+		}
+		if model.headCalls != ddim || model.headRows != ddim*headRows {
+			t.Errorf("w=%v: head ran %d times over %d rows, want %d over %d",
+				guidance, model.headCalls, model.headRows, ddim, ddim*headRows)
+		}
+		if model.ctrlCalls != n {
+			t.Errorf("w=%v: %d control projections after stepping, want the %d from admission",
+				guidance, model.ctrlCalls, n)
 		}
 	}
 }

@@ -76,7 +76,11 @@ func TestRunFrontierSweep(t *testing.T) {
 	cfg := DefaultFrontierConfig()
 	cfg.TrainFlows = 6
 	cfg.TestFlows = 4
-	cfg.GenFlows = 3
+	// Each point's throughput is one wall-clock reading, and "faster
+	// than the reference" below compares two of them: keep the timed
+	// work long enough (tens of ms at the reference) that a scheduler
+	// stall on a busy host cannot flip the order.
+	cfg.GenFlows = 12
 	cfg.Steps = []int{4, 8}
 	cfg.Synth.BaseSteps = 12
 	cfg.Synth.FineTuneSteps = 16

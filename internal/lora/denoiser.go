@@ -76,29 +76,44 @@ func (a *AdaptedMLP) Precision() diffusion.Precision {
 }
 
 // Forward implements diffusion.Denoiser: the base MLP's architecture
-// with adapter deltas on each projection and the new class table.
+// with adapter deltas on each projection and the new class table,
+// composed as head∘trunk (see diffusion.SplitForwarder).
 func (a *AdaptedMLP) Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
-	n := xt.X.Shape[0]
-	h, w := a.Base.Shape()
-	d := h * w
-	x2 := tp.Reshape(xt, n, d)
+	return diffusion.ForwardSplit(a, tp, xt, steps, class, control)
+}
 
-	// One sinusoidal embedding feeds both the time projection and the
-	// gate (it was previously computed twice per forward).
+// ControlFeatures implements diffusion.SplitForwarder: the frozen base
+// ControlNet hook, which carries no adapter.
+func (a *AdaptedMLP) ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V {
+	return a.Base.ControlFeatures(tp, control)
+}
+
+// Trunk implements diffusion.SplitForwarder: the adapted x projection
+// plus the frozen time projection, and the base model's time-gated
+// input skip (frozen gate). One sinusoidal embedding feeds both.
+//
+//tracelint:hotpath
+func (a *AdaptedMLP) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) {
+	bh, bw := a.Base.Shape()
+	x2 := tp.Reshape(xt, xt.X.Shape[0], bh*bw)
 	tfeat := tp.TimeEmbed(steps, diffusion.TimeEmbedDim())
-	hv := a.XProj.Apply(tp, a.Base.XProjLayer(), x2)
-	temb := tp.Linear(tfeat, a.Base.TimeProjLayer().W, a.Base.TimeProjLayer().B)
-	hv = tp.Add(hv, temb)
-	hv = tp.Add(hv, a.ClassEmb.Apply(tp, class))
-	if control != nil {
-		ctrl := tp.Input(control.Reshape(n, d))
-		hv = tp.Add(hv, a.Base.CtrlProjLayer().Apply(tp, ctrl))
+	h = tp.Add(a.XProj.Apply(tp, a.Base.XProjLayer(), x2), a.Base.TimeProjLayer().Apply(tp, tfeat))
+	skip = tp.MulScalarBroadcast(x2, a.Base.GateLayer().Apply(tp, tfeat))
+	return h, skip
+}
+
+// Head implements diffusion.SplitForwarder.
+//
+//tracelint:hotpath
+func (a *AdaptedMLP) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V {
+	h = tp.Add(h, a.ClassEmb.Apply(tp, class))
+	if ctrl != nil {
+		h = tp.Add(h, ctrl)
 	}
-	hv = tp.SiLU(a.Base.Norm1Layer().Apply(tp, hv))
-	h2 := tp.SiLU(a.Base.Norm2Layer().Apply(tp, a.Hid.Apply(tp, a.Base.HidLayer(), hv)))
-	hv = tp.Add(hv, h2)
-	eps := a.Out.Apply(tp, a.Base.OutLayer(), hv)
-	// Mirror the base model's time-gated input skip (frozen gate).
-	eps = tp.Add(eps, tp.MulScalarBroadcast(x2, a.Base.GateLayer().Apply(tp, tfeat)))
-	return tp.Reshape(eps, n, 1, h, w)
+	h = tp.SiLU(a.Base.Norm1Layer().Apply(tp, h))
+	h2 := tp.SiLU(a.Base.Norm2Layer().Apply(tp, a.Hid.Apply(tp, a.Base.HidLayer(), h)))
+	h = tp.Add(h, h2)
+	eps := tp.Add(a.Out.Apply(tp, a.Base.OutLayer(), h), skip)
+	bh, bw := a.Base.Shape()
+	return tp.Reshape(eps, eps.X.Shape[0], 1, bh, bw)
 }

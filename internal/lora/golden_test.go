@@ -1,0 +1,85 @@
+package lora
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+
+	"trafficdiff/internal/diffusion"
+	"trafficdiff/internal/stats"
+	"trafficdiff/internal/tensor"
+)
+
+// goldenModel builds a small adapted denoiser whose zero-initialized
+// layers (output projection, ControlNet hook, adapter B matrices) are
+// given real weights, so every term of the forward reaches the output.
+func goldenModel(r *stats.RNG, h, w int) *AdaptedMLP {
+	base := diffusion.NewMLPDenoiser(r, h, w, 32, 2)
+	base.OutLayer().W.X.Randn(r, 0.05)
+	base.CtrlProjLayer().W.X.Randn(r, 0.05)
+	ad := NewAdaptedMLP(r, base, 2, 4, 2)
+	for _, a := range []*Adapter{ad.XProj, ad.Hid, ad.Out} {
+		a.B.X.Randn(r, 0.1)
+	}
+	return ad
+}
+
+// goldenSampleDigests are sha256 digests of the raw float32 bits
+// diffusion.Sample returns for goldenModel, recorded on the commit
+// before the register-blocked A·Bᵀ kernel and the shared-trunk guided
+// forward landed. The in-binary oracles (SampleLegacy, the serial
+// kernel reference) share kernels and forward helpers with the path
+// they check; these digests are what sees a change both sides share,
+// at single-ulp resolution (core's pcap digests sit behind
+// quantization). A change that means to alter output bytes re-records
+// them and says so.
+var goldenSampleDigests = map[string]string{
+	"fp32/ddpm":  "7924acc33dcee9e6b0cbf3cd229c5bff04f3637886ce719a6c3ba68932701983",
+	"fp32/ddim4": "7aa984f627039300a88ca36adb7c5763f804e59425330c76310476ba80afce8f",
+	"int8/ddpm":  "5a97020d9a6d3cea5347b955836f4f4313d24332f1f40167d8b24968bd16fcd3",
+	"int8/ddim4": "bf146d317501c880f5e63a5b72b52f6d756a3db3d6f3cc3a916ad44dbbd71ff7",
+}
+
+func TestGoldenSampleDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Go fuses x*y+z into one FMA on some architectures, which
+		// rounds differently; the digests were recorded on amd64.
+		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	r := stats.NewRNG(20231128)
+	h, w := 4, 8
+	model := goldenModel(r, h, w)
+	sched := diffusion.NewSchedule(diffusion.ScheduleCosine, 12)
+	control := tensor.New(1, h, w).Randn(r, 1)
+	for _, prec := range []string{"fp32", "int8"} {
+		if prec == "int8" {
+			model.Quantize()
+		}
+		for _, ddim := range []int{0, 4} {
+			key := prec + "/ddpm"
+			if ddim > 0 {
+				key = prec + "/ddim4"
+			}
+			out, err := diffusion.Sample(model, sched, diffusion.SampleConfig{
+				Class: 1, N: 3, GuidanceScale: 2, DDIMSteps: ddim,
+				Control: control, FlowSeeds: []uint64{5, 6, 7},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			hash := sha256.New()
+			var b [4]byte
+			for _, v := range out.Data {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				hash.Write(b[:])
+			}
+			got := hex.EncodeToString(hash.Sum(nil))
+			if got != goldenSampleDigests[key] {
+				t.Errorf("%s: digest %s, want %s", key, got, goldenSampleDigests[key])
+			}
+		}
+	}
+}

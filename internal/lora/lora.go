@@ -44,13 +44,13 @@ func NewAdapter(r *stats.RNG, in, out, rank int, alpha float64) *Adapter {
 func (ad *Adapter) Params() []*nn.V { return []*nn.V{ad.A, ad.B} }
 
 // Apply computes the adapted output for base layer l on x [N,in]:
-// base(x) + (α/r)·(x·Aᵀ)·Bᵀ.
+// base(x) + (α/r)·(x·Aᵀ)·Bᵀ. The low-rank projections carry no bias.
+//
+//tracelint:hotpath
 func (ad *Adapter) Apply(tp *nn.Tape, l *nn.LinearLayer, x *nn.V) *nn.V {
 	base := l.Apply(tp, x)
-	zeroA := nn.Param(ad.Rank) // zero bias for the low-rank projections
-	zeroB := nn.Param(ad.B.X.Shape[0])
-	down := tp.Linear(x, ad.A, zeroA)  // [N, r]
-	up := tp.Linear(down, ad.B, zeroB) // [N, out]
+	down := tp.Linear(x, ad.A, nil)  // [N, r]
+	up := tp.Linear(down, ad.B, nil) // [N, out]
 	scaled := tp.Scale(up, float32(ad.Alpha/float64(ad.Rank)))
 	return tp.Add(base, scaled)
 }

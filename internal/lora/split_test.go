@@ -1,0 +1,257 @@
+package lora
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"trafficdiff/internal/diffusion"
+	"trafficdiff/internal/nn"
+	"trafficdiff/internal/stats"
+	"trafficdiff/internal/tensor"
+)
+
+// These tests pin the shared-trunk guided forward (diffusion.
+// SplitForwarder) for both models that implement it — the base MLP and
+// the LoRA-adapted MLP, fp32 and int8 — against the plain two-forward
+// path, byte for byte. They live here because this package sees both
+// models.
+
+// splitModel builds a base MLP (hidden ≠ H·W, so a control-feature row
+// and an image row can never be confused) with real weights in every
+// zero-initialized layer, and its adapted wrapper.
+func splitModel(r *stats.RNG, h, w, hidden int) (*diffusion.MLPDenoiser, *AdaptedMLP) {
+	base := diffusion.NewMLPDenoiser(r, h, w, hidden, 2)
+	base.OutLayer().W.X.Randn(r, 0.05)
+	base.CtrlProjLayer().W.X.Randn(r, 0.05)
+	base.CtrlProjLayer().B.X.Randn(r, 0.05)
+	ad := NewAdaptedMLP(r, base, 2, 4, 2)
+	for _, a := range []*Adapter{ad.XProj, ad.Hid, ad.Out} {
+		a.B.X.Randn(r, 0.1)
+	}
+	return base, ad
+}
+
+func requireSameBits(t *testing.T, label string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d = %x, want %x", label, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+func noGradTape() *nn.Tape {
+	tp := nn.NewTape()
+	tp.SetNoGrad(true)
+	return tp
+}
+
+// TestSplitForwardMatchesPlainPair: the trunk once, the head once over
+// the stacked conditional ‖ unconditional rows, and the control
+// projected one row at a time, give exactly the bytes of two plain
+// Forward calls.
+func TestSplitForwardMatchesPlainPair(t *testing.T) {
+	r := stats.NewRNG(61)
+	h, w := 4, 8
+	d := h * w
+	base, ad := splitModel(r, h, w, 24)
+	const n = 3
+	x := tensor.New(n, 1, h, w).Randn(r, 1)
+	control := tensor.New(n, 1, h, w).Randn(r, 1) // a different image per row
+	steps := []int{5, 0, 11}
+	classC := []int{1, 0, 1}
+
+	type named struct {
+		name  string
+		model diffusion.Denoiser
+	}
+	run := func(t *testing.T, m named) {
+		split := m.model.(diffusion.SplitForwarder)
+		classU := []int{m.model.NullClass(), m.model.NullClass(), m.model.NullClass()}
+		for _, ctl := range []*tensor.Tensor{nil, control} {
+			label := fmt.Sprintf("%s/ctl=%v", m.name, ctl != nil)
+			tp := noGradTape()
+			wantC := m.model.Forward(tp, nn.NewV(x), steps, classC, ctl).X.Data
+			wantU := m.model.Forward(tp, nn.NewV(x), steps, classU, ctl).X.Data
+
+			tp = noGradTape()
+			hv, skip := split.Trunk(tp, nn.NewV(x), steps)
+			var ctrl *nn.V
+			if ctl != nil {
+				// Row by row, as Scheduler.Admit projects it.
+				batched := split.ControlFeatures(tp, ctl)
+				hidden := batched.X.Shape[1]
+				feats := tensor.New(n, hidden)
+				for i := 0; i < n; i++ {
+					row := split.ControlFeatures(tp, tensor.FromSlice(ctl.Data[i*d:(i+1)*d], 1, d))
+					copy(feats.Data[i*hidden:], row.X.Data)
+				}
+				requireSameBits(t, label+" control features", feats.Data, batched.X.Data)
+				ctrl = tp.Input(feats)
+				ctrl = tp.Concat0(ctrl, ctrl)
+			}
+			eps := split.Head(tp, tp.Concat0(hv, hv), tp.Concat0(skip, skip),
+				append(append([]int(nil), classC...), classU...), ctrl)
+			if got := eps.X.Shape; len(got) != 4 || got[0] != 2*n || got[2] != h || got[3] != w {
+				t.Fatalf("%s: head output shape %v", label, got)
+			}
+			requireSameBits(t, label+" conditional half", eps.X.Data[:n*d], wantC)
+			requireSameBits(t, label+" unconditional half", eps.X.Data[n*d:], wantU)
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, m := range []named{{"mlp/fp32", base}, {"adapted/fp32", ad}} {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, m.name), func(t *testing.T) { run(t, m) })
+		}
+	}
+	ad.Quantize() // quantizes the shared base layers: both models now run int8
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, m := range []named{{"mlp/int8", base}, {"adapted/int8", ad}} {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, m.name), func(t *testing.T) { run(t, m) })
+		}
+	}
+}
+
+// TestSplitSchedulerMatchesLegacy drives the scheduler's split path
+// (nil override) and its plain path (the model's own Forward as the
+// override) through admission churn under a step-row budget, and
+// requires every flow to equal its solo SampleLegacy run. Flows mix
+// classes, guided and unguided, DDPM and DDIM budgets, and — unlike the
+// diffusion package's churn test — every flow has its own control
+// image, so a control-feature row that fails to follow its flow
+// through swapRows/dropRow/growTo changes bytes. hidden is taken on
+// both sides of H·W: the feature buffer is narrower than the image
+// buffer in one case and wider in the other.
+func TestSplitSchedulerMatchesLegacy(t *testing.T) {
+	h, w := 4, 8
+	d := h * w
+	sched := diffusion.NewSchedule(diffusion.ScheduleCosine, 12)
+	type flowCase struct {
+		seed     uint64
+		class    int
+		guidance float64
+		ddim     int
+		control  *tensor.Tensor
+		out      []float32
+		id       diffusion.FlowID
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, hidden := range []int{24, 40} {
+		r := stats.NewRNG(uint64(70 + hidden))
+		_, ad := splitModel(r, h, w, hidden)
+		for _, prec := range []string{"fp32", "int8"} {
+			if prec == "int8" {
+				ad.Quantize()
+			}
+			for _, procs := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
+				for _, withCtl := range []bool{false, true} {
+					for _, override := range []diffusion.ForwardFunc{nil, ad.Forward} {
+						name := fmt.Sprintf("hidden=%d/%s/procs=%d/ctl=%v/override=%v",
+							hidden, prec, procs, withCtl, override != nil)
+						eng := diffusion.NewScheduler(ad, sched, override)
+						eng.SetStepRows(3)
+						flows := make([]*flowCase, 9)
+						for i := range flows {
+							f := &flowCase{
+								seed:     uint64(500 + i),
+								class:    i % 2,
+								guidance: []float64{1, 2, 3}[i%3],
+								ddim:     []int{0, 3, 4}[(i/2)%3],
+								out:      make([]float32, d),
+							}
+							if withCtl {
+								f.control = tensor.New(1, h, w).Randn(r, 1)
+							}
+							flows[i] = f
+						}
+						admit := func(f *flowCase) {
+							id, err := eng.Admit(diffusion.FlowSpec{
+								Class: f.class, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
+								RNG: stats.NewRNG(f.seed), Control: f.control, Out: f.out,
+							})
+							if err != nil {
+								t.Fatalf("%s: admit: %v", name, err)
+							}
+							f.id = id
+						}
+						// 3 flows, two steps, 4 more (past the initial
+						// 4-row buffers: growTo mid-flight), a retirement,
+						// two steps, the last 2.
+						for _, f := range flows[:3] {
+							admit(f)
+						}
+						eng.Step()
+						eng.Step()
+						for _, f := range flows[3:7] {
+							admit(f)
+						}
+						eng.Retire(flows[1].id)
+						eng.Step()
+						eng.Step()
+						for _, f := range flows[7:] {
+							admit(f)
+						}
+						for eng.Active() > 0 {
+							eng.Step()
+						}
+						for i, f := range flows {
+							if i == 1 {
+								continue // retired
+							}
+							solo, err := diffusion.SampleLegacy(ad, sched, diffusion.SampleConfig{
+								Class: f.class, N: 1, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
+								Control: f.control, FlowSeeds: []uint64{f.seed},
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							requireSameBits(t, fmt.Sprintf("%s flow %d", name, i), f.out, solo.Data)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSampleAdapted times diffusion.Sample on the paper-scale
+// adapted model (16×136 image, hidden 192, rank 8, control on, guidance
+// 2, 15 DDIM steps of T=120, 64 flows — the benchmark's offline_bulk
+// shape) on the scheduler's split path and, through an ExtraForward
+// override, on its plain path.
+func BenchmarkSampleAdapted(b *testing.B) {
+	r := stats.NewRNG(3)
+	h, w := 16, 136
+	base := diffusion.NewMLPDenoiser(r, h, w, 192, 4)
+	ad := NewAdaptedMLP(r, base, 8, 16, 4)
+	sched := diffusion.NewSchedule(diffusion.ScheduleCosine, 120)
+	control := tensor.New(1, h, w).Randn(r, 1)
+	const n = 64
+	for _, path := range []struct {
+		name     string
+		override diffusion.ForwardFunc
+	}{{"split", nil}, {"plain", ad.Forward}} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := diffusion.Sample(ad, sched, diffusion.SampleConfig{
+					Class: 1, N: n, GuidanceScale: 2, DDIMSteps: 15, Control: control,
+					Seed: uint64(i + 1), ExtraForward: path.override,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
+		})
+	}
+}

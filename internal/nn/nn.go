@@ -18,7 +18,9 @@ import (
 	"trafficdiff/internal/tensor"
 )
 
-// V is a tensor value in the autodiff graph with its gradient.
+// V is a tensor value in the autodiff graph with its gradient. G is
+// nil on values a no-grad tape produced (Tape.SetNoGrad): nothing
+// differentiates through them.
 type V struct {
 	X *tensor.Tensor
 	G *tensor.Tensor
@@ -42,9 +44,10 @@ func (v *V) ZeroGrad() { v.G.Zero() }
 // after the optimizer step to return all tape-allocated values to the
 // pool instead of garbage-collecting them. With no-grad mode on
 // (SetNoGrad) ops compute values only — no backward closures are
-// built, which makes a reuse-enabled tape's steady state essentially
-// allocation-free for inference loops whose shapes repeat every step
-// (the batched diffusion sampler).
+// built and no gradient buffers are allocated or cleared, which makes
+// a reuse-enabled tape's steady state essentially allocation-free for
+// inference loops whose shapes repeat every step (the batched
+// diffusion sampler).
 type Tape struct {
 	steps []func()
 
@@ -99,14 +102,28 @@ func (t *Tape) SetNoGrad(on bool) { t.nograd = on }
 // pay the closure allocations.
 func (t *Tape) grad() bool { return !t.nograd }
 
+// newV wraps x as a value of this tape: with a zero gradient buffer on
+// a gradient-recording tape, with none (G nil) on a no-grad tape —
+// nothing reads a gradient there, so an inference loop neither
+// allocates nor re-zeroes a second tensor behind every op output.
+func (t *Tape) newV(x *tensor.Tensor) *V {
+	if t.nograd {
+		//tracelint:allow hotalloc — arena miss: hot callers hit Tape.alloc's free list in steady state
+		return &V{X: x}
+	}
+	return NewV(x)
+}
+
 // alloc returns a zeroed graph value of the given shape, reusing a
 // recycled buffer of the same element count when the arena is on. When
 // the recycled buffer's shape already matches (the steady state of a
 // loop with fixed shapes), the value is handed back as-is with no new
-// header allocations.
+// header allocations. On a no-grad tape the value carries no gradient
+// buffer (see newV); a recycled one that has a buffer from an earlier
+// gradient pass keeps it, untouched.
 func (t *Tape) alloc(shape ...int) *V {
 	if !t.reuse {
-		return NewV(tensor.New(shape...))
+		return t.newV(tensor.New(shape...))
 	}
 	n := 1
 	for _, s := range shape {
@@ -116,18 +133,28 @@ func (t *Tape) alloc(shape ...int) *V {
 		base := vs[len(vs)-1]
 		t.free[n] = vs[:len(vs)-1]
 		base.X.Zero()
-		base.G.Zero()
+		if !t.nograd {
+			if base.G == nil {
+				//tracelint:allow hotalloc — a value pooled by a no-grad pass meets its first gradient pass; once per buffer
+				base.G = tensor.New(base.X.Shape...)
+			} else {
+				base.G.Zero()
+			}
+		}
 		v := base
 		if !shapeEq(base.X.Shape, shape) {
 			//tracelint:allow hotalloc — header-only rewrap when a reused buffer changes shape; data is shared
-			v = &V{X: base.X.Reshape(shape...), G: base.G.Reshape(shape...)}
+			v = &V{X: base.X.Reshape(shape...)}
+			if !t.nograd {
+				v.G = base.G.Reshape(shape...)
+			}
 		}
 		//tracelint:allow hotalloc — bookkeeping append: taken reaches steady capacity after the first step
 		t.taken = append(t.taken, v)
 		return v
 	}
 	//tracelint:allow hotalloc — arena miss: first step only, recycled afterwards
-	v := NewV(tensor.New(shape...))
+	v := t.newV(tensor.New(shape...))
 	//tracelint:allow hotalloc — bookkeeping append: taken reaches steady capacity after the first step
 	t.taken = append(t.taken, v)
 	return v
@@ -151,15 +178,19 @@ func shapeEq(a, b []int) bool {
 // recycled buffers keep their old contents.
 func (t *Tape) scratch(n int) []float32 {
 	if !t.reuse {
+		//tracelint:allow hotalloc — reuse off: training tapes without an arena; samplers enable it
 		return make([]float32, n)
 	}
 	if bs := t.sfree[n]; len(bs) > 0 {
 		b := bs[len(bs)-1]
 		t.sfree[n] = bs[:len(bs)-1]
+		//tracelint:allow hotalloc — bookkeeping append: staken reaches steady capacity after the first step
 		t.staken = append(t.staken, b)
 		return b
 	}
+	//tracelint:allow hotalloc — arena miss: first step only, recycled afterwards
 	b := make([]float32, n)
+	//tracelint:allow hotalloc — bookkeeping append: staken reaches steady capacity after the first step
 	t.staken = append(t.staken, b)
 	return b
 }
@@ -180,7 +211,7 @@ func (t *Tape) Input(x *tensor.Tensor) *V { return t.cloneV(x) }
 // adopt wraps a tensor allocated elsewhere (e.g. by a fused kernel) as
 // a tape value so its storage still enters the arena on Recycle.
 func (t *Tape) adopt(x *tensor.Tensor) *V {
-	v := NewV(x)
+	v := t.newV(x)
 	if t.reuse {
 		t.taken = append(t.taken, v)
 	}
@@ -210,7 +241,10 @@ func (t *Tape) Recycle() {
 }
 
 // record appends a backward closure.
-func (t *Tape) record(f func()) { t.steps = append(t.steps, f) }
+func (t *Tape) record(f func()) {
+	//tracelint:allow hotalloc — gradient tapes only: every caller is guarded by t.grad()
+	t.steps = append(t.steps, f)
+}
 
 // Backward seeds d(loss)/d(loss)=1 and runs all recorded closures in
 // reverse. loss must be scalar (one element).
@@ -237,6 +271,7 @@ func (t *Tape) Add(a, b *V) *V {
 	out := t.cloneV(a.X)
 	out.X.AddInto(b.X)
 	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			a.G.AddInto(out.G)
 			b.G.AddInto(out.G)
@@ -292,6 +327,7 @@ func (t *Tape) Scale(a *V, s float32) *V {
 		out.X.Data[i] = s * v
 	}
 	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for i, g := range out.G.Data {
 				a.G.Data[i] += s * g
@@ -319,7 +355,12 @@ func (t *Tape) AddConst(a *V, c float32) *V {
 // steady-state loop pays no header allocations for reshapes.
 func (t *Tape) Reshape(a *V, shape ...int) *V {
 	if !t.reuse {
-		return &V{X: a.X.Reshape(shape...), G: a.G.Reshape(shape...)}
+		//tracelint:allow hotalloc — reuse off: training tapes without an arena; samplers enable it
+		v := &V{X: a.X.Reshape(shape...)}
+		if a.G != nil {
+			v.G = a.G.Reshape(shape...)
+		}
+		return v
 	}
 	n := 1
 	for _, s := range shape {
@@ -333,15 +374,21 @@ func (t *Tape) Reshape(a *V, shape ...int) *V {
 		w = t.vfree[len(t.vfree)-1]
 		t.vfree = t.vfree[:len(t.vfree)-1]
 	} else {
+		//tracelint:allow hotalloc — pool miss: first step only, recycled afterwards
 		w = &viewV{}
 	}
+	//tracelint:allow hotalloc — bookkeeping append: vtaken reaches steady capacity after the first step
 	t.vtaken = append(t.vtaken, w)
 	// X and G share one shape slice; shapes are read-only by convention.
+	//tracelint:allow hotalloc — a pooled header's shape slice keeps its capacity across steps
 	w.xt.Shape = append(w.xt.Shape[:0], shape...)
 	w.xt.Data = a.X.Data
-	w.gt.Shape = w.xt.Shape
-	w.gt.Data = a.G.Data
-	w.v.X, w.v.G = &w.xt, &w.gt
+	w.v.X, w.v.G = &w.xt, nil
+	if a.G != nil { // no-grad values carry no gradient to view
+		w.gt.Shape = w.xt.Shape
+		w.gt.Data = a.G.Data
+		w.v.G = &w.gt
+	}
 	return &w.v
 }
 
@@ -356,6 +403,7 @@ func (t *Tape) Concat0(a, b *V) *V {
 	copy(out.X.Data, a.X.Data)
 	copy(out.X.Data[len(a.X.Data):], b.X.Data)
 	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for i := range a.G.Data {
 				a.G.Data[i] += out.G.Data[i]
@@ -383,26 +431,39 @@ func (t *Tape) MatMul(a, b *V) *V {
 	return out
 }
 
-// Linear computes x·wᵀ + bias for x [N,in], w [out,in], bias [out].
+// Linear computes x·wᵀ + bias for x [N,in], w [out,in], bias [out]. A
+// nil bias means none: the product is returned as is. That is
+// bit-identical to adding a zero bias — a dot product accumulated from
+// +0 is never -0, and v + 0 == v for every other v — without the
+// caller keeping a zero parameter (and its gradient) around.
 func (t *Tape) Linear(x, w, bias *V) *V {
 	n, in := x.X.Shape[0], x.X.Shape[1]
 	outDim := w.X.Shape[0]
-	if w.X.Shape[1] != in || bias.X.Shape[0] != outDim {
+	if w.X.Shape[1] != in {
+		panic(fmt.Sprintf("nn: Linear shapes x%v w%v", x.X.Shape, w.X.Shape))
+	}
+	if bias != nil && bias.X.Shape[0] != outDim {
 		panic(fmt.Sprintf("nn: Linear shapes x%v w%v b%v", x.X.Shape, w.X.Shape, bias.X.Shape))
 	}
 	out := t.alloc(n, outDim)
 	tensor.MatMulABTInto(out.X, x.X, w.X)
-	for r := 0; r < n; r++ {
-		row := out.X.Data[r*outDim:]
-		for o := 0; o < outDim; o++ {
-			row[o] += bias.X.Data[o]
+	if bias != nil {
+		for r := 0; r < n; r++ {
+			row := out.X.Data[r*outDim:]
+			for o := 0; o < outDim; o++ {
+				row[o] += bias.X.Data[o]
+			}
 		}
 	}
 	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			// dx = dout·w ; dw = doutᵀ·x ; db = column sums of dout
 			x.G.AddInto(tensor.MatMul(out.G, w.X))
 			w.G.AddInto(tensor.MatMulATB(out.G, x.X))
+			if bias == nil {
+				return
+			}
 			for r := 0; r < n; r++ {
 				row := out.G.Data[r*outDim:]
 				for o := 0; o < outDim; o++ {

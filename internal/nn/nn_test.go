@@ -232,3 +232,72 @@ func TestEMASwapRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestNoGradTapeCarriesNoGradients pins the arena contract the sampler
+// relies on: a no-grad tape's values have no gradient buffer at all —
+// fresh, recycled, reshaped or rewrapped to another shape — and compute
+// the same bytes as a gradient-recording tape, whose values still carry
+// a zeroed gradient, including ones first pooled by a no-grad pass.
+func TestNoGradTapeCarriesNoGradients(t *testing.T) {
+	r := stats.NewRNG(9)
+	x := NewV(tensor.New(3, 5).Randn(r, 1))
+	w := NewV(tensor.New(4, 5).Randn(r, 1))
+	forward := func(tp *Tape) *V {
+		h := tp.SiLU(tp.Linear(tp.Input(x.X), w, nil))
+		return tp.Reshape(tp.Add(h, h), 2, 6)
+	}
+
+	ng := NewTape()
+	ng.EnableReuse()
+	ng.SetNoGrad(true)
+	var want []float32
+	for pass := 0; pass < 3; pass++ { // pass 0 misses the arena, later ones hit it
+		out := forward(ng)
+		if pass == 0 {
+			want = append(want, out.X.Data...)
+		}
+		for i, v := range out.X.Data {
+			if v != want[i] {
+				t.Fatalf("pass %d: recycled value differs at %d", pass, i)
+			}
+		}
+		if out.G != nil {
+			t.Fatalf("pass %d: reshape view of a no-grad value has a gradient", pass)
+		}
+		for _, v := range ng.taken {
+			if v.G != nil {
+				t.Fatalf("pass %d: no-grad arena value %v carries a gradient buffer", pass, v.X.Shape)
+			}
+		}
+		ng.Reset()
+		ng.Recycle()
+	}
+	// Same element count, different shape: the rewrap path.
+	if v := ng.alloc(4, 3); v.G != nil {
+		t.Fatal("rewrapped no-grad value carries a gradient buffer")
+	}
+	ng.Recycle()
+
+	// The same arena on a gradient pass: every value, including those
+	// pooled above without a buffer, gets a zeroed gradient.
+	ng.SetNoGrad(false)
+	out := forward(ng)
+	for i, v := range out.X.Data {
+		if v != want[i] {
+			t.Fatalf("grad pass differs from no-grad pass at %d", i)
+		}
+	}
+	for _, v := range ng.taken {
+		if v.G == nil || !v.G.SameShape(v.X) {
+			t.Fatalf("grad tape value %v has no gradient buffer", v.X.Shape)
+		}
+		for _, g := range v.G.Data {
+			if g != 0 {
+				t.Fatal("grad tape value's gradient is not zeroed")
+			}
+		}
+	}
+	if tp := NewTape(); tp.alloc(2, 2).G == nil {
+		t.Fatal("plain grad tape value has no gradient buffer")
+	}
+}

@@ -16,6 +16,7 @@ func (t *Tape) SiLU(a *V) *V {
 		out.X.Data[i] = v * s
 	}
 	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for i, g := range out.G.Data {
 				s := sig[i]
@@ -114,6 +115,7 @@ func (t *Tape) LayerNorm(x, gamma, beta *V) *V {
 		}
 	}
 	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for r := 0; r < n; r++ {
 				var sumG, sumGH float32
@@ -194,7 +196,9 @@ func (t *Tape) Gather(table *V, idx []int) *V {
 	}
 	if t.grad() {
 		// Capture a copy: callers may reuse their index slice.
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		ids := append([]int(nil), idx...)
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for r, id := range ids {
 				dst := table.G.Data[id*d : (id+1)*d]
@@ -297,6 +301,7 @@ func (t *Tape) MulScalarBroadcast(a, s *V) *V {
 		}
 	}
 	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for r := 0; r < n; r++ {
 				sv := s.X.Data[r]

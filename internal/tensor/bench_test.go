@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"trafficdiff/internal/stats"
@@ -32,16 +33,22 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulABT times the inference GEMM on the generic sizes and
+// on the paper-scale adapted forward's four products (abtPaperShapes),
+// reporting GFLOP/s so tile choices compare across shapes.
 func BenchmarkMatMulABT(b *testing.B) {
 	r := stats.NewRNG(2)
-	for _, sz := range benchMatMulSizes {
+	for _, sz := range slices.Concat(benchMatMulSizes, abtPaperShapes()) {
 		a := New(sz.m, sz.k).Randn(r, 1)
 		bb := New(sz.n, sz.k).Randn(r, 1)
+		c := New(sz.m, sz.n)
 		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.k, sz.n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMulABT(a, bb)
+				MatMulABTInto(c, a, bb)
 			}
+			flops := 2 * float64(sz.m) * float64(sz.k) * float64(sz.n)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
 		})
 	}
 }

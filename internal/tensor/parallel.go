@@ -24,6 +24,14 @@ import (
 // equivalent element operations) below which a kernel runs serially:
 // goroutine dispatch costs on the order of microseconds, so small ops
 // must not pay it.
+//
+// Re-measured against the 1×4 A·Bᵀ kernel (2 workers, reference host,
+// min of 41 interleaved rounds, sharded vs serial): 8×2176×8 (139 K
+// multiply-adds) 30 vs 28 µs, 16×8×2176 (279 K) 70 vs 88 µs, 8×192×192
+// (295 K) 53 vs 60 µs, 1×2176×192 (418 K, the batch-1 inference row)
+// 87 vs 110 µs. Break-even sits between 1<<17 and 1<<18; the products
+// in that band cost tens of microseconds in a step of milliseconds, so
+// the constant stays.
 const minParallelWork = 1 << 17
 
 // kBlock is the contraction-axis tile: panels of B this tall stay hot
@@ -209,35 +217,59 @@ func matmulATBCols(c, a, b []float32, k, m, n, jlo, jhi int) {
 
 // --- C = A·Bᵀ ----------------------------------------------------------
 
-// matmulABTRows computes rows [lo, hi) of C = A·Bᵀ. Each element is one
-// sequential dot product, so there is no accumulation to reorder.
-func matmulABTRows(c, a, b []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			var sum float32
-			for p := range ai {
-				sum += ai[p] * bj[p]
+// matmulABTRange is the one A·Bᵀ kernel: it computes the output block
+// rows [ilo, ihi) × columns [jlo, jhi) of C = A·Bᵀ. MatMulABTInto's
+// serial call, row shards and column shards are all ranges over it.
+//
+// It is register-blocked 1×4: one row of A against four rows of B with
+// four independent accumulators, so each loaded a[p] feeds four
+// multiply-adds and four dependency chains overlap the add latency a
+// single running sum serializes on. The four B rows are the outer loop
+// and the rows of A the inner one, so a B block is read from memory
+// once per call and served from L1 for every further row of A — what
+// makes a taller batch cheaper per row. Columns left over when the
+// range is not a multiple of four take the one-accumulator loop.
+//
+// Ordering: every output element is still its own sum over
+// p = 0..k-1 in increasing order, a separate float32 multiply and add
+// per term, starting from zero — exactly the 1×1 loop's arithmetic for
+// that element. Blocking only decides which elements are in flight
+// together, never the order of any one element's terms, so the result
+// is bit-identical to the serial reference whichever loop an element
+// lands in, at any GOMAXPROCS and any shard boundary. The tile was
+// picked by measurement (DESIGN.md "Parallel kernels & determinism"):
+// 2×4 and 4×2 are no faster, and 4×4 spills its sixteen accumulators.
+//
+//tracelint:hotpath
+func matmulABTRange(c, a, b []float32, ilo, ihi, k, n, jlo, jhi int) {
+	j := jlo
+	for ; j+4 <= jhi; j += 4 {
+		b0 := b[j*k : (j+1)*k]
+		b1 := b[(j+1)*k : (j+2)*k][:len(b0)]
+		b2 := b[(j+2)*k : (j+3)*k][:len(b0)]
+		b3 := b[(j+3)*k : (j+4)*k][:len(b0)]
+		for i := ilo; i < ihi; i++ {
+			ai := a[i*k : (i+1)*k][:len(b0)]
+			var s0, s1, s2, s3 float32
+			for p, av := range ai {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
 			}
-			ci[j] = sum
+			ci := c[i*n+j : i*n+j+4]
+			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
 		}
 	}
-}
-
-// matmulABTCols computes columns [jlo, jhi) of every row of C = A·Bᵀ.
-func matmulABTCols(c, a, b []float32, m, k, n, jlo, jhi int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for j := jlo; j < jhi; j++ {
-			bj := b[j*k : (j+1)*k]
+	for ; j < jhi; j++ {
+		bj := b[j*k : (j+1)*k]
+		for i := ilo; i < ihi; i++ {
+			ai := a[i*k : (i+1)*k][:len(bj)]
 			var sum float32
-			for p := range ai {
-				sum += ai[p] * bj[p]
+			for p, av := range ai {
+				sum += av * bj[p]
 			}
-			ci[j] = sum
+			c[i*n+j] = sum
 		}
 	}
 }

@@ -196,17 +196,64 @@ func withGOMAXPROCS(t *testing.T, counts []int, fn func(t *testing.T)) {
 }
 
 // matmulShapes covers degenerate rows/cols, shapes below and above the
-// serial threshold, and sizes that are not multiples of kBlock or any
-// worker count.
+// serial threshold, sizes that are not multiples of kBlock or any
+// worker count, and the small edges the A·Bᵀ kernel's 1×4 tile
+// introduces: column counts on both sides of a multiple of four, a
+// one-term contraction, and column-sharded products (fewer rows than
+// workers, above the threshold) whose shard boundaries at GOMAXPROCS 3
+// are not multiples of four, so the same column is blocked in one split
+// and an edge column in another.
 var matmulShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
-	{1, 7, 513},   // single row, wide: column-shard path
-	{513, 7, 1},   // single column output
-	{1, 300, 300}, // k spans two tiles on one row
-	{3, 257, 129}, // k just past one tile, odd everything
-	{8, 64, 64},   // small, below threshold: serial path
-	{65, 2176, 5}, // tall-thin above threshold
+	{1, 7, 513},     // single row, wide (below the threshold: serial)
+	{513, 7, 1},     // single column output
+	{1, 300, 300},   // k spans two tiles on one row
+	{3, 257, 129},   // k just past one tile, odd everything
+	{8, 64, 64},     // small, below threshold: serial path
+	{65, 2176, 5},   // tall-thin above threshold
 	{12, 2176, 128}, // the MLP training shape
+	{5, 9, 2},       // n below one tile
+	{5, 9, 3},
+	{4, 33, 5}, // one tile plus one edge column
+	{4, 33, 6},
+	{3, 33, 7},    // one tile plus three edge columns
+	{7, 1, 9},     // k = 1: every sum is a single product
+	{1, 300, 513}, // column-sharded; shards of 171 columns at 3 workers
+	{2, 257, 301}, // column-sharded at 3 and 8 workers; shards of 101 / 38
+	{513, 300, 7}, // row-sharded with edge columns in every row
+	{70, 2176, 2}, // row-sharded, n below one tile
+}
+
+// abtShapes are the A·Bᵀ-only cases: larger tile edges, then the four
+// products the paper-scale adapted forward runs through MatMulABT (x
+// projection, output projection, LoRA down, LoRA up) at the row counts
+// serving and offline synthesis use.
+func abtShapes() []struct{ m, k, n int } {
+	out := []struct{ m, k, n int }{
+		{3, 2176, 192},   // rows == workers at 3: row-sharded, one row each
+		{1, 2176, 67},    // batch-1 row, n ≡ 3 (mod 4), column-sharded
+		{2, 2176, 66},    // n ≡ 2 (mod 4), column-sharded at 3 and 8
+		{9, 192, 2177},   // n ≡ 1 (mod 4), row-sharded
+		{1, 140000, 1},   // 1×1 output above the threshold
+		{129, 517, 89},   // uneven row shards at every worker count
+		{128, 192, 2176}, // the head's output product over a stacked 2×64-row pair
+	}
+	return append(out, abtPaperShapes()...)
+}
+
+// abtPaperShapes is r × {2176×192, 192×2176, 2176×8, 8×2176} for
+// r ∈ {1, 2, 8, 9, 64}. At two rows and 3 workers the 2176-column
+// products split into shards of 726 columns (≡ 2 mod 4).
+func abtPaperShapes() []struct{ m, k, n int } {
+	var out []struct{ m, k, n int }
+	for _, r := range []int{1, 2, 8, 9, 64} {
+		out = append(out,
+			struct{ m, k, n int }{r, 2176, 192},
+			struct{ m, k, n int }{r, 192, 2176},
+			struct{ m, k, n int }{r, 2176, 8},
+			struct{ m, k, n int }{r, 8, 2176})
+	}
+	return out
 }
 
 func TestMatMulMatchesSerialReference(t *testing.T) {
@@ -233,16 +280,64 @@ func TestMatMulATBMatchesSerialReference(t *testing.T) {
 	})
 }
 
+// TestMatMulABTMatchesSerialReference builds every case once, so the
+// serial reference — the slow side, and independent of GOMAXPROCS — is
+// computed once per shape rather than once per worker count.
 func TestMatMulABTMatchesSerialReference(t *testing.T) {
+	r := stats.NewRNG(44)
+	type abtCase struct {
+		a, b, want *Tensor
+		label      string
+	}
+	var cases []abtCase
+	for _, sh := range append(abtShapes(), matmulShapes...) {
+		a := randTensor(r, sh.m, sh.k)
+		b := randTensor(r, sh.n, sh.k)
+		cases = append(cases, abtCase{a, b, refMatMulABT(a, b),
+			fmt.Sprintf("MatMulABT %dx%dx%d", sh.m, sh.k, sh.n)})
+	}
 	withGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
-		r := stats.NewRNG(44)
-		for _, sh := range matmulShapes {
-			a := randTensor(r, sh.m, sh.k)
-			b := randTensor(r, sh.n, sh.k)
-			requireIdentical(t, MatMulABT(a, b), refMatMulABT(a, b),
-				fmt.Sprintf("MatMulABT %dx%dx%d", sh.m, sh.k, sh.n))
+		for _, c := range cases {
+			requireIdentical(t, MatMulABT(c.a, c.b), c.want, c.label)
 		}
 	})
+}
+
+// TestMatMulABTRangeMatchesSerialReference drives the kernel's range
+// function directly over every column range and a sweep of row ranges
+// of a small product: whichever block a shard is handed — aligned to
+// the tile or not — it writes exactly that block, and every element
+// equals the serial reference bit for bit.
+func TestMatMulABTRangeMatchesSerialReference(t *testing.T) {
+	r := stats.NewRNG(48)
+	const m, k, n = 5, 37, 11
+	a := randTensor(r, m, k)
+	b := randTensor(r, n, k)
+	want := refMatMulABT(a, b)
+	const poison = float32(-12345)
+	for ilo := 0; ilo < m; ilo++ {
+		for ihi := ilo + 1; ihi <= m; ihi++ {
+			for jlo := 0; jlo < n; jlo++ {
+				for jhi := jlo + 1; jhi <= n; jhi++ {
+					c := New(m, n)
+					c.Fill(poison)
+					matmulABTRange(c.Data, a.Data, b.Data, ilo, ihi, k, n, jlo, jhi)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							exp := poison
+							if i >= ilo && i < ihi && j >= jlo && j < jhi {
+								exp = want.Data[i*n+j]
+							}
+							if c.Data[i*n+j] != exp {
+								t.Fatalf("rows [%d,%d) cols [%d,%d): c[%d,%d] = %v, want %v (exact)",
+									ilo, ihi, jlo, jhi, i, j, c.Data[i*n+j], exp)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // convShapes mixes strides, pads, odd spatial dims, and batch sizes

@@ -200,10 +200,10 @@ func MatMulABTInto(c, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: matmulABT out %v, want [%d %d]", c.Shape, m, n))
 	}
 	if !parallelOK(m * k * n) {
-		matmulABTRows(c.Data, a.Data, b.Data, 0, m, k, n)
+		matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, 0, n)
 		return
 	}
 	dispatch(m*k*n, m, n,
-		func(lo, hi int) { matmulABTRows(c.Data, a.Data, b.Data, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by parallelOK
-		func(lo, hi int) { matmulABTCols(c.Data, a.Data, b.Data, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by parallelOK
+		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, lo, hi, k, n, 0, n) }, //tracelint:allow hotalloc — parallel path only, gated by parallelOK
+		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by parallelOK
 }
