@@ -155,7 +155,10 @@ resume-smoke:
 # End-to-end determinism guard: the tiny Table 2 experiment must print
 # byte-identical output at GOMAXPROCS=1 and GOMAXPROCS=4, the
 # kill-at-step-k resume property must hold across every combination of
-# kill step, batch size, EMA mode and LoRA/full-training mode, and the
+# kill step, batch size, EMA mode and LoRA/full-training mode, the
+# helper pool and everything dispatched through it (kernels, row-wise
+# ops, the fused adapter epilogue, an arena that no longer zeroes) must
+# match their serial references, and the
 # sampler must be bit-identical to its oracles: the shared-trunk split
 # forward against plain forward pairs and solo SampleLegacy runs, and
 # seeded output against the golden digests recorded before the blocked
@@ -170,9 +173,12 @@ verify-determinism:
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
-	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork' -count=1 ./internal/diffusion
-	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests' -count=1 ./internal/lora
-	$(GO) test -run 'TestGoldenSeededDigests' -count=1 ./internal/core
+	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts' -count=1 ./internal/tensor
+	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd' -count=1 ./internal/nn
+	@echo "determinism OK: pooled dispatch, row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
+	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage' -count=1 ./internal/diffusion
+	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
+	$(GO) test -run 'TestGoldenSeededDigests|TestLoadCoversEveryParameter' -count=1 ./internal/core
 	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical"
 
 # Short fuzzing pass over the binary-format decoders.

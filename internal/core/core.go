@@ -173,6 +173,14 @@ type TrainReport struct {
 // class names (the "prompt vocabulary": class i is prompted as
 // "Type-i", mirroring the paper's encoded prompts).
 func New(cfg Config, classes []string) (*Synthesizer, error) {
+	return build(cfg, classes, stats.NewRNG(cfg.Seed))
+}
+
+// build is New with the weight-init stream passed in. Load passes nil:
+// the models are then built with zero weights, because the checkpoint
+// overwrites every parameter at once and drawing 1.3 M Gaussians first
+// was a third of a replica's start-up time.
+func build(cfg Config, classes []string, r *stats.RNG) (*Synthesizer, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("core: need at least one class")
 	}
@@ -213,7 +221,6 @@ func New(cfg Config, classes []string) (*Synthesizer, error) {
 		}
 		s.index[c] = i
 	}
-	r := stats.NewRNG(cfg.Seed)
 	k := len(classes)
 	switch cfg.Arch {
 	case ArchMLP:

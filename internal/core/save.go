@@ -10,7 +10,6 @@ import (
 	"trafficdiff/internal/heuristic"
 	"trafficdiff/internal/lora"
 	"trafficdiff/internal/nn"
-	"trafficdiff/internal/stats"
 	"trafficdiff/internal/tensor"
 )
 
@@ -65,7 +64,9 @@ func Load(r io.Reader) (*Synthesizer, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("core: unsupported snapshot version %d", snap.Version)
 	}
-	s, err := New(snap.Config, snap.Classes)
+	// Skeletons only (nil init streams): LoadParams below covers every
+	// parameter they create — TestLoadCoversEveryParameter.
+	s, err := build(snap.Config, snap.Classes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -77,9 +78,7 @@ func Load(r io.Reader) (*Synthesizer, error) {
 		}
 	}
 	if snap.HasLoRA {
-		// Rebuild the adapter skeleton; weights come from the checkpoint.
-		rr := stats.NewRNG(snap.Config.Seed + 2)
-		s.adapted = lora.NewAdaptedMLP(rr, s.base, snap.Config.LoRARank, snap.Config.LoRAAlpha, len(snap.Classes))
+		s.adapted = lora.NewAdaptedMLP(nil, s.base, snap.Config.LoRARank, snap.Config.LoRAAlpha, len(snap.Classes))
 	}
 	if err := nn.LoadParams(br, s.allParams()); err != nil {
 		return nil, err

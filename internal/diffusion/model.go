@@ -76,7 +76,9 @@ type MLPDenoiser struct {
 }
 
 // NewMLPDenoiser builds a denoiser for h x w single-channel images
-// with k conditioning classes.
+// with k conditioning classes. A nil r skips the random init and leaves
+// every weight zero — the skeleton a checkpoint loader fills (likewise
+// NewUNetDenoiser and EnableAttention).
 func NewMLPDenoiser(r *stats.RNG, h, w, hidden, k int) *MLPDenoiser {
 	d := h * w
 	m := &MLPDenoiser{

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"math"
 	"testing"
 
 	"trafficdiff/internal/nn"
@@ -277,9 +278,9 @@ func (c *countingSplit) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V
 // TestSchedulerSplitStepWork counts the work of the split path: with no
 // override, a guided step over n rows runs the trunk (the x projection)
 // once over n rows and the head (the output projection) once over 2n,
-// and never the control projection, which ran once per flow at Admit —
-// three n-row big products per step where the plain path's two forwards
-// run six. An unguided step runs the head over n rows.
+// and never the control projection, which ran at Admit once per distinct
+// image — three n-row big products per step where the plain path's two
+// forwards run six. An unguided step runs the head over n rows.
 func TestSchedulerSplitStepWork(t *testing.T) {
 	r := stats.NewRNG(59)
 	h, w := 4, 8
@@ -299,9 +300,9 @@ func TestSchedulerSplitStepWork(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if model.ctrlCalls != n || model.ctrlRows != n {
-			t.Fatalf("w=%v: %d control projections over %d rows at admission, want %d over %d",
-				guidance, model.ctrlCalls, model.ctrlRows, n, n)
+		if model.ctrlCalls != 1 || model.ctrlRows != 1 {
+			t.Fatalf("w=%v: %d control projections over %d rows admitting %d flows that share one image, want 1 over 1",
+				guidance, model.ctrlCalls, model.ctrlRows, n)
 		}
 		for eng.Active() > 0 {
 			eng.Step()
@@ -318,9 +319,79 @@ func TestSchedulerSplitStepWork(t *testing.T) {
 			t.Errorf("w=%v: head ran %d times over %d rows, want %d over %d",
 				guidance, model.headCalls, model.headRows, ddim, ddim*headRows)
 		}
-		if model.ctrlCalls != n {
-			t.Errorf("w=%v: %d control projections after stepping, want the %d from admission",
-				guidance, model.ctrlCalls, n)
+		if model.ctrlCalls != 1 {
+			t.Errorf("w=%v: %d control projections after stepping, want the 1 from admission",
+				guidance, model.ctrlCalls)
+		}
+	}
+}
+
+// TestSchedulerControlProjectedPerDistinctImage pins what "the same
+// image" means at Admit: the features of the last image projected are
+// reused only when every bit of the incoming image matches. Two images
+// admitted alternately are projected every time, an image differing in
+// one bit (-0 for +0) is projected again, and whichever way a flow's
+// features were obtained its bytes equal its solo run's.
+func TestSchedulerControlProjectedPerDistinctImage(t *testing.T) {
+	r := stats.NewRNG(61)
+	h, w := 4, 8
+	d := h * w
+	base := equivModel(r, h, w)
+	// equivModel's control projection is live (non-zero), so wrong
+	// features would change the output bytes.
+	model := &countingSplit{MLPDenoiser: base, t: t}
+	sched := NewSchedule(ScheduleCosine, 12)
+	imgA := tensor.New(1, h, w).Randn(r, 1)
+	imgB := tensor.New(1, h, w).Randn(r, 1)
+	imgA.Data[3] = 0
+	flipped := imgA.Clone()
+	flipped.Data[3] = float32(math.Copysign(0, -1))
+
+	eng := NewScheduler(model, sched, nil)
+	type admitted struct {
+		seed    uint64
+		control *tensor.Tensor
+		out     []float32
+	}
+	var flows []admitted
+	admit := func(control *tensor.Tensor, wantCalls int, what string) {
+		t.Helper()
+		f := admitted{seed: uint64(len(flows) + 1), control: control, out: make([]float32, d)}
+		if _, err := eng.Admit(FlowSpec{
+			Class: 0, GuidanceScale: 2, DDIMSteps: 4,
+			RNG: stats.NewRNG(f.seed), Control: control, Out: f.out,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, f)
+		if model.ctrlCalls != wantCalls {
+			t.Fatalf("%s: %d control projections so far, want %d", what, model.ctrlCalls, wantCalls)
+		}
+	}
+	admit(imgA, 1, "first image")
+	admit(imgA, 1, "same image again")
+	admit(imgA.Clone(), 1, "equal bits in another tensor")
+	admit(imgB, 2, "second image")
+	admit(imgA, 3, "first image after the second")
+	admit(imgB, 4, "second image after the first")
+	admit(imgB, 4, "second image again")
+	admit(imgA, 5, "back to the first")
+	admit(flipped, 6, "first image with one sign bit flipped")
+	admit(flipped, 6, "flipped image again")
+
+	for eng.Active() > 0 {
+		eng.Step()
+	}
+	for i, f := range flows {
+		solo, err := SampleLegacy(model.MLPDenoiser, sched, SampleConfig{
+			Class: 0, N: 1, GuidanceScale: 2, DDIMSteps: 4,
+			FlowSeeds: []uint64{f.seed}, Control: f.control,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, ok := bitsEqual(f.out, solo.Data); !ok {
+			t.Errorf("flow %d diverges from its solo run at [%d]", i, j)
 		}
 	}
 }

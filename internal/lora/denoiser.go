@@ -24,7 +24,8 @@ type AdaptedMLP struct {
 }
 
 // NewAdaptedMLP attaches rank-r adapters to base. k is the number of
-// classes the fine-tuned model must cover (its table gets k+1 rows).
+// classes the fine-tuned model must cover (its table gets k+1 rows). A
+// nil r builds the skeleton with zero weights for a checkpoint loader.
 func NewAdaptedMLP(r *stats.RNG, base *diffusion.MLPDenoiser, rank int, alpha float64, k int) *AdaptedMLP {
 	d := base.H * base.W
 	return &AdaptedMLP{

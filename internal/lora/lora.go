@@ -29,14 +29,17 @@ type Adapter struct {
 }
 
 // NewAdapter creates a rank-r adapter for a layer with the given fan-in
-// and fan-out. B starts at zero so the adapter is initially a no-op.
+// and fan-out. B starts at zero so the adapter is initially a no-op. A
+// nil r leaves A zero too, for a caller about to load the weights.
 func NewAdapter(r *stats.RNG, in, out, rank int, alpha float64) *Adapter {
 	if rank <= 0 || rank > in || rank > out {
 		//tracelint:allow paniccheck — shape invariant on adapter construction, same class as tensor kernel checks
 		panic(fmt.Sprintf("lora: rank %d out of range for %dx%d layer", rank, in, out))
 	}
 	ad := &Adapter{A: nn.Param(rank, in), B: nn.Param(out, rank), Rank: rank, Alpha: alpha}
-	ad.A.X.Randn(r, 1/math.Sqrt(float64(in)))
+	if r != nil {
+		ad.A.X.Randn(r, 1/math.Sqrt(float64(in)))
+	}
 	return ad
 }
 
@@ -51,8 +54,7 @@ func (ad *Adapter) Apply(tp *nn.Tape, l *nn.LinearLayer, x *nn.V) *nn.V {
 	base := l.Apply(tp, x)
 	down := tp.Linear(x, ad.A, nil)  // [N, r]
 	up := tp.Linear(down, ad.B, nil) // [N, out]
-	scaled := tp.Scale(up, float32(ad.Alpha/float64(ad.Rank)))
-	return tp.Add(base, scaled)
+	return tp.AddScaled(base, up, float32(ad.Alpha/float64(ad.Rank)))
 }
 
 // Merge folds the adapter into the base layer's weights in place

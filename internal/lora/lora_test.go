@@ -204,3 +204,48 @@ func TestAdaptedFineTuneTrains(t *testing.T) {
 		t.Fatalf("fine-tune loss did not decrease: %v -> %v", head/15, tail/15)
 	}
 }
+
+// TestAdapterApplyMatchesScaleAddComposition: Apply ends in one fused
+// base + (α/r)·up pass. On a gradient tape its output and every
+// parameter gradient it produces — adapter, base layer and input — must
+// equal, bit for bit, what the three-op epilogue it replaced
+// (Scale, then Add) produces on the same seed, so LoRA fine-tuning
+// follows the same trajectory.
+func TestAdapterApplyMatchesScaleAddComposition(t *testing.T) {
+	r := stats.NewRNG(11)
+	const n, in, out, rank = 9, 24, 17, 4
+	base := nn.NewLinear(r, in, out)
+	ad := NewAdapter(r, in, out, rank, 6)
+	ad.B.X.Randn(r, 0.3) // B starts at zero; make the delta live
+	x := nn.NewV(tensor.New(n, in).Randn(r, 1))
+	target := tensor.New(n, out).Randn(r, 1)
+	params := []*nn.V{x, base.W, base.B, ad.A, ad.B}
+
+	composed := func(tp *nn.Tape) *nn.V {
+		b := base.Apply(tp, x)
+		down := tp.Linear(x, ad.A, nil)
+		up := tp.Linear(down, ad.B, nil)
+		return tp.Add(b, tp.Scale(up, float32(ad.Alpha/float64(ad.Rank))))
+	}
+	run := func(forward func(tp *nn.Tape) *nn.V) [][]float32 {
+		tp := nn.NewTape()
+		y := forward(tp)
+		tp.Backward(tp.MSE(y, target))
+		got := [][]float32{append([]float32(nil), y.X.Data...)}
+		for _, p := range params {
+			got = append(got, append([]float32(nil), p.G.Data...))
+			p.ZeroGrad()
+		}
+		return got
+	}
+	want := run(composed)
+	got := run(func(tp *nn.Tape) *nn.V { return ad.Apply(tp, base, x) })
+	names := []string{"output", "x", "base.W", "base.B", "A", "B"}
+	for k := range want {
+		for i := range want[k] {
+			if math.Float32bits(got[k][i]) != math.Float32bits(want[k][i]) {
+				t.Fatalf("%s differs at element %d: fused %v, composed %v", names[k], i, got[k][i], want[k][i])
+			}
+		}
+	}
+}

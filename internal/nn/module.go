@@ -16,12 +16,21 @@ type LinearLayer struct {
 	Q *tensor.QuantizedMat
 }
 
-// NewLinear allocates a layer with Kaiming-uniform-style init.
+// NewLinear allocates a layer with Kaiming-uniform-style init. A nil r
+// skips the random draw and leaves W zero, for a caller about to load
+// the weights (here and in NewConv and NewEmbedding).
 func NewLinear(r *stats.RNG, in, out int) *LinearLayer {
 	l := &LinearLayer{W: Param(out, in), B: Param(out)}
-	std := math.Sqrt(2.0 / float64(in))
-	l.W.X.Randn(r, std)
+	initNormal(l.W, r, math.Sqrt(2.0/float64(in)))
 	return l
+}
+
+// initNormal fills p with N(0, std) noise from r, or leaves it zero
+// when r is nil.
+func initNormal(p *V, r *stats.RNG, std float64) {
+	if r != nil {
+		p.X.Randn(r, std)
+	}
 }
 
 // Apply runs the layer on x [N,in] — through the int8 kernel when the
@@ -50,7 +59,7 @@ type ConvLayer struct {
 func NewConv(r *stats.RNG, spec tensor.ConvSpec) *ConvLayer {
 	fanIn := spec.InC * spec.KH * spec.KW
 	l := &ConvLayer{W: Param(spec.OutC, fanIn), B: Param(spec.OutC), Spec: spec}
-	l.W.X.Randn(r, math.Sqrt(2.0/float64(fanIn)))
+	initNormal(l.W, r, math.Sqrt(2.0/float64(fanIn)))
 	return l
 }
 
@@ -93,7 +102,7 @@ type EmbeddingLayer struct {
 // scale Stable Diffusion uses for token embeddings).
 func NewEmbedding(r *stats.RNG, k, d int) *EmbeddingLayer {
 	e := &EmbeddingLayer{Table: Param(k, d)}
-	e.Table.X.Randn(r, 0.02)
+	initNormal(e.Table, r, 0.02)
 	return e
 }
 
@@ -113,13 +122,31 @@ func SinusoidalEmbedding(steps []int, dim int) *tensor.Tensor {
 }
 
 // sinusoidalInto fills data (len(steps)*dim, fully overwritten) with
-// the sinusoidal features SinusoidalEmbedding describes.
+// the sinusoidal features SinusoidalEmbedding describes, row-sharded
+// like the other row-wise ops (ops.go) when the batch is large.
 func sinusoidalInto(data []float32, steps []int, dim int) {
+	if tensor.ParallelOK(len(steps) * dim * workSinCos) {
+		//tracelint:allow hotalloc — parallel path only, behind the size check
+		tensor.Shard(len(steps), func(lo, hi int) { sinusoidalRows(data, steps, dim, lo, hi) })
+		return
+	}
+	sinusoidalRows(data, steps, dim, 0, len(steps))
+}
+
+// sinusoidalRows fills rows [lo, hi). A frequency depends on the column
+// alone, so the column loop is the outer one and each frequency is
+// computed once per call instead of once per row.
+func sinusoidalRows(data []float32, steps []int, dim, lo, hi int) {
 	half := dim / 2
-	for r, s := range steps {
-		for j := 0; j < half; j++ {
-			freq := math.Exp(-math.Log(10000) * float64(j) / float64(half))
-			angle := float64(s) * freq
+	if dim%2 == 1 {
+		for r := lo; r < hi; r++ {
+			data[r*dim+dim-1] = 0 // an odd width's last column carries no feature
+		}
+	}
+	for j := 0; j < half; j++ {
+		freq := math.Exp(-math.Log(10000) * float64(j) / float64(half))
+		for r := lo; r < hi; r++ {
+			angle := float64(steps[r]) * freq
 			data[r*dim+j] = float32(math.Sin(angle))
 			data[r*dim+half+j] = float32(math.Cos(angle))
 		}

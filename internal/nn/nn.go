@@ -114,13 +114,18 @@ func (t *Tape) newV(x *tensor.Tensor) *V {
 	return NewV(x)
 }
 
-// alloc returns a zeroed graph value of the given shape, reusing a
-// recycled buffer of the same element count when the arena is on. When
-// the recycled buffer's shape already matches (the steady state of a
-// loop with fixed shapes), the value is handed back as-is with no new
-// header allocations. On a no-grad tape the value carries no gradient
-// buffer (see newV); a recycled one that has a buffer from an earlier
-// gradient pass keeps it, untouched.
+// alloc returns a graph value of the given shape for an op that
+// overwrites every element of X, reusing a recycled buffer of the same
+// element count when the arena is on. A recycled X keeps its old
+// contents — clearing a buffer the next loop rewrites in full is a pass
+// over memory nothing reads; an op that accumulates into its output
+// takes allocZero instead. When the recycled buffer's shape already
+// matches (the steady state of a loop with fixed shapes), the value is
+// handed back as-is with no new header allocations. G is always handed
+// out zeroed, since backward passes accumulate into it; on a no-grad
+// tape the value carries no gradient buffer (see newV), and a recycled
+// one that has a buffer from an earlier gradient pass keeps it,
+// untouched.
 func (t *Tape) alloc(shape ...int) *V {
 	if !t.reuse {
 		return t.newV(tensor.New(shape...))
@@ -132,7 +137,6 @@ func (t *Tape) alloc(shape ...int) *V {
 	if vs := t.free[n]; len(vs) > 0 {
 		base := vs[len(vs)-1]
 		t.free[n] = vs[:len(vs)-1]
-		base.X.Zero()
 		if !t.nograd {
 			if base.G == nil {
 				//tracelint:allow hotalloc — a value pooled by a no-grad pass meets its first gradient pass; once per buffer
@@ -157,6 +161,16 @@ func (t *Tape) alloc(shape ...int) *V {
 	v := t.newV(tensor.New(shape...))
 	//tracelint:allow hotalloc — bookkeeping append: taken reaches steady capacity after the first step
 	t.taken = append(t.taken, v)
+	return v
+}
+
+// allocZero is alloc with X cleared, for an op whose kernel accumulates
+// into its output (MatMul).
+func (t *Tape) allocZero(shape ...int) *V {
+	v := t.alloc(shape...)
+	if t.reuse {
+		v.X.Zero()
+	}
 	return v
 }
 
@@ -195,18 +209,15 @@ func (t *Tape) scratch(n int) []float32 {
 	return b
 }
 
-// cloneV allocates via the arena and copies src into the value.
-func (t *Tape) cloneV(src *tensor.Tensor) *V {
-	v := t.alloc(src.Shape...)
-	copy(v.X.Data, src.Data)
-	return v
-}
-
 // Input copies x into a tape-owned value: the graph node for a
 // constant network input (a control image, a fixed embedding). Unlike
 // NewV it participates in the arena, so loops that feed the same-shape
 // input every step stop allocating for it after the first step.
-func (t *Tape) Input(x *tensor.Tensor) *V { return t.cloneV(x) }
+func (t *Tape) Input(x *tensor.Tensor) *V {
+	v := t.alloc(x.Shape...)
+	copy(v.X.Data, x.Data)
+	return v
+}
 
 // adopt wraps a tensor allocated elsewhere (e.g. by a fused kernel) as
 // a tape value so its storage still enters the arena on Recycle.
@@ -263,13 +274,19 @@ func (t *Tape) Backward(loss *V) {
 // forward-only pass).
 func (t *Tape) Reset() { t.steps = t.steps[:0] }
 
-// Add returns a+b (same shapes).
+// Add returns a+b (same shapes), in one pass over the three buffers.
 func (t *Tape) Add(a, b *V) *V {
 	if !a.X.SameShape(b.X) {
 		panic("nn: Add shape mismatch")
 	}
-	out := t.cloneV(a.X)
-	out.X.AddInto(b.X)
+	out := t.alloc(a.X.Shape...)
+	od, ad, bd := out.X.Data, a.X.Data, b.X.Data
+	if tensor.ParallelOK(len(od) * workAdd) {
+		//tracelint:allow hotalloc — parallel path only, behind the size check
+		tensor.Shard(len(od), func(lo, hi int) { addRange(od[lo:hi], ad[lo:hi], bd[lo:hi]) })
+	} else {
+		addRange(od, ad, bd)
+	}
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
@@ -285,9 +302,9 @@ func (t *Tape) Sub(a, b *V) *V {
 	if !a.X.SameShape(b.X) {
 		panic("nn: Sub shape mismatch")
 	}
-	out := t.cloneV(a.X)
+	out := t.alloc(a.X.Shape...)
 	for i, v := range b.X.Data {
-		out.X.Data[i] -= v
+		out.X.Data[i] = a.X.Data[i] - v
 	}
 	if t.grad() {
 		t.record(func() {
@@ -400,8 +417,13 @@ func (t *Tape) Concat0(a, b *V) *V {
 	}
 	rows := a.X.Shape[0] + b.X.Shape[0]
 	out := t.alloc(rows, a.X.Shape[1])
-	copy(out.X.Data, a.X.Data)
-	copy(out.X.Data[len(a.X.Data):], b.X.Data)
+	od, ad, bd := out.X.Data, a.X.Data, b.X.Data
+	if tensor.ParallelOK(len(od) * workAdd) {
+		//tracelint:allow hotalloc — parallel path only, behind the size check
+		tensor.Shard(len(od), func(lo, hi int) { concatRange(od, ad, bd, lo, hi) })
+	} else {
+		concatRange(od, ad, bd, 0, len(od))
+	}
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
@@ -417,9 +439,19 @@ func (t *Tape) Concat0(a, b *V) *V {
 	return out
 }
 
+// concatRange copies elements [lo, hi) of a‖b into dst.
+func concatRange(dst, a, b []float32, lo, hi int) {
+	if lo < len(a) {
+		lo += copy(dst[lo:hi], a[lo:])
+	}
+	if lo < hi {
+		copy(dst[lo:hi], b[lo-len(a):])
+	}
+}
+
 // MatMul returns a·b for a [m,k], b [k,n].
 func (t *Tape) MatMul(a, b *V) *V {
-	out := t.alloc(a.X.Shape[0], b.X.Shape[1])
+	out := t.allocZero(a.X.Shape[0], b.X.Shape[1])
 	tensor.MatMulInto(out.X, a.X, b.X)
 	if t.grad() {
 		t.record(func() {
@@ -448,12 +480,7 @@ func (t *Tape) Linear(x, w, bias *V) *V {
 	out := t.alloc(n, outDim)
 	tensor.MatMulABTInto(out.X, x.X, w.X)
 	if bias != nil {
-		for r := 0; r < n; r++ {
-			row := out.X.Data[r*outDim:]
-			for o := 0; o < outDim; o++ {
-				row[o] += bias.X.Data[o]
-			}
-		}
+		addBias(out.X.Data, bias.X.Data, n)
 	}
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
@@ -481,12 +508,10 @@ func (t *Tape) AddRowBroadcast(a, b *V) *V {
 	if b.X.Shape[0] != d {
 		panic("nn: AddRowBroadcast width mismatch")
 	}
-	out := t.cloneV(a.X)
+	out := t.alloc(n, d)
 	for r := 0; r < n; r++ {
-		row := out.X.Data[r*d:]
-		for j := 0; j < d; j++ {
-			row[j] += b.X.Data[j]
-		}
+		row := out.X.Data[r*d : (r+1)*d]
+		addRange(row, a.X.Data[r*d:(r+1)*d], b.X.Data)
 	}
 	if t.grad() {
 		t.record(func() {
@@ -510,13 +535,14 @@ func (t *Tape) AddChannelBroadcast(a, b *V) *V {
 	if b.X.Shape[0] != n || b.X.Shape[1] != c {
 		panic("nn: AddChannelBroadcast shape mismatch")
 	}
-	out := t.cloneV(a.X)
+	out := t.alloc(a.X.Shape...)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
 			bv := b.X.Data[i*c+ch]
+			src := a.X.Data[(i*c+ch)*spatial : (i*c+ch+1)*spatial]
 			seg := out.X.Data[(i*c+ch)*spatial : (i*c+ch+1)*spatial]
-			for j := range seg {
-				seg[j] += bv
+			for j, v := range src {
+				seg[j] = v + bv
 			}
 		}
 	}

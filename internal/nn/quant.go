@@ -62,12 +62,7 @@ func (t *Tape) LinearQ(x *V, w *tensor.QuantizedMat, bias *V) *V {
 	outDim := w.Rows
 	out := t.alloc(n, outDim)
 	tensor.MatMulABTQInto(out.X, x.X, w)
-	for r := 0; r < n; r++ {
-		row := out.X.Data[r*outDim:]
-		for o := 0; o < outDim; o++ {
-			row[o] += bias.X.Data[o]
-		}
-	}
+	addBias(out.X.Data, bias.X.Data, n)
 	return out
 }
 

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"trafficdiff/internal/stats"
@@ -88,5 +89,18 @@ func BenchmarkConv2D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Conv2D(x, w, bias, spec)
+	}
+}
+
+// BenchmarkShardDispatch is the cost of one dispatch with nothing to
+// do: publish a job, claim its chunks beside the helpers, wait for the
+// last one. It is the number minParallelWork is sized against, and it
+// must not allocate.
+func BenchmarkShardDispatch(b *testing.B) {
+	var sink atomic.Int64
+	body := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Shard(1024, body)
 	}
 }

@@ -31,10 +31,10 @@ func Im2Col(x *Tensor, s ConvSpec) *Tensor {
 	rowLen := c * s.KH * s.KW
 	cols := New(rows, rowLen)
 	kernel := func(lo, hi int) { im2colRows(cols.Data, x.Data, s, c, h, w, oh, ow, lo, hi) } //tracelint:allow hotalloc — one closure per conv call, amortized over the whole im2col gather
-	if !parallelOK(rows * rowLen) {
+	if !ParallelOK(rows * rowLen) {
 		kernel(0, rows)
 	} else {
-		shard(rows, kernel)
+		Shard(rows, kernel)
 	}
 	return cols
 }
@@ -76,10 +76,10 @@ func Col2Im(cols *Tensor, s ConvSpec, n, h, w int) *Tensor {
 	oh, ow := s.OutSize(h, w)
 	x := New(n, c, h, w)
 	kernel := func(blo, bhi int) { col2imBatches(x.Data, cols.Data, s, c, h, w, oh, ow, blo, bhi) }
-	if !parallelOK(n*oh*ow*c*s.KH*s.KW) || n == 1 {
+	if !ParallelOK(n*oh*ow*c*s.KH*s.KW) || n == 1 {
 		kernel(0, n)
 	} else {
-		shard(n, kernel)
+		Shard(n, kernel)
 	}
 	return x
 }
@@ -135,10 +135,10 @@ func Conv2D(x, w, b *Tensor, s ConvSpec) (y, cols *Tensor) {
 	kernel := func(lo, hi int) {
 		convEpilogueRows(y.Data, cols.Data, w.Data, b.Data, s.OutC, spatial, rowLen, lo, hi)
 	}
-	if !parallelOK(rows * s.OutC * rowLen) {
+	if !ParallelOK(rows * s.OutC * rowLen) {
 		kernel(0, rows)
 	} else {
-		shard(rows, kernel)
+		Shard(rows, kernel)
 	}
 	return y, cols
 }
@@ -181,10 +181,10 @@ func Conv2DBackward(dy, cols, w *Tensor, s ConvSpec, n, h, wd int) (dx, dw, db *
 			}
 		}
 	}
-	if !parallelOK(n * s.OutC * spatial) {
+	if !ParallelOK(n * s.OutC * spatial) {
 		relayout(0, n)
 	} else {
-		shard(n, relayout)
+		Shard(n, relayout)
 	}
 	// dw [OutC, C*KH*KW] = dyTᵀ · cols
 	dw = MatMulATB(dyT, cols)

@@ -2,37 +2,42 @@ package tensor
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
 // This file is the parallel kernel layer: every heavy kernel (matrix
-// multiply variants, im2col/col2im, the fused Conv2D epilogue) shards
-// its *independent* work — output rows, output columns, batch images —
-// across a goroutine pool sized by GOMAXPROCS.
+// multiply variants, im2col/col2im, the fused Conv2D epilogue) and the
+// row-wise ops above it (nn's LayerNorm/SiLU/Add, the sampler's per-flow
+// update) split their *independent* work — output rows, output columns,
+// batch images — into chunks that the calling goroutine and a pool of
+// GOMAXPROCS−1 long-lived helpers claim from one shared counter.
 //
-// Determinism contract: sharding never reorders the floating-point
+// Determinism contract: chunking never reorders the floating-point
 // accumulation that produces any single output element. Each element's
 // value is a sum over the contraction index p, and every kernel below
 // visits p in strictly increasing order no matter how the independent
-// dimension is split. Workers write disjoint index ranges of the output
-// slice, so results are bit-identical at GOMAXPROCS=1 and GOMAXPROCS=N
-// and the race detector stays clean. See DESIGN.md "Parallel kernels &
-// determinism under GOMAXPROCS".
+// dimension is cut or which goroutine runs a chunk. Chunks write
+// disjoint index ranges of the output slice, so results are
+// bit-identical at GOMAXPROCS=1 and GOMAXPROCS=N and the race detector
+// stays clean. See DESIGN.md "Parallel kernels & determinism under
+// GOMAXPROCS".
 
-// minParallelWork is the approximate number of fused multiply-adds (or
-// equivalent element operations) below which a kernel runs serially:
-// goroutine dispatch costs on the order of microseconds, so small ops
-// must not pay it.
+// minParallelWork is the approximate number of multiply-adds (or
+// equivalent element operations) below which a kernel runs serially on
+// its caller.
 //
-// Re-measured against the 1×4 A·Bᵀ kernel (2 workers, reference host,
-// min of 41 interleaved rounds, sharded vs serial): 8×2176×8 (139 K
-// multiply-adds) 30 vs 28 µs, 16×8×2176 (279 K) 70 vs 88 µs, 8×192×192
-// (295 K) 53 vs 60 µs, 1×2176×192 (418 K, the batch-1 inference row)
-// 87 vs 110 µs. Break-even sits between 1<<17 and 1<<18; the products
-// in that band cost tens of microseconds in a step of milliseconds, so
-// the constant stays.
-const minParallelWork = 1 << 17
+// Re-measured against the pooled dispatch (2 workers, reference host,
+// A·Bᵀ back to back so the helper is still polling; an empty job,
+// BenchmarkShardDispatch, costs 0.2–1 µs there and 26 ns at one
+// worker), serial vs pooled: 1×64×192 (12 K multiply-adds) 2.9 vs
+// 4.5 µs, 1×2176×8 (17 K) 3.5 vs 4.9, 1×192×192 (36 K) 7–8.5 vs 7–9,
+// 2×192×192 (72 K) 13–17 vs 11, 8×64×192 (96 K) 21–24 vs 14–15,
+// 8×2176×8 (136 K) 27–30 vs 17–20, 8×192×192 (288 K) 66 vs 37.
+// Break-even sits at 1<<15 and the gain is real from 1<<16, half the
+// goroutine-per-shard dispatch's threshold; a parked helper adds a
+// wake the caller does not wait for, so an op just above the line loses
+// a few µs at worst.
+const minParallelWork = 1 << 16
 
 // kBlock is the contraction-axis tile: panels of B this tall stay hot
 // in cache while a row block of the output accumulates. Tiles are
@@ -40,17 +45,58 @@ const minParallelWork = 1 << 17
 // order exactly.
 const kBlock = 256
 
-// workers returns the shard count for parallel kernels.
+// chunksPerWorker is how many chunks a job is cut into per
+// participant. One chunk each is the static split: a core that is
+// descheduled mid-job (the reference host is a shared 2-vCPU VM) then
+// holds everyone for its whole half. A few chunks each let whoever is
+// running claim the rest, at the price of each row chunk streaming the
+// other operand again. BenchmarkSampleAdapted/split (64 flows, 15
+// steps, 2 workers), three alternated rounds, flows/s: 1 chunk per
+// worker 284/301/303, 2 → 311/312/311, 4 → 315/318/310, 8 →
+// 317/317/321; the GEMM micro-benchmarks do not separate 2, 4 and 8.
+const chunksPerWorker = 4
+
+// chunkAlign is the A·Bᵀ tile's width: a column chunk that is not a
+// multiple of it leaves columns to the one-accumulator edge loop (an
+// 8-column product cut into 8 chunks ran 3.4 → 8–14 µs), so chunk
+// sizes round up to it whenever that still leaves a chunk per worker.
+// Row and element chunks lose nothing by it.
+const chunkAlign = 4
+
+// spinYields is how many times an idle helper polls the claim word,
+// yielding between polls, before it parks. A poll-and-yield is
+// ≈ 100–135 ns when nothing else is runnable, so 256 is ≈ 30 µs. What
+// it buys: in a 64-flow step, 64 % of the gaps between one dispatch and
+// the next are under 15 µs, 17 % are 15–30 µs, 12 % 30–60 µs and 7 %
+// longer (the small serial ops in between), and a helper that parked
+// in a gap comes back a futex wake and tens of µs later. What it
+// costs: while a helper cycles through the global run queue the
+// scheduler on that P never reaches netpoll, so served requests wait
+// for their socket wake-ups. bench/run.sh medians by spin length (0 /
+// 32 / 64 / 256 / 512 yields; parent beside them): offline_bulk flows/s
+// 290 / 304 / 298 / 308 / 321 (parent 254–262), serve_contend flows/s
+// 656 / 671 / 660 / 710 / 719 (635–651), and serve_small
+// heavy_ms_tail 5.9 / 6.1 / 6.1 / 7.1 / 7.7 ms (6.6) with req_ms_tail
+// 7.5 / 7.8 / 7.4 / 8.7 / 9.3 ms (8.9). 256 is the longest spin that
+// leaves serve_small's tails at the parent's; 512 buys 4 % more bulk
+// throughput with them. (With the CPUs to itself a 1-flow Sample wants
+// ≈ 100 µs — 600 vs 450 flows/s — which is exactly the spin that costs
+// serve_small its tail.)
+const spinYields = 256
+
+// workers returns the number of goroutines a job is sized for: the
+// caller plus GOMAXPROCS−1 helpers.
 func workers() int { return runtime.GOMAXPROCS(0) }
 
-// serialDepth counts active serial regions: explicit Serial() calls
-// plus kernels currently executing sharded workers. While it is
-// non-zero, dispatch runs every kernel on the calling goroutine —
-// code that is already inside a parallel region (a shard worker, or a
-// caller-owned worker pool wrapped in Serial) never spawns a second
-// layer of goroutines to contend with the first. The flag is advisory
-// and process-wide; it changes only how work is scheduled, never what
-// any kernel computes, so results stay bit-identical either way.
+// serialDepth says who owns the CPUs: it counts active Serial regions
+// plus the one dispatch that currently holds the helper pool (shard
+// takes it from 0 to 1). While it is non-zero every kernel runs on its
+// calling goroutine — code inside a Serial region, inside a chunk of a
+// running job (a fused epilogue invoking a matmul), or dispatching
+// beside another goroutine's job (two replicas in one process) never
+// queues behind the pool and never contends with it. It changes only
+// where work runs, never what any kernel computes, so results stay
+// bit-identical either way.
 var serialDepth atomic.Int32
 
 // Serial runs fn with the parallel kernel layer disabled: every tensor
@@ -65,63 +111,166 @@ func Serial(fn func()) {
 	fn()
 }
 
-// shard splits [0, n) into one contiguous block per worker and runs fn
-// on each block concurrently, blocking until all complete. fn must
-// write only state owned by its block. While workers run, nested
-// kernel calls (e.g. a fused epilogue invoking a matmul) see a
-// non-zero serialDepth and stay on their worker goroutine.
-func shard(n int, fn func(lo, hi int)) {
-	w := workers()
-	if w > n {
-		w = n
+// The helper pool. One job is open at a time; its owner is the
+// goroutine that took serialDepth from 0 to 1.
+//
+// claim packs (generation, chunks left) into one word. The owner
+// writes the job fields, then stores a new generation with the chunk
+// count: that store publishes the fields. Anyone — owner or helper —
+// claims a chunk by a compare-and-swap that decrements the low half;
+// success proves the job of that generation is still open, and only
+// then are the job fields read. The owner returns once pending, the
+// count of chunks not yet finished, reaches zero, so the fields are
+// never written while a claimed chunk is running.
+var pool = struct {
+	claim   atomic.Uint64
+	pending atomic.Int32
+	// parked counts helpers blocked on (or about to block on) wake.
+	parked atomic.Int32
+	wake   chan struct{}
+
+	// The open job: fn over [0, n) in chunks of size, count of them.
+	// Owner-written before claim is published, cleared before the pool
+	// is released so a finished job's closure (and whatever it captured:
+	// a scheduler, its arena) is not kept alive by the pool.
+	fn      func(lo, hi int)
+	n, size int
+	count   uint64
+	helpers int // helpers started so far; owner-only
+}{wake: make(chan struct{})}
+
+const chunkMask = 1<<32 - 1
+
+// runChunk claims one chunk of the open job and runs it, reporting
+// whether there was one to claim.
+//
+//tracelint:hotpath
+func runChunk() bool {
+	for {
+		w := pool.claim.Load()
+		left := w & chunkMask
+		if left == 0 {
+			return false
+		}
+		if !pool.claim.CompareAndSwap(w, w-1) {
+			continue
+		}
+		lo := int(pool.count-left) * pool.size
+		hi := min(lo+pool.size, pool.n)
+		pool.fn(lo, hi)
+		pool.pending.Add(-1)
+		return true
 	}
-	if w <= 1 {
+}
+
+// helper is the body of one pool goroutine: run chunks while there are
+// any, poll for the next job for a bounded number of yields, then park
+// until a dispatch wakes it. Every wait yields, so a helper never holds
+// a P against runnable work at any GOMAXPROCS.
+func helper() {
+	idle := 0
+	for {
+		if runChunk() {
+			idle = 0
+			continue
+		}
+		if idle < spinYields {
+			idle++
+			runtime.Gosched()
+			continue
+		}
+		pool.parked.Add(1)
+		if pool.claim.Load()&chunkMask == 0 {
+			<-pool.wake
+		}
+		pool.parked.Add(-1)
+		idle = 0
+	}
+}
+
+// Shard cuts [0, n) into contiguous chunks and runs fn on each,
+// returning when all are done. fn must compute each index from that
+// index's inputs alone and write only state owned by its chunk: that is
+// what makes the result independent of how the range is cut. The caller
+// claims chunks itself beside the helpers, so the job completes even if
+// no helper ever arrives — that is the serial kernel — and a caller
+// that finds the pool taken (a Serial region, an enclosing chunk,
+// another goroutine's job) runs fn(0, n) on the spot.
+//
+//tracelint:hotpath
+func Shard(n int, fn func(lo, hi int)) {
+	w := min(workers(), n)
+	if w <= 1 || !serialDepth.CompareAndSwap(0, 1) {
 		fn(0, n)
 		return
 	}
-	serialDepth.Add(1)
 	defer serialDepth.Add(-1)
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		//tracelint:allow hotalloc — parallel path only: shard is unreachable below the parallelOK work threshold
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+	startHelpers(w - 1)
+
+	size := (n + w*chunksPerWorker - 1) / (w * chunksPerWorker)
+	if aligned := (size + chunkAlign - 1) &^ (chunkAlign - 1); (n+aligned-1)/aligned >= w {
+		size = aligned
 	}
-	wg.Wait()
+	chunks := (n + size - 1) / size
+	pool.fn, pool.n, pool.size, pool.count = fn, n, size, uint64(chunks)
+	pool.pending.Store(int32(chunks))
+	gen := pool.claim.Load()>>32 + 1
+	pool.claim.Store(gen<<32 | uint64(chunks))
+
+	// Wake parked helpers without waiting for them: a send lands only on
+	// a helper already blocked in receive, and whoever shows up late
+	// finds the chunks the caller has not reached yet.
+	for k := min(int(pool.parked.Load()), w-1); k > 0; k-- {
+		select {
+		//tracelint:allow hotalloc — zero-size token, nothing is allocated
+		case pool.wake <- struct{}{}:
+		default:
+		}
+	}
+	for runChunk() {
+	}
+	for pool.pending.Load() != 0 {
+		runtime.Gosched()
+	}
+	pool.fn = nil
 }
 
-// parallelOK reports whether a kernel costing work multiply-adds
-// should shard: the op is large enough to amortize goroutine dispatch,
-// more than one worker exists, and no Serial region or enclosing
-// sharded kernel is active.
-func parallelOK(work int) bool {
+// startHelpers grows the pool to k helpers. They are never stopped: a
+// parked helper costs one blocked goroutine, and GOMAXPROCS rising
+// again finds them ready.
+func startHelpers(k int) {
+	for ; pool.helpers < k; pool.helpers++ {
+		go helper()
+	}
+}
+
+// ParallelOK reports whether a kernel costing work multiply-adds
+// should shard: the op is large enough to amortize a dispatch, more
+// than one worker exists, and nobody else owns the CPUs (see
+// serialDepth). Kernels here and row-wise ops elsewhere (nn's
+// normalization and activations, the sampler's per-flow update) ask it
+// first and build the closure they hand to Shard only on a yes, so a
+// small op stays on the allocation-free serial path.
+func ParallelOK(work int) bool {
 	return work >= minParallelWork && workers() > 1 && serialDepth.Load() == 0
 }
 
 // dispatch runs a kernel over an output of rows x cols elements costing
-// work multiply-adds: serially when small (or when a Serial region /
-// enclosing sharded kernel is active), sharded over rows when there
-// are enough of them to feed every worker, and sharded over columns
-// otherwise (the batch-1 inference shape: one row, wide output). Both
-// kernels must produce bit-identical elements; only the split differs.
+// work multiply-adds: serially when small (or when the pool is taken),
+// chunked over rows when there are enough of them to feed every worker,
+// and over columns otherwise (the batch-1 inference shape: one row,
+// wide output). Both kernels must produce bit-identical elements; only
+// the split differs.
 func dispatch(work, rows, cols int, rowKernel, colKernel func(lo, hi int)) {
-	if !parallelOK(work) {
+	if !ParallelOK(work) {
 		rowKernel(0, rows)
 		return
 	}
 	if rows >= workers() {
-		shard(rows, rowKernel)
+		Shard(rows, rowKernel)
 		return
 	}
-	shard(cols, colKernel)
+	Shard(cols, colKernel)
 }
 
 // --- C = A·B -----------------------------------------------------------

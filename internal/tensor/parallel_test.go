@@ -3,7 +3,10 @@ package tensor
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"trafficdiff/internal/stats"
 )
@@ -398,4 +401,157 @@ func TestKernelsIdenticalAcrossWorkerCounts(t *testing.T) {
 		requireIdentical(t, MatMul(a, b), serialAB, fmt.Sprintf("MatMul procs=%d", procs))
 		requireIdentical(t, MatMulABT(a, bT), serialABT, fmt.Sprintf("MatMulABT procs=%d", procs))
 	}
+}
+
+// --- the helper pool -------------------------------------------------
+//
+// The dispatch under every kernel is one process-wide pool of parked or
+// spinning helpers (parallel.go). These tests pin what the kernels rely
+// on beyond the per-kernel equivalence above: helpers started for a
+// high GOMAXPROCS stay harmless when it drops, two goroutines may
+// dispatch at once, a kernel inside a chunk stays on its goroutine, and
+// a finished job leaves nothing of itself in the pool.
+
+// TestPoolShrinkingGOMAXPROCSMatchesSerialReference runs every kernel
+// family at GOMAXPROCS 8 first — which starts seven helpers — and then
+// at 2, 1 and 3 in the same process: the surplus helpers only ever park
+// or claim chunks like any other, so every result stays exact.
+func TestPoolShrinkingGOMAXPROCSMatchesSerialReference(t *testing.T) {
+	r := stats.NewRNG(49)
+	type product struct{ a, aT, b, bT, ab, atb, abt *Tensor }
+	var cases []product
+	for _, sh := range []struct{ m, k, n int }{
+		{1, 2176, 192}, {8, 2176, 192}, {9, 192, 2177}, {65, 517, 89}, {2, 257, 301},
+	} {
+		c := product{
+			a: randTensor(r, sh.m, sh.k), aT: randTensor(r, sh.k, sh.m),
+			b: randTensor(r, sh.k, sh.n), bT: randTensor(r, sh.n, sh.k),
+		}
+		c.ab, c.atb, c.abt = refMatMul(c.a, c.b), refMatMulATB(c.aT, c.b), refMatMulABT(c.a, c.bT)
+		cases = append(cases, c)
+	}
+	cs := convShapes[2]
+	x := randTensor(r, cs.n, cs.c, cs.h, cs.w)
+	w := randTensor(r, cs.s.OutC, cs.c*cs.s.KH*cs.s.KW)
+	bias := randTensor(r, cs.s.OutC)
+	wantConv := refConv2D(x, w, bias, cs.s)
+
+	withGOMAXPROCS(t, []int{8, 2, 1, 3}, func(t *testing.T) {
+		for i, c := range cases {
+			requireIdentical(t, MatMul(c.a, c.b), c.ab, fmt.Sprintf("MatMul case %d", i))
+			requireIdentical(t, MatMulATB(c.aT, c.b), c.atb, fmt.Sprintf("MatMulATB case %d", i))
+			requireIdentical(t, MatMulABT(c.a, c.bT), c.abt, fmt.Sprintf("MatMulABT case %d", i))
+		}
+		y, _ := Conv2D(x, w, bias, cs.s)
+		requireIdentical(t, y, wantConv, "Conv2D")
+	})
+}
+
+// TestPoolConcurrentDispatchersMatchSerialReference has two goroutines
+// dispatch different products at the same time, over and over. Only one
+// of them can hold the pool at any instant; the other runs its kernel on
+// its own goroutine. Both must read the serial reference every time.
+func TestPoolConcurrentDispatchersMatchSerialReference(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	r := stats.NewRNG(50)
+	type job struct{ a, bT, want *Tensor }
+	var jobs [2]job
+	for i, sh := range []struct{ m, k, n int }{{8, 2176, 192}, {3, 517, 301}} {
+		a, bT := randTensor(r, sh.m, sh.k), randTensor(r, sh.n, sh.k)
+		jobs[i] = job{a, bT, refMatMulABT(a, bT)}
+	}
+	var wg sync.WaitGroup
+	for g := range jobs {
+		wg.Add(1)
+		go func(j job, g int) {
+			defer wg.Done()
+			c := New(j.want.Shape...)
+			for iter := 0; iter < 200; iter++ {
+				c.Fill(-1)
+				MatMulABTInto(c, j.a, j.bT)
+				for i := range j.want.Data {
+					if c.Data[i] != j.want.Data[i] {
+						t.Errorf("dispatcher %d iter %d: element %d = %v, want %v (exact)", g, iter, i, c.Data[i], j.want.Data[i])
+						return
+					}
+				}
+			}
+		}(jobs[g], g)
+	}
+	wg.Wait()
+}
+
+// TestPoolNestedKernelRunsSerially: inside a chunk the pool is taken,
+// so a kernel called from there must not dispatch again — ParallelOK
+// says no, and a direct shard runs its body once over the whole range on
+// the calling goroutine.
+func TestPoolNestedKernelRunsSerially(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	if !ParallelOK(minParallelWork) {
+		t.Fatal("ParallelOK false outside any job at GOMAXPROCS 4")
+	}
+	const n = 16
+	var outerChunks, nestedOK, innerCalls, innerWhole atomic.Int32
+	Shard(n, func(lo, hi int) {
+		outerChunks.Add(1)
+		if ParallelOK(1 << 30) {
+			nestedOK.Add(1)
+		}
+		Shard(n, func(ilo, ihi int) {
+			innerCalls.Add(1)
+			if ilo == 0 && ihi == n {
+				innerWhole.Add(1)
+			}
+		})
+	})
+	if outerChunks.Load() < 2 {
+		t.Fatalf("outer job ran as %d chunk(s); the pool was not used", outerChunks.Load())
+	}
+	if nestedOK.Load() != 0 {
+		t.Errorf("ParallelOK was true inside %d chunk(s)", nestedOK.Load())
+	}
+	if innerCalls.Load() != outerChunks.Load() || innerWhole.Load() != outerChunks.Load() {
+		t.Errorf("nested shard ran its body %d times (%d over the whole range) inside %d chunks; want once per chunk, whole range",
+			innerCalls.Load(), innerWhole.Load(), outerChunks.Load())
+	}
+	if !ParallelOK(minParallelWork) {
+		t.Error("pool still taken after the job returned")
+	}
+}
+
+// TestPoolDropsClosureAfterDispatch: the published job is cleared on
+// return, so whatever the kernel closure captured (in the sampler: a
+// scheduler and its arena) is collectable as soon as the caller lets go
+// of it.
+func TestPoolDropsClosureAfterDispatch(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	collected := make(chan struct{})
+	func() {
+		buf := make([]float32, 1<<16)
+		runtime.SetFinalizer(&buf[0], func(*float32) { close(collected) })
+		chunks := 0
+		Shard(len(buf), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				buf[i] = 1
+			}
+			if lo == 0 {
+				chunks = (len(buf) + hi - 1) / hi
+			}
+		})
+		if chunks < 2 {
+			t.Fatalf("job ran as %d chunk(s); the pool was not used", chunks)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("buffer captured by a finished job's closure was never collected: the pool still references the closure")
 }

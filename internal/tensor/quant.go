@@ -118,13 +118,13 @@ func MatMulABTQInto(c, a *Tensor, b *QuantizedMat) {
 	// Serial fast path before any closure is built, same as the fp32
 	// kernels: the closure pair heap-allocates, which an inference loop
 	// would pay every step.
-	if !parallelOK(m * k * n) {
+	if !ParallelOK(m * k * n) {
 		matmulABTQRows(c.Data, a.Data, b.Weights, b.Scales, 0, m, k, n)
 		return
 	}
 	dispatch(m*k*n, m, n,
-		func(lo, hi int) { matmulABTQRows(c.Data, a.Data, b.Weights, b.Scales, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by parallelOK
-		func(lo, hi int) { matmulABTQCols(c.Data, a.Data, b.Weights, b.Scales, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by parallelOK
+		func(lo, hi int) { matmulABTQRows(c.Data, a.Data, b.Weights, b.Scales, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
+		func(lo, hi int) { matmulABTQCols(c.Data, a.Data, b.Weights, b.Scales, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }
 
 // matmulABTQRows computes rows [lo, hi) of C = A·Bqᵀ. Each element is
@@ -185,10 +185,10 @@ func Conv2DQ(x *Tensor, qw *QuantizedMat, b *Tensor, s ConvSpec) *Tensor {
 	kernel := func(lo, hi int) {
 		convEpilogueRowsQ(y.Data, cols.Data, qw.Weights, qw.Scales, b.Data, s.OutC, spatial, rowLen, lo, hi)
 	}
-	if !parallelOK(rows * s.OutC * rowLen) {
+	if !ParallelOK(rows * s.OutC * rowLen) {
 		kernel(0, rows)
 	} else {
-		shard(rows, kernel)
+		Shard(rows, kernel)
 	}
 	return y
 }

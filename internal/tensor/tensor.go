@@ -140,13 +140,13 @@ func MatMulInto(c, a, b *Tensor) {
 	}
 	// Serial fast path before any closure is built: the kernel closure
 	// pair heap-allocates, which an inference loop pays every step.
-	if !parallelOK(m * k * n) {
+	if !ParallelOK(m * k * n) {
 		matmulRows(c.Data, a.Data, b.Data, 0, m, k, n)
 		return
 	}
 	dispatch(m*k*n, m, n,
-		func(lo, hi int) { matmulRows(c.Data, a.Data, b.Data, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by parallelOK
-		func(lo, hi int) { matmulCols(c.Data, a.Data, b.Data, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by parallelOK
+		func(lo, hi int) { matmulRows(c.Data, a.Data, b.Data, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
+		func(lo, hi int) { matmulCols(c.Data, a.Data, b.Data, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }
 
 // MatMulATB computes C = Aᵀ·B for A [k,m] and B [k,n] → C [m,n],
@@ -169,13 +169,13 @@ func MatMulATBInto(c, a, b *Tensor) {
 	if c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulATB out %v, want [%d %d]", c.Shape, m, n))
 	}
-	if !parallelOK(m * k * n) {
+	if !ParallelOK(m * k * n) {
 		matmulATBRows(c.Data, a.Data, b.Data, 0, m, k, m, n)
 		return
 	}
 	dispatch(m*k*n, m, n,
-		func(lo, hi int) { matmulATBRows(c.Data, a.Data, b.Data, lo, hi, k, m, n) }, //tracelint:allow hotalloc — parallel path only, gated by parallelOK
-		func(lo, hi int) { matmulATBCols(c.Data, a.Data, b.Data, k, m, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by parallelOK
+		func(lo, hi int) { matmulATBRows(c.Data, a.Data, b.Data, lo, hi, k, m, n) }, //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
+		func(lo, hi int) { matmulATBCols(c.Data, a.Data, b.Data, k, m, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }
 
 // MatMulABT computes C = A·Bᵀ for A [m,k] and B [n,k] → C [m,n],
@@ -199,11 +199,11 @@ func MatMulABTInto(c, a, b *Tensor) {
 	if c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulABT out %v, want [%d %d]", c.Shape, m, n))
 	}
-	if !parallelOK(m * k * n) {
+	if !ParallelOK(m * k * n) {
 		matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, 0, n)
 		return
 	}
 	dispatch(m*k*n, m, n,
-		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, lo, hi, k, n, 0, n) }, //tracelint:allow hotalloc — parallel path only, gated by parallelOK
-		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by parallelOK
+		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, lo, hi, k, n, 0, n) }, //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
+		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }
