@@ -94,10 +94,11 @@ bench-router:
 # Quantized-inference frontier: every (precision, DDIM steps) point
 # measured for flows/s and Synthetic/Real RF accuracy against the
 # fp32/64-step reference, appended to BENCH_quant.json. The suite exits
-# non-zero when fidelity drops past its tolerance or the best int8
-# point is under the ≥2× speedup criterion — it is the gate, not just
-# the recorder. The flows/s regression leg (QUANT_THRESHOLD, wide for
-# shared runners) then compares against the committed baseline run.
+# non-zero when fidelity drops past its tolerance — it is the gate, not
+# just the recorder — and prints int8's flows/s over fp32's at each step
+# count (the old "best int8 ≥ 2× the 64-step reference" clause measured
+# few-step DDIM, not int8). The flows/s regression leg (QUANT_THRESHOLD,
+# wide for shared runners) then compares against the committed baseline.
 QUANT_BASELINE ?= post-PR9-quant
 QUANT_THRESHOLD ?= 0.50
 bench-quant:
@@ -173,13 +174,16 @@ verify-determinism:
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
-	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts' -count=1 ./internal/tensor
+	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT' -count=1 ./internal/tensor
 	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd' -count=1 ./internal/nn
 	@echo "determinism OK: pooled dispatch, row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
 	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
 	$(GO) test -run 'TestGoldenSeededDigests|TestLoadCoversEveryParameter' -count=1 ./internal/core
 	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical"
+	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/lora ./internal/core
+	GOARCH=arm64 $(GO) build ./...
+	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds"
 
 # Short fuzzing pass over the binary-format decoders.
 fuzz:

@@ -25,10 +25,10 @@
 // With -suite quant it sweeps the quantized-inference frontier: one
 // in-process synthesizer measured at every (precision, DDIM steps)
 // configuration for flows/s and Synthetic/Real RF accuracy against an
-// fp32/64-step reference. The suite doubles as the fidelity-vs-speed
-// gate — it exits non-zero when any point's accuracy drops more than
-// the built-in tolerance below the reference or the best int8 point is
-// under the required speedup:
+// fp32/64-step reference. The suite doubles as the fidelity gate — it
+// exits non-zero when any point's accuracy drops more than the built-in
+// tolerance below the reference — and prints int8's flows/s over fp32's
+// at each step count:
 //
 //	benchjson -suite quant -label post-PR -out BENCH_quant.json -append
 //

@@ -173,8 +173,7 @@ func TestDDIMTableConcurrent(t *testing.T) {
 
 // BenchmarkSampleBatchedDDIM64 is the fp32/64-step reference point of
 // the quantization frontier: full precision at the paper's canonical
-// DDIM budget. BENCH_quant's >=2x speedup criterion compares the int8
-// few-step configurations against this.
+// DDIM budget, the point BENCH_quant's speedup column is relative to.
 func BenchmarkSampleBatchedDDIM64(b *testing.B) {
 	model, sched := benchModel(b)
 	const n = 8

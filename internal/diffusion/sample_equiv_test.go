@@ -148,6 +148,13 @@ type churnFlow struct {
 // swapRows/dropRow), on the scheduler's split path (nil override) and
 // its plain path, at GOMAXPROCS 1 and 8 — and every completed flow's
 // bytes must equal a solo SampleLegacy run of that flow alone.
+// The script also walks the in-flight flow count through 1, 2, 8, 9 and
+// 17 (checked): with every row stepped, those are the row counts of the
+// forward's GEMMs, which take the A·Bᵀ kernel from its scalar loop (one
+// row) to one vector block (two rows: six idle lanes; eight: none) to a
+// block beside a scalar row (nine) to two blocks and a row (seventeen) —
+// tensor's TestABTBothTilesRun counts exactly that routing — so a
+// flow's bytes are checked not to depend on which tile its row rode.
 // This is the contract that lets traced admit a request into a batch
 // that is already at step 37 without the response bytes depending on
 // it. Runs under -race in CI (make race).
@@ -179,11 +186,20 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 				var flows []*churnFlow
 				byID := map[FlowID]*churnFlow{}
 				admitted, completed := 0, 0
-				const total = 14
+				const total = 48
+				rampRows := []int{1, 2, 8, 9, 17}
+				ramp, stepped := 0, map[int]bool{}
 				for completed < total {
 					// Admit 0-2 new flows at this boundary (always at least
-					// one while the engine is idle and flows remain).
+					// one while the engine is idle and flows remain), or, as
+					// soon as the batch is small enough, the flows that bring
+					// it to the next count on rampRows.
 					burst := int(driver.Uint64() % 3)
+					scripted := ramp < len(rampRows) && eng.Active() <= rampRows[ramp]
+					if scripted {
+						burst = rampRows[ramp] - eng.Active()
+						ramp++
+					}
 					for burst > 0 || (eng.Active() == 0 && admitted < total) {
 						if admitted >= total {
 							break
@@ -217,7 +233,7 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 					}
 					// Occasionally retire a random live flow mid-generation
 					// (its spot must not perturb anyone else's bytes).
-					if driver.Uint64()%5 == 0 {
+					if !scripted && driver.Uint64()%5 == 0 {
 						live := flows[:0:0]
 						for _, cf := range flows {
 							if !cf.done && !cf.retired {
@@ -231,6 +247,7 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 							completed++ // retired flows count toward termination
 						}
 					}
+					stepped[eng.Active()] = true
 					for _, id := range eng.Step() {
 						cf := byID[id]
 						if cf == nil {
@@ -246,6 +263,11 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 				for eng.Active() > 0 {
 					for _, id := range eng.Step() {
 						byID[id].done = true
+					}
+				}
+				for _, n := range rampRows {
+					if !stepped[n] {
+						t.Errorf("%s: no step ran with %d flows in flight", name, n)
 					}
 				}
 

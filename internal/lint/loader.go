@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -274,6 +275,9 @@ func (l *Loader) parseDir(path, dir string) *parsedPkg {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			continue // build constraints, e.g. tensor's per-architecture files
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {

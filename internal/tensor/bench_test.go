@@ -35,15 +35,20 @@ func BenchmarkMatMul(b *testing.B) {
 }
 
 // BenchmarkMatMulABT times the inference GEMM on the generic sizes and
-// on the paper-scale adapted forward's four products (abtPaperShapes),
-// reporting GFLOP/s so tile choices compare across shapes.
+// on the paper-scale adapted forward's four products at the row counts
+// offline synthesis (64) and the served path (1, 2, 4, 8, 9, 16, 18:
+// a guided flow is two rows, a probe beside an 8-flow request 18)
+// produce, reporting GFLOP/s so tiles compare across shapes. Names are
+// rows, then the weight's shape as out × in — C[rows,out] =
+// A[rows,in]·B[out,in]ᵀ — spelled out, because 2176×192 and 192×2176
+// are both in the list.
 func BenchmarkMatMulABT(b *testing.B) {
 	r := stats.NewRNG(2)
-	for _, sz := range slices.Concat(benchMatMulSizes, abtPaperShapes()) {
+	for _, sz := range slices.Concat(benchMatMulSizes, abtPaperShapes(1, 2, 4, 8, 9, 16, 18, 64)) {
 		a := New(sz.m, sz.k).Randn(r, 1)
 		bb := New(sz.n, sz.k).Randn(r, 1)
 		c := New(sz.m, sz.n)
-		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.k, sz.n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("r%d_out%d_in%d", sz.m, sz.n, sz.k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				MatMulABTInto(c, a, bb)

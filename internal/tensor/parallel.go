@@ -37,6 +37,13 @@ import (
 // goroutine-per-shard dispatch's threshold; a parked helper adds a
 // wake the caller does not wait for, so an op just above the line loses
 // a few µs at worst.
+//
+// The vector A·Bᵀ tile makes a multiply-add ≈ 6× cheaper at eight rows
+// and the line did not move: a pass costs the same for two rows as for
+// eight, and 1<<16 was twice the break-even. Serial vs pooled, µs, rows
+// × out × in: 2×192×192 (73 K) 17.7 vs 12.8, 4×2176×8 (69 K) 15.3 vs
+// 11.7, 8×192×64 (98 K) 6.4 vs 7.7, 8×2176×8 (139 K) 15.5 vs 11.6,
+// 9×192×64 (110 K) 13.8 vs 9.9, 8×192×192 (294 K) 17.7 vs 13.2.
 const minParallelWork = 1 << 16
 
 // kBlock is the contraction-axis tile: panels of B this tall stay hot
@@ -56,12 +63,13 @@ const kBlock = 256
 // 317/317/321; the GEMM micro-benchmarks do not separate 2, 4 and 8.
 const chunksPerWorker = 4
 
-// chunkAlign is the A·Bᵀ tile's width: a column chunk that is not a
-// multiple of it leaves columns to the one-accumulator edge loop (an
-// 8-column product cut into 8 chunks ran 3.4 → 8–14 µs), so chunk
-// sizes round up to it whenever that still leaves a chunk per worker.
-// Row and element chunks lose nothing by it.
-const chunkAlign = 4
+// chunkAlign is the A·Bᵀ vector tile's side, eight rows by eight
+// columns: a chunk that is not a multiple of it leaves rows to
+// half-empty passes (18 rows cut 4-4-4-4-2 are five passes, cut 8-8-2
+// three) or columns to the scalar loop, so chunk sizes round up to it
+// whenever that still leaves a chunk per worker. Element chunks lose
+// nothing by it.
+const chunkAlign = 8
 
 // spinYields is how many times an idle helper polls the claim word,
 // yielding between polls, before it parks. A poll-and-yield is
@@ -257,20 +265,30 @@ func ParallelOK(work int) bool {
 
 // dispatch runs a kernel over an output of rows x cols elements costing
 // work multiply-adds: serially when small (or when the pool is taken),
-// chunked over rows when there are enough of them to feed every worker,
-// and over columns otherwise (the batch-1 inference shape: one row,
-// wide output). Both kernels must produce bit-identical elements; only
-// the split differs.
-func dispatch(work, rows, cols int, rowKernel, colKernel func(lo, hi int)) {
-	if !ParallelOK(work) {
+// chunked over rows when they make a block of rowBlock rows (one pass
+// of the kernel's widest tile, which costs the same for fewer) for every
+// worker, over columns when not (the batch-1 inference shape) and every
+// worker can have chunkAlign of them, and serially otherwise. Both
+// kernels must produce bit-identical elements; only the split differs.
+//
+// A·Bᵀ on the vector tile, 2 workers, median of 5, µs serial / by rows /
+// by columns (rows×out×in): 8×192×2176 192 / 900 (one-row chunks: the
+// scalar loop) / 110; 9×192×2176 403 / 237 (8+1) / 209; 16×192×2176 437
+// / 255 / 250; 18×192×2176 577 / 376 (8+8+2) / 372; 18×2176×192 585 /
+// 352 / 282; 64×192×2176 1429 / 864 / 873; 8×8×2176 9 / 34 / 87. From
+// nine rows up the splits tie, so the old rule stays, counted in blocks.
+func dispatch(work, rows, rowBlock, cols int, rowKernel, colKernel func(lo, hi int)) {
+	w := workers()
+	switch {
+	case !ParallelOK(work):
 		rowKernel(0, rows)
-		return
-	}
-	if rows >= workers() {
+	case (rows+rowBlock-1)/rowBlock >= w:
 		Shard(rows, rowKernel)
-		return
+	case cols >= chunkAlign*w:
+		Shard(cols, colKernel)
+	default:
+		rowKernel(0, rows)
 	}
-	Shard(cols, colKernel)
 }
 
 // --- C = A·B -----------------------------------------------------------
@@ -366,31 +384,30 @@ func matmulATBCols(c, a, b []float32, k, m, n, jlo, jhi int) {
 
 // --- C = A·Bᵀ ----------------------------------------------------------
 
-// matmulABTRange is the one A·Bᵀ kernel: it computes the output block
-// rows [ilo, ihi) × columns [jlo, jhi) of C = A·Bᵀ. MatMulABTInto's
-// serial call, row shards and column shards are all ranges over it.
+// matmulABTScalar is the portable A·Bᵀ loop, all of matmulABTRange on
+// most builds (abt_generic.go), its edge loop beside the vector tile on
+// amd64, and the reference that tile is held to: it computes the output
+// block rows [ilo, ihi) × columns [jlo, jhi) of C = A·Bᵀ.
 //
 // It is register-blocked 1×4: one row of A against four rows of B with
 // four independent accumulators, so each loaded a[p] feeds four
 // multiply-adds and four dependency chains overlap the add latency a
 // single running sum serializes on. The four B rows are the outer loop
 // and the rows of A the inner one, so a B block is read from memory
-// once per call and served from L1 for every further row of A — what
-// makes a taller batch cheaper per row. Columns left over when the
-// range is not a multiple of four take the one-accumulator loop.
+// once per call and served from L1 for every further row of A. Columns
+// left over when the range is not a multiple of four take the
+// one-accumulator loop.
 //
-// Ordering: every output element is still its own sum over
-// p = 0..k-1 in increasing order, a separate float32 multiply and add
-// per term, starting from zero — exactly the 1×1 loop's arithmetic for
-// that element. Blocking only decides which elements are in flight
-// together, never the order of any one element's terms, so the result
-// is bit-identical to the serial reference whichever loop an element
-// lands in, at any GOMAXPROCS and any shard boundary. The tile was
-// picked by measurement (DESIGN.md "Parallel kernels & determinism"):
-// 2×4 and 4×2 are no faster, and 4×4 spills its sixteen accumulators.
+// Ordering: every output element is its own sum over p = 0..k-1 in
+// increasing order, a separate float32 multiply and add per term,
+// starting from zero. Blocking only decides which elements are in
+// flight together, never the order of any one element's terms, so an
+// element's bits do not depend on which loop or which tile it lands in,
+// at any GOMAXPROCS and any shard boundary (DESIGN.md "The A·Bᵀ
+// micro-kernel").
 //
 //tracelint:hotpath
-func matmulABTRange(c, a, b []float32, ilo, ihi, k, n, jlo, jhi int) {
+func matmulABTScalar(c, a, b []float32, ilo, ihi, k, n, jlo, jhi int) {
 	j := jlo
 	for ; j+4 <= jhi; j += 4 {
 		b0 := b[j*k : (j+1)*k]

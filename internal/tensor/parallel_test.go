@@ -241,15 +241,16 @@ func abtShapes() []struct{ m, k, n int } {
 		{129, 517, 89},   // uneven row shards at every worker count
 		{128, 192, 2176}, // the head's output product over a stacked 2×64-row pair
 	}
-	return append(out, abtPaperShapes()...)
+	return append(out, abtPaperShapes(1, 2, 8, 9, 64)...)
 }
 
-// abtPaperShapes is r × {2176×192, 192×2176, 2176×8, 8×2176} for
-// r ∈ {1, 2, 8, 9, 64}. At two rows and 3 workers the 2176-column
-// products split into shards of 726 columns (≡ 2 mod 4).
-func abtPaperShapes() []struct{ m, k, n int } {
+// abtPaperShapes is r × {2176×192, 192×2176, 2176×8, 8×2176} for each
+// given row count r. Below nine rows the wide products are cut by
+// columns: the 2176-column ones into chunks of 184 columns at 3 workers
+// and 72 at 8, the 192-column ones into 16 and 8.
+func abtPaperShapes(rows ...int) []struct{ m, k, n int } {
 	var out []struct{ m, k, n int }
-	for _, r := range []int{1, 2, 8, 9, 64} {
+	for _, r := range rows {
 		out = append(out,
 			struct{ m, k, n int }{r, 2176, 192},
 			struct{ m, k, n int }{r, 192, 2176},
@@ -307,13 +308,15 @@ func TestMatMulABTMatchesSerialReference(t *testing.T) {
 }
 
 // TestMatMulABTRangeMatchesSerialReference drives the kernel's range
-// function directly over every column range and a sweep of row ranges
-// of a small product: whichever block a shard is handed — aligned to
-// the tile or not — it writes exactly that block, and every element
+// function directly over every sub-block of a product small enough to
+// enumerate and large enough that blocks start and end inside, on and
+// across the vector tile's eight rows and eight columns, with k past
+// one k-block so partial sums make the trip through C: whichever block
+// a shard is handed, it writes exactly that block, and every element
 // equals the serial reference bit for bit.
 func TestMatMulABTRangeMatchesSerialReference(t *testing.T) {
 	r := stats.NewRNG(48)
-	const m, k, n = 5, 37, 11
+	const m, k, n = 11, kBlock + 3, 18
 	a := randTensor(r, m, k)
 	b := randTensor(r, n, k)
 	want := refMatMulABT(a, b)

@@ -122,7 +122,7 @@ func MatMulABTQInto(c, a *Tensor, b *QuantizedMat) {
 		matmulABTQRows(c.Data, a.Data, b.Weights, b.Scales, 0, m, k, n)
 		return
 	}
-	dispatch(m*k*n, m, n,
+	dispatch(m*k*n, m, 1, n,
 		func(lo, hi int) { matmulABTQRows(c.Data, a.Data, b.Weights, b.Scales, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 		func(lo, hi int) { matmulABTQCols(c.Data, a.Data, b.Weights, b.Scales, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }

@@ -144,7 +144,7 @@ func MatMulInto(c, a, b *Tensor) {
 		matmulRows(c.Data, a.Data, b.Data, 0, m, k, n)
 		return
 	}
-	dispatch(m*k*n, m, n,
+	dispatch(m*k*n, m, 1, n,
 		func(lo, hi int) { matmulRows(c.Data, a.Data, b.Data, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 		func(lo, hi int) { matmulCols(c.Data, a.Data, b.Data, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }
@@ -173,7 +173,7 @@ func MatMulATBInto(c, a, b *Tensor) {
 		matmulATBRows(c.Data, a.Data, b.Data, 0, m, k, m, n)
 		return
 	}
-	dispatch(m*k*n, m, n,
+	dispatch(m*k*n, m, 1, n,
 		func(lo, hi int) { matmulATBRows(c.Data, a.Data, b.Data, lo, hi, k, m, n) }, //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 		func(lo, hi int) { matmulATBCols(c.Data, a.Data, b.Data, k, m, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }
@@ -203,7 +203,7 @@ func MatMulABTInto(c, a, b *Tensor) {
 		matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, 0, n)
 		return
 	}
-	dispatch(m*k*n, m, n,
+	dispatch(m*k*n, m, abtRowBlock(m, n), n,
 		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, lo, hi, k, n, 0, n) }, //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 }

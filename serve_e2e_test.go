@@ -148,7 +148,12 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 
 		// SIGTERM with a request in flight: the request completes, the
-		// process drains and exits 0.
+		// process drains and exits 0. A handler gives its slot back after
+		// its client has the whole body, so wait for the flood's slots
+		// first, or this request can be the one that is shed.
+		waitUntil(t, "flood's slots released", func() bool {
+			return fetchMetrics(t, srv.url)["inflight_requests"] == 0
+		})
 		inFlight := make(chan []byte, 1)
 		inErr := make(chan error, 1)
 		go func() {
