@@ -185,13 +185,14 @@ verify-determinism:
 	GOARCH=arm64 $(GO) build ./...
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds"
 
-# Short fuzzing pass over the binary-format decoders.
+# Short fuzzing pass over the binary-format decoders and the CSV writer.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 15s ./internal/packet
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/pcap
 	$(GO) test -fuzz FuzzNGReader -fuzztime 15s ./internal/pcap
 	$(GO) test -fuzz FuzzDecodeRow -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s ./internal/nprint
+	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s ./internal/nprint
 
 # Regenerate every paper table and figure.
 experiments:

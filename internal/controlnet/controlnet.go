@@ -155,92 +155,85 @@ func (t *Template) ControlTensor(h, w, fh, fw int) (*tensor.Tensor, error) {
 	return tensor.FromSlice(down.Pix, 1, h, w), nil
 }
 
+// Enforcement is what one Enforce call measured and changed.
+type Enforcement struct {
+	// RawProtocolCompliance and RawCellCompliance are ProtocolCompliance
+	// and Compliance of the matrix as it arrived.
+	RawProtocolCompliance, RawCellCompliance float64
+	// Repaired counts the cells Project and ProjectConstants changed.
+	Repaired int
+}
+
+// Enforce is the template's whole post-sampling step on a quantized
+// matrix, in place: measure raw compliance, Project, and with
+// pinConstants also ProjectConstants. Every rule is per row, so one
+// pass over the rows equals the four calls made in that order.
+func (t *Template) Enforce(m *nprint.Matrix, pinConstants bool) Enforcement {
+	c := t.rowPass(m, true, pinConstants)
+	return Enforcement{
+		RawProtocolCompliance: c.protocolCompliance(),
+		RawCellCompliance:     c.cellCompliance(),
+		Repaired:              c.projected + c.pinned,
+	}
+}
+
 // Project enforces the template on a quantized nprint matrix in place:
 // vacant columns are vacated, content columns that sampled Vacant get
 // the column's fill bit. It returns the number of cells changed — the
 // "repair distance" diagnostics report.
-func (t *Template) Project(m *nprint.Matrix) int {
-	changed := 0
-	for r := 0; r < m.NumRows; r++ {
-		row := m.Row(r)
-		for c, s := range t.State {
-			switch s {
-			case ColVacant:
-				if row[c] != nprint.Vacant {
-					row[c] = nprint.Vacant
-					changed++
-				}
-			case ColContent:
-				if row[c] == nprint.Vacant {
-					row[c] = t.Fill[c]
-					changed++
-				}
-			}
-		}
-	}
-	return changed
-}
+func (t *Template) Project(m *nprint.Matrix) int { return t.rowPass(m, true, false).projected }
 
 // ProjectConstants additionally pins the template's class-invariant
 // (constant) content columns to their example bit value on every
 // active (non-padding) row — the strong form of one-shot structural
 // control. It returns the number of cells changed.
-func (t *Template) ProjectConstants(m *nprint.Matrix) int {
-	changed := 0
-	for r := 0; r < m.NumRows; r++ {
-		row := m.Row(r)
-		if nprint.SectionVacant(row, 0, nprint.BitsPerPacket) {
-			continue // padding row: stays vacant
-		}
-		for c, isConst := range t.Constant {
-			if isConst && row[c] != t.Fill[c] {
-				row[c] = t.Fill[c]
-				changed++
-			}
-		}
-	}
-	return changed
-}
+func (t *Template) ProjectConstants(m *nprint.Matrix) int { return t.rowPass(m, false, true).pinned }
 
 // Compliance reports the fraction of constrained cells (vacant or
 // content columns) that already satisfy the template, in [0,1]. A
 // matrix that Project has run on is always fully compliant.
 func (t *Template) Compliance(m *nprint.Matrix) float64 {
-	if m.NumRows == 0 {
-		return 1
-	}
-	constrained, ok := 0, 0
-	for r := 0; r < m.NumRows; r++ {
-		row := m.Row(r)
-		for c, s := range t.State {
-			switch s {
-			case ColVacant:
-				constrained++
-				if row[c] == nprint.Vacant {
-					ok++
-				}
-			case ColContent:
-				constrained++
-				if row[c] != nprint.Vacant {
-					ok++
-				}
-			}
-		}
-	}
-	if constrained == 0 {
-		return 1
-	}
-	return float64(ok) / float64(constrained)
+	return t.rowPass(m, false, false).cellCompliance()
 }
 
 // ProtocolCompliance reports the fraction of rows whose populated
 // transport section matches the template's dominant protocol — the
 // Figure 2 property ("all packets adhere to the TCP protocol type").
 func (t *Template) ProtocolCompliance(m *nprint.Matrix) float64 {
-	if m.NumRows == 0 {
+	return t.rowPass(m, false, false).protocolCompliance()
+}
+
+// rowCounts is what rowPass saw: of rows, protoRows carry exactly the
+// template's transport section; of constrained cells (vacant or content
+// columns), held already satisfied the template; projected and pinned
+// cells were rewritten.
+type rowCounts struct {
+	rows, protoRows, constrained, held, projected, pinned int
+}
+
+func (c rowCounts) protocolCompliance() float64 {
+	if c.rows == 0 {
 		return 1
 	}
-	var off, bits int
+	return float64(c.protoRows) / float64(c.rows)
+}
+
+func (c rowCounts) cellCompliance() float64 {
+	if c.constrained == 0 {
+		return 1
+	}
+	return float64(c.held) / float64(c.constrained)
+}
+
+// rowPass is the one implementation of the template's rules. Per row,
+// in this order: test the row as it arrived against the protocol and
+// the column constraints; with project, vacate vacant columns and fill
+// content columns that sampled Vacant; with pin, set constant columns to
+// their example bit unless the row is (now) all vacant — a padding row.
+//
+//tracelint:hotpath
+func (t *Template) rowPass(m *nprint.Matrix, project, pin bool) (c rowCounts) {
+	var off, bits int // stay 0 for an unknown protocol: no row matches
 	switch t.Proto {
 	case packet.ProtoTCP:
 		off, bits = nprint.TCPOffset, nprint.TCPBits
@@ -248,32 +241,105 @@ func (t *Template) ProtocolCompliance(m *nprint.Matrix) float64 {
 		off, bits = nprint.UDPOffset, nprint.UDPBits
 	case packet.ProtoICMP:
 		off, bits = nprint.ICMPOffset, nprint.ICMPBits
-	default:
-		return 0
 	}
-	match := 0
+	// The rules are per column and the same for every row, so the
+	// columns are read once: constrained columns as runs of one state (a
+	// header section, its options), constant columns as a list. Both
+	// live on the stack.
+	var runs [nprint.BitsPerPacket]struct {
+		a, b   uint16
+		vacant bool
+	}
+	var constCols [nprint.BitsPerPacket]uint16
+	nRuns, nConst, constrained := 0, 0, 0
+	for a, b := 0, 0; a < len(t.State); a = b {
+		s := t.State[a]
+		for b = a + 1; b < len(t.State) && t.State[b] == s; b++ {
+		}
+		if s != ColFree {
+			runs[nRuns].a, runs[nRuns].b, runs[nRuns].vacant = uint16(a), uint16(b), s == ColVacant
+			nRuns++
+			constrained += b - a
+		}
+	}
+	if pin {
+		for col, isConst := range t.Constant {
+			if isConst {
+				constCols[nConst] = uint16(col)
+				nConst++
+			}
+		}
+	}
+
+	var protoRows, broken, pinned int
 	for r := 0; r < m.NumRows; r++ {
 		row := m.Row(r)
-		if !nprint.SectionVacant(row, off, bits) && othersVacant(row, off) {
-			match++
+		if bits > 0 && !nprint.SectionVacant(row, off, bits) && othersVacant(row, off) {
+			protoRows++
 		}
-	}
-	return float64(match) / float64(m.NumRows)
-}
-
-func othersVacant(row []int8, keepOff int) bool {
-	sections := [][2]int{
-		{nprint.TCPOffset, nprint.TCPBits},
-		{nprint.UDPOffset, nprint.UDPBits},
-		{nprint.ICMPOffset, nprint.ICMPBits},
-	}
-	for _, s := range sections {
-		if s[0] == keepOff {
+		// A run is counted by a loop with no store in it and rewritten
+		// only if that found something.
+		for _, run := range runs[:nRuns] {
+			cells, n := row[run.a:run.b], 0
+			if run.vacant {
+				for _, v := range cells {
+					if v != nprint.Vacant {
+						n++
+					}
+				}
+				if n > 0 && project {
+					copy(cells, vacantCells[:])
+				}
+			} else {
+				for _, v := range cells {
+					if v == nprint.Vacant {
+						n++
+					}
+				}
+				if n > 0 && project {
+					fill := t.Fill[run.a:run.b]
+					for i, v := range cells {
+						if v == nprint.Vacant {
+							cells[i] = fill[i]
+						}
+					}
+				}
+			}
+			broken += n
+		}
+		if nConst == 0 || nprint.SectionVacant(row, 0, nprint.BitsPerPacket) {
 			continue
 		}
-		if !nprint.SectionVacant(row, s[0], s[1]) {
-			return false
+		for _, col := range constCols[:nConst] {
+			if row[col] != t.Fill[col] {
+				row[col] = t.Fill[col]
+				pinned++
+			}
 		}
 	}
-	return true
+	c.rows, c.protoRows = m.NumRows, protoRows
+	c.constrained = constrained * m.NumRows
+	c.held = c.constrained - broken
+	if project {
+		c.projected = broken
+	}
+	c.pinned = pinned
+	return c
+}
+
+// vacantCells is a row's worth of Vacant, the source vacated runs are
+// copied from.
+var vacantCells = func() (v [nprint.BitsPerPacket]int8) {
+	for i := range v {
+		v[i] = nprint.Vacant
+	}
+	return v
+}()
+
+// othersVacant reports whether every transport section except the one
+// at keepOff is vacant.
+func othersVacant(row []int8, keepOff int) bool {
+	return (keepOff == nprint.TCPOffset || nprint.SectionVacant(row, nprint.TCPOffset, nprint.TCPBits)) &&
+		(keepOff == nprint.UDPOffset || nprint.SectionVacant(row, nprint.UDPOffset, nprint.UDPBits)) &&
+		(keepOff == nprint.ICMPOffset || nprint.SectionVacant(row, nprint.ICMPOffset, nprint.ICMPBits))
 }

@@ -691,88 +691,84 @@ func (s *Synthesizer) generate(ci int, class string, cfg Config, scfg diffusion.
 	return s.postprocess(ci, class, cfg, samples.Data, tsRNGs, starts)
 }
 
+// flowResult is one flow's share of a GenerateResult.
+type flowResult struct {
+	m        *nprint.Matrix
+	fl       *flow.Flow
+	skipped  int
+	enforced controlnet.Enforcement
+}
+
+// flowFromSample is the per-flow half of generation: one sampled
+// model-resolution image (h*w pixels) is color-processed straight into
+// its full-resolution nprint matrix, the class template is enforced,
+// and the rows are back-transformed into packets stamped from the
+// flow's own timestamp stream.
+func (s *Synthesizer) flowFromSample(ci int, class string, cfg Config, pix []float32, tsRNG *stats.RNG, start time.Time) (flowResult, error) {
+	h, w := s.ModelShape()
+	m, err := imagerep.QuantizeUpscaled(pix, h, w, cfg.DownH, cfg.DownW)
+	if err != nil {
+		return flowResult{}, err
+	}
+	enforced := s.templates[ci].Enforce(m, cfg.ConstantSnap)
+	pkts, skipped, err := nprint.ToPackets(m, nprint.DecodeOptions{
+		Repair:   true,
+		Start:    start,
+		Interval: 2 * time.Millisecond,
+	})
+	if err != nil {
+		return flowResult{}, fmt.Errorf("core: back-transform: %w", err)
+	}
+	s.stampTimestamps(pkts, ci, start, tsRNG)
+	return flowResult{m: m, fl: &flow.Flow{Label: class, Packets: pkts}, skipped: skipped, enforced: enforced}, nil
+}
+
 // postprocess turns n sampled model-resolution images (packed in
-// samples, one h*w row per flow) into replayable flows: upscale,
-// quantize, constraint projection, nprint back-transform, timestamp
-// stamping. It is the half of generation shared by the batch path
-// (generate) and the continuous-batching Engine, which receives its
-// samples from an incremental step scheduler instead of one Sample
-// call. Work is independent per flow: each worker owns one result
-// slot, and the aggregation below runs sequentially in flow order, so
-// the result is identical at any GOMAXPROCS.
+// samples, one h*w row per flow) into replayable flows. It is the half
+// of generation shared by the batch path (generate), the edits, and the
+// continuous-batching Engine, which receives its samples from an
+// incremental step scheduler instead of one Sample call. Work is
+// independent per flow: each worker owns one result slot, and the
+// aggregation below runs sequentially in flow order, so the result is
+// identical at any GOMAXPROCS. A lone flow runs on the caller.
 func (s *Synthesizer) postprocess(ci int, class string, cfg Config, samples []float32, tsRNGs []*stats.RNG, starts []time.Time) (*GenerateResult, error) {
 	n := len(tsRNGs)
-	tpl := s.templates[ci]
 	h, w := s.ModelShape()
 	d := h * w
-
-	type flowResult struct {
-		m          *nprint.Matrix
-		fl         *flow.Flow
-		repaired   int
-		skipped    int
-		compliance float64
-		cell       float64
-		err        error
-	}
 	slots := make([]flowResult, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			slot := &slots[i]
-			im := &imagerep.Image{H: h, W: w, Pix: samples[i*d : (i+1)*d]}
-			up, err := imagerep.Upscale(im, cfg.DownH, cfg.DownW)
-			if err != nil {
-				slot.err = err
-				return
-			}
-			imagerep.Quantize(up) // "color processing"
-			m, err := imagerep.ToMatrix(up)
-			if err != nil {
-				slot.err = err
-				return
-			}
-			slot.compliance = tpl.ProtocolCompliance(m)
-			slot.cell = tpl.Compliance(m)
-			slot.repaired = tpl.Project(m)
-			if cfg.ConstantSnap {
-				slot.repaired += tpl.ProjectConstants(m)
-			}
-			start := starts[i]
-			pkts, skipped, err := nprint.ToPackets(m, nprint.DecodeOptions{
-				Repair:   true,
-				Start:    start,
-				Interval: 2 * time.Millisecond,
-			})
-			if err != nil {
-				slot.err = fmt.Errorf("core: back-transform: %w", err)
-				return
-			}
-			s.stampTimestamps(pkts, ci, start, tsRNGs[i])
-			slot.skipped = skipped
-			slot.m = m
-			slot.fl = &flow.Flow{Label: class, Packets: pkts}
-		}(i)
+	errs := make([]error, n)
+	one := func(i int) {
+		slots[i], errs[i] = s.flowFromSample(ci, class, cfg, samples[i*d:(i+1)*d], tsRNGs[i], starts[i])
 	}
-	wg.Wait()
+	if n == 1 {
+		one(0)
+	} else {
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				one(i)
+			}(i)
+		}
+		wg.Wait()
+	}
 
-	res := &GenerateResult{}
+	res := &GenerateResult{Matrices: make([]*nprint.Matrix, n), Flows: make([]*flow.Flow, n)}
 	var complianceSum, cellSum float64
 	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		complianceSum += slots[i].compliance
-		cellSum += slots[i].cell
-		res.Repaired += slots[i].repaired
+		complianceSum += slots[i].enforced.RawProtocolCompliance
+		cellSum += slots[i].enforced.RawCellCompliance
+		res.Repaired += slots[i].enforced.Repaired
 		res.SkippedRows += slots[i].skipped
-		res.Matrices = append(res.Matrices, slots[i].m)
-		res.Flows = append(res.Flows, slots[i].fl)
+		res.Matrices[i] = slots[i].m
+		res.Flows[i] = slots[i].fl
 	}
 	res.RawCompliance = complianceSum / float64(n)
 	res.RawCellCompliance = cellSum / float64(n)

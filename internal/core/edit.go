@@ -7,7 +7,6 @@ import (
 
 	"trafficdiff/internal/diffusion"
 	"trafficdiff/internal/flow"
-	"trafficdiff/internal/imagerep"
 	"trafficdiff/internal/nprint"
 	"trafficdiff/internal/stats"
 	"trafficdiff/internal/tensor"
@@ -147,37 +146,6 @@ func (s *Synthesizer) Translate(f *flow.Flow, targetClass string, strength float
 // counter value the caller drew atomically; it seeds the timestamp RNG
 // so concurrent edits never share a stream.
 func (s *Synthesizer) editPostprocess(img *tensor.Tensor, ci int, label string, calls uint64) (*GenerateResult, error) {
-	h, w := s.ModelShape()
-	im := &imagerep.Image{H: h, W: w, Pix: img.Data}
-	up, err := imagerep.Upscale(im, s.cfg.DownH, s.cfg.DownW)
-	if err != nil {
-		return nil, err
-	}
-	imagerep.Quantize(up)
-	m, err := imagerep.ToMatrix(up)
-	if err != nil {
-		return nil, err
-	}
-	tpl := s.templates[ci]
-	res := &GenerateResult{
-		RawCompliance:     tpl.ProtocolCompliance(m),
-		RawCellCompliance: tpl.Compliance(m),
-	}
-	res.Repaired = tpl.Project(m)
-	if s.cfg.ConstantSnap {
-		res.Repaired += tpl.ProjectConstants(m)
-	}
-	pkts, skipped, err := nprint.ToPackets(m, nprint.DecodeOptions{
-		Repair: true, Start: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC),
-		Interval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: back-transform: %w", err)
-	}
-	s.stampTimestamps(pkts, ci, time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC),
-		stats.NewRNG(s.cfg.Seed^calls^0x7ad3c1))
-	res.SkippedRows = skipped
-	res.Matrices = []*nprint.Matrix{m}
-	res.Flows = []*flow.Flow{{Label: label, Packets: pkts}}
-	return res, nil
+	return s.postprocess(ci, label, s.cfg, img.Data,
+		[]*stats.RNG{stats.NewRNG(s.cfg.Seed ^ calls ^ 0x7ad3c1)}, []time.Time{genEpoch})
 }

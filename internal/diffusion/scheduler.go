@@ -157,11 +157,11 @@ type Scheduler struct {
 	cbuf      []float32
 	cw        int
 	controlOn bool
-	// lastCtrl is the control image most recently projected on the split
-	// path and lastFeat its features: a request's flows share their
-	// class's image, so consecutive admissions reuse the projection when
-	// the image's bits match (see Admit).
-	lastCtrl, lastFeat []float32
+	// ctrlSeen holds the control images projected on the split path with
+	// their features: flows of one class share one image, so an
+	// admission whose image's bits match an entry reuses its projection
+	// (see controlFeatures).
+	ctrlSeen []ctrlEntry
 	// stepRows caps the rows advanced per Step (0 = all): see
 	// SetStepRows.
 	stepRows int
@@ -275,23 +275,12 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 
 	// The flow's control row as cbuf stores it. On the split path that
 	// is the projected image: it never changes over the flow's life, so
-	// projecting here replaces one projection per forward — and the 64
-	// flows of one request carry one image, so an image whose bits equal
-	// the last one projected reuses that projection: same input, same
-	// bytes, without streaming the projection's weights for one more
-	// row. The tape is idle between steps; Recycle returns the
-	// projection's values once they are copied out.
+	// projecting here replaces one projection per forward.
 	var crow []float32
 	if hasControl {
 		crow = spec.Control.Data[:s.d]
 		if s.split != nil {
-			if !sameBits(s.lastCtrl, crow) {
-				feat := s.split.ControlFeatures(s.tp, tensor.FromSlice(crow, 1, s.d)).X.Data
-				s.lastCtrl = append(s.lastCtrl[:0], crow...)
-				s.lastFeat = append(s.lastFeat[:0], feat...)
-				s.tp.Recycle()
-			}
-			crow = s.lastFeat
+			crow = s.controlFeatures(crow)
 		}
 		s.cw = len(crow)
 	}
@@ -307,6 +296,34 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 	s.flows = append(s.flows, f)
 	s.stats.Admitted++
 	return f.id, nil
+}
+
+// ctrlEntry is one projected control image and its features.
+type ctrlEntry struct{ image, feat []float32 }
+
+// controlFeatures returns the split model's projection of a control
+// image, computed once per distinct image: same input, same bytes,
+// without streaming the projection's weights again. A model conditions
+// on one image per class, so the entries are capped at the class count;
+// a caller with more images than that re-projects into the last entry,
+// as every admission after a change of image used to. The tape is idle
+// between steps; Recycle returns the projection's values once they are
+// copied out.
+func (s *Scheduler) controlFeatures(image []float32) []float32 {
+	for i := range s.ctrlSeen {
+		if sameBits(s.ctrlSeen[i].image, image) {
+			return s.ctrlSeen[i].feat
+		}
+	}
+	if len(s.ctrlSeen) < s.nullClass {
+		s.ctrlSeen = append(s.ctrlSeen, ctrlEntry{})
+	}
+	e := &s.ctrlSeen[len(s.ctrlSeen)-1]
+	feat := s.split.ControlFeatures(s.tp, tensor.FromSlice(image, 1, s.d)).X.Data
+	e.image = append(e.image[:0], image...)
+	e.feat = append(e.feat[:0], feat...)
+	s.tp.Recycle()
+	return e.feat
 }
 
 // sameBits reports whether a and b hold the same float32 bit patterns

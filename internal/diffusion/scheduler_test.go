@@ -327,11 +327,13 @@ func TestSchedulerSplitStepWork(t *testing.T) {
 }
 
 // TestSchedulerControlProjectedPerDistinctImage pins what "the same
-// image" means at Admit: the features of the last image projected are
-// reused only when every bit of the incoming image matches. Two images
-// admitted alternately are projected every time, an image differing in
-// one bit (-0 for +0) is projected again, and whichever way a flow's
-// features were obtained its bytes equal its solo run's.
+// image" means at Admit: an image's features are reused only when every
+// bit of the incoming image matches one already projected. Two images
+// admitted alternately (A, B, A, B — a server cycling classes) are
+// projected twice in all, an image differing in one bit (-0 for +0) is
+// projected again, the entries never outnumber the model's classes (two
+// here: a third image takes over the last entry), and whichever way a
+// flow's features were obtained its bytes equal its solo run's.
 func TestSchedulerControlProjectedPerDistinctImage(t *testing.T) {
 	r := stats.NewRNG(61)
 	h, w := 4, 8
@@ -372,12 +374,17 @@ func TestSchedulerControlProjectedPerDistinctImage(t *testing.T) {
 	admit(imgA, 1, "same image again")
 	admit(imgA.Clone(), 1, "equal bits in another tensor")
 	admit(imgB, 2, "second image")
-	admit(imgA, 3, "first image after the second")
-	admit(imgB, 4, "second image after the first")
-	admit(imgB, 4, "second image again")
-	admit(imgA, 5, "back to the first")
-	admit(flipped, 6, "first image with one sign bit flipped")
-	admit(flipped, 6, "flipped image again")
+	admit(imgA, 2, "first image after the second")
+	admit(imgB, 2, "second image after the first")
+	admit(imgB, 2, "second image again")
+	admit(imgA, 2, "back to the first")
+	admit(flipped, 3, "first image with one sign bit flipped")
+	admit(flipped, 3, "flipped image again")
+	admit(imgA, 3, "first image, still held beside the flipped one")
+	admit(imgB, 4, "second image, displaced by the third of two classes")
+	if got := len(eng.ctrlSeen); got != 2 {
+		t.Fatalf("%d control images held for a 2-class model", got)
+	}
 
 	for eng.Active() > 0 {
 		eng.Step()

@@ -131,6 +131,36 @@ func Upscale(im *Image, fh, fw int) (*Image, error) {
 	return out, nil
 }
 
+// QuantizeUpscaled is ToMatrix(Quantize(Upscale(im, fh, fw))) for the
+// h×w image pix, computed at that resolution: each pixel is quantized
+// once and its value written over its fh×fw block of the matrix. The
+// result is exactly the three-step one — quantization is pointwise and
+// Upscale replicates, so the two commute for every input, NaN and ±Inf
+// included — without the h·fh × w·fw float image.
+//
+//tracelint:hotpath
+func QuantizeUpscaled(pix []float32, h, w, fh, fw int) (*nprint.Matrix, error) {
+	if h < 0 || fh <= 0 || fw <= 0 || len(pix) != h*w || w*fw != nprint.BitsPerPacket {
+		return nil, fmt.Errorf("%w: pixels do not form rows that scale to the nprint row width", ErrShapeMismatch)
+	}
+	//tracelint:allow hotalloc — the result: one matrix per flow, every cell written below
+	m := &nprint.Matrix{NumRows: h * fh, Data: make([]int8, h*fh*nprint.BitsPerPacket)}
+	for r := 0; r < h; r++ {
+		first := m.Row(r * fh)
+		for c, v := range pix[r*w : (r+1)*w] {
+			q := QuantizeValue(v)
+			cells := first[c*fw : (c+1)*fw]
+			for j := range cells {
+				cells[j] = q
+			}
+		}
+		for i := 1; i < fh; i++ {
+			copy(m.Row(r*fh+i), first)
+		}
+	}
+	return m, nil
+}
+
 // PadRows extends the image to h rows, filling new rows with fill
 // (use -1 to mark vacant packets). It returns im unchanged if it
 // already has at least h rows.

@@ -2,14 +2,17 @@ package imagerep
 
 import (
 	"bytes"
+	"errors"
 	"image/png"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"trafficdiff/internal/nprint"
 	"trafficdiff/internal/packet"
+	"trafficdiff/internal/stats"
 )
 
 func sampleMatrix(t testing.TB) *nprint.Matrix {
@@ -242,5 +245,75 @@ func TestPNGRoundTrip(t *testing.T) {
 func TestParsePNGRejectsGarbage(t *testing.T) {
 	if _, err := ParsePNG(bytes.NewReader([]byte("not a png"))); err == nil {
 		t.Fatal("garbage accepted as png")
+	}
+}
+
+// TestQuantizeUpscaledMatchesThreeSteps is the one-pass form's contract:
+// for any pixels — the quantizer's boundary values, signed zeros, NaN
+// and infinities among them — its matrix equals, cell for cell, what
+// Upscale, Quantize and ToMatrix produce in sequence.
+func TestQuantizeUpscaledMatchesThreeSteps(t *testing.T) {
+	special := []float32{
+		0.5, -0.5, math.Nextafter32(0.5, 0), math.Nextafter32(-0.5, 0), math.Nextafter32(0.5, 1), math.Nextafter32(-0.5, -1),
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32,
+	}
+	r := stats.NewRNG(27)
+	for _, f := range []struct{ fh, fw int }{{1, 1}, {2, 8}, {3, 4}} {
+		for _, h := range []int{0, 1, 5} {
+			w := nprint.BitsPerPacket / f.fw
+			pix := make([]float32, h*w)
+			for i := range pix {
+				if r.Intn(4) == 0 {
+					pix[i] = special[r.Intn(len(special))]
+				} else {
+					pix[i] = float32(r.NormFloat64())
+				}
+			}
+			up, err := Upscale(&Image{H: h, W: w, Pix: pix}, f.fh, f.fw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ToMatrix(Quantize(up))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := QuantizeUpscaled(pix, h, w, f.fh, f.fw)
+			if err != nil {
+				t.Fatalf("%dx%d by %dx%d: %v", h, w, f.fh, f.fw, err)
+			}
+			if got.NumRows != want.NumRows || !slices.Equal(got.Data, want.Data) {
+				t.Fatalf("%dx%d by %dx%d: one-pass matrix differs from the three-step one", h, w, f.fh, f.fw)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestQuantizeUpscaledRejectsBadShapes(t *testing.T) {
+	for name, c := range map[string]struct{ n, h, w, fh, fw int }{
+		"width does not scale to a row": {2 * 100, 2, 100, 2, 8},
+		"pixel count is not h*w":        {2*136 - 1, 2, 136, 2, 8},
+		"zero row factor":               {2 * 136, 2, 136, 0, 8},
+		"negative column factor":        {2 * 136, 2, 136, 2, -8},
+	} {
+		if _, err := QuantizeUpscaled(make([]float32, c.n), c.h, c.w, c.fh, c.fw); !errors.Is(err, ErrShapeMismatch) {
+			t.Errorf("%s: err = %v, want ErrShapeMismatch", name, err)
+		}
+	}
+}
+
+// TestQuantizeUpscaledAllocs pins the pass to its result: the matrix
+// header and its cells, nothing per pixel or per row.
+func TestQuantizeUpscaledAllocs(t *testing.T) {
+	pix := make([]float32, 16*136)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := QuantizeUpscaled(pix, 16, 136, 2, 8); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("%v allocations per call, want at most 2", n)
 	}
 }

@@ -10,31 +10,35 @@ import (
 
 // WriteCSV serializes a matrix as the nprint tool's CSV layout: one
 // row per packet, 1088 comma-separated values in {-1,0,1}, preceded by
-// a header line naming the sections.
+// a header line naming the sections. Each line is built in one buffer
+// reused across rows and handed to w whole.
 func WriteCSV(w io.Writer, m *Matrix) error {
-	bw := bufio.NewWriter(w)
-	header := fmt.Sprintf("# nprint bits=%d ipv4=%d tcp=%d udp=%d icmp=%d rows=%d",
+	line := make([]byte, 0, 3*BitsPerPacket) // widest legal row: "-1," per cell
+	line = fmt.Appendf(line, "# nprint bits=%d ipv4=%d tcp=%d udp=%d icmp=%d rows=%d\n",
 		BitsPerPacket, IPv4Bits, TCPBits, UDPBits, ICMPBits, m.NumRows)
-	if _, err := fmt.Fprintln(bw, header); err != nil {
+	if _, err := w.Write(line); err != nil {
 		return err
 	}
 	for r := 0; r < m.NumRows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			if c > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.Itoa(int(v))); err != nil {
-				return err
+		line = line[:0]
+		for _, v := range m.Row(r) {
+			switch v {
+			case Vacant:
+				line = append(line, '-', '1', ',')
+			case Zero:
+				line = append(line, '0', ',')
+			case One:
+				line = append(line, '1', ',')
+			default: // not a legal cell; written as the decimal it holds
+				line = append(strconv.AppendInt(line, int64(v), 10), ',')
 			}
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line[len(line)-1] = '\n'
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadCSV parses the WriteCSV format. Lines beginning with '#' are

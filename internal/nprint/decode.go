@@ -33,7 +33,10 @@ func DecodeRow(row []int8, ts time.Time, opts DecodeOptions) (*packet.Packet, er
 		return nil, fmt.Errorf("nprint: row has no IPv4 header bits")
 	}
 
-	ipBytes := readBits(row, IPv4Offset, 60)
+	// Header bytes are read into stack arrays: the builders copy what
+	// they keep, so nothing below outlives the call.
+	var ipBytes [60]byte
+	readBits(ipBytes[:], row, IPv4Offset)
 	var ip packet.IPv4
 	ihl := ipBytes[0] & 0x0f
 	if ihl < 5 || ihl > 15 {
@@ -67,7 +70,8 @@ func DecodeRow(row []int8, ts time.Time, opts DecodeOptions) (*packet.Packet, er
 	var b packet.Builder
 	switch proto {
 	case packet.ProtoTCP:
-		tb := readBits(row, TCPOffset, 60)
+		var tb [60]byte
+		readBits(tb[:], row, TCPOffset)
 		var tcp packet.TCP
 		tcp.SrcPort = u16(tb[0:])
 		tcp.DstPort = u16(tb[2:])
@@ -88,11 +92,13 @@ func DecodeRow(row []int8, ts time.Time, opts DecodeOptions) (*packet.Packet, er
 		}
 		return b.BuildTCP(ts, ip, tcp, payloadFor(ip, int(off)*4, opts.Repair)), nil
 	case packet.ProtoUDP:
-		ub := readBits(row, UDPOffset, 8)
+		var ub [8]byte
+		readBits(ub[:], row, UDPOffset)
 		udp := packet.UDP{SrcPort: u16(ub[0:]), DstPort: u16(ub[2:])}
 		return b.BuildUDP(ts, ip, udp, payloadFor(ip, 8, opts.Repair)), nil
 	case packet.ProtoICMP:
-		ib := readBits(row, ICMPOffset, 8)
+		var ib [8]byte
+		readBits(ib[:], row, ICMPOffset)
 		icmp := packet.ICMPv4{Type: ib[0], Code: ib[1]}
 		copy(icmp.RestOfHeader[:], ib[4:8])
 		return b.BuildICMP(ts, ip, icmp, payloadFor(ip, 8, opts.Repair)), nil

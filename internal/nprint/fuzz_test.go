@@ -60,3 +60,22 @@ func FuzzDecodeRow(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWriteCSV asserts the table-driven writer is byte-equal to the
+// reference writer for arbitrary int8 cells — values outside {-1,0,1}
+// are still written as their decimal — and that legal matrices come
+// back unchanged through ReadCSV.
+func FuzzWriteCSV(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0xff, 0, 1}, uint8(2)) // -1, 0, 1 cycling: a legal matrix
+	f.Add([]byte{0x80, 0x7f, 2, 0xfe}, uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, rows uint8) {
+		m := NewMatrix(int(rows % 5))
+		if len(raw) > 0 {
+			for i := range m.Data {
+				m.Data[i] = int8(raw[i%len(raw)])
+			}
+		}
+		checkCSV(t, m)
+	})
+}

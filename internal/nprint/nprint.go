@@ -122,11 +122,10 @@ func writeBits(row []int8, off int, data []byte) {
 	}
 }
 
-// readBits decodes n bytes MSB-first from row at bit offset off,
+// readBits decodes len(out) bytes MSB-first from row at bit offset off,
 // mapping Vacant bits to 0.
-func readBits(row []int8, off, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
+func readBits(out []byte, row []int8, off int) {
+	for i := range out {
 		base := off + i*8
 		var b byte
 		for j := 0; j < 8; j++ {
@@ -136,5 +135,4 @@ func readBits(row []int8, off, n int) []byte {
 		}
 		out[i] = b
 	}
-	return out
 }
