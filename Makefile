@@ -174,9 +174,9 @@ verify-determinism:
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
-	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT' -count=1 ./internal/tensor
+	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT|FuzzABT' -count=1 ./internal/tensor
 	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd' -count=1 ./internal/nn
-	@echo "determinism OK: pooled dispatch, row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
+	@echo "determinism OK: pooled dispatch, all three A·Bᵀ loops (each counted as run), row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
 	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
 	$(GO) test -run 'TestGoldenSeededDigests|TestLoadCoversEveryParameter' -count=1 ./internal/core
@@ -185,7 +185,8 @@ verify-determinism:
 	GOARCH=arm64 $(GO) build ./...
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds"
 
-# Short fuzzing pass over the binary-format decoders and the CSV writer.
+# Short fuzzing pass over the binary-format decoders, the CSV writer and
+# the A·Bᵀ tiles (assembly that loads and stores by computed offset).
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 15s ./internal/packet
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/pcap
@@ -193,6 +194,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeRow -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s ./internal/nprint
+	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s ./internal/tensor
 
 # Regenerate every paper table and figure.
 experiments:

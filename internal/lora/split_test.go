@@ -224,18 +224,24 @@ func TestSplitSchedulerMatchesLegacy(t *testing.T) {
 	}
 }
 
+// paperScaleAdapted is the benchmarks' model: the paper's geometry
+// (16×136 image, hidden 192, rank-8 adapters) with random weights, its
+// T=120 schedule and one control image.
+func paperScaleAdapted() (*AdaptedMLP, *diffusion.Schedule, *tensor.Tensor) {
+	r := stats.NewRNG(3)
+	h, w := 16, 136
+	base := diffusion.NewMLPDenoiser(r, h, w, 192, 4)
+	ad := NewAdaptedMLP(r, base, 8, 16, 4)
+	return ad, diffusion.NewSchedule(diffusion.ScheduleCosine, 120), tensor.New(1, h, w).Randn(r, 1)
+}
+
 // BenchmarkSampleAdapted times diffusion.Sample on the paper-scale
 // adapted model (16×136 image, hidden 192, rank 8, control on, guidance
 // 2, 15 DDIM steps of T=120, 64 flows — the benchmark's offline_bulk
 // shape) on the scheduler's split path and, through an ExtraForward
 // override, on its plain path.
 func BenchmarkSampleAdapted(b *testing.B) {
-	r := stats.NewRNG(3)
-	h, w := 16, 136
-	base := diffusion.NewMLPDenoiser(r, h, w, 192, 4)
-	ad := NewAdaptedMLP(r, base, 8, 16, 4)
-	sched := diffusion.NewSchedule(diffusion.ScheduleCosine, 120)
-	control := tensor.New(1, h, w).Randn(r, 1)
+	ad, sched, control := paperScaleAdapted()
 	const n = 64
 	for _, path := range []struct {
 		name     string
@@ -252,6 +258,43 @@ func BenchmarkSampleAdapted(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
+		})
+	}
+}
+
+// BenchmarkStepSmallBatch times what a served request asks of the
+// sampler: one or two guided flows at a time through a long-lived
+// diffusion.Scheduler on its split path, on the paper-scale adapted
+// model (16×136 image, hidden 192, rank 8, control on, guidance 2, 4
+// DDIM steps of T=120). A step is a one- or two-row trunk and a head of
+// twice that, over three 1.67 MB weight matrices that do not all fit in
+// L2 together — what the GEMM micro-benchmark, one matrix back to
+// back, does not show.
+func BenchmarkStepSmallBatch(b *testing.B) {
+	ad, sched, control := paperScaleAdapted()
+	h, w := ad.Shape()
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			eng := diffusion.NewScheduler(ad, sched, nil)
+			out := make([]float32, n*h*w)
+			steps := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for f := 0; f < n; f++ {
+					if _, err := eng.Admit(diffusion.FlowSpec{
+						Class: 1, GuidanceScale: 2, DDIMSteps: 4, Control: control,
+						RNG: stats.NewRNG(uint64(i*n + f + 1)), Out: out[f*h*w : (f+1)*h*w],
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for eng.Active() > 0 {
+					eng.Step()
+					steps++
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(steps), "µs/step")
 		})
 	}
 }

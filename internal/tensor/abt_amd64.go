@@ -23,49 +23,79 @@ func cpuHasAVX() bool
 //go:noescape
 func abtTile8(c *float32, off *[16]int, at, a, b *float32, k, kb, groups int, first bool)
 
-// abtVectorBlocks, when a test points it somewhere, counts abtBlock calls.
-var abtVectorBlocks *atomic.Int64
+// abtTileCol computes one block of one to four rows of A against
+// groups×8 rows of B, whole: a, b and c point at the block's first row
+// of A, the first B row and the block's first output element; k is the
+// row length of A and B, n of C. Lanes are a group's eight columns: its
+// B rows are transposed in registers four terms at a time, and every A
+// row's sums start at +0, take their k terms in order, multiply rounded
+// then add rounded, and go to C in one store per group.
+//
+//go:noescape
+func abtTileCol(c, a, b *float32, k, n, rows, groups int)
 
-// abtRowBlock is the rows one pass of the widest tile an m-row,
-// n-column block runs on takes; dispatch deals rows out by it.
-func abtRowBlock(m, n int) int {
-	if hasAVX && m >= 2 && n >= 8 {
-		return 8
+// abtTileRuns, when a test points it somewhere, counts the blocks
+// matmulABTRange hands each loop.
+var abtTileRuns *[3]atomic.Int64
+
+const tileCol, tileRow, tileScalar = 0, 1, 2 // indices into abtTileRuns
+
+func countTile(tile int) {
+	if abtTileRuns != nil {
+		abtTileRuns[tile].Add(1)
 	}
-	return 1
+}
+
+// abtRowBlock is the height of the tile an m-row, n-column product's
+// last block runs on; dispatch deals rows out by it.
+func abtRowBlock(m, n int) int {
+	switch {
+	case !hasAVX || n < 8:
+		return 1
+	case m <= 4:
+		return 4
+	}
+	return 8
 }
 
 // matmulABTRange is the one A·Bᵀ kernel: it computes the output block
 // rows [ilo, ihi) × columns [jlo, jhi) of C = A·Bᵀ. MatMulABTInto's
 // serial call, row shards and column shards are all ranges over it.
-// Row blocks of two to eight rows × column groups of eight go to the
-// vector tile; a lone last row and the columns past the last whole
-// group go to matmulABTScalar. Both make every element by the same
-// operations in the same order, so the cuts never show in the output.
+// Over the whole column groups of eight, rows go eight at a time to the
+// row-lane tile while more than four are left and the last one to four
+// to the column-lane tile; columns past the last group go to
+// matmulABTScalar. All three make every element by the same operations
+// in the same order, so the cuts never show in the output.
 //
 //tracelint:hotpath
 func matmulABTRange(c, a, b []float32, ilo, ihi, k, n, jlo, jhi int) {
 	i, jv := ilo, jlo
-	if abtRowBlock(ihi-ilo, jhi-jlo) == 8 {
+	if hasAVX && jhi-jlo >= 8 {
 		jv += (jhi - jlo) &^ 7
-		var at [8 * kBlock]float32
-		for ; ihi-i >= 2; i = min(i+8, ihi) {
-			abtBlock(&at, c, a, b, i, min(8, ihi-i), k, n, jlo, jv)
+		if ihi-i > 4 { // the scratch is cleared only where a row-lane block runs
+			var at [8 * kBlock]float32
+			for ; ihi-i > 4; i = min(i+8, ihi) {
+				abtBlock(&at, c, a, b, i, min(8, ihi-i), k, n, jlo, jv)
+			}
+		}
+		if i < ihi {
+			countTile(tileCol)
+			abtTileCol(&c[i*n+jlo], &a[i*k], &b[jlo*k], k, n, ihi-i, (jv-jlo)/8)
 		}
 	}
-	matmulABTScalar(c, a, b, i, ihi, k, n, jlo, jv)
-	matmulABTScalar(c, a, b, ilo, ihi, k, n, jv, jhi)
+	if jv < jhi {
+		countTile(tileScalar)
+		matmulABTScalar(c, a, b, ilo, ihi, k, n, jv, jhi)
+	}
 }
 
-// abtBlock computes rows [i, i+rows) × columns [jlo, jv) on the vector
+// abtBlock computes rows [i, i+rows) × columns [jlo, jv) on the row-lane
 // tile, one k-block at a time. Lanes past rows stand in for the last
 // live row, in A and in C, so they touch only what the block owns and
 // that row's own sums overwrite theirs. Partial sums wait in C between
 // k-blocks, which rounds nothing: they are float32 either way.
 func abtBlock(at *[8 * kBlock]float32, c, a, b []float32, i, rows, k, n, jlo, jv int) {
-	if abtVectorBlocks != nil {
-		abtVectorBlocks.Add(1)
-	}
+	countTile(tileRow)
 	var off [16]int
 	for l := 0; l < 8; l++ {
 		live := min(l, rows-1)

@@ -122,3 +122,112 @@ term:
 	JNZ  group
 	VZEROUPPER
 	RET
+
+// QUAD loads terms p..p+3 of the group's eight B rows, rows 0-3 in the
+// low halves of Y12..Y15 and rows 4-7 in the high, and transposes 4×4
+// inside each half: Y8..Y11 = terms p..p+3, lanes = the eight columns.
+#define QUAD \
+	VMOVUPS (SI), X12; VMOVUPS (SI)(R8*1), X13; VMOVUPS (SI)(R8*2), X14; VMOVUPS (SI)(R9*1), X15 \
+	VINSERTF128 $1, (BX), Y12, Y12; VINSERTF128 $1, (BX)(R8*1), Y13, Y13 \
+	VINSERTF128 $1, (BX)(R8*2), Y14, Y14; VINSERTF128 $1, (BX)(R9*1), Y15, Y15 \
+	VUNPCKLPS Y13, Y12, Y4; VUNPCKHPS Y13, Y12, Y5 \
+	VUNPCKLPS Y15, Y14, Y6; VUNPCKHPS Y15, Y14, Y7 \
+	VSHUFPS $0x44, Y6, Y4, Y8; VSHUFPS $0xEE, Y6, Y4, Y9 \
+	VSHUFPS $0x44, Y7, Y5, Y10; VSHUFPS $0xEE, Y7, Y5, Y11
+
+// ONE gathers term p alone of the eight B rows into Y8, for the terms
+// past the last whole four.
+#define ONE \
+	VMOVSS (SI), X8; VINSERTPS $0x10, (SI)(R8*1), X8, X8 \
+	VINSERTPS $0x20, (SI)(R8*2), X8, X8; VINSERTPS $0x30, (SI)(R9*1), X8, X8 \
+	VMOVSS (BX), X12; VINSERTPS $0x10, (BX)(R8*1), X12, X12 \
+	VINSERTPS $0x20, (BX)(R8*2), X12, X12; VINSERTPS $0x30, (BX)(R9*1), X12, X12 \
+	VINSERTF128 $1, X12, Y8, Y8
+
+// CTERM is one term of one A row: the A element in every lane times the
+// eight columns' B elements in bt, rounded, then added to the row's
+// sums, rounded. The weight is the multiply's first source and the
+// activation its second, as in TERM.
+#define CTERM(aaddr, bt, tmp, acc) VBROADCASTSS aaddr, tmp; VMULPS tmp, bt, tmp; VADDPS tmp, acc, acc
+#define CTERM4(a0, a1, a2, a3, acc) \
+	CTERM(a0, Y8, Y12, acc); CTERM(a1, Y9, Y13, acc); CTERM(a2, Y10, Y14, acc); CTERM(a3, Y11, Y15, acc)
+
+// func abtTileCol(c, a, b *float32, k, n, rows, groups int)
+// The contract is in abt_amd64.go. No AVX instruction writes the flags,
+// so one CMPQ of the row count serves the jumps after it.
+TEXT ·abtTileCol(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ b+16(FP), R13
+	MOVQ k+24(FP), R8
+	SHLQ $2, R8            // one row of A or B, in bytes
+	LEAQ (R8)(R8*2), R9    // three
+	MOVQ n+32(FP), R10
+	SHLQ $2, R10           // one row of C, in bytes
+	LEAQ (R10)(R10*2), R11 // three
+	MOVQ rows+40(FP), AX
+	MOVQ groups+48(FP), R12
+
+cgroup:
+	// Y0..Y3: the sums of rows 0..3, lanes = the group's eight columns.
+	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3
+	MOVQ a+8(FP), DX
+	MOVQ R13, SI           // B rows 0..3 of the group
+	LEAQ (R13)(R8*4), BX   // B rows 4..7
+	MOVQ k+24(FP), CX
+	SHRQ $2, CX
+	JZ   ctail
+cquad:
+	QUAD
+	CTERM4((DX), 4(DX), 8(DX), 12(DX), Y0)
+	CMPQ AX, $2
+	JB   cnext
+	CTERM4((DX)(R8*1), 4(DX)(R8*1), 8(DX)(R8*1), 12(DX)(R8*1), Y1)
+	JE   cnext
+	CTERM4((DX)(R8*2), 4(DX)(R8*2), 8(DX)(R8*2), 12(DX)(R8*2), Y2)
+	CMPQ AX, $4
+	JB   cnext
+	CTERM4((DX)(R9*1), 4(DX)(R9*1), 8(DX)(R9*1), 12(DX)(R9*1), Y3)
+cnext:
+	ADDQ $16, SI
+	ADDQ $16, BX
+	ADDQ $16, DX
+	DECQ CX
+	JNZ  cquad
+ctail:
+	MOVQ k+24(FP), CX
+	ANDQ $3, CX
+	JZ   cstore
+cone:
+	ONE
+	CTERM((DX), Y8, Y12, Y0)
+	CMPQ AX, $2
+	JB   conext
+	CTERM((DX)(R8*1), Y8, Y13, Y1)
+	JE   conext
+	CTERM((DX)(R8*2), Y8, Y14, Y2)
+	CMPQ AX, $4
+	JB   conext
+	CTERM((DX)(R9*1), Y8, Y15, Y3)
+conext:
+	ADDQ $4, SI
+	ADDQ $4, BX
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  cone
+cstore:
+	VMOVUPS Y0, (DI)
+	CMPQ AX, $2
+	JB   cstored
+	VMOVUPS Y1, (DI)(R10*1)
+	JE   cstored
+	VMOVUPS Y2, (DI)(R10*2)
+	CMPQ AX, $4
+	JB   cstored
+	VMOVUPS Y3, (DI)(R11*1)
+cstored:
+	ADDQ $32, DI
+	LEAQ (R13)(R8*8), R13
+	DECQ R12
+	JNZ  cgroup
+	VZEROUPPER
+	RET

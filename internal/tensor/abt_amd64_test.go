@@ -9,49 +9,75 @@ import (
 	"trafficdiff/internal/stats"
 )
 
-// TestABTBothTilesRun counts, through abtVectorBlocks, the row blocks
-// each product puts on the vector tile: the bit-identity tests prove
-// nothing about that tile unless it ran, nor about the scalar loop
-// beside it unless some rows and columns were left to it. One row is
-// the scalar loop's alone; two to eight rows by whole column groups are
-// one vector block and nothing else; a ninth or seventeenth row and a
-// column edge are correct only if the scalar loop ran too, since the
-// blocks counted do not cover them. The row counts are the ones
-// TestSchedulerChurnBitIdentity (internal/diffusion) drives its batch
-// through. A column split runs a block per chunk, so counts are per
-// GOMAXPROCS.
+// TestABTBothTilesRun counts, through abtTileRuns, the blocks each
+// product puts on each of the three loops: the bit-identity tests prove
+// nothing about a tile unless it ran, nor about the scalar loop beside
+// the tiles unless some columns were left to it. Over whole groups of
+// eight columns, every eight rows and a rest of five to seven are one
+// row-lane block each and a rest of one to four is one column-lane
+// block; columns past the last group are one scalar call per range, and
+// fewer than eight columns are the scalar loop's alone. The row counts
+// include the ones TestSchedulerChurnBitIdentity (internal/diffusion)
+// drives its batch through. One range over the whole product is counted
+// exactly; so is MatMulABTInto where the dispatch leaves the blocks
+// whole — a row split cuts at multiples of eight, so only its scalar
+// calls multiply — and a column split (two workers, fewer than two
+// whole row blocks into 192 columns at k = 2176: eight chunks of 24)
+// runs every block once per chunk.
 func TestABTBothTilesRun(t *testing.T) {
 	if !hasAVX {
 		t.Skip("no AVX: the scalar loop is the only tile")
 	}
-	var blocks atomic.Int64
-	abtVectorBlocks = &blocks
-	defer func() { abtVectorBlocks = nil }()
+	var runs [3]atomic.Int64
+	abtTileRuns = &runs
+	defer func() { abtTileRuns = nil }()
+	counts := func() (got [3]int64) {
+		for tile := range runs {
+			got[tile] = runs[tile].Swap(0)
+		}
+		return got
+	}
 	r := stats.NewRNG(73)
-	for _, tc := range []struct {
-		m, n   int
-		blocks [2]int64 // at GOMAXPROCS 1 and 2
-	}{
-		{1, 192, [2]int64{0, 0}},
-		{2, 192, [2]int64{1, 8}}, // one block; cut into 8 column chunks
-		{8, 192, [2]int64{1, 8}},
-		{9, 192, [2]int64{1, 1}}, // rows 0-7 | row 8 → the scalar loop
-		{16, 8, [2]int64{2, 2}},
-		{17, 192, [2]int64{2, 2}}, // 8 | 8 | 1
-		{18, 192, [2]int64{3, 3}}, // 8 | 8 | 2: the last block has two live lanes
-		{8, 13, [2]int64{1, 1}},   // columns 8-12 → the scalar loop
-		{8, 7, [2]int64{0, 0}},
-	} {
-		a, b := randTensor(r, tc.m, 2176), randTensor(r, tc.n, 2176)
-		want := refMatMulABT(a, b)
-		for pi, procs := range []int{1, 2} {
-			withGOMAXPROCS(t, []int{procs}, func(t *testing.T) {
-				blocks.Store(0)
-				requireIdentical(t, MatMulABT(a, b), want, "MatMulABT")
-				if got := blocks.Load(); got != tc.blocks[pi] {
-					t.Errorf("%dx2176x%d: %d row blocks on the vector tile, want %d", tc.m, tc.n, got, tc.blocks[pi])
+	for _, m := range []int{1, 2, 3, 4, 5, 8, 9, 12, 17, 18} {
+		for _, n := range []int{7, 8, 13, 192} {
+			for _, k := range []int{7, 8, 9, 2176} {
+				a, b := randTensor(r, m, k), randTensor(r, n, k)
+				want := refMatMulABT(a, b)
+				var whole [3]int64
+				if n >= 8 {
+					whole[tileRow] = int64(m / 8)
+					switch rest := m % 8; {
+					case rest > 4:
+						whole[tileRow]++
+					case rest > 0:
+						whole[tileCol] = 1
+					}
 				}
-			})
+				if n%8 != 0 {
+					whole[tileScalar] = 1
+				}
+				got := New(m, n)
+				matmulABTRange(got.Data, a.Data, b.Data, 0, m, k, n, 0, n)
+				requireIdentical(t, got, want, "matmulABTRange")
+				if ran := counts(); ran != whole {
+					t.Errorf("%dx%dx%d: one range ran {column-lane, row-lane, scalar} %v times, want %v", m, k, n, ran, whole)
+				}
+				for _, procs := range []int{1, 2} {
+					withGOMAXPROCS(t, []int{procs}, func(t *testing.T) {
+						requireIdentical(t, MatMulABT(a, b), want, "MatMulABT")
+						ran, exp := counts(), whole
+						if procs == 2 && m < 16 && n == 192 && k == 2176 {
+							exp[tileCol], exp[tileRow] = 8*exp[tileCol], 8*exp[tileRow]
+						}
+						if procs == 2 && ran[tileScalar] > 0 {
+							ran[tileScalar] = 1
+						}
+						if ran != exp {
+							t.Errorf("%dx%dx%d: {column-lane, row-lane, scalar} ran %v times, want %v", m, k, n, ran, exp)
+						}
+					})
+				}
+			}
 		}
 	}
 }

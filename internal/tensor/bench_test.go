@@ -38,13 +38,16 @@ func BenchmarkMatMul(b *testing.B) {
 // on the paper-scale adapted forward's four products at the row counts
 // offline synthesis (64) and the served path (1, 2, 4, 8, 9, 16, 18:
 // a guided flow is two rows, a probe beside an 8-flow request 18)
-// produce, reporting GFLOP/s so tiles compare across shapes. Names are
+// produce, and at 3, 5 and 12, the rows on either side of the line
+// between the two vector tiles and eight plus a short block, reporting
+// GFLOP/s so tiles compare across shapes. One matrix stays in L2 here;
+// a served step cycles three (internal/lora's BenchmarkStepSmallBatch). Names are
 // rows, then the weight's shape as out × in — C[rows,out] =
 // A[rows,in]·B[out,in]ᵀ — spelled out, because 2176×192 and 192×2176
 // are both in the list.
 func BenchmarkMatMulABT(b *testing.B) {
 	r := stats.NewRNG(2)
-	for _, sz := range slices.Concat(benchMatMulSizes, abtPaperShapes(1, 2, 4, 8, 9, 16, 18, 64)) {
+	for _, sz := range slices.Concat(benchMatMulSizes, abtPaperShapes(1, 2, 3, 4, 5, 8, 9, 12, 16, 18, 64)) {
 		a := New(sz.m, sz.k).Randn(r, 1)
 		bb := New(sz.n, sz.k).Randn(r, 1)
 		c := New(sz.m, sz.n)

@@ -38,12 +38,14 @@ import (
 // wake the caller does not wait for, so an op just above the line loses
 // a few µs at worst.
 //
-// The vector A·Bᵀ tile makes a multiply-add ≈ 6× cheaper at eight rows
-// and the line did not move: a pass costs the same for two rows as for
-// eight, and 1<<16 was twice the break-even. Serial vs pooled, µs, rows
-// × out × in: 2×192×192 (73 K) 17.7 vs 12.8, 4×2176×8 (69 K) 15.3 vs
-// 11.7, 8×192×64 (98 K) 6.4 vs 7.7, 8×2176×8 (139 K) 15.5 vs 11.6,
-// 9×192×64 (110 K) 13.8 vs 9.9, 8×192×192 (294 K) 17.7 vs 13.2.
+// The vector A·Bᵀ tiles make a multiply-add 3–6× cheaper and the line
+// did not move: a product now costs what its rows cost, and so does what
+// a split saves. Serial vs pooled (by columns), µs, rows × out × in, 2
+// workers, median of 5 rounds and then of four runs: 1×2176×8 (17 K)
+// 2.8 vs 3.0, 2×64×192 (25 K) 2.2 vs 2.5, 2×2176×8 (35 K) 3.8 vs 3.4,
+// 1×192×192 (37 K) 4.9 vs 3.9, 4×2176×8 (70 K) 5.8 vs 4.4, 2×192×192
+// (74 K) 6.9 vs 5.5, 4×192×192 (147 K) 10.8 vs 6.8, 1×192×2176 (418 K)
+// 53 vs 36: break-even still near 1<<15, every shape gains from 1<<16.
 const minParallelWork = 1 << 16
 
 // kBlock is the contraction-axis tile: panels of B this tall stay hot
@@ -63,12 +65,12 @@ const kBlock = 256
 // 317/317/321; the GEMM micro-benchmarks do not separate 2, 4 and 8.
 const chunksPerWorker = 4
 
-// chunkAlign is the A·Bᵀ vector tile's side, eight rows by eight
-// columns: a chunk that is not a multiple of it leaves rows to
-// half-empty passes (18 rows cut 4-4-4-4-2 are five passes, cut 8-8-2
-// three) or columns to the scalar loop, so chunk sizes round up to it
-// whenever that still leaves a chunk per worker. Element chunks lose
-// nothing by it.
+// chunkAlign is the A·Bᵀ row-lane tile's side, eight rows by eight
+// columns, and the column-lane tile's width: a chunk that is not a
+// multiple of it leaves columns to the scalar loop, or cuts rows into
+// short blocks, where a row costs 1.3× (four rows) to 2.5× (one) what
+// it does in a block of eight, so chunk sizes round up to it whenever
+// that still leaves a chunk per worker. Element chunks lose nothing.
 const chunkAlign = 8
 
 // spinYields is how many times an idle helper polls the claim word,
@@ -265,24 +267,31 @@ func ParallelOK(work int) bool {
 
 // dispatch runs a kernel over an output of rows x cols elements costing
 // work multiply-adds: serially when small (or when the pool is taken),
-// chunked over rows when they make a block of rowBlock rows (one pass
-// of the kernel's widest tile, which costs the same for fewer) for every
-// worker, over columns when not (the batch-1 inference shape) and every
-// worker can have chunkAlign of them, and serially otherwise. Both
-// kernels must produce bit-identical elements; only the split differs.
+// chunked over rows when they make a whole block of rowBlock rows (one
+// pass of the kernel's tile at its full height) for every worker, over
+// columns when not (the batch-1 inference shape) and every worker can
+// have chunkAlign of them, and serially otherwise. Both kernels must
+// produce bit-identical elements; only the split differs.
 //
-// A·Bᵀ on the vector tile, 2 workers, median of 5, µs serial / by rows /
-// by columns (rows×out×in): 8×192×2176 192 / 900 (one-row chunks: the
-// scalar loop) / 110; 9×192×2176 403 / 237 (8+1) / 209; 16×192×2176 437
-// / 255 / 250; 18×192×2176 577 / 376 (8+8+2) / 372; 18×2176×192 585 /
-// 352 / 282; 64×192×2176 1429 / 864 / 873; 8×8×2176 9 / 34 / 87. From
-// nine rows up the splits tie, so the old rule stays, counted in blocks.
+// A·Bᵀ on the vector tiles, 2 workers, median of 5 rounds and then of
+// four runs, µs serial / by rows / by columns (rows×out×in): 1×192×2176
+// 53 / 58 / 36; 1×2176×192 65 / 68 / 34; 1×2176×8 2.8 / 2.8 / 3.0;
+// 1×8×2176 2.2 / 2.2 / 8.2; 2×192×2176 80 / 64 / 42; 2×2176×192 92 /
+// 81 / 46; 2×2176×8 3.8 / 4.4 / 3.4; 2×8×2176 3.2 / 3.8 / 16; 4×192×2176
+// 122 / 135 / 63; 4×2176×192 124 / 162 / 68; 4×2176×8 5.8 / 7.6 / 4.4;
+// 4×8×2176 4.8 / 6.2 / 29; 8×192×2176 188 / 256 / 117; 9×192×2176 260 /
+// 218 (8+1) / 151; 12×2176×192 298 / 215 (8+4) / 197; 13×192×2176 391 /
+// 243 (8+5) / 261; 16×192×2176 410 / 234 / 232; 18×192×2176 451 / 290
+// (8+8+2) / 275. A short block costs what its rows cost, so cutting 9
+// rows 8+1 idles one worker: rows are cut only into whole blocks — at
+// two workers nine to fifteen go by columns — and from sixteen up the
+// splits tie.
 func dispatch(work, rows, rowBlock, cols int, rowKernel, colKernel func(lo, hi int)) {
 	w := workers()
 	switch {
 	case !ParallelOK(work):
 		rowKernel(0, rows)
-	case (rows+rowBlock-1)/rowBlock >= w:
+	case rows/rowBlock >= w:
 		Shard(rows, rowKernel)
 	case cols >= chunkAlign*w:
 		Shard(cols, colKernel)
@@ -385,8 +394,8 @@ func matmulATBCols(c, a, b []float32, k, m, n, jlo, jhi int) {
 // --- C = A·Bᵀ ----------------------------------------------------------
 
 // matmulABTScalar is the portable A·Bᵀ loop, all of matmulABTRange on
-// most builds (abt_generic.go), its edge loop beside the vector tile on
-// amd64, and the reference that tile is held to: it computes the output
+// most builds (abt_generic.go), its edge loop beside the vector tiles on
+// amd64, and the reference those tiles are held to: it computes the output
 // block rows [ilo, ihi) × columns [jlo, jhi) of C = A·Bᵀ.
 //
 // It is register-blocked 1×4: one row of A against four rows of B with
