@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-fast race bench bench-json bench-gate bench-serve bench-router bench-quant bench-quant-gate bench-load bench-load-gate serve-smoke cluster-smoke load-smoke resume-smoke verify-determinism fuzz experiments examples clean
+.PHONY: all build test vet lint lint-fast race bench bench-json bench-gate bench-serve bench-router bench-load bench-load-gate serve-smoke cluster-smoke load-smoke resume-smoke verify-determinism fuzz experiments examples clean
 
 all: build test
 
@@ -90,23 +90,6 @@ bench-serve:
 # ≥5× p95 criterion), appended to BENCH_router.json.
 bench-router:
 	$(GO) run ./cmd/benchjson -suite router -label "$(BENCH_LABEL)" -out BENCH_router.json -append
-
-# Quantized-inference frontier: every (precision, DDIM steps) point
-# measured for flows/s and Synthetic/Real RF accuracy against the
-# fp32/64-step reference, appended to BENCH_quant.json. The suite exits
-# non-zero when fidelity drops past its tolerance — it is the gate, not
-# just the recorder — and prints int8's flows/s over fp32's at each step
-# count (the old "best int8 ≥ 2× the 64-step reference" clause measured
-# few-step DDIM, not int8). The flows/s regression leg (QUANT_THRESHOLD,
-# wide for shared runners) then compares against the committed baseline.
-QUANT_BASELINE ?= post-PR9-quant
-QUANT_THRESHOLD ?= 0.50
-bench-quant:
-	$(GO) run ./cmd/benchjson -suite quant -label "$(BENCH_LABEL)" -out BENCH_quant.json -append
-
-bench-quant-gate:
-	$(GO) run ./cmd/benchjson -suite quant -label gate-candidate -out /tmp/bench_gate_quant.json
-	$(GO) run ./cmd/benchjson -compare -old-label "$(QUANT_BASELINE)" -threshold "$(QUANT_THRESHOLD)" BENCH_quant.json /tmp/bench_gate_quant.json
 
 # Open-loop load-harness snapshot: the embedded two-client workload
 # spec (bulk poisson + bursty gamma interactive) is expanded by

@@ -22,16 +22,6 @@
 //
 //	benchjson -suite router -label post-PR -out BENCH_router.json -append
 //
-// With -suite quant it sweeps the quantized-inference frontier: one
-// in-process synthesizer measured at every (precision, DDIM steps)
-// configuration for flows/s and Synthetic/Real RF accuracy against an
-// fp32/64-step reference. The suite doubles as the fidelity gate — it
-// exits non-zero when any point's accuracy drops more than the built-in
-// tolerance below the reference — and prints int8's flows/s over fp32's
-// at each step count:
-//
-//	benchjson -suite quant -label post-PR -out BENCH_quant.json -append
-//
 // With -suite load the in-process server is driven through the
 // traceload harness (internal/load): an embedded two-client workload
 // spec — bulk poisson plus bursty gamma interactive — is expanded to a
@@ -93,7 +83,7 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	label := flag.String("label", "bench", "label for this run")
 	appendRun := flag.Bool("append", false, "append to an existing -out document instead of overwriting")
-	suite := flag.String("suite", "", "run a built-in suite instead of parsing stdin (serve, serve-stagger, router, quant, load)")
+	suite := flag.String("suite", "", "run a built-in suite instead of parsing stdin (serve, serve-stagger, router, load)")
 	requests := flag.Int("requests", 64, "total requests for -suite serve/load (probe count for serve-stagger)")
 	clients := flag.Int("clients", 8, "concurrent clients for -suite serve")
 	compare := flag.Bool("compare", false, "compare two snapshots: benchjson -compare old.json new.json")
@@ -136,12 +126,10 @@ func main() {
 		run, err = runServeStaggerSuite(*label, *requests)
 	case "router":
 		run, err = runRouterSuite(*label, *requests, *clients)
-	case "quant":
-		run, err = runQuantSuite(*label)
 	case "load":
 		run, err = runLoadSuite(*label, *requests)
 	default:
-		err = fmt.Errorf("unknown suite %q (want serve, serve-stagger, router, quant or load)", *suite)
+		err = fmt.Errorf("unknown suite %q (want serve, serve-stagger, router or load)", *suite)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

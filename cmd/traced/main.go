@@ -25,13 +25,11 @@
 // X-Traced-Precision, the coordinates tracerouter keys its
 // content-addressed response cache on.
 //
-// -quant int8 switches inference to per-output-channel int8 weights
-// (quantized once at load; training checkpoints are unaffected) and
-// -ddim-steps overrides the checkpoint's sampler budget — together the
-// fidelity-vs-speed frontier levers benchmarked by benchjson -suite
-// quant. Replicas behind one router must agree on both, or the router
-// refuses to cache (mixed precisions produce different bytes for the
-// same seed).
+// -ddim-steps overrides the checkpoint's sampler budget — the
+// fidelity-vs-speed lever `traceval frontier` measures. Replicas behind
+// one router must agree on it, or the router refuses to cache (mixed
+// budgets produce different bytes for the same seed). Weights always
+// run at fp32; X-Traced-Precision stays on the wire as that constant.
 // Overload answers 429 with Retry-After (bounded admission gate);
 // SIGTERM/SIGINT drains in-flight work before exit.
 //
@@ -80,7 +78,6 @@ func main() {
 		gcPct    = flag.Int("gc-percent", 400, "GOGC for the serving process (heap is small; fewer GC cycles = less tail latency)")
 		procs    = flag.Int("procs", 0, "GOMAXPROCS floor; 0 = raise to 2 so the network gets polled while compute runs")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
-		quant    = flag.String("quant", "off", "inference weight precision: int8 (per-output-channel symmetric) or off (fp32)")
 		ddim     = flag.Int("ddim-steps", -1, "override the checkpoint's DDIM step budget (0 = full DDPM; negative = keep checkpoint setting)")
 	)
 	flag.Parse()
@@ -117,12 +114,12 @@ func main() {
 		MaxFlowsPerRequest: *maxFlows,
 		SeedBase:           *seedBase,
 	}
-	if err := run(*model, *addr, cfg, *drain, *quant, *ddim); err != nil {
+	if err := run(*model, *addr, cfg, *drain, *ddim); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(model, addr string, cfg serve.Config, drain time.Duration, quant string, ddimSteps int) error {
+func run(model, addr string, cfg serve.Config, drain time.Duration, ddimSteps int) error {
 	if model == "" {
 		return fmt.Errorf("-model is required (produce one with: tracegen -save model.ckpt)")
 	}
@@ -140,18 +137,11 @@ func run(model, addr string, cfg serve.Config, drain time.Duration, quant string
 		return fmt.Errorf("loading checkpoint: %w", err)
 	}
 	cfg.CheckpointDigest = digest
-	// Precision is fixed before serving starts: SetPrecision quantizes
-	// the loaded weights in place exactly once, so every response this
-	// process ever writes carries the same X-Traced-Precision.
-	if err := synth.SetPrecision(quant); err != nil {
-		return err
-	}
-	cfg.Precision = synth.Precision()
 	if ddimSteps >= 0 {
 		synth.SetDDIMSteps(ddimSteps)
 	}
-	log.Printf("loaded checkpoint %s (classes: %s, digest %s, precision %s, ddim %d)",
-		model, strings.Join(synth.Classes(), ","), digest, cfg.Precision, synth.DDIMSteps())
+	log.Printf("loaded checkpoint %s (classes: %s, digest %s, ddim %d)",
+		model, strings.Join(synth.Classes(), ","), digest, synth.DDIMSteps())
 
 	srv, err := serve.New(synth, cfg)
 	if err != nil {

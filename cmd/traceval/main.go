@@ -10,10 +10,13 @@
 //	traceval granularity         # §2.3: raw bits vs NetFlow on real data
 //	traceval perclass-gan        # §2.3: one GAN per class
 //	traceval all                 # everything above
+//	traceval frontier            # few-step DDIM fidelity-vs-speed gate (not in all)
 //
 // Flags scale the experiments: -train/-test/-synth set per-class flow
 // counts, -fast shrinks the models for a quick smoke run. Figure 2's
-// PNG lands in -out (default fig2_amazon.png).
+// PNG lands in -out (default fig2_amazon.png). frontier ignores the
+// scale flags: it runs the fixed CPU-budget sweep CI gates on and exits
+// non-zero when a few-step point loses fidelity.
 package main
 
 import (
@@ -26,6 +29,15 @@ import (
 	"trafficdiff/internal/eval"
 	"trafficdiff/internal/workload"
 )
+
+// frontierFidelityTol is the frontier gate's tolerance in absolute
+// micro accuracy: every DDIM step budget must hold Synthetic/Real RF
+// accuracy within this much of the 64-step reference. The sweep's
+// datasets are small (CI budget), so per-point accuracy moves in
+// 1/test-set-size quanta; the tolerance absorbs that sampling noise
+// while still catching a sampler bug that collapses class structure
+// (which drops accuracy toward chance, far past any noise).
+const frontierFidelityTol = 0.20
 
 func main() {
 	log.SetFlags(0)
@@ -41,7 +53,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig1a fig1b fig2 granularity perclass-gan fidelity speed all")
+		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig1a fig1b fig2 granularity perclass-gan fidelity speed frontier all")
 		os.Exit(2)
 	}
 
@@ -149,6 +161,17 @@ func main() {
 			}
 			fmt.Println("== §4: generative speed (sampling budget sweep) ==")
 			fmt.Print(eval.SpeedReport(res))
+		case "frontier":
+			log.Printf("running fidelity-vs-speed frontier...")
+			rep, err := eval.RunFrontier(eval.DefaultFrontierConfig())
+			if err != nil {
+				return err
+			}
+			fmt.Println("== §4: few-step DDIM frontier (fidelity vs speed) ==")
+			fmt.Print(eval.FrontierReportString(rep))
+			if err := eval.GateFrontier(rep, frontierFidelityTol); err != nil {
+				return err
+			}
 		case "perclass-gan":
 			cfg := eval.DefaultPerClassGANConfig()
 			cfg.TrainFlowsPerClass = *train

@@ -133,11 +133,6 @@ type Synthesizer struct {
 	// construction (SetDDIMSteps); every generation call merges it into
 	// its config snapshot under the read lock.
 	ddimSteps int // guarded by mu
-	// precision records the inference weight precision SetPrecision
-	// installed ("" means the fp32 default). Unlike ddimSteps it is a
-	// load-time setting: SetPrecision must complete before any
-	// generation starts.
-	precision string // guarded by mu
 	// cfg is immutable once New returns; read it freely.
 	cfg     Config
 	classes []string
@@ -835,60 +830,6 @@ func (s *Synthesizer) DDIMSteps() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ddimSteps
-}
-
-// SetPrecision switches inference weight precision ("int8", or
-// "fp32"/"off" for the default). Quantization converts the serving
-// model's GEMM-heavy layers to per-output-channel int8 once, in
-// place; the fp32 weights are retained, so "fp32" reverts. It is a
-// load-time operation: call before any generation starts (traced does,
-// right after Load), never after FineTune has begun, and never
-// concurrently with sampling.
-func (s *Synthesizer) SetPrecision(precision string) error {
-	p, err := diffusion.ParsePrecision(precision)
-	if err != nil {
-		return err
-	}
-	if p == diffusion.PrecisionFP32 {
-		s.mu.Lock()
-		s.precision = ""
-		s.mu.Unlock()
-		s.clearQuantized()
-		return nil
-	}
-	q, ok := s.model().(diffusion.Quantizable)
-	if !ok {
-		return fmt.Errorf("core: %T does not support int8 inference", s.model())
-	}
-	q.Quantize()
-	s.mu.Lock()
-	s.precision = p.String()
-	s.mu.Unlock()
-	return nil
-}
-
-// clearQuantized drops any int8 codes so layer Apply returns to the
-// byte-identical fp32 path (the fp32 weights were never touched).
-func (s *Synthesizer) clearQuantized() {
-	if s.base != nil {
-		s.base.Unquantize()
-	}
-	if s.unet != nil {
-		s.unet.Unquantize()
-	}
-}
-
-// Precision reports the inference weight precision generation runs at
-// ("fp32" unless SetPrecision installed another). Serving layers
-// advertise it so the cluster tier can key caches and consensus on it
-// — int8 and fp32 bytes for the same checkpoint digest must never mix.
-func (s *Synthesizer) Precision() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.precision == "" {
-		return diffusion.PrecisionFP32.String()
-	}
-	return s.precision
 }
 
 // stampTimestamps rewrites the packets' timestamps with gaps sampled

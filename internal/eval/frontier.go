@@ -12,14 +12,13 @@ import (
 	"trafficdiff/internal/workload"
 )
 
-// This file is the fidelity-vs-speed frontier behind the quantized
-// inference path: every (precision, DDIM steps) configuration is
-// measured for both throughput (flows/s) and fidelity (Table 2's
-// Synthetic/Real RF accuracy), against an fp32 full-budget reference.
-// The int8 few-step path ships gated — GateFrontier is the pure
-// pass/fail check benchjson -suite quant enforces in CI, so a
-// quantization regression that silently degrades trace realism fails
-// the build rather than the downstream task.
+// This file is the fidelity-vs-speed frontier behind few-step DDIM
+// sampling: every DDIM step budget is measured for both throughput
+// (flows/s) and fidelity (Table 2's Synthetic/Real RF accuracy),
+// against a full-budget reference. GateFrontier is the pure pass/fail
+// check `traceval frontier` enforces in CI, so a sampler regression
+// that silently degrades trace realism fails the build rather than the
+// downstream task.
 
 // FrontierConfig parameterizes the sweep.
 type FrontierConfig struct {
@@ -34,10 +33,8 @@ type FrontierConfig struct {
 	// RefSteps is the reference DDIM budget (the paper's full-fidelity
 	// configuration; 64 in the shipped suite).
 	RefSteps int
-	// Steps are the few-step budgets swept at each precision.
+	// Steps are the few-step budgets swept.
 	Steps []int
-	// Precisions to sweep ("fp32", "int8").
-	Precisions []string
 	// PacketsPerFlow bounds the nprint feature rows for the RF.
 	PacketsPerFlow int
 
@@ -46,9 +43,8 @@ type FrontierConfig struct {
 	Seed  uint64
 }
 
-// DefaultFrontierConfig returns the CPU-budget sweep the quant bench
-// suite ships: fp32/64-step reference, both precisions at 4/8/16
-// steps.
+// DefaultFrontierConfig returns the CPU-budget sweep `traceval
+// frontier` runs: a 64-step reference against 4, 8 and 16 steps.
 func DefaultFrontierConfig() FrontierConfig {
 	synth := core.DefaultConfig()
 	// Small spatial model, but a schedule long enough that the 64-step
@@ -67,7 +63,6 @@ func DefaultFrontierConfig() FrontierConfig {
 		GenFlows:       6,
 		RefSteps:       64,
 		Steps:          []int{4, 8, 16},
-		Precisions:     []string{"fp32", "int8"},
 		PacketsPerFlow: 12,
 		Synth:          synth,
 		RF:             rf.DefaultConfig(),
@@ -77,7 +72,6 @@ func DefaultFrontierConfig() FrontierConfig {
 
 // FrontierPoint is one measured configuration.
 type FrontierPoint struct {
-	Precision string  `json:"precision"`
 	Steps     int     `json:"steps"`
 	FlowsPerS float64 `json:"flows_per_s"`
 	// Speedup is FlowsPerS relative to the reference point (1.0 there).
@@ -86,7 +80,7 @@ type FrontierPoint struct {
 	// on this point's generated flows, tested on held-out real flows.
 	RFMicro float64 `json:"rf_micro"`
 	RFMacro float64 `json:"rf_macro"`
-	// Reference marks the fp32 full-budget baseline the gate compares
+	// Reference marks the full-budget baseline the gate compares
 	// against.
 	Reference bool `json:"reference,omitempty"`
 }
@@ -116,11 +110,10 @@ func (r *FrontierReport) ReferencePoint() (FrontierPoint, error) {
 	return ref, nil
 }
 
-// RunFrontier trains one synthesizer and measures every (precision,
-// steps) configuration over identical weights: each point is a
-// Save/Load clone of the trained model with only the sampler budget
-// and weight precision changed, so the frontier isolates exactly the
-// two levers under study.
+// RunFrontier trains one synthesizer and measures every step budget
+// over identical weights: each point is a Save/Load clone of the
+// trained model with only the sampler budget changed, so the frontier
+// isolates exactly the lever under study.
 func RunFrontier(cfg FrontierConfig) (*FrontierReport, error) {
 	if cfg.TrainFlows <= 0 || cfg.TestFlows <= 0 || cfg.GenFlows <= 0 {
 		return nil, fmt.Errorf("eval: non-positive frontier sizes")
@@ -155,7 +148,7 @@ func RunFrontier(cfg FrontierConfig) (*FrontierReport, error) {
 	snapshot := ckpt.Bytes()
 
 	rep := &FrontierReport{}
-	ref, err := measureFrontierPoint(snapshot, "fp32", cfg.RefSteps, test.Flows, cfg)
+	ref, err := measureFrontierPoint(snapshot, cfg.RefSteps, test.Flows, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("reference point: %w", err)
 	}
@@ -163,29 +156,24 @@ func RunFrontier(cfg FrontierConfig) (*FrontierReport, error) {
 	ref.Speedup = 1
 	rep.Points = append(rep.Points, ref)
 
-	for _, prec := range cfg.Precisions {
-		for _, steps := range cfg.Steps {
-			p, err := measureFrontierPoint(snapshot, prec, steps, test.Flows, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("point %s/%d: %w", prec, steps, err)
-			}
-			p.Speedup = p.FlowsPerS / ref.FlowsPerS
-			rep.Points = append(rep.Points, p)
+	for _, steps := range cfg.Steps {
+		p, err := measureFrontierPoint(snapshot, steps, test.Flows, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("point %d-step: %w", steps, err)
 		}
+		p.Speedup = p.FlowsPerS / ref.FlowsPerS
+		rep.Points = append(rep.Points, p)
 	}
 	return rep, nil
 }
 
 // measureFrontierPoint loads a fresh synthesizer from the snapshot,
-// applies the point's precision and budget, and measures throughput
-// plus Synthetic/Real RF accuracy.
-func measureFrontierPoint(snapshot []byte, precision string, steps int, testFlows []*flow.Flow, cfg FrontierConfig) (FrontierPoint, error) {
-	pt := FrontierPoint{Precision: precision, Steps: steps}
+// applies the point's budget, and measures throughput plus
+// Synthetic/Real RF accuracy.
+func measureFrontierPoint(snapshot []byte, steps int, testFlows []*flow.Flow, cfg FrontierConfig) (FrontierPoint, error) {
+	pt := FrontierPoint{Steps: steps}
 	s, err := core.Load(bytes.NewReader(snapshot))
 	if err != nil {
-		return pt, err
-	}
-	if err := s.SetPrecision(precision); err != nil {
 		return pt, err
 	}
 	s.SetDDIMSteps(steps)
@@ -206,12 +194,11 @@ func measureFrontierPoint(snapshot []byte, precision string, steps int, testFlow
 	return pt, nil
 }
 
-// GateFrontier is the CI fidelity-vs-speed gate: every swept point
-// must hold Synthetic/Real micro accuracy within tol (absolute) of the
-// reference, and when minSpeedup > 0, at least one int8 point must be
-// at least that much faster than the reference. It is a pure function
-// of the report so a deliberately-bad report is unit-testable.
-func GateFrontier(rep *FrontierReport, tol, minSpeedup float64) error {
+// GateFrontier is the CI fidelity gate: every swept point must hold
+// Synthetic/Real micro accuracy within tol (absolute) of the
+// reference. It is a pure function of the report so a deliberately-bad
+// report is unit-testable.
+func GateFrontier(rep *FrontierReport, tol float64) error {
 	if tol < 0 {
 		return fmt.Errorf("eval: negative frontier tolerance %v", tol)
 	}
@@ -219,21 +206,14 @@ func GateFrontier(rep *FrontierReport, tol, minSpeedup float64) error {
 	if err != nil {
 		return err
 	}
-	var bestInt8 float64
 	for _, p := range rep.Points {
 		if p.Reference {
 			continue
 		}
 		if p.RFMicro < ref.RFMicro-tol {
-			return fmt.Errorf("eval: frontier point %s/%d-step micro accuracy %.3f below reference %.3f - tol %.3f",
-				p.Precision, p.Steps, p.RFMicro, ref.RFMicro, tol)
+			return fmt.Errorf("eval: frontier point %d-step micro accuracy %.3f below reference %.3f - tol %.3f",
+				p.Steps, p.RFMicro, ref.RFMicro, tol)
 		}
-		if p.Precision == "int8" && p.Speedup > bestInt8 {
-			bestInt8 = p.Speedup
-		}
-	}
-	if minSpeedup > 0 && bestInt8 < minSpeedup {
-		return fmt.Errorf("eval: best int8 speedup %.2fx below required %.2fx", bestInt8, minSpeedup)
 	}
 	return nil
 }
@@ -242,15 +222,15 @@ func GateFrontier(rep *FrontierReport, tol, minSpeedup float64) error {
 // reproduces.
 func FrontierReportString(rep *FrontierReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %6s %12s %9s %9s %9s\n", "precision", "steps", "flows/s", "speedup", "rf-micro", "rf-macro")
-	fmt.Fprintln(&b, strings.Repeat("-", 60))
+	fmt.Fprintf(&b, "%6s %12s %9s %9s %9s\n", "steps", "flows/s", "speedup", "rf-micro", "rf-macro")
+	fmt.Fprintln(&b, strings.Repeat("-", 49))
 	for _, p := range rep.Points {
 		mark := ""
 		if p.Reference {
 			mark = " (ref)"
 		}
-		fmt.Fprintf(&b, "%-10s %6d %12.2f %8.2fx %9.3f %9.3f%s\n",
-			p.Precision, p.Steps, p.FlowsPerS, p.Speedup, p.RFMicro, p.RFMacro, mark)
+		fmt.Fprintf(&b, "%6d %12.2f %8.2fx %9.3f %9.3f%s\n",
+			p.Steps, p.FlowsPerS, p.Speedup, p.RFMicro, p.RFMacro, mark)
 	}
 	return b.String()
 }

@@ -24,10 +24,6 @@ type SpeedConfig struct {
 	// DDIMSteps are the accelerated-sampler step counts to sweep; 0
 	// means full DDPM.
 	DDIMSteps []int
-	// Int8Steps are DDIM step counts swept again on the int8 quantized
-	// path — the fidelity-vs-speed frontier's throughput side, inside
-	// the same table as the fp32 rows.
-	Int8Steps []int
 	Synth     core.Config
 	GAN       gan.Config
 	Seed      uint64
@@ -38,7 +34,6 @@ func DefaultSpeedConfig() SpeedConfig {
 	return SpeedConfig{
 		Classes: []string{"amazon", "teams"}, TrainFlows: 10, GenFlows: 6,
 		DDIMSteps: []int{0, 30, 10, 5},
-		Int8Steps: []int{16, 8, 4},
 		Synth:     core.DefaultConfig(), GAN: gan.DefaultConfig(), Seed: 17,
 	}
 }
@@ -84,21 +79,18 @@ func RunSpeed(cfg SpeedConfig) (*SpeedResult, error) {
 	}
 
 	res := &SpeedResult{}
-	timeRow := func(steps int, precision string) error {
-		// Rebuild with the same weights is unnecessary: DDIMSteps and
-		// precision only affect sampling, so adjust through a fresh
-		// synthesizer sharing the trained one's state via Save/Load.
+	for _, steps := range cfg.DDIMSteps {
+		// Rebuild with the same weights is unnecessary: DDIMSteps only
+		// affects sampling, so adjust through a fresh synthesizer
+		// sharing the trained one's state via Save/Load.
 		timed, err := withSamplerSteps(synth, synthCfg, steps)
 		if err != nil {
-			return err
-		}
-		if err := timed.SetPrecision(precision); err != nil {
-			return err
+			return nil, err
 		}
 		start := time.Now()
 		out, err := timed.Generate(cfg.Classes[0], cfg.GenFlows)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		elapsed := time.Since(start).Seconds()
 		pkts := 0
@@ -111,25 +103,11 @@ func RunSpeed(cfg SpeedConfig) (*SpeedResult, error) {
 			name = fmt.Sprintf("ddim-%d", steps)
 			evalSteps = steps
 		}
-		if precision == "int8" {
-			name = "int8 " + name
-		}
 		res.Rows = append(res.Rows, SpeedRow{
 			Name: name, Steps: evalSteps,
 			FlowsPerS:  float64(len(out.Flows)) / elapsed,
 			PacketsPer: float64(pkts) / elapsed,
 		})
-		return nil
-	}
-	for _, steps := range cfg.DDIMSteps {
-		if err := timeRow(steps, "fp32"); err != nil {
-			return nil, err
-		}
-	}
-	for _, steps := range cfg.Int8Steps {
-		if err := timeRow(steps, "int8"); err != nil {
-			return nil, err
-		}
 	}
 
 	// GAN baseline: one-shot record generation.

@@ -10,19 +10,18 @@ func TestRunSpeedSweep(t *testing.T) {
 	cfg.TrainFlows = 4
 	cfg.GenFlows = 2
 	cfg.DDIMSteps = []int{0, 5}
-	cfg.Int8Steps = []int{5}
 	cfg.Synth = tinySynth()
 	cfg.GAN = tinyGAN()
 	res, err := RunSpeed(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 { // ddpm, ddim-5, int8 ddim-5, gan
+	if len(res.Rows) != 3 { // ddpm, ddim-5, gan
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	ddpm, ddim, int8Row, gan := res.Rows[0], res.Rows[1], res.Rows[2], res.Rows[3]
-	if ddpm.FlowsPerS <= 0 || ddim.FlowsPerS <= 0 || int8Row.FlowsPerS <= 0 {
-		t.Fatalf("non-positive throughput: %+v %+v %+v", ddpm, ddim, int8Row)
+	ddpm, ddim, gan := res.Rows[0], res.Rows[1], res.Rows[2]
+	if ddpm.FlowsPerS <= 0 || ddim.FlowsPerS <= 0 {
+		t.Fatalf("non-positive throughput: %+v %+v", ddpm, ddim)
 	}
 	// Fewer sampler steps must be faster.
 	if ddim.FlowsPerS <= ddpm.FlowsPerS {
@@ -35,7 +34,7 @@ func TestRunSpeedSweep(t *testing.T) {
 			gan.RecordsPer, ddim.FlowsPerS)
 	}
 	rep := SpeedReport(res)
-	for _, want := range []string{"ddpm (full)", "ddim-5", "int8 ddim-5", "gan"} {
+	for _, want := range []string{"ddpm (full)", "ddim-5", "gan"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("speed report missing %q", want)
 		}

@@ -55,27 +55,6 @@ func (a *AdaptedMLP) NullClass() int { return a.ClassEmb.Table.X.Shape[0] - 1 }
 // Shape implements diffusion.Denoiser.
 func (a *AdaptedMLP) Shape() (int, int) { return a.Base.Shape() }
 
-// Quantize implements diffusion.Quantizable: the frozen base
-// projections — where essentially all of the adapted forward's
-// multiply-adds live — switch to int8 weights. The rank-r adapter
-// paths stay fp32: they are a ~r/hidden sliver of the work, and
-// keeping them full precision preserves the fine-tuned deltas
-// exactly.
-func (a *AdaptedMLP) Quantize() {
-	a.Base.XProjLayer().Quantize()
-	a.Base.CtrlProjLayer().Quantize()
-	a.Base.HidLayer().Quantize()
-	a.Base.OutLayer().Quantize()
-}
-
-// Precision implements diffusion.Quantizable.
-func (a *AdaptedMLP) Precision() diffusion.Precision {
-	if a.Base.XProjLayer().Quantized() {
-		return diffusion.PrecisionInt8
-	}
-	return diffusion.PrecisionFP32
-}
-
 // Forward implements diffusion.Denoiser: the base MLP's architecture
 // with adapter deltas on each projection and the new class table,
 // composed as head∘trunk (see diffusion.SplitForwarder).

@@ -14,7 +14,7 @@ import (
 
 // These tests pin the shared-trunk guided forward (diffusion.
 // SplitForwarder) for both models that implement it — the base MLP and
-// the LoRA-adapted MLP, fp32 and int8 — against the plain two-forward
+// the LoRA-adapted MLP — against the plain two-forward
 // path, byte for byte. They live here because this package sees both
 // models.
 
@@ -112,13 +112,6 @@ func TestSplitForwardMatchesPlainPair(t *testing.T) {
 			t.Run(fmt.Sprintf("procs=%d/%s", procs, m.name), func(t *testing.T) { run(t, m) })
 		}
 	}
-	ad.Quantize() // quantizes the shared base layers: both models now run int8
-	for _, procs := range []int{1, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, m := range []named{{"mlp/int8", base}, {"adapted/int8", ad}} {
-			t.Run(fmt.Sprintf("procs=%d/%s", procs, m.name), func(t *testing.T) { run(t, m) })
-		}
-	}
 }
 
 // TestSplitSchedulerMatchesLegacy drives the scheduler's split path
@@ -148,75 +141,70 @@ func TestSplitSchedulerMatchesLegacy(t *testing.T) {
 	for _, hidden := range []int{24, 40} {
 		r := stats.NewRNG(uint64(70 + hidden))
 		_, ad := splitModel(r, h, w, hidden)
-		for _, prec := range []string{"fp32", "int8"} {
-			if prec == "int8" {
-				ad.Quantize()
-			}
-			for _, procs := range []int{1, 8} {
-				runtime.GOMAXPROCS(procs)
-				for _, withCtl := range []bool{false, true} {
-					for _, override := range []diffusion.ForwardFunc{nil, ad.Forward} {
-						name := fmt.Sprintf("hidden=%d/%s/procs=%d/ctl=%v/override=%v",
-							hidden, prec, procs, withCtl, override != nil)
-						eng := diffusion.NewScheduler(ad, sched, override)
-						eng.SetStepRows(3)
-						flows := make([]*flowCase, 9)
-						for i := range flows {
-							f := &flowCase{
-								seed:     uint64(500 + i),
-								class:    i % 2,
-								guidance: []float64{1, 2, 3}[i%3],
-								ddim:     []int{0, 3, 4}[(i/2)%3],
-								out:      make([]float32, d),
-							}
-							if withCtl {
-								f.control = tensor.New(1, h, w).Randn(r, 1)
-							}
-							flows[i] = f
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, withCtl := range []bool{false, true} {
+				for _, override := range []diffusion.ForwardFunc{nil, ad.Forward} {
+					name := fmt.Sprintf("hidden=%d/procs=%d/ctl=%v/override=%v",
+						hidden, procs, withCtl, override != nil)
+					eng := diffusion.NewScheduler(ad, sched, override)
+					eng.SetStepRows(3)
+					flows := make([]*flowCase, 9)
+					for i := range flows {
+						f := &flowCase{
+							seed:     uint64(500 + i),
+							class:    i % 2,
+							guidance: []float64{1, 2, 3}[i%3],
+							ddim:     []int{0, 3, 4}[(i/2)%3],
+							out:      make([]float32, d),
 						}
-						admit := func(f *flowCase) {
-							id, err := eng.Admit(diffusion.FlowSpec{
-								Class: f.class, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
-								RNG: stats.NewRNG(f.seed), Control: f.control, Out: f.out,
-							})
-							if err != nil {
-								t.Fatalf("%s: admit: %v", name, err)
-							}
-							f.id = id
+						if withCtl {
+							f.control = tensor.New(1, h, w).Randn(r, 1)
 						}
-						// 3 flows, two steps, 4 more (past the initial
-						// 4-row buffers: growTo mid-flight), a retirement,
-						// two steps, the last 2.
-						for _, f := range flows[:3] {
-							admit(f)
+						flows[i] = f
+					}
+					admit := func(f *flowCase) {
+						id, err := eng.Admit(diffusion.FlowSpec{
+							Class: f.class, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
+							RNG: stats.NewRNG(f.seed), Control: f.control, Out: f.out,
+						})
+						if err != nil {
+							t.Fatalf("%s: admit: %v", name, err)
 						}
+						f.id = id
+					}
+					// 3 flows, two steps, 4 more (past the initial
+					// 4-row buffers: growTo mid-flight), a retirement,
+					// two steps, the last 2.
+					for _, f := range flows[:3] {
+						admit(f)
+					}
+					eng.Step()
+					eng.Step()
+					for _, f := range flows[3:7] {
+						admit(f)
+					}
+					eng.Retire(flows[1].id)
+					eng.Step()
+					eng.Step()
+					for _, f := range flows[7:] {
+						admit(f)
+					}
+					for eng.Active() > 0 {
 						eng.Step()
-						eng.Step()
-						for _, f := range flows[3:7] {
-							admit(f)
+					}
+					for i, f := range flows {
+						if i == 1 {
+							continue // retired
 						}
-						eng.Retire(flows[1].id)
-						eng.Step()
-						eng.Step()
-						for _, f := range flows[7:] {
-							admit(f)
+						solo, err := diffusion.SampleLegacy(ad, sched, diffusion.SampleConfig{
+							Class: f.class, N: 1, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
+							Control: f.control, FlowSeeds: []uint64{f.seed},
+						})
+						if err != nil {
+							t.Fatal(err)
 						}
-						for eng.Active() > 0 {
-							eng.Step()
-						}
-						for i, f := range flows {
-							if i == 1 {
-								continue // retired
-							}
-							solo, err := diffusion.SampleLegacy(ad, sched, diffusion.SampleConfig{
-								Class: f.class, N: 1, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
-								Control: f.control, FlowSeeds: []uint64{f.seed},
-							})
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireSameBits(t, fmt.Sprintf("%s flow %d", name, i), f.out, solo.Data)
-						}
+						requireSameBits(t, fmt.Sprintf("%s flow %d", name, i), f.out, solo.Data)
 					}
 				}
 			}

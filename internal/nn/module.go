@@ -10,10 +10,6 @@ import (
 // LinearLayer bundles a Linear op's weight and bias parameters.
 type LinearLayer struct {
 	W, B *V
-	// Q, when non-nil, holds per-output-channel int8 codes of W and
-	// switches Apply to the quantized inference kernel (see quant.go).
-	// Never serialized; rebuilt by Quantize after every load.
-	Q *tensor.QuantizedMat
 }
 
 // NewLinear allocates a layer with Kaiming-uniform-style init. A nil r
@@ -33,13 +29,8 @@ func initNormal(p *V, r *stats.RNG, std float64) {
 	}
 }
 
-// Apply runs the layer on x [N,in] — through the int8 kernel when the
-// layer has been Quantized (inference tapes only), the fp32 path
-// otherwise.
+// Apply runs the layer on x [N,in].
 func (l *LinearLayer) Apply(t *Tape, x *V) *V {
-	if l.Q != nil {
-		return t.LinearQ(x, l.Q, l.B)
-	}
 	return t.Linear(x, l.W, l.B)
 }
 
@@ -50,9 +41,6 @@ func (l *LinearLayer) Params() []*V { return []*V{l.W, l.B} }
 type ConvLayer struct {
 	W, B *V
 	Spec tensor.ConvSpec
-	// Q mirrors LinearLayer.Q: int8 codes of W [OutC, C*KH*KW],
-	// non-nil once Quantize has run.
-	Q *tensor.QuantizedMat
 }
 
 // NewConv allocates a conv layer with fan-in scaled init.
@@ -63,12 +51,8 @@ func NewConv(r *stats.RNG, spec tensor.ConvSpec) *ConvLayer {
 	return l
 }
 
-// Apply runs the layer on x [N,C,H,W], dispatching like
-// LinearLayer.Apply.
+// Apply runs the layer on x [N,C,H,W].
 func (l *ConvLayer) Apply(t *Tape, x *V) *V {
-	if l.Q != nil {
-		return t.Conv2DQ(x, l.Q, l.B, l.Spec)
-	}
 	return t.Conv2D(x, l.W, l.B, l.Spec)
 }
 

@@ -38,20 +38,17 @@ type opInputs struct {
 	img, chan2       *V // [2,3,4,4], [2,3]
 	table            *V
 	sq, sqT          *V // [d,d] for MatMul
-	qw               *tensor.QuantizedMat
 	target           *tensor.Tensor
 }
 
 func newOpInputs(r *stats.RNG, rows, d int) *opInputs {
 	p := func(shape ...int) *V { return NewV(tensor.New(shape...).Randn(r, 1)) }
-	in := &opInputs{
+	return &opInputs{
 		a: p(rows, d), b: p(rows, d), wide: p(rows, 4*d), gate: p(rows, 1),
 		w: p(d, d), bias: p(d), gamma: p(d), beta: p(d),
 		img: p(2, 3, 4, 4), chan2: p(2, 3), table: p(5, d), sq: p(d, d), sqT: p(d, d),
 		target: tensor.New(rows, d).Randn(r, 1),
 	}
-	in.qw = tensor.QuantizeSymmetric(in.w.X)
-	return in
 }
 
 func (in *opInputs) params() []*V {
@@ -66,7 +63,7 @@ func (in *opInputs) run(tp *Tape) []*V {
 	for i := range idx {
 		idx[i], steps[i] = i%5, 3*i
 	}
-	outs := []*V{
+	return []*V{
 		tp.Add(in.a, in.b),
 		tp.Sub(in.a, in.b),
 		tp.Mul(in.a, in.b),
@@ -97,10 +94,6 @@ func (in *opInputs) run(tp *Tape) []*V {
 		tp.MSE(in.a, in.target),
 		tp.BCEWithLogits(in.a, in.target),
 	}
-	if !tp.grad() {
-		outs = append(outs, tp.LinearQ(in.a, in.qw, in.bias))
-	}
-	return outs
 }
 
 // snapshot copies the outputs and, on a gradient tape, backpropagates

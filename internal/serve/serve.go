@@ -96,14 +96,6 @@ type Config struct {
 	// replica serves the checkpoint the cache entry was built from.
 	// Optional; empty means "unidentified".
 	CheckpointDigest string
-	// Precision is the inference weight precision the loaded synthesizer
-	// runs at ("fp32" or "int8", default "fp32"). Unlike the DDIM budget
-	// it is fixed at load time (traced quantizes right after Load), so it
-	// is plain config rather than a live engine query. It is reported on
-	// /readyz?verbose=1 and stamped on every generate response as
-	// X-Traced-Precision so a routing tier never mixes int8 and fp32
-	// bytes under one cache key.
-	Precision string
 }
 
 func (c Config) withDefaults() Config {
@@ -127,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFlowsPerRequest <= 0 {
 		c.MaxFlowsPerRequest = 64
-	}
-	if c.Precision == "" {
-		c.Precision = "fp32"
 	}
 	return c
 }
@@ -429,7 +418,7 @@ func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, re
 		w.Header().Set("X-Traced-Checkpoint", s.cfg.CheckpointDigest)
 	}
 	w.Header().Set("X-Traced-DDIM-Steps", strconv.Itoa(s.ddimSteps()))
-	w.Header().Set("X-Traced-Precision", s.cfg.Precision)
+	w.Header().Set("X-Traced-Precision", Precision)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		// The client went away mid-response; nothing to send it, but
 		// the failure is visible in /metrics.
@@ -440,6 +429,12 @@ func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, re
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeText(w, http.StatusOK, "ok")
 }
+
+// Precision is the inference weight precision every response is
+// produced at, stamped as X-Traced-Precision and reported on
+// /readyz?verbose=1. It is a constant, but routers still key caches on
+// it, so it stays on the wire.
+const Precision = "fp32"
 
 // ReadyStatus is the JSON body of GET /readyz?verbose=1: everything a
 // routing tier needs to score a replica (queue depth, in-flight flows)
@@ -477,7 +472,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		InFlightFlows:    int64(st.FlowsAdmitted) - int64(st.FlowsCompleted) - int64(st.FlowsRetired),
 		CheckpointDigest: s.cfg.CheckpointDigest,
 		DDIMSteps:        s.ddimSteps(),
-		Precision:        s.cfg.Precision,
+		Precision:        Precision,
 		Classes:          s.eng.Classes(),
 		UptimeMs:         time.Since(s.start).Milliseconds(),
 	}

@@ -790,3 +790,38 @@ func TestTerminalPathCounters(t *testing.T) {
 		}
 	})
 }
+
+// TestPrecisionAdvertised pins the precision surfaces a routing tier
+// keys on: the X-Traced-Precision response header and the
+// /readyz?verbose=1 field both carry the constant "fp32" (never empty —
+// a router in a mixed pool keys cache entries on it).
+func TestPrecisionAdvertised(t *testing.T) {
+	s := NewWithEngine(&fakeEngine{classes: []string{"amazon"}}, Config{CheckpointDigest: "sha256:ab"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer shutdownServer(t, s)
+
+	code, _, hdr := post(t, ts.URL, `{"class":"amazon","count":1,"seed":9}`)
+	if code != http.StatusOK {
+		t.Fatalf("generate status %d", code)
+	}
+	if got := hdr.Get("X-Traced-Precision"); got != "fp32" {
+		t.Fatalf("X-Traced-Precision = %q, want fp32", got)
+	}
+
+	resp, err := http.Get(ts.URL + "/readyz?verbose=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ReadyStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	if cerr := resp.Body.Close(); cerr != nil {
+		t.Error(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Precision != "fp32" {
+		t.Fatalf("readyz precision = %q, want fp32", st.Precision)
+	}
+}
