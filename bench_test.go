@@ -8,15 +8,15 @@
 //
 // prints the same rows the paper reports next to wall-clock cost.
 // EXPERIMENTS.md records a paper-vs-measured comparison from a run of
-// this harness.
+// this harness. Generation speed is measured elsewhere: `traceval
+// speed` for the §4 comparison and `bash bench/run.sh` for the served
+// and offline paths.
 package trafficdiff
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"trafficdiff/internal/core"
 	"trafficdiff/internal/diffusion"
@@ -26,10 +26,8 @@ import (
 	"trafficdiff/internal/heuristic"
 	"trafficdiff/internal/hmm"
 	"trafficdiff/internal/netem"
-	"trafficdiff/internal/netflow"
 	"trafficdiff/internal/netfunc"
 	"trafficdiff/internal/nprint"
-	"trafficdiff/internal/pcap"
 	"trafficdiff/internal/repair"
 	"trafficdiff/internal/rf"
 	"trafficdiff/internal/stats"
@@ -234,12 +232,11 @@ func BenchmarkPerClassGAN(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// §4 "Generative speed" — sampling cost, DDPM vs DDIM vs GAN.
+// Shared setup.
 // ---------------------------------------------------------------------------
 
-// trainedSynthesizer fine-tunes one small pipeline for the speed
-// benches (shared across them via sync-free package state is avoided;
-// each bench trains its own).
+// trainedSynthesizer fine-tunes one small pipeline; each bench that
+// needs one trains its own rather than sharing package state.
 func trainedSynthesizer(b *testing.B, cfg core.Config, classes []string) *core.Synthesizer {
 	b.Helper()
 	ds, err := workload.Generate(workload.Config{
@@ -260,74 +257,6 @@ func trainedSynthesizer(b *testing.B, cfg core.Config, classes []string) *core.S
 		b.Fatal(err)
 	}
 	return s
-}
-
-// BenchmarkGenerationSpeedDDPM measures full ancestral sampling
-// throughput (T model evaluations per flow batch).
-func BenchmarkGenerationSpeedDDPM(b *testing.B) {
-	cfg := benchSynth()
-	cfg.DDIMSteps = 0 // full DDPM
-	s := trainedSynthesizer(b, cfg, []string{"amazon"})
-	b.ResetTimer()
-	flows := 0
-	for i := 0; i < b.N; i++ {
-		res, err := s.Generate("amazon", 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		flows += len(res.Flows)
-	}
-	b.ReportMetric(float64(flows)/b.Elapsed().Seconds(), "flows/s")
-}
-
-// BenchmarkGenerationSpeedDDIM measures accelerated sampling (10
-// steps) — the optimization the paper's speed challenge calls for.
-func BenchmarkGenerationSpeedDDIM(b *testing.B) {
-	cfg := benchSynth()
-	cfg.DDIMSteps = 10
-	s := trainedSynthesizer(b, cfg, []string{"amazon"})
-	b.ResetTimer()
-	flows := 0
-	for i := 0; i < b.N; i++ {
-		res, err := s.Generate("amazon", 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		flows += len(res.Flows)
-	}
-	b.ReportMetric(float64(flows)/b.Elapsed().Seconds(), "flows/s")
-}
-
-// BenchmarkGenerationSpeedGAN measures the GAN baseline's one-shot
-// generation for contrast (it emits aggregate records, not packets).
-func BenchmarkGenerationSpeedGAN(b *testing.B) {
-	ds, err := workload.Generate(workload.Config{
-		Seed: 3, FlowsPerClass: 20, Only: []string{"amazon", "teams"}, MaxPacketsPerFlow: 24,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var feats [][]float64
-	var labels []int
-	for _, f := range ds.Flows {
-		feats = append(feats, netflow.FromFlow(f).FeatureVector())
-		l := 0
-		if f.Label == "teams" {
-			l = 1
-		}
-		labels = append(labels, l)
-	}
-	model, err := gan.Train(feats, labels, 2, benchGAN())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		f, _ := model.Generate(100, uint64(i))
-		rows += len(f)
-	}
-	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "records/s")
 }
 
 // ---------------------------------------------------------------------------
@@ -501,60 +430,6 @@ func BenchmarkAblationSchedule(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
 // ---------------------------------------------------------------------------
-
-// BenchmarkNprintEncode measures packets -> bit-matrix throughput.
-func BenchmarkNprintEncode(b *testing.B) {
-	g := workload.NewGenerator(1)
-	g.MaxPackets = 32
-	p, _ := workload.ProfileByName("netflix")
-	f := g.GenerateFlow(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nprint.FromFlow(f, 32)
-	}
-}
-
-// BenchmarkNprintDecode measures bit-matrix -> packets back-transform.
-func BenchmarkNprintDecode(b *testing.B) {
-	g := workload.NewGenerator(1)
-	g.MaxPackets = 32
-	p, _ := workload.ProfileByName("netflix")
-	m := nprint.FromFlow(g.GenerateFlow(p), 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := nprint.ToPackets(m, nprint.DecodeOptions{Repair: true, Start: time.Unix(0, 0)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPcapWriteRead measures capture-file round-trip throughput.
-func BenchmarkPcapWriteRead(b *testing.B) {
-	g := workload.NewGenerator(2)
-	g.MaxPackets = 64
-	p, _ := workload.ProfileByName("twitch")
-	f := g.GenerateFlow(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		w, err := pcap.NewWriter(&buf, pcap.LinkTypeEthernet)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pk := range f.Packets {
-			if err := w.WritePacket(pk.Timestamp, pk.Data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		r, err := pcap.NewReader(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.ReadAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkRFTrainPredict measures the classifier on nprint-sized
 // feature rows.

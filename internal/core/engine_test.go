@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -119,6 +121,76 @@ func TestEngineExpiryRetiresFlows(t *testing.T) {
 	full := uint64(8 * fastConfig().DDIMSteps)
 	if st.FlowSteps >= full {
 		t.Errorf("FlowSteps = %d, want < %d (retired flows kept consuming forwards)", st.FlowSteps, full)
+	}
+}
+
+// boundaryCtx is a context whose Err the engine's step loop calls at
+// every boundary while the request is at the queue head or in flight;
+// seen runs on each call, on the loop goroutine, before that
+// boundary's step.
+type boundaryCtx struct {
+	context.Context
+	seen func()
+}
+
+func (c boundaryCtx) Err() error {
+	c.seen()
+	return c.Context.Err()
+}
+
+// TestEngineStepRowsPreemptsBulk checks that EngineConfig.MaxStepRows
+// reaches the scheduler. With a one-row budget, a 1-flow probe admitted
+// one step after a 16-flow bulk request has the least remaining work,
+// so it advances at every boundary and finishes before any bulk flow.
+// Without the budget every row steps together and the bulk, one step
+// ahead, finishes first. The completion counter is read at the probe's
+// last boundary, from the step loop itself, so the check counts steps
+// and never races the clock.
+func TestEngineStepRowsPreemptsBulk(t *testing.T) {
+	s := sharedSynth(t)
+	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 17, MaxStepRows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	var completedBefore atomic.Uint64 // FlowsCompleted before the probe's last step
+	probeCtx := boundaryCtx{context.Background(), func() {
+		completedBefore.Store(eng.Stats().FlowsCompleted)
+	}}
+	probe := make(chan error, 1)
+	submitProbe := func() {
+		// Runs in the step loop before the bulk's first step. Hold the
+		// loop until the probe is queued, so it is admitted at exactly
+		// the next boundary.
+		go func() {
+			_, err := eng.Generate(probeCtx, sharedClass[1], DeriveFlowSeeds(2, 1), nil)
+			probe <- err
+		}()
+		for {
+			eng.mu.Lock()
+			queued := len(eng.pending)
+			eng.mu.Unlock()
+			if queued > 0 {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	bulk := make(chan error, 1)
+	go func() {
+		_, err := eng.Generate(context.Background(), sharedClass[0], DeriveFlowSeeds(1, 16), submitProbe)
+		bulk <- err
+	}()
+	if err := <-probe; err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if err := <-bulk; err != nil {
+		t.Fatalf("bulk: %v", err)
+	}
+	if n := completedBefore.Load(); n > 0 {
+		t.Errorf("FlowsCompleted = %d before the 1-flow probe's last step, want 0: "+
+			"the 16-flow bulk finished first, the step-row budget did not preempt it", n)
 	}
 }
 

@@ -37,9 +37,6 @@ type SampleConfig struct {
 	// streams derive from Seed by sequential Split (the batch-level
 	// layout used by training-time experiments).
 	FlowSeeds []uint64
-	// ExtraForward, when non-nil, replaces the plain model forward —
-	// the lora package uses it to route through adapters.
-	ExtraForward ForwardFunc
 }
 
 // ForwardFunc matches Denoiser.Forward and lets callers wrap the model
@@ -50,13 +47,12 @@ type ForwardFunc func(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *
 //
 // The whole batch is admitted to a step Scheduler and stepped until
 // every flow completes: each timestep runs ONE batched evaluation over
-// all N flows (for an MLP model the shared-trunk split forward, unless
-// cfg.ExtraForward overrides it), so the denoiser sees [N,·] tensors
-// big enough for the parallel kernel layer instead of N batch-1 calls
-// below its work threshold (the PR 2 end-to-end regression). The
-// DDPM/DDIM update is then applied per flow from that flow's private
-// RNG stream. Callers that need mid-generation admission and
-// retirement drive a Scheduler directly (the serving engine does).
+// all N flows (for an MLP model the shared-trunk split forward), so the
+// denoiser sees [N,·] tensors big enough for the parallel kernel layer
+// instead of N batch-1 calls below its work threshold. The DDPM/DDIM
+// update is then applied per flow from that flow's private RNG stream.
+// Callers that need mid-generation admission and retirement drive a
+// Scheduler directly (the serving engine does).
 //
 // Determinism: every kernel computes each output row with an
 // accumulation order independent of the batch's row count, so the
@@ -74,9 +70,9 @@ func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, 
 	n, d := cfg.N, h*w
 	rngs := flowStreams(cfg)
 
-	// A nil ExtraForward stays nil: the scheduler then takes the split
-	// path for models that have one (see NewScheduler).
-	eng := NewScheduler(model, sched, cfg.ExtraForward)
+	// A nil forward: the scheduler takes the split path for models that
+	// have one (see NewScheduler).
+	eng := NewScheduler(model, sched, nil)
 	eng.growTo(n) // the batch size is known: size the row buffers once
 	out := tensor.New(n, 1, h, w)
 	for i, r := range rngs {
@@ -110,10 +106,6 @@ func SampleLegacy(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Te
 	if err := validateSample(model, cfg); err != nil {
 		return nil, err
 	}
-	forward := cfg.ExtraForward
-	if forward == nil {
-		forward = model.Forward
-	}
 	h, w := model.Shape()
 	n, d := cfg.N, h*w
 	nullClass := model.NullClass()
@@ -135,7 +127,7 @@ func SampleLegacy(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Te
 			defer wg.Done()
 			defer func() { <-sem }()
 			tensor.Serial(func() {
-				x := sampleOne(forward, nullClass, sched, cfg, h, w, rngs[i], control)
+				x := sampleOne(model.Forward, nullClass, sched, cfg, h, w, rngs[i], control)
 				copy(out.Data[i*d:(i+1)*d], x.Data)
 			})
 		}(i)

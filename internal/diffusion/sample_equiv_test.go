@@ -41,10 +41,9 @@ func bitsEqual(a, b []float32) (int, bool) {
 // ControlNet conditioning, with batch-seeded and flow-seeded RNG
 // layouts, and at GOMAXPROCS 1 and 8, Sample (step-serial, batch-wide)
 // must produce byte-identical output to SampleLegacy (flow-parallel,
-// batch-1 plain forwards) — both on the scheduler's split path (no
-// ExtraForward: trunk once, head over the stacked pair, control
-// projected at admission) and on its plain path (an ExtraForward
-// override). This is what makes batching, and the shared trunk, purely
+// batch-1 plain forwards) on the scheduler's split path (trunk once,
+// head over the stacked pair, control projected at admission). This is
+// what makes batching, and the shared trunk, purely
 // scheduling decisions: no experiment or seeded serving request can
 // observe them.
 func TestBatchedMatchesLegacy(t *testing.T) {

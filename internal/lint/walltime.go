@@ -29,7 +29,7 @@ var WallTime = &Analyzer{
 }
 
 // walltimeSuffixes are the package-path suffixes of the data-path
-// packages where wall-clock reads are banned. serve/eval/benchjson are
+// packages where wall-clock reads are banned. serve, eval and bench are
 // deliberately absent: they measure latency as a product feature. The
 // testdata suffix routes the fixture package through the analyzer.
 var walltimeSuffixes = []string{

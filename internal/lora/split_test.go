@@ -226,28 +226,20 @@ func paperScaleAdapted() (*AdaptedMLP, *diffusion.Schedule, *tensor.Tensor) {
 // BenchmarkSampleAdapted times diffusion.Sample on the paper-scale
 // adapted model (16×136 image, hidden 192, rank 8, control on, guidance
 // 2, 15 DDIM steps of T=120, 64 flows — the benchmark's offline_bulk
-// shape) on the scheduler's split path and, through an ExtraForward
-// override, on its plain path.
+// shape) on the scheduler's split path.
 func BenchmarkSampleAdapted(b *testing.B) {
 	ad, sched, control := paperScaleAdapted()
 	const n = 64
-	for _, path := range []struct {
-		name     string
-		override diffusion.ForwardFunc
-	}{{"split", nil}, {"plain", ad.Forward}} {
-		b.Run(path.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := diffusion.Sample(ad, sched, diffusion.SampleConfig{
-					Class: 1, N: n, GuidanceScale: 2, DDIMSteps: 15, Control: control,
-					Seed: uint64(i + 1), ExtraForward: path.override,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := diffusion.Sample(ad, sched, diffusion.SampleConfig{
+			Class: 1, N: n, GuidanceScale: 2, DDIMSteps: 15, Control: control,
+			Seed: uint64(i + 1),
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
 }
 
 // BenchmarkStepSmallBatch times what a served request asks of the

@@ -9,9 +9,9 @@ import (
 	"trafficdiff/internal/stats"
 )
 
-// Substrate micro-benchmarks for the parallel kernel layer. These feed
-// `make bench-json` (BENCH_kernels.json) alongside the §4 speed benches
-// in the repo root.
+// Substrate micro-benchmarks for the parallel kernel layer, run with
+// `go test -run '^$' -bench . ./internal/tensor`. The end-to-end and
+// per-layer numbers changes are judged on come from `bash bench/run.sh`.
 
 var benchMatMulSizes = []struct{ m, k, n int }{
 	{8, 2176, 128},   // MLP hidden forward, training batch
