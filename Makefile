@@ -94,7 +94,7 @@ verify-determinism:
 	@echo "determinism OK: pooled dispatch, all three A·Bᵀ loops (each counted as run), row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
 	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
-	$(GO) test -run 'TestGoldenSeededDigests|TestLoadCoversEveryParameter' -count=1 ./internal/core
+	$(GO) test -run 'TestGoldenSeededDigests|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
 	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical"
 	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/lora ./internal/core
 	GOARCH=arm64 $(GO) build ./...

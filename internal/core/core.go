@@ -39,17 +39,6 @@ import (
 	"trafficdiff/internal/tensor"
 )
 
-// Arch selects the denoiser architecture.
-type Arch int
-
-// Architectures.
-const (
-	// ArchMLP is the fast fully-connected denoiser (default).
-	ArchMLP Arch = iota
-	// ArchUNet is the convolutional U-Net denoiser.
-	ArchUNet
-)
-
 // Config parameterizes a Synthesizer.
 type Config struct {
 	// Rows is the full-resolution packet rows per flow image (the
@@ -62,12 +51,8 @@ type Config struct {
 	// pixel boundaries byte-aligned.
 	DownH, DownW int
 
-	Arch Arch
-	// Hidden is the MLP width or the U-Net base channel count.
+	// Hidden is the denoiser MLP's width.
 	Hidden int
-	// UseAttention attaches mid-stage self-attention to the U-Net
-	// denoiser (ignored for the MLP).
-	UseAttention bool
 
 	Schedule  diffusion.ScheduleKind
 	TimeSteps int
@@ -108,8 +93,7 @@ type Config struct {
 // and ControlNet guidance enabled.
 func DefaultConfig() Config {
 	return Config{
-		Rows: 32, DownH: 2, DownW: 8,
-		Arch: ArchMLP, Hidden: 192,
+		Rows: 32, DownH: 2, DownW: 8, Hidden: 192,
 		Schedule: diffusion.ScheduleCosine, TimeSteps: 120,
 		BaseSteps: 250, FineTuneSteps: 350, Batch: 16,
 		LR: 2e-3, DropCond: 0.1, ClipNorm: 5,
@@ -139,7 +123,6 @@ type Synthesizer struct {
 	index   map[string]int
 
 	base    *diffusion.MLPDenoiser
-	unet    *diffusion.UNetDenoiser
 	adapted *lora.AdaptedMLP
 	sched   *diffusion.Schedule
 
@@ -193,12 +176,6 @@ func build(cfg Config, classes []string, r *stats.RNG) (*Synthesizer, error) {
 	}
 	h := cfg.Rows / cfg.DownH
 	w := nprint.BitsPerPacket / cfg.DownW
-	if cfg.Arch == ArchUNet && (h%2 != 0 || w%2 != 0) {
-		return nil, fmt.Errorf("core: UNet needs even model dims, got %dx%d", h, w)
-	}
-	if cfg.UseLoRA && cfg.Arch == ArchUNet {
-		return nil, fmt.Errorf("core: LoRA fine-tuning is implemented for the MLP denoiser")
-	}
 
 	s := &Synthesizer{
 		cfg:       cfg,
@@ -216,18 +193,7 @@ func build(cfg Config, classes []string, r *stats.RNG) (*Synthesizer, error) {
 		}
 		s.index[c] = i
 	}
-	k := len(classes)
-	switch cfg.Arch {
-	case ArchMLP:
-		s.base = diffusion.NewMLPDenoiser(r, h, w, cfg.Hidden, k)
-	case ArchUNet:
-		s.unet = diffusion.NewUNetDenoiser(r, h, w, cfg.Hidden, k)
-		if cfg.UseAttention {
-			s.unet.EnableAttention(r)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown arch %d", cfg.Arch)
-	}
+	s.base = diffusion.NewMLPDenoiser(r, h, w, cfg.Hidden, len(classes))
 	return s, nil
 }
 
@@ -419,12 +385,8 @@ func (s *Synthesizer) FineTuneWithOptions(flowsByClass map[string][]*flow.Flow, 
 		return nil
 	}
 
-	if s.cfg.Arch == ArchUNet || !s.cfg.UseLoRA {
-		model := diffusion.Denoiser(s.base)
-		if s.cfg.Arch == ArchUNet {
-			model = s.unet
-		}
-		losses, err := s.trainPhase(model, set, diffusion.TrainConfig{
+	if !s.cfg.UseLoRA {
+		losses, err := s.trainPhase(s.base, set, diffusion.TrainConfig{
 			Steps: s.cfg.BaseSteps + s.cfg.FineTuneSteps, Batch: s.cfg.Batch,
 			LR: s.cfg.LR, DropCond: s.cfg.DropCond, ClipNorm: s.cfg.ClipNorm,
 			Seed: s.cfg.Seed + 1, Controls: controls, EMADecay: s.cfg.EMADecay,
@@ -523,14 +485,10 @@ func (s *Synthesizer) trainPhase(model diffusion.Denoiser, set *diffusion.TrainS
 
 // model returns the denoiser used for sampling.
 func (s *Synthesizer) model() diffusion.Denoiser {
-	switch {
-	case s.adapted != nil:
+	if s.adapted != nil {
 		return s.adapted
-	case s.unet != nil:
-		return s.unet
-	default:
-		return s.base
 	}
+	return s.base
 }
 
 // Trained reports whether FineTune has run (templates exist).

@@ -66,12 +66,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad3, []string{"a"}); err == nil {
 		t.Error("tiny TimeSteps should fail")
 	}
-	bad4 := cfg
-	bad4.Arch = ArchUNet
-	bad4.UseLoRA = true
-	if _, err := New(bad4, []string{"a"}); err == nil {
-		t.Error("UNet+LoRA should fail")
-	}
 }
 
 func TestPromptEncoding(t *testing.T) {
@@ -256,34 +250,6 @@ func TestNoLoRAPath(t *testing.T) {
 	}
 	if len(res.Flows) != 1 {
 		t.Fatal("no flow generated")
-	}
-}
-
-func TestUNetPath(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Arch = ArchUNet
-	cfg.UseLoRA = false
-	cfg.Hidden = 6
-	cfg.BaseSteps = 8
-	cfg.FineTuneSteps = 8
-	cfg.Batch = 4
-	cfg.DDIMSteps = 4
-	classes := []string{"teams"}
-	s, err := New(cfg, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.FineTune(trainingFlows(t, classes, 2)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Generate("teams", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Flows[0].Packets {
-		if p.UDP == nil {
-			t.Fatal("UNet teams flow not UDP")
-		}
 	}
 }
 

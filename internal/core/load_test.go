@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
 
+	"trafficdiff/internal/controlnet"
+	"trafficdiff/internal/diffusion"
 	"trafficdiff/internal/nn"
+	"trafficdiff/internal/tensor"
 )
 
 // reachableParams walks root's struct graph and returns every *nn.V it
@@ -49,11 +53,20 @@ func reachableParams(root any) map[*nn.V]bool {
 	return found
 }
 
+// loadConfig is fastConfig with training cut to what a save/load round
+// trip needs.
+func loadConfig(useLoRA bool) Config {
+	cfg := fastConfig()
+	cfg.UseLoRA = useLoRA
+	cfg.BaseSteps, cfg.FineTuneSteps, cfg.DDIMSteps = 6, 6, 3
+	return cfg
+}
+
 // modelParams is every parameter reachable from the synthesizer's
 // models.
 func modelParams(s *Synthesizer) map[*nn.V]bool {
 	all := map[*nn.V]bool{}
-	for _, m := range []any{s.base, s.unet, s.adapted} {
+	for _, m := range []any{s.base, s.adapted} {
 		for p := range reachableParams(m) {
 			all[p] = true
 		}
@@ -62,8 +75,7 @@ func modelParams(s *Synthesizer) map[*nn.V]bool {
 }
 
 // TestLoadCoversEveryParameter is the licence for Load to build its
-// models without random initialisation: for each architecture the
-// pipeline can save, (1) the parameters the checkpoint carries
+// models without random initialisation: with and without LoRA, (1) the parameters the checkpoint carries
 // (allParams) are exactly the parameters reachable from the model
 // structs, on the trained original and on the loaded copy, so nothing
 // New would have randomised is left at its zero skeleton value;
@@ -71,22 +83,8 @@ func modelParams(s *Synthesizer) map[*nn.V]bool {
 // (3) seeded generation from the loaded copy is byte-identical to the
 // original's.
 func TestLoadCoversEveryParameter(t *testing.T) {
-	unet := func(attention bool) Config {
-		cfg := fastConfig()
-		cfg.Arch, cfg.UseLoRA, cfg.UseAttention = ArchUNet, false, attention
-		cfg.Hidden, cfg.BaseSteps, cfg.FineTuneSteps, cfg.Batch, cfg.DDIMSteps = 6, 4, 4, 4, 2
-		return cfg
-	}
-	mlp := func(useLoRA bool) Config {
-		cfg := fastConfig()
-		cfg.UseLoRA = useLoRA
-		cfg.BaseSteps, cfg.FineTuneSteps, cfg.DDIMSteps = 6, 6, 3
-		return cfg
-	}
 	classes := []string{"amazon", "teams"}
-	for name, cfg := range map[string]Config{
-		"mlp+lora": mlp(true), "mlp": mlp(false), "unet": unet(false), "unet+attention": unet(true),
-	} {
+	for name, cfg := range map[string]Config{"mlp+lora": loadConfig(true), "mlp": loadConfig(false)} {
 		t.Run(name, func(t *testing.T) {
 			s, err := New(cfg, classes)
 			if err != nil {
@@ -153,4 +151,140 @@ func TestLoadCoversEveryParameter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// preRemovalConfig is Config as checkpoints wrote it while the pipeline
+// could also build a convolutional U-Net: the same fields plus Arch (0
+// the MLP, 1 the U-Net) and the U-Net's attention flag.
+type preRemovalConfig struct {
+	Rows, DownH, DownW int
+
+	Arch         int
+	Hidden       int
+	UseAttention bool
+
+	Schedule  diffusion.ScheduleKind
+	TimeSteps int
+
+	BaseSteps     int
+	FineTuneSteps int
+	Batch         int
+	LR            float64
+	DropCond      float64
+	ClipNorm      float64
+	EMADecay      float64
+
+	UseLoRA   bool
+	LoRARank  int
+	LoRAAlpha float64
+
+	UseControlNet bool
+	ConstantSnap  bool
+	GuidanceScale float64
+	DDIMSteps     int
+
+	Seed uint64
+}
+
+// preRemovalSnapshot is snapshot with that Config.
+type preRemovalSnapshot struct {
+	Version   int
+	Config    preRemovalConfig
+	Classes   []string
+	Templates map[int]*controlnet.Template
+	Controls  map[int]*tensor.Tensor
+	GapValues map[int][]float64
+	HasLoRA   bool
+}
+
+// writePreRemoval writes a checkpoint the way Save did before the two
+// fields were removed: s's vocabulary, templates and gap values, cfg's
+// fields by name with the given Arch, then params.
+func writePreRemoval(t *testing.T, s *Synthesizer, cfg Config, arch int, params []*nn.V) *bytes.Buffer {
+	t.Helper()
+	snap := preRemovalSnapshot{
+		Version: 1, Classes: s.classes, Templates: s.templates, Controls: s.controls,
+		GapValues: map[int][]float64{}, HasLoRA: cfg.UseLoRA,
+	}
+	src, dst := reflect.ValueOf(cfg), reflect.ValueOf(&snap.Config).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		if f := dst.FieldByName(src.Type().Field(i).Name); f.IsValid() {
+			f.Set(src.Field(i))
+		}
+	}
+	snap.Config.Arch = arch
+	for ci, d := range s.gapDists {
+		snap.GapValues[ci] = d.Values()
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.SaveParams(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestLoadPreRemovalCheckpoints pins checkpoint compatibility across the
+// removal of the architecture fields from Config: (a) an MLP+LoRA
+// checkpoint written with the old fields (Arch 0) loads and generates
+// the original's seeded bytes; (b) a U-Net checkpoint (Arch 1, followed
+// by the U-Net's 27 parameters) is refused with an error, not loaded
+// into the MLP and not a panic.
+func TestLoadPreRemovalCheckpoints(t *testing.T) {
+	classes := []string{"amazon", "teams"}
+	s, err := New(loadConfig(true), classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FineTune(trainingFlows(t, classes, 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("mlp+lora", func(t *testing.T) {
+		loaded, err := Load(writePreRemoval(t, s, s.configSnapshot(), 0, s.allParams()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, class := range classes {
+			want, err := s.GenerateSeeded(class, 2, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.GenerateSeeded(class, 2, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pcapBytes(t, want.Flows), pcapBytes(t, got.Flows)) {
+				t.Fatalf("class %s: pre-removal checkpoint generates other bytes than the original", class)
+			}
+		}
+	})
+
+	t.Run("unet", func(t *testing.T) {
+		cfg := s.configSnapshot()
+		cfg.UseLoRA, cfg.Hidden = false, 6
+		// The U-Net's parameters for base width c = 6, k = 2 classes and
+		// 64-wide embeddings: class table, time projection, the two
+		// embedding-to-channel projections, nine 3×3 convolutions (stem,
+		// res1, down, mid, upConv, res2, head, ctrlStem, ctrlZero) and the
+		// skip gate — each layer but the table a weight and a bias.
+		const c, k, e = 6, 2, 64
+		params := []*nn.V{nn.Param(k+1, e)}
+		for _, sh := range [][2]int{
+			{e, e}, {c, e}, {2 * c, e},
+			{c, 9}, {c, 9 * c}, {2 * c, 9 * c}, {2 * c, 18 * c}, {c, 18 * c}, {c, 9 * c}, {1, 9 * c}, {c, 9}, {c, 9 * c},
+			{1, e},
+		} {
+			params = append(params, nn.Param(sh[0], sh[1]), nn.Param(sh[0]))
+		}
+		if len(params) != 27 {
+			t.Fatalf("built %d U-Net parameters, want 27", len(params))
+		}
+		got, err := Load(writePreRemoval(t, s, cfg, 1, params))
+		if err == nil || got != nil {
+			t.Fatalf("loading a U-Net checkpoint: synthesizer %v, error %v; want no synthesizer and an error", got, err)
+		}
+	})
 }

@@ -89,13 +89,7 @@ func Load(r io.Reader) (*Synthesizer, error) {
 // allParams returns every parameter the snapshot covers, in a stable
 // order.
 func (s *Synthesizer) allParams() []*nn.V {
-	var ps []*nn.V
-	switch {
-	case s.unet != nil:
-		ps = append(ps, s.unet.Params()...)
-	default:
-		ps = append(ps, s.base.Params()...)
-	}
+	ps := s.base.Params()
 	if s.adapted != nil {
 		ps = append(ps, s.adapted.Params()...)
 	}

@@ -10,8 +10,8 @@ import (
 	"trafficdiff/internal/nn"
 )
 
-// Training phases of a LoRA fine-tune; single-phase configurations
-// (UNet, UseLoRA=false) only ever checkpoint phaseBase.
+// Training phases of a LoRA fine-tune; a single-phase configuration
+// (UseLoRA=false) only ever checkpoints phaseBase.
 const (
 	phaseBase     = 0
 	phaseFineTune = 1

@@ -255,43 +255,6 @@ func TestSampleRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestUNetForwardShapesAndTraining(t *testing.T) {
-	r := stats.NewRNG(6)
-	h, w := 4, 8
-	model := NewUNetDenoiser(r, h, w, 8, 2)
-	sched := NewSchedule(ScheduleCosine, 20)
-	// Forward shape.
-	tp := nn.NewTape()
-	x := nn.NewV(tensor.New(2, 1, h, w).Randn(stats.NewRNG(1), 1))
-	y := model.Forward(tp, x, []int{1, 5}, []int{0, 1}, nil)
-	tp.Reset()
-	want := []int{2, 1, h, w}
-	for i := range want {
-		if y.X.Shape[i] != want[i] {
-			t.Fatalf("unet output shape %v", y.X.Shape)
-		}
-	}
-	// Short training run decreases loss.
-	losses, err := Train(model, sched, tinySet(h, w), TrainConfig{
-		Steps: 60, Batch: 4, LR: 5e-3, ClipNorm: 5, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg(losses[len(losses)-10:]) >= avg(losses[:10]) {
-		t.Error("unet loss did not decrease")
-	}
-}
-
-func TestUNetRequiresEvenDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for odd dims")
-		}
-	}()
-	NewUNetDenoiser(stats.NewRNG(1), 5, 8, 4, 2)
-}
-
 func TestControlInjectionStartsAsNoOp(t *testing.T) {
 	// With zero-initialized control projections, supplying a control
 	// image must not change the initial forward output.
@@ -316,38 +279,6 @@ func TestControlInjectionStartsAsNoOp(t *testing.T) {
 func TestScheduleString(t *testing.T) {
 	if ScheduleLinear.String() != "linear" || ScheduleCosine.String() != "cosine" {
 		t.Error("schedule names wrong")
-	}
-}
-
-func TestUNetWithAttentionTrains(t *testing.T) {
-	r := stats.NewRNG(19)
-	model := NewUNetDenoiser(r, 4, 8, 4, 2)
-	model.EnableAttention(r)
-	sched := NewSchedule(ScheduleCosine, 20)
-	// Attention starts as identity: forward must match a no-attention
-	// twin at init except the attention params exist.
-	plain := NewUNetDenoiser(stats.NewRNG(19), 4, 8, 4, 2)
-	x := tensor.New(2, 1, 4, 8).Randn(stats.NewRNG(1), 1)
-	tp := nn.NewTape()
-	y1 := model.Forward(tp, nn.NewV(x.Clone()), []int{1, 2}, []int{0, 1}, nil)
-	tp.Reset()
-	tp2 := nn.NewTape()
-	y2 := plain.Forward(tp2, nn.NewV(x.Clone()), []int{1, 2}, []int{0, 1}, nil)
-	tp2.Reset()
-	for i := range y1.X.Data {
-		if math.Abs(float64(y1.X.Data[i]-y2.X.Data[i])) > 1e-5 {
-			t.Fatal("zero-init attention changed the initial forward pass")
-		}
-	}
-	// And it trains without diverging.
-	losses, err := Train(model, sched, tinySet(4, 8), TrainConfig{
-		Steps: 40, Batch: 4, LR: 5e-3, ClipNorm: 5, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg(losses[len(losses)-8:]) >= avg(losses[:8]) {
-		t.Error("attention unet loss did not decrease")
 	}
 }
 

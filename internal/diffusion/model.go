@@ -13,29 +13,20 @@ import (
 // classifier-free guidance trains both paths). control, when non-nil,
 // is a [N,1,H,W] conditioning image injected through a zero-initialized
 // projection (the ControlNet hook).
-type Denoiser interface {
-	Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V
-	// Params returns the trainable base parameters.
-	Params() []*nn.V
-	// NullClass is the class id meaning "no prompt".
-	NullClass() int
-	// Shape returns the image height and width the model expects.
-	Shape() (h, w int)
-}
-
-// SplitForwarder is optionally implemented by a Denoiser whose forward
-// factors as Forward(x, t, class, control) =
+//
+// The forward factors as Forward(x, t, class, control) =
 // Head(Trunk(x, t), class, ControlFeatures(control)), where only the
 // head sees the class. The two halves of a classifier-free-guided pair
 // differ in nothing but the class row, and a flow's control image never
-// changes, so a sampler that holds this interface runs the trunk once
-// per step for both halves, the head once over the pair's stacked rows,
-// and the control projection once per flow (Scheduler does, when given
-// no forward override). Every method computes each output row from the
-// matching input rows alone, so stacking rows changes no row's bytes,
-// and a model's Forward is this composition through the same methods:
-// there is one copy of its arithmetic.
-type SplitForwarder interface {
+// changes, so a sampler runs the trunk once per step for both halves,
+// the head once over the pair's stacked rows, and the control
+// projection once per flow (Scheduler does, when given no forward
+// override). Every method computes each output row from the matching
+// input rows alone, so stacking rows changes no row's bytes, and
+// Forward is this composition through the same methods (ForwardSplit):
+// there is one copy of the arithmetic.
+type Denoiser interface {
+	Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V
 	// ControlFeatures projects control images (n·H·W elements, any
 	// shape) to the [n, hidden] rows the head adds in.
 	ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V
@@ -47,6 +38,12 @@ type SplitForwarder interface {
 	// and ctrl (nil for no control) all have the same row count, and
 	// the result is ε [rows, 1, H, W].
 	Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V
+	// Params returns the trainable base parameters.
+	Params() []*nn.V
+	// NullClass is the class id meaning "no prompt".
+	NullClass() int
+	// Shape returns the image height and width the model expects.
+	Shape() (h, w int)
 }
 
 // timeEmbedDim is the sinusoidal timestep feature width.
@@ -77,8 +74,7 @@ type MLPDenoiser struct {
 
 // NewMLPDenoiser builds a denoiser for h x w single-channel images
 // with k conditioning classes. A nil r skips the random init and leaves
-// every weight zero — the skeleton a checkpoint loader fills (likewise
-// NewUNetDenoiser and EnableAttention).
+// every weight zero — the skeleton a checkpoint loader fills.
 func NewMLPDenoiser(r *stats.RNG, h, w, hidden, k int) *MLPDenoiser {
 	d := h * w
 	m := &MLPDenoiser{
@@ -124,16 +120,16 @@ func (m *MLPDenoiser) Params() []*nn.V {
 	return ps
 }
 
-// Forward implements Denoiser as head∘trunk (see SplitForwarder).
+// Forward implements Denoiser as head∘trunk.
 func (m *MLPDenoiser) Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
 	return ForwardSplit(m, tp, xt, steps, class, control)
 }
 
-// ForwardSplit is the plain forward of a SplitForwarder: trunk, control
+// ForwardSplit is the plain forward of a Denoiser: trunk, control
 // projection, head, each over the same rows.
 //
 //tracelint:hotpath
-func ForwardSplit(m SplitForwarder, tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
+func ForwardSplit(m Denoiser, tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
 	h, skip := m.Trunk(tp, xt, steps)
 	var ctrl *nn.V
 	if control != nil {
@@ -142,7 +138,7 @@ func ForwardSplit(m SplitForwarder, tp *nn.Tape, xt *nn.V, steps []int, class []
 	return m.Head(tp, h, skip, class, ctrl)
 }
 
-// ControlFeatures implements SplitForwarder.
+// ControlFeatures implements Denoiser.
 //
 //tracelint:hotpath
 func (m *MLPDenoiser) ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V {
@@ -150,7 +146,7 @@ func (m *MLPDenoiser) ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V
 	return m.ctrlProj.Apply(tp, tp.Input(control.Reshape(control.Len()/d, d)))
 }
 
-// Trunk implements SplitForwarder: x projection plus time embedding,
+// Trunk implements Denoiser: x projection plus time embedding,
 // and the time-gated input skip (see the gate field's comment).
 //
 //tracelint:hotpath
@@ -162,7 +158,7 @@ func (m *MLPDenoiser) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) 
 	return h, skip
 }
 
-// Head implements SplitForwarder.
+// Head implements Denoiser.
 //
 //tracelint:hotpath
 func (m *MLPDenoiser) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V {
@@ -175,138 +171,6 @@ func (m *MLPDenoiser) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) 
 	h = tp.Add(h, h2) // residual
 	eps := tp.Add(m.out.Apply(tp, h), skip)
 	return tp.Reshape(eps, eps.X.Shape[0], 1, m.H, m.W)
-}
-
-// UNetDenoiser is a small convolutional U-Net ε-predictor: a stem
-// conv, one stride-2 down stage, a middle block, and a mirrored up
-// stage with additive skip connections. Timestep and class embeddings
-// are injected as per-channel biases (FiLM-style) at every stage —
-// the same conditioning mechanism Stable Diffusion's U-Net uses,
-// minus attention.
-type UNetDenoiser struct {
-	H, W int
-	C    int // base channels
-	K    int
-
-	classEmb  *nn.EmbeddingLayer
-	timeProj  *nn.LinearLayer
-	embToC    *nn.LinearLayer // emb -> C
-	embToC2   *nn.LinearLayer // emb -> 2C
-	stem      *nn.ConvLayer   // 1 -> C
-	res1      *nn.ConvLayer   // C -> C
-	down      *nn.ConvLayer   // C -> 2C stride 2
-	mid       *nn.ConvLayer   // 2C -> 2C
-	upConv    *nn.ConvLayer   // 2C -> C (after upsample)
-	res2      *nn.ConvLayer   // C -> C
-	head      *nn.ConvLayer   // C -> 1
-	ctrlStem  *nn.ConvLayer   // control branch: 1 -> C
-	ctrlZero  *nn.ConvLayer   // zero conv: C -> C
-	gate      *nn.LinearLayer // time features -> x_t skip gain
-	attn      *AttnBlock      // optional mid-stage self-attention
-	embHidden int
-}
-
-// NewUNetDenoiser builds the U-Net for h x w images (h and w must be
-// even) with base channel count c and k classes.
-func NewUNetDenoiser(r *stats.RNG, h, w, c, k int) *UNetDenoiser {
-	if h%2 != 0 || w%2 != 0 {
-		//tracelint:allow paniccheck — documented shape invariant (doc comment: h and w must be even)
-		panic("diffusion: UNet needs even spatial dims")
-	}
-	const embHidden = 64
-	conv := func(in, out, stride int) *nn.ConvLayer {
-		return nn.NewConv(r, tensor.ConvSpec{InC: in, OutC: out, KH: 3, KW: 3, Stride: stride, Pad: 1})
-	}
-	u := &UNetDenoiser{
-		H: h, W: w, C: c, K: k,
-		classEmb:  nn.NewEmbedding(r, k+1, embHidden),
-		timeProj:  nn.NewLinear(r, timeEmbedDim, embHidden),
-		embToC:    nn.NewLinear(r, embHidden, c),
-		embToC2:   nn.NewLinear(r, embHidden, 2*c),
-		stem:      conv(1, c, 1),
-		res1:      conv(c, c, 1),
-		down:      conv(c, 2*c, 2),
-		mid:       conv(2*c, 2*c, 1),
-		upConv:    conv(2*c, c, 1),
-		res2:      conv(c, c, 1),
-		head:      conv(c, 1, 1),
-		ctrlStem:  conv(1, c, 1),
-		ctrlZero:  conv(c, c, 1),
-		gate:      nn.NewLinear(r, timeEmbedDim, 1),
-		embHidden: embHidden,
-	}
-	// Zero-init head (predict zero noise initially) and the control
-	// branch's zero convolution (ControlNet's key trick).
-	u.head.W.X.Zero()
-	u.head.B.X.Zero()
-	u.ctrlZero.W.X.Zero()
-	u.ctrlZero.B.X.Zero()
-	return u
-}
-
-// NullClass implements Denoiser.
-func (u *UNetDenoiser) NullClass() int { return u.K }
-
-// Shape implements Denoiser.
-func (u *UNetDenoiser) Shape() (int, int) { return u.H, u.W }
-
-// EnableAttention attaches a self-attention block to the mid stage
-// (the Stable Diffusion U-Net configuration). Call before training.
-func (u *UNetDenoiser) EnableAttention(r *stats.RNG) {
-	u.attn = NewAttnBlock(r, 2*u.C)
-}
-
-// Params implements Denoiser.
-func (u *UNetDenoiser) Params() []*nn.V {
-	var ps []*nn.V
-	for _, l := range []interface{ Params() []*nn.V }{
-		u.classEmb, u.timeProj, u.embToC, u.embToC2,
-		u.stem, u.res1, u.down, u.mid, u.upConv, u.res2, u.head,
-		u.ctrlStem, u.ctrlZero, u.gate,
-	} {
-		ps = append(ps, l.Params()...)
-	}
-	if u.attn != nil {
-		ps = append(ps, u.attn.Params()...)
-	}
-	return ps
-}
-
-// Forward implements Denoiser.
-func (u *UNetDenoiser) Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
-	// Conditioning embedding shared by all stages.
-	tfeat := tp.TimeEmbed(steps, timeEmbedDim)
-	temb := u.timeProj.Apply(tp, tfeat)
-	cemb := u.classEmb.Apply(tp, class)
-	emb := tp.SiLU(tp.Add(temb, cemb)) // [N, embHidden]
-	embC := u.embToC.Apply(tp, emb)    // [N, C]
-	embC2 := u.embToC2.Apply(tp, emb)  // [N, 2C]
-
-	h := tp.SiLU(u.stem.Apply(tp, xt))  // [N,C,H,W]
-	h = tp.AddChannelBroadcast(h, embC) // inject conditioning
-	if control != nil {
-		c := tp.Input(control)
-		cf := tp.SiLU(u.ctrlStem.Apply(tp, c))
-		h = tp.Add(h, u.ctrlZero.Apply(tp, cf)) // zero conv: starts as no-op
-	}
-	h = tp.Add(h, tp.SiLU(u.res1.Apply(tp, h))) // residual block
-	skip := h
-
-	d := tp.SiLU(u.down.Apply(tp, h)) // [N,2C,H/2,W/2]
-	d = tp.AddChannelBroadcast(d, embC2)
-	d = tp.Add(d, tp.SiLU(u.mid.Apply(tp, d)))
-	if u.attn != nil {
-		d = u.attn.Apply(tp, d)
-	}
-
-	up := tp.UpsampleNearest2x(d)          // [N,2C,H,W]
-	up2 := tp.SiLU(u.upConv.Apply(tp, up)) // [N,C,H,W]
-	merged := tp.Add(up2, skip)            // additive skip connection
-	merged = tp.Add(merged, tp.SiLU(u.res2.Apply(tp, merged)))
-	eps := u.head.Apply(tp, merged) // [N,1,H,W]
-	// Time-gated input skip: the analytic x_t term of ε-prediction.
-	eps = tp.Add(eps, tp.MulChannelBroadcast(xt, u.gate.Apply(tp, tfeat)))
-	return eps
 }
 
 // TimeEmbedDim exposes the sinusoidal feature width so wrappers (e.g.

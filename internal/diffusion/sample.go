@@ -47,9 +47,9 @@ type ForwardFunc func(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *
 //
 // The whole batch is admitted to a step Scheduler and stepped until
 // every flow completes: each timestep runs ONE batched evaluation over
-// all N flows (for an MLP model the shared-trunk split forward), so the
-// denoiser sees [N,·] tensors big enough for the parallel kernel layer
-// instead of N batch-1 calls below its work threshold. The DDPM/DDIM
+// all N flows (the shared-trunk split forward), so the denoiser sees
+// [N,·] tensors big enough for the parallel kernel layer instead of N
+// batch-1 calls below its work threshold. The DDPM/DDIM
 // update is then applied per flow from that flow's private RNG stream.
 // Callers that need mid-generation admission and retirement drive a
 // Scheduler directly (the serving engine does).
@@ -70,8 +70,8 @@ func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, 
 	n, d := cfg.N, h*w
 	rngs := flowStreams(cfg)
 
-	// A nil forward: the scheduler takes the split path for models that
-	// have one (see NewScheduler).
+	// A nil forward: the scheduler takes the split path (see
+	// NewScheduler).
 	eng := NewScheduler(model, sched, nil)
 	eng.growTo(n) // the batch size is known: size the row buffers once
 	out := tensor.New(n, 1, h, w)

@@ -89,41 +89,6 @@ func TestBatchedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesLegacyUNet repeats the core equivalence cases with
-// the convolutional U-Net: its kernels (im2col, fused conv epilogue,
-// upsample, attention-free path) must also be row-independent for the
-// batched forward to decompose into batch-1 forwards. A short training
-// run gives the zero-initialized head real weights first.
-func TestBatchedMatchesLegacyUNet(t *testing.T) {
-	r := stats.NewRNG(13)
-	h, w := 4, 8
-	model := NewUNetDenoiser(r, h, w, 4, 2)
-	sched := NewSchedule(ScheduleCosine, 8)
-	if _, err := Train(model, sched, tinySet(h, w), TrainConfig{
-		Steps: 12, Batch: 4, LR: 1e-2, ClipNorm: 5, Seed: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	control := tensor.New(1, h, w).Randn(r, 1)
-	for _, ddim := range []int{0, 3} {
-		cfg := SampleConfig{
-			Class: 0, N: 2, GuidanceScale: 2, DDIMSteps: ddim,
-			Control: control, FlowSeeds: []uint64{5, 6},
-		}
-		got, err := Sample(model, sched, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SampleLegacy(model, sched, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i, ok := bitsEqual(got.Data, want.Data); !ok {
-			t.Errorf("ddim=%d: UNet batched diverges from legacy at [%d]", ddim, i)
-		}
-	}
-}
-
 // churnFlow is one flow of the randomized churn schedule: its spec,
 // its solo-reference config, and where the scheduler run put it.
 type churnFlow struct {

@@ -1,6 +1,6 @@
 // Package diffusion implements denoising diffusion probabilistic
-// models (DDPM) from scratch: forward noising, ε-prediction denoisers
-// (an MLP and a small convolutional U-Net), the training loop, and
+// models (DDPM) from scratch: forward noising, an ε-prediction MLP
+// denoiser with a time-gated input skip, the training loop, and
 // DDPM/DDIM samplers with classifier-free guidance.
 //
 // This is the pipeline's stand-in for the paper's Stable Diffusion 1.5

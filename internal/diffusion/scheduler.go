@@ -138,9 +138,9 @@ func (f *schedFlow) curT() int {
 // (the serving engine's step loop, or a Sample call).
 type Scheduler struct {
 	sched *Schedule
-	// Exactly one of forward and split is set (see NewScheduler).
+	model Denoiser
+	// forward, when set, replaces the split path (see NewScheduler).
 	forward   ForwardFunc
-	split     SplitForwarder
 	nullClass int
 	h, w, d   int
 
@@ -194,30 +194,22 @@ type Scheduler struct {
 // once more with the null class when any stepping flow is guided — the
 // plain path. Its x_t argument views the scheduler's packed rows and
 // its result is scratch the step overwrites; neither may be kept. With
-// a nil forward, a model that implements
-// SplitForwarder takes the split path instead: each flow's control
-// image is projected once at Admit, and a step runs the trunk once over
-// its n rows and the head once over the stacked conditional and
-// unconditional rows, which is bit-identical to the plain path because
-// every kernel computes a row from that row alone. Any other model
-// (UNet) with a nil forward runs the plain path through model.Forward.
+// a nil forward the scheduler takes the split path instead: each flow's
+// control image is projected once at Admit, and a step runs the trunk
+// once over its n rows and the head once over the stacked conditional
+// and unconditional rows, which is bit-identical to the plain path
+// because every kernel computes a row from that row alone.
 func NewScheduler(model Denoiser, sched *Schedule, forward ForwardFunc) *Scheduler {
 	h, w := model.Shape()
 	s := &Scheduler{
 		sched:     sched,
+		model:     model,
 		forward:   forward,
 		nullClass: model.NullClass(),
 		h:         h, w: w, d: h * w,
 		tp:     nn.NewTape(),
 		viewN:  -1,
 		rowTmp: make([]float32, h*w),
-	}
-	if forward == nil {
-		if sf, ok := model.(SplitForwarder); ok {
-			s.split = sf
-		} else {
-			s.forward = model.Forward
-		}
 	}
 	s.tp.EnableReuse()
 	s.tp.SetNoGrad(true)
@@ -279,7 +271,7 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 	var crow []float32
 	if hasControl {
 		crow = spec.Control.Data[:s.d]
-		if s.split != nil {
+		if s.forward == nil {
 			crow = s.controlFeatures(crow)
 		}
 		s.cw = len(crow)
@@ -301,7 +293,7 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 // ctrlEntry is one projected control image and its features.
 type ctrlEntry struct{ image, feat []float32 }
 
-// controlFeatures returns the split model's projection of a control
+// controlFeatures returns the model's projection of a control
 // image, computed once per distinct image: same input, same bytes,
 // without streaming the projection's weights again. A model conditions
 // on one image per class, so the entries are capped at the class count;
@@ -319,7 +311,7 @@ func (s *Scheduler) controlFeatures(image []float32) []float32 {
 		s.ctrlSeen = append(s.ctrlSeen, ctrlEntry{})
 	}
 	e := &s.ctrlSeen[len(s.ctrlSeen)-1]
-	feat := s.split.ControlFeatures(s.tp, tensor.FromSlice(image, 1, s.d)).X.Data
+	feat := s.model.ControlFeatures(s.tp, tensor.FromSlice(image, 1, s.d)).X.Data
 	e.image = append(e.image[:0], image...)
 	e.feat = append(e.feat[:0], feat...)
 	s.tp.Recycle()
@@ -488,7 +480,7 @@ func (s *Scheduler) views(n int) {
 	s.cView, s.cIn = nil, nil
 	switch {
 	case !s.controlOn:
-	case s.split != nil:
+	case s.forward == nil:
 		//tracelint:allow hotalloc — header-only rebuild when batch composition changes; stable batches reuse it
 		s.cView = tensor.FromSlice(s.cbuf[:n*s.cw], n, s.cw)
 		//tracelint:allow hotalloc — header-only rebuild when batch composition changes; stable batches reuse it
@@ -514,23 +506,23 @@ func (s *Scheduler) views(n int) {
 func (s *Scheduler) predict(n int, guided bool) (cond, uncond []float32) {
 	s.views(n)
 	tp := s.tp
-	if s.split == nil {
+	if s.forward != nil {
 		cond = s.forward(tp, s.xIn, s.steps[:n], s.class[:n], s.cView).X.Data
 		if guided {
 			uncond = s.forward(tp, s.xIn, s.steps[:n], s.class[n:2*n], s.cView).X.Data
 		}
 		return cond, uncond
 	}
-	h, skip := s.split.Trunk(tp, s.xIn, s.steps[:n])
+	h, skip := s.model.Trunk(tp, s.xIn, s.steps[:n])
 	ctrl := s.cIn
 	if !guided {
-		return s.split.Head(tp, h, skip, s.class[:n], ctrl).X.Data, nil
+		return s.model.Head(tp, h, skip, s.class[:n], ctrl).X.Data, nil
 	}
 	h, skip = tp.Concat0(h, h), tp.Concat0(skip, skip)
 	if ctrl != nil {
 		ctrl = tp.Concat0(ctrl, ctrl)
 	}
-	eps := s.split.Head(tp, h, skip, s.class[:2*n], ctrl).X.Data
+	eps := s.model.Head(tp, h, skip, s.class[:2*n], ctrl).X.Data
 	return eps[:n*s.d], eps[n*s.d:]
 }
 

@@ -57,18 +57,18 @@ func (a *AdaptedMLP) Shape() (int, int) { return a.Base.Shape() }
 
 // Forward implements diffusion.Denoiser: the base MLP's architecture
 // with adapter deltas on each projection and the new class table,
-// composed as head∘trunk (see diffusion.SplitForwarder).
+// composed as head∘trunk (see diffusion.Denoiser).
 func (a *AdaptedMLP) Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
 	return diffusion.ForwardSplit(a, tp, xt, steps, class, control)
 }
 
-// ControlFeatures implements diffusion.SplitForwarder: the frozen base
+// ControlFeatures implements diffusion.Denoiser: the frozen base
 // ControlNet hook, which carries no adapter.
 func (a *AdaptedMLP) ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V {
 	return a.Base.ControlFeatures(tp, control)
 }
 
-// Trunk implements diffusion.SplitForwarder: the adapted x projection
+// Trunk implements diffusion.Denoiser: the adapted x projection
 // plus the frozen time projection, and the base model's time-gated
 // input skip (frozen gate). One sinusoidal embedding feeds both.
 //
@@ -82,7 +82,7 @@ func (a *AdaptedMLP) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) {
 	return h, skip
 }
 
-// Head implements diffusion.SplitForwarder.
+// Head implements diffusion.Denoiser.
 //
 //tracelint:hotpath
 func (a *AdaptedMLP) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V {

@@ -12,9 +12,9 @@ import (
 	"trafficdiff/internal/tensor"
 )
 
-// These tests pin the shared-trunk guided forward (diffusion.
-// SplitForwarder) for both models that implement it — the base MLP and
-// the LoRA-adapted MLP — against the plain two-forward
+// These tests pin the shared-trunk guided forward (the Trunk, Head and
+// ControlFeatures methods of diffusion.Denoiser) for both models — the
+// base MLP and the LoRA-adapted MLP — against the plain two-forward
 // path, byte for byte. They live here because this package sees both
 // models.
 
@@ -71,7 +71,6 @@ func TestSplitForwardMatchesPlainPair(t *testing.T) {
 		model diffusion.Denoiser
 	}
 	run := func(t *testing.T, m named) {
-		split := m.model.(diffusion.SplitForwarder)
 		classU := []int{m.model.NullClass(), m.model.NullClass(), m.model.NullClass()}
 		for _, ctl := range []*tensor.Tensor{nil, control} {
 			label := fmt.Sprintf("%s/ctl=%v", m.name, ctl != nil)
@@ -80,22 +79,22 @@ func TestSplitForwardMatchesPlainPair(t *testing.T) {
 			wantU := m.model.Forward(tp, nn.NewV(x), steps, classU, ctl).X.Data
 
 			tp = noGradTape()
-			hv, skip := split.Trunk(tp, nn.NewV(x), steps)
+			hv, skip := m.model.Trunk(tp, nn.NewV(x), steps)
 			var ctrl *nn.V
 			if ctl != nil {
 				// Row by row, as Scheduler.Admit projects it.
-				batched := split.ControlFeatures(tp, ctl)
+				batched := m.model.ControlFeatures(tp, ctl)
 				hidden := batched.X.Shape[1]
 				feats := tensor.New(n, hidden)
 				for i := 0; i < n; i++ {
-					row := split.ControlFeatures(tp, tensor.FromSlice(ctl.Data[i*d:(i+1)*d], 1, d))
+					row := m.model.ControlFeatures(tp, tensor.FromSlice(ctl.Data[i*d:(i+1)*d], 1, d))
 					copy(feats.Data[i*hidden:], row.X.Data)
 				}
 				requireSameBits(t, label+" control features", feats.Data, batched.X.Data)
 				ctrl = tp.Input(feats)
 				ctrl = tp.Concat0(ctrl, ctrl)
 			}
-			eps := split.Head(tp, tp.Concat0(hv, hv), tp.Concat0(skip, skip),
+			eps := m.model.Head(tp, tp.Concat0(hv, hv), tp.Concat0(skip, skip),
 				append(append([]int(nil), classC...), classU...), ctrl)
 			if got := eps.X.Shape; len(got) != 4 || got[0] != 2*n || got[2] != h || got[3] != w {
 				t.Fatalf("%s: head output shape %v", label, got)

@@ -14,7 +14,7 @@ type LinearLayer struct {
 
 // NewLinear allocates a layer with Kaiming-uniform-style init. A nil r
 // skips the random draw and leaves W zero, for a caller about to load
-// the weights (here and in NewConv and NewEmbedding).
+// the weights (here and in NewEmbedding).
 func NewLinear(r *stats.RNG, in, out int) *LinearLayer {
 	l := &LinearLayer{W: Param(out, in), B: Param(out)}
 	initNormal(l.W, r, math.Sqrt(2.0/float64(in)))
@@ -36,28 +36,6 @@ func (l *LinearLayer) Apply(t *Tape, x *V) *V {
 
 // Params returns the layer's trainable parameters.
 func (l *LinearLayer) Params() []*V { return []*V{l.W, l.B} }
-
-// ConvLayer bundles a Conv2D op's parameters and spec.
-type ConvLayer struct {
-	W, B *V
-	Spec tensor.ConvSpec
-}
-
-// NewConv allocates a conv layer with fan-in scaled init.
-func NewConv(r *stats.RNG, spec tensor.ConvSpec) *ConvLayer {
-	fanIn := spec.InC * spec.KH * spec.KW
-	l := &ConvLayer{W: Param(spec.OutC, fanIn), B: Param(spec.OutC), Spec: spec}
-	initNormal(l.W, r, math.Sqrt(2.0/float64(fanIn)))
-	return l
-}
-
-// Apply runs the layer on x [N,C,H,W].
-func (l *ConvLayer) Apply(t *Tape, x *V) *V {
-	return t.Conv2D(x, l.W, l.B, l.Spec)
-}
-
-// Params returns the layer's trainable parameters.
-func (l *ConvLayer) Params() []*V { return []*V{l.W, l.B} }
 
 // NormLayer bundles LayerNorm's gamma and beta.
 type NormLayer struct {

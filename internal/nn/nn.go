@@ -1,10 +1,9 @@
 // Package nn is a small reverse-mode automatic-differentiation engine
 // and neural-network toolkit built on the tensor package. It provides
 // exactly the operations the diffusion denoiser, LoRA adapters,
-// ControlNet branch and GAN baseline need: linear and convolutional
-// layers, pointwise activations, layer normalization, embeddings,
-// nearest-neighbor upsampling, and reduction losses — each with a
-// hand-written, gradient-checked backward.
+// ControlNet branch and GAN baseline need: linear layers, pointwise
+// activations, layer normalization, embeddings, and reduction losses —
+// each with a hand-written, gradient-checked backward.
 //
 // Usage follows the tape pattern: ops record their backward closures
 // onto a Tape; Backward(loss) seeds the loss gradient and unwinds the
@@ -118,8 +117,8 @@ func (t *Tape) newV(x *tensor.Tensor) *V {
 // overwrites every element of X, reusing a recycled buffer of the same
 // element count when the arena is on. A recycled X keeps its old
 // contents — clearing a buffer the next loop rewrites in full is a pass
-// over memory nothing reads; an op that accumulates into its output
-// takes allocZero instead. When the recycled buffer's shape already
+// over memory nothing reads; every op writes its whole output before
+// reading it. When the recycled buffer's shape already
 // matches (the steady state of a loop with fixed shapes), the value is
 // handed back as-is with no new header allocations. G is always handed
 // out zeroed, since backward passes accumulate into it; on a no-grad
@@ -161,16 +160,6 @@ func (t *Tape) alloc(shape ...int) *V {
 	v := t.newV(tensor.New(shape...))
 	//tracelint:allow hotalloc — bookkeeping append: taken reaches steady capacity after the first step
 	t.taken = append(t.taken, v)
-	return v
-}
-
-// allocZero is alloc with X cleared, for an op whose kernel accumulates
-// into its output (MatMul).
-func (t *Tape) allocZero(shape ...int) *V {
-	v := t.alloc(shape...)
-	if t.reuse {
-		v.X.Zero()
-	}
 	return v
 }
 
@@ -216,16 +205,6 @@ func (t *Tape) scratch(n int) []float32 {
 func (t *Tape) Input(x *tensor.Tensor) *V {
 	v := t.alloc(x.Shape...)
 	copy(v.X.Data, x.Data)
-	return v
-}
-
-// adopt wraps a tensor allocated elsewhere (e.g. by a fused kernel) as
-// a tape value so its storage still enters the arena on Recycle.
-func (t *Tape) adopt(x *tensor.Tensor) *V {
-	v := t.newV(x)
-	if t.reuse {
-		t.taken = append(t.taken, v)
-	}
 	return v
 }
 
@@ -297,46 +276,6 @@ func (t *Tape) Add(a, b *V) *V {
 	return out
 }
 
-// Sub returns a-b.
-func (t *Tape) Sub(a, b *V) *V {
-	if !a.X.SameShape(b.X) {
-		panic("nn: Sub shape mismatch")
-	}
-	out := t.alloc(a.X.Shape...)
-	for i, v := range b.X.Data {
-		out.X.Data[i] = a.X.Data[i] - v
-	}
-	if t.grad() {
-		t.record(func() {
-			a.G.AddInto(out.G)
-			for i, g := range out.G.Data {
-				b.G.Data[i] -= g
-			}
-		})
-	}
-	return out
-}
-
-// Mul returns the elementwise product.
-func (t *Tape) Mul(a, b *V) *V {
-	if !a.X.SameShape(b.X) {
-		panic("nn: Mul shape mismatch")
-	}
-	out := t.alloc(a.X.Shape...)
-	for i := range out.X.Data {
-		out.X.Data[i] = a.X.Data[i] * b.X.Data[i]
-	}
-	if t.grad() {
-		t.record(func() {
-			for i, g := range out.G.Data {
-				a.G.Data[i] += g * b.X.Data[i]
-				b.G.Data[i] += g * a.X.Data[i]
-			}
-		})
-	}
-	return out
-}
-
 // Scale returns s*a for a constant s.
 func (t *Tape) Scale(a *V, s float32) *V {
 	out := t.alloc(a.X.Shape...)
@@ -350,18 +289,6 @@ func (t *Tape) Scale(a *V, s float32) *V {
 				a.G.Data[i] += s * g
 			}
 		})
-	}
-	return out
-}
-
-// AddConst returns a+c for a constant c.
-func (t *Tape) AddConst(a *V, c float32) *V {
-	out := t.alloc(a.X.Shape...)
-	for i, v := range a.X.Data {
-		out.X.Data[i] = v + c
-	}
-	if t.grad() {
-		t.record(func() { a.G.AddInto(out.G) })
 	}
 	return out
 }
@@ -449,20 +376,6 @@ func concatRange(dst, a, b []float32, lo, hi int) {
 	}
 }
 
-// MatMul returns a·b for a [m,k], b [k,n].
-func (t *Tape) MatMul(a, b *V) *V {
-	out := t.allocZero(a.X.Shape[0], b.X.Shape[1])
-	tensor.MatMulInto(out.X, a.X, b.X)
-	if t.grad() {
-		t.record(func() {
-			// da = dout·bᵀ ; db = aᵀ·dout
-			a.G.AddInto(tensor.MatMulABT(out.G, b.X))
-			b.G.AddInto(tensor.MatMulATB(a.X, out.G))
-		})
-	}
-	return out
-}
-
 // Linear computes x·wᵀ + bias for x [N,in], w [out,in], bias [out]. A
 // nil bias means none: the product is returned as is. That is
 // bit-identical to adding a zero bias — a dot product accumulated from
@@ -495,68 +408,6 @@ func (t *Tape) Linear(x, w, bias *V) *V {
 				row := out.G.Data[r*outDim:]
 				for o := 0; o < outDim; o++ {
 					bias.G.Data[o] += row[o]
-				}
-			}
-		})
-	}
-	return out
-}
-
-// AddRowBroadcast adds row vector b [D] to every row of a [N,D].
-func (t *Tape) AddRowBroadcast(a, b *V) *V {
-	n, d := a.X.Shape[0], a.X.Shape[1]
-	if b.X.Shape[0] != d {
-		panic("nn: AddRowBroadcast width mismatch")
-	}
-	out := t.alloc(n, d)
-	for r := 0; r < n; r++ {
-		row := out.X.Data[r*d : (r+1)*d]
-		addRange(row, a.X.Data[r*d:(r+1)*d], b.X.Data)
-	}
-	if t.grad() {
-		t.record(func() {
-			a.G.AddInto(out.G)
-			for r := 0; r < n; r++ {
-				row := out.G.Data[r*d:]
-				for j := 0; j < d; j++ {
-					b.G.Data[j] += row[j]
-				}
-			}
-		})
-	}
-	return out
-}
-
-// AddChannelBroadcast adds per-sample channel vector b [N,C] across
-// the spatial dims of a [N,C,H,W] (FiLM-style conditioning injection).
-func (t *Tape) AddChannelBroadcast(a, b *V) *V {
-	n, c := a.X.Shape[0], a.X.Shape[1]
-	spatial := a.X.Shape[2] * a.X.Shape[3]
-	if b.X.Shape[0] != n || b.X.Shape[1] != c {
-		panic("nn: AddChannelBroadcast shape mismatch")
-	}
-	out := t.alloc(a.X.Shape...)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			bv := b.X.Data[i*c+ch]
-			src := a.X.Data[(i*c+ch)*spatial : (i*c+ch+1)*spatial]
-			seg := out.X.Data[(i*c+ch)*spatial : (i*c+ch+1)*spatial]
-			for j, v := range src {
-				seg[j] = v + bv
-			}
-		}
-	}
-	if t.grad() {
-		t.record(func() {
-			a.G.AddInto(out.G)
-			for i := 0; i < n; i++ {
-				for ch := 0; ch < c; ch++ {
-					seg := out.G.Data[(i*c+ch)*spatial : (i*c+ch+1)*spatial]
-					var sum float32
-					for _, g := range seg {
-						sum += g
-					}
-					b.G.Data[i*c+ch] += sum
 				}
 			}
 		})

@@ -157,21 +157,6 @@ func TestEmbeddingLookup(t *testing.T) {
 	}
 }
 
-func TestConvLayerShapes(t *testing.T) {
-	r := stats.NewRNG(3)
-	layer := NewConv(r, tensor.ConvSpec{InC: 1, OutC: 4, KH: 3, KW: 3, Stride: 2, Pad: 1})
-	tp := NewTape()
-	x := NewV(tensor.New(2, 1, 8, 8).Randn(r, 1))
-	y := layer.Apply(tp, x)
-	tp.Reset()
-	want := []int{2, 4, 4, 4}
-	for i, d := range want {
-		if y.X.Shape[i] != d {
-			t.Fatalf("shape = %v, want %v", y.X.Shape, want)
-		}
-	}
-}
-
 func TestTrainingLossIsFinite(t *testing.T) {
 	// Failure-injection style check: even with aggressive LR the loss
 	// must remain finite thanks to clipping.

@@ -149,23 +149,6 @@ func (t *Tape) Tanh(a *V) *V {
 	return out
 }
 
-// Sigmoid applies the logistic function elementwise.
-func (t *Tape) Sigmoid(a *V) *V {
-	out := t.alloc(a.X.Shape...)
-	for i, v := range a.X.Data {
-		out.X.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	if t.grad() {
-		t.record(func() {
-			for i, g := range out.G.Data {
-				y := out.X.Data[i]
-				a.G.Data[i] += g * y * (1 - y)
-			}
-		})
-	}
-	return out
-}
-
 // LeakyReLU applies max(x, alpha*x) elementwise (GAN discriminator).
 func (t *Tape) LeakyReLU(a *V, alpha float32) *V {
 	out := t.alloc(a.X.Shape...)
@@ -269,53 +252,6 @@ func layerNormRows(out, x, gamma, beta, xhat, invStd []float32, d, lo, hi int) {
 			dst[j] = h*gamma[j] + beta[j]
 		}
 	}
-}
-
-// Conv2D convolves x [N,C,H,W] with weights w [OutC, C*KH*KW] and bias
-// b [OutC] under spec s.
-func (t *Tape) Conv2D(x, w, b *V, s tensor.ConvSpec) *V {
-	n, h, wd := x.X.Shape[0], x.X.Shape[2], x.X.Shape[3]
-	y, cols := tensor.Conv2D(x.X, w.X, b.X, s)
-	out := t.adopt(y)
-	if t.grad() {
-		t.record(func() {
-			dx, dw, db := tensor.Conv2DBackward(out.G, cols, w.X, s, n, h, wd)
-			x.G.AddInto(dx)
-			w.G.AddInto(dw)
-			b.G.AddInto(db)
-		})
-	}
-	return out
-}
-
-// UpsampleNearest2x doubles the spatial dims of x [N,C,H,W] by
-// nearest-neighbor replication.
-func (t *Tape) UpsampleNearest2x(x *V) *V {
-	n, c, h, w := x.X.Shape[0], x.X.Shape[1], x.X.Shape[2], x.X.Shape[3]
-	out := t.alloc(n, c, 2*h, 2*w)
-	for i := 0; i < n*c; i++ {
-		src := x.X.Data[i*h*w:]
-		dst := out.X.Data[i*4*h*w:]
-		for y := 0; y < 2*h; y++ {
-			for xx := 0; xx < 2*w; xx++ {
-				dst[y*2*w+xx] = src[(y/2)*w+xx/2]
-			}
-		}
-	}
-	if t.grad() {
-		t.record(func() {
-			for i := 0; i < n*c; i++ {
-				dg := out.G.Data[i*4*h*w:]
-				sg := x.G.Data[i*h*w:]
-				for y := 0; y < 2*h; y++ {
-					for xx := 0; xx < 2*w; xx++ {
-						sg[(y/2)*w+xx/2] += dg[y*2*w+xx]
-					}
-				}
-			}
-		})
-	}
-	return out
 }
 
 // Gather selects rows of table [K,D] by index, producing [N,D]
@@ -459,127 +395,4 @@ func mulScalarRows(out, a, s []float32, d, lo, hi int) {
 			dst[j] = v * sv
 		}
 	}
-}
-
-// MulChannelBroadcast multiplies a [N,C,H,W] by per-sample channel
-// gains b [N,C].
-func (t *Tape) MulChannelBroadcast(a, b *V) *V {
-	n, c := a.X.Shape[0], a.X.Shape[1]
-	spatial := a.X.Shape[2] * a.X.Shape[3]
-	if b.X.Shape[0] != n || b.X.Shape[1] != c {
-		panic("nn: MulChannelBroadcast shape mismatch")
-	}
-	out := t.alloc(a.X.Shape...)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			bv := b.X.Data[i*c+ch]
-			src := a.X.Data[(i*c+ch)*spatial : (i*c+ch+1)*spatial]
-			dst := out.X.Data[(i*c+ch)*spatial : (i*c+ch+1)*spatial]
-			for j, v := range src {
-				dst[j] = v * bv
-			}
-		}
-	}
-	if t.grad() {
-		t.record(func() {
-			for i := 0; i < n; i++ {
-				for ch := 0; ch < c; ch++ {
-					bv := b.X.Data[i*c+ch]
-					var acc float32
-					for j := 0; j < spatial; j++ {
-						g := out.G.Data[(i*c+ch)*spatial+j]
-						a.G.Data[(i*c+ch)*spatial+j] += g * bv
-						acc += g * a.X.Data[(i*c+ch)*spatial+j]
-					}
-					b.G.Data[i*c+ch] += acc
-				}
-			}
-		})
-	}
-	return out
-}
-
-// Transpose2D returns aᵀ for a [m,n].
-func (t *Tape) Transpose2D(a *V) *V {
-	m, n := a.X.Shape[0], a.X.Shape[1]
-	out := t.alloc(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.X.Data[j*m+i] = a.X.Data[i*n+j]
-		}
-	}
-	if t.grad() {
-		t.record(func() {
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					a.G.Data[i*n+j] += out.G.Data[j*m+i]
-				}
-			}
-		})
-	}
-	return out
-}
-
-// SoftmaxRows applies a numerically stable softmax along each row of
-// a [m,n].
-func (t *Tape) SoftmaxRows(a *V) *V {
-	m, n := a.X.Shape[0], a.X.Shape[1]
-	out := t.alloc(m, n)
-	for i := 0; i < m; i++ {
-		row := a.X.Data[i*n : (i+1)*n]
-		dst := out.X.Data[i*n : (i+1)*n]
-		mx := row[0]
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - mx))
-			dst[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range dst {
-			dst[j] *= inv
-		}
-	}
-	if t.grad() {
-		t.record(func() {
-			for i := 0; i < m; i++ {
-				y := out.X.Data[i*n : (i+1)*n]
-				gy := out.G.Data[i*n : (i+1)*n]
-				var dot float32
-				for j := range y {
-					dot += y[j] * gy[j]
-				}
-				ga := a.G.Data[i*n : (i+1)*n]
-				for j := range y {
-					ga[j] += y[j] * (gy[j] - dot)
-				}
-			}
-		})
-	}
-	return out
-}
-
-// SliceRows returns rows [lo, hi) of a 2-D value as a view-like node
-// (gradients scatter back into the source rows).
-func (t *Tape) SliceRows(a *V, lo, hi int) *V {
-	n, d := a.X.Shape[0], a.X.Shape[1]
-	if lo < 0 || hi > n || lo >= hi {
-		panic("nn: SliceRows bounds")
-	}
-	out := t.alloc(hi-lo, d)
-	copy(out.X.Data, a.X.Data[lo*d:hi*d])
-	if t.grad() {
-		t.record(func() {
-			dst := a.G.Data[lo*d : hi*d]
-			for i, g := range out.G.Data {
-				dst[i] += g
-			}
-		})
-	}
-	return out
 }

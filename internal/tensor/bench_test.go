@@ -76,30 +76,6 @@ func BenchmarkMatMulATB(b *testing.B) {
 	}
 }
 
-func BenchmarkIm2Col(b *testing.B) {
-	r := stats.NewRNG(4)
-	spec := ConvSpec{InC: 32, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	x := New(8, 32, 16, 136).Randn(r, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2Col(x, spec)
-	}
-}
-
-func BenchmarkConv2D(b *testing.B) {
-	r := stats.NewRNG(5)
-	spec := ConvSpec{InC: 32, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	x := New(8, 32, 16, 136).Randn(r, 1)
-	w := New(32, 32*3*3).Randn(r, 0.1)
-	bias := New(32).Randn(r, 0.1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2D(x, w, bias, spec)
-	}
-}
-
 // BenchmarkShardDispatch is the cost of one dispatch with nothing to
 // do: publish a job, claim its chunks beside the helpers, wait for the
 // last one. It is the number minParallelWork is sized against, and it

@@ -5,12 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// This file is the parallel kernel layer: every heavy kernel (matrix
-// multiply variants, im2col/col2im, the fused Conv2D epilogue) and the
-// row-wise ops above it (nn's LayerNorm/SiLU/Add, the sampler's per-flow
-// update) split their *independent* work — output rows, output columns,
-// batch images — into chunks that the calling goroutine and a pool of
-// GOMAXPROCS−1 long-lived helpers claim from one shared counter.
+// This file is the parallel kernel layer: every heavy kernel (the matrix
+// multiply variants) and the row-wise ops above it (nn's
+// LayerNorm/SiLU/Add, the sampler's per-flow update) split their
+// *independent* work — output rows or output columns — into chunks
+// that the calling goroutine and a pool of GOMAXPROCS−1 long-lived
+// helpers claim from one shared counter.
 //
 // Determinism contract: chunking never reorders the floating-point
 // accumulation that produces any single output element. Each element's

@@ -79,86 +79,6 @@ func refMatMulABT(a, b *Tensor) *Tensor {
 	return c
 }
 
-func refIm2Col(x *Tensor, s ConvSpec) *Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := s.OutSize(h, w)
-	cols := New(n*oh*ow, c*s.KH*s.KW)
-	row := 0
-	for b := 0; b < n; b++ {
-		base := b * c * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				dst := cols.Data[row*cols.Shape[1]:]
-				idx := 0
-				for ch := 0; ch < c; ch++ {
-					cbase := base + ch*h*w
-					for ky := 0; ky < s.KH; ky++ {
-						iy := oy*s.Stride + ky - s.Pad
-						for kx := 0; kx < s.KW; kx++ {
-							ix := ox*s.Stride + kx - s.Pad
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								dst[idx] = x.Data[cbase+iy*w+ix]
-							}
-							idx++
-						}
-					}
-				}
-				row++
-			}
-		}
-	}
-	return cols
-}
-
-func refCol2Im(cols *Tensor, s ConvSpec, n, h, w int) *Tensor {
-	c := s.InC
-	oh, ow := s.OutSize(h, w)
-	x := New(n, c, h, w)
-	row := 0
-	for b := 0; b < n; b++ {
-		base := b * c * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				src := cols.Data[row*cols.Shape[1]:]
-				idx := 0
-				for ch := 0; ch < c; ch++ {
-					cbase := base + ch*h*w
-					for ky := 0; ky < s.KH; ky++ {
-						iy := oy*s.Stride + ky - s.Pad
-						for kx := 0; kx < s.KW; kx++ {
-							ix := ox*s.Stride + kx - s.Pad
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								x.Data[cbase+iy*w+ix] += src[idx]
-							}
-							idx++
-						}
-					}
-				}
-				row++
-			}
-		}
-	}
-	return x
-}
-
-func refConv2D(x, w, b *Tensor, s ConvSpec) *Tensor {
-	n, h, wd := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh, ow := s.OutSize(h, wd)
-	cols := refIm2Col(x, s)
-	out := refMatMulABT(cols, w)
-	y := New(n, s.OutC, oh, ow)
-	spatial := oh * ow
-	for bIdx := 0; bIdx < n; bIdx++ {
-		for p := 0; p < spatial; p++ {
-			row := out.Data[(bIdx*spatial+p)*s.OutC:]
-			for o := 0; o < s.OutC; o++ {
-				y.Data[bIdx*s.OutC*spatial+o*spatial+p] = row[o] + b.Data[o]
-			}
-		}
-	}
-	return y
-}
-
 // --- helpers ---------------------------------------------------------
 
 // randTensor fills a tensor with noise plus exact zeros, so the sparse
@@ -346,45 +266,6 @@ func TestMatMulABTRangeMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// convShapes mixes strides, pads, odd spatial dims, and batch sizes
-// around the worker count.
-var convShapes = []struct {
-	n, c, h, w int
-	s          ConvSpec
-}{
-	{1, 1, 5, 5, ConvSpec{InC: 1, OutC: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}},
-	{2, 3, 9, 7, ConvSpec{InC: 3, OutC: 5, KH: 3, KW: 3, Stride: 2, Pad: 1}},
-	{3, 2, 16, 136, ConvSpec{InC: 2, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}}, // model-sized
-	{5, 1, 1, 31, ConvSpec{InC: 1, OutC: 2, KH: 1, KW: 3, Stride: 1, Pad: 1}},   // single-row images
-}
-
-func TestIm2ColCol2ImMatchSerialReference(t *testing.T) {
-	withGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
-		r := stats.NewRNG(45)
-		for ci, cs := range convShapes {
-			x := randTensor(r, cs.n, cs.c, cs.h, cs.w)
-			cols := Im2Col(x, cs.s)
-			requireIdentical(t, cols, refIm2Col(x, cs.s), fmt.Sprintf("Im2Col case %d", ci))
-			grad := randTensor(r, cols.Shape[0], cols.Shape[1])
-			requireIdentical(t, Col2Im(grad, cs.s, cs.n, cs.h, cs.w),
-				refCol2Im(grad, cs.s, cs.n, cs.h, cs.w), fmt.Sprintf("Col2Im case %d", ci))
-		}
-	})
-}
-
-func TestConv2DFusedEpilogueMatchesSerialReference(t *testing.T) {
-	withGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
-		r := stats.NewRNG(46)
-		for ci, cs := range convShapes {
-			x := randTensor(r, cs.n, cs.c, cs.h, cs.w)
-			w := randTensor(r, cs.s.OutC, cs.c*cs.s.KH*cs.s.KW)
-			b := randTensor(r, cs.s.OutC)
-			y, _ := Conv2D(x, w, b, cs.s)
-			requireIdentical(t, y, refConv2D(x, w, b, cs.s), fmt.Sprintf("Conv2D case %d", ci))
-		}
-	})
-}
-
 // TestKernelsIdenticalAcrossWorkerCounts is the direct GOMAXPROCS=1 vs
 // GOMAXPROCS=N statement: one big op computed at both settings, bytes
 // compared.
@@ -433,11 +314,6 @@ func TestPoolShrinkingGOMAXPROCSMatchesSerialReference(t *testing.T) {
 		c.ab, c.atb, c.abt = refMatMul(c.a, c.b), refMatMulATB(c.aT, c.b), refMatMulABT(c.a, c.bT)
 		cases = append(cases, c)
 	}
-	cs := convShapes[2]
-	x := randTensor(r, cs.n, cs.c, cs.h, cs.w)
-	w := randTensor(r, cs.s.OutC, cs.c*cs.s.KH*cs.s.KW)
-	bias := randTensor(r, cs.s.OutC)
-	wantConv := refConv2D(x, w, bias, cs.s)
 
 	withGOMAXPROCS(t, []int{8, 2, 1, 3}, func(t *testing.T) {
 		for i, c := range cases {
@@ -445,8 +321,6 @@ func TestPoolShrinkingGOMAXPROCSMatchesSerialReference(t *testing.T) {
 			requireIdentical(t, MatMulATB(c.aT, c.b), c.atb, fmt.Sprintf("MatMulATB case %d", i))
 			requireIdentical(t, MatMulABT(c.a, c.bT), c.abt, fmt.Sprintf("MatMulABT case %d", i))
 		}
-		y, _ := Conv2D(x, w, bias, cs.s)
-		requireIdentical(t, y, wantConv, "Conv2D")
 	})
 }
 

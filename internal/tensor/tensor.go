@@ -1,6 +1,6 @@
 // Package tensor provides the dense float32 tensor type and the
-// numeric kernels (matrix multiply, convolution via im2col) that the
-// nn autodiff package builds on. It is deliberately small: just what a
+// numeric kernels (the three matrix-multiply variants) that the nn
+// autodiff package builds on. It is deliberately small: just what a
 // CPU-trained DDPM and GAN need, with reference-checked kernels.
 package tensor
 
