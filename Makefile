@@ -76,10 +76,10 @@ resume-smoke:
 # ops, the fused adapter epilogue, an arena that no longer zeroes) must
 # match their serial references, and the
 # sampler must be bit-identical to its oracles: the shared-trunk split
-# forward against plain forward pairs and solo SampleLegacy runs, and
-# seeded output against the golden digests recorded before the blocked
-# kernel and the split forward landed (the only check that sees a
-# change the in-binary oracles share).
+# forward against plain forward pairs and the batch-1 reference loop,
+# and seeded and edit output against golden digests recorded on older
+# commits (the only check that sees a change the in-binary oracles
+# share).
 verify-determinism:
 	$(GO) build -o /tmp/traceval-det ./cmd/traceval
 	GOMAXPROCS=1 /tmp/traceval-det -fast table2 > /tmp/det_p1.txt
@@ -92,11 +92,11 @@ verify-determinism:
 	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT|FuzzABT' -count=1 ./internal/tensor
 	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd' -count=1 ./internal/nn
 	@echo "determinism OK: pooled dispatch, all three A·Bᵀ loops (each counted as run), row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
-	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage' -count=1 ./internal/diffusion
+	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage|TestGoldenEditDigests' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
-	$(GO) test -run 'TestGoldenSeededDigests|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
+	$(GO) test -run 'TestGoldenSeededDigests|TestGoldenEditDigests|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
 	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical"
-	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/lora ./internal/core
+	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/diffusion ./internal/lora ./internal/core
 	GOARCH=arm64 $(GO) build ./...
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds"
 

@@ -610,17 +610,32 @@ func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*
 	}
 	cfg := s.configSnapshot()
 	scfg := diffusion.SampleConfig{N: n, FlowSeeds: append([]uint64(nil), flowSeeds...)}
-	tsRNGs := make([]*stats.RNG, n)
-	starts := make([]time.Time, n)
-	for i, fs := range flowSeeds {
-		// The timestamp stream roots at a constant offset of the flow
-		// seed: independent of the noise stream, yet still a pure
-		// function of the flow seed. Every flow starts at the epoch so
-		// its bytes do not depend on batch position.
-		tsRNGs[i] = stats.NewRNG(fs ^ 0x7ad3c1)
+	tsRNGs, starts := seededTimestamps(flowSeeds)
+	return s.generate(ci, class, cfg, scfg, tsRNGs, starts)
+}
+
+// seededTimestamps gives each flow a timestamp stream rooted at a
+// constant offset of its seed — independent of the noise stream, yet
+// still a pure function of the seed — and starts every flow at the
+// epoch, so its bytes do not depend on batch position.
+func seededTimestamps(seeds []uint64) ([]*stats.RNG, []time.Time) {
+	tsRNGs := make([]*stats.RNG, len(seeds))
+	starts := make([]time.Time, len(seeds))
+	for i, seed := range seeds {
+		tsRNGs[i] = stats.NewRNG(seed ^ 0x7ad3c1)
 		starts[i] = genEpoch
 	}
-	return s.generate(ci, class, cfg, scfg, tsRNGs, starts)
+	return tsRNGs, starts
+}
+
+// control returns the ControlNet conditioning image class ci samples
+// under cfg: the class's one-shot template image, or nil with
+// ControlNet off.
+func (s *Synthesizer) control(ci int, cfg Config) *tensor.Tensor {
+	if !cfg.UseControlNet {
+		return nil
+	}
+	return s.controls[ci]
 }
 
 // generate runs sampling plus post-processing for one class batch.
@@ -634,9 +649,7 @@ func (s *Synthesizer) generate(ci int, class string, cfg Config, scfg diffusion.
 	scfg.Class = ci
 	scfg.GuidanceScale = cfg.GuidanceScale
 	scfg.DDIMSteps = cfg.DDIMSteps
-	if cfg.UseControlNet {
-		scfg.Control = s.controls[ci]
-	}
+	scfg.Control = s.control(ci, cfg)
 	samples, err := diffusion.Sample(s.model(), s.sched, scfg)
 	if err != nil {
 		return nil, err

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"trafficdiff/internal/diffusion"
 	"trafficdiff/internal/flow"
 	"trafficdiff/internal/nprint"
-	"trafficdiff/internal/stats"
 	"trafficdiff/internal/tensor"
 )
 
@@ -42,12 +40,9 @@ var (
 // and the class's protocol template is projected before
 // back-transforming to packets.
 func (s *Synthesizer) Deblur(f *flow.Flow, class string, missing []FieldMask) (*GenerateResult, error) {
-	ci, ok := s.index[class]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown class %q", class)
-	}
-	if !s.Trained() {
-		return nil, fmt.Errorf("core: synthesizer not fine-tuned")
+	ci, err := s.lookupClass(class)
+	if err != nil {
+		return nil, err
 	}
 	if len(missing) == 0 {
 		return nil, fmt.Errorf("core: no fields masked")
@@ -61,18 +56,12 @@ func (s *Synthesizer) Deblur(f *flow.Flow, class string, missing []FieldMask) (*
 	if err != nil {
 		return nil, err
 	}
-	mask := s.pixelMask(missing)
-
 	calls := atomic.AddUint64(&s.genCalls, 1)
-	var control *tensor.Tensor
-	if s.cfg.UseControlNet {
-		control = s.controls[ci]
-	}
 	img, err := diffusion.Inpaint(s.model(), s.sched, diffusion.InpaintConfig{
 		Known: known,
-		Mask:  mask,
+		Mask:  s.pixelMask(missing),
 		Class: ci, GuidanceScale: s.cfg.GuidanceScale,
-		Control: control,
+		Control: s.control(ci, s.cfg),
 		Seed:    s.cfg.Seed ^ (calls * 0x9e3779b97f4a7c15),
 	})
 	if err != nil {
@@ -112,27 +101,20 @@ func (s *Synthesizer) pixelMask(missing []FieldMask) []bool {
 // with the given strength in (0,1] (the fraction of the noise schedule
 // applied — higher discards more of the source's structure).
 func (s *Synthesizer) Translate(f *flow.Flow, targetClass string, strength float64) (*GenerateResult, error) {
-	ci, ok := s.index[targetClass]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown class %q", targetClass)
-	}
-	if !s.Trained() {
-		return nil, fmt.Errorf("core: synthesizer not fine-tuned")
+	ci, err := s.lookupClass(targetClass)
+	if err != nil {
+		return nil, err
 	}
 	src, err := s.EncodeFlow(f)
 	if err != nil {
 		return nil, err
 	}
 	calls := atomic.AddUint64(&s.genCalls, 1)
-	var control *tensor.Tensor
-	if s.cfg.UseControlNet {
-		control = s.controls[ci]
-	}
 	img, err := diffusion.Translate(s.model(), s.sched, diffusion.TranslateConfig{
 		Source:      src,
 		TargetClass: ci, Strength: strength,
 		GuidanceScale: s.cfg.GuidanceScale,
-		Control:       control,
+		Control:       s.control(ci, s.cfg),
 		Seed:          s.cfg.Seed ^ (calls * 0x9e3779b97f4a7c15),
 	})
 	if err != nil {
@@ -146,6 +128,6 @@ func (s *Synthesizer) Translate(f *flow.Flow, targetClass string, strength float
 // counter value the caller drew atomically; it seeds the timestamp RNG
 // so concurrent edits never share a stream.
 func (s *Synthesizer) editPostprocess(img *tensor.Tensor, ci int, label string, calls uint64) (*GenerateResult, error) {
-	return s.postprocess(ci, label, s.cfg, img.Data,
-		[]*stats.RNG{stats.NewRNG(s.cfg.Seed ^ calls ^ 0x7ad3c1)}, []time.Time{genEpoch})
+	tsRNGs, starts := seededTimestamps([]uint64{s.cfg.Seed ^ calls})
+	return s.postprocess(ci, label, s.cfg, img.Data, tsRNGs, starts)
 }

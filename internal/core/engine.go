@@ -6,11 +6,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"trafficdiff/internal/diffusion"
 	"trafficdiff/internal/stats"
-	"trafficdiff/internal/tensor"
 )
 
 // EngineConfig parameterizes a continuous-batching Engine. Zero values
@@ -358,10 +356,7 @@ func (e *Engine) popPendingLocked() {
 func (e *Engine) admitJob(eng *diffusion.Scheduler, byID map[diffusion.FlowID]*engineJob, job *engineJob) bool {
 	h, w := e.synth.ModelShape()
 	d := h * w
-	var control *tensor.Tensor
-	if job.cfg.UseControlNet {
-		control = e.synth.controls[job.ci]
-	}
+	control := e.synth.control(job.ci, job.cfg)
 	job.ids = make([]diffusion.FlowID, len(job.seeds))
 	for i, seed := range job.seeds {
 		id, err := eng.Admit(diffusion.FlowSpec{
@@ -389,20 +384,13 @@ func (e *Engine) admitJob(eng *diffusion.Scheduler, byID map[diffusion.FlowID]*e
 }
 
 // postWorker turns completed jobs' samples into flows off the step
-// loop. The timestamp streams and base times are derived exactly as in
-// GenerateWithFlowSeeds — a constant offset of each flow seed, flows
-// anchored at the epoch — so engine output is byte-identical to the
+// loop. The timestamp streams and base times come from seededTimestamps,
+// as in GenerateWithFlowSeeds, so engine output is byte-identical to the
 // direct call.
 func (e *Engine) postWorker() {
 	defer e.postWG.Done()
 	for job := e.postQ.pop(); job != nil; job = e.postQ.pop() {
-		n := len(job.seeds)
-		tsRNGs := make([]*stats.RNG, n)
-		starts := make([]time.Time, n)
-		for i, fs := range job.seeds {
-			tsRNGs[i] = stats.NewRNG(fs ^ 0x7ad3c1)
-			starts[i] = genEpoch
-		}
+		tsRNGs, starts := seededTimestamps(job.seeds)
 		res, err := e.synth.postprocess(job.ci, job.class, job.cfg, job.samples, tsRNGs, starts)
 		job.done <- engineResult{res: res, err: err}
 		runtime.Gosched() // same courtesy as the step loop: don't hog the P between jobs

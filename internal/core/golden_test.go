@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -12,8 +13,8 @@ import (
 // the shared test synthesizer (fastConfig, classes amazon/teams,
 // training seed fixed), recorded on the commit BEFORE the
 // register-blocked A·Bᵀ kernel and the shared-trunk guided forward
-// landed. Every in-binary oracle (SampleLegacy, the serial kernel
-// reference) runs the same kernels and forward helpers as the path it
+// landed. Every in-binary oracle (the batch-1 reference loop, the serial
+// kernel reference) runs the same kernels and forward helpers as the path it
 // checks, so a change both share is invisible to them; these digests
 // are the only check that crosses versions. They cover training too:
 // the model is fine-tuned in this binary through the same kernels.
@@ -26,6 +27,50 @@ var goldenDigests = map[string]string{
 	"amazon/ddim4": "e418bfe34e25c80c770ae760cac66558c7189a244aa1b83f7941d646bc6d63dd",
 	"teams/ddpm":   "49b606c139b8102d3f0597407490b4f3b54d504d090de02b1407bb467f591692",
 	"teams/ddim4":  "0b5e9d75b5a07df608cf843c852f1d7b080f9c1804069aa5c9a37e249466d7ee",
+}
+
+// goldenEditDigests are sha256 digests of the pcap bytes of one Deblur
+// and one Translate call, recorded while both edits still ran their own
+// batch-1 reverse loop, before they moved onto the Scheduler.
+var goldenEditDigests = map[string]string{
+	"deblur/amazon/tcp":     "99e565418c4a3afbc272b493718a7ddeb60bc42d5b6ddfe19e667ab96f8b21c9",
+	"translate/teams/s=0.8": "1622c77c781c658981129a599f2cc399e0a18dfd828bcb7e9a9896fe212eda33",
+}
+
+// TestGoldenEditDigests pins the edits' pcap bytes across versions. It
+// runs on a Save/Load copy of the shared synthesizer, so the call
+// counter that seeds the edits starts at 0 whatever ran before.
+func TestGoldenEditDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	var buf bytes.Buffer
+	if err := sharedSynth(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := flowsForShared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ds["amazon"][0]
+	check := func(key string, res *GenerateResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		sum := sha256.Sum256(pcapBytes(t, res.Flows))
+		if got := hex.EncodeToString(sum[:]); got != goldenEditDigests[key] {
+			t.Errorf("%s: digest %s, want %s", key, got, goldenEditDigests[key])
+		}
+	}
+	res, err := s.Deblur(src, "amazon", []FieldMask{MaskTCP})
+	check("deblur/amazon/tcp", res, err)
+	res, err = s.Translate(src, "teams", 0.8)
+	check("translate/teams/s=0.8", res, err)
 }
 
 // TestGoldenSeededDigests pins seeded output bytes across versions:

@@ -35,10 +35,11 @@ type InpaintConfig struct {
 }
 
 // Inpaint restores the unknown region of a partially observed image by
-// reverse diffusion: at every step the known region of x_t is replaced
-// with a forward-noised version of the observation, so the generated
-// content stays consistent with it (Lugmayr et al.'s RePaint scheme,
-// single pass).
+// reverse diffusion: after every step the known region of x_t is
+// replaced with a forward-noised version of the observation, so the
+// generated content stays consistent with it (Lugmayr et al.'s RePaint
+// scheme, single pass). The flow runs on a private Scheduler; its
+// stream draws x_T, then each step's update noise, then its mask noise.
 func Inpaint(model Denoiser, sched *Schedule, cfg InpaintConfig) (*tensor.Tensor, error) {
 	h, w := model.Shape()
 	d := h * w
@@ -48,24 +49,24 @@ func Inpaint(model Denoiser, sched *Schedule, cfg InpaintConfig) (*tensor.Tensor
 	if len(cfg.Mask) != d {
 		return nil, fmt.Errorf("diffusion: mask length %d, want %d", len(cfg.Mask), d)
 	}
-	if cfg.Class < 0 || cfg.Class >= model.NullClass() {
-		return nil, fmt.Errorf("diffusion: class %d out of range", cfg.Class)
-	}
 	r := stats.NewRNG(cfg.Seed)
-
-	var control *tensor.Tensor
-	if cfg.Control != nil {
-		control = cfg.Control.Reshape(1, 1, h, w)
+	out := tensor.New(1, h, w)
+	eng := NewScheduler(model, sched, nil)
+	id, err := eng.Admit(FlowSpec{
+		Class: cfg.Class, GuidanceScale: cfg.GuidanceScale,
+		RNG: r, Control: cfg.Control, Out: out.Data,
+	})
+	if err != nil {
+		return nil, err
 	}
-	p := newPredictor(model.Forward, model.NullClass(), 1, cfg.Class, cfg.GuidanceScale, control, h, w)
-
-	x := tensor.New(1, 1, h, w).Randn(r, 1)
 	for t := sched.T - 1; t >= 0; t-- {
-		// Standard reverse step on the whole image.
-		stepDDPMInPlace(x, sched, t, r, p)
-		// Overwrite the known region with q(x_{t-1} | x_0^known).
+		eng.Step()
+		// Overwrite the known region with q(x_{t-1} | x_0^known): in the
+		// live row, or after the last step in the finished sample.
+		x := out.Data
 		abPrev := 1.0
 		if t > 0 {
+			x = eng.Row(id)
 			abPrev = sched.AlphaBar[t-1]
 		}
 		sa := math.Sqrt(abPrev)
@@ -76,11 +77,11 @@ func Inpaint(model Denoiser, sched *Schedule, cfg InpaintConfig) (*tensor.Tensor
 				if t > 0 {
 					noise = r.NormFloat64()
 				}
-				x.Data[i] = float32(sa*float64(cfg.Known.Data[i]) + sn*noise)
+				x[i] = float32(sa*float64(cfg.Known.Data[i]) + sn*noise)
 			}
 		}
 	}
-	return x.Reshape(1, h, w), nil
+	return out, nil
 }
 
 // TranslateConfig controls traffic-to-traffic translation.
@@ -101,48 +102,30 @@ type TranslateConfig struct {
 // Translate re-renders a source flow image under a different class
 // prompt by noising it partway up the schedule and denoising back down
 // conditioned on the target class (Meng et al.'s SDEdit applied to
-// traffic — the paper's VPN-Netflix/YouTube translation example).
+// traffic — the paper's VPN-Netflix/YouTube translation example). The
+// denoising runs on a private Scheduler, started at the noised source.
 func Translate(model Denoiser, sched *Schedule, cfg TranslateConfig) (*tensor.Tensor, error) {
 	h, w := model.Shape()
-	d := h * w
-	if cfg.Source == nil || cfg.Source.Len() != d {
+	if cfg.Source == nil || cfg.Source.Len() != h*w {
 		return nil, fmt.Errorf("diffusion: Source must be [1,%d,%d]", h, w)
-	}
-	if cfg.TargetClass < 0 || cfg.TargetClass >= model.NullClass() {
-		return nil, fmt.Errorf("diffusion: class %d out of range", cfg.TargetClass)
 	}
 	if cfg.Strength <= 0 || cfg.Strength > 1 {
 		return nil, fmt.Errorf("diffusion: strength %v out of (0,1]", cfg.Strength)
 	}
 	r := stats.NewRNG(cfg.Seed)
-	t0 := int(cfg.Strength*float64(sched.T)) - 1
-	if t0 < 0 {
-		t0 = 0
+	t0 := max(int(cfg.Strength*float64(sched.T))-1, 0)
+	x := ForwardNoise(sched, cfg.Source, t0, r)
+	out := tensor.New(1, h, w)
+	eng := NewScheduler(model, sched, nil)
+	if _, err := eng.Admit(FlowSpec{
+		Class: cfg.TargetClass, GuidanceScale: cfg.GuidanceScale,
+		RNG: r, Control: cfg.Control, Out: out.Data,
+		Start: x.Data, StartT: t0,
+	}); err != nil {
+		return nil, err
 	}
-
-	var control *tensor.Tensor
-	if cfg.Control != nil {
-		control = cfg.Control.Reshape(1, 1, h, w)
+	for eng.Active() > 0 {
+		eng.Step()
 	}
-	p := newPredictor(model.Forward, model.NullClass(), 1, cfg.TargetClass, cfg.GuidanceScale, control, h, w)
-
-	// Forward-noise the source to step t0, then denoise.
-	x := tensor.New(1, 1, h, w)
-	sa := sched.SqrtAlphaBar[t0]
-	sn := sched.SqrtOneMinusAlphaBar[t0]
-	for i := 0; i < d; i++ {
-		x.Data[i] = float32(sa*float64(cfg.Source.Data[i]) + sn*r.NormFloat64())
-	}
-	for t := t0; t >= 0; t-- {
-		stepDDPMInPlace(x, sched, t, r, p)
-	}
-	return x.Reshape(1, h, w), nil
-}
-
-// stepDDPMInPlace applies one reverse DDPM step (with x0 clipping) to
-// x at timestep t, drawing noise from r.
-func stepDDPMInPlace(x *tensor.Tensor, sched *Schedule, t int, r *stats.RNG, p *predictor) {
-	eps := p.predict(x, t)
-	ddpmUpdate(x.Data, eps.Data, sched, t, r)
-	p.endStep()
+	return out, nil
 }

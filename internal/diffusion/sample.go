@@ -2,8 +2,6 @@ package diffusion
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"trafficdiff/internal/nn"
 	"trafficdiff/internal/stats"
@@ -51,20 +49,23 @@ type ForwardFunc func(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *
 // [N,·] tensors big enough for the parallel kernel layer instead of N
 // batch-1 calls below its work threshold. The DDPM/DDIM
 // update is then applied per flow from that flow's private RNG stream.
-// Callers that need mid-generation admission and retirement drive a
-// Scheduler directly (the serving engine does).
+// Callers that need mid-generation admission, retirement or access to
+// x_t drive a Scheduler directly (the serving engine and the edits do).
 //
 // Determinism: every kernel computes each output row with an
 // accumulation order independent of the batch's row count, so the
 // batched forward's row i is bit-identical to a batch-1 forward of
 // flow i, and each flow's noise draws come only from its own stream —
-// the output equals SampleLegacy's exactly (enforced by
+// the output equals a flow-by-flow batch-1 loop's exactly (enforced by
 // TestBatchedMatchesLegacy) and, with FlowSeeds, stays a pure
 // function of each flow's seed regardless of batch composition or
 // GOMAXPROCS.
 func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, error) {
-	if err := validateSample(model, cfg); err != nil {
-		return nil, err
+	if cfg.N <= 0 {
+		return nil, fmt.Errorf("diffusion: sample N must be positive")
+	}
+	if len(cfg.FlowSeeds) != 0 && len(cfg.FlowSeeds) != cfg.N {
+		return nil, fmt.Errorf("diffusion: %d flow seeds for N=%d", len(cfg.FlowSeeds), cfg.N)
 	}
 	h, w := model.Shape()
 	n, d := cfg.N, h*w
@@ -93,63 +94,6 @@ func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, 
 	return out, nil
 }
 
-// SampleLegacy draws cfg.N images with the pre-batching orchestration:
-// flow-parallel, step-serial, one goroutine-pool task per flow running
-// batch-1 plain forwards (two per guided step, control projected in
-// each). It is retained as the reference implementation for the
-// batched path's bit-identity property test and as a fallback for
-// callers that want per-flow latency over batch throughput. Each
-// worker's tensor ops run under tensor.Serial: the pool already owns
-// the CPUs, and intra-kernel sharding on top of it only adds dispatch
-// overhead and contention.
-func SampleLegacy(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, error) {
-	if err := validateSample(model, cfg); err != nil {
-		return nil, err
-	}
-	h, w := model.Shape()
-	n, d := cfg.N, h*w
-	nullClass := model.NullClass()
-	rngs := flowStreams(cfg)
-
-	// Control is read-only during sampling and shared by all workers.
-	var control *tensor.Tensor
-	if cfg.Control != nil {
-		control = cfg.Control.Reshape(1, 1, h, w)
-	}
-
-	out := tensor.New(n, 1, h, w)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			tensor.Serial(func() {
-				x := sampleOne(model.Forward, nullClass, sched, cfg, h, w, rngs[i], control)
-				copy(out.Data[i*d:(i+1)*d], x.Data)
-			})
-		}(i)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// validateSample checks cfg against the model.
-func validateSample(model Denoiser, cfg SampleConfig) error {
-	if cfg.N <= 0 {
-		return fmt.Errorf("diffusion: sample N must be positive")
-	}
-	if len(cfg.FlowSeeds) != 0 && len(cfg.FlowSeeds) != cfg.N {
-		return fmt.Errorf("diffusion: %d flow seeds for N=%d", len(cfg.FlowSeeds), cfg.N)
-	}
-	if cfg.Class < 0 || cfg.Class >= model.NullClass() {
-		return fmt.Errorf("diffusion: class %d out of range [0,%d)", cfg.Class, model.NullClass())
-	}
-	return nil
-}
-
 // flowStreams builds one private RNG stream per flow. With FlowSeeds
 // each stream roots at its own seed; otherwise streams split off
 // sequentially from the batch seed (same discipline as rf.Train).
@@ -169,86 +113,6 @@ func flowStreams(cfg SampleConfig) []*stats.RNG {
 		}
 	}
 	return rngs
-}
-
-// predictor runs classifier-free-guided ε predictions for a fixed
-// batch shape. The tape (reuse-enabled, no-grad), the step/class index
-// slices and the guidance-combination buffer all persist across calls,
-// so the per-timestep steady state allocates no new float32 storage.
-// The guidance comparison is evaluated once here, not per step (it
-// previously ran through stats.ApproxEqual on every predictOne call).
-type predictor struct {
-	forward ForwardFunc
-	tp      *nn.Tape
-	control *tensor.Tensor
-	steps   []int
-	classC  []int
-	classU  []int
-	guided  bool
-	wg      float32
-	eps     *tensor.Tensor // combined guidance output [n,1,h,w]
-}
-
-func newPredictor(forward ForwardFunc, nullClass, n, class int, guidance float64, control *tensor.Tensor, h, w int) *predictor {
-	p := &predictor{
-		forward: forward,
-		tp:      nn.NewTape(),
-		control: control,
-		steps:   make([]int, n),
-		classC:  make([]int, n),
-		classU:  make([]int, n),
-	}
-	p.tp.EnableReuse()
-	p.tp.SetNoGrad(true)
-	for i := 0; i < n; i++ {
-		p.classC[i] = class
-		p.classU[i] = nullClass
-	}
-	p.guided = !stats.ApproxEqual(guidance, 1, 1e-9)
-	if p.guided {
-		p.wg = float32(guidance)
-		p.eps = tensor.New(n, 1, h, w)
-	}
-	return p
-}
-
-// predict returns ε for x at timestep t. The returned tensor is owned
-// by the predictor and valid only until endStep.
-//
-//tracelint:hotpath
-func (p *predictor) predict(x *tensor.Tensor, t int) *tensor.Tensor {
-	for i := range p.steps {
-		p.steps[i] = t
-	}
-	tp := p.tp
-	epsC := p.forward(tp, tp.Input(x), p.steps, p.classC, p.control)
-	out := epsC.X
-	if p.guided {
-		epsU := p.forward(tp, tp.Input(x), p.steps, p.classU, p.control)
-		wg := p.wg
-		for i := range p.eps.Data {
-			p.eps.Data[i] = epsU.X.Data[i] + wg*(epsC.X.Data[i]-epsU.X.Data[i])
-		}
-		out = p.eps
-	}
-	tp.Reset()
-	return out
-}
-
-// endStep returns the step's tape storage to the arena. Call after the
-// ε from predict has been fully consumed.
-func (p *predictor) endStep() { p.tp.Recycle() }
-
-// sampleOne draws a single flow image [1,1,H,W] from its private RNG
-// stream (the legacy per-flow path).
-func sampleOne(forward ForwardFunc, nullClass int, sched *Schedule, cfg SampleConfig, h, w int, r *stats.RNG, control *tensor.Tensor) *tensor.Tensor {
-	p := newPredictor(forward, nullClass, 1, cfg.Class, cfg.GuidanceScale, control, h, w)
-	// x_T ~ N(0, I).
-	x := tensor.New(1, 1, h, w).Randn(r, 1)
-	if cfg.DDIMSteps > 0 && cfg.DDIMSteps < sched.T {
-		return sampleDDIM(x, sched, cfg.DDIMSteps, p)
-	}
-	return sampleDDPM(x, sched, r, p)
 }
 
 // ddpmUpdate applies one reverse DDPM step (with x0 clipping) to one
@@ -298,32 +162,6 @@ func ddimUpdate(xd, ed []float32, c DDIMCoeff) {
 	}
 }
 
-// sampleDDPM runs full ancestral sampling for one flow: T model
-// evaluations.
-func sampleDDPM(x *tensor.Tensor, sched *Schedule, r *stats.RNG, p *predictor) *tensor.Tensor {
-	for t := sched.T - 1; t >= 0; t-- {
-		stepDDPMInPlace(x, sched, t, r, p)
-	}
-	return x
-}
-
-// sampleDDIM runs deterministic DDIM over an evenly spaced subsequence
-// of steps — the standard inference-speed optimization for diffusion
-// models (paper §4 "generative speed"). The update coefficients are
-// shared by every flow and DDIM draws no noise, so the same sweep
-// serves a one-flow x and a whole batch.
-//
-//tracelint:hotpath
-func sampleDDIM(x *tensor.Tensor, sched *Schedule, steps int, p *predictor) *tensor.Tensor {
-	seq, coef := sched.DDIMTable(steps)
-	for i := len(seq) - 1; i >= 0; i-- {
-		eps := p.predict(x, seq[i])
-		ddimUpdate(x.Data, eps.Data, coef[i])
-		p.endStep()
-	}
-	return x
-}
-
 // ddimSequence returns an increasing subsequence of [0, T) with the
 // requested length, always including step T-1.
 func ddimSequence(T, steps int) []int {
@@ -345,8 +183,8 @@ func ddimSequence(T, steps int) []int {
 }
 
 // ForwardNoise applies the closed-form forward process q(x_t | x_0) to
-// an image, returning √ᾱ_t·x₀ + √(1−ᾱ_t)·ε for fresh noise ε. Exposed
-// for tests and diagnostics.
+// an image, returning √ᾱ_t·x₀ + √(1−ᾱ_t)·ε for fresh noise ε drawn
+// from r (Translate's partial noising).
 func ForwardNoise(sched *Schedule, x0 *tensor.Tensor, t int, r *stats.RNG) *tensor.Tensor {
 	out := tensor.New(x0.Shape...)
 	sa := sched.SqrtAlphaBar[t]

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"trafficdiff/internal/nn"
 	"trafficdiff/internal/stats"
 	"trafficdiff/internal/tensor"
 )
@@ -20,6 +21,43 @@ func equivModel(r *stats.RNG, h, w int) *MLPDenoiser {
 	m.OutLayer().W.X.Randn(r, 0.05)
 	m.CtrlProjLayer().W.X.Randn(r, 0.05)
 	return m
+}
+
+// SampleLegacy is the sequential reference the Scheduler is checked
+// against: each flow runs alone from its own stream — x_T, then per step
+// batch-1 model.Forward calls (conditional, and unconditional when
+// guided), the combine u + w·(c − u) and the DDPM/DDIM update. It shares
+// only the update functions with the Scheduler.
+func SampleLegacy(model Denoiser, sched *Schedule, cfg SampleConfig) []float32 {
+	h, w := model.Shape()
+	d := h * w
+	guided := !stats.ApproxEqual(cfg.GuidanceScale, 1, 1e-9)
+	seq, coef := ddimSequence(sched.T, sched.T), []DDIMCoeff(nil)
+	if cfg.DDIMSteps > 0 && cfg.DDIMSteps < sched.T {
+		seq, coef = sched.DDIMTable(cfg.DDIMSteps)
+	}
+	out := make([]float32, cfg.N*d)
+	for i, r := range flowStreams(cfg) {
+		x := tensor.New(1, 1, h, w).Randn(r, 1)
+		for k := len(seq) - 1; k >= 0; k-- {
+			tp := nn.NewTape()
+			steps := []int{seq[k]}
+			eps := model.Forward(tp, tp.Input(x), steps, []int{cfg.Class}, cfg.Control).X.Data
+			if guided {
+				u := model.Forward(tp, tp.Input(x), steps, []int{model.NullClass()}, cfg.Control).X.Data
+				for j, c := range eps {
+					eps[j] = u[j] + float32(cfg.GuidanceScale)*(c-u[j])
+				}
+			}
+			if coef != nil {
+				ddimUpdate(x.Data, eps, coef[k])
+			} else {
+				ddpmUpdate(x.Data, eps, sched, seq[k], r)
+			}
+		}
+		copy(out[i*d:(i+1)*d], x.Data)
+	}
+	return out
 }
 
 // bitsEqual reports whether two float32 slices are byte-identical,
@@ -40,7 +78,7 @@ func bitsEqual(a, b []float32) (int, bool) {
 // property test: for DDPM and DDIM, guidance 1 and 3, with and without
 // ControlNet conditioning, with batch-seeded and flow-seeded RNG
 // layouts, and at GOMAXPROCS 1 and 8, Sample (step-serial, batch-wide)
-// must produce byte-identical output to SampleLegacy (flow-parallel,
+// must produce byte-identical output to SampleLegacy (flow by flow,
 // batch-1 plain forwards) on the scheduler's split path (trunk once,
 // head over the stacked pair, control projected at admission). This is
 // what makes batching, and the shared trunk, purely
@@ -74,13 +112,10 @@ func TestBatchedMatchesLegacy(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: Sample: %v", name, err)
 						}
-						want, err := SampleLegacy(model, sched, cfg)
-						if err != nil {
-							t.Fatalf("%s: SampleLegacy: %v", name, err)
-						}
-						if i, ok := bitsEqual(got.Data, want.Data); !ok {
+						want := SampleLegacy(model, sched, cfg)
+						if i, ok := bitsEqual(got.Data, want); !ok {
 							t.Errorf("%s: batched diverges from legacy at [%d]: %x vs %x",
-								name, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+								name, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
 						}
 					}
 				}
@@ -248,14 +283,11 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 					if !cf.done {
 						t.Fatalf("%s: flow %d never completed", name, cf.id)
 					}
-					solo, err := SampleLegacy(model, sched, SampleConfig{
+					solo := SampleLegacy(model, sched, SampleConfig{
 						Class: cf.class, N: 1, GuidanceScale: cf.guidance,
 						DDIMSteps: cf.ddim, Control: cf.control, FlowSeeds: []uint64{cf.seed},
 					})
-					if err != nil {
-						t.Fatalf("%s: solo reference: %v", name, err)
-					}
-					if i, ok := bitsEqual(cf.out, solo.Data); !ok {
+					if i, ok := bitsEqual(cf.out, solo); !ok {
 						t.Errorf("%s: flow %d (class=%d w=%v ddim=%d) diverges from solo at [%d]",
 							name, cf.id, cf.class, cf.guidance, cf.ddim, i)
 					}

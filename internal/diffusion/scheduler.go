@@ -48,6 +48,12 @@ type FlowSpec struct {
 	// time), which minimizes mean request latency. It never affects any
 	// flow's bytes.
 	JobRows int
+	// Start, when non-nil, is the flow's x at its first timestep StartT
+	// (len H*W), replacing the x_T draw from RNG: the flow runs full
+	// DDPM from StartT down to 0, so it takes no DDIM budget in (0, T).
+	Start []float32
+	// StartT is a Started flow's first DDPM timestep, in [0, T).
+	StartT int
 }
 
 // SchedulerStats counts the engine's work. FlowSteps/Steps is the mean
@@ -126,8 +132,8 @@ func (f *schedFlow) curT() int {
 // independent of the batch's row count, the forward conditions each
 // row only on that row's timestep/class embedding, and all noise comes
 // from the flow's private stream. sample_equiv_test.go pins this
-// byte-for-byte against solo SampleLegacy runs under admission/retire
-// churn.
+// byte-for-byte under admission/retire churn against a sequential
+// batch-1 reference loop kept in the tests.
 //
 // Steady-state allocation: the packed row buffers, index slices and the
 // reuse-enabled no-grad tape arena all persist across steps, so a stable
@@ -135,7 +141,8 @@ func (f *schedFlow) curT() int {
 // (TestSchedulerSteadyStateAllocs).
 //
 // A Scheduler is NOT safe for concurrent use: one goroutine owns it
-// (the serving engine's step loop, or a Sample call).
+// (the serving engine's step loop, or a Sample, Inpaint or Translate
+// call).
 type Scheduler struct {
 	sched *Schedule
 	model Denoiser
@@ -190,7 +197,7 @@ type Scheduler struct {
 
 // NewScheduler builds an empty engine over the model and schedule.
 // forward overrides the model's forward pass (ablations, timing
-// probes, SampleLegacy's oracle wiring): a step then runs it once, and
+// probes, the plain-path reference in tests): a step then runs it once, and
 // once more with the null class when any stepping flow is guided — the
 // plain path. Its x_t argument views the scheduler's packed rows and
 // its result is scratch the step overwrites; neither may be kept. With
@@ -224,8 +231,9 @@ func (s *Scheduler) Active() int { return len(s.flows) }
 func (s *Scheduler) Stats() SchedulerStats { return s.stats }
 
 // Admit adds a flow to the batch, drawing its initial x_T noise from
-// its private stream. The flow joins the next Step's forward. Admission
-// order never affects any flow's output bytes.
+// its private stream unless the spec gives a Start. The flow joins the
+// next Step's forward. Admission order never affects any flow's output
+// bytes.
 func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 	if spec.RNG == nil {
 		return 0, fmt.Errorf("diffusion: admit needs a flow RNG")
@@ -239,6 +247,16 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 	hasControl := spec.Control != nil
 	if hasControl && len(spec.Control.Data) < s.d {
 		return 0, fmt.Errorf("diffusion: control image smaller than %d elements", s.d)
+	}
+	if spec.Start != nil {
+		switch {
+		case len(spec.Start) != s.d:
+			return 0, fmt.Errorf("diffusion: start image has %d elements, want %d", len(spec.Start), s.d)
+		case spec.DDIMSteps > 0 && spec.DDIMSteps < s.sched.T:
+			return 0, fmt.Errorf("diffusion: a started flow runs DDPM, not %d DDIM steps", spec.DDIMSteps)
+		case spec.StartT < 0 || spec.StartT >= s.sched.T:
+			return 0, fmt.Errorf("diffusion: start step %d out of range [0,%d)", spec.StartT, s.sched.T)
+		}
 	}
 	if len(s.flows) == 0 {
 		s.controlOn = hasControl
@@ -258,10 +276,13 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 	if f.guided {
 		f.wg = float32(spec.GuidanceScale)
 	}
-	if spec.DDIMSteps > 0 && spec.DDIMSteps < s.sched.T {
+	switch {
+	case spec.Start != nil:
+		f.pos = spec.StartT
+	case spec.DDIMSteps > 0 && spec.DDIMSteps < s.sched.T:
 		f.seq, f.coef = s.sched.DDIMTable(spec.DDIMSteps)
 		f.pos = len(f.seq) - 1
-	} else {
+	default:
 		f.pos = s.sched.T - 1
 	}
 
@@ -279,8 +300,12 @@ func (s *Scheduler) Admit(spec FlowSpec) (FlowID, error) {
 	row := len(s.flows)
 	s.growTo(row + 1)
 	seg := s.xbuf[row*s.d : (row+1)*s.d]
-	for j := range seg {
-		seg[j] = float32(spec.RNG.NormFloat64())
+	if spec.Start != nil {
+		copy(seg, spec.Start)
+	} else {
+		for j := range seg {
+			seg[j] = float32(spec.RNG.NormFloat64())
+		}
 	}
 	if hasControl {
 		copy(s.cbuf[row*s.cw:(row+1)*s.cw], crow)
@@ -342,6 +367,19 @@ func (s *Scheduler) Retire(id FlowID) {
 			return
 		}
 	}
+}
+
+// Row returns a flow's live x_t, which the caller may overwrite between
+// Steps, or nil once the flow has completed or been retired, or for an
+// unknown id. It aliases the packed buffers: valid until the next Admit
+// or Step.
+func (s *Scheduler) Row(id FlowID) []float32 {
+	for i, f := range s.flows {
+		if f.id == id && !f.retired {
+			return s.xbuf[i*s.d : (i+1)*s.d]
+		}
+	}
+	return nil
 }
 
 // growTo makes the packed buffers and index slices hold at least n

@@ -66,19 +66,16 @@ func TestSchedulerRetireStopsWork(t *testing.T) {
 	}
 	// The surviving flow's bytes are unaffected by its neighbour's
 	// retirement: identical to a solo run.
-	solo, err := SampleLegacy(model, sched, SampleConfig{
+	solo := SampleLegacy(model, sched, SampleConfig{
 		Class: 0, N: 1, GuidanceScale: 2, DDIMSteps: ddim, FlowSeeds: []uint64{7},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i, ok := bitsEqual(outA, solo.Data); !ok {
+	if i, ok := bitsEqual(outA, solo); !ok {
 		t.Errorf("survivor diverges from solo at [%d]", i)
 	}
 }
 
 // TestSchedulerAdmitValidation covers the Admit error surface,
-// including the uniform-control-presence invariant.
+// including a Start's checks and the uniform-control-presence invariant.
 func TestSchedulerAdmitValidation(t *testing.T) {
 	r := stats.NewRNG(37)
 	h, w := 4, 8
@@ -97,6 +94,17 @@ func TestSchedulerAdmitValidation(t *testing.T) {
 	if _, err := eng.Admit(FlowSpec{Class: 0, RNG: stats.NewRNG(1), Out: make([]float32, d-1)}); err == nil {
 		t.Error("short out buffer admitted")
 	}
+	for _, bad := range []FlowSpec{
+		{Start: make([]float32, d-1), StartT: 3},
+		{Start: make([]float32, d), StartT: 3, DDIMSteps: 4},
+		{Start: make([]float32, d), StartT: -1},
+		{Start: make([]float32, d), StartT: sched.T},
+	} {
+		bad.RNG, bad.Out = stats.NewRNG(1), make([]float32, d)
+		if _, err := eng.Admit(bad); err == nil {
+			t.Errorf("%d-element start at t=%d with %d DDIM steps admitted", len(bad.Start), bad.StartT, bad.DDIMSteps)
+		}
+	}
 	if _, err := eng.Admit(FlowSpec{Class: 0, RNG: stats.NewRNG(1), Out: make([]float32, d)}); err != nil {
 		t.Fatalf("valid unconditioned admit: %v", err)
 	}
@@ -112,10 +120,64 @@ func TestSchedulerAdmitValidation(t *testing.T) {
 	}
 }
 
+// TestSchedulerStartAndRow pins the surface the edits drive: a flow
+// started at StartT completes after exactly StartT+1 Steps; Row is nil
+// for an unknown, retired or completed flow; and x_t written through
+// Row between Steps reaches Out exactly as if the flow had started there.
+func TestSchedulerStartAndRow(t *testing.T) {
+	r := stats.NewRNG(47)
+	h, w := 4, 8
+	d := h * w
+	model := equivModel(r, h, w)
+	sched := NewSchedule(ScheduleCosine, 12)
+	x := tensor.New(1, h, w).Randn(r, 1).Data
+	admit := func(eng *Scheduler, rng *stats.RNG, startT int) (FlowID, []float32) {
+		out := make([]float32, d)
+		id, err := eng.Admit(FlowSpec{Class: 1, GuidanceScale: 2, RNG: rng, Out: out, Start: x, StartT: startT})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, out
+	}
+	for _, startT := range []int{0, 5, sched.T - 1} {
+		eng := NewScheduler(model, sched, nil)
+		id, _ := admit(eng, stats.NewRNG(1), startT)
+		steps := 0
+		for ; eng.Active() > 0; steps++ {
+			eng.Step()
+		}
+		if steps != startT+1 || eng.Row(id) != nil {
+			t.Errorf("started at t=%d: %d steps, want %d; Row after completion %v", startT, steps, startT+1, eng.Row(id))
+		}
+	}
+
+	eng := NewScheduler(model, sched, nil)
+	id, out := admit(eng, stats.NewRNG(1), 1)
+	gone, _ := admit(eng, stats.NewRNG(2), 1)
+	eng.Retire(gone)
+	if eng.Row(gone) != nil || eng.Row(42) != nil {
+		t.Error("Row of a retired or unknown flow is not nil")
+	}
+	eng.Step()
+	copy(eng.Row(id), x)
+	eng.Step()
+	// The reference starts at x at t=0, its stream past one step's draws.
+	rng := stats.NewRNG(1)
+	for range d {
+		rng.NormFloat64()
+	}
+	ref := NewScheduler(model, sched, nil)
+	_, want := admit(ref, rng, 0)
+	ref.Step()
+	if i, ok := bitsEqual(out, want); !ok {
+		t.Errorf("write through Row did not reach Out: diverges at [%d]", i)
+	}
+}
+
 // TestSchedulerSteadyStateAllocs asserts a stable batch steps without
 // per-step storage allocations: after one warm-up step primes the tape
 // arena and the cached view headers, a guided step over 8 flows must
-// stay within the same small header budget as the predictor path.
+// stay within a small budget of tensor headers.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	r := stats.NewRNG(23)
 	h, w := 8, 16
@@ -178,13 +240,10 @@ func TestSchedulerStepRowsBudget(t *testing.T) {
 		dd   int
 		out  []float32
 	}{{21, ddim, outA}, {22, ddim, outB}, {23, ddim, outC}, {24, 2, outD}} {
-		solo, err := SampleLegacy(model, sched, SampleConfig{
+		solo := SampleLegacy(model, sched, SampleConfig{
 			Class: 0, N: 1, GuidanceScale: 2, DDIMSteps: c.dd, FlowSeeds: []uint64{c.seed},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j, ok := bitsEqual(c.out, solo.Data); !ok {
+		if j, ok := bitsEqual(c.out, solo); !ok {
 			t.Errorf("flow %d diverges from solo at [%d] under a step-row budget", i, j)
 		}
 	}
@@ -230,13 +289,10 @@ func TestSchedulerGrowthPreservesFlows(t *testing.T) {
 		eng.Step()
 	}
 	for _, f := range flows {
-		solo, err := SampleLegacy(model, sched, SampleConfig{
+		solo := SampleLegacy(model, sched, SampleConfig{
 			Class: 1, N: 1, GuidanceScale: 2, DDIMSteps: 5, FlowSeeds: []uint64{f.seed},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i, ok := bitsEqual(f.out, solo.Data); !ok {
+		if i, ok := bitsEqual(f.out, solo); !ok {
 			t.Errorf("seed %d diverges from solo at [%d] after mid-flight growth", f.seed, i)
 		}
 	}
@@ -390,14 +446,11 @@ func TestSchedulerControlProjectedPerDistinctImage(t *testing.T) {
 		eng.Step()
 	}
 	for i, f := range flows {
-		solo, err := SampleLegacy(model.MLPDenoiser, sched, SampleConfig{
+		solo := SampleLegacy(model.MLPDenoiser, sched, SampleConfig{
 			Class: 0, N: 1, GuidanceScale: 2, DDIMSteps: 4,
 			FlowSeeds: []uint64{f.seed}, Control: f.control,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j, ok := bitsEqual(f.out, solo.Data); !ok {
+		if j, ok := bitsEqual(f.out, solo); !ok {
 			t.Errorf("flow %d diverges from its solo run at [%d]", i, j)
 		}
 	}

@@ -30,8 +30,8 @@ func goldenModel(r *stats.RNG, h, w int) *AdaptedMLP {
 // goldenSampleDigests are sha256 digests of the raw float32 bits
 // diffusion.Sample returns for goldenModel, recorded on the commit
 // before the register-blocked A·Bᵀ kernel and the shared-trunk guided
-// forward landed. The in-binary oracles (SampleLegacy, the serial
-// kernel reference) share kernels and forward helpers with the path
+// forward landed. The in-binary oracles (the batch-1 reference loop, the
+// serial kernel reference) share kernels and forward helpers with the path
 // they check; these digests are what sees a change both sides share,
 // at single-ulp resolution (core's pcap digests sit behind
 // quantization). A change that means to alter output bytes re-records

@@ -116,7 +116,8 @@ func TestSplitForwardMatchesPlainPair(t *testing.T) {
 // TestSplitSchedulerMatchesLegacy drives the scheduler's split path
 // (nil override) and its plain path (the model's own Forward as the
 // override) through admission churn under a step-row budget, and
-// requires every flow to equal its solo SampleLegacy run. Flows mix
+// requires every flow to equal its solo run: the flow alone on a fresh
+// plain-path scheduler, which shares nothing with the split. Flows mix
 // classes, guided and unguided, DDPM and DDIM budgets, and — unlike the
 // diffusion package's churn test — every flow has its own control
 // image, so a control-feature row that fails to follow its flow
@@ -196,14 +197,18 @@ func TestSplitSchedulerMatchesLegacy(t *testing.T) {
 						if i == 1 {
 							continue // retired
 						}
-						solo, err := diffusion.SampleLegacy(ad, sched, diffusion.SampleConfig{
-							Class: f.class, N: 1, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
-							Control: f.control, FlowSeeds: []uint64{f.seed},
-						})
-						if err != nil {
+						solo := make([]float32, d)
+						ref := diffusion.NewScheduler(ad, sched, ad.Forward)
+						if _, err := ref.Admit(diffusion.FlowSpec{
+							Class: f.class, GuidanceScale: f.guidance, DDIMSteps: f.ddim,
+							RNG: stats.NewRNG(f.seed), Control: f.control, Out: solo,
+						}); err != nil {
 							t.Fatal(err)
 						}
-						requireSameBits(t, fmt.Sprintf("%s flow %d", name, i), f.out, solo.Data)
+						for ref.Active() > 0 {
+							ref.Step()
+						}
+						requireSameBits(t, fmt.Sprintf("%s flow %d", name, i), f.out, solo)
 					}
 				}
 			}
