@@ -41,8 +41,10 @@ bench:
 	bash bench/run.sh
 
 # Serving smoke test over the real binaries: tracegen -save writes a
-# checkpoint, traced serves it, concurrent clients get valid + seeded
-# byte-identical pcaps, overload gets 429, and SIGTERM drains cleanly.
+# checkpoint, traced serves it, a request at tracegen's logged seed
+# returns tracegen's pcap byte for byte, concurrent clients get valid +
+# seeded byte-identical pcaps, overload gets 429, and SIGTERM drains
+# cleanly.
 serve-smoke:
 	$(GO) test -run TestServeEndToEnd -count=1 -v .
 
@@ -94,8 +96,8 @@ verify-determinism:
 	@echo "determinism OK: pooled dispatch, all three A·Bᵀ loops (each counted as run), row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
 	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage|TestGoldenEditDigests' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
-	$(GO) test -run 'TestGoldenSeededDigests|TestGoldenEditDigests|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
-	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical"
+	$(GO) test -run 'TestGoldenSeededDigests|TestGoldenEditDigests|TestGenerateReplaysAsSeeded|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
+	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical; unseeded calls replay from their root"
 	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/diffusion ./internal/lora ./internal/core
 	GOARCH=arm64 $(GO) build ./...
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds"

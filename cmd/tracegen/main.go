@@ -249,8 +249,8 @@ func run(o runOpts) error {
 			if err := writePcap(path, outFlows); err != nil {
 				return err
 			}
-			log.Printf("%s: %d flows -> %s (raw protocol compliance %.3f, %d cells projected)",
-				class, len(outFlows), path, res.RawCompliance, res.Repaired)
+			log.Printf("%s: %d flows -> %s (seed %d, raw protocol compliance %.3f, %d cells projected)",
+				class, len(outFlows), path, res.Root, res.RawCompliance, res.Repaired)
 		}
 	case "gan":
 		micro := eval.MicroSpace(classes)

@@ -134,8 +134,8 @@ type Synthesizer struct {
 	// realistic gaps from here instead of a fixed interval.
 	gapDists map[int]*heuristic.Empirical
 
-	// genCalls is accessed atomically; it sequences the batch seeds of
-	// unseeded Generate calls.
+	// genCalls counts the roots nextRoot has drawn; only nextRoot
+	// touches it, atomically.
 	genCalls uint64
 }
 
@@ -512,6 +512,9 @@ type GenerateResult struct {
 	// projection — a smoother diagnostic of how much structure the
 	// model learned versus what projection had to repair.
 	RawCellCompliance float64
+	// Root is the root seed the flows were derived from (Generate and
+	// GenerateSeeded): GenerateSeeded(class, n, Root) replays the call.
+	Root uint64
 }
 
 // genEpoch is the fixed base timestamp stamped onto synthesized flows.
@@ -542,32 +545,25 @@ func (s *Synthesizer) configSnapshot() Config {
 
 // Generate synthesizes n flows of the given class: prompt-conditioned
 // sampling, color processing, constraint projection, back-transform.
-// Each call atomically advances an internal counter so successive
-// calls draw distinct batches; for replayable output use
-// GenerateSeeded instead.
+// Each valid call draws a fresh root seed (see nextRoot) and returns
+// GenerateSeeded(class, n, root), so successive calls draw distinct
+// batches and any one of them replays from its result's Root.
 func (s *Synthesizer) Generate(class string, n int) (*GenerateResult, error) {
-	ci, err := s.lookupClass(class)
-	if err != nil {
+	if _, err := s.lookupClass(class); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("core: n must be positive")
 	}
-	calls := atomic.AddUint64(&s.genCalls, 1)
-	cfg := s.configSnapshot()
-	scfg := diffusion.SampleConfig{N: n, Seed: cfg.Seed ^ (calls * 0x9e3779b97f4a7c15)}
+	return s.GenerateSeeded(class, n, s.nextRoot())
+}
 
-	// Timestamp gaps come from per-flow RNG streams split off
-	// sequentially before any worker starts (same discipline as
-	// rf.Train); flows in one batch start one second apart.
-	tsRoot := stats.NewRNG(cfg.Seed ^ calls ^ 0x7ad3c1)
-	tsRNGs := make([]*stats.RNG, n)
-	starts := make([]time.Time, n)
-	for i := range tsRNGs {
-		tsRNGs[i] = tsRoot.Split()
-		starts[i] = genEpoch.Add(time.Duration(i) * time.Second)
-	}
-	return s.generate(ci, class, cfg, scfg, tsRNGs, starts)
+// nextRoot draws the root seed of an unseeded call (Generate, Deblur,
+// Translate): the config seed mixed with a call counter, so successive
+// calls differ and a freshly loaded checkpoint replays the same
+// sequence.
+func (s *Synthesizer) nextRoot() uint64 {
+	return s.cfg.Seed ^ (atomic.AddUint64(&s.genCalls, 1) * 0x9e3779b97f4a7c15)
 }
 
 // DeriveFlowSeeds expands a request-level root seed into n per-flow
@@ -591,41 +587,39 @@ func (s *Synthesizer) GenerateSeeded(class string, n int, seed uint64) (*Generat
 	if n <= 0 {
 		return nil, fmt.Errorf("core: n must be positive")
 	}
-	return s.GenerateWithFlowSeeds(class, DeriveFlowSeeds(seed, n))
+	res, err := s.GenerateWithFlowSeeds(class, DeriveFlowSeeds(seed, n))
+	if err != nil {
+		return nil, err
+	}
+	res.Root = seed
+	return res, nil
 }
 
-// GenerateWithFlowSeeds synthesizes one flow per seed. Each flow is a
-// pure function of its own seed — independent of how flows are batched
-// — which lets a serving layer coalesce concurrent same-class requests
+// GenerateWithFlowSeeds synthesizes one flow per seed: sampling plus
+// post-processing. Each flow's noise, packets and timestamps are a pure
+// function of its own seed — independent of how flows are batched —
+// which lets a serving layer coalesce concurrent same-class requests
 // into a single diffusion sampling call and still answer every seeded
-// request with bit-identical bytes (see internal/serve).
+// request with bit-identical bytes (see internal/serve). diffusion.Sample
+// runs one denoiser forward per step over all the flows, so larger
+// batches amortize per-step costs.
 func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*GenerateResult, error) {
 	ci, err := s.lookupClass(class)
 	if err != nil {
 		return nil, err
 	}
-	n := len(flowSeeds)
-	if n == 0 {
+	if len(flowSeeds) == 0 {
 		return nil, fmt.Errorf("core: need at least one flow seed")
 	}
 	cfg := s.configSnapshot()
-	scfg := diffusion.SampleConfig{N: n, FlowSeeds: append([]uint64(nil), flowSeeds...)}
-	tsRNGs, starts := seededTimestamps(flowSeeds)
-	return s.generate(ci, class, cfg, scfg, tsRNGs, starts)
-}
-
-// seededTimestamps gives each flow a timestamp stream rooted at a
-// constant offset of its seed — independent of the noise stream, yet
-// still a pure function of the seed — and starts every flow at the
-// epoch, so its bytes do not depend on batch position.
-func seededTimestamps(seeds []uint64) ([]*stats.RNG, []time.Time) {
-	tsRNGs := make([]*stats.RNG, len(seeds))
-	starts := make([]time.Time, len(seeds))
-	for i, seed := range seeds {
-		tsRNGs[i] = stats.NewRNG(seed ^ 0x7ad3c1)
-		starts[i] = genEpoch
+	samples, err := diffusion.Sample(s.model(), s.sched, diffusion.SampleConfig{
+		Class: ci, GuidanceScale: cfg.GuidanceScale, DDIMSteps: cfg.DDIMSteps,
+		Control: s.control(ci, cfg), FlowSeeds: flowSeeds,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return tsRNGs, starts
+	return s.postprocess(ci, class, cfg, samples.Data, flowSeeds)
 }
 
 // control returns the ControlNet conditioning image class ci samples
@@ -636,25 +630,6 @@ func (s *Synthesizer) control(ci int, cfg Config) *tensor.Tensor {
 		return nil
 	}
 	return s.controls[ci]
-}
-
-// generate runs sampling plus post-processing for one class batch.
-// scfg carries N and the noise-seed layout; class/guidance/control are
-// filled in here. tsRNGs and starts give each flow its timestamp
-// stream and base time. diffusion.Sample runs its batched-timestep
-// path — one denoiser forward per step over all n flows — so larger
-// batches amortize per-step costs while each flow's bytes stay a pure
-// function of its seed.
-func (s *Synthesizer) generate(ci int, class string, cfg Config, scfg diffusion.SampleConfig, tsRNGs []*stats.RNG, starts []time.Time) (*GenerateResult, error) {
-	scfg.Class = ci
-	scfg.GuidanceScale = cfg.GuidanceScale
-	scfg.DDIMSteps = cfg.DDIMSteps
-	scfg.Control = s.control(ci, cfg)
-	samples, err := diffusion.Sample(s.model(), s.sched, scfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.postprocess(ci, class, cfg, samples.Data, tsRNGs, starts)
 }
 
 // flowResult is one flow's share of a GenerateResult.
@@ -669,8 +644,11 @@ type flowResult struct {
 // model-resolution image (h*w pixels) is color-processed straight into
 // its full-resolution nprint matrix, the class template is enforced,
 // and the rows are back-transformed into packets stamped from the
-// flow's own timestamp stream.
-func (s *Synthesizer) flowFromSample(ci int, class string, cfg Config, pix []float32, tsRNG *stats.RNG, start time.Time) (flowResult, error) {
+// epoch on. The timestamp stream roots at a constant offset of the
+// flow's seed — independent of the noise stream, yet still a pure
+// function of the seed — so the flow's bytes do not depend on its
+// batch position.
+func (s *Synthesizer) flowFromSample(ci int, class string, cfg Config, pix []float32, seed uint64) (flowResult, error) {
 	h, w := s.ModelShape()
 	m, err := imagerep.QuantizeUpscaled(pix, h, w, cfg.DownH, cfg.DownW)
 	if err != nil {
@@ -679,32 +657,33 @@ func (s *Synthesizer) flowFromSample(ci int, class string, cfg Config, pix []flo
 	enforced := s.templates[ci].Enforce(m, cfg.ConstantSnap)
 	pkts, skipped, err := nprint.ToPackets(m, nprint.DecodeOptions{
 		Repair:   true,
-		Start:    start,
+		Start:    genEpoch,
 		Interval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		return flowResult{}, fmt.Errorf("core: back-transform: %w", err)
 	}
-	s.stampTimestamps(pkts, ci, start, tsRNG)
+	s.stampTimestamps(pkts, ci, stats.NewRNG(seed^0x7ad3c1))
 	return flowResult{m: m, fl: &flow.Flow{Label: class, Packets: pkts}, skipped: skipped, enforced: enforced}, nil
 }
 
-// postprocess turns n sampled model-resolution images (packed in
-// samples, one h*w row per flow) into replayable flows. It is the half
-// of generation shared by the batch path (generate), the edits, and the
-// continuous-batching Engine, which receives its samples from an
-// incremental step scheduler instead of one Sample call. Work is
+// postprocess turns the sampled model-resolution images of the flows
+// with the given seeds (packed in samples, one h*w row per flow) into
+// replayable flows. It is the half of generation shared by
+// GenerateWithFlowSeeds, the edits, and the continuous-batching Engine,
+// which receives its samples from an incremental step scheduler
+// instead of one Sample call. Work is
 // independent per flow: each worker owns one result slot, and the
 // aggregation below runs sequentially in flow order, so the result is
 // identical at any GOMAXPROCS. A lone flow runs on the caller.
-func (s *Synthesizer) postprocess(ci int, class string, cfg Config, samples []float32, tsRNGs []*stats.RNG, starts []time.Time) (*GenerateResult, error) {
-	n := len(tsRNGs)
+func (s *Synthesizer) postprocess(ci int, class string, cfg Config, samples []float32, seeds []uint64) (*GenerateResult, error) {
+	n := len(seeds)
 	h, w := s.ModelShape()
 	d := h * w
 	slots := make([]flowResult, n)
 	errs := make([]error, n)
 	one := func(i int) {
-		slots[i], errs[i] = s.flowFromSample(ci, class, cfg, samples[i*d:(i+1)*d], tsRNGs[i], starts[i])
+		slots[i], errs[i] = s.flowFromSample(ci, class, cfg, samples[i*d:(i+1)*d], seeds[i])
 	}
 	if n == 1 {
 		one(0)
@@ -803,15 +782,16 @@ func (s *Synthesizer) DDIMSteps() int {
 	return s.ddimSteps
 }
 
-// stampTimestamps rewrites the packets' timestamps with gaps sampled
-// from the class's fitted inter-arrival distribution. r is the flow's
-// private stream, so flows in one call draw distinct gap sequences.
-func (s *Synthesizer) stampTimestamps(pkts []*packet.Packet, ci int, start time.Time, r *stats.RNG) {
+// stampTimestamps rewrites the packets' timestamps, from the epoch on,
+// with gaps sampled from the class's fitted inter-arrival distribution.
+// r is the flow's private stream, so flows in one call draw distinct gap
+// sequences.
+func (s *Synthesizer) stampTimestamps(pkts []*packet.Packet, ci int, r *stats.RNG) {
 	dist := s.gapDists[ci]
 	if dist == nil || len(pkts) == 0 {
 		return
 	}
-	ts := start
+	ts := genEpoch
 	for _, p := range pkts {
 		p.Timestamp = ts
 		gap := dist.Sample(r)

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"trafficdiff/internal/diffusion"
 	"trafficdiff/internal/flow"
 	"trafficdiff/internal/nprint"
-	"trafficdiff/internal/tensor"
 )
 
 // The paper's §4 research agenda names downstream tasks for a traffic
@@ -56,18 +54,18 @@ func (s *Synthesizer) Deblur(f *flow.Flow, class string, missing []FieldMask) (*
 	if err != nil {
 		return nil, err
 	}
-	calls := atomic.AddUint64(&s.genCalls, 1)
+	seed := s.nextRoot()
 	img, err := diffusion.Inpaint(s.model(), s.sched, diffusion.InpaintConfig{
 		Known: known,
 		Mask:  s.pixelMask(missing),
 		Class: ci, GuidanceScale: s.cfg.GuidanceScale,
 		Control: s.control(ci, s.cfg),
-		Seed:    s.cfg.Seed ^ (calls * 0x9e3779b97f4a7c15),
+		Seed:    seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s.editPostprocess(img, ci, class, calls)
+	return s.postprocess(ci, class, s.cfg, img.Data, []uint64{seed})
 }
 
 // pixelMask maps full-resolution column masks to the model's
@@ -109,25 +107,16 @@ func (s *Synthesizer) Translate(f *flow.Flow, targetClass string, strength float
 	if err != nil {
 		return nil, err
 	}
-	calls := atomic.AddUint64(&s.genCalls, 1)
+	seed := s.nextRoot()
 	img, err := diffusion.Translate(s.model(), s.sched, diffusion.TranslateConfig{
 		Source:      src,
 		TargetClass: ci, Strength: strength,
 		GuidanceScale: s.cfg.GuidanceScale,
 		Control:       s.control(ci, s.cfg),
-		Seed:          s.cfg.Seed ^ (calls * 0x9e3779b97f4a7c15),
+		Seed:          seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s.editPostprocess(img, ci, targetClass, calls)
-}
-
-// editPostprocess runs the shared color-process / project / back-transform
-// tail on a single sampled image [1,h,w]. calls is the generation
-// counter value the caller drew atomically; it seeds the timestamp RNG
-// so concurrent edits never share a stream.
-func (s *Synthesizer) editPostprocess(img *tensor.Tensor, ci int, label string, calls uint64) (*GenerateResult, error) {
-	tsRNGs, starts := seededTimestamps([]uint64{s.cfg.Seed ^ calls})
-	return s.postprocess(ci, label, s.cfg, img.Data, tsRNGs, starts)
+	return s.postprocess(ci, targetClass, s.cfg, img.Data, []uint64{seed})
 }

@@ -384,14 +384,13 @@ func (e *Engine) admitJob(eng *diffusion.Scheduler, byID map[diffusion.FlowID]*e
 }
 
 // postWorker turns completed jobs' samples into flows off the step
-// loop. The timestamp streams and base times come from seededTimestamps,
-// as in GenerateWithFlowSeeds, so engine output is byte-identical to the
+// loop. It post-processes each flow from its seed, as
+// GenerateWithFlowSeeds does, so engine output is byte-identical to the
 // direct call.
 func (e *Engine) postWorker() {
 	defer e.postWG.Done()
 	for job := e.postQ.pop(); job != nil; job = e.postQ.pop() {
-		tsRNGs, starts := seededTimestamps(job.seeds)
-		res, err := e.synth.postprocess(job.ci, job.class, job.cfg, job.samples, tsRNGs, starts)
+		res, err := e.synth.postprocess(job.ci, job.class, job.cfg, job.samples, job.seeds)
 		job.done <- engineResult{res: res, err: err}
 		runtime.Gosched() // same courtesy as the step loop: don't hog the P between jobs
 	}

@@ -48,6 +48,22 @@ func sharedSynth(t *testing.T) *Synthesizer {
 	return sharedS
 }
 
+// savedCopy is a Load(Save(…)) copy of the shared synthesizer: the same
+// weights, with the call counter that roots unseeded calls at 0 whatever
+// ran before.
+func savedCopy(t *testing.T) *Synthesizer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sharedSynth(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func flowsForShared() (map[string][]*flow.Flow, error) {
 	ds, err := workload.Generate(workload.Config{
 		Seed: 11, FlowsPerClass: 4, Only: sharedClass, MaxPacketsPerFlow: 16,
@@ -138,6 +154,59 @@ func TestGenerateSeededDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(pcapBytes(t, a.Flows), pcapBytes(t, c.Flows)) {
 		t.Fatal("different seeds produced identical pcap bytes")
+	}
+}
+
+// TestGenerateReplaysAsSeeded is the offline replay contract: an
+// unseeded Generate call is GenerateSeeded at the Root it reports, pcap
+// and csv bytes alike; successive calls draw different roots; and a
+// rejected call draws none.
+func TestGenerateReplaysAsSeeded(t *testing.T) {
+	s := savedCopy(t)
+	roots := map[uint64]bool{}
+	for _, class := range sharedClass {
+		for _, n := range []int{1, 3} {
+			res, err := s.Generate(class, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if roots[res.Root] {
+				t.Errorf("%s n=%d: root %#x drawn twice", class, n, res.Root)
+			}
+			roots[res.Root] = true
+			re, err := s.GenerateSeeded(class, n, res.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re.Root != res.Root {
+				t.Errorf("%s n=%d: GenerateSeeded reports root %#x, want %#x", class, n, re.Root, res.Root)
+			}
+			if !bytes.Equal(pcapBytes(t, res.Flows), pcapBytes(t, re.Flows)) {
+				t.Errorf("%s n=%d: pcap bytes differ from GenerateSeeded at the reported root", class, n)
+			}
+			if csvDigest(t, res.Matrices) != csvDigest(t, re.Matrices) {
+				t.Errorf("%s n=%d: csv bytes differ from GenerateSeeded at the reported root", class, n)
+			}
+		}
+	}
+
+	rejected, clean := savedCopy(t), savedCopy(t)
+	if _, err := rejected.Generate("bogus", 1); err == nil {
+		t.Fatal("unknown class accepted")
+	}
+	if _, err := rejected.Generate(sharedClass[0], 0); err == nil {
+		t.Fatal("n=0 accepted")
+	}
+	a, err := rejected.Generate(sharedClass[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := clean.Generate(sharedClass[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Root != b.Root {
+		t.Errorf("rejected calls moved the next root: %#x, want %#x", a.Root, b.Root)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"trafficdiff/internal/nprint"
 )
 
 // goldenDigests are sha256 digests of GenerateSeeded pcap bytes from
@@ -30,28 +32,45 @@ var goldenDigests = map[string]string{
 }
 
 // goldenEditDigests are sha256 digests of the pcap bytes of one Deblur
-// and one Translate call, recorded while both edits still ran their own
-// batch-1 reverse loop, before they moved onto the Scheduler.
+// and one Translate call. Re-recorded when timestamps began following
+// the flow's seed; goldenMatrixDigests shows no sampled bit moved.
 var goldenEditDigests = map[string]string{
-	"deblur/amazon/tcp":     "99e565418c4a3afbc272b493718a7ddeb60bc42d5b6ddfe19e667ab96f8b21c9",
-	"translate/teams/s=0.8": "1622c77c781c658981129a599f2cc399e0a18dfd828bcb7e9a9896fe212eda33",
+	"deblur/amazon/tcp":     "359fd3ad4fffd7bdf2fff97a0be52d1b1769618637639f87c4de31e59f11be29",
+	"translate/teams/s=0.8": "343a1c8480aef87a8922d23c3023cf80ae5df704dbdf25c14cce8f1acf208b5c",
 }
 
-// TestGoldenEditDigests pins the edits' pcap bytes across versions. It
-// runs on a Save/Load copy of the shared synthesizer, so the call
-// counter that seeds the edits starts at 0 whatever ran before.
+// goldenMatrixDigests are sha256 digests of the nprint.WriteCSV bytes
+// of the unseeded calls' matrices, in the order TestGoldenEditDigests
+// makes them. Matrices carry no timestamps, so they pin every sampled
+// bit of the calls whose roots come from the call counter.
+var goldenMatrixDigests = map[string]string{
+	"deblur/amazon/tcp":     "9e8d43886ad3a5ddf4aa6d7d8091c08baa172c439012ffaa389395b7b9744853",
+	"translate/teams/s=0.8": "2c6e7ffff5ac1150e7534ee5fbbd6f03be9a3fb8fe56f61b94ba6eaac8bc135d",
+	"generate/amazon/3":     "3d66a3f02839c9873374458c2578752b54b9fe5785de7dfa00e589bf471afd11",
+	"generate/teams/2":      "d83ca54e21218b94518b36d743668b143388059b7158f251ed37d623d6bf57d5",
+}
+
+// csvDigest is the sha256 of the matrices' nprint.WriteCSV bytes.
+func csvDigest(t *testing.T, ms []*nprint.Matrix) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, m := range ms {
+		if err := nprint.WriteCSV(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGoldenEditDigests pins the edits' pcap bytes and the unseeded
+// calls' matrices across versions. It runs on a savedCopy, so the call
+// counter that roots them starts at 0 whatever ran before.
 func TestGoldenEditDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
-	var buf bytes.Buffer
-	if err := sharedSynth(t).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := savedCopy(t)
 	ds, err := flowsForShared()
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +81,24 @@ func TestGoldenEditDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		sum := sha256.Sum256(pcapBytes(t, res.Flows))
-		if got := hex.EncodeToString(sum[:]); got != goldenEditDigests[key] {
-			t.Errorf("%s: digest %s, want %s", key, got, goldenEditDigests[key])
+		if want, ok := goldenEditDigests[key]; ok {
+			sum := sha256.Sum256(pcapBytes(t, res.Flows))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s: digest %s, want %s", key, got, want)
+			}
+		}
+		if got := csvDigest(t, res.Matrices); got != goldenMatrixDigests[key] {
+			t.Errorf("%s: matrix digest %s, want %s", key, got, goldenMatrixDigests[key])
 		}
 	}
 	res, err := s.Deblur(src, "amazon", []FieldMask{MaskTCP})
 	check("deblur/amazon/tcp", res, err)
 	res, err = s.Translate(src, "teams", 0.8)
 	check("translate/teams/s=0.8", res, err)
+	res, err = s.Generate("amazon", 3)
+	check("generate/amazon/3", res, err)
+	res, err = s.Generate("teams", 2)
+	check("generate/teams/2", res, err)
 }
 
 // TestGoldenSeededDigests pins seeded output bytes across versions:

@@ -14,7 +14,7 @@ import (
 )
 
 // seededSamples draws the raw model-resolution images of one seeded
-// request, exactly as generate does before post-processing.
+// request, exactly as GenerateWithFlowSeeds does before post-processing.
 func seededSamples(t *testing.T, s *Synthesizer, class string, flowSeeds []uint64, ddim int) (ci int, samples []float32) {
 	t.Helper()
 	ci, err := s.lookupClass(class)
@@ -22,7 +22,7 @@ func seededSamples(t *testing.T, s *Synthesizer, class string, flowSeeds []uint6
 		t.Fatal(err)
 	}
 	out, err := diffusion.Sample(s.model(), s.sched, diffusion.SampleConfig{
-		N: len(flowSeeds), FlowSeeds: flowSeeds, Class: ci,
+		FlowSeeds: flowSeeds, Class: ci,
 		GuidanceScale: s.cfg.GuidanceScale, DDIMSteps: ddim, Control: s.controls[ci],
 	})
 	if err != nil {
@@ -59,7 +59,7 @@ func publicStepChain(t *testing.T, s *Synthesizer, ci int, class string, samples
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.stampTimestamps(pkts, ci, genEpoch, stats.NewRNG(fs^0x7ad3c1))
+		s.stampTimestamps(pkts, ci, stats.NewRNG(fs^0x7ad3c1))
 		res.SkippedRows += skipped
 		res.Matrices = append(res.Matrices, m)
 		res.Flows = append(res.Flows, &flow.Flow{Label: class, Packets: pkts})
@@ -123,7 +123,7 @@ func TestFlowFromSampleAllocs(t *testing.T) {
 	cfg := s.configSnapshot()
 	var packets int
 	got := testing.AllocsPerRun(20, func() {
-		fr, err := s.flowFromSample(ci, sharedClass[0], cfg, samples, stats.NewRNG(7), genEpoch)
+		fr, err := s.flowFromSample(ci, sharedClass[0], cfg, samples, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

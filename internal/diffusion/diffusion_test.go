@@ -193,7 +193,7 @@ func TestSampleClassConditioning(t *testing.T) {
 	}
 	sideBias := func(class int) float64 {
 		out, err := Sample(model, sched, SampleConfig{
-			Class: class, N: 6, GuidanceScale: 2, Seed: 9,
+			Class: class, GuidanceScale: 2, FlowSeeds: rootSeeds(9, 6),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -226,7 +226,7 @@ func TestSampleDDIMFewerSteps(t *testing.T) {
 	r := stats.NewRNG(4)
 	model := NewMLPDenoiser(r, 4, 4, 32, 2)
 	sched := NewSchedule(ScheduleCosine, 50)
-	out, err := Sample(model, sched, SampleConfig{Class: 0, N: 2, GuidanceScale: 1, DDIMSteps: 5, Seed: 1})
+	out, err := Sample(model, sched, SampleConfig{Class: 0, GuidanceScale: 1, DDIMSteps: 5, FlowSeeds: []uint64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +244,13 @@ func TestSampleRejectsBadConfig(t *testing.T) {
 	r := stats.NewRNG(5)
 	model := NewMLPDenoiser(r, 4, 4, 16, 2)
 	sched := NewSchedule(ScheduleLinear, 10)
-	if _, err := Sample(model, sched, SampleConfig{Class: 0, N: 0}); err == nil {
-		t.Error("N=0 should fail")
+	if _, err := Sample(model, sched, SampleConfig{Class: 0}); err == nil {
+		t.Error("no flow seeds should fail")
 	}
-	if _, err := Sample(model, sched, SampleConfig{Class: 2, N: 1}); err == nil {
+	if _, err := Sample(model, sched, SampleConfig{Class: 2, FlowSeeds: []uint64{1}}); err == nil {
 		t.Error("null class as prompt should fail")
 	}
-	if _, err := Sample(model, sched, SampleConfig{Class: -1, N: 1}); err == nil {
+	if _, err := Sample(model, sched, SampleConfig{Class: -1, FlowSeeds: []uint64{1}}); err == nil {
 		t.Error("negative class should fail")
 	}
 }
@@ -296,7 +296,7 @@ func TestTrainWithEMA(t *testing.T) {
 		t.Error("EMA training did not converge")
 	}
 	// Sampling from the installed averaged weights works.
-	if _, err := Sample(model, sched, SampleConfig{Class: 0, N: 1, GuidanceScale: 1, DDIMSteps: 4, Seed: 2}); err != nil {
+	if _, err := Sample(model, sched, SampleConfig{Class: 0, GuidanceScale: 1, DDIMSteps: 4, FlowSeeds: []uint64{2}}); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid decay rejected.

@@ -12,8 +12,6 @@ import (
 type SampleConfig struct {
 	// Class conditions generation ("the prompt"). Must be < NullClass.
 	Class int
-	// N is the number of images to draw in one batch.
-	N int
 	// GuidanceScale w applies classifier-free guidance:
 	// ε = ε_uncond + w·(ε_cond − ε_uncond). w=1 is pure conditional;
 	// w=0 unconditional; w>1 sharpens class adherence.
@@ -25,15 +23,11 @@ type SampleConfig struct {
 	// Control, when non-nil, is the ControlNet conditioning image
 	// [1,H,W] shared by every flow in the batch.
 	Control *tensor.Tensor
-	Seed    uint64
-	// FlowSeeds, when non-empty, must have length N and gives every
-	// flow its own independent RNG root, making each flow's output a
-	// pure function of its seed alone — independent of batch
-	// composition. This is the property that lets a serving layer
-	// coalesce concurrent requests into one batch while keeping
-	// seeded requests bit-identical across replicas. When empty, all
-	// streams derive from Seed by sequential Split (the batch-level
-	// layout used by training-time experiments).
+	// FlowSeeds gives every flow its own RNG root, one image per seed,
+	// making each flow's output a pure function of its seed alone —
+	// independent of batch composition. This is the property that lets
+	// a serving layer coalesce concurrent requests into one batch while
+	// keeping seeded requests bit-identical across replicas.
 	FlowSeeds []uint64
 }
 
@@ -41,14 +35,15 @@ type SampleConfig struct {
 // (LoRA, ablations) without re-implementing the samplers.
 type ForwardFunc func(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V
 
-// Sample draws cfg.N images [N,1,H,W] from the model under sched.
+// Sample draws one image per flow seed, [len(FlowSeeds),1,H,W], from
+// the model under sched.
 //
 // The whole batch is admitted to a step Scheduler and stepped until
 // every flow completes: each timestep runs ONE batched evaluation over
-// all N flows (the shared-trunk split forward), so the denoiser sees
-// [N,·] tensors big enough for the parallel kernel layer instead of N
-// batch-1 calls below its work threshold. The DDPM/DDIM
-// update is then applied per flow from that flow's private RNG stream.
+// all flows (the shared-trunk split forward), one tensor row per flow,
+// so the denoiser's shapes are big enough for the parallel kernel layer
+// instead of batch-1 calls below its work threshold. The DDPM/DDIM
+// update is then applied per flow from the stream rooted at its seed.
 // Callers that need mid-generation admission, retirement or access to
 // x_t drive a Scheduler directly (the serving engine and the edits do).
 //
@@ -57,31 +52,27 @@ type ForwardFunc func(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *
 // batched forward's row i is bit-identical to a batch-1 forward of
 // flow i, and each flow's noise draws come only from its own stream —
 // the output equals a flow-by-flow batch-1 loop's exactly (enforced by
-// TestBatchedMatchesLegacy) and, with FlowSeeds, stays a pure
-// function of each flow's seed regardless of batch composition or
-// GOMAXPROCS.
+// TestBatchedMatchesLegacy) and stays a pure function of each flow's
+// seed regardless of batch composition or GOMAXPROCS.
 func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("diffusion: sample N must be positive")
-	}
-	if len(cfg.FlowSeeds) != 0 && len(cfg.FlowSeeds) != cfg.N {
-		return nil, fmt.Errorf("diffusion: %d flow seeds for N=%d", len(cfg.FlowSeeds), cfg.N)
+	n := len(cfg.FlowSeeds)
+	if n == 0 {
+		return nil, fmt.Errorf("diffusion: sample needs at least one flow seed")
 	}
 	h, w := model.Shape()
-	n, d := cfg.N, h*w
-	rngs := flowStreams(cfg)
+	d := h * w
 
 	// A nil forward: the scheduler takes the split path (see
 	// NewScheduler).
 	eng := NewScheduler(model, sched, nil)
 	eng.growTo(n) // the batch size is known: size the row buffers once
 	out := tensor.New(n, 1, h, w)
-	for i, r := range rngs {
+	for i, seed := range cfg.FlowSeeds {
 		if _, err := eng.Admit(FlowSpec{
 			Class:         cfg.Class,
 			GuidanceScale: cfg.GuidanceScale,
 			DDIMSteps:     cfg.DDIMSteps,
-			RNG:           r,
+			RNG:           stats.NewRNG(seed),
 			Control:       cfg.Control,
 			Out:           out.Data[i*d : (i+1)*d],
 		}); err != nil {
@@ -92,27 +83,6 @@ func Sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, 
 		eng.Step()
 	}
 	return out, nil
-}
-
-// flowStreams builds one private RNG stream per flow. With FlowSeeds
-// each stream roots at its own seed; otherwise streams split off
-// sequentially from the batch seed (same discipline as rf.Train).
-// Either way the draw sequence per flow is fixed up front, so output
-// is bit-identical at any GOMAXPROCS and, with FlowSeeds, independent
-// of batch composition.
-func flowStreams(cfg SampleConfig) []*stats.RNG {
-	rngs := make([]*stats.RNG, cfg.N)
-	if len(cfg.FlowSeeds) != 0 {
-		for i := range rngs {
-			rngs[i] = stats.NewRNG(cfg.FlowSeeds[i])
-		}
-	} else {
-		root := stats.NewRNG(cfg.Seed)
-		for i := range rngs {
-			rngs[i] = root.Split()
-		}
-	}
-	return rngs
 }
 
 // ddpmUpdate applies one reverse DDPM step (with x0 clipping) to one

@@ -23,8 +23,20 @@ func equivModel(r *stats.RNG, h, w int) *MLPDenoiser {
 	return m
 }
 
+// rootSeeds is the per-flow seed layout core.DeriveFlowSeeds expands a
+// request's root seed into: the first n draws of the root's stream.
+func rootSeeds(root uint64, n int) []uint64 {
+	r := stats.NewRNG(root)
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = r.Uint64()
+	}
+	return seeds
+}
+
 // SampleLegacy is the sequential reference the Scheduler is checked
-// against: each flow runs alone from its own stream — x_T, then per step
+// against: each flow runs alone from the stream rooted at its seed —
+// x_T, then per step
 // batch-1 model.Forward calls (conditional, and unconditional when
 // guided), the combine u + w·(c − u) and the DDPM/DDIM update. It shares
 // only the update functions with the Scheduler.
@@ -36,8 +48,9 @@ func SampleLegacy(model Denoiser, sched *Schedule, cfg SampleConfig) []float32 {
 	if cfg.DDIMSteps > 0 && cfg.DDIMSteps < sched.T {
 		seq, coef = sched.DDIMTable(cfg.DDIMSteps)
 	}
-	out := make([]float32, cfg.N*d)
-	for i, r := range flowStreams(cfg) {
+	out := make([]float32, len(cfg.FlowSeeds)*d)
+	for i, seed := range cfg.FlowSeeds {
+		r := stats.NewRNG(seed)
 		x := tensor.New(1, 1, h, w).Randn(r, 1)
 		for k := len(seq) - 1; k >= 0; k-- {
 			tp := nn.NewTape()
@@ -76,14 +89,13 @@ func bitsEqual(a, b []float32) (int, bool) {
 
 // TestBatchedMatchesLegacy is the batched-timestep path's bit-identity
 // property test: for DDPM and DDIM, guidance 1 and 3, with and without
-// ControlNet conditioning, with batch-seeded and flow-seeded RNG
-// layouts, and at GOMAXPROCS 1 and 8, Sample (step-serial, batch-wide)
-// must produce byte-identical output to SampleLegacy (flow by flow,
-// batch-1 plain forwards) on the scheduler's split path (trunk once,
-// head over the stacked pair, control projected at admission). This is
-// what makes batching, and the shared trunk, purely
-// scheduling decisions: no experiment or seeded serving request can
-// observe them.
+// ControlNet conditioning, and at GOMAXPROCS 1 and 8, Sample
+// (step-serial, batch-wide) must produce byte-identical output to
+// SampleLegacy (flow by flow, batch-1 plain forwards) on the scheduler's
+// split path (trunk once, head over the stacked pair, control projected
+// at admission). This is what makes batching, and the shared trunk,
+// purely scheduling decisions: no experiment or seeded serving request
+// can observe them.
 func TestBatchedMatchesLegacy(t *testing.T) {
 	r := stats.NewRNG(11)
 	h, w := 4, 8
@@ -98,25 +110,20 @@ func TestBatchedMatchesLegacy(t *testing.T) {
 		for _, ddim := range []int{0, 4} {
 			for _, guidance := range []float64{1, 3} {
 				for _, ctl := range []*tensor.Tensor{nil, control} {
-					for _, seeded := range []bool{false, true} {
-						cfg := SampleConfig{
-							Class: 1, N: 3, GuidanceScale: guidance,
-							DDIMSteps: ddim, Control: ctl, Seed: 42,
-						}
-						if seeded {
-							cfg.FlowSeeds = flowSeeds
-						}
-						name := fmt.Sprintf("procs=%d/ddim=%d/w=%v/ctl=%v/flowseeds=%v",
-							procs, ddim, guidance, ctl != nil, seeded)
-						got, err := Sample(model, sched, cfg)
-						if err != nil {
-							t.Fatalf("%s: Sample: %v", name, err)
-						}
-						want := SampleLegacy(model, sched, cfg)
-						if i, ok := bitsEqual(got.Data, want); !ok {
-							t.Errorf("%s: batched diverges from legacy at [%d]: %x vs %x",
-								name, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
-						}
+					cfg := SampleConfig{
+						Class: 1, GuidanceScale: guidance,
+						DDIMSteps: ddim, Control: ctl, FlowSeeds: flowSeeds,
+					}
+					name := fmt.Sprintf("procs=%d/ddim=%d/w=%v/ctl=%v",
+						procs, ddim, guidance, ctl != nil)
+					got, err := Sample(model, sched, cfg)
+					if err != nil {
+						t.Fatalf("%s: Sample: %v", name, err)
+					}
+					want := SampleLegacy(model, sched, cfg)
+					if i, ok := bitsEqual(got.Data, want); !ok {
+						t.Errorf("%s: batched diverges from legacy at [%d]: %x vs %x",
+							name, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
 					}
 				}
 			}
@@ -284,7 +291,7 @@ func TestSchedulerChurnBitIdentity(t *testing.T) {
 						t.Fatalf("%s: flow %d never completed", name, cf.id)
 					}
 					solo := SampleLegacy(model, sched, SampleConfig{
-						Class: cf.class, N: 1, GuidanceScale: cf.guidance,
+						Class: cf.class, GuidanceScale: cf.guidance,
 						DDIMSteps: cf.ddim, Control: cf.control, FlowSeeds: []uint64{cf.seed},
 					})
 					if i, ok := bitsEqual(cf.out, solo); !ok {
@@ -308,13 +315,13 @@ func TestBatchCompositionInvariance(t *testing.T) {
 	d := h * w
 	for _, ddim := range []int{0, 4} {
 		alone, err := Sample(model, sched, SampleConfig{
-			Class: 1, N: 1, GuidanceScale: 2, DDIMSteps: ddim, FlowSeeds: []uint64{424242},
+			Class: 1, GuidanceScale: 2, DDIMSteps: ddim, FlowSeeds: []uint64{424242},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		grouped, err := Sample(model, sched, SampleConfig{
-			Class: 1, N: 4, GuidanceScale: 2, DDIMSteps: ddim,
+			Class: 1, GuidanceScale: 2, DDIMSteps: ddim,
 			FlowSeeds: []uint64{7, 424242, 99, 1},
 		})
 		if err != nil {

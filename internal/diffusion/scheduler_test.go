@@ -67,7 +67,7 @@ func TestSchedulerRetireStopsWork(t *testing.T) {
 	// The surviving flow's bytes are unaffected by its neighbour's
 	// retirement: identical to a solo run.
 	solo := SampleLegacy(model, sched, SampleConfig{
-		Class: 0, N: 1, GuidanceScale: 2, DDIMSteps: ddim, FlowSeeds: []uint64{7},
+		Class: 0, GuidanceScale: 2, DDIMSteps: ddim, FlowSeeds: []uint64{7},
 	})
 	if i, ok := bitsEqual(outA, solo); !ok {
 		t.Errorf("survivor diverges from solo at [%d]", i)
@@ -241,7 +241,7 @@ func TestSchedulerStepRowsBudget(t *testing.T) {
 		out  []float32
 	}{{21, ddim, outA}, {22, ddim, outB}, {23, ddim, outC}, {24, 2, outD}} {
 		solo := SampleLegacy(model, sched, SampleConfig{
-			Class: 0, N: 1, GuidanceScale: 2, DDIMSteps: c.dd, FlowSeeds: []uint64{c.seed},
+			Class: 0, GuidanceScale: 2, DDIMSteps: c.dd, FlowSeeds: []uint64{c.seed},
 		})
 		if j, ok := bitsEqual(c.out, solo); !ok {
 			t.Errorf("flow %d diverges from solo at [%d] under a step-row budget", i, j)
@@ -290,7 +290,7 @@ func TestSchedulerGrowthPreservesFlows(t *testing.T) {
 	}
 	for _, f := range flows {
 		solo := SampleLegacy(model, sched, SampleConfig{
-			Class: 1, N: 1, GuidanceScale: 2, DDIMSteps: 5, FlowSeeds: []uint64{f.seed},
+			Class: 1, GuidanceScale: 2, DDIMSteps: 5, FlowSeeds: []uint64{f.seed},
 		})
 		if i, ok := bitsEqual(f.out, solo); !ok {
 			t.Errorf("seed %d diverges from solo at [%d] after mid-flight growth", f.seed, i)
@@ -447,7 +447,7 @@ func TestSchedulerControlProjectedPerDistinctImage(t *testing.T) {
 	}
 	for i, f := range flows {
 		solo := SampleLegacy(model.MLPDenoiser, sched, SampleConfig{
-			Class: 0, N: 1, GuidanceScale: 2, DDIMSteps: 4,
+			Class: 0, GuidanceScale: 2, DDIMSteps: 4,
 			FlowSeeds: []uint64{f.seed}, Control: f.control,
 		})
 		if j, ok := bitsEqual(f.out, solo); !ok {

@@ -16,11 +16,12 @@ import (
 // schedules while corrupting counters in production.
 //
 // The shape this catches in this repo: core.Synthesizer.genCalls is
-// atomically incremented by concurrent Generate calls; a plain
-// `s.genCalls++` added elsewhere (as the Deblur/Translate path once
-// did) silently races with them. Fields of dedicated atomic types
-// (atomic.Bool, atomic.Uint64) are immune by construction and outside
-// this analyzer's scope.
+// atomically incremented by nextRoot, which concurrent Generate,
+// Deblur and Translate calls share; a plain `s.genCalls++` added
+// elsewhere (as the Deblur/Translate path once did) silently races
+// with it. Fields of dedicated atomic types (atomic.Bool,
+// atomic.Uint64) are immune by construction and outside this
+// analyzer's scope.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "a field accessed via sync/atomic must be accessed atomically everywhere",

@@ -58,7 +58,7 @@ func TestGoldenSampleDigests(t *testing.T) {
 			key = "fp32/ddim4"
 		}
 		out, err := diffusion.Sample(model, sched, diffusion.SampleConfig{
-			Class: 1, N: 3, GuidanceScale: 2, DDIMSteps: ddim,
+			Class: 1, GuidanceScale: 2, DDIMSteps: ddim,
 			Control: control, FlowSeeds: []uint64{5, 6, 7},
 		})
 		if err != nil {

@@ -234,11 +234,15 @@ func paperScaleAdapted() (*AdaptedMLP, *diffusion.Schedule, *tensor.Tensor) {
 func BenchmarkSampleAdapted(b *testing.B) {
 	ad, sched, control := paperScaleAdapted()
 	const n = 64
+	seeds := make([]uint64, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		for j := range seeds {
+			seeds[j] = uint64(i*n + j + 1)
+		}
 		if _, err := diffusion.Sample(ad, sched, diffusion.SampleConfig{
-			Class: 1, N: n, GuidanceScale: 2, DDIMSteps: 15, Control: control,
-			Seed: uint64(i + 1),
+			Class: 1, GuidanceScale: 2, DDIMSteps: 15, Control: control,
+			FlowSeeds: seeds,
 		}); err != nil {
 			b.Fatal(err)
 		}

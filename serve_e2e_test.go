@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -18,10 +20,10 @@ import (
 
 // TestServeEndToEnd is the full train → save → serve loop over the
 // real binaries: tracegen writes a checkpoint, traced loads and serves
-// it, concurrent clients get structurally valid and seed-deterministic
-// pcaps, an undersized instance sheds load with 429, and SIGTERM
-// drains in-flight work before a clean exit. `make serve-smoke` runs
-// exactly this test.
+// it, a seeded request replays tracegen's own pcap, concurrent clients
+// get structurally valid and seed-deterministic pcaps, an undersized
+// instance sheds load with 429, and SIGTERM drains in-flight work
+// before a clean exit. `make serve-smoke` runs exactly this test.
 func TestServeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve e2e in -short mode")
@@ -42,9 +44,38 @@ func TestServeEndToEnd(t *testing.T) {
 		"-classes", "amazon,teams", "-train", "4", "-per-class", "1",
 		"-steps", "60", "-rows", "16", "-write-real=false",
 		"-out", dir+"/synthetic", "-save", ckpt)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("tracegen: %v\n%s", err, out)
+	genLog, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("tracegen: %v\n%s", err, genLog)
 	}
+
+	t.Run("tracegen-replay", func(t *testing.T) {
+		srv := startTraced(t, traced, ckpt)
+		defer srv.kill(t)
+
+		// Each class's log line names the root seed its pcap came from.
+		lines := regexp.MustCompile(`(\w+): 1 flows -> \S+ \(seed (\d+),`).FindAllStringSubmatch(string(genLog), -1)
+		if len(lines) != 2 {
+			t.Fatalf("want a seed on both classes' log lines, got %q\n%s", lines, genLog)
+		}
+		for _, m := range lines {
+			class, root := m[1], m[2]
+			want, err := os.ReadFile(dir + "/synthetic/synthetic_" + class + ".pcap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, body, _, err := postGenerate(srv.url, fmt.Sprintf(`{"class":%q,"count":1,"seed":%s}`, class, root))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d body %q", class, code, body)
+			}
+			if !bytes.Equal(body, want) {
+				t.Errorf("%s: served body for seed %s differs from tracegen's pcap (%d vs %d bytes)", class, root, len(body), len(want))
+			}
+		}
+	})
 
 	t.Run("concurrent-generation", func(t *testing.T) {
 		srv := startTraced(t, traced, ckpt, "-queue", "64", "-max-inflight", "16")
