@@ -116,11 +116,10 @@ fuzz:
 experiments:
 	$(GO) run ./cmd/traceval -train 40 -test 12 -synth 12 all
 
+# The API examples. Paper tables and figures come from `make experiments`.
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/servicerec
 	$(GO) run ./examples/replay
-	$(GO) run ./examples/coverage
 	$(GO) run ./examples/foundation
 
 clean:

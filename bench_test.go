@@ -1,21 +1,18 @@
-// Package trafficdiff's root benchmark harness regenerates every table
-// and figure in the paper's evaluation plus the ablations DESIGN.md
-// calls out. Each experiment bench runs the full pipeline once per
-// iteration with CPU-friendly sizes and reports the paper's numbers as
-// custom benchmark metrics (accuracy, compliance, imbalance), so
+// Package trafficdiff's root benchmarks cover what no other runner
+// does: the design-choice ablations DESIGN.md calls out
+// (BenchmarkAblation*, reporting compliance, accuracy or loss as custom
+// metrics), Table 1's dataset generation, and the substrate and §4
+// agenda costs (RF, one diffusion train step, netem condition
+// transfer, stateful repair). Run them with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// prints the same rows the paper reports next to wall-clock cost.
-// EXPERIMENTS.md records a paper-vs-measured comparison from a run of
-// this harness. Generation speed is measured elsewhere: `traceval
-// speed` for the §4 comparison and `bash bench/run.sh` for the served
-// and offline paths.
+// Every paper table and figure comes from `traceval` (EXPERIMENTS.md);
+// served and offline generation speed from `bash bench/run.sh`.
 package trafficdiff
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"trafficdiff/internal/core"
@@ -79,153 +76,6 @@ func BenchmarkTable1Dataset(b *testing.B) {
 	}
 	b.ReportMetric(float64(flows), "flows")
 	b.ReportMetric(imbalance, "imbalance-ratio")
-}
-
-// ---------------------------------------------------------------------------
-// Table 2 — RF accuracy across the six training/testing scenarios.
-// ---------------------------------------------------------------------------
-
-// BenchmarkTable2RFScenarios runs the full case study (fine-tune,
-// generate, GAN baseline, 12 RF fits) once per iteration and reports
-// each Table 2 cell as a metric.
-func BenchmarkTable2RFScenarios(b *testing.B) {
-	cfg := eval.DefaultTable2Config()
-	cfg.Classes = []string{"netflix", "amazon", "teams", "zoom", "facebook", "other"}
-	cfg.TrainFlowsPerClass = 12
-	cfg.TestFlowsPerClass = 5
-	cfg.SynthPerClass = 5
-	cfg.PacketsPerFlow = 10
-	cfg.Synth = benchSynth()
-	cfg.GAN = benchGAN()
-	cfg.RF = benchRF()
-
-	var res *eval.Table2Result
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(7 + i)
-		var err error
-		res, err = eval.RunTable2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.RealRealNprint.Micro, "real/real-nprint-micro")
-	b.ReportMetric(res.RealRealNetFlow.Micro, "real/real-netflow-micro")
-	b.ReportMetric(res.RealSynthOurs.Macro, "real/synth-ours-macro")
-	b.ReportMetric(res.RealSynthOurs.Micro, "real/synth-ours-micro")
-	b.ReportMetric(res.RealSynthGAN.Micro, "real/synth-gan-micro")
-	b.ReportMetric(res.SynthRealOurs.Macro, "synth/real-ours-macro")
-	b.ReportMetric(res.SynthRealOurs.Micro, "synth/real-ours-micro")
-	b.ReportMetric(res.SynthRealGAN.Micro, "synth/real-gan-micro")
-	b.Logf("\n%s", eval.Table2Report(res))
-}
-
-// ---------------------------------------------------------------------------
-// Figure 1 — class coverage / balance.
-// ---------------------------------------------------------------------------
-
-// BenchmarkFigure1ClassCoverage runs the two-class (Figure 1b) study
-// per iteration and reports the three imbalance ratios.
-func BenchmarkFigure1ClassCoverage(b *testing.B) {
-	cfg := eval.DefaultFig1Config()
-	cfg.Classes = []string{"netflix", "youtube"}
-	cfg.Scale = 0.004
-	cfg.SynthTotal = 16
-	cfg.Synth = benchSynth()
-	cfg.GAN = benchGAN()
-
-	var res *eval.Fig1Result
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(21 + i)
-		var err error
-		res, err = eval.RunFig1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.ImbalanceReal, "imbalance-real")
-	b.ReportMetric(res.ImbalanceGAN, "imbalance-gan")
-	b.ReportMetric(res.ImbalanceOurs, "imbalance-ours")
-	b.Logf("\n%s", eval.Fig1Report(res))
-}
-
-// ---------------------------------------------------------------------------
-// Figure 2 — protocol compliance of the rendered synthetic flow.
-// ---------------------------------------------------------------------------
-
-// BenchmarkFigure2ProtocolCompliance trains on Amazon, generates and
-// renders one flow, and reports compliance before/after projection.
-func BenchmarkFigure2ProtocolCompliance(b *testing.B) {
-	cfg := eval.DefaultFig2Config()
-	cfg.TrainFlows = 12
-	cfg.Synth = benchSynth()
-
-	var res *eval.Fig2Result
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(33 + i)
-		var err error
-		res, err = eval.RunFig2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.RawProtocolCompliance, "raw-compliance")
-	b.ReportMetric(res.PostProtocolCompliance, "post-compliance")
-	b.ReportMetric(res.SectionActive["tcp"], "tcp-rows")
-	b.ReportMetric(res.SectionActive["udp"], "udp-rows")
-	b.Logf("\n%s", eval.Fig2Report(res))
-}
-
-// ---------------------------------------------------------------------------
-// §2.3 inline numbers.
-// ---------------------------------------------------------------------------
-
-// BenchmarkGranularityAblation reproduces the raw-bits vs NetFlow
-// comparison on real data (paper: 0.94 vs 0.85 micro).
-func BenchmarkGranularityAblation(b *testing.B) {
-	cfg := eval.DefaultGranularityConfig()
-	cfg.TrainFlowsPerClass = 16
-	cfg.TestFlowsPerClass = 6
-	cfg.PacketsPerFlow = 10
-	cfg.MaxPacketsPerFlow = 24
-	cfg.RF = benchRF()
-
-	var res *eval.GranularityResult
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(5 + i)
-		var err error
-		res, err = eval.RunGranularity(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.NprintMicro, "nprint-micro")
-	b.ReportMetric(res.NetFlowMicro, "netflow-micro")
-	b.Logf("\n%s", eval.GranularityReport(res))
-}
-
-// BenchmarkPerClassGAN reproduces the supplemental experiment: one GAN
-// per class still yields poor Synthetic/Real accuracy (paper: ~0.20).
-func BenchmarkPerClassGAN(b *testing.B) {
-	cfg := eval.DefaultPerClassGANConfig()
-	cfg.Classes = []string{"netflix", "amazon", "teams", "zoom", "facebook", "other"}
-	cfg.TrainFlowsPerClass = 12
-	cfg.TestFlowsPerClass = 5
-	cfg.SynthPerClass = 5
-	cfg.GAN = benchGAN()
-	cfg.RF = benchRF()
-	cfg.MaxPacketsPerFlow = 24
-
-	var res *eval.PerClassGANResult
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(13 + i)
-		var err error
-		res, err = eval.RunPerClassGAN(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.SynthRealMicro, "synth/real-micro")
-	b.Logf("\n%s", eval.PerClassGANReport(res))
 }
 
 // ---------------------------------------------------------------------------
@@ -501,35 +351,6 @@ func BenchmarkNetemConditionTransfer(b *testing.B) {
 	b.ReportMetric(lossFrac, "loss-fraction")
 }
 
-// BenchmarkFidelityStudy scores every generator family against
-// held-out real traffic (size/gap KS distance, header coverage, TCP
-// conformance) — the cross-baseline comparison behind §2.1.
-func BenchmarkFidelityStudy(b *testing.B) {
-	cfg := eval.DefaultFidelityConfig()
-	cfg.TrainFlows = 10
-	cfg.TestFlows = 10
-	cfg.GenFlows = 6
-	cfg.Synth = benchSynth()
-	var res *eval.FidelityResult
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(29 + i)
-		var err error
-		res, err = eval.RunFidelity(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		// Metric units must be whitespace-free: keep the leading word.
-		key := row.Name
-		if i := strings.IndexAny(key, " ("); i > 0 {
-			key = key[:i]
-		}
-		b.ReportMetric(row.SizeKS, key+"-size-ks")
-	}
-	b.Logf("\n%s", eval.FidelityReport(res))
-}
-
 // BenchmarkStatefulRepair measures the §4 "stricter constraints"
 // post-processing: TCP conformance of generated flows before and
 // after the stateful repair pass.
@@ -540,23 +361,7 @@ func BenchmarkStatefulRepair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	conform := func(flows []*flow.Flow) float64 {
-		c := netfunc.NewTCPStateChecker()
-		total := 0
-		for _, f := range flows {
-			for _, p := range f.Packets {
-				if p.TCP != nil {
-					total++
-				}
-				c.Process(p)
-			}
-		}
-		if total == 0 {
-			return 1
-		}
-		return float64(total-c.Violations()) / float64(total)
-	}
-	before := conform(res.Flows)
+	before := netfunc.Conformance(res.Flows)
 	var after float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -564,7 +369,7 @@ func BenchmarkStatefulRepair(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		after = conform(fixed)
+		after = netfunc.Conformance(fixed)
 	}
 	b.ReportMetric(before, "conformance-before")
 	b.ReportMetric(after, "conformance-after")

@@ -1,22 +1,23 @@
-// Command traceval regenerates the paper's tables and figures.
+// Command traceval regenerates the paper's tables and figures; it is
+// the only runner of every paper number.
 //
 // Usage:
 //
-//	traceval table1              # Table 1: dataset composition
-//	traceval table2              # Table 2: RF accuracy, 6 scenarios
-//	traceval fig1a               # Figure 1(a): 11-class distribution
-//	traceval fig1b               # Figure 1(b): 2-class distribution
-//	traceval fig2                # Figure 2: synthetic Amazon flow image
-//	traceval granularity         # §2.3: raw bits vs NetFlow on real data
-//	traceval perclass-gan        # §2.3: one GAN per class
-//	traceval all                 # everything above
-//	traceval frontier            # few-step DDIM fidelity-vs-speed gate (not in all)
+//	traceval table1        # Table 1: dataset composition
+//	traceval table2        # Table 2: RF accuracy, 6 scenarios; Real/Real rows = §2.3 granularity
+//	traceval fig1a         # Figure 1(a): 11-class distribution
+//	traceval fig1b         # Figure 1(b): 2-class distribution
+//	traceval fig2          # Figure 2: synthetic Amazon flow image
+//	traceval perclass-gan  # §2.3: one GAN per class
+//	traceval fidelity      # cross-generator fidelity vs held-out real traffic
+//	traceval frontier      # §4 speed: DDPM, few-step DDIM and GAN, fidelity-gated
+//	traceval all           # everything above
 //
 // Flags scale the experiments: -train/-test/-synth set per-class flow
 // counts, -fast shrinks the models for a quick smoke run. Figure 2's
 // PNG lands in -out (default fig2_amazon.png). frontier ignores the
 // scale flags: it runs the fixed CPU-budget sweep CI gates on and exits
-// non-zero when a few-step point loses fidelity.
+// non-zero when a point loses fidelity.
 package main
 
 import (
@@ -53,7 +54,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig1a fig1b fig2 granularity perclass-gan fidelity speed frontier all")
+		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig1a fig1b fig2 perclass-gan fidelity frontier all")
 		os.Exit(2)
 	}
 
@@ -123,17 +124,6 @@ func main() {
 			fmt.Println("== Figure 2: color processed synthetic data for Amazon ==")
 			fmt.Print(eval.Fig2Report(res))
 			fmt.Printf("image written to %s\n", *out)
-		case "granularity":
-			cfg := eval.DefaultGranularityConfig()
-			cfg.TrainFlowsPerClass = *train
-			cfg.TestFlowsPerClass = *test
-			cfg.Seed = *seed + 5
-			res, err := eval.RunGranularity(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== §2.3: feature granularity on real data ==")
-			fmt.Print(eval.GranularityReport(res))
 		case "fidelity":
 			cfg := eval.DefaultFidelityConfig()
 			cfg.TrainFlows = *train
@@ -148,26 +138,13 @@ func main() {
 			}
 			fmt.Println("== fidelity: all generator families vs held-out real traffic ==")
 			fmt.Print(eval.FidelityReport(res))
-		case "speed":
-			cfg := eval.DefaultSpeedConfig()
-			cfg.Synth = synthCfg
-			cfg.TrainFlows = *train
-			cfg.GenFlows = *synth
-			cfg.Seed = *seed + 17
-			log.Printf("running generation-speed sweep...")
-			res, err := eval.RunSpeed(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== §4: generative speed (sampling budget sweep) ==")
-			fmt.Print(eval.SpeedReport(res))
 		case "frontier":
 			log.Printf("running fidelity-vs-speed frontier...")
 			rep, err := eval.RunFrontier(eval.DefaultFrontierConfig())
 			if err != nil {
 				return err
 			}
-			fmt.Println("== §4: few-step DDIM frontier (fidelity vs speed) ==")
+			fmt.Println("== §4: generative speed, DDPM to few-step DDIM and the GAN (fidelity vs speed) ==")
 			fmt.Print(eval.FrontierReportString(rep))
 			if err := eval.GateFrontier(rep, frontierFidelityTol); err != nil {
 				return err
@@ -193,7 +170,7 @@ func main() {
 
 	names := []string{flag.Arg(0)}
 	if flag.Arg(0) == "all" {
-		names = []string{"table1", "granularity", "table2", "fig1a", "fig1b", "fig2", "perclass-gan", "fidelity", "speed"}
+		names = []string{"table1", "table2", "fig1a", "fig1b", "fig2", "perclass-gan", "fidelity", "frontier"}
 	}
 	for _, n := range names {
 		if err := run(n); err != nil {

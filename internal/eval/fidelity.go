@@ -85,7 +85,7 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 			SizeKS:         stats.KSStatistic(testSizes, sizes),
 			GapKS:          stats.KSStatistic(testGaps, gaps),
 			HeaderCoverage: 1,
-			TCPConformance: tcpConformance(flows),
+			TCPConformance: netfunc.Conformance(flows),
 		})
 	}
 
@@ -153,24 +153,6 @@ func sizeGapSamples(flows []*flow.Flow) (sizes, gaps []float64) {
 		}
 	}
 	return sizes, gaps
-}
-
-// tcpConformance returns the stateful checker's conformance rate.
-func tcpConformance(flows []*flow.Flow) float64 {
-	c := netfunc.NewTCPStateChecker()
-	total := 0
-	for _, f := range flows {
-		for _, p := range f.Packets {
-			if p.TCP != nil {
-				total++
-			}
-			c.Process(p)
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(total-c.Violations()) / float64(total)
 }
 
 // FidelityReport renders the study.

@@ -8,17 +8,19 @@ import (
 
 	"trafficdiff/internal/core"
 	"trafficdiff/internal/flow"
+	"trafficdiff/internal/gan"
 	"trafficdiff/internal/rf"
 	"trafficdiff/internal/workload"
 )
 
-// This file is the fidelity-vs-speed frontier behind few-step DDIM
-// sampling: every DDIM step budget is measured for both throughput
-// (flows/s) and fidelity (Table 2's Synthetic/Real RF accuracy),
-// against a full-budget reference. GateFrontier is the pure pass/fail
-// check `traceval frontier` enforces in CI, so a sampler regression
-// that silently degrades trace realism fails the build rather than the
-// downstream task.
+// This file is the fidelity-vs-speed frontier, the paper's §4
+// "generative speed" measurement: every sampler budget, full DDPM
+// included, is measured for both throughput (flows/s) and fidelity
+// (Table 2's Synthetic/Real RF accuracy) against a full-budget
+// reference, beside the GAN baseline's one-shot records/s.
+// GateFrontier is the pure pass/fail check `traceval frontier`
+// enforces in CI, so a sampler regression that silently degrades trace
+// realism fails the build rather than the downstream task.
 
 // FrontierConfig parameterizes the sweep.
 type FrontierConfig struct {
@@ -33,18 +35,23 @@ type FrontierConfig struct {
 	// RefSteps is the reference DDIM budget (the paper's full-fidelity
 	// configuration; 64 in the shipped suite).
 	RefSteps int
-	// Steps are the few-step budgets swept.
+	// Steps are the budgets swept; 0 is full DDPM (T model
+	// evaluations per flow).
 	Steps []int
 	// PacketsPerFlow bounds the nprint feature rows for the RF.
 	PacketsPerFlow int
 
 	Synth core.Config
-	RF    rf.Config
-	Seed  uint64
+	// GAN is the baseline timed for one-shot records/s, trained on the
+	// sweep's own training split.
+	GAN  gan.Config
+	RF   rf.Config
+	Seed uint64
 }
 
 // DefaultFrontierConfig returns the CPU-budget sweep `traceval
-// frontier` runs: a 64-step reference against 4, 8 and 16 steps.
+// frontier` runs: a 64-step reference against full DDPM and 4, 8 and
+// 16 steps.
 func DefaultFrontierConfig() FrontierConfig {
 	synth := core.DefaultConfig()
 	// Small spatial model, but a schedule long enough that the 64-step
@@ -62,9 +69,10 @@ func DefaultFrontierConfig() FrontierConfig {
 		TestFlows:      6,
 		GenFlows:       6,
 		RefSteps:       64,
-		Steps:          []int{4, 8, 16},
+		Steps:          []int{0, 4, 8, 16},
 		PacketsPerFlow: 12,
 		Synth:          synth,
+		GAN:            gan.DefaultConfig(),
 		RF:             rf.DefaultConfig(),
 		Seed:           29,
 	}
@@ -88,6 +96,17 @@ type FrontierPoint struct {
 // FrontierReport is the sweep output.
 type FrontierReport struct {
 	Points []FrontierPoint `json:"points"`
+	// GANRecordsPerS is the GAN baseline's one-shot generation rate. It
+	// emits NetFlow records, not packets, so it has no fidelity point.
+	GANRecordsPerS float64 `json:"gan_records_per_s"`
+}
+
+// pointName labels a budget: "ddpm" for 0, else "N-step".
+func pointName(steps int) string {
+	if steps == 0 {
+		return "ddpm"
+	}
+	return fmt.Sprintf("%d-step", steps)
 }
 
 // ReferencePoint returns the report's reference point, or an error
@@ -159,12 +178,31 @@ func RunFrontier(cfg FrontierConfig) (*FrontierReport, error) {
 	for _, steps := range cfg.Steps {
 		p, err := measureFrontierPoint(snapshot, steps, test.Flows, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("point %d-step: %w", steps, err)
+			return nil, fmt.Errorf("point %s: %w", pointName(steps), err)
 		}
 		p.Speedup = p.FlowsPerS / ref.FlowsPerS
 		rep.Points = append(rep.Points, p)
 	}
+
+	if rep.GANRecordsPerS, err = ganRecordsPerS(train.Flows, cfg); err != nil {
+		return nil, fmt.Errorf("gan: %w", err)
+	}
 	return rep, nil
+}
+
+// ganRecordsPerS trains the GAN baseline as Table 2 does and times one
+// batch of one-shot generation.
+func ganRecordsPerS(trainFlows []*flow.Flow, cfg FrontierConfig) (float64, error) {
+	gcfg := cfg.GAN
+	gcfg.Seed = cfg.Seed + 2
+	model, err := trainGAN(trainFlows, gcfg, MicroSpace(cfg.Classes))
+	if err != nil {
+		return 0, err
+	}
+	const batch = 2000
+	start := time.Now()
+	recs, _ := model.Generate(batch, cfg.Seed+3)
+	return float64(len(recs)) / time.Since(start).Seconds(), nil
 }
 
 // measureFrontierPoint loads a fresh synthesizer from the snapshot,
@@ -211,8 +249,8 @@ func GateFrontier(rep *FrontierReport, tol float64) error {
 			continue
 		}
 		if p.RFMicro < ref.RFMicro-tol {
-			return fmt.Errorf("eval: frontier point %d-step micro accuracy %.3f below reference %.3f - tol %.3f",
-				p.Steps, p.RFMicro, ref.RFMicro, tol)
+			return fmt.Errorf("eval: frontier point %s micro accuracy %.3f below reference %.3f - tol %.3f",
+				pointName(p.Steps), p.RFMicro, ref.RFMicro, tol)
 		}
 	}
 	return nil
@@ -222,15 +260,16 @@ func GateFrontier(rep *FrontierReport, tol float64) error {
 // reproduces.
 func FrontierReportString(rep *FrontierReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %12s %9s %9s %9s\n", "steps", "flows/s", "speedup", "rf-micro", "rf-macro")
-	fmt.Fprintln(&b, strings.Repeat("-", 49))
+	fmt.Fprintf(&b, "%8s %12s %9s %9s %9s\n", "steps", "flows/s", "speedup", "rf-micro", "rf-macro")
+	fmt.Fprintln(&b, strings.Repeat("-", 51))
 	for _, p := range rep.Points {
 		mark := ""
 		if p.Reference {
 			mark = " (ref)"
 		}
-		fmt.Fprintf(&b, "%6d %12.2f %8.2fx %9.3f %9.3f%s\n",
-			p.Steps, p.FlowsPerS, p.Speedup, p.RFMicro, p.RFMacro, mark)
+		fmt.Fprintf(&b, "%8s %12.2f %8.2fx %9.3f %9.3f%s\n",
+			pointName(p.Steps), p.FlowsPerS, p.Speedup, p.RFMicro, p.RFMacro, mark)
 	}
+	fmt.Fprintf(&b, "gan (one-shot netflow records): %.0f records/s\n", rep.GANRecordsPerS)
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -58,8 +59,10 @@ func TestGateFrontierRejectsMalformedReports(t *testing.T) {
 
 // TestRunFrontierSweep runs the real sweep end to end at test scale:
 // every configured point must appear with positive throughput and
-// in-range accuracy, the reference must run RefSteps, and
-// few-step points must be faster than the reference.
+// in-range accuracy, the reference must run RefSteps, points with
+// fewer model evaluations must be faster than the reference, full DDPM
+// must be slower than 4 steps, and the one-shot GAN must outrun every
+// diffusion point.
 func TestRunFrontierSweep(t *testing.T) {
 	cfg := DefaultFrontierConfig()
 	cfg.TrainFlows = 6
@@ -69,9 +72,10 @@ func TestRunFrontierSweep(t *testing.T) {
 	// work long enough (tens of ms at the reference) that a scheduler
 	// stall on a busy host cannot flip the order.
 	cfg.GenFlows = 12
-	cfg.Steps = []int{4, 8}
+	cfg.Steps = []int{0, 4, 8}
 	cfg.Synth.BaseSteps = 12
 	cfg.Synth.FineTuneSteps = 16
+	cfg.GAN = tinyGAN()
 	cfg.RF = tinyRF()
 	rep, err := RunFrontier(cfg)
 	if err != nil {
@@ -87,19 +91,40 @@ func TestRunFrontierSweep(t *testing.T) {
 	if ref.Steps != cfg.RefSteps || ref.Speedup != 1 {
 		t.Fatalf("reference point: %+v", ref)
 	}
+	bySteps := map[int]FrontierPoint{}
+	fastest := 0.0
 	for _, p := range rep.Points {
 		if p.FlowsPerS <= 0 {
-			t.Fatalf("point %d-step: non-positive throughput %v", p.Steps, p.FlowsPerS)
+			t.Fatalf("point %s: non-positive throughput %v", pointName(p.Steps), p.FlowsPerS)
 		}
 		if p.RFMicro < 0 || p.RFMicro > 1 || p.RFMacro < 0 || p.RFMacro > 1 {
-			t.Fatalf("point %d-step: accuracy out of range %+v", p.Steps, p)
+			t.Fatalf("point %s: accuracy out of range %+v", pointName(p.Steps), p)
 		}
-		if !p.Reference && p.Speedup <= 1 {
-			t.Errorf("few-step point %d-step not faster than 64-step reference (%.2fx)", p.Steps, p.Speedup)
+		evals := p.Steps
+		if evals == 0 {
+			evals = cfg.Synth.TimeSteps
 		}
+		if evals < cfg.RefSteps && p.Speedup <= 1 {
+			t.Errorf("point %s (%d evaluations) not faster than the %d-step reference (%.2fx)",
+				pointName(p.Steps), evals, cfg.RefSteps, p.Speedup)
+		}
+		if !p.Reference {
+			bySteps[p.Steps] = p
+		}
+		fastest = math.Max(fastest, p.FlowsPerS)
+	}
+	// Full DDPM runs T=80 evaluations against 4: ≈ 20× the work, so
+	// one wall-clock pair cannot flip the order.
+	if ddpm, four := bySteps[0], bySteps[4]; ddpm.FlowsPerS >= four.FlowsPerS {
+		t.Errorf("ddpm (%v flows/s) not slower than 4 steps (%v flows/s)", ddpm.FlowsPerS, four.FlowsPerS)
+	}
+	// The one-shot GAN outruns every diffusion point (records, not
+	// packets).
+	if rep.GANRecordsPerS <= fastest {
+		t.Errorf("gan records/s (%v) should exceed the fastest point's flows/s (%v)", rep.GANRecordsPerS, fastest)
 	}
 	out := FrontierReportString(rep)
-	for _, want := range []string{"steps", "(ref)", "rf-micro"} {
+	for _, want := range []string{"steps", "(ref)", "rf-micro", "ddpm", "gan"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frontier report missing %q:\n%s", want, out)
 		}

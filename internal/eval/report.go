@@ -103,16 +103,6 @@ func Fig2Report(r *Fig2Result) string {
 	return b.String()
 }
 
-// GranularityReport renders the §2.3 comparison.
-func GranularityReport(r *GranularityResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %8s %8s\n", "Granularity (Real/Real)", "Macro", "Micro")
-	fmt.Fprintln(&b, strings.Repeat("-", 44))
-	fmt.Fprintf(&b, "%-24s %8.2f %8.2f\n", "raw packet bits", r.NprintMacro, r.NprintMicro)
-	fmt.Fprintf(&b, "%-24s %8.2f %8.2f\n", "NetFlow features", r.NetFlowMacro, r.NetFlowMicro)
-	return b.String()
-}
-
 // PerClassGANReport renders the supplemental experiment.
 func PerClassGANReport(r *PerClassGANResult) string {
 	return fmt.Sprintf("per-class GANs, Synthetic/Real: macro %.2f, micro %.2f\n",

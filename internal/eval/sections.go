@@ -10,67 +10,6 @@ import (
 	"trafficdiff/internal/workload"
 )
 
-// GranularityConfig parameterizes the §2.3 inline measurement: RF on
-// real data at raw-packet vs NetFlow granularity (paper: 94% vs 85%
-// micro accuracy).
-type GranularityConfig struct {
-	Classes            []string
-	TrainFlowsPerClass int
-	TestFlowsPerClass  int
-	PacketsPerFlow     int
-	MaxPacketsPerFlow  int
-	RF                 rf.Config
-	Seed               uint64
-}
-
-// DefaultGranularityConfig returns CPU-friendly settings.
-func DefaultGranularityConfig() GranularityConfig {
-	return GranularityConfig{
-		Classes:            workload.ClassNames(),
-		TrainFlowsPerClass: 24, TestFlowsPerClass: 8,
-		PacketsPerFlow: 12, MaxPacketsPerFlow: 32,
-		RF: rf.DefaultConfig(), Seed: 5,
-	}
-}
-
-// GranularityResult compares micro-level accuracy across feature
-// granularities on real data.
-type GranularityResult struct {
-	NprintMicro  float64
-	NetFlowMicro float64
-	NprintMacro  float64
-	NetFlowMacro float64
-}
-
-// RunGranularity executes the comparison.
-func RunGranularity(cfg GranularityConfig) (*GranularityResult, error) {
-	total := cfg.TrainFlowsPerClass + cfg.TestFlowsPerClass
-	ds, err := workload.Generate(workload.Config{
-		Seed: cfg.Seed, FlowsPerClass: total, Only: cfg.Classes,
-		MaxPacketsPerFlow: cfg.MaxPacketsPerFlow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	train, test := ds.Split(float64(cfg.TrainFlowsPerClass)/float64(total), cfg.Seed+1)
-	micro := MicroSpace(cfg.Classes)
-	macro := MacroSpace(cfg.Classes)
-
-	t2 := Table2Config{PacketsPerFlow: cfg.PacketsPerFlow, RF: cfg.RF, Seed: cfg.Seed}
-	np, err := evalPair(train.Flows, test.Flows, GranularityNprint, t2, micro, macro)
-	if err != nil {
-		return nil, err
-	}
-	nf, err := evalPair(train.Flows, test.Flows, GranularityNetFlow, t2, micro, macro)
-	if err != nil {
-		return nil, err
-	}
-	return &GranularityResult{
-		NprintMicro: np.Micro, NetFlowMicro: nf.Micro,
-		NprintMacro: np.Macro, NetFlowMacro: nf.Macro,
-	}, nil
-}
-
 // PerClassGANConfig parameterizes the §2.3 supplemental experiment:
 // one GAN per class, then Synthetic/Real classification.
 type PerClassGANConfig struct {

@@ -193,28 +193,33 @@ func evalPair(trainFlows, testFlows []*flow.Flow, g FeatureGranularity, cfg Tabl
 	return cell, nil
 }
 
-// trainGANAndGenerate fits the NetShare-style GAN on the real training
-// flows' complete NetFlow records — including the high-entropy
-// identifier fields NetShare must model (IPs, ports, start times) —
-// and draws a synthetic dataset. Classification features are then
-// sliced out of the generated rows, exactly as the evaluation does for
-// real records (paper footnote 1). Returned labels are micro-level ids
-// (the GAN emits them as a feature).
-func trainGANAndGenerate(trainFlows []*flow.Flow, cfg Table2Config, micro *LabelSpace) ([][]float32, []int, error) {
+// trainGAN fits the NetShare-style GAN on the real training flows'
+// complete NetFlow records — including the high-entropy identifier
+// fields NetShare must model (IPs, ports, start times) — with the
+// micro-level label as one more generated feature.
+func trainGAN(trainFlows []*flow.Flow, cfg gan.Config, micro *LabelSpace) (*gan.Model, error) {
 	var feats [][]float64
 	var labels []int
 	for _, f := range trainFlows {
-		rec := netflow.FromFlow(f)
-		feats = append(feats, rec.FullVector())
+		feats = append(feats, netflow.FromFlow(f).FullVector())
 		id, err := micro.LabelOf(f)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		labels = append(labels, id)
 	}
+	return gan.Train(feats, labels, micro.K(), cfg)
+}
+
+// trainGANAndGenerate trains the GAN baseline and draws a synthetic
+// dataset. Classification features are then sliced out of the
+// generated rows, exactly as the evaluation does for real records
+// (paper footnote 1). Returned labels are micro-level ids (the GAN
+// emits them as a feature).
+func trainGANAndGenerate(trainFlows []*flow.Flow, cfg Table2Config, micro *LabelSpace) ([][]float32, []int, error) {
 	gcfg := cfg.GAN
 	gcfg.Seed = cfg.Seed + 99
-	model, err := gan.Train(feats, labels, micro.K(), gcfg)
+	model, err := trainGAN(trainFlows, gcfg, micro)
 	if err != nil {
 		return nil, nil, err
 	}

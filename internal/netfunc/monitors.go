@@ -207,6 +207,27 @@ func (c *TCPStateChecker) Report() string {
 // Violations exposes the violation count.
 func (c *TCPStateChecker) Violations() int { return c.violations }
 
+// Conformance replays flows, in order, through one counting
+// TCPStateChecker and returns the share of TCP packets that conform
+// (1 = fully replayable handshake ordering). Flows without TCP packets
+// conform vacuously: the result is 1, never NaN.
+func Conformance(flows []*flow.Flow) float64 {
+	c := NewTCPStateChecker()
+	total := 0
+	for _, f := range flows {
+		for _, p := range f.Packets {
+			if p.TCP != nil {
+				total++
+			}
+			c.Process(p)
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(total-c.Violations()) / float64(total)
+}
+
 // RateLimiter enforces a token-bucket packet rate keyed by flow.
 type RateLimiter struct {
 	// PacketsPerFlow is the bucket size: packets allowed per flow

@@ -1,10 +1,12 @@
 package netfunc
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"trafficdiff/internal/flow"
 	"trafficdiff/internal/packet"
 	"trafficdiff/internal/workload"
 )
@@ -105,6 +107,37 @@ func TestTCPStateCheckerSynOnEstablished(t *testing.T) {
 	c.Process(b.BuildTCP(ts, ip, packet.TCP{SrcPort: 1, DstPort: 2, Flags: packet.FlagSYN}, nil))
 	if c.Violations() != 1 {
 		t.Fatalf("SYN on established not flagged: %s", c.Report())
+	}
+}
+
+func TestConformance(t *testing.T) {
+	var b packet.Builder
+	ip := packet.IPv4{TTL: 64, SrcIP: [4]byte{1, 1, 1, 1}, DstIP: [4]byte{2, 2, 2, 2}}
+	ipR := packet.IPv4{TTL: 64, SrcIP: [4]byte{2, 2, 2, 2}, DstIP: [4]byte{1, 1, 1, 1}}
+	ts := time.Unix(0, 0)
+	tcp := func(ip packet.IPv4, src, dst uint16, flags packet.TCPFlags) *packet.Packet {
+		return b.BuildTCP(ts, ip, packet.TCP{SrcPort: src, DstPort: dst, Flags: flags}, nil)
+	}
+	handshake := []*packet.Packet{
+		tcp(ip, 1, 2, packet.FlagSYN),
+		tcp(ipR, 2, 1, packet.FlagSYN|packet.FlagACK),
+		tcp(ip, 1, 2, packet.FlagACK),
+	}
+	udp := b.BuildUDP(ts, ip, packet.UDP{SrcPort: 53, DstPort: 53}, []byte("q"))
+	cases := []struct {
+		name string
+		pkts []*packet.Packet
+		want float64
+	}{
+		{"all conformant", append(handshake[:3:3], tcp(ip, 1, 2, packet.FlagACK|packet.FlagPSH)), 1},
+		{"one violation", append(handshake[:3:3], tcp(ip, 1, 2, packet.FlagSYN)), 0.75},
+		{"no tcp", []*packet.Packet{udp}, 1},
+	}
+	for _, tc := range cases {
+		got := Conformance([]*flow.Flow{{Packets: tc.pkts}})
+		if math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: conformance = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
