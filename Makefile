@@ -70,8 +70,10 @@ load-smoke:
 resume-smoke:
 	$(GO) test -run TestResumeEndToEnd -count=1 -v .
 
-# End-to-end determinism guard: the tiny Table 2 experiment must print
-# byte-identical output at GOMAXPROCS=1 and GOMAXPROCS=4, the
+# End-to-end determinism guard: every seeded experiment (Table 2,
+# Figures 1-2, the per-class GAN and the fidelity study) must print
+# byte-identical output at smoke sizes at GOMAXPROCS=1 and
+# GOMAXPROCS=4, with a byte-identical Figure 2 PNG, the
 # kill-at-step-k resume property must hold across every combination of
 # kill step, batch size, EMA mode and LoRA/full-training mode, the
 # helper pool and everything dispatched through it (kernels, row-wise
@@ -84,10 +86,12 @@ resume-smoke:
 # share).
 verify-determinism:
 	$(GO) build -o /tmp/traceval-det ./cmd/traceval
-	GOMAXPROCS=1 /tmp/traceval-det -fast table2 > /tmp/det_p1.txt
-	GOMAXPROCS=4 /tmp/traceval-det -fast table2 > /tmp/det_p4.txt
+	GOMAXPROCS=1 /tmp/traceval-det -fast -train 6 -test 3 -synth 3 -out /tmp/det_fig2.png table2 fig1a fig1b fig2 perclass-gan fidelity > /tmp/det_p1.txt
+	cp /tmp/det_fig2.png /tmp/det_fig2_p1.png
+	GOMAXPROCS=4 /tmp/traceval-det -fast -train 6 -test 3 -synth 3 -out /tmp/det_fig2.png table2 fig1a fig1b fig2 perclass-gan fidelity > /tmp/det_p4.txt
 	diff /tmp/det_p1.txt /tmp/det_p4.txt
-	@echo "determinism OK: GOMAXPROCS=1 and 4 outputs identical"
+	cmp /tmp/det_fig2_p1.png /tmp/det_fig2.png
+	@echo "determinism OK: GOMAXPROCS=1 and 4 outputs and Figure 2 PNGs identical"
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"

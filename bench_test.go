@@ -148,14 +148,11 @@ func BenchmarkAblationConstantSnap(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := eval.DefaultTable2Config()
+			cfg := eval.DefaultConfig()
 			cfg.Classes = []string{"netflix", "amazon", "teams", "other"}
-			cfg.TrainFlowsPerClass = 10
-			cfg.TestFlowsPerClass = 4
-			cfg.SynthPerClass = 4
-			cfg.PacketsPerFlow = 8
-			cfg.Synth = benchSynth()
-			cfg.Synth.ConstantSnap = on
+			cfg.Train, cfg.Test, cfg.Synth, cfg.Packets = 10, 4, 4, 8
+			cfg.Model = benchSynth()
+			cfg.Model.ConstantSnap = on
 			cfg.GAN = benchGAN()
 			cfg.RF = benchRF()
 			var res *eval.Table2Result

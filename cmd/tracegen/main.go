@@ -131,10 +131,7 @@ func run(o runOpts) error {
 	if err != nil {
 		return err
 	}
-	byClass := map[string][]*flow.Flow{}
-	for _, f := range ds.Flows {
-		byClass[f.Label] = append(byClass[f.Label], f)
-	}
+	byClass := ds.ByClass()
 	if keepReal {
 		for class, flows := range byClass {
 			if err := writePcap(filepath.Join(outDir, "real_"+class+".pcap"), flows); err != nil {

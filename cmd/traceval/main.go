@@ -13,11 +13,14 @@
 //	traceval frontier      # §4 speed: DDPM, few-step DDIM and GAN, fidelity-gated
 //	traceval all           # everything above
 //
-// Flags scale the experiments: -train/-test/-synth set per-class flow
-// counts, -fast shrinks the models for a quick smoke run. Figure 2's
-// PNG lands in -out (default fig2_amazon.png). frontier ignores the
-// scale flags: it runs the fixed CPU-budget sweep CI gates on and exits
-// non-zero when a point loses fidelity.
+// Several ids run in order (traceval table2 fig2). Every experiment
+// runs from one eval.Config, filled from the flags: -train/-test/-synth
+// set the per-class real training, real test and synthetic flow counts,
+// -seed the one seed each experiment offsets, and -fast shrinks the
+// diffusion model for a quick smoke run. Figure 2's PNG lands in -out
+// (default fig2_amazon.png). frontier ignores the flags: it runs the
+// fixed CPU-budget sweep CI gates on and exits non-zero when a point
+// loses fidelity.
 package main
 
 import (
@@ -26,7 +29,6 @@ import (
 	"log"
 	"os"
 
-	"trafficdiff/internal/core"
 	"trafficdiff/internal/eval"
 	"trafficdiff/internal/workload"
 )
@@ -40,81 +42,75 @@ import (
 // (which drops accuracy toward chance, far past any noise).
 const frontierFidelityTol = 0.20
 
+// paperScale sizes Table 1's and Figure 1's imbalanced datasets as a
+// fraction of the paper's per-class counts.
+const paperScale = 0.02
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("traceval: ")
+	def := eval.DefaultConfig()
 	var (
-		train = flag.Int("train", 24, "real training flows per class")
-		test  = flag.Int("test", 8, "real test flows per class")
-		synth = flag.Int("synth", 8, "synthetic flows per class")
+		train = flag.Int("train", def.Train, "real training flows per class")
+		test  = flag.Int("test", def.Test, "real test flows per class")
+		synth = flag.Int("synth", def.Synth, "synthetic flows per class")
 		fast  = flag.Bool("fast", false, "shrink models for a quick run")
 		out   = flag.String("out", "fig2_amazon.png", "figure 2 PNG path")
-		seed  = flag.Uint64("seed", 7, "random seed")
+		seed  = flag.Uint64("seed", def.Seed, "random seed")
 	)
 	flag.Parse()
-	if flag.NArg() != 1 {
+	if flag.NArg() == 0 {
 		flag.Usage()
 		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig1a fig1b fig2 perclass-gan fidelity frontier all")
 		os.Exit(2)
 	}
 
-	synthCfg := core.DefaultConfig()
+	cfg := def
+	cfg.Train, cfg.Test, cfg.Synth, cfg.Seed = *train, *test, *synth, *seed
 	if *fast {
-		synthCfg.Hidden = 64
-		synthCfg.TimeSteps = 40
-		synthCfg.BaseSteps = 50
-		synthCfg.FineTuneSteps = 80
-		synthCfg.DDIMSteps = 8
+		cfg.Model.Hidden = 64
+		cfg.Model.TimeSteps = 40
+		cfg.Model.BaseSteps = 50
+		cfg.Model.FineTuneSteps = 80
+		cfg.Model.DDIMSteps = 8
 	}
-	synthCfg.Seed = *seed
+	cfg.Model.Seed = *seed
 
 	run := func(name string) error {
+		c := cfg
 		switch name {
 		case "table1":
-			ds, err := workload.Generate(workload.Config{Seed: *seed, Scale: 0.02, MaxPacketsPerFlow: 32})
+			ds, err := workload.Generate(workload.Config{Seed: c.Seed, Scale: paperScale, MaxPacketsPerFlow: c.Model.Rows})
 			if err != nil {
 				return err
 			}
-			fmt.Println("== Table 1: service recognition dataset (Scale=0.02 of paper counts) ==")
+			fmt.Printf("== Table 1: service recognition dataset (Scale=%g of paper counts) ==\n", paperScale)
 			fmt.Print(eval.Table1Report(ds))
 		case "table2":
-			cfg := eval.DefaultTable2Config()
-			cfg.TrainFlowsPerClass = *train
-			cfg.TestFlowsPerClass = *test
-			cfg.SynthPerClass = *synth
-			cfg.Synth = synthCfg
-			cfg.Seed = *seed
-			log.Printf("running table2 (train=%d/class, test=%d/class, synth=%d/class)...", *train, *test, *synth)
-			res, err := eval.RunTable2(cfg)
+			log.Printf("running table2 (train=%d/class, test=%d/class, synth=%d/class)...", c.Train, c.Test, c.Synth)
+			res, err := eval.RunTable2(c)
 			if err != nil {
 				return err
 			}
 			fmt.Println("== Table 2: RF accuracy across training/testing scenarios ==")
 			fmt.Print(eval.Table2Report(res))
 		case "fig1a", "fig1b":
-			cfg := eval.DefaultFig1Config()
 			if name == "fig1b" {
-				cfg.Classes = []string{"netflix", "youtube"}
-				cfg.SynthTotal = 4 * *synth
-			} else {
-				cfg.SynthTotal = 11 * *synth
+				// Two classes: draw twice as many flows per class.
+				c.Classes = []string{"netflix", "youtube"}
+				c.Synth *= 2
 			}
-			cfg.Synth = synthCfg
-			cfg.Seed = *seed + 21
 			log.Printf("running %s...", name)
-			res, err := eval.RunFig1(cfg)
+			res, err := eval.RunFig1(c, paperScale)
 			if err != nil {
 				return err
 			}
 			fmt.Printf("== Figure 1 (%s): class distribution, real vs GAN vs ours ==\n", name)
 			fmt.Print(eval.Fig1Report(res))
 		case "fig2":
-			cfg := eval.DefaultFig2Config()
-			cfg.TrainFlows = *train
-			cfg.Synth = synthCfg
-			cfg.Seed = *seed + 33
+			c.Classes = []string{"amazon"}
 			log.Printf("running fig2...")
-			res, err := eval.RunFig2(cfg)
+			res, err := eval.RunFig2(c)
 			if err != nil {
 				return err
 			}
@@ -125,14 +121,9 @@ func main() {
 			fmt.Print(eval.Fig2Report(res))
 			fmt.Printf("image written to %s\n", *out)
 		case "fidelity":
-			cfg := eval.DefaultFidelityConfig()
-			cfg.TrainFlows = *train
-			cfg.TestFlows = *test
-			cfg.GenFlows = *synth
-			cfg.Synth = synthCfg
-			cfg.Seed = *seed + 29
+			c.Classes = []string{"amazon"}
 			log.Printf("running fidelity study...")
-			res, err := eval.RunFidelity(cfg)
+			res, err := eval.RunFidelity(c)
 			if err != nil {
 				return err
 			}
@@ -140,7 +131,7 @@ func main() {
 			fmt.Print(eval.FidelityReport(res))
 		case "frontier":
 			log.Printf("running fidelity-vs-speed frontier...")
-			rep, err := eval.RunFrontier(eval.DefaultFrontierConfig())
+			rep, err := eval.RunFrontier(frontierConfig(), 64, []int{0, 4, 8, 16})
 			if err != nil {
 				return err
 			}
@@ -150,12 +141,7 @@ func main() {
 				return err
 			}
 		case "perclass-gan":
-			cfg := eval.DefaultPerClassGANConfig()
-			cfg.TrainFlowsPerClass = *train
-			cfg.TestFlowsPerClass = *test
-			cfg.SynthPerClass = *synth
-			cfg.Seed = *seed + 13
-			res, err := eval.RunPerClassGAN(cfg)
+			res, err := eval.RunPerClassGAN(c)
 			if err != nil {
 				return err
 			}
@@ -168,13 +154,35 @@ func main() {
 		return nil
 	}
 
-	names := []string{flag.Arg(0)}
-	if flag.Arg(0) == "all" {
-		names = []string{"table1", "table2", "fig1a", "fig1b", "fig2", "perclass-gan", "fidelity", "frontier"}
+	var names []string
+	for _, n := range flag.Args() {
+		if n == "all" {
+			names = append(names, "table1", "table2", "fig1a", "fig1b", "fig2", "perclass-gan", "fidelity", "frontier")
+		} else {
+			names = append(names, n)
+		}
 	}
 	for _, n := range names {
 		if err := run(n); err != nil {
 			log.Fatalf("%s: %v", n, err)
 		}
 	}
+}
+
+// frontierConfig is the fixed CPU-budget sweep CI gates on, whatever
+// the scale flags say: a small spatial model, but a schedule long
+// enough that the 64-step reference budget is meaningful.
+func frontierConfig() eval.Config {
+	c := eval.DefaultConfig()
+	c.Classes = []string{"amazon", "teams"}
+	c.Train, c.Test, c.Synth = 12, 6, 6
+	c.Model.Rows = 16
+	c.Model.DownH, c.Model.DownW = 2, 16
+	c.Model.Hidden = 48
+	c.Model.TimeSteps = 80
+	c.Model.BaseSteps = 25
+	c.Model.FineTuneSteps = 35
+	c.Model.Batch = 8
+	c.Seed = 29
+	return c
 }

@@ -18,7 +18,6 @@ import (
 	"log"
 
 	"trafficdiff/internal/core"
-	"trafficdiff/internal/flow"
 	"trafficdiff/internal/packet"
 	"trafficdiff/internal/workload"
 )
@@ -32,10 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	byClass := map[string][]*flow.Flow{}
-	for _, f := range ds.Flows {
-		byClass[f.Label] = append(byClass[f.Label], f)
-	}
+	byClass := ds.ByClass()
 
 	cfg := core.DefaultConfig()
 	cfg.Hidden = 96

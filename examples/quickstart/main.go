@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"trafficdiff/internal/core"
-	"trafficdiff/internal/flow"
 	"trafficdiff/internal/pcap"
 	"trafficdiff/internal/workload"
 )
@@ -33,10 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	byClass := map[string][]*flow.Flow{}
-	for _, f := range ds.Flows {
-		byClass[f.Label] = append(byClass[f.Label], f)
-	}
+	byClass := ds.ByClass()
 
 	// 2. Configure and fine-tune the synthesizer (small settings so
 	//    this runs in under a minute on a laptop CPU).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -329,16 +330,21 @@ func (s *Scaler) popNewest() (*Proc, int) {
 	return p, len(s.procs)
 }
 
-// TracedSpawner builds a SpawnFunc over the real traced binary: it
-// starts `bin -model model -addr 127.0.0.1:0 <extraArgs...>`, reads
-// the machine-parseable "ADDR=host:port" line traced prints on stdout
-// once its listener is up, and returns a Proc whose Stop SIGTERMs the
-// child (traced's graceful drain path) and waits for exit. The child's
-// stderr passes through to the router's, so startup errors and crash
-// reasons stay diagnosable.
+// TracedSpawner builds a SpawnFunc over the real traced binary: the
+// n-th spawn (from 1) starts `bin -model model -addr 127.0.0.1:0
+// <extraArgs...> -seed-base n`, reads the machine-parseable
+// "ADDR=host:port" line traced prints on stdout once its listener is
+// up, and returns a Proc whose Stop SIGTERMs the child (traced's
+// graceful drain path) and waits for exit. The distinct -seed-base
+// comes last so it wins: replicas sharing one would answer their k-th
+// unseeded requests with identical flows. The child's stderr passes
+// through to the router's, so startup errors and crash reasons stay
+// diagnosable.
 func TracedSpawner(bin, model string, extraArgs []string) SpawnFunc {
+	var spawned atomic.Uint64
 	return func(ctx context.Context) (*Proc, error) {
 		args := append([]string{"-model", model, "-addr", "127.0.0.1:0"}, extraArgs...)
+		args = append(args, "-seed-base", strconv.FormatUint(spawned.Add(1), 10))
 		cmd := exec.Command(bin, args...)
 		cmd.Stderr = os.Stderr
 		stdout, err := cmd.StdoutPipe()

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -26,6 +28,17 @@ func tinySynth() core.Config {
 	return cfg
 }
 
+// checkDigest pins an experiment's seeded output to its golden SHA-256:
+// the tiny configurations below must reproduce their reports byte for
+// byte, natively and under -tags purego.
+func checkDigest(t *testing.T, name string, got []byte, want string) {
+	t.Helper()
+	sum := sha256.Sum256(got)
+	if h := hex.EncodeToString(sum[:]); h != want {
+		t.Errorf("%s digest = %s, want %s\n%s", name, h, want, got)
+	}
+}
+
 func tinyGAN() gan.Config {
 	cfg := gan.DefaultConfig()
 	cfg.Steps = 120
@@ -35,6 +48,19 @@ func tinyGAN() gan.Config {
 func tinyRF() rf.Config {
 	cfg := rf.DefaultConfig()
 	cfg.Trees = 10
+	return cfg
+}
+
+// tinyConfig is DefaultConfig over classes with every model shrunk for
+// tests. Its Seed is 0, so each experiment runs at its own seed offset.
+func tinyConfig(classes ...string) Config {
+	cfg := DefaultConfig()
+	cfg.Classes = classes
+	cfg.Model = tinySynth()
+	cfg.GAN = tinyGAN()
+	cfg.RF = tinyRF()
+	cfg.HMM.Iterations = 5
+	cfg.Seed = 0
 	return cfg
 }
 
@@ -115,15 +141,9 @@ func TestLabelSpaces(t *testing.T) {
 }
 
 func TestRunTable2SmallShape(t *testing.T) {
-	cfg := DefaultTable2Config()
-	cfg.Classes = []string{"amazon", "teams", "facebook", "other"}
-	cfg.TrainFlowsPerClass = 10
-	cfg.TestFlowsPerClass = 4
-	cfg.SynthPerClass = 4
-	cfg.PacketsPerFlow = 8
-	cfg.Synth = tinySynth()
-	cfg.GAN = tinyGAN()
-	cfg.RF = tinyRF()
+	cfg := tinyConfig("amazon", "teams", "facebook", "other")
+	cfg.Train, cfg.Test, cfg.Synth, cfg.Packets = 10, 4, 4, 8
+	cfg.Seed = 7
 
 	res, err := RunTable2(cfg)
 	if err != nil {
@@ -168,29 +188,65 @@ func TestRunTable2SmallShape(t *testing.T) {
 	if !strings.Contains(report, "Real/Synthetic (Ours)") {
 		t.Error("report missing scenario row")
 	}
+	checkDigest(t, "table2 report", []byte(report), "434697518569a585001e06ab7b3f04a3740a4e538b0fcf91c337e4b4db1d2aaf")
 }
 
 func TestRunTable2Validation(t *testing.T) {
-	cfg := DefaultTable2Config()
+	cfg := DefaultConfig()
 	cfg.Classes = []string{"amazon"}
 	if _, err := RunTable2(cfg); err == nil {
 		t.Error("single class should fail")
 	}
-	cfg = DefaultTable2Config()
-	cfg.TrainFlowsPerClass = 0
+	cfg = DefaultConfig()
+	cfg.Packets = 0
 	if _, err := RunTable2(cfg); err == nil {
-		t.Error("zero train flows should fail")
+		t.Error("zero packets should fail")
+	}
+}
+
+// TestRunnersRejectZeroSizes: every runner validates its Config before
+// any work, so a zero size is an error — never a panic, and never
+// accuracies computed from an empty split.
+func TestRunnersRejectZeroSizes(t *testing.T) {
+	runners := map[string]func(Config) error{
+		"table2": func(c Config) error { _, err := RunTable2(c); return err },
+		"fig1":   func(c Config) error { _, err := RunFig1(c, 0.02); return err },
+		"fig2": func(c Config) error {
+			c.Classes = c.Classes[:1]
+			_, err := RunFig2(c)
+			return err
+		},
+		"perclass-gan": func(c Config) error { _, err := RunPerClassGAN(c); return err },
+		"fidelity": func(c Config) error {
+			c.Classes = c.Classes[:1]
+			_, err := RunFidelity(c)
+			return err
+		},
+		"frontier": func(c Config) error { _, err := RunFrontier(c, 4, []int{2}); return err },
+	}
+	sizes := map[string]func(*Config){
+		"train": func(c *Config) { c.Train = 0 },
+		"test":  func(c *Config) { c.Test = 0 },
+		"synth": func(c *Config) { c.Synth = 0 },
+	}
+	for rn, run := range runners {
+		for sn, zero := range sizes {
+			t.Run(rn+"/"+sn, func(t *testing.T) {
+				cfg := tinyConfig("amazon", "teams")
+				cfg.Train, cfg.Test, cfg.Synth = 4, 3, 3
+				zero(&cfg)
+				if err := run(cfg); err == nil {
+					t.Fatalf("%s = 0 accepted", sn)
+				}
+			})
+		}
 	}
 }
 
 func TestRunFig1TwoClass(t *testing.T) {
-	cfg := DefaultFig1Config()
-	cfg.Classes = []string{"netflix", "youtube"} // Figure 1(b)
-	cfg.Scale = 0.004
-	cfg.SynthTotal = 12
-	cfg.Synth = tinySynth()
-	cfg.GAN = tinyGAN()
-	res, err := RunFig1(cfg)
+	cfg := tinyConfig("netflix", "youtube") // Figure 1(b)
+	cfg.Synth = 6
+	res, err := RunFig1(cfg, 0.004)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +281,12 @@ func TestRunFig1TwoClass(t *testing.T) {
 	if !strings.Contains(report, "imbalance ratio") {
 		t.Error("fig1 report missing imbalance line")
 	}
+	checkDigest(t, "fig1 report", []byte(report), "95ff8c4cf9f234db79535c836e857cf25c4930d54af131e0294e9ec42efcf7b1")
 }
 
 func TestRunFig2Amazon(t *testing.T) {
-	cfg := DefaultFig2Config()
-	cfg.TrainFlows = 6
-	cfg.Synth = tinySynth()
+	cfg := tinyConfig("amazon")
+	cfg.Train = 6
 	res, err := RunFig2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -251,27 +307,23 @@ func TestRunFig2Amazon(t *testing.T) {
 	if !strings.Contains(Fig2Report(res), "protocol compliance") {
 		t.Error("fig2 report malformed")
 	}
+	checkDigest(t, "fig2 png", res.PNG, "876c62ea90c055e71c3002761205a1203ae2465f72b0d15277eec3f1fe7a0935")
+	checkDigest(t, "fig2 report", []byte(Fig2Report(res)), "e7cc2f10380a590b52dc24c78ef813bc70d4a407b39c20fd810e8fb559c8750a")
 }
 
 func TestRunFig2UnknownClass(t *testing.T) {
-	cfg := DefaultFig2Config()
-	cfg.Class = "mystery"
+	cfg := DefaultConfig()
+	cfg.Classes = []string{"mystery"}
 	if _, err := RunFig2(cfg); err == nil {
 		t.Fatal("unknown class should fail")
 	}
 }
 
 func TestRunPerClassGAN(t *testing.T) {
-	cfg := DefaultPerClassGANConfig()
 	// All-TCP classes: protocol one-hots carry no signal, so micro
 	// accuracy must come from the blurry aggregate features.
-	cfg.Classes = []string{"netflix", "amazon", "twitch", "facebook"}
-	cfg.TrainFlowsPerClass = 12
-	cfg.TestFlowsPerClass = 5
-	cfg.SynthPerClass = 5
-	cfg.GAN = tinyGAN()
-	cfg.RF = tinyRF()
-	cfg.MaxPacketsPerFlow = 16
+	cfg := tinyConfig("netflix", "amazon", "twitch", "facebook")
+	cfg.Train, cfg.Test, cfg.Synth = 12, 5, 5
 	res, err := RunPerClassGAN(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +340,7 @@ func TestRunPerClassGAN(t *testing.T) {
 	if !strings.Contains(PerClassGANReport(res), "per-class GANs") {
 		t.Error("report malformed")
 	}
+	checkDigest(t, "per-class GAN report", []byte(PerClassGANReport(res)), "0b3bfb43a0a3c42718a30f2651991de78ffddadec441a7aac4b67114cbd2e869")
 }
 
 func TestTable1Report(t *testing.T) {

@@ -4,39 +4,12 @@ import (
 	"fmt"
 	"strings"
 
-	"trafficdiff/internal/core"
 	"trafficdiff/internal/flow"
 	"trafficdiff/internal/heuristic"
 	"trafficdiff/internal/hmm"
 	"trafficdiff/internal/netfunc"
 	"trafficdiff/internal/stats"
-	"trafficdiff/internal/workload"
 )
-
-// FidelityConfig parameterizes the cross-generator fidelity study: it
-// compares every generator family the paper discusses (§2.1) —
-// heuristics, HMM, and our diffusion pipeline — against held-out real
-// traffic on distributional and structural metrics. (The GAN baseline
-// is excluded here because it emits aggregate records, not packets;
-// its fidelity is measured by Table 2.)
-type FidelityConfig struct {
-	Class      string
-	TrainFlows int
-	TestFlows  int
-	GenFlows   int
-	Synth      core.Config
-	HMM        hmm.Config
-	Seed       uint64
-}
-
-// DefaultFidelityConfig returns CPU-friendly settings on the paper's
-// Figure 2 class.
-func DefaultFidelityConfig() FidelityConfig {
-	return FidelityConfig{
-		Class: "amazon", TrainFlows: 16, TestFlows: 16, GenFlows: 12,
-		Synth: core.DefaultConfig(), HMM: hmm.DefaultConfig(), Seed: 29,
-	}
-}
 
 // FidelityRow scores one generator against held-out real traffic.
 type FidelityRow struct {
@@ -60,22 +33,23 @@ type FidelityResult struct {
 	Rows  []FidelityRow
 }
 
-// RunFidelity executes the study.
-func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
-	if cfg.TrainFlows <= 0 || cfg.TestFlows <= 0 || cfg.GenFlows <= 0 {
-		return nil, fmt.Errorf("eval: non-positive fidelity sizes")
+// RunFidelity executes the cross-generator fidelity study: it compares
+// every generator family the paper discusses (§2.1) — heuristics, HMM,
+// and our diffusion pipeline — against held-out real traffic of its one
+// class on distributional and structural metrics, Synth generated flows
+// each. (The GAN baseline is excluded here because it emits aggregate
+// records, not packets; its fidelity is measured by Table 2.)
+func RunFidelity(c Config) (*FidelityResult, error) {
+	if err := c.validate(true); err != nil {
+		return nil, err
 	}
-	ds, err := workload.Generate(workload.Config{
-		Seed: cfg.Seed, FlowsPerClass: cfg.TrainFlows + cfg.TestFlows,
-		Only: []string{cfg.Class}, MaxPacketsPerFlow: cfg.Synth.Rows,
-	})
+	seed := c.Seed + fidelitySeed
+	train, test, err := c.split(seed)
 	if err != nil {
 		return nil, err
 	}
-	frac := float64(cfg.TrainFlows) / float64(cfg.TrainFlows+cfg.TestFlows)
-	train, test := ds.Split(frac, cfg.Seed+1)
 
-	res := &FidelityResult{Class: cfg.Class}
+	res := &FidelityResult{Class: c.Classes[0]}
 	testSizes, testGaps := sizeGapSamples(test.Flows)
 
 	score := func(name string, flows []*flow.Flow) {
@@ -97,22 +71,22 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	score("heuristic", hfit.Generate(cfg.GenFlows, cfg.Seed+2))
+	score("heuristic", hfit.Generate(c.Synth, seed+2))
 
 	// HMM baseline: emits only (size, gap) pairs — no headers at all.
 	var seqs [][]hmm.Observation
 	for _, f := range train.Flows {
 		seqs = append(seqs, hmm.FromFlow(f))
 	}
-	hcfg := cfg.HMM
-	hcfg.Seed = cfg.Seed + 3
+	hcfg := c.HMM
+	hcfg.Seed = seed + 3
 	model, _, err := hmm.Train(seqs, hcfg)
 	if err != nil {
 		return nil, err
 	}
 	var hmmSizes, hmmGaps []float64
-	r := stats.NewRNG(cfg.Seed + 4)
-	for i := 0; i < cfg.GenFlows; i++ {
+	r := stats.NewRNG(seed + 4)
+	for i := 0; i < c.Synth; i++ {
 		for _, o := range model.Sample(24, r) {
 			hmmSizes = append(hmmSizes, o.SizeBytes)
 			hmmGaps = append(hmmGaps, o.GapMs)
@@ -127,14 +101,11 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 	})
 
 	// Our diffusion pipeline.
-	synth, err := core.New(cfg.Synth, []string{cfg.Class})
+	synth, err := c.fineTune(train)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := synth.FineTune(map[string][]*flow.Flow{cfg.Class: train.Flows}); err != nil {
-		return nil, err
-	}
-	gen, err := synth.Generate(cfg.Class, cfg.GenFlows)
+	gen, err := synth.Generate(res.Class, c.Synth)
 	if err != nil {
 		return nil, err
 	}

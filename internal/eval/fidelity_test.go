@@ -6,12 +6,8 @@ import (
 )
 
 func TestRunFidelity(t *testing.T) {
-	cfg := DefaultFidelityConfig()
-	cfg.TrainFlows = 8
-	cfg.TestFlows = 8
-	cfg.GenFlows = 4
-	cfg.Synth = tinySynth()
-	cfg.HMM.Iterations = 5
+	cfg := tinyConfig("amazon")
+	cfg.Train, cfg.Test, cfg.Synth = 8, 8, 4
 	res, err := RunFidelity(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +40,13 @@ func TestRunFidelity(t *testing.T) {
 	if !strings.Contains(rep, "diffusion (ours)") {
 		t.Error("fidelity report missing our row")
 	}
+	checkDigest(t, "fidelity report", []byte(rep), "2ef9bf69f09cd6f3541650433a707109961527f13285a4d25ba836b6d87f3d71")
 }
 
 func TestRunFidelityValidation(t *testing.T) {
-	cfg := DefaultFidelityConfig()
-	cfg.GenFlows = 0
+	cfg := DefaultConfig()
+	cfg.Classes = []string{"amazon", "teams"}
 	if _, err := RunFidelity(cfg); err == nil {
-		t.Fatal("zero GenFlows should fail")
+		t.Fatal("two classes should fail: the study scores one")
 	}
 }

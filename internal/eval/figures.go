@@ -4,38 +4,10 @@ import (
 	"bytes"
 	"fmt"
 
-	"trafficdiff/internal/core"
-	"trafficdiff/internal/flow"
-	"trafficdiff/internal/gan"
 	"trafficdiff/internal/imagerep"
-	"trafficdiff/internal/netflow"
 	"trafficdiff/internal/nprint"
 	"trafficdiff/internal/stats"
-	"trafficdiff/internal/workload"
 )
-
-// Fig1Config parameterizes the class-coverage study (Figure 1).
-type Fig1Config struct {
-	// Classes under study: all 11 for Figure 1(a), netflix+youtube for
-	// Figure 1(b).
-	Classes []string
-	// Scale sizes the imbalanced real dataset from Table 1 counts.
-	Scale float64
-	// SynthTotal is the number of synthetic flows drawn from each
-	// generator (ours spreads them evenly; the GAN draws freely).
-	SynthTotal int
-	Synth      core.Config
-	GAN        gan.Config
-	Seed       uint64
-}
-
-// DefaultFig1Config returns the 11-class configuration.
-func DefaultFig1Config() Fig1Config {
-	return Fig1Config{
-		Classes: workload.ClassNames(), Scale: 0.02, SynthTotal: 110,
-		Synth: core.DefaultConfig(), GAN: gan.DefaultConfig(), Seed: 21,
-	}
-}
 
 // Fig1Result holds per-class proportions for the three sources.
 type Fig1Result struct {
@@ -48,47 +20,33 @@ type Fig1Result struct {
 }
 
 // RunFig1 reproduces Figure 1: the class distribution of real data,
-// GAN-generated data, and our balanced diffusion generation.
-func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
-	if len(cfg.Classes) < 2 {
-		return nil, fmt.Errorf("eval: fig1 needs >= 2 classes")
+// GAN-generated data, and our balanced diffusion generation. The real
+// dataset is imbalanced, Table 1's counts times scale; each generator
+// draws Synth flows per class of Classes.
+func RunFig1(c Config, scale float64) (*Fig1Result, error) {
+	if err := c.validate(false); err != nil {
+		return nil, err
 	}
-	if cfg.SynthTotal < len(cfg.Classes) {
-		return nil, fmt.Errorf("eval: SynthTotal %d < classes %d", cfg.SynthTotal, len(cfg.Classes))
+	if scale <= 0 {
+		return nil, fmt.Errorf("eval: fig1 scale %v is not positive", scale)
 	}
-	ds, err := workload.Generate(workload.Config{
-		Seed: cfg.Seed, Scale: cfg.Scale, Only: cfg.Classes,
-		MaxPacketsPerFlow: cfg.Synth.Rows,
-	})
+	seed := c.Seed + fig1Seed
+	ds, err := c.generate(seed, 0, scale)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig1Result{Classes: cfg.Classes}
+	res := &Fig1Result{Classes: c.Classes}
 	realCounts := ds.CountVector()
 	res.Real = stats.Normalize(realCounts)
 	res.ImbalanceReal = stats.ImbalanceRatio(realCounts)
 
-	micro := MicroSpace(cfg.Classes)
-
 	// GAN: label generated as a feature — measure the label histogram.
-	// The GAN models the full record (identifier fields included).
-	var feats [][]float64
-	var labels []int
-	for _, f := range ds.Flows {
-		feats = append(feats, netflow.FromFlow(f).FullVector())
-		id, err := micro.LabelOf(f)
-		if err != nil {
-			return nil, err
-		}
-		labels = append(labels, id)
-	}
-	gcfg := cfg.GAN
-	gcfg.Seed = cfg.Seed + 1
-	model, err := gan.Train(feats, labels, micro.K(), gcfg)
+	micro := MicroSpace(c.Classes)
+	model, err := c.trainGAN(ds.Flows, micro, seed+1)
 	if err != nil {
 		return nil, err
 	}
-	_, genLabels := model.Generate(cfg.SynthTotal, cfg.Seed+2)
+	_, genLabels := model.Generate(c.Synth*micro.K(), seed+2)
 	ganCounts := make([]float64, micro.K())
 	for _, l := range genLabels {
 		ganCounts[l]++
@@ -97,19 +55,11 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	res.ImbalanceGAN = stats.ImbalanceRatio(ganCounts)
 
 	// Ours: invoke generation equally per class.
-	synth, err := core.New(cfg.Synth, cfg.Classes)
+	synth, err := c.fineTune(ds)
 	if err != nil {
 		return nil, err
 	}
-	byClass := map[string][]*flow.Flow{}
-	for _, f := range ds.Flows {
-		byClass[f.Label] = append(byClass[f.Label], f)
-	}
-	if _, err := synth.FineTune(byClass); err != nil {
-		return nil, err
-	}
-	perClass := cfg.SynthTotal / len(cfg.Classes)
-	ours, err := synth.GenerateBalanced(perClass)
+	ours, err := synth.GenerateBalanced(c.Synth)
 	if err != nil {
 		return nil, err
 	}
@@ -124,22 +74,6 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 	res.Ours = stats.Normalize(oursCounts)
 	res.ImbalanceOurs = stats.ImbalanceRatio(oursCounts)
 	return res, nil
-}
-
-// Fig2Config parameterizes the Figure 2 reproduction (image rendering
-// of a synthetic flow + protocol-compliance audit).
-type Fig2Config struct {
-	// Class is the application rendered (the paper shows Amazon).
-	Class string
-	// TrainFlows is the per-class fine-tuning size.
-	TrainFlows int
-	Synth      core.Config
-	Seed       uint64
-}
-
-// DefaultFig2Config matches the paper's Amazon example.
-func DefaultFig2Config() Fig2Config {
-	return Fig2Config{Class: "amazon", TrainFlows: 16, Synth: core.DefaultConfig(), Seed: 33}
 }
 
 // Fig2Result carries the rendered image and the compliance audit.
@@ -160,36 +94,32 @@ type Fig2Result struct {
 	SectionActive map[string]float64
 }
 
-// RunFig2 trains on one class and renders a synthetic flow.
-func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
-	if _, ok := workload.ProfileByName(cfg.Class); !ok {
-		return nil, fmt.Errorf("eval: unknown class %q", cfg.Class)
+// RunFig2 fine-tunes on Train real flows of its one class and renders
+// a synthetic flow.
+func RunFig2(c Config) (*Fig2Result, error) {
+	if err := c.validate(true); err != nil {
+		return nil, err
 	}
-	ds, err := workload.Generate(workload.Config{
-		Seed: cfg.Seed, FlowsPerClass: cfg.TrainFlows, Only: []string{cfg.Class},
-		MaxPacketsPerFlow: cfg.Synth.Rows,
-	})
+	class := c.Classes[0]
+	ds, err := c.generate(c.Seed+fig2Seed, c.Train, 0)
 	if err != nil {
 		return nil, err
 	}
-	synth, err := core.New(cfg.Synth, []string{cfg.Class})
+	synth, err := c.fineTune(ds)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := synth.FineTune(map[string][]*flow.Flow{cfg.Class: ds.Flows}); err != nil {
-		return nil, err
-	}
-	res, err := synth.Generate(cfg.Class, 1)
+	res, err := synth.Generate(class, 1)
 	if err != nil {
 		return nil, err
 	}
 	m := res.Matrices[0]
-	tpl, err := synth.Template(cfg.Class)
+	tpl, err := synth.Template(class)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig2Result{
-		Class:                  cfg.Class,
+		Class:                  class,
 		Rows:                   m.NumRows,
 		RawProtocolCompliance:  res.RawCompliance,
 		PostProtocolCompliance: tpl.ProtocolCompliance(m),

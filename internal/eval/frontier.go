@@ -8,9 +8,6 @@ import (
 
 	"trafficdiff/internal/core"
 	"trafficdiff/internal/flow"
-	"trafficdiff/internal/gan"
-	"trafficdiff/internal/rf"
-	"trafficdiff/internal/workload"
 )
 
 // This file is the fidelity-vs-speed frontier, the paper's §4
@@ -21,62 +18,6 @@ import (
 // GateFrontier is the pure pass/fail check `traceval frontier`
 // enforces in CI, so a sampler regression that silently degrades trace
 // realism fails the build rather than the downstream task.
-
-// FrontierConfig parameterizes the sweep.
-type FrontierConfig struct {
-	Classes []string
-	// TrainFlows and TestFlows size the per-class real datasets; the
-	// test split is what generated flows are judged against.
-	TrainFlows int
-	TestFlows  int
-	// GenFlows is the per-class generated dataset size per point — both
-	// the timed work and the RF training set.
-	GenFlows int
-	// RefSteps is the reference DDIM budget (the paper's full-fidelity
-	// configuration; 64 in the shipped suite).
-	RefSteps int
-	// Steps are the budgets swept; 0 is full DDPM (T model
-	// evaluations per flow).
-	Steps []int
-	// PacketsPerFlow bounds the nprint feature rows for the RF.
-	PacketsPerFlow int
-
-	Synth core.Config
-	// GAN is the baseline timed for one-shot records/s, trained on the
-	// sweep's own training split.
-	GAN  gan.Config
-	RF   rf.Config
-	Seed uint64
-}
-
-// DefaultFrontierConfig returns the CPU-budget sweep `traceval
-// frontier` runs: a 64-step reference against full DDPM and 4, 8 and
-// 16 steps.
-func DefaultFrontierConfig() FrontierConfig {
-	synth := core.DefaultConfig()
-	// Small spatial model, but a schedule long enough that the 64-step
-	// reference budget is meaningful.
-	synth.Rows = 16
-	synth.DownH, synth.DownW = 2, 16
-	synth.Hidden = 48
-	synth.TimeSteps = 80
-	synth.BaseSteps = 25
-	synth.FineTuneSteps = 35
-	synth.Batch = 8
-	return FrontierConfig{
-		Classes:        []string{"amazon", "teams"},
-		TrainFlows:     12,
-		TestFlows:      6,
-		GenFlows:       6,
-		RefSteps:       64,
-		Steps:          []int{0, 4, 8, 16},
-		PacketsPerFlow: 12,
-		Synth:          synth,
-		GAN:            gan.DefaultConfig(),
-		RF:             rf.DefaultConfig(),
-		Seed:           29,
-	}
-}
 
 // FrontierPoint is one measured configuration.
 type FrontierPoint struct {
@@ -129,45 +70,38 @@ func (r *FrontierReport) ReferencePoint() (FrontierPoint, error) {
 	return ref, nil
 }
 
-// RunFrontier trains one synthesizer and measures every step budget
-// over identical weights: each point is a Save/Load clone of the
-// trained model with only the sampler budget changed, so the frontier
-// isolates exactly the lever under study.
-func RunFrontier(cfg FrontierConfig) (*FrontierReport, error) {
-	if cfg.TrainFlows <= 0 || cfg.TestFlows <= 0 || cfg.GenFlows <= 0 {
-		return nil, fmt.Errorf("eval: non-positive frontier sizes")
+// RunFrontier trains one synthesizer at seed c.Seed and measures the
+// reference DDIM budget refSteps (the paper's full-fidelity
+// configuration) and every budget in steps (0 is full DDPM: T model
+// evaluations per flow) over identical weights: each point is a
+// Save/Load clone of the trained model with only the sampler budget
+// changed, so the frontier isolates exactly the lever under study.
+// Each point generates Synth flows per class — both the timed work and
+// the RF training set, judged against the Test split.
+func RunFrontier(c Config, refSteps int, steps []int) (*FrontierReport, error) {
+	if err := c.validate(false); err != nil {
+		return nil, err
 	}
-	if cfg.RefSteps <= 0 || cfg.RefSteps > cfg.Synth.TimeSteps {
-		return nil, fmt.Errorf("eval: reference steps %d outside schedule T=%d", cfg.RefSteps, cfg.Synth.TimeSteps)
+	if refSteps <= 0 || refSteps > c.Model.TimeSteps {
+		return nil, fmt.Errorf("eval: reference steps %d outside schedule T=%d", refSteps, c.Model.TimeSteps)
 	}
-	total := cfg.TrainFlows + cfg.TestFlows
-	ds, err := workload.Generate(workload.Config{
-		Seed: cfg.Seed, FlowsPerClass: total, Only: cfg.Classes,
-		MaxPacketsPerFlow: cfg.Synth.Rows,
-	})
+	train, test, err := c.split(c.Seed)
 	if err != nil {
 		return nil, err
 	}
-	train, test := ds.Split(float64(cfg.TrainFlows)/float64(total), cfg.Seed+1)
-	byClass := map[string][]*flow.Flow{}
-	for _, f := range train.Flows {
-		byClass[f.Label] = append(byClass[f.Label], f)
-	}
-	synth, err := core.New(cfg.Synth, cfg.Classes)
+	synth, err := c.fineTune(train)
 	if err != nil {
 		return nil, err
-	}
-	if _, err := synth.FineTune(byClass); err != nil {
-		return nil, fmt.Errorf("fine-tune: %w", err)
 	}
 	var ckpt bytes.Buffer
 	if err := synth.Save(&ckpt); err != nil {
 		return nil, err
 	}
 	snapshot := ckpt.Bytes()
+	testNprint := c.features(test.Flows, GranularityNprint)
 
 	rep := &FrontierReport{}
-	ref, err := measureFrontierPoint(snapshot, cfg.RefSteps, test.Flows, cfg)
+	ref, err := c.measureFrontierPoint(snapshot, refSteps, testNprint)
 	if err != nil {
 		return nil, fmt.Errorf("reference point: %w", err)
 	}
@@ -175,16 +109,16 @@ func RunFrontier(cfg FrontierConfig) (*FrontierReport, error) {
 	ref.Speedup = 1
 	rep.Points = append(rep.Points, ref)
 
-	for _, steps := range cfg.Steps {
-		p, err := measureFrontierPoint(snapshot, steps, test.Flows, cfg)
+	for _, n := range steps {
+		p, err := c.measureFrontierPoint(snapshot, n, testNprint)
 		if err != nil {
-			return nil, fmt.Errorf("point %s: %w", pointName(steps), err)
+			return nil, fmt.Errorf("point %s: %w", pointName(n), err)
 		}
 		p.Speedup = p.FlowsPerS / ref.FlowsPerS
 		rep.Points = append(rep.Points, p)
 	}
 
-	if rep.GANRecordsPerS, err = ganRecordsPerS(train.Flows, cfg); err != nil {
+	if rep.GANRecordsPerS, err = c.ganRecordsPerS(train.Flows); err != nil {
 		return nil, fmt.Errorf("gan: %w", err)
 	}
 	return rep, nil
@@ -192,23 +126,21 @@ func RunFrontier(cfg FrontierConfig) (*FrontierReport, error) {
 
 // ganRecordsPerS trains the GAN baseline as Table 2 does and times one
 // batch of one-shot generation.
-func ganRecordsPerS(trainFlows []*flow.Flow, cfg FrontierConfig) (float64, error) {
-	gcfg := cfg.GAN
-	gcfg.Seed = cfg.Seed + 2
-	model, err := trainGAN(trainFlows, gcfg, MicroSpace(cfg.Classes))
+func (c Config) ganRecordsPerS(trainFlows []*flow.Flow) (float64, error) {
+	model, err := c.trainGAN(trainFlows, MicroSpace(c.Classes), c.Seed+2)
 	if err != nil {
 		return 0, err
 	}
 	const batch = 2000
 	start := time.Now()
-	recs, _ := model.Generate(batch, cfg.Seed+3)
+	recs, _ := model.Generate(batch, c.Seed+3)
 	return float64(len(recs)) / time.Since(start).Seconds(), nil
 }
 
 // measureFrontierPoint loads a fresh synthesizer from the snapshot,
 // applies the point's budget, and measures throughput plus
 // Synthetic/Real RF accuracy.
-func measureFrontierPoint(snapshot []byte, steps int, testFlows []*flow.Flow, cfg FrontierConfig) (FrontierPoint, error) {
+func (c Config) measureFrontierPoint(snapshot []byte, steps int, test labelled) (FrontierPoint, error) {
 	pt := FrontierPoint{Steps: steps}
 	s, err := core.Load(bytes.NewReader(snapshot))
 	if err != nil {
@@ -217,14 +149,13 @@ func measureFrontierPoint(snapshot []byte, steps int, testFlows []*flow.Flow, cf
 	s.SetDDIMSteps(steps)
 
 	start := time.Now()
-	gen, err := s.GenerateBalanced(cfg.GenFlows)
+	gen, err := s.GenerateBalanced(c.Synth)
 	if err != nil {
 		return pt, err
 	}
 	pt.FlowsPerS = float64(len(gen)) / time.Since(start).Seconds()
 
-	t2 := Table2Config{RF: cfg.RF, Seed: cfg.Seed, PacketsPerFlow: cfg.PacketsPerFlow}
-	cell, err := evalPair(gen, testFlows, GranularityNprint, t2, MicroSpace(cfg.Classes), MacroSpace(cfg.Classes))
+	cell, err := c.rfCell(c.features(gen, GranularityNprint), test, c.Seed)
 	if err != nil {
 		return pt, err
 	}

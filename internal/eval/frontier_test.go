@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,18 @@ func goodReport() *FrontierReport {
 		{Steps: 8, FlowsPerS: 60, Speedup: 6, RFMicro: 0.78, RFMacro: 0.88},
 		{Steps: 4, FlowsPerS: 100, Speedup: 10, RFMicro: 0.76, RFMacro: 0.85},
 	}}
+}
+
+// frontierTestConfig is the CPU-budget sweep's small spatial model with
+// a schedule long enough that a 64-step reference budget is meaningful,
+// and training cut short for tests.
+func frontierTestConfig() Config {
+	cfg := tinyConfig("amazon", "teams")
+	cfg.Model.TimeSteps = 80
+	cfg.Model.BaseSteps = 12
+	cfg.Model.FineTuneSteps = 16
+	cfg.Seed = 29
+	return cfg
 }
 
 func TestGateFrontierPasses(t *testing.T) {
@@ -64,31 +77,27 @@ func TestGateFrontierRejectsMalformedReports(t *testing.T) {
 // must be slower than 4 steps, and the one-shot GAN must outrun every
 // diffusion point.
 func TestRunFrontierSweep(t *testing.T) {
-	cfg := DefaultFrontierConfig()
-	cfg.TrainFlows = 6
-	cfg.TestFlows = 4
+	cfg := frontierTestConfig()
+	cfg.Train, cfg.Test = 6, 4
 	// Each point's throughput is one wall-clock reading, and "faster
 	// than the reference" below compares two of them: keep the timed
 	// work long enough (tens of ms at the reference) that a scheduler
 	// stall on a busy host cannot flip the order.
-	cfg.GenFlows = 12
-	cfg.Steps = []int{0, 4, 8}
-	cfg.Synth.BaseSteps = 12
-	cfg.Synth.FineTuneSteps = 16
-	cfg.GAN = tinyGAN()
-	cfg.RF = tinyRF()
-	rep, err := RunFrontier(cfg)
+	cfg.Synth = 12
+	const refSteps = 64
+	steps := []int{0, 4, 8}
+	rep, err := RunFrontier(cfg, refSteps, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 1+len(cfg.Steps) {
-		t.Fatalf("points = %d, want %d", len(rep.Points), 1+len(cfg.Steps))
+	if len(rep.Points) != 1+len(steps) {
+		t.Fatalf("points = %d, want %d", len(rep.Points), 1+len(steps))
 	}
 	ref, err := rep.ReferencePoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Steps != cfg.RefSteps || ref.Speedup != 1 {
+	if ref.Steps != refSteps || ref.Speedup != 1 {
 		t.Fatalf("reference point: %+v", ref)
 	}
 	bySteps := map[int]FrontierPoint{}
@@ -102,11 +111,11 @@ func TestRunFrontierSweep(t *testing.T) {
 		}
 		evals := p.Steps
 		if evals == 0 {
-			evals = cfg.Synth.TimeSteps
+			evals = cfg.Model.TimeSteps
 		}
-		if evals < cfg.RefSteps && p.Speedup <= 1 {
+		if evals < refSteps && p.Speedup <= 1 {
 			t.Errorf("point %s (%d evaluations) not faster than the %d-step reference (%.2fx)",
-				pointName(p.Steps), evals, cfg.RefSteps, p.Speedup)
+				pointName(p.Steps), evals, refSteps, p.Speedup)
 		}
 		if !p.Reference {
 			bySteps[p.Steps] = p
@@ -129,17 +138,20 @@ func TestRunFrontierSweep(t *testing.T) {
 			t.Errorf("frontier report missing %q:\n%s", want, out)
 		}
 	}
+	// Throughput is wall-clock; the RF columns are seeded.
+	var rfCols strings.Builder
+	for _, p := range rep.Points {
+		fmt.Fprintf(&rfCols, "%s %v %v %v\n", pointName(p.Steps), p.RFMicro, p.RFMacro, p.Reference)
+	}
+	checkDigest(t, "frontier rf columns", []byte(rfCols.String()), "0bdb42d638abb26ce1904fcd6d12fc6a4bc2666cb675583f9937c1463ed12073")
 }
 
 func TestRunFrontierValidation(t *testing.T) {
-	cfg := DefaultFrontierConfig()
-	cfg.GenFlows = 0
-	if _, err := RunFrontier(cfg); err == nil {
-		t.Fatal("zero GenFlows should fail")
+	cfg := frontierTestConfig()
+	if _, err := RunFrontier(cfg, 0, []int{4}); err == nil {
+		t.Fatal("zero reference budget should fail")
 	}
-	cfg = DefaultFrontierConfig()
-	cfg.RefSteps = cfg.Synth.TimeSteps + 1
-	if _, err := RunFrontier(cfg); err == nil {
+	if _, err := RunFrontier(cfg, cfg.Model.TimeSteps+1, []int{4}); err == nil {
 		t.Fatal("reference budget beyond schedule T should fail")
 	}
 }

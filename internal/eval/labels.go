@@ -50,14 +50,17 @@ func MacroSpace(classes []string) *LabelSpace {
 func (ls *LabelSpace) K() int { return len(ls.Names) }
 
 // LabelOf resolves a flow's label in this space.
-func (ls *LabelSpace) LabelOf(f *flow.Flow) (int, error) {
-	name := f.Label
+func (ls *LabelSpace) LabelOf(f *flow.Flow) (int, error) { return ls.id(f.Label) }
+
+// id resolves a micro class name in this space.
+func (ls *LabelSpace) id(micro string) (int, error) {
+	name := micro
 	if ls.Macro {
-		name = workload.MacroLabel(f.Label)
+		name = workload.MacroLabel(micro)
 	}
 	id, ok := ls.index[name]
 	if !ok {
-		return 0, fmt.Errorf("eval: label %q (from %q) not in space %v", name, f.Label, ls.Names)
+		return 0, fmt.Errorf("eval: label %q (from %q) not in space %v", name, micro, ls.Names)
 	}
 	return id, nil
 }
@@ -67,6 +70,19 @@ func (ls *LabelSpace) Labels(flows []*flow.Flow) ([]int, error) {
 	out := make([]int, len(flows))
 	for i, f := range flows {
 		id, err := ls.LabelOf(f)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = id
+	}
+	return out, nil
+}
+
+// ids resolves a batch of micro class names.
+func (ls *LabelSpace) ids(micro []string) ([]int, error) {
+	out := make([]int, len(micro))
+	for i, name := range micro {
+		id, err := ls.id(name)
 		if err != nil {
 			return nil, err
 		}

@@ -86,15 +86,22 @@ func (d *Dataset) CountVector() []float64 {
 	return out
 }
 
+// ByClass groups the flows by micro label, each group in dataset
+// order: the per-class map fine-tuning takes.
+func (d *Dataset) ByClass() map[string][]*flow.Flow {
+	out := map[string][]*flow.Flow{}
+	for _, f := range d.Flows {
+		out[f.Label] = append(out[f.Label], f)
+	}
+	return out
+}
+
 // Split partitions the dataset into train/test with the given train
 // fraction, stratified by class so every label appears on both sides
 // (the paper uses a conventional 80-20 split).
 func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
 	r := stats.NewRNG(seed)
-	byClass := map[string][]*flow.Flow{}
-	for _, f := range d.Flows {
-		byClass[f.Label] = append(byClass[f.Label], f)
-	}
+	byClass := d.ByClass()
 	labels := make([]string, 0, len(byClass))
 	for l := range byClass {
 		labels = append(labels, l)
