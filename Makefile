@@ -75,7 +75,7 @@ resume-smoke:
 # byte-identical output at smoke sizes at GOMAXPROCS=1 and
 # GOMAXPROCS=4, with a byte-identical Figure 2 PNG, the
 # kill-at-step-k resume property must hold across every combination of
-# kill step, batch size, EMA mode and LoRA/full-training mode, the
+# kill step, batch size and trained set (whole model or LoRA adapters), the
 # helper pool and everything dispatched through it (kernels, row-wise
 # ops, the fused adapter epilogue, an arena that no longer zeroes) must
 # match their serial references, and the

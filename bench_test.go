@@ -317,7 +317,7 @@ func BenchmarkDiffusionTrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := diffusion.Train(model, sched, set, diffusion.TrainConfig{
-			Steps: 1, Batch: 8, LR: 1e-3, Seed: uint64(i),
+			Steps: 1, Batch: 8, LR: 1e-3, Seed: uint64(i), Params: model.Params(),
 		}); err != nil {
 			b.Fatal(err)
 		}

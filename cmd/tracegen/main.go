@@ -22,14 +22,18 @@
 //	traced -model model.ckpt -addr :8080              # load + serve
 //	curl -d '{"class":"amazon","count":4,"seed":7}' localhost:8080/v1/generate
 //
-// -save (alias -save-model) writes the checkpoint with Synthesizer.Save;
-// -load-model resumes from one instead of training, so the same
-// checkpoint replays identically in batch and serving mode.
+// -save writes the checkpoint with Synthesizer.Save; -load-model
+// resumes from one instead of training, so the same checkpoint replays
+// identically in batch and serving mode. -load-model takes none of the
+// training flags (-resume, -checkpoint, -checkpoint-every), and the GAN
+// generator takes none of -save, -load-model, -resume,
+// -checkpoint-every or -stateful-repair: a combination that would be
+// silently ignored is refused before any work.
 //
 // # Crash-safe training
 //
 // -checkpoint-every K writes an atomic mid-run training checkpoint
-// (optimizer moments, EMA shadow, RNG position, loss curve) every K
+// (optimizer moments, RNG position, loss curve) every K
 // steps, and -resume continues a killed run from it — bit-identically
 // to a run that was never interrupted:
 //
@@ -74,7 +78,7 @@ func main() {
 		rows      = flag.Int("rows", 32, "packets per flow image")
 		steps     = flag.Int("steps", 300, "fine-tune steps")
 		keepReal  = flag.Bool("write-real", true, "also write the real training flows as pcaps")
-		saveModel = flag.String("save-model", "", "write the fine-tuned checkpoint to this path (for traced -model)")
+		saveModel = flag.String("save", "", "write the fine-tuned checkpoint to this path (for traced -model)")
 		loadModel = flag.String("load-model", "", "load a saved synthesizer instead of training")
 		stateful  = flag.Bool("stateful-repair", false, "rewrite generated TCP flows into valid conversations")
 		ckptPath  = flag.String("checkpoint", "", "mid-run training checkpoint path (default <out>/train.ckpt when checkpointing is on)")
@@ -82,7 +86,6 @@ func main() {
 		resume    = flag.String("resume", "", "resume fine-tuning from a mid-run checkpoint (requires the same data flags as the original run)")
 		progressN = flag.Int("progress-every", 25, "log training progress every N steps (0 disables)")
 	)
-	flag.StringVar(saveModel, "save", "", "alias for -save-model")
 	flag.Parse()
 
 	classes := workload.ClassNames()
@@ -119,7 +122,43 @@ type runOpts struct {
 	progressN int
 }
 
+// check refuses flag combinations run would otherwise silently ignore,
+// naming the first offending flag.
+func (o runOpts) check() error {
+	type setFlag struct {
+		name string
+		set  bool
+	}
+	var unused []setFlag
+	var why string
+	switch o.generator {
+	case "diffusion":
+		if o.loadModel == "" {
+			return nil
+		}
+		why = "-load-model skips training, so it does not take"
+		unused = []setFlag{{"-resume", o.resume != ""}, {"-checkpoint", o.ckptPath != ""}, {"-checkpoint-every", o.ckptEvery != 0}}
+	case "gan":
+		why = "-generator gan does not take"
+		unused = []setFlag{
+			{"-save", o.saveModel != ""}, {"-load-model", o.loadModel != ""}, {"-resume", o.resume != ""},
+			{"-checkpoint-every", o.ckptEvery != 0}, {"-stateful-repair", o.stateful},
+		}
+	default:
+		return fmt.Errorf("unknown generator %q (want diffusion or gan)", o.generator)
+	}
+	for _, f := range unused {
+		if f.set {
+			return fmt.Errorf("%s %s", why, f.name)
+		}
+	}
+	return nil
+}
+
 func run(o runOpts) error {
+	if err := o.check(); err != nil {
+		return err
+	}
 	outDir, classes, perClass, trainN := o.outDir, o.classes, o.perClass, o.trainN
 	generator, seed, rows, steps, keepReal := o.generator, o.seed, o.rows, o.steps, o.keepReal
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -259,8 +298,6 @@ func run(o runOpts) error {
 			return err
 		}
 		log.Printf("wrote %d GAN NetFlow records -> %s", len(genF), path)
-	default:
-		return fmt.Errorf("unknown generator %q (want diffusion or gan)", generator)
 	}
 	return nil
 }

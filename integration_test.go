@@ -51,7 +51,6 @@ func TestFullPipelineIntegration(t *testing.T) {
 	cfg.FineTuneSteps = 60
 	cfg.Batch = 8
 	cfg.DDIMSteps = 8
-	cfg.EMADecay = 0.99
 	synth, err := core.New(cfg, classes)
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,6 @@ type PoolConfig struct {
 	// ProbeInterval is how often a healthy replica's /readyz?verbose=1
 	// is scraped (default 250ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (default 2s).
-	ProbeTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential re-probe backoff of
 	// an ejected replica: first re-probe after BackoffMin, doubling per
 	// consecutive failure up to BackoffMax (defaults 250ms, 8s). One
@@ -34,12 +32,12 @@ type PoolConfig struct {
 	Client *http.Client
 }
 
+// probeTimeout bounds one probe round trip.
+const probeTimeout = 2 * time.Second
+
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = 250 * time.Millisecond
@@ -121,7 +119,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	cfg = cfg.withDefaults()
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: cfg.ProbeTimeout}
+		client = &http.Client{Timeout: probeTimeout}
 	}
 	p := &Pool{
 		cfg:    cfg,

@@ -33,16 +33,10 @@ type Config struct {
 	// body; a mismatch invalidates the entry, serves the replica's
 	// bytes, and increments cache_validation_mismatches_total.
 	ValidateEvery int
-	// MaxBodyBytes bounds a request body (default 1 MiB).
-	MaxBodyBytes int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	return c
-}
+// maxBodyBytes bounds a /v1/generate request body.
+const maxBodyBytes = 1 << 20
 
 // Router is the cluster front tier: it terminates /v1/generate,
 // serves repeat seeded requests from the content-addressed cache, and
@@ -72,7 +66,6 @@ type Router struct {
 // NewRouter builds a Router over a caller-owned pool (the caller
 // closes the pool after Shutdown).
 func NewRouter(pool *Pool, cfg Config) *Router {
-	cfg = cfg.withDefaults()
 	var cache *Cache
 	if cfg.CacheEntries >= 0 {
 		cache = NewCache(cfg.CacheEntries, cfg.CacheBytes)
@@ -178,7 +171,7 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.inflight.Done()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return

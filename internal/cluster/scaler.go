@@ -48,9 +48,7 @@ type ScalerConfig struct {
 	// one step per trigger with the counters reset keeps the loop from
 	// flapping through the whole range on a single burst.
 	UpTicks, DownTicks int
-	// SpawnTimeout bounds one replica start, and DrainTimeout one
-	// graceful stop (defaults 60s, 30s).
-	SpawnTimeout time.Duration
+	// DrainTimeout bounds one graceful stop (default 30s).
 	DrainTimeout time.Duration
 	// Spawn starts a replica (required). TracedSpawner builds one over
 	// the real binary.
@@ -58,6 +56,9 @@ type ScalerConfig struct {
 	// Logf, when set, receives scaling decisions for the operator log.
 	Logf func(format string, args ...any)
 }
+
+// spawnTimeout bounds one replica start.
+const spawnTimeout = 60 * time.Second
 
 func (c ScalerConfig) withDefaults() ScalerConfig {
 	if c.Min <= 0 {
@@ -77,9 +78,6 @@ func (c ScalerConfig) withDefaults() ScalerConfig {
 	}
 	if c.DownTicks <= 0 {
 		c.DownTicks = 20
-	}
-	if c.SpawnTimeout <= 0 {
-		c.SpawnTimeout = 60 * time.Second
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
@@ -246,7 +244,7 @@ func (s *Scaler) tick() {
 
 // spawnOne starts one replica and registers it with the pool.
 func (s *Scaler) spawnOne(managed, healthy int, agg float64) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.SpawnTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), spawnTimeout)
 	defer cancel()
 	p, err := s.cfg.Spawn(ctx)
 	if err != nil {

@@ -58,20 +58,17 @@ type Config struct {
 	TimeSteps int
 
 	// BaseSteps trains the unconditional base model; FineTuneSteps
-	// trains LoRA adapters + class embeddings with the base frozen.
-	// With UseLoRA=false the base trains conditionally for
-	// BaseSteps+FineTuneSteps instead.
+	// then trains LoRA adapters + class embeddings with the base
+	// frozen, and sampling always runs on the adapted model.
 	BaseSteps     int
 	FineTuneSteps int
 	Batch         int
 	LR            float64
 	DropCond      float64
 	ClipNorm      float64
-	// EMADecay, when > 0, samples from an exponential moving average
-	// of the trained weights (standard DDPM practice).
-	EMADecay float64
 
-	UseLoRA   bool
+	// LoRARank is the adapters' rank, in [1, min(Hidden, model pixels)];
+	// LoRAAlpha scales their delta by LoRAAlpha/LoRARank.
 	LoRARank  int
 	LoRAAlpha float64
 
@@ -97,7 +94,7 @@ func DefaultConfig() Config {
 		Schedule: diffusion.ScheduleCosine, TimeSteps: 120,
 		BaseSteps: 250, FineTuneSteps: 350, Batch: 16,
 		LR: 2e-3, DropCond: 0.1, ClipNorm: 5,
-		UseLoRA: true, LoRARank: 8, LoRAAlpha: 16,
+		LoRARank: 8, LoRAAlpha: 16,
 		UseControlNet: true, ConstantSnap: true, GuidanceScale: 2, DDIMSteps: 15,
 		Seed: 1,
 	}
@@ -174,8 +171,17 @@ func build(cfg Config, classes []string, r *stats.RNG) (*Synthesizer, error) {
 	if cfg.TimeSteps < 2 {
 		return nil, fmt.Errorf("core: TimeSteps must be >= 2")
 	}
+	if cfg.Hidden <= 0 {
+		return nil, fmt.Errorf("core: Hidden must be positive, got %d", cfg.Hidden)
+	}
 	h := cfg.Rows / cfg.DownH
 	w := nprint.BitsPerPacket / cfg.DownW
+	// The adapters span the h*w x Hidden projections and the
+	// Hidden x Hidden layer, so the pixel and hidden widths bound the
+	// rank for all three.
+	if err := lora.CheckRank(cfg.LoRARank, h*w, cfg.Hidden); err != nil {
+		return nil, fmt.Errorf("core: LoRARank: %w", err)
+	}
 
 	s := &Synthesizer{
 		cfg:       cfg,
@@ -385,16 +391,6 @@ func (s *Synthesizer) FineTuneWithOptions(flowsByClass map[string][]*flow.Flow, 
 		return nil
 	}
 
-	if !s.cfg.UseLoRA {
-		losses, err := s.trainPhase(s.base, set, diffusion.TrainConfig{
-			Steps: s.cfg.BaseSteps + s.cfg.FineTuneSteps, Batch: s.cfg.Batch,
-			LR: s.cfg.LR, DropCond: s.cfg.DropCond, ClipNorm: s.cfg.ClipNorm,
-			Seed: s.cfg.Seed + 1, Controls: controls, EMADecay: s.cfg.EMADecay,
-		}, phaseBase, "base", nil, opts, phaseRestore(phaseBase))
-		report.BaseLosses = losses
-		return report, err
-	}
-
 	if env != nil && env.Phase == phaseFineTune {
 		// The base phase completed before the checkpoint was taken; its
 		// final weights ride along in the checkpoint instead of being
@@ -410,7 +406,8 @@ func (s *Synthesizer) FineTuneWithOptions(flowsByClass map[string][]*flow.Flow, 
 		losses, err := s.trainPhase(s.base, set, diffusion.TrainConfig{
 			Steps: s.cfg.BaseSteps, Batch: s.cfg.Batch,
 			LR: s.cfg.LR, DropCond: 1.0, // always unconditional
-			ClipNorm: s.cfg.ClipNorm, Seed: s.cfg.Seed + 1, Controls: controls,
+			ClipNorm: s.cfg.ClipNorm, Seed: s.cfg.Seed + 1,
+			Params: s.base.Params(), Controls: controls,
 		}, phaseBase, "base", nil, opts, phaseRestore(phaseBase))
 		report.BaseLosses = losses
 		if err != nil {
@@ -418,17 +415,22 @@ func (s *Synthesizer) FineTuneWithOptions(flowsByClass map[string][]*flow.Flow, 
 		}
 	}
 
-	// Phase 2: LoRA adapters + fresh class embeddings, base frozen.
+	// Phase 2: LoRA adapters + fresh class embeddings, base frozen. The
+	// adapter is installed only once it has trained, so a failed run
+	// leaves the synthesizer untrained rather than sampling the base.
 	r := stats.NewRNG(s.cfg.Seed + 2)
-	s.adapted = lora.NewAdaptedMLP(r, s.base, s.cfg.LoRARank, s.cfg.LoRAAlpha, len(s.classes))
-	losses, err := s.trainPhase(s.adapted, set, diffusion.TrainConfig{
+	adapted := lora.NewAdaptedMLP(r, s.base, s.cfg.LoRARank, s.cfg.LoRAAlpha, len(s.classes))
+	losses, err := s.trainPhase(adapted, set, diffusion.TrainConfig{
 		Steps: s.cfg.FineTuneSteps, Batch: s.cfg.Batch,
 		LR: s.cfg.LR, DropCond: s.cfg.DropCond, ClipNorm: s.cfg.ClipNorm,
-		Seed: s.cfg.Seed + 3, FreezeBase: true, ExtraParams: s.adapted.Params(),
-		Controls: controls, EMADecay: s.cfg.EMADecay,
+		Seed: s.cfg.Seed + 3, Params: adapted.Params(), Controls: controls,
 	}, phaseFineTune, "finetune", report.BaseLosses, opts, phaseRestore(phaseFineTune))
 	report.FineTuneLosses = losses
-	return report, err
+	if err != nil {
+		return report, err
+	}
+	s.adapted = adapted
+	return report, nil
 }
 
 // trainPhase runs one training phase step-by-step through a
@@ -472,27 +474,22 @@ func (s *Synthesizer) trainPhase(model diffusion.Denoiser, set *diffusion.TrainS
 		}
 	}
 	if checkpointing {
-		// The phase-boundary checkpoint: taken before Finish (EMA
-		// install), so resuming from it re-enters here with Done()
-		// already true and proceeds straight to the next phase.
+		// The phase-boundary checkpoint: resuming from it re-enters
+		// here with Done() already true and proceeds straight to the
+		// next phase.
 		if err := s.writeTrainCheckpoint(opts.CheckpointPath, phase, baseLosses, tr); err != nil {
 			return tr.Losses(), err
 		}
 	}
-	tr.Finish()
 	return tr.Losses(), nil
 }
 
-// model returns the denoiser used for sampling.
-func (s *Synthesizer) model() diffusion.Denoiser {
-	if s.adapted != nil {
-		return s.adapted
-	}
-	return s.base
+// Trained reports whether FineTune has completed or Load has restored
+// a checkpoint: the LoRA-adapted model that sampling runs on exists,
+// and so does every class's template.
+func (s *Synthesizer) Trained() bool {
+	return s.adapted != nil && len(s.templates) == len(s.classes)
 }
-
-// Trained reports whether FineTune has run (templates exist).
-func (s *Synthesizer) Trained() bool { return len(s.templates) == len(s.classes) }
 
 // GenerateResult carries one synthesis call's outputs and diagnostics.
 type GenerateResult struct {
@@ -612,7 +609,7 @@ func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*
 		return nil, fmt.Errorf("core: need at least one flow seed")
 	}
 	cfg := s.configSnapshot()
-	samples, err := diffusion.Sample(s.model(), s.sched, diffusion.SampleConfig{
+	samples, err := diffusion.Sample(s.adapted, s.sched, diffusion.SampleConfig{
 		Class: ci, GuidanceScale: cfg.GuidanceScale, DDIMSteps: cfg.DDIMSteps,
 		Control: s.control(ci, cfg), FlowSeeds: flowSeeds,
 	})

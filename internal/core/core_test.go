@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,30 @@ func TestGenerateBeforeTrainingFails(t *testing.T) {
 	s, _ := New(fastConfig(), []string{"netflix"})
 	if _, err := s.Generate("netflix", 1); err == nil {
 		t.Fatal("generate before fine-tune should fail")
+	}
+}
+
+// TestFailedFineTuneLeavesUntrained checks that a fine-tune whose LoRA
+// phase aborts does not leave the synthesizer sampling its base model:
+// it stays untrained, so Generate and Save refuse it.
+func TestFailedFineTuneLeavesUntrained(t *testing.T) {
+	cfg := fastConfig()
+	cfg.BaseSteps, cfg.LR = 0, 1e18 // the adapter phase diverges
+	s, err := New(cfg, []string{"netflix"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FineTune(trainingFlows(t, []string{"netflix"}, 2)); err == nil || !strings.Contains(err.Error(), "non-finite loss") {
+		t.Fatalf("fine-tune error %v, want a non-finite loss", err)
+	}
+	if s.Trained() {
+		t.Fatal("a failed fine-tune left the synthesizer trained")
+	}
+	if _, err := s.Generate("netflix", 1); err == nil {
+		t.Fatal("generate after a failed fine-tune should fail")
+	}
+	if err := s.Save(io.Discard); err == nil {
+		t.Fatal("save after a failed fine-tune should fail")
 	}
 }
 
@@ -228,28 +253,6 @@ func TestGenerateVariety(t *testing.T) {
 	}
 	if same {
 		t.Fatal("two generation calls produced identical matrices")
-	}
-}
-
-func TestNoLoRAPath(t *testing.T) {
-	cfg := fastConfig()
-	cfg.UseLoRA = false
-	cfg.BaseSteps = 30
-	cfg.FineTuneSteps = 30
-	classes := []string{"amazon"}
-	s, err := New(cfg, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.FineTune(trainingFlows(t, classes, 3)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Generate("amazon", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Flows) != 1 {
-		t.Fatal("no flow generated")
 	}
 }
 

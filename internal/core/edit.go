@@ -55,7 +55,7 @@ func (s *Synthesizer) Deblur(f *flow.Flow, class string, missing []FieldMask) (*
 		return nil, err
 	}
 	seed := s.nextRoot()
-	img, err := diffusion.Inpaint(s.model(), s.sched, diffusion.InpaintConfig{
+	img, err := diffusion.Inpaint(s.adapted, s.sched, diffusion.InpaintConfig{
 		Known: known,
 		Mask:  s.pixelMask(missing),
 		Class: ci, GuidanceScale: s.cfg.GuidanceScale,
@@ -108,7 +108,7 @@ func (s *Synthesizer) Translate(f *flow.Flow, targetClass string, strength float
 		return nil, err
 	}
 	seed := s.nextRoot()
-	img, err := diffusion.Translate(s.model(), s.sched, diffusion.TranslateConfig{
+	img, err := diffusion.Translate(s.adapted, s.sched, diffusion.TranslateConfig{
 		Source:      src,
 		TargetClass: ci, Strength: strength,
 		GuidanceScale: s.cfg.GuidanceScale,

@@ -228,7 +228,7 @@ func (e *Engine) Close() {
 func (e *Engine) loop() {
 	defer e.loopWG.Done()
 	defer e.postQ.close()
-	eng := diffusion.NewScheduler(e.synth.model(), e.synth.sched, nil)
+	eng := diffusion.NewScheduler(e.synth.adapted, e.synth.sched, nil)
 	eng.SetStepRows(e.cfg.MaxStepRows)
 	byID := map[diffusion.FlowID]*engineJob{} // active flow → its job
 	live := map[*engineJob]struct{}{}         // admitted, unfinished jobs

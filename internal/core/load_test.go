@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"trafficdiff/internal/controlnet"
@@ -55,9 +56,8 @@ func reachableParams(root any) map[*nn.V]bool {
 
 // loadConfig is fastConfig with training cut to what a save/load round
 // trip needs.
-func loadConfig(useLoRA bool) Config {
+func loadConfig() Config {
 	cfg := fastConfig()
-	cfg.UseLoRA = useLoRA
 	cfg.BaseSteps, cfg.FineTuneSteps, cfg.DDIMSteps = 6, 6, 3
 	return cfg
 }
@@ -75,87 +75,87 @@ func modelParams(s *Synthesizer) map[*nn.V]bool {
 }
 
 // TestLoadCoversEveryParameter is the licence for Load to build its
-// models without random initialisation: with and without LoRA, (1) the parameters the checkpoint carries
-// (allParams) are exactly the parameters reachable from the model
-// structs, on the trained original and on the loaded copy, so nothing
-// New would have randomised is left at its zero skeleton value;
-// (2) every loaded parameter equals the saved one bit for bit; and
+// models without random initialisation: (1) the parameters the
+// checkpoint carries (allParams) are exactly the parameters reachable
+// from the model structs, on the trained original and on the loaded
+// copy, so nothing New would have randomised is left at its zero
+// skeleton value; (2) every loaded parameter equals the saved one bit
+// for bit; and
 // (3) seeded generation from the loaded copy is byte-identical to the
 // original's.
 func TestLoadCoversEveryParameter(t *testing.T) {
 	classes := []string{"amazon", "teams"}
-	for name, cfg := range map[string]Config{"mlp+lora": loadConfig(true), "mlp": loadConfig(false)} {
-		t.Run(name, func(t *testing.T) {
-			s, err := New(cfg, classes)
+	t.Run("mlp+lora", func(t *testing.T) {
+		s, err := New(loadConfig(), classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.FineTune(trainingFlows(t, classes, 2)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for which, syn := range map[string]*Synthesizer{"original": s, "loaded": loaded} {
+			reach := modelParams(syn)
+			saved := syn.allParams()
+			covered := map[*nn.V]bool{}
+			for _, p := range saved {
+				if covered[p] {
+					t.Errorf("%s: allParams lists a parameter twice", which)
+				}
+				covered[p] = true
+				if !reach[p] {
+					t.Errorf("%s: allParams carries a parameter the models do not hold", which)
+				}
+			}
+			if len(covered) != len(reach) {
+				t.Fatalf("%s: the checkpoint covers %d parameters, the models hold %d — Load would leave the rest at zero",
+					which, len(covered), len(reach))
+			}
+		}
+
+		orig, got := s.allParams(), loaded.allParams()
+		if len(orig) != len(got) {
+			t.Fatalf("loaded %d parameters, saved %d", len(got), len(orig))
+		}
+		for i := range orig {
+			if !reflect.DeepEqual(orig[i].X.Shape, got[i].X.Shape) {
+				t.Fatalf("param %d: shape %v, saved %v", i, got[i].X.Shape, orig[i].X.Shape)
+			}
+			for j, v := range orig[i].X.Data {
+				if math.Float32bits(v) != math.Float32bits(got[i].X.Data[j]) {
+					t.Fatalf("param %d element %d differs after load", i, j)
+				}
+			}
+		}
+
+		for _, class := range classes {
+			want, err := s.GenerateSeeded(class, 2, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.FineTune(trainingFlows(t, classes, 2)); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := s.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(&buf)
+			re, err := loaded.GenerateSeeded(class, 2, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			for which, syn := range map[string]*Synthesizer{"original": s, "loaded": loaded} {
-				reach := modelParams(syn)
-				saved := syn.allParams()
-				covered := map[*nn.V]bool{}
-				for _, p := range saved {
-					if covered[p] {
-						t.Errorf("%s: allParams lists a parameter twice", which)
-					}
-					covered[p] = true
-					if !reach[p] {
-						t.Errorf("%s: allParams carries a parameter the models do not hold", which)
-					}
-				}
-				if len(covered) != len(reach) {
-					t.Fatalf("%s: the checkpoint covers %d parameters, the models hold %d — Load would leave the rest at zero",
-						which, len(covered), len(reach))
-				}
+			if !bytes.Equal(pcapBytes(t, want.Flows), pcapBytes(t, re.Flows)) {
+				t.Fatalf("class %s: loaded synthesizer's seeded output differs from the original's", class)
 			}
-
-			orig, got := s.allParams(), loaded.allParams()
-			if len(orig) != len(got) {
-				t.Fatalf("loaded %d parameters, saved %d", len(got), len(orig))
-			}
-			for i := range orig {
-				if !reflect.DeepEqual(orig[i].X.Shape, got[i].X.Shape) {
-					t.Fatalf("param %d: shape %v, saved %v", i, got[i].X.Shape, orig[i].X.Shape)
-				}
-				for j, v := range orig[i].X.Data {
-					if math.Float32bits(v) != math.Float32bits(got[i].X.Data[j]) {
-						t.Fatalf("param %d element %d differs after load", i, j)
-					}
-				}
-			}
-
-			for _, class := range classes {
-				want, err := s.GenerateSeeded(class, 2, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				re, err := loaded.GenerateSeeded(class, 2, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(pcapBytes(t, want.Flows), pcapBytes(t, re.Flows)) {
-					t.Fatalf("class %s: loaded synthesizer's seeded output differs from the original's", class)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // preRemovalConfig is Config as checkpoints wrote it while the pipeline
-// could also build a convolutional U-Net: the same fields plus Arch (0
-// the MLP, 1 the U-Net) and the U-Net's attention flag.
+// could also build a convolutional U-Net, average weights and train the
+// base alone: the same fields plus Arch (0 the MLP, 1 the U-Net), the
+// U-Net's attention flag, EMADecay and UseLoRA.
 type preRemovalConfig struct {
 	Rows, DownH, DownW int
 
@@ -197,14 +197,14 @@ type preRemovalSnapshot struct {
 	HasLoRA   bool
 }
 
-// writePreRemoval writes a checkpoint the way Save did before the two
+// writePreRemoval writes a checkpoint the way Save did before those
 // fields were removed: s's vocabulary, templates and gap values, cfg's
-// fields by name with the given Arch, then params.
-func writePreRemoval(t *testing.T, s *Synthesizer, cfg Config, arch int, params []*nn.V) *bytes.Buffer {
+// fields by name with the given Arch and LoRA flag, then params.
+func writePreRemoval(t *testing.T, s *Synthesizer, cfg Config, arch int, hasLoRA bool, params []*nn.V) *bytes.Buffer {
 	t.Helper()
 	snap := preRemovalSnapshot{
 		Version: 1, Classes: s.classes, Templates: s.templates, Controls: s.controls,
-		GapValues: map[int][]float64{}, HasLoRA: cfg.UseLoRA,
+		GapValues: map[int][]float64{}, HasLoRA: hasLoRA,
 	}
 	src, dst := reflect.ValueOf(cfg), reflect.ValueOf(&snap.Config).Elem()
 	for i := 0; i < src.NumField(); i++ {
@@ -212,7 +212,7 @@ func writePreRemoval(t *testing.T, s *Synthesizer, cfg Config, arch int, params 
 			f.Set(src.Field(i))
 		}
 	}
-	snap.Config.Arch = arch
+	snap.Config.Arch, snap.Config.UseLoRA = arch, hasLoRA
 	for ci, d := range s.gapDists {
 		snap.GapValues[ci] = d.Values()
 	}
@@ -227,14 +227,15 @@ func writePreRemoval(t *testing.T, s *Synthesizer, cfg Config, arch int, params 
 }
 
 // TestLoadPreRemovalCheckpoints pins checkpoint compatibility across the
-// removal of the architecture fields from Config: (a) an MLP+LoRA
-// checkpoint written with the old fields (Arch 0) loads and generates
-// the original's seeded bytes; (b) a U-Net checkpoint (Arch 1, followed
-// by the U-Net's 27 parameters) is refused with an error, not loaded
-// into the MLP and not a panic.
+// removal of the architecture, EMA and LoRA-switch fields from Config:
+// (a) an MLP+LoRA checkpoint written with the old fields (Arch 0) loads
+// and generates the original's seeded bytes; (b) a U-Net checkpoint
+// (Arch 1, followed by the U-Net's 27 parameters) and (c) a base-only
+// checkpoint (HasLoRA false, followed by the MLP's parameters alone)
+// are refused with an error, not loaded and not a panic.
 func TestLoadPreRemovalCheckpoints(t *testing.T) {
 	classes := []string{"amazon", "teams"}
-	s, err := New(loadConfig(true), classes)
+	s, err := New(loadConfig(), classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestLoadPreRemovalCheckpoints(t *testing.T) {
 	}
 
 	t.Run("mlp+lora", func(t *testing.T) {
-		loaded, err := Load(writePreRemoval(t, s, s.configSnapshot(), 0, s.allParams()))
+		loaded, err := Load(writePreRemoval(t, s, s.configSnapshot(), 0, true, s.allParams()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +265,7 @@ func TestLoadPreRemovalCheckpoints(t *testing.T) {
 
 	t.Run("unet", func(t *testing.T) {
 		cfg := s.configSnapshot()
-		cfg.UseLoRA, cfg.Hidden = false, 6
+		cfg.Hidden = 6
 		// The U-Net's parameters for base width c = 6, k = 2 classes and
 		// 64-wide embeddings: class table, time projection, the two
 		// embedding-to-channel projections, nine 3×3 convolutions (stem,
@@ -282,9 +283,55 @@ func TestLoadPreRemovalCheckpoints(t *testing.T) {
 		if len(params) != 27 {
 			t.Fatalf("built %d U-Net parameters, want 27", len(params))
 		}
-		got, err := Load(writePreRemoval(t, s, cfg, 1, params))
+		got, err := Load(writePreRemoval(t, s, cfg, 1, false, params))
 		if err == nil || got != nil {
 			t.Fatalf("loading a U-Net checkpoint: synthesizer %v, error %v; want no synthesizer and an error", got, err)
 		}
 	})
+
+	t.Run("base-only", func(t *testing.T) {
+		got, err := Load(writePreRemoval(t, s, s.configSnapshot(), 0, false, s.base.Params()))
+		if err == nil || got != nil {
+			t.Fatalf("loading a base-only checkpoint: synthesizer %v, error %v; want no synthesizer and an error", got, err)
+		}
+	})
+}
+
+// TestBadConfigRejected checks that New and Load both refuse a config
+// the models cannot be built from — a non-positive hidden width, or a
+// LoRA rank outside [1, min(Hidden, model pixels)] — with an error
+// naming the field, instead of panicking in the tensor or lora
+// constructors (for New, only after the whole base phase had trained).
+func TestBadConfigRejected(t *testing.T) {
+	classes := []string{"amazon"}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"zero Hidden", func(c *Config) { c.Hidden = 0 }, "Hidden"},
+		{"negative Hidden", func(c *Config) { c.Hidden = -4 }, "Hidden"},
+		{"zero LoRARank", func(c *Config) { c.LoRARank = 0 }, "LoRARank"},
+		{"negative LoRARank", func(c *Config) { c.LoRARank = -1 }, "LoRARank"},
+		{"LoRARank above Hidden", func(c *Config) { c.LoRARank = c.Hidden + 1 }, "LoRARank"},
+		// One-pixel model images: rank 2 exceeds the x and out
+		// projections' pixel side.
+		{"LoRARank above pixels", func(c *Config) { c.Rows, c.DownH, c.DownW, c.LoRARank = 2, 2, 1088, 2 }, "LoRARank"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := loadConfig()
+			tc.edit(&cfg)
+			if s, err := New(cfg, classes); err == nil || s != nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: synthesizer %v, error %v; want no synthesizer and an error naming %s", s, err, tc.want)
+			}
+			var buf bytes.Buffer
+			snap := snapshot{Version: 1, Config: cfg, Classes: classes, HasLoRA: true}
+			if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Load(&buf); err == nil || s != nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load: synthesizer %v, error %v; want no synthesizer and an error naming %s", s, err, tc.want)
+			}
+		})
+	}
 }

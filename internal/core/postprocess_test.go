@@ -21,7 +21,7 @@ func seededSamples(t *testing.T, s *Synthesizer, class string, flowSeeds []uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := diffusion.Sample(s.model(), s.sched, diffusion.SampleConfig{
+	out, err := diffusion.Sample(s.adapted, s.sched, diffusion.SampleConfig{
 		FlowSeeds: flowSeeds, Class: ci,
 		GuidanceScale: s.cfg.GuidanceScale, DDIMSteps: ddim, Control: s.controls[ci],
 	})

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +18,6 @@ func resumeConfig() Config {
 	cfg.BaseSteps = 6
 	cfg.FineTuneSteps = 9
 	cfg.Batch = 4
-	cfg.EMADecay = 0.98
 	return cfg
 }
 
@@ -29,7 +31,7 @@ func flatParams(s *Synthesizer) []float32 {
 }
 
 // TestFineTuneResumeEquivalence simulates a crash at every checkpoint
-// boundary of a two-phase (base + LoRA, EMA on) fine-tune: the full
+// boundary of a two-phase (base + LoRA) fine-tune: the full
 // run writes periodic checkpoints, each distinct on-disk state the run
 // passed through is stashed, and a fresh synthesizer resumed from each
 // stash must converge to the same final checkpoint file byte-for-byte
@@ -116,73 +118,6 @@ func TestFineTuneResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestFineTuneResumeSinglePhase covers the UseLoRA=false path, where
-// the whole run is one conditional training phase.
-func TestFineTuneResumeSinglePhase(t *testing.T) {
-	classes := []string{"amazon"}
-	flows := trainingFlows(t, classes, 3)
-	cfg := resumeConfig()
-	cfg.UseLoRA = false
-	cfg.BaseSteps = 4
-	cfg.FineTuneSteps = 4
-	dir := t.TempDir()
-	fullPath := filepath.Join(dir, "full.ckpt")
-
-	full, err := New(cfg, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stash []byte
-	capture := func(p TrainProgress) {
-		if p.Step == 3 { // after the step-3 hook the file holds the step-2 checkpoint
-			if data, err := os.ReadFile(fullPath); err == nil {
-				stash = data
-			}
-		}
-	}
-	if _, err := full.FineTuneWithOptions(flows, FineTuneOptions{
-		CheckpointPath: fullPath, CheckpointEvery: 2, Progress: capture,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if stash == nil {
-		t.Fatal("no mid-run checkpoint captured")
-	}
-	wantFinal, err := os.ReadFile(fullPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantParams := flatParams(full)
-
-	resumeFile := filepath.Join(dir, "stash.ckpt")
-	if err := os.WriteFile(resumeFile, stash, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumedPath := filepath.Join(dir, "resumed.ckpt")
-	s, err := New(cfg, classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.FineTuneWithOptions(flows, FineTuneOptions{
-		CheckpointPath: resumedPath, CheckpointEvery: 2, ResumeFrom: resumeFile,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	gotFinal, err := os.ReadFile(resumedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotFinal) != string(wantFinal) {
-		t.Fatal("single-phase resume: final checkpoint differs")
-	}
-	got := flatParams(s)
-	for j := range wantParams {
-		if math.Float32bits(got[j]) != math.Float32bits(wantParams[j]) {
-			t.Fatalf("single-phase resume: param elem %d differs", j)
-		}
-	}
-}
-
 // TestResumeRejectsMismatch checks the refuse-to-resume guards:
 // resuming under a different config or class vocabulary must error
 // rather than silently train a different model.
@@ -225,6 +160,36 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	flows3 := trainingFlows(t, []string{"amazon", "meet"}, 2)
 	if _, err := s3.FineTuneWithOptions(flows3, FineTuneOptions{ResumeFrom: ckpt}); err == nil {
 		t.Error("resume under different classes should fail")
+	}
+
+	// A version-1 envelope, written while trainer state could carry an
+	// EMA average this pipeline would drop: identical to the valid
+	// checkpoint but for the version, which alone must trip the guard.
+	valid, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(valid)
+	var env trainEnvelope
+	if err := gob.NewDecoder(rd).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	env.Version = 1
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	v1.Write(valid[len(valid)-rd.Len():])
+	v1Path := filepath.Join(dir, "v1.ckpt")
+	if err := os.WriteFile(v1Path, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(cfg, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.FineTuneWithOptions(flows, FineTuneOptions{ResumeFrom: v1Path}); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("resume from a version-1 checkpoint: error %v, want an unsupported-version error", err)
 	}
 
 	// Garbage file.

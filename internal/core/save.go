@@ -37,7 +37,7 @@ func (s *Synthesizer) Save(w io.Writer) error {
 		Version: 1, Config: s.configSnapshot(), Classes: s.classes,
 		Templates: s.templates, Controls: s.controls,
 		GapValues: map[int][]float64{},
-		HasLoRA:   s.adapted != nil,
+		HasLoRA:   true,
 	}
 	for ci, d := range s.gapDists {
 		snap.GapValues[ci] = d.Values()
@@ -64,6 +64,9 @@ func Load(r io.Reader) (*Synthesizer, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("core: unsupported snapshot version %d", snap.Version)
 	}
+	if !snap.HasLoRA {
+		return nil, fmt.Errorf("core: checkpoint has no LoRA adapter; base-only checkpoints are not supported")
+	}
 	// Skeletons only (nil init streams): LoadParams below covers every
 	// parameter they create — TestLoadCoversEveryParameter.
 	s, err := build(snap.Config, snap.Classes, nil)
@@ -77,9 +80,7 @@ func Load(r io.Reader) (*Synthesizer, error) {
 			s.gapDists[ci] = heuristic.NewEmpirical(vals)
 		}
 	}
-	if snap.HasLoRA {
-		s.adapted = lora.NewAdaptedMLP(nil, s.base, snap.Config.LoRARank, snap.Config.LoRAAlpha, len(snap.Classes))
-	}
+	s.adapted = lora.NewAdaptedMLP(nil, s.base, snap.Config.LoRARank, snap.Config.LoRAAlpha, len(snap.Classes))
 	if err := nn.LoadParams(br, s.allParams()); err != nil {
 		return nil, err
 	}
@@ -89,9 +90,5 @@ func Load(r io.Reader) (*Synthesizer, error) {
 // allParams returns every parameter the snapshot covers, in a stable
 // order.
 func (s *Synthesizer) allParams() []*nn.V {
-	ps := s.base.Params()
-	if s.adapted != nil {
-		ps = append(ps, s.adapted.Params()...)
-	}
-	return ps
+	return append(s.base.Params(), s.adapted.Params()...)
 }

@@ -10,16 +10,19 @@ import (
 	"trafficdiff/internal/nn"
 )
 
-// Training phases of a LoRA fine-tune; a single-phase configuration
-// (UseLoRA=false) only ever checkpoints phaseBase.
+// Training phases: the base model, then LoRA adapters on the frozen
+// base.
 const (
 	phaseBase     = 0
 	phaseFineTune = 1
 )
 
 // trainCheckpointVersion is the mid-run training checkpoint envelope
-// version.
-const trainCheckpointVersion = 1
+// version. Version 1 envelopes came from a pipeline that could also
+// average weights (EMA) or train the base alone; their trainer state
+// may carry an average this pipeline would drop, so resuming one would
+// not continue its trajectory and it is refused.
+const trainCheckpointVersion = 2
 
 // defaultCheckpointEvery is the step interval used when a checkpoint
 // path is set but no interval was chosen.

@@ -133,7 +133,7 @@ func TestTrainLossDecreases(t *testing.T) {
 	model := NewMLPDenoiser(r, h, w, 64, 2)
 	sched := NewSchedule(ScheduleCosine, 50)
 	losses, err := Train(model, sched, tinySet(h, w), TrainConfig{
-		Steps: 200, Batch: 8, LR: 1e-2, ClipNorm: 5, Seed: 1, DropCond: 0.1,
+		Steps: 200, Batch: 8, LR: 1e-2, ClipNorm: 5, Seed: 1, DropCond: 0.1, Params: model.Params(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,23 +157,23 @@ func TestTrainValidation(t *testing.T) {
 	r := stats.NewRNG(1)
 	model := NewMLPDenoiser(r, 4, 4, 16, 2)
 	sched := NewSchedule(ScheduleLinear, 10)
-	if _, err := Train(model, sched, &TrainSet{}, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3}); err == nil {
+	if _, err := Train(model, sched, &TrainSet{}, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3, Params: model.Params()}); err == nil {
 		t.Error("empty set should fail")
 	}
 	bad := &TrainSet{Images: []*tensor.Tensor{tensor.New(1, 2, 2)}, Labels: []int{0}}
-	if _, err := Train(model, sched, bad, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3}); err == nil {
+	if _, err := Train(model, sched, bad, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3, Params: model.Params()}); err == nil {
 		t.Error("wrong image shape should fail")
 	}
 	badLabel := &TrainSet{Images: []*tensor.Tensor{tensor.New(1, 4, 4)}, Labels: []int{5}}
-	if _, err := Train(model, sched, badLabel, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3}); err == nil {
+	if _, err := Train(model, sched, badLabel, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3, Params: model.Params()}); err == nil {
 		t.Error("out-of-range label should fail")
 	}
 	ok := &TrainSet{Images: []*tensor.Tensor{tensor.New(1, 4, 4)}, Labels: []int{0}}
-	if _, err := Train(model, sched, ok, TrainConfig{Steps: 0, Batch: 1, LR: 1e-3}); err == nil {
+	if _, err := Train(model, sched, ok, TrainConfig{Steps: 0, Batch: 1, LR: 1e-3, Params: model.Params()}); err == nil {
 		t.Error("zero steps should fail")
 	}
-	if _, err := Train(model, sched, ok, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3, FreezeBase: true}); err == nil {
-		t.Error("frozen base without extra params should fail")
+	if _, err := Train(model, sched, ok, TrainConfig{Steps: 1, Batch: 1, LR: 1e-3}); err == nil {
+		t.Error("an empty Params set should fail")
 	}
 }
 
@@ -186,7 +186,7 @@ func TestSampleClassConditioning(t *testing.T) {
 	model := NewMLPDenoiser(r, h, w, 96, 2)
 	sched := NewSchedule(ScheduleCosine, 60)
 	_, err := Train(model, sched, tinySet(h, w), TrainConfig{
-		Steps: 600, Batch: 8, LR: 5e-3, ClipNorm: 5, Seed: 2, DropCond: 0.1,
+		Steps: 600, Batch: 8, LR: 5e-3, ClipNorm: 5, Seed: 2, DropCond: 0.1, Params: model.Params(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,30 +279,5 @@ func TestControlInjectionStartsAsNoOp(t *testing.T) {
 func TestScheduleString(t *testing.T) {
 	if ScheduleLinear.String() != "linear" || ScheduleCosine.String() != "cosine" {
 		t.Error("schedule names wrong")
-	}
-}
-
-func TestTrainWithEMA(t *testing.T) {
-	r := stats.NewRNG(21)
-	model := NewMLPDenoiser(r, 4, 8, 48, 2)
-	sched := NewSchedule(ScheduleCosine, 30)
-	losses, err := Train(model, sched, tinySet(4, 8), TrainConfig{
-		Steps: 80, Batch: 8, LR: 5e-3, ClipNorm: 5, Seed: 1, EMADecay: 0.98,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg(losses[len(losses)-10:]) >= avg(losses[:10]) {
-		t.Error("EMA training did not converge")
-	}
-	// Sampling from the installed averaged weights works.
-	if _, err := Sample(model, sched, SampleConfig{Class: 0, GuidanceScale: 1, DDIMSteps: 4, FlowSeeds: []uint64{2}}); err != nil {
-		t.Fatal(err)
-	}
-	// Invalid decay rejected.
-	if _, err := Train(model, sched, tinySet(4, 8), TrainConfig{
-		Steps: 1, Batch: 2, LR: 1e-3, EMADecay: 1.5,
-	}); err == nil {
-		t.Error("EMADecay >= 1 should fail")
 	}
 }

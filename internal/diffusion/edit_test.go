@@ -20,7 +20,7 @@ func editModel(t *testing.T) (*MLPDenoiser, *Schedule) {
 	model := NewMLPDenoiser(r, 4, 8, 96, 2)
 	sched := NewSchedule(ScheduleCosine, 50)
 	if _, err := Train(model, sched, tinySet(4, 8), TrainConfig{
-		Steps: 400, Batch: 8, LR: 5e-3, ClipNorm: 5, Seed: 2, DropCond: 0.1,
+		Steps: 400, Batch: 8, LR: 5e-3, ClipNorm: 5, Seed: 2, DropCond: 0.1, Params: model.Params(),
 	}); err != nil {
 		t.Fatal(err)
 	}

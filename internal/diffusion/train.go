@@ -36,19 +36,14 @@ type TrainConfig struct {
 	DropCond float64
 	ClipNorm float64
 	Seed     uint64
-	// ExtraParams are trained alongside the model's own parameters
-	// (LoRA adapters pass theirs here; pass the model's Params()
-	// replaced by nothing to freeze the base — see TrainParams).
-	ExtraParams []*nn.V
-	// FreezeBase trains only ExtraParams (LoRA fine-tuning mode).
-	FreezeBase bool
+	// Params is the trained parameter set, in checkpoint order: the
+	// model's own Params() to train it outright, or a LoRA-adapted
+	// model's adapter parameters to fine-tune against a frozen base.
+	// Every parameter outside it stays fixed.
+	Params []*nn.V
 	// Controls, when non-nil, supplies the per-class control image fed
 	// to the denoiser during training (ControlNet conditioning).
 	Controls map[int]*tensor.Tensor
-	// EMADecay, when > 0, maintains an exponential moving average of
-	// the trained parameters and installs it when training finishes —
-	// the standard DDPM sampling-quality practice (typical 0.995).
-	EMADecay float64
 	// Progress, when non-nil, is called after every optimizer step.
 	// The hook is reporting-only: it does not participate in the
 	// trainer's deterministic state, so checkpoints taken with and
@@ -57,13 +52,16 @@ type TrainConfig struct {
 }
 
 // validate rejects configurations that would train incorrectly rather
-// than fail loudly: a non-positive or non-finite learning rate
-// silently trains away from (or never toward) the minimum, and a
-// conditioning-drop probability outside [0,1] skews the
-// classifier-free-guidance mix.
+// than fail loudly: an empty parameter set trains nothing, a
+// non-positive or non-finite learning rate silently trains away from
+// (or never toward) the minimum, and a conditioning-drop probability
+// outside [0,1] skews the classifier-free-guidance mix.
 func (cfg *TrainConfig) validate() error {
 	if cfg.Batch <= 0 || cfg.Steps <= 0 {
 		return fmt.Errorf("diffusion: non-positive Steps/Batch")
+	}
+	if len(cfg.Params) == 0 {
+		return fmt.Errorf("diffusion: no Params to train")
 	}
 	if math.IsNaN(cfg.LR) || math.IsInf(cfg.LR, 0) || cfg.LR <= 0 {
 		return fmt.Errorf("diffusion: LR must be positive and finite, got %v", cfg.LR)
@@ -73,9 +71,6 @@ func (cfg *TrainConfig) validate() error {
 	}
 	if math.IsNaN(cfg.ClipNorm) || cfg.ClipNorm < 0 {
 		return fmt.Errorf("diffusion: ClipNorm must be >= 0, got %v", cfg.ClipNorm)
-	}
-	if math.IsNaN(cfg.EMADecay) || cfg.EMADecay >= 1 {
-		return fmt.Errorf("diffusion: EMADecay must be in (0,1)")
 	}
 	return nil
 }
@@ -108,11 +103,11 @@ func (ts *TrainSet) Validate(h, w, k int) error {
 // Trainer runs DDPM training one optimizer step at a time over
 // explicit state, which is what makes mid-run checkpointing possible:
 // everything the loop touches — the trained parameters, the Adam
-// moments and update count, the EMA shadow, the minibatch RNG
-// position, the loss curve, and the step counter — is either held
-// here or reachable through Checkpoint/Restore. A Trainer restored
-// from a checkpoint continues the exact same training trajectory: the
-// final weights are bit-identical to an uninterrupted run.
+// moments and update count, the minibatch RNG position, the loss
+// curve, and the step counter — is either held here or reachable
+// through Checkpoint/Restore. A Trainer restored from a checkpoint
+// continues the exact same training trajectory: the final weights are
+// bit-identical to an uninterrupted run.
 //
 // A Trainer is single-goroutine; it owns reusable minibatch and tape
 // buffers that make the steady-state step allocation-free.
@@ -122,14 +117,11 @@ type Trainer struct {
 	set   *TrainSet
 	cfg   TrainConfig
 
-	params []*nn.V
-	opt    *nn.Adam
-	ema    *nn.EMA
-	rng    *stats.RNG
+	opt *nn.Adam
+	rng *stats.RNG
 
-	losses   []float64
-	step     int
-	finished bool
+	losses []float64
+	step   int
 
 	// Minibatch buffers are allocated once and refilled every step, and
 	// the tape's output arena recycles the forward pass's intermediate
@@ -160,25 +152,13 @@ func NewTrainer(model Denoiser, sched *Schedule, set *TrainSet, cfg TrainConfig)
 		return nil, err
 	}
 
-	params := cfg.ExtraParams
-	if !cfg.FreezeBase {
-		params = append(append([]*nn.V(nil), model.Params()...), cfg.ExtraParams...)
-	}
-	if len(params) == 0 {
-		return nil, fmt.Errorf("diffusion: nothing to train (base frozen, no extra params)")
-	}
-	opt := nn.NewAdam(cfg.LR, params)
+	opt := nn.NewAdam(cfg.LR, cfg.Params)
 	opt.ClipNorm = cfg.ClipNorm
-	var ema *nn.EMA
-	if cfg.EMADecay > 0 {
-		ema = nn.NewEMA(cfg.EMADecay, params)
-	}
 
 	n := cfg.Batch
 	tr := &Trainer{
 		model: model, sched: sched, set: set, cfg: cfg,
-		params: params, opt: opt, ema: ema,
-		rng:    stats.NewRNG(cfg.Seed),
+		opt: opt, rng: stats.NewRNG(cfg.Seed),
 		losses: make([]float64, 0, cfg.Steps),
 		n:      n, d: h * w,
 		xt:       tensor.New(n, 1, h, w),
@@ -208,11 +188,8 @@ func (tr *Trainer) Losses() []float64 { return tr.losses }
 // Step runs one optimizer step: draw a minibatch, noise it to random
 // timesteps, predict the noise, backpropagate the MSE, and update.
 // A non-finite loss aborts with an error and leaves the loss curve at
-// its last finite entry; EMA weights are never installed on that path.
+// its last finite entry.
 func (tr *Trainer) Step() error {
-	if tr.finished {
-		return fmt.Errorf("diffusion: Step after Finish")
-	}
 	if tr.Done() {
 		return fmt.Errorf("diffusion: Step beyond configured %d steps", tr.cfg.Steps)
 	}
@@ -263,9 +240,6 @@ func (tr *Trainer) Step() error {
 		gradNorm = tr.opt.GradNorm()
 	}
 	tr.opt.Step()
-	if tr.ema != nil {
-		tr.ema.Update()
-	}
 	// All tape outputs from this step are dead now; hand their
 	// storage back for the next step.
 	tr.tp.Recycle()
@@ -288,46 +262,23 @@ func (tr *Trainer) Step() error {
 	return nil
 }
 
-// Finish completes training: when EMA is enabled, the averaged
-// weights are installed on the model (the standard DDPM sampling
-// practice). Idempotent; the trainer accepts no further Steps or
-// Checkpoints afterwards.
-func (tr *Trainer) Finish() {
-	if tr.finished {
-		return
-	}
-	tr.finished = true
-	if tr.ema != nil {
-		// Install the averaged weights for sampling.
-		tr.ema.Swap()
-	}
-}
-
-// Run steps the trainer to completion and finishes it — the classic
-// Train loop. On a non-finite loss it returns the partial loss curve
-// with the error; EMA weights are not installed in that case.
+// Run steps the trainer to completion — the classic Train loop. On a
+// non-finite loss it returns the partial loss curve with the error.
 func (tr *Trainer) Run() ([]float64, error) {
 	for !tr.Done() {
 		if err := tr.Step(); err != nil {
 			return tr.losses, err
 		}
 	}
-	tr.Finish()
 	return tr.losses, nil
 }
 
 // Checkpoint serializes the trainer's complete mid-run state — the
-// trained parameter values plus the Adam moments, EMA shadow, RNG
-// position, loss curve and step counter — as a Version-2 nn
-// checkpoint. A Trainer built with the same model/set/config and
-// restored from this stream continues training bit-identically.
-// Checkpointing a finished trainer is an error: Finish may have
-// swapped the EMA average into the live parameters, which is not a
-// resumable state.
+// trained parameter values plus the Adam moments, RNG position, loss
+// curve and step counter — as a Version-2 nn checkpoint. A Trainer
+// built with the same model/set/config and restored from this stream
+// continues training bit-identically.
 func (tr *Trainer) Checkpoint(w io.Writer) error {
-	if tr.finished {
-		return fmt.Errorf("diffusion: cannot checkpoint a finished trainer")
-	}
 	astep, m, v := tr.opt.State()
 	st := &nn.TrainerState{
 		Step:     tr.step,
@@ -337,20 +288,14 @@ func (tr *Trainer) Checkpoint(w io.Writer) error {
 		RNG:      tr.rng.State(),
 		Losses:   tr.losses,
 	}
-	if tr.ema != nil {
-		st.EMA = tr.ema.Shadow()
-	}
-	return nn.SaveTraining(w, tr.params, st)
+	return nn.SaveTraining(w, tr.opt.Params(), st)
 }
 
 // Restore loads a checkpoint written by Checkpoint into this trainer,
 // which must have been built with the same model, training set and
 // config. The trainer resumes from the captured step.
 func (tr *Trainer) Restore(r io.Reader) error {
-	if tr.finished {
-		return fmt.Errorf("diffusion: cannot restore into a finished trainer")
-	}
-	st, err := nn.LoadTraining(r, tr.params)
+	st, err := nn.LoadTraining(r, tr.opt.Params())
 	if err != nil {
 		return err
 	}
@@ -360,16 +305,8 @@ func (tr *Trainer) Restore(r io.Reader) error {
 	if len(st.Losses) != st.Step {
 		return fmt.Errorf("diffusion: checkpoint has %d losses for %d steps", len(st.Losses), st.Step)
 	}
-	if (st.EMA != nil) != (tr.ema != nil) {
-		return fmt.Errorf("diffusion: checkpoint EMA state (%t) does not match config (%t)", st.EMA != nil, tr.ema != nil)
-	}
 	if err := tr.opt.SetState(st.AdamStep, st.AdamM, st.AdamV); err != nil {
 		return err
-	}
-	if tr.ema != nil {
-		if err := tr.ema.SetShadow(st.EMA); err != nil {
-			return err
-		}
 	}
 	if err := tr.rng.SetState(st.RNG); err != nil {
 		return err

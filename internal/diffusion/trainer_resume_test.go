@@ -35,144 +35,134 @@ func resumeSet(h, w int) *diffusion.TrainSet {
 	return set
 }
 
-// resumeFixture deterministically builds the model (and, in FreezeBase
-// mode, the LoRA adapter) plus its training config; calling it twice
-// yields bit-identical starting points, which stands in for "restart
-// the process and reconstruct the model from the same seed".
-func resumeFixture(freeze bool, batch int, emaDecay float64, steps int) (diffusion.Denoiser, []*nn.V, diffusion.TrainConfig) {
+// resumeFixture deterministically builds the model (and, with freeze,
+// the LoRA adapter trained against the frozen base) plus its training
+// config; calling it twice yields bit-identical starting points, which
+// stands in for "restart the process and reconstruct the model from
+// the same seed".
+func resumeFixture(freeze bool, batch int, steps int) (diffusion.Denoiser, diffusion.TrainConfig) {
 	r := stats.NewRNG(31)
 	base := diffusion.NewMLPDenoiser(r, 4, 8, 24, 2)
 	cfg := diffusion.TrainConfig{
 		Steps: steps, Batch: batch, LR: 5e-3, ClipNorm: 5,
-		Seed: 17, DropCond: 0.2, EMADecay: emaDecay,
+		Seed: 17, DropCond: 0.2, Params: base.Params(),
 	}
-	var model diffusion.Denoiser = base
-	trained := base.Params()
-	if freeze {
-		ar := stats.NewRNG(32)
-		ad := lora.NewAdaptedMLP(ar, base, 4, 8, 2)
-		cfg.FreezeBase = true
-		cfg.ExtraParams = ad.Params()
-		model = ad
-		trained = ad.Params()
+	if !freeze {
+		return base, cfg
 	}
-	return model, trained, cfg
+	ad := lora.NewAdaptedMLP(stats.NewRNG(32), base, 4, 8, 2)
+	cfg.Params = ad.Params()
+	return ad, cfg
 }
 
 // TestTrainerResumeBitIdentity is the resume contract's property test:
-// for every combination of kill step k, batch size, EMA on/off, and
-// FreezeBase/LoRA mode, checkpointing a run at step k, rebuilding the
-// trainer from scratch, restoring, and training to completion must
-// produce a final checkpoint byte-identical to the uninterrupted
-// run's, and bit-identical final model weights (including the EMA
-// install). `make verify-determinism` and CI run this under -race.
+// for every combination of kill step k, batch size, and trained set
+// (the whole model, or LoRA adapters on a frozen base), checkpointing a
+// run at step k, rebuilding the trainer from scratch, restoring, and
+// training to completion must produce a final checkpoint
+// byte-identical to the uninterrupted run's, and bit-identical final
+// weights. `make verify-determinism` and CI run this under -race.
 func TestTrainerResumeBitIdentity(t *testing.T) {
 	const steps = 8
 	sched := diffusion.NewSchedule(diffusion.ScheduleCosine, 25)
 	set := resumeSet(4, 8)
 
 	for _, freeze := range []bool{false, true} {
-		for _, emaDecay := range []float64{0, 0.95} {
-			for _, batch := range []int{2, 5} {
-				for _, k := range []int{0, 1, 3, steps - 1, steps} {
-					name := fmt.Sprintf("freeze=%t/ema=%v/batch=%d/k=%d", freeze, emaDecay, batch, k)
-					t.Run(name, func(t *testing.T) {
-						// Uninterrupted run, capturing the checkpoint it
-						// would have written at step k and at completion.
-						modelA, trainedA, cfgA := resumeFixture(freeze, batch, emaDecay, steps)
-						trA, err := diffusion.NewTrainer(modelA, sched, set, cfgA)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var atK, finalA bytes.Buffer
-						for !trA.Done() {
-							if trA.StepCount() == k {
-								if err := trA.Checkpoint(&atK); err != nil {
-									t.Fatal(err)
-								}
-							}
-							if err := trA.Step(); err != nil {
-								t.Fatal(err)
-							}
-						}
+		for _, batch := range []int{2, 5} {
+			for _, k := range []int{0, 1, 3, steps - 1, steps} {
+				name := fmt.Sprintf("freeze=%t/batch=%d/k=%d", freeze, batch, k)
+				t.Run(name, func(t *testing.T) {
+					// Uninterrupted run, capturing the checkpoint it
+					// would have written at step k and at completion.
+					modelA, cfgA := resumeFixture(freeze, batch, steps)
+					trA, err := diffusion.NewTrainer(modelA, sched, set, cfgA)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var atK, finalA bytes.Buffer
+					for !trA.Done() {
 						if trA.StepCount() == k {
 							if err := trA.Checkpoint(&atK); err != nil {
 								t.Fatal(err)
 							}
 						}
-						if err := trA.Checkpoint(&finalA); err != nil {
+						if err := trA.Step(); err != nil {
 							t.Fatal(err)
 						}
-						trA.Finish()
+					}
+					if trA.StepCount() == k {
+						if err := trA.Checkpoint(&atK); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := trA.Checkpoint(&finalA); err != nil {
+						t.Fatal(err)
+					}
 
-						// Killed-and-resumed run: fresh process state,
-						// restore at k, train the remaining steps.
-						modelB, trainedB, cfgB := resumeFixture(freeze, batch, emaDecay, steps)
-						trB, err := diffusion.NewTrainer(modelB, sched, set, cfgB)
-						if err != nil {
+					// Killed-and-resumed run: fresh process state,
+					// restore at k, train the remaining steps.
+					modelB, cfgB := resumeFixture(freeze, batch, steps)
+					trB, err := diffusion.NewTrainer(modelB, sched, set, cfgB)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := trB.Restore(bytes.NewReader(atK.Bytes())); err != nil {
+						t.Fatal(err)
+					}
+					if got := trB.StepCount(); got != k {
+						t.Fatalf("restored step = %d, want %d", got, k)
+					}
+					for !trB.Done() {
+						if err := trB.Step(); err != nil {
 							t.Fatal(err)
 						}
-						if err := trB.Restore(bytes.NewReader(atK.Bytes())); err != nil {
-							t.Fatal(err)
-						}
-						if got := trB.StepCount(); got != k {
-							t.Fatalf("restored step = %d, want %d", got, k)
-						}
-						for !trB.Done() {
-							if err := trB.Step(); err != nil {
-								t.Fatal(err)
-							}
-						}
-						var finalB bytes.Buffer
-						if err := trB.Checkpoint(&finalB); err != nil {
-							t.Fatal(err)
-						}
-						trB.Finish()
+					}
+					var finalB bytes.Buffer
+					if err := trB.Checkpoint(&finalB); err != nil {
+						t.Fatal(err)
+					}
 
-						if !bytes.Equal(finalA.Bytes(), finalB.Bytes()) {
-							t.Fatal("final checkpoints differ between uninterrupted and resumed runs")
+					if !bytes.Equal(finalA.Bytes(), finalB.Bytes()) {
+						t.Fatal("final checkpoints differ between uninterrupted and resumed runs")
+					}
+					// Loss curves match exactly.
+					la, lb := trA.Losses(), trB.Losses()
+					if len(la) != len(lb) {
+						t.Fatalf("loss curves have %d vs %d entries", len(la), len(lb))
+					}
+					for i := range la {
+						if math.Float64bits(la[i]) != math.Float64bits(lb[i]) {
+							t.Fatalf("loss %d differs: %v vs %v", i, la[i], lb[i])
 						}
-						// Loss curves match exactly.
-						la, lb := trA.Losses(), trB.Losses()
-						if len(la) != len(lb) {
-							t.Fatalf("loss curves have %d vs %d entries", len(la), len(lb))
-						}
-						for i := range la {
-							if math.Float64bits(la[i]) != math.Float64bits(lb[i]) {
-								t.Fatalf("loss %d differs: %v vs %v", i, la[i], lb[i])
+					}
+					// Final weights match bit-for-bit.
+					if len(cfgA.Params) != len(cfgB.Params) {
+						t.Fatal("param sets differ")
+					}
+					for i := range cfgA.Params {
+						a, b := cfgA.Params[i].X.Data, cfgB.Params[i].X.Data
+						for j := range a {
+							if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+								t.Fatalf("trained param %d elem %d differs after resume", i, j)
 							}
 						}
-						// Post-Finish weights (EMA installed when on) match
-						// bit-for-bit — both the trained set and, in freeze
-						// mode, the untouched base.
-						if len(trainedA) != len(trainedB) {
-							t.Fatal("param sets differ")
-						}
-						for i := range trainedA {
-							a, b := trainedA[i].X.Data, trainedB[i].X.Data
-							for j := range a {
-								if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
-									t.Fatalf("trained param %d elem %d differs after resume", i, j)
-								}
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
 }
 
 // TestTrainerRestoreValidation covers the refuse-to-resume paths: a
-// checkpoint from an EMA run cannot restore into a non-EMA trainer
-// (and vice versa), a checkpoint beyond the configured step budget is
-// rejected, and weights-only checkpoints are not resumable.
+// checkpoint of one trained set cannot restore into a trainer of
+// another, a checkpoint beyond the configured step budget is rejected,
+// and weights-only checkpoints are not resumable.
 func TestTrainerRestoreValidation(t *testing.T) {
 	sched := diffusion.NewSchedule(diffusion.ScheduleCosine, 25)
 	set := resumeSet(4, 8)
 
-	mkTrainer := func(emaDecay float64, steps int) *diffusion.Trainer {
-		model, _, cfg := resumeFixture(false, 2, emaDecay, steps)
+	mkTrainer := func(freeze bool, steps int) *diffusion.Trainer {
+		model, cfg := resumeFixture(freeze, 2, steps)
 		tr, err := diffusion.NewTrainer(model, sched, set, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -180,8 +170,8 @@ func TestTrainerRestoreValidation(t *testing.T) {
 		return tr
 	}
 
-	// Checkpoint from an EMA run at step 2.
-	src := mkTrainer(0.9, 4)
+	// Checkpoint from a whole-model run at step 2.
+	src := mkTrainer(false, 4)
 	for i := 0; i < 2; i++ {
 		if err := src.Step(); err != nil {
 			t.Fatal(err)
@@ -192,34 +182,23 @@ func TestTrainerRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := mkTrainer(0, 4).Restore(bytes.NewReader(ck.Bytes())); err == nil {
-		t.Error("EMA checkpoint should not restore into a non-EMA trainer")
+	if err := mkTrainer(true, 4).Restore(bytes.NewReader(ck.Bytes())); err == nil {
+		t.Error("whole-model checkpoint should not restore into an adapter trainer")
 	}
-	if err := mkTrainer(0.9, 1).Restore(bytes.NewReader(ck.Bytes())); err == nil {
+	if err := mkTrainer(false, 1).Restore(bytes.NewReader(ck.Bytes())); err == nil {
 		t.Error("checkpoint beyond the step budget should be rejected")
 	}
-	if err := mkTrainer(0.9, 4).Restore(bytes.NewReader(ck.Bytes())); err != nil {
+	if err := mkTrainer(false, 4).Restore(bytes.NewReader(ck.Bytes())); err != nil {
 		t.Errorf("matching trainer should restore: %v", err)
 	}
 
 	// Weights-only checkpoints carry no resumable state.
-	model, trained, _ := resumeFixture(false, 2, 0, 4)
-	_ = model
+	_, cfg := resumeFixture(false, 2, 4)
 	var weightsOnly bytes.Buffer
-	if err := nn.SaveParams(&weightsOnly, trained); err != nil {
+	if err := nn.SaveParams(&weightsOnly, cfg.Params); err != nil {
 		t.Fatal(err)
 	}
-	if err := mkTrainer(0, 4).Restore(bytes.NewReader(weightsOnly.Bytes())); err == nil {
+	if err := mkTrainer(false, 4).Restore(bytes.NewReader(weightsOnly.Bytes())); err == nil {
 		t.Error("weights-only checkpoint should not be resumable")
-	}
-
-	// A finished trainer accepts no further checkpoints.
-	done := mkTrainer(0, 4)
-	if _, err := done.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := done.Checkpoint(&buf); err == nil {
-		t.Error("finished trainer should refuse to checkpoint")
 	}
 }

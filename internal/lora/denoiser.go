@@ -38,8 +38,8 @@ func NewAdaptedMLP(r *stats.RNG, base *diffusion.MLPDenoiser, rank int, alpha fl
 }
 
 // Params returns only the adapter and embedding parameters — the
-// trainable set during fine-tuning (pass as TrainConfig.ExtraParams
-// with FreezeBase).
+// trainable set during fine-tuning (pass as TrainConfig.Params; the
+// base's own parameters stay frozen).
 func (a *AdaptedMLP) Params() []*nn.V {
 	var ps []*nn.V
 	ps = append(ps, a.XProj.Params()...)

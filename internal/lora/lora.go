@@ -28,13 +28,23 @@ type Adapter struct {
 	Alpha float64
 }
 
+// CheckRank reports whether a rank-r adapter fits a layer with the
+// given fan-in and fan-out: the rank must lie in [1, min(in, out)].
+func CheckRank(rank, in, out int) error {
+	if rank <= 0 || rank > in || rank > out {
+		return fmt.Errorf("lora: rank %d out of range for %dx%d layer", rank, in, out)
+	}
+	return nil
+}
+
 // NewAdapter creates a rank-r adapter for a layer with the given fan-in
 // and fan-out. B starts at zero so the adapter is initially a no-op. A
-// nil r leaves A zero too, for a caller about to load the weights.
+// nil r leaves A zero too, for a caller about to load the weights. A
+// rank CheckRank refuses panics; callers validate it first.
 func NewAdapter(r *stats.RNG, in, out, rank int, alpha float64) *Adapter {
-	if rank <= 0 || rank > in || rank > out {
+	if err := CheckRank(rank, in, out); err != nil {
 		//tracelint:allow paniccheck — shape invariant on adapter construction, same class as tensor kernel checks
-		panic(fmt.Sprintf("lora: rank %d out of range for %dx%d layer", rank, in, out))
+		panic(err.Error())
 	}
 	ad := &Adapter{A: nn.Param(rank, in), B: nn.Param(out, rank), Rank: rank, Alpha: alpha}
 	if r != nil {

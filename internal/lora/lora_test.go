@@ -141,7 +141,7 @@ func TestAdaptedMLPExtendsClassCount(t *testing.T) {
 
 func TestAdaptedFineTuneTrains(t *testing.T) {
 	// End-to-end: freeze base, fine-tune adapters via diffusion.Train
-	// with FreezeBase + ExtraParams, loss must drop.
+	// with the adapter parameters as the trained set, loss must drop.
 	r := stats.NewRNG(6)
 	base := diffusion.NewMLPDenoiser(r, 4, 8, 48, 2)
 	ad := NewAdaptedMLP(r, base, 4, 8, 2)
@@ -163,8 +163,7 @@ func TestAdaptedFineTuneTrains(t *testing.T) {
 		}
 	}
 	losses, err := diffusion.Train(ad, sched, set, diffusion.TrainConfig{
-		Steps: 150, Batch: 6, LR: 1e-2, ClipNorm: 5, Seed: 1,
-		FreezeBase: true, ExtraParams: ad.Params(),
+		Steps: 150, Batch: 6, LR: 1e-2, ClipNorm: 5, Seed: 1, Params: ad.Params(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -106,66 +106,3 @@ func (a *Adam) ZeroGrads() {
 		p.ZeroGrad()
 	}
 }
-
-// EMA maintains an exponential moving average of a parameter set —
-// the standard DDPM practice of sampling from averaged weights, which
-// smooths late-training oscillation.
-type EMA struct {
-	Decay  float64
-	params []*V
-	shadow [][]float32
-}
-
-// NewEMA snapshots params as the initial average.
-func NewEMA(decay float64, params []*V) *EMA {
-	e := &EMA{Decay: decay, params: params}
-	for _, p := range params {
-		e.shadow = append(e.shadow, append([]float32(nil), p.X.Data...))
-	}
-	return e
-}
-
-// Update folds the current parameter values into the average.
-func (e *EMA) Update() {
-	d := float32(e.Decay)
-	for i, p := range e.params {
-		s := e.shadow[i]
-		for j, v := range p.X.Data {
-			s[j] = d*s[j] + (1-d)*v
-		}
-	}
-}
-
-// Shadow exposes the averaged weights, one slice per parameter in the
-// constructor's param order. The slices alias the EMA's own storage;
-// callers must treat them as read-only.
-func (e *EMA) Shadow() [][]float32 { return e.shadow }
-
-// SetShadow restores averaged weights captured by Shadow. The shapes
-// must match the parameter set exactly; values are copied in.
-func (e *EMA) SetShadow(shadow [][]float32) error {
-	if len(shadow) != len(e.params) {
-		return fmt.Errorf("nn: EMA shadow has %d slices, want %d", len(shadow), len(e.params))
-	}
-	for i, p := range e.params {
-		if len(shadow[i]) != len(p.X.Data) {
-			return fmt.Errorf("nn: EMA shadow param %d has %d values, want %d", i, len(shadow[i]), len(p.X.Data))
-		}
-	}
-	for i := range e.shadow {
-		copy(e.shadow[i], shadow[i])
-	}
-	return nil
-}
-
-// Swap exchanges the live parameters with the averaged ones. Calling
-// it twice restores the originals, so inference can run on the average
-// and training resume afterwards.
-func (e *EMA) Swap() {
-	for i, p := range e.params {
-		s := e.shadow[i]
-		for j := range s {
-			s[j], p.X.Data[j] = p.X.Data[j], s[j]
-		}
-	}
-}

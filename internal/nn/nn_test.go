@@ -177,47 +177,6 @@ func TestTrainingLossIsFinite(t *testing.T) {
 	}
 }
 
-func TestEMAFollowsParameters(t *testing.T) {
-	p := Param(2)
-	p.X.Data[0], p.X.Data[1] = 1, -1
-	ema := NewEMA(0.9, []*V{p})
-	// Constant params: average stays equal.
-	for i := 0; i < 10; i++ {
-		ema.Update()
-	}
-	ema.Swap()
-	if p.X.Data[0] != 1 || p.X.Data[1] != -1 {
-		t.Fatalf("constant-param EMA drifted: %v", p.X.Data)
-	}
-	ema.Swap() // restore
-
-	// Step change: the average lags behind, between old and new.
-	p.X.Data[0] = 11
-	ema.Update()
-	ema.Swap()
-	avg := p.X.Data[0]
-	ema.Swap()
-	if avg <= 1 || avg >= 11 {
-		t.Fatalf("EMA after step change = %v, want in (1, 11)", avg)
-	}
-}
-
-func TestEMASwapRoundTrip(t *testing.T) {
-	p := Param(3)
-	p.X.Data[0], p.X.Data[1], p.X.Data[2] = 1, 2, 3
-	ema := NewEMA(0.5, []*V{p})
-	p.X.Data[0] = 9
-	ema.Update()
-	before := append([]float32(nil), p.X.Data...)
-	ema.Swap()
-	ema.Swap()
-	for i := range before {
-		if p.X.Data[i] != before[i] {
-			t.Fatal("double swap did not restore live weights")
-		}
-	}
-}
-
 // TestNoGradTapeCarriesNoGradients pins the arena contract the sampler
 // relies on: a no-grad tape's values have no gradient buffer at all —
 // fresh, recycled, reshaped or rewrapped to another shape — and compute

@@ -8,9 +8,9 @@ import (
 
 // Checkpoint format versions. Version 1 is the original weights-only
 // format written by SaveParams; Version 2 adds the mid-run training
-// state (optimizer moments, EMA shadow, RNG position, loss curve,
-// step counter) written by SaveTraining. SaveParams keeps emitting
-// Version 1 so weight files stay readable by older loaders, and
+// state (optimizer moments, RNG position, loss curve, step counter)
+// written by SaveTraining. SaveParams keeps emitting Version 1 so
+// weight files stay readable by older loaders, and
 // LoadParams accepts both versions (ignoring any training state).
 const (
 	versionParams  = 1
@@ -28,15 +28,13 @@ type paramBlob struct {
 // everything a step-wise training loop touches beyond the weights
 // themselves, so a killed run can resume bit-identically: the Adam
 // update count and moment estimates (one slice per parameter, in
-// checkpoint param order), the EMA shadow weights (nil when EMA is
-// disabled), the minibatch RNG position, the loss curve so far, and
-// the number of completed optimizer steps.
+// checkpoint param order), the minibatch RNG position, the loss curve
+// so far, and the number of completed optimizer steps.
 type TrainerState struct {
 	Step     int
 	AdamStep int
 	AdamM    [][]float32
 	AdamV    [][]float32
-	EMA      [][]float32
 	RNG      [4]uint64
 	Losses   []float64
 }
@@ -75,7 +73,7 @@ func LoadParams(r io.Reader, params []*V) error {
 }
 
 // SaveTraining writes params plus mid-run trainer state as a Version-2
-// checkpoint. The AdamM/AdamV/EMA slices in st must align with params
+// checkpoint. The AdamM/AdamV slices in st must align with params
 // element-for-element.
 func SaveTraining(w io.Writer, params []*V, st *TrainerState) error {
 	if st == nil {

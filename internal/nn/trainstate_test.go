@@ -88,32 +88,6 @@ func TestAdamSetStateValidates(t *testing.T) {
 	}
 }
 
-func TestEMAShadowRoundTrip(t *testing.T) {
-	p := []*V{Param(4)}
-	for j := range p[0].X.Data {
-		p[0].X.Data[j] = float32(j)
-	}
-	e := NewEMA(0.9, p)
-	p[0].X.Data[0] = 10
-	e.Update()
-	shadow := make([][]float32, 1)
-	shadow[0] = append([]float32(nil), e.Shadow()[0]...)
-
-	e2 := NewEMA(0.9, p)
-	if err := e2.SetShadow(shadow); err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEqual32(e2.Shadow()[0], shadow[0]) {
-		t.Fatal("shadow not restored exactly")
-	}
-	if err := e2.SetShadow([][]float32{make([]float32, 3)}); err == nil {
-		t.Error("wrong shadow length should fail")
-	}
-	if err := e2.SetShadow(nil); err == nil {
-		t.Error("missing shadow should fail")
-	}
-}
-
 func TestSaveTrainingRoundTrip(t *testing.T) {
 	r := stats.NewRNG(9)
 	l := NewLinear(r, 4, 4)
@@ -149,9 +123,6 @@ func TestSaveTrainingRoundTrip(t *testing.T) {
 	}
 	if math.Float32bits(got.AdamM[0][0]) != math.Float32bits(0.75) {
 		t.Fatalf("adam moment not preserved: %v", got.AdamM[0][0])
-	}
-	if got.EMA != nil {
-		t.Fatal("EMA should round-trip as nil when absent")
 	}
 	for i := range params {
 		if !bitsEqual32(params[i].X.Data, fresh[i].X.Data) {
