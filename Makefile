@@ -116,9 +116,10 @@ fuzz:
 	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s ./internal/tensor
 
-# Regenerate every paper table and figure.
+# Regenerate every paper table and figure, then the design-choice
+# ablations, into the recorded run log.
 experiments:
-	$(GO) run ./cmd/traceval -train 40 -test 12 -synth 12 all
+	$(GO) run ./cmd/traceval -train 40 -test 12 -synth 12 all ablate > experiments_run.txt
 
 # The API examples. Paper tables and figures come from `make experiments`.
 examples:

@@ -12,15 +12,17 @@
 //	traceval fidelity      # cross-generator fidelity vs held-out real traffic
 //	traceval frontier      # §4 speed: DDPM, few-step DDIM and GAN, fidelity-gated
 //	traceval all           # everything above
+//	traceval ablate        # design choices: ControlNet, ConstantSnap, guidance, LoRA rank, DownW, β schedule
 //
 // Several ids run in order (traceval table2 fig2). Every experiment
 // runs from one eval.Config, filled from the flags: -train/-test/-synth
 // set the per-class real training, real test and synthetic flow counts,
 // -seed the one seed each experiment offsets, and -fast shrinks the
 // diffusion model for a quick smoke run. Figure 2's PNG lands in -out
-// (default fig2_amazon.png). frontier ignores the flags: it runs the
-// fixed CPU-budget sweep CI gates on and exits non-zero when a point
-// loses fidelity.
+// (default fig2_amazon.png). ablate sweeps every knob of eval.RunSweep
+// but steps on that Config. frontier ignores the flags: it sweeps steps
+// on the fixed CPU-budget Config CI gates on and exits non-zero when a
+// point loses fidelity.
 package main
 
 import (
@@ -61,7 +63,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig1a fig1b fig2 perclass-gan fidelity frontier all")
+		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig1a fig1b fig2 perclass-gan fidelity frontier all ablate")
 		os.Exit(2)
 	}
 
@@ -131,14 +133,26 @@ func main() {
 			fmt.Print(eval.FidelityReport(res))
 		case "frontier":
 			log.Printf("running fidelity-vs-speed frontier...")
-			rep, err := eval.RunFrontier(frontierConfig(), 64, []int{0, 4, 8, 16})
+			rep, err := eval.RunSweep(frontierConfig(), "steps")
 			if err != nil {
 				return err
 			}
 			fmt.Println("== §4: generative speed, DDPM to few-step DDIM and the GAN (fidelity vs speed) ==")
-			fmt.Print(eval.FrontierReportString(rep))
+			fmt.Print(eval.SweepReportString(rep))
 			if err := eval.GateFrontier(rep, frontierFidelityTol); err != nil {
 				return err
+			}
+		case "ablate":
+			sep := ""
+			for _, knob := range []string{"controlnet", "constantsnap", "guidance", "lorarank", "downw", "schedule"} {
+				log.Printf("running ablation %s...", knob)
+				rep, err := eval.RunSweep(c, knob)
+				if err != nil {
+					return err
+				}
+				fmt.Printf("%s== ablation: %s, Synthetic/Real RF and pre-projection compliance per value ==\n%s",
+					sep, knob, eval.SweepReportString(rep))
+				sep = "\n"
 			}
 		case "perclass-gan":
 			res, err := eval.RunPerClassGAN(c)

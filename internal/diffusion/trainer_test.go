@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trafficdiff/internal/stats"
+	"trafficdiff/internal/tensor"
 )
 
 // TestTrainConfigValidation table-tests the config checks: a negative
@@ -161,6 +162,28 @@ func TestTrainerProgressHook(t *testing.T) {
 	for i := range without {
 		if math.Float32bits(withHook[i]) != math.Float32bits(without[i]) {
 			t.Fatalf("param %d differs with/without progress hook", i)
+		}
+	}
+}
+
+// BenchmarkDiffusionTrainStep measures one optimizer step of a
+// denoiser at the CPU experiments' shape: 16x136 images, hidden width
+// 128, batch 8.
+func BenchmarkDiffusionTrainStep(b *testing.B) {
+	r := stats.NewRNG(1)
+	model := NewMLPDenoiser(r, 16, 136, 128, 4)
+	sched := NewSchedule(ScheduleCosine, 80)
+	set := &TrainSet{}
+	for i := 0; i < 8; i++ {
+		set.Images = append(set.Images, tensor.New(1, 16, 136).Randn(r, 1))
+		set.Labels = append(set.Labels, i%4)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(model, sched, set, TrainConfig{
+			Steps: 1, Batch: 8, LR: 1e-3, Seed: uint64(i), Params: model.Params(),
+		}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -40,7 +40,7 @@ type Config struct {
 }
 
 // The experiments' fixed offsets of Config.Seed (Table 2 and the
-// frontier use it as is).
+// sweep use it as is).
 const (
 	fig1Seed        = 21
 	fig2Seed        = 33
@@ -107,15 +107,16 @@ func (c Config) split(seed uint64) (train, test *workload.Dataset, err error) {
 
 // fineTune builds the synthesizer over Classes and fine-tunes one
 // adapter per class on real.
-func (c Config) fineTune(real *workload.Dataset) (*core.Synthesizer, error) {
+func (c Config) fineTune(real *workload.Dataset) (*core.Synthesizer, *core.TrainReport, error) {
 	synth, err := core.New(c.Model, c.Classes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if _, err := synth.FineTune(real.ByClass()); err != nil {
-		return nil, fmt.Errorf("fine-tune: %w", err)
+	rep, err := synth.FineTune(real.ByClass())
+	if err != nil {
+		return nil, nil, fmt.Errorf("fine-tune: %w", err)
 	}
-	return synth, nil
+	return synth, rep, nil
 }
 
 // trainGAN fits the NetShare-style GAN, seeded seed, on the flows'

@@ -222,7 +222,11 @@ func TestRunnersRejectZeroSizes(t *testing.T) {
 			_, err := RunFidelity(c)
 			return err
 		},
-		"frontier": func(c Config) error { _, err := RunFrontier(c, 4, []int{2}); return err },
+		"frontier": func(c Config) error {
+			c.Model.TimeSteps = 80 // room for the 64-step reference
+			_, err := RunSweep(c, "steps")
+			return err
+		},
 	}
 	sizes := map[string]func(*Config){
 		"train": func(c *Config) { c.Train = 0 },

@@ -1,8 +1,8 @@
 // Package eval is the experiment harness: it reproduces every table
 // and figure in the paper's evaluation (Table 1, Table 2, Figure 1,
-// Figure 2) plus the inline §2.3 measurements, wiring the workload,
-// core, gan, rf, nprint and netflow packages together and formatting
-// the results the way the paper reports them.
+// Figure 2), the inline §2.3 measurements and the design-choice sweep,
+// wiring the workload, core, gan, rf, nprint and netflow packages
+// together and formatting the results the way the paper reports them.
 package eval
 
 import (
@@ -55,13 +55,10 @@ func buildMask() []bool {
 // masked feature vector of packets*1088 values in {-1,0,1}.
 func NprintFeatures(f *flow.Flow, packets int) []float32 {
 	m := nprint.FromFlow(f, packets)
+	// Unfilled rows (flow shorter than `packets`) read 0, as make left
+	// them — a neutral value distinct from header bits of present
+	// packets only via the vacancy pattern, which is itself informative.
 	out := make([]float32, packets*nprint.BitsPerPacket)
-	// Unfilled rows (flow shorter than `packets`) stay at 0 — a neutral
-	// value distinct from header bits of present packets only via the
-	// vacancy pattern, which is itself informative.
-	for i := range out {
-		out[i] = 0
-	}
 	for r := 0; r < m.NumRows; r++ {
 		row := m.Row(r)
 		base := r * nprint.BitsPerPacket

@@ -101,7 +101,7 @@ func RunFidelity(c Config) (*FidelityResult, error) {
 	})
 
 	// Our diffusion pipeline.
-	synth, err := c.fineTune(train)
+	synth, _, err := c.fineTune(train)
 	if err != nil {
 		return nil, err
 	}

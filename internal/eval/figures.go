@@ -55,7 +55,7 @@ func RunFig1(c Config, scale float64) (*Fig1Result, error) {
 	res.ImbalanceGAN = stats.ImbalanceRatio(ganCounts)
 
 	// Ours: invoke generation equally per class.
-	synth, err := c.fineTune(ds)
+	synth, _, err := c.fineTune(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func RunFig2(c Config) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	synth, err := c.fineTune(ds)
+	synth, _, err := c.fineTune(ds)
 	if err != nil {
 		return nil, err
 	}

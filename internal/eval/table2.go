@@ -48,7 +48,7 @@ func RunTable2(c Config) (*Table2Result, error) {
 	}
 
 	// Our diffusion pipeline.
-	synth, err := c.fineTune(train)
+	synth, _, err := c.fineTune(train)
 	if err != nil {
 		return nil, err
 	}

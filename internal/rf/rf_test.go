@@ -3,7 +3,9 @@ package rf
 import (
 	"testing"
 
+	"trafficdiff/internal/nprint"
 	"trafficdiff/internal/stats"
+	"trafficdiff/internal/workload"
 )
 
 // blobs generates k well-separated Gaussian clusters in dim dims.
@@ -187,5 +189,42 @@ func TestNumTrees(t *testing.T) {
 	f, _ := Train(x, y, 2, cfg)
 	if f.NumTrees() != 7 {
 		t.Fatalf("trees = %d", f.NumTrees())
+	}
+}
+
+// BenchmarkRFTrainPredict measures the classifier on nprint-sized
+// feature rows: a 20-tree forest trained and evaluated on 60 flows'
+// first 8 packets.
+func BenchmarkRFTrainPredict(b *testing.B) {
+	classes := []string{"netflix", "teams", "other"}
+	ds, err := workload.Generate(workload.Config{
+		Seed: 9, FlowsPerClass: 20, Only: classes, MaxPacketsPerFlow: 16,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const packets = 8
+	x := make([][]float32, len(ds.Flows))
+	y := make([]int, len(ds.Flows))
+	for i, f := range ds.Flows {
+		x[i] = make([]float32, packets*nprint.BitsPerPacket)
+		for j, v := range nprint.FromFlow(f, packets).Data {
+			x[i][j] = float32(v)
+		}
+		for c, name := range classes {
+			if f.Label == name {
+				y[i] = c
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Trees = 20
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forest, err := Train(x, y, len(classes), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		forest.PredictBatch(x)
 	}
 }
