@@ -13,7 +13,7 @@
 //	POST /v1/generate        {class, count, seed?, format?, timeout_ms?} → pcap or nprint CSV
 //	GET  /healthz            liveness
 //	GET  /readyz             readiness (503 while draining); bare probes get plain text
-//	GET  /readyz?verbose=1   JSON: queue depth, in-flight flows, checkpoint digest,
+//	GET  /readyz?verbose=1   JSON: queue depth, in-flight flows, checkpoint coordinate,
 //	                         DDIM steps, precision, classes, uptime — what tracerouter scores on
 //	GET  /metrics            expvar counters: occupancy, admission wait, latency
 //
@@ -21,9 +21,10 @@
 // of (checkpoint, class, count, seed), bit-identical on every replica —
 // continuous batching never leaks batch composition into the bytes.
 // Responses stamp X-Traced-Seed, X-Traced-Flows, X-Traced-Checkpoint
-// (sha256 of the model file), X-Traced-DDIM-Steps and
-// X-Traced-Precision, the coordinates tracerouter keys its
-// content-addressed response cache on.
+// (sha256 of the model file, plus "/v<N>" from core.OutputVersion 2
+// on, so code that changes served bytes changes the coordinate),
+// X-Traced-DDIM-Steps and X-Traced-Precision, the coordinates
+// tracerouter keys its content-addressed response cache on.
 //
 // -ddim-steps overrides the checkpoint's sampler budget — the
 // fidelity-vs-speed lever `traceval frontier` measures. Replicas behind
@@ -31,7 +32,8 @@
 // budgets produce different bytes for the same seed). Weights always
 // run at fp32; X-Traced-Precision stays on the wire as that constant.
 // Overload answers 429 with Retry-After (bounded admission gate);
-// SIGTERM/SIGINT drains in-flight work before exit.
+// SIGTERM/SIGINT closes the same gate and waits for every request that
+// holds a slot before the engine and the listener stop.
 //
 // On startup the bound address is printed to stdout as a single
 // machine-parseable line, "ADDR=host:port" — with -addr :0 this is how

@@ -16,7 +16,9 @@
 //	    -min-replicas 2 -max-replicas 4
 //
 // Endpoints mirror traced's (POST /v1/generate, /healthz, /readyz,
-// /metrics) plus GET /replicas (pool state as JSON). Routing policy is
+// /metrics) plus GET /replicas (pool state as JSON); the HTTP shell
+// behind them — drain gate, metrics map, plain handlers — is traced's
+// own, and requests decode into traced's request type. Routing policy is
 // pluggable: -routing-scorers "class-affinity:3,queue-depth:2" sends
 // same-class requests where the engine's continuous batch can merge
 // them; "p2c" selects power-of-two-choices. Backpressure propagates
@@ -26,7 +28,10 @@
 // Seeded generation is a pure function of (checkpoint digest, class,
 // count, seed, DDIM steps, precision), so cached responses are byte-identical to
 // replica-served ones; -cache-validate N re-proves that against a live
-// replica on every Nth hit.
+// replica on every Nth hit. The digest is the replica's
+// X-Traced-Checkpoint: the model file's sha256, plus "/v<N>" from
+// output version 2 on, so replicas running code that makes different
+// bytes disagree on it and the router stops caching.
 package main
 
 import (

@@ -16,6 +16,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"trafficdiff/internal/serve"
 )
 
 // CacheKey is the full coordinate of one seeded response. Every field
@@ -41,15 +43,11 @@ type CacheKey struct {
 }
 
 // CachedResponse is the stored body plus the headers needed to replay
-// the replica's answer exactly.
+// the replica's answer exactly: Headers[i] is the value of
+// serve.GenerationHeaders[i] ("" when the replica sent none).
 type CachedResponse struct {
-	Body        []byte
-	ContentType string
-	Seed        string // X-Traced-Seed
-	Flows       string // X-Traced-Flows
-	Digest      string // X-Traced-Checkpoint
-	DDIMSteps   string // X-Traced-DDIM-Steps
-	Precision   string // X-Traced-Precision
+	Body    []byte
+	Headers [len(serve.GenerationHeaders)]string
 }
 
 type cacheEntry struct {
@@ -69,8 +67,6 @@ type Cache struct {
 	items map[CacheKey]*list.Element // guarded by mu
 	bytes int64                      // guarded by mu
 
-	hits      atomic.Int64
-	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
@@ -99,11 +95,9 @@ func (c *Cache) Get(k CacheKey) (*CachedResponse, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.misses.Add(1)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits.Add(1)
 	return el.Value.(*cacheEntry).resp, true
 }
 
@@ -129,10 +123,7 @@ func (c *Cache) Put(k CacheKey, resp *CachedResponse) {
 		if cold == nil {
 			break
 		}
-		ent := cold.Value.(*cacheEntry)
-		c.ll.Remove(cold)
-		delete(c.items, ent.key)
-		c.bytes -= int64(len(ent.resp.Body))
+		c.remove(cold)
 		c.evictions.Add(1)
 	}
 }
@@ -141,12 +132,16 @@ func (c *Cache) Put(k CacheKey, resp *CachedResponse) {
 func (c *Cache) Drop(k CacheKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return
+	if el, ok := c.items[k]; ok {
+		c.remove(el)
 	}
-	ent := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
+}
+
+// remove unlinks one entry.
+//
+//tracelint:holds mu
+func (c *Cache) remove(el *list.Element) {
+	ent := c.ll.Remove(el).(*cacheEntry)
 	delete(c.items, ent.key)
 	c.bytes -= int64(len(ent.resp.Body))
 }
@@ -155,8 +150,6 @@ func (c *Cache) Drop(k CacheKey) {
 type CacheStats struct {
 	Entries   int
 	Bytes     int64
-	Hits      int64
-	Misses    int64
 	Evictions int64
 }
 
@@ -168,8 +161,6 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Entries:   entries,
 		Bytes:     bytes,
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func testResp(n int) *CachedResponse {
-	return &CachedResponse{Body: make([]byte, n), ContentType: "application/octet-stream"}
+	return &CachedResponse{Body: make([]byte, n)}
 }
 
 func testKey(seed uint64) CacheKey {
@@ -25,7 +25,7 @@ func TestCacheGetPut(t *testing.T) {
 		t.Fatalf("Get after Put: ok=%v body=%d", ok, len(got.Body))
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.Bytes != 10 || st.Hits != 1 || st.Misses != 1 {
+	if st.Entries != 1 || st.Bytes != 10 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -124,7 +124,7 @@ func (f *fakeReplica) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "upstream says no", status)
 		return
 	}
-	var req routeRequest
+	var req serve.GenerateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

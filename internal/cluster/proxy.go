@@ -7,13 +7,12 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"trafficdiff/internal/serve"
 )
 
 // Config parameterizes a Router. Zero values take the defaults noted
@@ -42,25 +41,18 @@ const maxBodyBytes = 1 << 20
 // serves repeat seeded requests from the content-addressed cache, and
 // spreads the rest over the pool's healthy replicas under the
 // configured scoring policy, with honest backpressure propagation
-// (see mapFailure for the status-mapping table).
+// (see mapFailure for the status-mapping table). Its HTTP shell is
+// traced's, with an unlimited gate; Shutdown leaves the replicas alone.
 type Router struct {
+	*serve.Shell
 	pool   *Pool
 	cfg    Config
 	cache  *Cache
 	met    *routerMetrics
 	client *http.Client
 
-	// drainMu orders the draining flag against inflight.Add: the check
-	// and the Add happen in one critical section, so no request can
-	// register after Shutdown flips the flag and inflight.Wait observes
-	// zero (sync.WaitGroup forbids Add racing such a Wait).
-	drainMu  sync.Mutex
-	draining bool // guarded by drainMu
-	inflight sync.WaitGroup
-	p2cCtr   atomic.Uint64
-	hitCtr   atomic.Uint64
-
-	httpSrv *http.Server
+	p2cCtr atomic.Uint64
+	hitCtr atomic.Uint64
 }
 
 // NewRouter builds a Router over a caller-owned pool (the caller
@@ -73,6 +65,7 @@ func NewRouter(pool *Pool, cfg Config) *Router {
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConnsPerHost = 64
 	rt := &Router{
+		Shell: serve.NewShell(0),
 		pool:  pool,
 		cfg:   cfg,
 		cache: cache,
@@ -80,84 +73,11 @@ func NewRouter(pool *Pool, cfg Config) *Router {
 		// caller and the replicas' own RequestTimeout bounds work.
 		client: &http.Client{Transport: transport},
 	}
-	rt.met = newRouterMetrics(pool, cache)
-	rt.httpSrv = &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	rt.met = newRouterMetrics(rt.Shell, pool, cache)
+	rt.HandleFunc("/v1/generate", rt.handleGenerate)
+	rt.HandleFunc("/readyz", rt.handleReadyz)
+	rt.HandleFunc("/replicas", rt.handleReplicas)
 	return rt
-}
-
-// Handler returns the router mux.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/generate", rt.handleGenerate)
-	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/readyz", rt.handleReadyz)
-	mux.HandleFunc("/metrics", rt.handleMetrics)
-	mux.HandleFunc("/replicas", rt.handleReplicas)
-	return mux
-}
-
-// Serve accepts connections on ln until Shutdown. A clean shutdown
-// returns nil.
-func (rt *Router) Serve(ln net.Listener) error {
-	err := rt.httpSrv.Serve(ln)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// PublishExpvar registers the router metrics map process-wide under
-// name (at most once per name per process).
-func (rt *Router) PublishExpvar(name string) {
-	expvar.Publish(name, rt.met.vars)
-}
-
-// Shutdown drains the router: new requests are refused, in-flight
-// proxied requests complete, then the HTTP server stops. Replicas are
-// untouched — the scaler (or operator) owns them.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.drainMu.Lock()
-	rt.draining = true
-	rt.drainMu.Unlock()
-	drained := make(chan struct{})
-	go func() {
-		rt.inflight.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return rt.httpSrv.Shutdown(ctx)
-}
-
-// beginRequest registers an in-flight request unless the router is
-// draining; the caller must rt.inflight.Done() when it returns true.
-func (rt *Router) beginRequest() bool {
-	rt.drainMu.Lock()
-	defer rt.drainMu.Unlock()
-	if rt.draining {
-		return false
-	}
-	rt.inflight.Add(1)
-	return true
-}
-
-func (rt *Router) isDraining() bool {
-	rt.drainMu.Lock()
-	defer rt.drainMu.Unlock()
-	return rt.draining
-}
-
-// routeRequest mirrors the fields of traced's generate request the
-// router needs for cache keys and routing; unknown fields pass through
-// untouched in the raw body.
-type routeRequest struct {
-	Class  string  `json:"class"`
-	Count  int     `json:"count"`
-	Seed   *uint64 `json:"seed"`
-	Format string  `json:"format"`
 }
 
 func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -165,28 +85,25 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if !rt.beginRequest() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+	if !rt.Enter() {
+		rt.WriteDraining(w)
 		return
 	}
-	defer rt.inflight.Done()
+	defer rt.Leave()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	var gr routeRequest
+	// The replica's own request type and defaults, so the cache key is
+	// exactly what the replica generates; unknown fields pass through
+	// untouched in the raw body.
+	var gr serve.GenerateRequest
 	if err := json.Unmarshal(body, &gr); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if gr.Count == 0 {
-		gr.Count = 1
-	}
-	if gr.Format == "" {
-		gr.Format = "pcap"
-	}
+	gr = gr.WithDefaults()
 	rt.met.requests.Add(1)
 
 	// Cache lookup: only seeded requests are content-addressed, and
@@ -227,7 +144,7 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 // proxy runs the attempt loop over scored candidates and writes the
 // outcome (success passthrough or the status-mapping table's verdict).
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, gr routeRequest, body []byte, key CacheKey, cacheable bool) {
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, gr serve.GenerateRequest, body []byte, key CacheKey, cacheable bool) {
 	in := RouteInput{Class: gr.Class, Count: gr.Count}
 	tried := map[int]bool{}
 	fail := routeFailure{Healthy: rt.pool.Healthy()}
@@ -238,9 +155,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, gr routeRequest,
 		}
 		tried[rep.id] = true
 		fail.Attempts++
-		rep.requests.Add(1)
-		status, hdr, respBody, err := rt.forward(r.Context(), rep, body)
-		rt.pool.release(rep, gr.Class)
+		status, hdr, respBody, err := rt.forward(r.Context(), rep, gr.Class, body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The client went away (disconnect or deadline), which
@@ -423,8 +338,11 @@ func (rt *Router) next(in RouteInput, tried map[int]bool) *replica {
 	return nil
 }
 
-// forward issues the upstream request and reads the full response.
-func (rt *Router) forward(ctx context.Context, rep *replica, body []byte) (int, http.Header, []byte, error) {
+// forward issues the upstream request on a replica reserved by next,
+// reads the full response, and releases the reservation.
+func (rt *Router) forward(ctx context.Context, rep *replica, class string, body []byte) (int, http.Header, []byte, error) {
+	rep.requests.Add(1)
+	defer rt.pool.release(rep, class)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/v1/generate", bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
@@ -460,22 +378,18 @@ func (rt *Router) storeResponse(key CacheKey, hdr http.Header, body []byte) {
 		rt.met.coordMismatches.Add(1)
 		return
 	}
-	rt.cache.Put(key, &CachedResponse{
-		Body:        body,
-		ContentType: hdr.Get("Content-Type"),
-		Seed:        hdr.Get("X-Traced-Seed"),
-		Flows:       hdr.Get("X-Traced-Flows"),
-		Digest:      hdr.Get("X-Traced-Checkpoint"),
-		DDIMSteps:   hdr.Get("X-Traced-DDIM-Steps"),
-		Precision:   prec,
-	})
+	ent := &CachedResponse{Body: body}
+	for i, name := range serve.GenerationHeaders {
+		ent.Headers[i] = hdr.Get(name)
+	}
+	rt.cache.Put(key, ent)
 }
 
 // validateHit re-fetches a cache hit from a replica and asserts
 // byte-identity. On a mismatch the entry is dropped, the replica's
 // bytes are served, and the mismatch is counted; if no replica can
 // answer, the cached bytes are served as usual.
-func (rt *Router) validateHit(w http.ResponseWriter, r *http.Request, gr routeRequest, body []byte, key CacheKey, ent *CachedResponse) {
+func (rt *Router) validateHit(w http.ResponseWriter, r *http.Request, gr serve.GenerateRequest, body []byte, key CacheKey, ent *CachedResponse) {
 	rt.met.validations.Add(1)
 	in := RouteInput{Class: gr.Class, Count: gr.Count}
 	rep := rt.next(in, map[int]bool{})
@@ -483,9 +397,7 @@ func (rt *Router) validateHit(w http.ResponseWriter, r *http.Request, gr routeRe
 		rt.writeCached(w, ent, "hit")
 		return
 	}
-	rep.requests.Add(1)
-	status, hdr, respBody, err := rt.forward(r.Context(), rep, body)
-	rt.pool.release(rep, gr.Class)
+	status, hdr, respBody, err := rt.forward(r.Context(), rep, gr.Class, body)
 	if err != nil || status != http.StatusOK {
 		rt.writeCached(w, ent, "hit")
 		return
@@ -502,40 +414,25 @@ func (rt *Router) validateHit(w http.ResponseWriter, r *http.Request, gr routeRe
 // writeCached replays a cache entry.
 func (rt *Router) writeCached(w http.ResponseWriter, ent *CachedResponse, verdict string) {
 	h := w.Header()
-	if ent.ContentType != "" {
-		h.Set("Content-Type", ent.ContentType)
-	}
-	if ent.Seed != "" {
-		h.Set("X-Traced-Seed", ent.Seed)
-	}
-	if ent.Flows != "" {
-		h.Set("X-Traced-Flows", ent.Flows)
-	}
-	if ent.Digest != "" {
-		h.Set("X-Traced-Checkpoint", ent.Digest)
-	}
-	if ent.DDIMSteps != "" {
-		h.Set("X-Traced-DDIM-Steps", ent.DDIMSteps)
-	}
-	if ent.Precision != "" {
-		h.Set("X-Traced-Precision", ent.Precision)
+	for i, name := range serve.GenerationHeaders {
+		if v := ent.Headers[i]; v != "" {
+			h.Set(name, v)
+		}
 	}
 	h.Set("Content-Length", strconv.Itoa(len(ent.Body)))
 	h.Set("X-Cache", verdict)
-	if _, err := w.Write(ent.Body); err != nil {
-		rt.met.writeErrors.Add(1)
-	}
+	rt.WriteBody(w, ent.Body)
 	rt.met.completed.Add(1)
 }
 
 // writeUpstream passes a replica response through, preserving its
-// generation headers.
+// generation headers and any Retry-After.
 func (rt *Router) writeUpstream(w http.ResponseWriter, status int, hdr http.Header, body []byte, replicaURL string) {
 	h := w.Header()
-	for _, name := range []string{
-		"Content-Type", "Retry-After",
-		"X-Traced-Seed", "X-Traced-Flows", "X-Traced-Checkpoint", "X-Traced-DDIM-Steps", "X-Traced-Precision",
-	} {
+	if v := hdr.Get("Retry-After"); v != "" {
+		h.Set("Retry-After", v)
+	}
+	for _, name := range serve.GenerationHeaders {
 		if v := hdr.Get(name); v != "" {
 			h.Set(name, v)
 		}
@@ -544,13 +441,7 @@ func (rt *Router) writeUpstream(w http.ResponseWriter, status int, hdr http.Head
 	h.Set("X-Cache", "miss")
 	h.Set("X-Cluster-Replica", replicaURL)
 	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		rt.met.writeErrors.Add(1)
-	}
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.writeText(w, http.StatusOK, "ok")
+	rt.WriteBody(w, body)
 }
 
 // readyPayload is the JSON body of the router's /readyz?verbose=1.
@@ -564,51 +455,25 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	healthy := rt.pool.Healthy()
 	status, code := "ready", http.StatusOK
 	switch {
-	case rt.isDraining():
+	case rt.Draining():
 		status, code = "draining", http.StatusServiceUnavailable
 	case healthy == 0:
 		status, code = "no healthy replicas", http.StatusServiceUnavailable
 	}
 	if r.URL.Query().Get("verbose") != "1" {
-		rt.writeText(w, code, status)
+		rt.WriteText(w, code, status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(readyPayload{
-		Status: status, Healthy: healthy, Replicas: rt.pool.Snapshot(),
-	}); err != nil {
-		rt.met.writeErrors.Add(1)
-	}
+	rt.WriteJSON(w, code, readyPayload{Status: status, Healthy: healthy, Replicas: rt.pool.Snapshot()})
 }
 
 func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(rt.pool.Snapshot()); err != nil {
-		rt.met.writeErrors.Add(1)
-	}
+	rt.WriteJSON(w, http.StatusOK, rt.pool.Snapshot())
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write([]byte(rt.met.vars.String())); err != nil {
-		rt.met.writeErrors.Add(1)
-	}
-}
-
-// writeText writes a small plain-text response.
-func (rt *Router) writeText(w http.ResponseWriter, code int, body string) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(code)
-	if _, err := w.Write([]byte(body + "\n")); err != nil {
-		rt.met.writeErrors.Add(1)
-	}
-}
-
-// routerMetrics is the router's expvar-backed instrumentation.
+// routerMetrics is the router's instrumentation, registered in the
+// shell's expvar map.
 type routerMetrics struct {
-	vars *expvar.Map
-
 	requests     *expvar.Int // requests_total
 	completed    *expvar.Int // completed_total
 	rejected     *expvar.Int // rejected_total (503, no healthy replica)
@@ -624,55 +489,47 @@ type routerMetrics struct {
 	validations          *expvar.Int // cache_validations_total
 	validationMismatches *expvar.Int // cache_validation_mismatches_total
 	coordMismatches      *expvar.Int // cache_coordinate_mismatches_total
-
-	writeErrors *expvar.Int // response_write_errors_total
 }
 
-// newRouterMetrics wires counters plus live gauges over the pool and
-// cache, including the per-upstream 429/504/error counts the
+// newRouterMetrics registers counters plus live gauges over the pool
+// and cache, including the per-upstream 429/504/error counts the
 // backpressure story is audited with.
-func newRouterMetrics(pool *Pool, cache *Cache) *routerMetrics {
-	m := &routerMetrics{vars: new(expvar.Map).Init()}
-	newInt := func(name string) *expvar.Int {
-		v := new(expvar.Int)
-		m.vars.Set(name, v)
-		return v
+func newRouterMetrics(sh *serve.Shell, pool *Pool, cache *Cache) *routerMetrics {
+	m := &routerMetrics{
+		requests:             sh.Counter("requests_total"),
+		completed:            sh.Counter("completed_total"),
+		rejected:             sh.Counter("rejected_total"),
+		retries:              sh.Counter("retries_total"),
+		clientAborts:         sh.Counter("client_aborts_total"),
+		mapped429:            sh.Counter("mapped_429_total"),
+		mapped502:            sh.Counter("mapped_502_total"),
+		mapped504:            sh.Counter("mapped_504_total"),
+		cacheHits:            sh.Counter("cache_hits_total"),
+		cacheMisses:          sh.Counter("cache_misses_total"),
+		cacheBypass:          sh.Counter("cache_bypass_total"),
+		validations:          sh.Counter("cache_validations_total"),
+		validationMismatches: sh.Counter("cache_validation_mismatches_total"),
+		coordMismatches:      sh.Counter("cache_coordinate_mismatches_total"),
 	}
-	m.requests = newInt("requests_total")
-	m.completed = newInt("completed_total")
-	m.rejected = newInt("rejected_total")
-	m.retries = newInt("retries_total")
-	m.clientAborts = newInt("client_aborts_total")
-	m.mapped429 = newInt("mapped_429_total")
-	m.mapped502 = newInt("mapped_502_total")
-	m.mapped504 = newInt("mapped_504_total")
-	m.cacheHits = newInt("cache_hits_total")
-	m.cacheMisses = newInt("cache_misses_total")
-	m.cacheBypass = newInt("cache_bypass_total")
-	m.validations = newInt("cache_validations_total")
-	m.validationMismatches = newInt("cache_validation_mismatches_total")
-	m.coordMismatches = newInt("cache_coordinate_mismatches_total")
-	m.writeErrors = newInt("response_write_errors_total")
-
-	m.vars.Set("replicas_total", expvar.Func(func() any { return pool.Size() }))
-	m.vars.Set("replicas_healthy", expvar.Func(func() any { return pool.Healthy() }))
-	upstream := func(pick func(ReplicaStatus) int64) expvar.Func {
-		return func() any {
+	sh.Gauge("replicas_total", func() any { return pool.Size() })
+	sh.Gauge("replicas_healthy", func() any { return pool.Healthy() })
+	upstream := func(name string, pick func(ReplicaStatus) int64) {
+		sh.Gauge(name, func() any {
 			out := map[string]int64{}
 			for _, st := range pool.Snapshot() {
 				out[st.URL] = pick(st)
 			}
 			return out
-		}
+		})
 	}
-	m.vars.Set("upstream_requests_total", upstream(func(st ReplicaStatus) int64 { return st.Requests }))
-	m.vars.Set("upstream_429_total", upstream(func(st ReplicaStatus) int64 { return st.Status429 }))
-	m.vars.Set("upstream_504_total", upstream(func(st ReplicaStatus) int64 { return st.Status504 }))
-	m.vars.Set("upstream_errors_total", upstream(func(st ReplicaStatus) int64 { return st.Errors }))
+	upstream("upstream_requests_total", func(st ReplicaStatus) int64 { return st.Requests })
+	upstream("upstream_429_total", func(st ReplicaStatus) int64 { return st.Status429 })
+	upstream("upstream_504_total", func(st ReplicaStatus) int64 { return st.Status504 })
+	upstream("upstream_errors_total", func(st ReplicaStatus) int64 { return st.Errors })
 	if cache != nil {
-		m.vars.Set("cache_entries", expvar.Func(func() any { return cache.Stats().Entries }))
-		m.vars.Set("cache_bytes", expvar.Func(func() any { return cache.Stats().Bytes }))
-		m.vars.Set("cache_evictions_total", expvar.Func(func() any { return cache.Stats().Evictions }))
+		sh.Gauge("cache_entries", func() any { return cache.Stats().Entries })
+		sh.Gauge("cache_bytes", func() any { return cache.Stats().Bytes })
+		sh.Gauge("cache_evictions_total", func() any { return cache.Stats().Evictions })
 	}
 	return m
 }

@@ -111,6 +111,15 @@ func TestRouterProxiesAndCachesSeeded(t *testing.T) {
 		t.Fatalf("cache counters: hits=%d misses=%d",
 			metricInt(t, m, "cache_hits_total"), metricInt(t, m, "cache_misses_total"))
 	}
+
+	// The key holds the replica's defaulted request: an omitted count
+	// and format are the explicit count 1 and "pcap".
+	if _, _, hdr := postJSON(t, base, `{"class":"web","seed":7}`); hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("first defaulted request: X-Cache=%q, want miss", hdr.Get("X-Cache"))
+	}
+	if _, _, hdr := postJSON(t, base, `{"class":"web","count":1,"seed":7,"format":"pcap"}`); hdr.Get("X-Cache") != "hit" {
+		t.Fatalf("explicit defaults after the defaulted request: X-Cache=%q, want hit", hdr.Get("X-Cache"))
+	}
 }
 
 func TestRouterUnseededBypassesCache(t *testing.T) {
@@ -137,20 +146,26 @@ func TestRouterUnseededBypassesCache(t *testing.T) {
 // A pool whose replicas disagree on checkpoint digests must never
 // cache: entries could alias across configurations.
 func TestRouterMixedPoolDisablesCaching(t *testing.T) {
-	a := newFakeReplica(t, "sha256:aa", 6)
-	b := newFakeReplica(t, "sha256:bb", 6)
-	p := newTestPool(t, PoolConfig{}, a, b)
-	waitUntil(t, 5*time.Second, "both healthy", func() bool { return p.Healthy() == 2 })
-	_, base := newTestRouter(t, p, Config{})
+	// Different checkpoints, and the same checkpoint at two output
+	// versions (traced appends "/v<N>" to the digest from version 2 on).
+	for name, other := range map[string]string{"checkpoint": "sha256:bb", "output-version": "sha256:aa/v2"} {
+		t.Run(name, func(t *testing.T) {
+			a := newFakeReplica(t, "sha256:aa", 6)
+			b := newFakeReplica(t, other, 6)
+			p := newTestPool(t, PoolConfig{}, a, b)
+			waitUntil(t, 5*time.Second, "both healthy", func() bool { return p.Healthy() == 2 })
+			_, base := newTestRouter(t, p, Config{})
 
-	req := `{"class":"web","count":1,"seed":7}`
-	for i := 0; i < 2; i++ {
-		if _, _, hdr := postJSON(t, base, req); hdr.Get("X-Cache") != "miss" {
-			t.Fatalf("request %d cached under mixed pool: %q", i, hdr.Get("X-Cache"))
-		}
-	}
-	if got := a.genCalls.Load() + b.genCalls.Load(); got != 2 {
-		t.Fatalf("upstream calls = %d, want 2 (no caching)", got)
+			req := `{"class":"web","count":1,"seed":7}`
+			for i := 0; i < 2; i++ {
+				if _, _, hdr := postJSON(t, base, req); hdr.Get("X-Cache") != "miss" {
+					t.Fatalf("request %d cached under mixed pool: %q", i, hdr.Get("X-Cache"))
+				}
+			}
+			if got := a.genCalls.Load() + b.genCalls.Load(); got != 2 {
+				t.Fatalf("upstream calls = %d, want 2 (no caching)", got)
+			}
+		})
 	}
 }
 

@@ -563,6 +563,13 @@ func (s *Synthesizer) nextRoot() uint64 {
 	return s.cfg.Seed ^ (atomic.AddUint64(&s.genCalls, 1) * 0x9e3779b97f4a7c15)
 }
 
+// OutputVersion numbers the bytes a checkpoint's seeded output is made
+// of. A change that alters seeded or served bytes for an unchanged
+// checkpoint bumps it and re-records the golden digests in the same
+// commit; traced folds it into the checkpoint coordinate routers cache
+// on, so entries made by one version are never served for another.
+const OutputVersion = 1
+
 // DeriveFlowSeeds expands a request-level root seed into n per-flow
 // seeds. Flow i's seed depends only on (root, i), so equal root seeds
 // map to identical per-flow seeds on every replica.

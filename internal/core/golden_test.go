@@ -23,7 +23,8 @@ import (
 //
 // A kernel or forward change that claims bit-identity must leave them
 // untouched. A change that intends to alter output bytes re-records
-// them (run the test and copy the printed digests) and says so.
+// them (run the test and copy the printed digests), bumps
+// OutputVersion and goldenOutputVersion with them, and says so.
 var goldenDigests = map[string]string{
 	"amazon/ddpm":  "34395247b67f6f5b7ace049d9658baa8e3a3aa955ae5a71e26599ab10d60b8d3",
 	"amazon/ddim4": "e418bfe34e25c80c770ae760cac66558c7189a244aa1b83f7941d646bc6d63dd",
@@ -48,6 +49,20 @@ var goldenMatrixDigests = map[string]string{
 	"translate/teams/s=0.8": "2c6e7ffff5ac1150e7534ee5fbbd6f03be9a3fb8fe56f61b94ba6eaac8bc135d",
 	"generate/amazon/3":     "3d66a3f02839c9873374458c2578752b54b9fe5785de7dfa00e589bf471afd11",
 	"generate/teams/2":      "d83ca54e21218b94518b36d743668b143388059b7158f251ed37d623d6bf57d5",
+}
+
+// goldenOutputVersion is the OutputVersion every digest in this file
+// was recorded at.
+const goldenOutputVersion = 1
+
+// TestGoldenOutputVersion holds the recorded digests to the current
+// OutputVersion: a change that re-records them must bump the version
+// traced folds into its checkpoint coordinate, and a bump must come
+// with re-recorded digests.
+func TestGoldenOutputVersion(t *testing.T) {
+	if goldenOutputVersion != OutputVersion {
+		t.Fatalf("golden digests recorded at output version %d, OutputVersion is %d", goldenOutputVersion, OutputVersion)
+	}
 }
 
 // csvDigest is the sha256 of the matrices' nprint.WriteCSV bytes.

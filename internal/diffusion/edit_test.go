@@ -146,7 +146,8 @@ func TestTranslateLowStrengthPreservesSource(t *testing.T) {
 // and Translate return on equivModel, recorded while both edits still
 // ran their own batch-1 reverse loop, before they moved onto the
 // Scheduler. A change that means to alter edit bytes re-records them
-// (run the test and copy the printed digests) and says so.
+// (run the test and copy the printed digests), bumps core.OutputVersion
+// and GoldenOutputVersion with them, and says so.
 var goldenEditDigests = map[string]string{
 	"inpaint/w=1/ctl=false":          "16b50c67d10cac60930e128c102fe86175191c3cc5c8c0899f9f5ee92a366ec6",
 	"inpaint/w=1/ctl=true":           "38a61143f473674e1d3f608521eb34d5ea7dac0d8722ca9f6097612986b6bca0",
@@ -165,6 +166,12 @@ var goldenEditDigests = map[string]string{
 	"translate/w=3/ctl=true/s=0.5":   "49d37c21d7e9e275b7987b516d9389865e9f4a953444436da266a440689eea7e",
 	"translate/w=3/ctl=true/s=1":     "6a06c8d64163ed8d582c6a57d5827d7f83c6bfe269090f4943dbf3a9bb9289cb",
 }
+
+// GoldenOutputVersion is the core.OutputVersion goldenEditDigests were
+// recorded at; golden_version_test.go
+// holds it to the current version (core imports this package, so the
+// check lives in the external test package).
+const GoldenOutputVersion = 1
 
 // TestGoldenEditDigests pins the edits' output bytes across versions:
 // Inpaint and Translate over guidance {1, 3} × control {nil, image},

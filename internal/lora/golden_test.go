@@ -35,11 +35,18 @@ func goldenModel(r *stats.RNG, h, w int) *AdaptedMLP {
 // they check; these digests are what sees a change both sides share,
 // at single-ulp resolution (core's pcap digests sit behind
 // quantization). A change that means to alter output bytes re-records
-// them and says so.
+// them, bumps core.OutputVersion and GoldenOutputVersion with them, and
+// says so.
 var goldenSampleDigests = map[string]string{
 	"fp32/ddpm":  "7924acc33dcee9e6b0cbf3cd229c5bff04f3637886ce719a6c3ba68932701983",
 	"fp32/ddim4": "7aa984f627039300a88ca36adb7c5763f804e59425330c76310476ba80afce8f",
 }
+
+// GoldenOutputVersion is the core.OutputVersion goldenSampleDigests
+// were recorded at; golden_version_test.go holds it to the current
+// version (core imports this package, so the check lives in the
+// external test package).
+const GoldenOutputVersion = 1
 
 func TestGoldenSampleDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {

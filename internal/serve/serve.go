@@ -24,9 +24,11 @@
 // every replica serving the same checkpoint, no matter which other
 // requests shared its denoiser forwards or when it joined the batch.
 //
-// Shutdown drains: the gate closes to new admissions, in-flight
-// requests run to completion and their handlers write full responses
-// before the HTTP server stops accepting.
+// Shutdown drains: the gate closes to new admissions, requests that
+// hold a gate slot run to completion and their handlers write full
+// responses, the owned engine closes, and only then does the HTTP
+// server stop accepting. The gate, the metrics map and the plain
+// handlers are the Shell this package shares with tracerouter.
 package serve
 
 import (
@@ -36,10 +38,8 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,11 +53,13 @@ import (
 // complete (or its context expires), calling onAdmit when the flows
 // enter the denoising batch. Implementations must make each flow a
 // pure function of its seed (batch-composition independent) and be
-// safe for concurrent Generate calls.
+// safe for concurrent Generate calls. DDIMSteps is the sampler budget
+// reported on /readyz?verbose=1 and in X-Traced-DDIM-Steps.
 type Engine interface {
 	Classes() []string
 	Generate(ctx context.Context, class string, flowSeeds []uint64, onAdmit func()) (*core.GenerateResult, error)
 	Stats() core.EngineStats
+	DDIMSteps() int
 }
 
 // Config parameterizes a Server. Zero values take the defaults noted
@@ -91,10 +93,11 @@ type Config struct {
 	SeedBase uint64
 	// CheckpointDigest identifies the loaded checkpoint (conventionally
 	// "sha256:<hex>"). It is reported on /readyz?verbose=1 and stamped
-	// on every generate response as X-Traced-Checkpoint, so a routing
+	// on every generate response as X-Traced-Checkpoint — with
+	// "/v<N>" appended from core.OutputVersion 2 on — so a routing
 	// tier can derive content-addressed cache keys and validate that a
-	// replica serves the checkpoint the cache entry was built from.
-	// Optional; empty means "unidentified".
+	// replica serves the checkpoint and code the cache entry was built
+	// from. Optional; empty means "unidentified".
 	CheckpointDigest string
 }
 
@@ -125,33 +128,23 @@ func (c Config) withDefaults() Config {
 
 // Server is the trace-generation service.
 type Server struct {
-	eng Engine
-	// ownedEngine is non-nil when New built the engine itself; Shutdown
-	// closes it after the drain.
-	ownedEngine *core.Engine
-	cfg         Config
-	classes     map[string]bool
+	*Shell
+	eng     Engine
+	cfg     Config
+	classes map[string]bool
+	met     *metrics
 
-	gate *gate
-	met  *metrics
-
-	// ddimSteps reports the engine's live DDIM budget for readiness
-	// payloads and response headers; zero when the engine doesn't
-	// expose one (plain Engine implementations).
-	ddimSteps func() int
+	checkpoint string // checkpointCoordinate of cfg.CheckpointDigest
 	// start anchors the uptime reported on /readyz?verbose=1.
 	start time.Time
 
-	draining atomic.Bool
-	seedCtr  atomic.Uint64
-	inflight sync.WaitGroup
-
-	httpSrv *http.Server
+	seedCtr atomic.Uint64
 }
 
 // New builds a Server over a fine-tuned synthesizer, starting a
 // continuous-batching core.Engine sized by cfg. Callers must
-// eventually Shutdown, which drains and closes the engine.
+// eventually Shutdown, which drains the server and then closes the
+// engine.
 func New(synth *core.Synthesizer, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng, err := core.NewEngine(synth, core.EngineConfig{
@@ -163,7 +156,7 @@ func New(synth *core.Synthesizer, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := NewWithEngine(eng, cfg)
-	s.ownedEngine = eng
+	s.drained = eng.Close
 	return s, nil
 }
 
@@ -173,79 +166,35 @@ func New(synth *core.Synthesizer, cfg Config) (*Server, error) {
 func NewWithEngine(eng Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		eng:     eng,
-		cfg:     cfg,
-		classes: map[string]bool{},
-		gate:    newGate(cfg.QueueDepth),
-		start:   time.Now(),
-	}
-	if d, ok := eng.(interface{ DDIMSteps() int }); ok {
-		s.ddimSteps = d.DDIMSteps
-	} else {
-		s.ddimSteps = func() int { return 0 }
+		Shell:      NewShell(cfg.QueueDepth),
+		eng:        eng,
+		cfg:        cfg,
+		classes:    map[string]bool{},
+		checkpoint: checkpointCoordinate(cfg.CheckpointDigest, core.OutputVersion),
+		start:      time.Now(),
 	}
 	for _, c := range eng.Classes() {
 		s.classes[c] = true
 	}
-	s.met = newMetrics(eng.Classes(), s.gate.depth, eng.Stats)
-	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	s.met = newMetrics(s.Shell, eng.Classes(), eng.Stats)
+	s.HandleFunc("/v1/generate", s.handleGenerate)
+	s.HandleFunc("/readyz", s.handleReadyz)
 	return s
 }
 
-// Handler returns the service mux: POST /v1/generate plus /healthz,
-// /readyz and the expvar-backed /metrics.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/generate", s.handleGenerate)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return mux
-}
-
-// Serve accepts connections on ln until Shutdown. A clean shutdown
-// returns nil.
-func (s *Server) Serve(ln net.Listener) error {
-	err := s.httpSrv.Serve(ln)
-	if err == http.ErrServerClosed {
-		return nil
+// checkpointCoordinate is the checkpoint identity a replica reports:
+// the file digest at output version 1, "<digest>/v<N>" from version 2
+// on. An empty digest stays empty (an unidentified replica is
+// uncacheable).
+func checkpointCoordinate(digest string, version int) string {
+	if digest == "" || version <= 1 {
+		return digest
 	}
-	return err
+	return digest + "/v" + strconv.Itoa(version)
 }
 
-// PublishExpvar registers the server's metrics map in the process-wide
-// expvar registry under name. Call at most once per name per process
-// (expvar forbids duplicate registration).
-func (s *Server) PublishExpvar(name string) {
-	expvar.Publish(name, s.met.vars)
-}
-
-// Shutdown drains the service: new requests are refused, requests
-// already inside the gate run to completion (or expiry), their
-// handlers finish writing, the engine (when owned) closes, then the
-// HTTP server (if Serve was used) stops. It returns ctx's error if
-// draining outlives the context.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.gate.close()
-	drained := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if s.ownedEngine != nil {
-		s.ownedEngine.Close()
-	}
-	return s.httpSrv.Shutdown(ctx)
-}
-
-// generateRequest is the POST /v1/generate body.
-type generateRequest struct {
+// GenerateRequest is the POST /v1/generate body.
+type GenerateRequest struct {
 	Class string `json:"class"`
 	// Count is the number of flows to synthesize (default 1).
 	Count int `json:"count"`
@@ -259,32 +208,38 @@ type generateRequest struct {
 	TimeoutMs int `json:"timeout_ms"`
 }
 
+// WithDefaults returns the request with its defaults applied: count 0
+// is 1 and an empty format is "pcap".
+func (gr GenerateRequest) WithDefaults() GenerateRequest {
+	if gr.Count == 0 {
+		gr.Count = 1
+	}
+	if gr.Format == "" {
+		gr.Format = "pcap"
+	}
+	return gr
+}
+
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.met.badRequest.Add(1)
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.draining.Load() {
-		// Same terminal outcome as the gateClosed branch below: the
-		// request arrived inside the drain window. Without a counter
-		// these rejections were invisible in /metrics, so a load
-		// harness could never reconcile its observed 503s against the
-		// server's accounting.
+	if s.Draining() {
+		// Counted like the gateClosed branch below, so a load harness
+		// can reconcile the 503s it sees inside the drain window.
 		s.met.drainRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		s.WriteDraining(w)
 		return
 	}
-	var gr generateRequest
+	var gr GenerateRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&gr); err != nil {
 		s.met.badRequest.Add(1)
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if gr.Count == 0 {
-		gr.Count = 1
-	}
+	gr = gr.WithDefaults()
 	if gr.Count < 0 || gr.Count > s.cfg.MaxFlowsPerRequest {
 		s.met.badRequest.Add(1)
 		http.Error(w, fmt.Sprintf("count must be in [1,%d]", s.cfg.MaxFlowsPerRequest), http.StatusBadRequest)
@@ -295,11 +250,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown class %q", gr.Class), http.StatusBadRequest)
 		return
 	}
-	format := gr.Format
-	if format == "" {
-		format = "pcap"
-	}
-	if format != "pcap" && format != "csv" {
+	if gr.Format != "pcap" && gr.Format != "csv" {
 		s.met.badRequest.Add(1)
 		http.Error(w, `format must be "pcap" or "csv"`, http.StatusBadRequest)
 		return
@@ -325,10 +276,12 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	case gateClosed:
 		s.met.drainRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		s.WriteDraining(w)
 		return
 	}
+	// The slot is the drain barrier: Shutdown waits for it, so the
+	// owned engine cannot close under this request.
+	defer s.gate.release()
 
 	start := time.Now()
 	class := gr.Class
@@ -336,9 +289,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// flows join the in-flight batch; the elapsed time is exactly the
 	// admission wait (gate + engine FIFO).
 	onAdmit := func() { s.met.observeAdmissionWait(class, time.Since(start)) }
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	defer s.gate.release()
 	// Generate is called synchronously: the engine itself answers an
 	// expired request at the next step boundary (it never parks a dead
 	// waiter), so a watcher goroutine would only add scheduling hops to
@@ -355,7 +305,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.met.flowsGenerated.Add(int64(len(res.Flows)))
 		s.met.latencyMsSum.Add(float64(time.Since(start)) / float64(time.Millisecond))
 		s.met.latencyCount.Add(1)
-		s.writeBody(w, seed, format, res)
+		s.writeBody(w, seed, gr.Format, res)
 		s.met.completed.Add(1)
 	}
 }
@@ -376,6 +326,7 @@ func (s *Server) deriveSeed(client *uint64) uint64 {
 // half-written success response.
 func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, res *core.GenerateResult) {
 	var buf bytes.Buffer
+	contentType := "application/vnd.tcpdump.pcap"
 	switch format {
 	case "csv":
 		cells := 0
@@ -389,7 +340,7 @@ func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, re
 				return
 			}
 		}
-		w.Header().Set("Content-Type", "text/csv")
+		contentType = "text/csv"
 	default:
 		pw, err := pcap.NewWriter(&buf, pcap.LinkTypeEthernet)
 		if err != nil {
@@ -404,30 +355,34 @@ func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, re
 				}
 			}
 		}
-		w.Header().Set("Content-Type", "application/vnd.tcpdump.pcap")
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Header().Set("X-Traced-Seed", strconv.FormatUint(seed, 10))
-	w.Header().Set("X-Traced-Flows", strconv.Itoa(len(res.Flows)))
-	// Cache-validation headers: a routing tier keys its response cache
-	// on (digest, class, count, seed, DDIM steps, precision, format);
-	// echoing the replica's digest, DDIM budget and precision lets it
-	// assert the entry it is about to store matches the configuration
-	// that produced the bytes.
-	if s.cfg.CheckpointDigest != "" {
-		w.Header().Set("X-Traced-Checkpoint", s.cfg.CheckpointDigest)
+	h := w.Header()
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	// One value per GenerationHeaders entry, in its order.
+	values := [len(GenerationHeaders)]string{
+		contentType, strconv.FormatUint(seed, 10), strconv.Itoa(len(res.Flows)),
+		s.checkpoint, strconv.Itoa(s.eng.DDIMSteps()), Precision,
 	}
-	w.Header().Set("X-Traced-DDIM-Steps", strconv.Itoa(s.ddimSteps()))
-	w.Header().Set("X-Traced-Precision", Precision)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		// The client went away mid-response; nothing to send it, but
-		// the failure is visible in /metrics.
-		s.met.writeErrors.Add(1)
+	for i, name := range GenerationHeaders {
+		if values[i] != "" {
+			h.Set(name, values[i])
+		}
 	}
+	s.WriteBody(w, buf.Bytes())
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeText(w, http.StatusOK, "ok")
+// GenerationHeaders are the headers a successful generate response
+// carries besides Content-Length. The last three are the coordinates a
+// routing tier checks before caching the bytes; it replays a cached
+// answer from this list. X-Traced-Checkpoint is absent when the replica
+// has no checkpoint identity.
+var GenerationHeaders = [...]string{
+	"Content-Type",
+	"X-Traced-Seed",
+	"X-Traced-Flows",
+	"X-Traced-Checkpoint",
+	"X-Traced-DDIM-Steps",
+	"X-Traced-Precision",
 }
 
 // Precision is the inference weight precision every response is
@@ -453,49 +408,98 @@ type ReadyStatus struct {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("verbose") != "1" {
-		if s.draining.Load() {
-			s.writeText(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		s.writeText(w, http.StatusOK, "ready")
-		return
-	}
 	status, code := "ready", http.StatusOK
-	if s.draining.Load() {
+	if s.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
+	if r.URL.Query().Get("verbose") != "1" {
+		s.WriteText(w, code, status)
+		return
+	}
 	st := s.eng.Stats()
-	payload := ReadyStatus{
+	s.WriteJSON(w, code, ReadyStatus{
 		Status:           status,
 		QueueDepth:       s.gate.depth(),
 		InFlightFlows:    int64(st.FlowsAdmitted) - int64(st.FlowsCompleted) - int64(st.FlowsRetired),
-		CheckpointDigest: s.cfg.CheckpointDigest,
-		DDIMSteps:        s.ddimSteps(),
+		CheckpointDigest: s.checkpoint,
+		DDIMSteps:        s.eng.DDIMSteps(),
 		Precision:        Precision,
 		Classes:          s.eng.Classes(),
 		UptimeMs:         time.Since(s.start).Milliseconds(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(payload); err != nil {
-		s.met.writeErrors.Add(1)
-	}
+	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write([]byte(s.met.vars.String())); err != nil {
-		s.met.writeErrors.Add(1)
-	}
+// metrics is the server's instrumentation, registered in the shell's
+// expvar map.
+type metrics struct {
+	// Admission and completion counters. Every terminal outcome of
+	// POST /v1/generate bumps exactly one of these (plus accepted_total
+	// on the paths that made it through the gate), so a load harness
+	// can reconcile its client-side status accounting against the
+	// server: accepted = completed + expired + failed, and
+	// badRequest + rejected + drainRejected + accepted = requests seen.
+	accepted      *expvar.Int // accepted_total
+	rejected      *expvar.Int // rejected_total (429 backpressure)
+	drainRejected *expvar.Int // drain_rejected_total (503 while draining)
+	badRequest    *expvar.Int // bad_request_total (4xx validation)
+	expired       *expvar.Int // deadline_expired_total (504)
+	completed     *expvar.Int // completed_total
+	failed        *expvar.Int // failed_total (500)
+
+	flowsGenerated *expvar.Int // flows_generated_total
+
+	// Latency counters: mean = sum/count; distributions come from the
+	// bench suite, not the live endpoint.
+	latencyMsSum *expvar.Float // latency_ms_sum
+	latencyCount *expvar.Int   // latency_ms_count
+
+	// Admission-wait histograms keyed by class (mean = sum/count per
+	// class): time from request acceptance to the step boundary where
+	// its flows joined the in-flight batch.
+	admitWaitMsSum *expvar.Map // admission_wait_ms_sum
+	admitWaitCount *expvar.Map // admission_wait_ms_count
 }
 
-// writeText writes a small plain-text response, routing write failures
-// to the metrics the way every handler here does.
-func (s *Server) writeText(w http.ResponseWriter, code int, body string) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(code)
-	if _, err := w.Write([]byte(body + "\n")); err != nil {
-		s.met.writeErrors.Add(1)
+// newMetrics registers the counter set plus live gauges over the gate
+// and the engine. Batch occupancy is exported as a count/sum pair
+// straight from the engine's step counters: batch_occupancy_sum /
+// batch_occupancy_count is the mean number of flows sharing each
+// denoiser forward.
+func newMetrics(sh *Shell, classes []string, engineStats func() core.EngineStats) *metrics {
+	m := &metrics{
+		accepted:       sh.Counter("accepted_total"),
+		rejected:       sh.Counter("rejected_total"),
+		drainRejected:  sh.Counter("drain_rejected_total"),
+		badRequest:     sh.Counter("bad_request_total"),
+		expired:        sh.Counter("deadline_expired_total"),
+		completed:      sh.Counter("completed_total"),
+		failed:         sh.Counter("failed_total"),
+		flowsGenerated: sh.Counter("flows_generated_total"),
+		latencyCount:   sh.Counter("latency_ms_count"),
+		latencyMsSum:   new(expvar.Float),
+		admitWaitMsSum: new(expvar.Map).Init(),
+		admitWaitCount: new(expvar.Map).Init(),
 	}
+	sh.vars.Set("latency_ms_sum", m.latencyMsSum)
+	// Pre-seed every class so scrapes see zeroed series from the start.
+	for _, c := range classes {
+		m.admitWaitMsSum.AddFloat(c, 0)
+		m.admitWaitCount.Add(c, 0)
+	}
+	sh.vars.Set("admission_wait_ms_sum", m.admitWaitMsSum)
+	sh.vars.Set("admission_wait_ms_count", m.admitWaitCount)
+
+	sh.Gauge("inflight_requests", func() any { return sh.gate.depth() })
+	sh.Gauge("batch_occupancy_count", func() any { return engineStats().Steps })
+	sh.Gauge("batch_occupancy_sum", func() any { return engineStats().FlowSteps })
+	sh.Gauge("flows_admitted_total", func() any { return engineStats().FlowsAdmitted })
+	sh.Gauge("flows_retired_total", func() any { return engineStats().FlowsRetired })
+	return m
+}
+
+// observeAdmissionWait records one request's wait between acceptance
+// and the step boundary that admitted its flows.
+func (m *metrics) observeAdmissionWait(class string, d time.Duration) {
+	m.admitWaitMsSum.AddFloat(class, float64(d)/float64(time.Millisecond))
+	m.admitWaitCount.Add(class, 1)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,6 +42,8 @@ type fakeEngine struct {
 }
 
 func (g *fakeEngine) Classes() []string { return append([]string(nil), g.classes...) }
+
+func (g *fakeEngine) DDIMSteps() int { return 0 }
 
 func (g *fakeEngine) Stats() core.EngineStats {
 	return core.EngineStats{FlowsAdmitted: uint64(g.admitted.Load())}
@@ -200,6 +203,58 @@ func TestGateSemantics(t *testing.T) {
 	}
 	if g.depth() != 1 {
 		t.Fatalf("depth = %d, want 1 (held slot survives close)", g.depth())
+	}
+
+	// After close, wait blocks until the last held slot is released.
+	waited := make(chan error, 1)
+	go func() { waited <- g.wait(context.Background()) }()
+	select {
+	case err := <-waited:
+		t.Fatalf("wait returned %v with a slot still held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.release()
+	if err := <-waited; err != nil {
+		t.Fatalf("wait after the last release = %v, want nil", err)
+	}
+
+	// wait returns the context's error when draining outlives it.
+	held := newGate(1)
+	held.acquire()
+	held.close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := held.wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("wait past the deadline = %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	// A gate with no limit never reports full.
+	open := newGate(0)
+	for i := 0; i < 1000; i++ {
+		if got := open.acquire(); got != gateOK {
+			t.Fatalf("acquire %d on an unlimited gate = %v, want gateOK", i, got)
+		}
+	}
+}
+
+// TestCheckpointCoordinate pins the checkpoint identity a replica
+// reports: the bare digest at output version 1, "<digest>/v<N>" from
+// version 2 on, and empty for an unidentified replica at any version.
+func TestCheckpointCoordinate(t *testing.T) {
+	cases := []struct {
+		digest  string
+		version int
+		want    string
+	}{
+		{"sha256:ab", 1, "sha256:ab"},
+		{"sha256:ab", 2, "sha256:ab/v2"},
+		{"", 1, ""},
+		{"", 2, ""},
+	}
+	for _, c := range cases {
+		if got := checkpointCoordinate(c.digest, c.version); got != c.want {
+			t.Errorf("checkpointCoordinate(%q, %d) = %q, want %q", c.digest, c.version, got, c.want)
+		}
 	}
 }
 
