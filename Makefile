@@ -83,7 +83,10 @@ resume-smoke:
 # forward against plain forward pairs and the batch-1 reference loop,
 # and seeded and edit output against golden digests recorded on older
 # commits (the only check that sees a change the in-binary oracles
-# share).
+# share). Last, the arm64 listing of internal/ must hold no fused
+# multiply-add: Go may fuse a*b+c there (amd64 never does), which
+# rounds once and moves bits, so every such site rounds its product
+# with an explicit conversion.
 verify-determinism:
 	$(GO) build -o /tmp/traceval-det ./cmd/traceval
 	GOMAXPROCS=1 /tmp/traceval-det -fast -train 6 -test 3 -synth 3 -out /tmp/det_fig2.png table2 fig1a fig1b fig2 perclass-gan fidelity > /tmp/det_p1.txt
@@ -104,7 +107,8 @@ verify-determinism:
 	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical; unseeded calls replay from their root"
 	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/diffusion ./internal/lora ./internal/core
 	GOARCH=arm64 $(GO) build ./...
-	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds"
+	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... 2>&1 | awk '/STEXT/ {fn = $$1} /\tF(N)?M(ADD|SUB)[SD]?\t/ {print "fused multiply-add in " fn; bad = 1} END {exit bad}'
+	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds with no fused multiply-add in internal/"
 
 # Short fuzzing pass over the binary-format decoders, the CSV writer and
 # the A·Bᵀ tiles (assembly that loads and stores by computed offset).

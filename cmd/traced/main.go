@@ -70,9 +70,9 @@ func main() {
 		model    = flag.String("model", "", "checkpoint written by tracegen -save (required)")
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (:0 picks an ephemeral port)")
 		queue    = flag.Int("queue", 64, "max requests concurrently inside the service; overflow gets 429")
-		inflight = flag.Int("max-inflight", 16, "max flows simultaneously in the denoising batch")
-		postWk   = flag.Int("post-workers", 2, "post-processing workers behind the step loop")
-		stepRows = flag.Int("step-rows", 8, "max rows per denoiser forward, least-remaining-work first (negative = unlimited)")
+		inflight = flag.Int("max-inflight", 16, "max flows simultaneously in each step loop's denoising batch (one loop per CPU)")
+		postWk   = flag.Int("post-workers", 2, "post-processing workers behind the step loops")
+		stepRows = flag.Int("step-rows", 8, "max rows per denoiser forward in each step loop, least-remaining-work first (negative = unlimited)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-request deadline ceiling")
 		maxFlows = flag.Int("max-flows", 64, "max flows per request")
 		seedBase = flag.Uint64("seed-base", 1, "seed base for requests without an explicit seed")

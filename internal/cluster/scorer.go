@@ -101,7 +101,7 @@ func ParseScorers(spec string) ([]WeightedScorer, error) {
 func scoreReplica(scorers []WeightedScorer, in RouteInput, r ReplicaStatus) float64 {
 	total := 0.0
 	for _, ws := range scorers {
-		total += ws.Weight * ws.Fn(in, r)
+		total += float64(ws.Weight * ws.Fn(in, r))
 	}
 	return total
 }

@@ -145,10 +145,14 @@ func (c boundaryCtx) Err() error {
 // Without the budget every row steps together and the bulk, one step
 // ahead, finishes first. The completion counter is read at the probe's
 // last boundary, from the step loop itself, so the check counts steps
-// and never races the clock.
+// and never races the clock. The budget orders rows within one loop's
+// batch, so the engine is built at GOMAXPROCS 1: one loop, and the
+// probe joins the bulk's batch instead of taking an idle loop.
 func TestEngineStepRowsPreemptsBulk(t *testing.T) {
 	s := sharedSynth(t)
+	prev := runtime.GOMAXPROCS(1)
 	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 17, MaxStepRows: 1})
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +172,10 @@ func TestEngineStepRowsPreemptsBulk(t *testing.T) {
 			probe <- err
 		}()
 		for {
-			eng.mu.Lock()
-			queued := len(eng.pending)
-			eng.mu.Unlock()
+			l := eng.loops[0]
+			l.mu.Lock()
+			queued := len(l.pending)
+			l.mu.Unlock()
 			if queued > 0 {
 				return
 			}
@@ -191,45 +196,6 @@ func TestEngineStepRowsPreemptsBulk(t *testing.T) {
 	if n := completedBefore.Load(); n > 0 {
 		t.Errorf("FlowsCompleted = %d before the 1-flow probe's last step, want 0: "+
 			"the 16-flow bulk finished first, the step-row budget did not preempt it", n)
-	}
-}
-
-// TestEngineCloseDrains submits a burst, closes, and checks every
-// request was answered and new submissions are refused.
-func TestEngineCloseDrains(t *testing.T) {
-	s := sharedSynth(t)
-	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 5
-	errs := make(chan error, n)
-	admits := make(chan struct{}, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := eng.Generate(context.Background(), sharedClass[i%2],
-				DeriveFlowSeeds(uint64(i), 2), func() { admits <- struct{}{} })
-			errs <- err
-		}(i)
-	}
-	// Close once the whole burst is admitted and mid-denoise: drain
-	// must answer all of it.
-	for i := 0; i < n; i++ {
-		<-admits
-	}
-	eng.Close()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Errorf("request during drain: %v", err)
-		}
-	}
-	if _, err := eng.Generate(context.Background(), sharedClass[0], []uint64{1}, nil); err == nil {
-		t.Error("Generate after Close succeeded, want error")
 	}
 }
 
@@ -364,5 +330,282 @@ func TestEngineMixedClassesShareBatch(t *testing.T) {
 	}
 	if occ := float64(st.FlowSteps) / float64(st.Steps); occ <= 1 {
 		t.Logf("mean occupancy %.2f (timing-dependent; >1 means batching happened)", occ)
+	}
+}
+
+// loopSteps returns each loop's step count.
+func loopSteps(eng *Engine) []uint64 {
+	steps := make([]uint64, len(eng.loops))
+	for i, l := range eng.loops {
+		steps[i] = l.steps.Load()
+	}
+	return steps
+}
+
+// TestEngineLoopsMatchDirectGenerate is the bit-identity contract
+// across loops. An 8-flow request holds loop 0 at its admission while
+// 1- and 2-flow requests run to completion on the other loops (each
+// goes to the least-loaded loop, and neither of the others reaches
+// loop 0's eight flows); then loop 0 runs. Every request returns what
+// GenerateWithFlowSeeds returns for its seeds.
+func TestEngineLoopsMatchDirectGenerate(t *testing.T) {
+	s := sharedSynth(t)
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 8}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	seeds := make([][]uint64, 7)
+	seeds[0] = DeriveFlowSeeds(8100, 8)
+	for i := 1; i < len(seeds); i++ {
+		seeds[i] = DeriveFlowSeeds(uint64(8100+i), 1+i%2)
+	}
+	got := make([][]byte, len(seeds))
+	errs := make([]error, len(seeds))
+	generate := func(i int, onAdmit func()) {
+		res, err := eng.Generate(context.Background(), sharedClass[i%2], seeds[i], onAdmit)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		got[i] = pcapBytes(t, res.Flows)
+	}
+
+	var others sync.WaitGroup
+	holdLoop0 := func() {
+		// Runs on loop 0 before the 8-flow request's first step.
+		for i := 1; i < len(seeds); i++ {
+			others.Add(1)
+			go func(i int) {
+				defer others.Done()
+				generate(i, nil)
+			}(i)
+		}
+		done := make(chan struct{})
+		go func() { others.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Error("small requests did not finish while loop 0 was held: one was queued behind it")
+		}
+	}
+	generate(0, holdLoop0)
+	others.Wait()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	spread := 0
+	for _, n := range loopSteps(eng) {
+		if n > 0 {
+			spread++
+		}
+	}
+	if spread < 2 {
+		t.Errorf("steps per loop %v: requests ran on %d loop(s), want ≥ 2", loopSteps(eng), spread)
+	}
+	for i := range seeds {
+		want, err := s.GenerateWithFlowSeeds(sharedClass[i%2], seeds[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[i], pcapBytes(t, want.Flows)) {
+			t.Errorf("request %d (%d flows): engine bytes differ from direct GenerateWithFlowSeeds", i, len(seeds[i]))
+		}
+	}
+}
+
+// TestEngineProbeTakesIdleLoop checks assignment by load, in steps: a
+// 1-flow probe submitted while an 8-flow request denoises on loop 0
+// goes to idle loop 1 and finishes while loop 0 is held after the
+// bulk's first step, so the bulk has taken one step and completed no
+// flow when the probe's result arrives.
+func TestEngineProbeTakesIdleLoop(t *testing.T) {
+	s := sharedSynth(t)
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 16}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	// Loop-0 goroutine state, read once the bulk has returned.
+	var fired bool
+	var probeErr error
+	var atProbe []uint64
+	var completedAtProbe uint64
+	bulkCtx := boundaryCtx{context.Background(), func() {
+		if fired || eng.loops[0].steps.Load() == 0 {
+			return
+		}
+		fired = true
+		probe := make(chan error, 1)
+		go func() {
+			_, err := eng.Generate(context.Background(), sharedClass[1], DeriveFlowSeeds(3, 1), nil)
+			probe <- err
+		}()
+		select {
+		case probeErr = <-probe:
+			atProbe = loopSteps(eng)
+			completedAtProbe = eng.Stats().FlowsCompleted
+		case <-time.After(60 * time.Second):
+			t.Error("probe did not finish while loop 0 was held: it was queued behind the bulk")
+		}
+	}}
+	if _, err := eng.Generate(bulkCtx, sharedClass[0], DeriveFlowSeeds(4, 8), nil); err != nil {
+		t.Fatalf("bulk: %v", err)
+	}
+	if !fired {
+		t.Fatal("the bulk's boundary hook never fired")
+	}
+	if probeErr != nil {
+		t.Fatalf("probe: %v", probeErr)
+	}
+	ddim := uint64(s.DDIMSteps())
+	if len(atProbe) != 2 || atProbe[0] != 1 || atProbe[1] != ddim {
+		t.Errorf("steps per loop when the probe finished = %v, want [1 %d]", atProbe, ddim)
+	}
+	if completedAtProbe != 1 {
+		t.Errorf("FlowsCompleted when the probe finished = %d, want 1 (the probe alone)", completedAtProbe)
+	}
+}
+
+// TestEngineCloseDrains holds each of three loops at its first
+// admission, queues three more requests behind them (one per loop, by
+// load), closes the engine and only then lets the loops run: Close
+// returns after every loop has answered everything assigned to it, and
+// new submissions are refused.
+func TestEngineCloseDrains(t *testing.T) {
+	s := sharedSynth(t)
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 16}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	gate := make(chan struct{})
+	admits := make(chan struct{}, n)
+	onAdmit := func() {
+		admits <- struct{}{}
+		<-gate
+	}
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			_, err := eng.Generate(context.Background(), sharedClass[i%2], DeriveFlowSeeds(uint64(900+i), 2), onAdmit)
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < len(eng.loops); i++ {
+		<-admits // one request holds each loop: none steps, no load drains
+	}
+	loadsSettled := func() bool {
+		var sum int64
+		for _, l := range eng.loops {
+			sum += l.load.Load()
+		}
+		return sum == 2*n
+	}
+	for !loadsSettled() {
+		runtime.Gosched()
+	}
+	for i, l := range eng.loops {
+		if got := l.load.Load(); got != 2*n/int64(len(eng.loops)) {
+			t.Errorf("loop %d load = %d flows, want %d (least-loaded assignment)", i, got, 2*n/len(eng.loops))
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() { eng.Close(); close(closed) }()
+	for refused := false; !refused; runtime.Gosched() {
+		eng.mu.Lock()
+		refused = eng.closed
+		eng.mu.Unlock()
+	}
+	close(gate)
+	<-closed
+	if st := eng.Stats(); st.FlowsCompleted != 2*n {
+		t.Errorf("FlowsCompleted = %d when Close returned, want %d", st.FlowsCompleted, 2*n)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("request during drain: %v", err)
+		}
+	}
+	for i, steps := range loopSteps(eng) {
+		if steps == 0 {
+			t.Errorf("loop %d never stepped", i)
+		}
+	}
+	if _, err := eng.Generate(context.Background(), sharedClass[0], []uint64{1}, nil); err == nil {
+		t.Error("Generate after Close succeeded, want error")
+	}
+}
+
+// TestEngineLoopStatsReconcile checks the summed counters across loops:
+// once the engine is closed, every admitted flow either completed or
+// was retired, and Steps and FlowSteps are the loops' sums.
+func TestEngineLoopStatsReconcile(t *testing.T) {
+	s := sharedSynth(t)
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 4}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			onAdmit := func() {}
+			if i%3 == 0 {
+				onAdmit = cancel // expires at the boundary after admission
+			}
+			_, err := eng.Generate(ctx, sharedClass[i%2], DeriveFlowSeeds(uint64(600+i), 1+i%4), onAdmit)
+			if err != nil && err != context.Canceled {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	eng.Close()
+	st := eng.Stats()
+	if st.FlowsAdmitted == 0 || st.FlowsAdmitted != st.FlowsCompleted+st.FlowsRetired {
+		t.Errorf("admitted %d != completed %d + retired %d", st.FlowsAdmitted, st.FlowsCompleted, st.FlowsRetired)
+	}
+	if st.RequestsExpired != 3 {
+		t.Errorf("RequestsExpired = %d, want 3", st.RequestsExpired)
+	}
+	var steps, flowSteps uint64
+	for _, l := range eng.loops {
+		steps += l.steps.Load()
+		flowSteps += l.flowSteps.Load()
+		if l.load.Load() != 0 {
+			t.Errorf("a closed loop still counts %d flows", l.load.Load())
+		}
+	}
+	if st.Steps != steps || st.FlowSteps != flowSteps {
+		t.Errorf("Stats steps/flow-steps = %d/%d, loops sum to %d/%d", st.Steps, st.FlowSteps, steps, flowSteps)
+	}
+}
+
+// TestEngineLoopCount checks NewEngine's loop count: one per usable
+// CPU, min(GOMAXPROCS, NumCPU), so GOMAXPROCS 1 gives the single-loop
+// engine.
+func TestEngineLoopCount(t *testing.T) {
+	s := sharedSynth(t)
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		eng, err := NewEngine(s, EngineConfig{})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+		if want := min(procs, runtime.NumCPU()); len(eng.loops) != want {
+			t.Errorf("GOMAXPROCS %d: %d loops, want %d", procs, len(eng.loops), want)
+		}
 	}
 }

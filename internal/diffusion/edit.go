@@ -77,7 +77,7 @@ func Inpaint(model Denoiser, sched *Schedule, cfg InpaintConfig) (*tensor.Tensor
 				if t > 0 {
 					noise = r.NormFloat64()
 				}
-				x[i] = float32(sa*float64(cfg.Known.Data[i]) + sn*noise)
+				x[i] = float32(float64(sa*float64(cfg.Known.Data[i])) + float64(sn*noise))
 			}
 		}
 	}

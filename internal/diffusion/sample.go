@@ -99,16 +99,16 @@ func ddpmUpdate(xd, ed []float32, sched *Schedule, t int, r *stats.RNG) {
 	coefXt := sched.PosteriorCoefXt[t]
 	sigma := sched.PosteriorSigma[t]
 	for j := range xd {
-		x0 := (float64(xd[j]) - sqrt1AB*float64(ed[j])) / sqrtAB
+		x0 := (float64(xd[j]) - float64(sqrt1AB*float64(ed[j]))) / sqrtAB
 		if x0 > 1.5 {
 			x0 = 1.5
 		}
 		if x0 < -1.5 {
 			x0 = -1.5
 		}
-		mean := coefX0*x0 + coefXt*float64(xd[j])
+		mean := float64(coefX0*x0) + float64(coefXt*float64(xd[j]))
 		if t > 0 {
-			mean += sigma * r.NormFloat64()
+			mean += float64(sigma * r.NormFloat64())
 		}
 		xd[j] = float32(mean)
 	}
@@ -120,7 +120,7 @@ func ddpmUpdate(xd, ed []float32, sched *Schedule, t int, r *stats.RNG) {
 //tracelint:hotpath
 func ddimUpdate(xd, ed []float32, c DDIMCoeff) {
 	for j := range xd {
-		x0 := (float64(xd[j]) - c.Sqrt1AB*float64(ed[j])) / c.SqrtAB
+		x0 := (float64(xd[j]) - float64(c.Sqrt1AB*float64(ed[j]))) / c.SqrtAB
 		// Clip x0 to the data range to stabilize few-step sampling.
 		if x0 > 1.5 {
 			x0 = 1.5
@@ -128,7 +128,7 @@ func ddimUpdate(xd, ed []float32, c DDIMCoeff) {
 		if x0 < -1.5 {
 			x0 = -1.5
 		}
-		xd[j] = float32(c.SqrtABPrev*x0 + c.Sqrt1ABPrev*float64(ed[j]))
+		xd[j] = float32(float64(c.SqrtABPrev*x0) + float64(c.Sqrt1ABPrev*float64(ed[j])))
 	}
 }
 
@@ -160,7 +160,7 @@ func ForwardNoise(sched *Schedule, x0 *tensor.Tensor, t int, r *stats.RNG) *tens
 	sa := sched.SqrtAlphaBar[t]
 	sn := sched.SqrtOneMinusAlphaBar[t]
 	for i, v := range x0.Data {
-		out.Data[i] = float32(sa*float64(v) + sn*r.NormFloat64())
+		out.Data[i] = float32(float64(sa*float64(v)) + float64(sn*r.NormFloat64()))
 	}
 	return out
 }

@@ -144,13 +144,13 @@ func NewSchedule(kind ScheduleKind, T int) *Schedule {
 		// rescale by 1000/T so the total noise injected — and hence
 		// ᾱ_T ≈ 0 — is preserved for smaller T.
 		scale := 1000.0 / float64(T)
-		lo, hi := 1e-4*scale, 0.02*scale
+		lo, hi := float64(1e-4*scale), float64(0.02*scale)
 		for t := 0; t < T; t++ {
 			frac := 0.0
 			if T > 1 {
 				frac = float64(t) / float64(T-1)
 			}
-			b := lo + (hi-lo)*frac
+			b := lo + float64((hi-lo)*frac)
 			if b > 0.999 {
 				b = 0.999
 			}
@@ -184,7 +184,7 @@ func NewSchedule(kind ScheduleKind, T int) *Schedule {
 	abar := 1.0
 	for t := 0; t < T; t++ {
 		s.Alpha[t] = 1 - s.Beta[t]
-		abar *= s.Alpha[t]
+		abar = float64(abar * s.Alpha[t])
 		s.AlphaBar[t] = abar
 		prevBar := 1.0
 		if t > 0 {

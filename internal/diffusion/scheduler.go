@@ -589,7 +589,7 @@ func (s *Scheduler) advance(cond, uncond []float32, lo, hi int) {
 			u := uncond[i*d : (i+1)*d]
 			wg := f.wg
 			for j, c := range e {
-				e[j] = u[j] + wg*(c-u[j])
+				e[j] = u[j] + float32(wg*(c-u[j]))
 			}
 		}
 		if f.seq != nil {

@@ -212,7 +212,7 @@ func (tr *Trainer) Step() error {
 		for j := 0; j < d; j++ {
 			e := float32(r.NormFloat64())
 			tr.noise.Data[i*d+j] = e
-			tr.xt.Data[i*d+j] = sa*x0.Data[j] + sn*e
+			tr.xt.Data[i*d+j] = float32(sa*x0.Data[j]) + float32(sn*e)
 		}
 		if tr.control != nil {
 			if ctrl, ok := cfg.Controls[tr.set.Labels[idx]]; ok {

@@ -168,7 +168,7 @@ func (m *Model) fitNormalization(features [][]float64) {
 		var sq float64
 		for _, row := range features {
 			d := row[j] - m.mean[j]
-			sq += d * d
+			sq += float64(d * d)
 		}
 		m.std[j] = math.Sqrt(sq / float64(len(features)))
 		if m.std[j] < 1e-9 {
@@ -216,7 +216,7 @@ func (m *Model) Generate(n int, seed uint64) (features [][]float64, labels []int
 		row := raw.Data[i*width : (i+1)*width]
 		feat := make([]float64, m.F)
 		for j := 0; j < m.F; j++ {
-			feat[j] = float64(row[j])*m.std[j] + m.mean[j]
+			feat[j] = float64(float64(row[j])*m.std[j]) + m.mean[j]
 		}
 		features[i] = feat
 		best, bestV := 0, float32(math.Inf(-1))

@@ -78,8 +78,8 @@ func New(k int, seqs [][]Observation, r *stats.RNG) *Model {
 	for i := 0; i < k; i++ {
 		// Spread initial means around the data means so states can
 		// specialize.
-		m.Mean[0][i] = sizeMean * (0.4 + 1.2*r.Float64())
-		m.Mean[1][i] = gapMean * (0.4 + 1.2*r.Float64())
+		m.Mean[0][i] = sizeMean * (0.4 + float64(1.2*r.Float64()))
+		m.Mean[1][i] = gapMean * (0.4 + float64(1.2*r.Float64()))
 		m.Var[0][i] = math.Max(sizeMean*sizeMean/4, 1)
 		m.Var[1][i] = math.Max(gapMean*gapMean/4, 0.01)
 	}
@@ -89,7 +89,7 @@ func New(k int, seqs [][]Observation, r *stats.RNG) *Model {
 // logGauss returns the log density of x under N(mean, variance).
 func logGauss(x, mean, variance float64) float64 {
 	d := x - mean
-	return -0.5*(math.Log(2*math.Pi*variance)) - d*d/(2*variance)
+	return float64(-0.5*(math.Log(2*math.Pi*variance))) - d*d/(2*variance)
 }
 
 // logEmit returns the state-wise log emission density of o.
@@ -206,12 +206,12 @@ func Train(seqs [][]Observation, cfg Config) (*Model, []float64, error) {
 						initAcc[i] += g
 					}
 					gammaAcc[i] += g
-					meanAcc[0][i] += g * seq[t].SizeBytes
-					meanAcc[1][i] += g * seq[t].GapMs
+					meanAcc[0][i] += float64(g * seq[t].SizeBytes)
+					meanAcc[1][i] += float64(g * seq[t].GapMs)
 					d0 := seq[t].SizeBytes - m.Mean[0][i]
 					d1 := seq[t].GapMs - m.Mean[1][i]
-					varAcc[0][i] += g * d0 * d0
-					varAcc[1][i] += g * d1 * d1
+					varAcc[0][i] += float64(g * d0 * d0)
+					varAcc[1][i] += float64(g * d1 * d1)
 				}
 			}
 			for t := 0; t < T-1; t++ {
@@ -268,8 +268,8 @@ func (m *Model) Sample(n int, r *stats.RNG) []Observation {
 	out := make([]Observation, n)
 	state := sampleIndex(m.Init, r)
 	for t := 0; t < n; t++ {
-		size := m.Mean[0][state] + math.Sqrt(m.Var[0][state])*r.NormFloat64()
-		gap := m.Mean[1][state] + math.Sqrt(m.Var[1][state])*r.NormFloat64()
+		size := m.Mean[0][state] + float64(math.Sqrt(m.Var[0][state])*r.NormFloat64())
+		gap := m.Mean[1][state] + float64(math.Sqrt(m.Var[1][state])*r.NormFloat64())
 		if size < 0 {
 			size = 0
 		}

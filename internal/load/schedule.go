@@ -128,7 +128,7 @@ func clientBudget(spec *Spec, idx int) int {
 	rems := make([]float64, n)
 	total := 0
 	for i := range spec.Clients {
-		exact := float64(spec.NumRequests) * spec.Clients[i].RateFraction
+		exact := float64(float64(spec.NumRequests) * spec.Clients[i].RateFraction)
 		floors[i] = int(math.Floor(exact))
 		rems[i] = exact - float64(floors[i])
 		total += floors[i]

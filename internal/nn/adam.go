@@ -38,7 +38,7 @@ func (a *Adam) GradNorm() float64 {
 	var sq float64
 	for _, p := range a.params {
 		for _, g := range p.G.Data {
-			sq += float64(g) * float64(g)
+			sq += float64(float64(g) * float64(g))
 		}
 	}
 	return math.Sqrt(sq)
@@ -60,8 +60,8 @@ func (a *Adam) Step() {
 		m, v := a.m[i], a.v[i]
 		for j, g64 := range p.G.Data {
 			g := float64(g64) * scale
-			m[j] = float32(a.Beta1*float64(m[j]) + (1-a.Beta1)*g)
-			v[j] = float32(a.Beta2*float64(v[j]) + (1-a.Beta2)*g*g)
+			m[j] = float32(float64(a.Beta1*float64(m[j])) + float64((1-a.Beta1)*g))
+			v[j] = float32(float64(a.Beta2*float64(v[j])) + float64((1-a.Beta2)*g*g))
 			mh := float64(m[j]) / bc1
 			vh := float64(v[j]) / bc2
 			p.X.Data[j] -= float32(a.LR * mh / (math.Sqrt(vh) + a.Eps))

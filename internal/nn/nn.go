@@ -286,7 +286,7 @@ func (t *Tape) Scale(a *V, s float32) *V {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for i, g := range out.G.Data {
-				a.G.Data[i] += s * g
+				a.G.Data[i] += float32(s * g)
 			}
 		})
 	}

@@ -76,7 +76,7 @@ func (t *Tape) AddScaled(a, b *V, s float32) *V {
 		t.record(func() {
 			a.G.AddInto(out.G)
 			for i, g := range out.G.Data {
-				b.G.Data[i] += s * g
+				b.G.Data[i] += float32(s * g)
 			}
 		})
 	}
@@ -112,7 +112,7 @@ func (t *Tape) SiLU(a *V) *V {
 			for i, g := range out.G.Data {
 				s := sig[i]
 				v := a.X.Data[i]
-				a.G.Data[i] += g * (s + v*s*(1-s))
+				a.G.Data[i] += float32(g * (s + float32(v*s*(1-s))))
 			}
 		})
 	}
@@ -142,7 +142,7 @@ func (t *Tape) Tanh(a *V) *V {
 		t.record(func() {
 			for i, g := range out.G.Data {
 				y := out.X.Data[i]
-				a.G.Data[i] += g * (1 - y*y)
+				a.G.Data[i] += float32(g * (1 - float32(y*y)))
 			}
 		})
 	}
@@ -165,7 +165,7 @@ func (t *Tape) LeakyReLU(a *V, alpha float32) *V {
 				if a.X.Data[i] >= 0 {
 					a.G.Data[i] += g
 				} else {
-					a.G.Data[i] += alpha * g
+					a.G.Data[i] += float32(alpha * g)
 				}
 			}
 		})
@@ -199,17 +199,17 @@ func (t *Tape) LayerNorm(x, gamma, beta *V) *V {
 				var sumG, sumGH float32
 				gRow := out.G.Data[r*d : (r+1)*d]
 				for j, g := range gRow {
-					gg := g * gamma.X.Data[j]
+					gg := float32(g * gamma.X.Data[j])
 					sumG += gg
-					sumGH += gg * xhat[r*d+j]
-					gamma.G.Data[j] += g * xhat[r*d+j]
+					sumGH += float32(gg * xhat[r*d+j])
+					gamma.G.Data[j] += float32(g * xhat[r*d+j])
 					beta.G.Data[j] += g
 				}
 				is := invStd[r]
 				for j, g := range gRow {
-					gg := g * gamma.X.Data[j]
+					gg := float32(g * gamma.X.Data[j])
 					h := xhat[r*d+j]
-					x.G.Data[r*d+j] += is * (gg - sumG/float32(d) - h*sumGH/float32(d))
+					x.G.Data[r*d+j] += float32(is * (gg - sumG/float32(d) - h*sumGH/float32(d)))
 				}
 			}
 		})
@@ -233,14 +233,14 @@ func layerNormRows(out, x, gamma, beta, xhat, invStd []float32, d, lo, hi int) {
 		var varsum float64
 		for _, v := range row {
 			dv := float64(v) - mean
-			varsum += dv * dv
+			varsum += float64(dv * dv)
 		}
 		is := float32(1 / math.Sqrt(varsum/float64(d)+eps))
 		m := float32(mean)
 		if xhat == nil {
 			for j, v := range row {
 				h := (v - m) * is
-				dst[j] = h*gamma[j] + beta[j]
+				dst[j] = float32(h*gamma[j]) + beta[j]
 			}
 			continue
 		}
@@ -249,7 +249,7 @@ func layerNormRows(out, x, gamma, beta, xhat, invStd []float32, d, lo, hi int) {
 		for j, v := range row {
 			h := (v - m) * is
 			hrow[j] = h
-			dst[j] = h*gamma[j] + beta[j]
+			dst[j] = float32(h*gamma[j]) + beta[j]
 		}
 	}
 }
@@ -310,7 +310,7 @@ func (t *Tape) MSE(pred *V, target *tensor.Tensor) *V {
 	var sum float64
 	for i, v := range pred.X.Data {
 		d := float64(v - target.Data[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	n := float32(len(pred.X.Data))
 	out.X.Data[0] = float32(sum) / n
@@ -318,7 +318,7 @@ func (t *Tape) MSE(pred *V, target *tensor.Tensor) *V {
 		t.record(func() {
 			g := out.G.Data[0] * 2 / n
 			for i := range pred.G.Data {
-				pred.G.Data[i] += g * (pred.X.Data[i] - target.Data[i])
+				pred.G.Data[i] += float32(g * (pred.X.Data[i] - target.Data[i]))
 			}
 		})
 	}
@@ -336,7 +336,7 @@ func (t *Tape) BCEWithLogits(logits *V, target *tensor.Tensor) *V {
 	for i, z := range logits.X.Data {
 		zf, tf := float64(z), float64(target.Data[i])
 		// log(1+exp(-|z|)) + max(z,0) - z*t
-		sum += math.Log1p(math.Exp(-math.Abs(zf))) + math.Max(zf, 0) - zf*tf
+		sum += math.Log1p(math.Exp(-math.Abs(zf))) + math.Max(zf, 0) - float64(zf*tf)
 	}
 	n := float32(len(logits.X.Data))
 	out.X.Data[0] = float32(sum) / n
@@ -345,7 +345,7 @@ func (t *Tape) BCEWithLogits(logits *V, target *tensor.Tensor) *V {
 			g := out.G.Data[0] / n
 			for i, z := range logits.X.Data {
 				s := float32(1 / (1 + math.Exp(-float64(z))))
-				logits.G.Data[i] += g * (s - target.Data[i])
+				logits.G.Data[i] += float32(g * (s - target.Data[i]))
 			}
 		})
 	}
@@ -375,8 +375,8 @@ func (t *Tape) MulScalarBroadcast(a, s *V) *V {
 				var acc float32
 				for j := 0; j < d; j++ {
 					g := out.G.Data[r*d+j]
-					a.G.Data[r*d+j] += g * sv
-					acc += g * a.X.Data[r*d+j]
+					a.G.Data[r*d+j] += float32(g * sv)
+					acc += float32(g * a.X.Data[r*d+j])
 				}
 				s.G.Data[r] += acc
 			}

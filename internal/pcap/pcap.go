@@ -10,6 +10,7 @@
 package pcap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -175,8 +176,8 @@ func (r *Reader) ReadRecord() (Record, error) {
 	if caplen > r.snapLen && r.snapLen > 0 && caplen > DefaultSnapLen {
 		return Record{}, fmt.Errorf("pcap: record capture length %d exceeds snap length %d", caplen, r.snapLen)
 	}
-	data := make([]byte, caplen)
-	if _, err := io.ReadFull(r.r, data); err != nil {
+	data, err := readBody(r.r, caplen)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
@@ -191,6 +192,24 @@ func (r *Reader) ReadRecord() (Record, error) {
 		OrigLen:   int(origlen),
 		Data:      data,
 	}, nil
+}
+
+// readBody reads exactly n bytes. The header's capture length is
+// untrusted (a snap length near 4 GiB lets it claim as much), so a body
+// longer than any DefaultSnapLen record is read into a buffer that
+// grows with the bytes the stream actually supplies, instead of being
+// allocated whole before any of them arrive.
+func readBody(r io.Reader, n uint32) ([]byte, error) {
+	if n <= DefaultSnapLen {
+		data := make([]byte, n)
+		_, err := io.ReadFull(r, data)
+		return data, err
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // ReadAll reads records until EOF. If the file is truncated mid-record

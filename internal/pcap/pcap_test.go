@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -156,6 +157,57 @@ func TestTruncatedRecordBody(t *testing.T) {
 	_, err = r.ReadRecord()
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestHugeCapLenAllocatesWhatArrives feeds a header whose snap length
+// (0xffff0000) admits a record claiming almost 4 GiB, followed by 1 KB
+// of body: the read fails as truncated, and what it allocated follows
+// the bytes supplied, not the length claimed. A record within the
+// default snap length still reads whole.
+func TestHugeCapLenAllocatesWhatArrives(t *testing.T) {
+	file := func(caplen uint32, body int) []byte {
+		b := make([]byte, 24+16+body)
+		binary.LittleEndian.PutUint32(b[0:], MagicMicroseconds)
+		binary.LittleEndian.PutUint16(b[4:], 2)
+		binary.LittleEndian.PutUint16(b[6:], 4)
+		binary.LittleEndian.PutUint32(b[16:], 0xffff0000)
+		binary.LittleEndian.PutUint32(b[20:], uint32(LinkTypeEthernet))
+		binary.LittleEndian.PutUint32(b[32:], caplen)
+		binary.LittleEndian.PutUint32(b[36:], caplen)
+		return b
+	}
+	huge := file(0xfffe0000, 1024)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewReader(bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.ReadRecord()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("reading 1 KB of a record claiming %d bytes allocated %d bytes", uint32(0xfffe0000), got)
+	}
+
+	// A body larger than DefaultSnapLen but fully present reads whole.
+	big := file(DefaultSnapLen+100, DefaultSnapLen+100)
+	for i := range big[40:] {
+		big[40+i] = byte(i)
+	}
+	r, err = NewReader(bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := r.ReadRecord()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Data, big[40:]) {
+		t.Errorf("record data: %d bytes read, want the %d supplied", len(rec.Data), len(big)-40)
 	}
 }
 

@@ -123,7 +123,7 @@ func (t *Tree) bestSplit(x [][]float32, y []int, idx []int, parentCounts []int, 
 				grCounts[i] = parentCounts[i] - leftCounts[i]
 			}
 			gr := gini(grCounts, nr)
-			gain := parentGini - (float64(nl)*gl+float64(nr)*gr)/float64(len(idx))
+			gain := parentGini - (float64(float64(nl)*gl)+float64(float64(nr)*gr))/float64(len(idx))
 			if gain > bestGain {
 				bestGain, feat, thr, ok = gain, f, c, true
 			}
@@ -163,7 +163,7 @@ func gini(counts []int, n int) float64 {
 	g := 1.0
 	for _, c := range counts {
 		p := float64(c) / float64(n)
-		g -= p * p
+		g -= float64(p * p)
 	}
 	return g
 }

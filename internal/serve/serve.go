@@ -9,7 +9,8 @@
 // The gate bounds the requests concurrently inside the service; beyond
 // it the handler answers 429 with a Retry-After header instead of
 // letting latency grow without bound. Admitted requests feed a
-// core.Engine, whose single step loop owns the in-flight denoising
+// core.Engine, which runs one step loop per CPU and gives each request
+// to the loop with the least work; a loop owns its in-flight denoising
 // batch: new requests join at the next timestep boundary (no closed
 // batches, no head-of-line blocking behind whole generations) and
 // requests whose deadline expires — queued or mid-denoise — retire
@@ -69,15 +70,16 @@ type Config struct {
 	// (waiting for admission or mid-generation); requests beyond it get
 	// 429 (default 64).
 	QueueDepth int
-	// MaxInFlight caps the flows simultaneously in the denoising batch
-	// (default 16). Larger values raise throughput under load; smaller
-	// ones bound per-step latency.
+	// MaxInFlight caps the flows simultaneously in each engine step
+	// loop's denoising batch (default 16; one loop per CPU). Larger
+	// values raise throughput under load; smaller ones bound per-step
+	// latency.
 	MaxInFlight int
 	// PostWorkers is the number of post-processing workers behind the
-	// step loop (default 2).
+	// step loops, shared by all of them (default 2).
 	PostWorkers int
-	// MaxStepRows caps the rows per denoiser forward (default 8;
-	// negative for unlimited). Stepping the requests with the least
+	// MaxStepRows caps the rows per denoiser forward in each step loop
+	// (default 8; negative for unlimited). Stepping the requests with the least
 	// remaining work first keeps a fresh request's time-to-first-result
 	// small even when the batch is full of bulk work; see
 	// core.EngineConfig.MaxStepRows.

@@ -19,7 +19,7 @@ type Dist interface {
 type Uniform struct{ Lo, Hi float64 }
 
 // Sample draws a uniform variate.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
+func (u Uniform) Sample(r *RNG) float64 { return u.Lo + float64((u.Hi-u.Lo)*r.Float64()) }
 
 // Mean returns (Lo+Hi)/2.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
@@ -29,7 +29,7 @@ func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 type Normal struct{ Mu, Sigma float64 }
 
 // Sample draws a Gaussian variate.
-func (n Normal) Sample(r *RNG) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
+func (n Normal) Sample(r *RNG) float64 { return n.Mu + float64(n.Sigma*r.NormFloat64()) }
 
 // Mean returns Mu.
 func (n Normal) Mean() float64 { return n.Mu }
@@ -40,10 +40,10 @@ func (n Normal) Mean() float64 { return n.Mu }
 type LogNormal struct{ Mu, Sigma float64 }
 
 // Sample draws a log-normal variate.
-func (l LogNormal) Sample(r *RNG) float64 { return math.Exp(l.Mu + l.Sigma*r.NormFloat64()) }
+func (l LogNormal) Sample(r *RNG) float64 { return math.Exp(l.Mu + float64(l.Sigma*r.NormFloat64())) }
 
 // Mean returns exp(Mu + Sigma^2/2).
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
+func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + float64(l.Sigma*l.Sigma/2)) }
 
 // Exponential is the exponential distribution with rate Lambda.
 type Exponential struct{ Lambda float64 }
@@ -105,16 +105,16 @@ func (g Gamma) Sample(r *RNG) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := r.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v * g.Scale
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v * g.Scale
 		}
 	}
@@ -244,7 +244,7 @@ func (m *Mixture) Sample(r *RNG) float64 {
 func (m *Mixture) Mean() float64 {
 	total := 0.0
 	for i, c := range m.Components {
-		total += m.cat.Probability(i) * c.Mean()
+		total += float64(m.cat.Probability(i) * c.Mean())
 	}
 	return total
 }

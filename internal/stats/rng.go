@@ -78,9 +78,11 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The conversion rounds
+// the scaled draw on its own, so a caller's a + b·Float64() cannot fuse
+// the scaling into an FMA on targets that have one.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a standard normal variate via the polar
@@ -89,7 +91,7 @@ func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

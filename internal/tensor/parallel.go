@@ -19,8 +19,11 @@ import (
 // dimension is cut or which goroutine runs a chunk. Chunks write
 // disjoint index ranges of the output slice, so results are
 // bit-identical at GOMAXPROCS=1 and GOMAXPROCS=N and the race detector
-// stays clean. See DESIGN.md "Parallel kernels & determinism under
-// GOMAXPROCS".
+// stays clean. Every product is rounded before it is added
+// (float32(a*b)): Go may fuse a multiply and an add into one FMA on
+// arm64 and other targets, which rounds once and changes the bits, and
+// an explicit conversion is the spec's way to forbid that. See
+// DESIGN.md "Parallel kernels & determinism under GOMAXPROCS".
 
 // minParallelWork is the approximate number of multiply-adds (or
 // equivalent element operations) below which a kernel runs serially on
@@ -323,7 +326,7 @@ func matmulRows(c, a, b []float32, lo, hi, k, n int) {
 				}
 				bp := b[p*n : (p+1)*n]
 				for j, bv := range bp {
-					ci[j] += av * bv
+					ci[j] += float32(av * bv)
 				}
 			}
 		}
@@ -344,7 +347,7 @@ func matmulCols(c, a, b []float32, m, k, n, jlo, jhi int) {
 			}
 			bp := b[p*n+jlo : p*n+jhi]
 			for j, bv := range bp {
-				ci[j] += av * bv
+				ci[j] += float32(av * bv)
 			}
 		}
 	}
@@ -365,7 +368,7 @@ func matmulATBRows(c, a, b []float32, lo, hi, k, m, n int) {
 			}
 			bp := b[p*n : (p+1)*n]
 			for j, bv := range bp {
-				ci[j] += av * bv
+				ci[j] += float32(av * bv)
 			}
 		}
 	}
@@ -385,7 +388,7 @@ func matmulATBCols(c, a, b []float32, k, m, n, jlo, jhi int) {
 			}
 			cs := c[i*n+jlo : i*n+jhi]
 			for j, bv := range bp {
-				cs[j] += av * bv
+				cs[j] += float32(av * bv)
 			}
 		}
 	}
@@ -427,10 +430,10 @@ func matmulABTScalar(c, a, b []float32, ilo, ihi, k, n, jlo, jhi int) {
 			ai := a[i*k : (i+1)*k][:len(b0)]
 			var s0, s1, s2, s3 float32
 			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float32(av * b0[p])
+				s1 += float32(av * b1[p])
+				s2 += float32(av * b2[p])
+				s3 += float32(av * b3[p])
 			}
 			ci := c[i*n+j : i*n+j+4]
 			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
@@ -442,7 +445,7 @@ func matmulABTScalar(c, a, b []float32, ilo, ihi, k, n, jlo, jhi int) {
 			ai := a[i*k : (i+1)*k][:len(bj)]
 			var sum float32
 			for p, av := range ai {
-				sum += av * bj[p]
+				sum += float32(av * bj[p])
 			}
 			c[i*n+j] = sum
 		}

@@ -54,7 +54,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		}
 		n := cfg.FlowsPerClass
 		if n <= 0 {
-			n = int(float64(p.Table1Count)*cfg.Scale + 0.5)
+			n = int(float64(float64(p.Table1Count)*cfg.Scale) + 0.5)
 			if n < 1 {
 				n = 1
 			}

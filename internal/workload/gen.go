@@ -36,7 +36,7 @@ func NewGenerator(seed uint64) *Generator {
 func sampleSize(r *stats.RNG, sp SizeProfile) int {
 	cat := stats.NewCategorical(sp.Weights)
 	i := cat.SampleIndex(r)
-	v := sp.Modes[i] + sp.Jitter*r.NormFloat64()
+	v := sp.Modes[i] + float64(sp.Jitter*r.NormFloat64())
 	if v < 0 {
 		v = 0
 	}
