@@ -110,14 +110,16 @@ verify-determinism:
 	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... 2>&1 | awk '/STEXT/ {fn = $$1} /\tF(N)?M(ADD|SUB)[SD]?\t/ {print "fused multiply-add in " fn; bad = 1} END {exit bad}'
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds with no fused multiply-add in internal/"
 
-# Short fuzzing pass over the binary-format decoders, the CSV writer and
-# the A·Bᵀ tiles (assembly that loads and stores by computed offset).
+# Short fuzzing pass over the binary-format decoders, the checkpoint
+# loader, the CSV writer and the A·Bᵀ tiles (assembly that loads and
+# stores by computed offset).
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 15s ./internal/packet
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/pcap
 	$(GO) test -fuzz FuzzDecodeRow -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s ./internal/nprint
+	$(GO) test -fuzz FuzzLoad -fuzztime 15s ./internal/core
 	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s ./internal/tensor
 
 # Regenerate every paper table and figure, then the design-choice

@@ -21,6 +21,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -151,36 +153,84 @@ func New(cfg Config, classes []string) (*Synthesizer, error) {
 	return build(cfg, classes, stats.NewRNG(cfg.Seed))
 }
 
+// maxTimeSteps bounds Config.TimeSteps: the schedule tables are
+// allocated from it, and a checkpoint carries no bytes that pay for
+// them.
+const maxTimeSteps = 1 << 16
+
+// checkConfig rejects a config or class list the models cannot be built
+// from and returns the model image shape (h, w).
+func checkConfig(cfg Config, classes []string) (h, w int, err error) {
+	if len(classes) == 0 {
+		return 0, 0, fmt.Errorf("core: need at least one class")
+	}
+	if cfg.Rows <= 0 || cfg.DownH <= 0 || cfg.DownW <= 0 {
+		return 0, 0, fmt.Errorf("core: non-positive geometry in config")
+	}
+	if cfg.Rows%cfg.DownH != 0 {
+		return 0, 0, fmt.Errorf("core: Rows %d not divisible by DownH %d", cfg.Rows, cfg.DownH)
+	}
+	if nprint.BitsPerPacket%cfg.DownW != 0 {
+		return 0, 0, fmt.Errorf("core: DownW %d does not divide %d", cfg.DownW, nprint.BitsPerPacket)
+	}
+	if cfg.TimeSteps < 2 || cfg.TimeSteps > maxTimeSteps {
+		return 0, 0, fmt.Errorf("core: TimeSteps must be in [2, %d], got %d", maxTimeSteps, cfg.TimeSteps)
+	}
+	if cfg.Schedule != diffusion.ScheduleLinear && cfg.Schedule != diffusion.ScheduleCosine {
+		return 0, 0, fmt.Errorf("core: unknown Schedule %d", cfg.Schedule)
+	}
+	if cfg.Hidden <= 0 {
+		return 0, 0, fmt.Errorf("core: Hidden must be positive, got %d", cfg.Hidden)
+	}
+	h = cfg.Rows / cfg.DownH
+	w = nprint.BitsPerPacket / cfg.DownW
+	// The adapters span the h*w x Hidden projections and the
+	// Hidden x Hidden layer, so the pixel and hidden widths bound the
+	// rank for all three.
+	if err := lora.CheckRank(cfg.LoRARank, h*w, cfg.Hidden); err != nil {
+		return 0, 0, fmt.Errorf("core: LoRARank: %w", err)
+	}
+	return h, w, nil
+}
+
+// paramValues is how many float32 values the models of an h x w
+// synthesizer with cfg and k classes hold: the parameter shapes of the
+// base MLP (diffusion.NewMLPDenoiser) and its adapter
+// (lora.NewAdaptedMLP), in constructor order, with a bias as a 1-row
+// shape. A forged config cannot overflow it: it saturates at
+// math.MaxUint64.
+func paramValues(cfg Config, h, w, k int) uint64 {
+	if hi, _ := bits.Mul64(uint64(h), uint64(w)); hi != 0 {
+		return math.MaxUint64
+	}
+	d, hid, r := uint64(h)*uint64(w), uint64(cfg.Hidden), uint64(cfg.LoRARank)
+	t, table := uint64(diffusion.TimeEmbedDim()), uint64(k)+1
+	var n uint64
+	for _, shape := range [][2]uint64{
+		{table, hid}, {hid, t}, {1, hid}, // class table, time projection
+		{hid, d}, {1, hid}, {hid, d}, {1, hid}, // x and control projections
+		{1, hid}, {1, hid}, {hid, hid}, {1, hid}, {1, hid}, {1, hid}, // norm, hidden layer, norm
+		{d, hid}, {1, d}, {1, t}, {1, 1}, // output projection, skip gate
+		{r, d}, {hid, r}, {r, hid}, {hid, r}, {r, hid}, {d, r}, {table, hid}, // adapters, class table
+	} {
+		hi, lo := bits.Mul64(shape[0], shape[1])
+		sum, carry := bits.Add64(n, lo, 0)
+		if hi != 0 || carry != 0 {
+			return math.MaxUint64
+		}
+		n = sum
+	}
+	return n
+}
+
 // build is New with the weight-init stream passed in. Load passes nil:
 // the models are then built with zero weights, because the checkpoint
 // overwrites every parameter at once and drawing 1.3 M Gaussians first
 // was a third of a replica's start-up time.
 func build(cfg Config, classes []string, r *stats.RNG) (*Synthesizer, error) {
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("core: need at least one class")
-	}
-	if cfg.Rows <= 0 || cfg.DownH <= 0 || cfg.DownW <= 0 {
-		return nil, fmt.Errorf("core: non-positive geometry in config")
-	}
-	if cfg.Rows%cfg.DownH != 0 {
-		return nil, fmt.Errorf("core: Rows %d not divisible by DownH %d", cfg.Rows, cfg.DownH)
-	}
-	if nprint.BitsPerPacket%cfg.DownW != 0 {
-		return nil, fmt.Errorf("core: DownW %d does not divide %d", cfg.DownW, nprint.BitsPerPacket)
-	}
-	if cfg.TimeSteps < 2 {
-		return nil, fmt.Errorf("core: TimeSteps must be >= 2")
-	}
-	if cfg.Hidden <= 0 {
-		return nil, fmt.Errorf("core: Hidden must be positive, got %d", cfg.Hidden)
-	}
-	h := cfg.Rows / cfg.DownH
-	w := nprint.BitsPerPacket / cfg.DownW
-	// The adapters span the h*w x Hidden projections and the
-	// Hidden x Hidden layer, so the pixel and hidden widths bound the
-	// rank for all three.
-	if err := lora.CheckRank(cfg.LoRARank, h*w, cfg.Hidden); err != nil {
-		return nil, fmt.Errorf("core: LoRARank: %w", err)
+	h, w, err := checkConfig(cfg, classes)
+	if err != nil {
+		return nil, err
 	}
 
 	s := &Synthesizer{

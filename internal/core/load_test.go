@@ -3,14 +3,18 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"trafficdiff/internal/controlnet"
 	"trafficdiff/internal/diffusion"
+	"trafficdiff/internal/lora"
 	"trafficdiff/internal/nn"
+	nntest "trafficdiff/internal/nn/nntest"
 	"trafficdiff/internal/tensor"
 )
 
@@ -199,8 +203,9 @@ type preRemovalSnapshot struct {
 
 // writePreRemoval writes a checkpoint the way Save did before those
 // fields were removed: s's vocabulary, templates and gap values, cfg's
-// fields by name with the given Arch and LoRA flag, then params.
-func writePreRemoval(t *testing.T, s *Synthesizer, cfg Config, arch int, hasLoRA bool, params []*nn.V) *bytes.Buffer {
+// fields by name with the given Arch and LoRA flag, then params in the
+// version-1 parameter stream those builds wrote.
+func writePreRemoval(t testing.TB, s *Synthesizer, cfg Config, arch int, hasLoRA bool, params []*nn.V) *bytes.Buffer {
 	t.Helper()
 	snap := preRemovalSnapshot{
 		Version: 1, Classes: s.classes, Templates: s.templates, Controls: s.controls,
@@ -220,7 +225,11 @@ func writePreRemoval(t *testing.T, s *Synthesizer, cfg Config, arch int, hasLoRA
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.SaveParams(&buf, params); err != nil {
+	values := make([]*tensor.Tensor, len(params))
+	for i, p := range params {
+		values[i] = p.X
+	}
+	if err := nntest.WriteParams(&buf, values); err != nil {
 		t.Fatal(err)
 	}
 	return &buf
@@ -298,8 +307,9 @@ func TestLoadPreRemovalCheckpoints(t *testing.T) {
 }
 
 // TestBadConfigRejected checks that New and Load both refuse a config
-// the models cannot be built from — a non-positive hidden width, or a
-// LoRA rank outside [1, min(Hidden, model pixels)] — with an error
+// the models cannot be built from — a non-positive hidden width, a
+// LoRA rank outside [1, min(Hidden, model pixels)], a schedule too long
+// or of no known kind — with an error
 // naming the field, instead of panicking in the tensor or lora
 // constructors (for New, only after the whole base phase had trained).
 func TestBadConfigRejected(t *testing.T) {
@@ -317,6 +327,10 @@ func TestBadConfigRejected(t *testing.T) {
 		// One-pixel model images: rank 2 exceeds the x and out
 		// projections' pixel side.
 		{"LoRARank above pixels", func(c *Config) { c.Rows, c.DownH, c.DownW, c.LoRARank = 2, 2, 1088, 2 }, "LoRARank"},
+		// The schedule tables are allocated from TimeSteps before any
+		// weight is read, and an unknown kind has no tables.
+		{"TimeSteps above the cap", func(c *Config) { c.TimeSteps = maxTimeSteps + 1 }, "TimeSteps"},
+		{"unknown Schedule", func(c *Config) { c.Schedule = 7 }, "Schedule"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := loadConfig()
@@ -334,4 +348,192 @@ func TestBadConfigRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSaveIsDeterministic pins that a synthesizer always saves to the
+// same bytes: twice in a row, and again after a Load of its own save.
+// traced's checkpoint coordinate is the file's digest, so replicas
+// loaded from separately saved copies must agree on it.
+func TestSaveIsDeterministic(t *testing.T) {
+	s := tinyTrained(t, "amazon", "teams", "zoom")
+	save := func(s *Synthesizer) []byte {
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save(s)
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(save(s), first) {
+			t.Fatalf("save %d differs from the first", i+2)
+		}
+	}
+	loaded, err := Load(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(loaded), first) {
+		t.Fatal("Save(Load(Save(s))) differs from Save(s)")
+	}
+}
+
+// TestParamValuesCountsTheModels holds paramValues, which Load checks a
+// checkpoint's size against before it builds anything, to the models
+// build and Load make, over shapes that move every term.
+func TestParamValuesCountsTheModels(t *testing.T) {
+	for _, tc := range []struct {
+		rows, downH, downW, hidden, rank, k int
+	}{
+		{16, 2, 16, 64, 8, 2},
+		{32, 2, 8, 192, 8, 5},
+		{4, 4, 1088, 3, 1, 1},
+		{6, 3, 64, 17, 2, 7},
+	} {
+		cfg := loadConfig()
+		cfg.Rows, cfg.DownH, cfg.DownW, cfg.Hidden, cfg.LoRARank = tc.rows, tc.downH, tc.downW, tc.hidden, tc.rank
+		classes := make([]string, tc.k)
+		for i := range classes {
+			classes[i] = fmt.Sprintf("c%d", i)
+		}
+		s, err := build(cfg, classes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.adapted = lora.NewAdaptedMLP(nil, s.base, cfg.LoRARank, cfg.LoRAAlpha, tc.k)
+		var have int
+		for _, p := range s.allParams() {
+			have += len(p.X.Data)
+		}
+		h, w := s.ModelShape()
+		if got := paramValues(cfg, h, w, tc.k); got != uint64(have) {
+			t.Errorf("%+v: paramValues = %d, the models hold %d", tc, got, have)
+		}
+	}
+}
+
+// forgedHeader is a snapshot and nothing else, whose config asks for a
+// Hidden-wide model — the Hidden² layer alone is Hidden² values.
+func forgedHeader(t testing.TB, hidden int) []byte {
+	cfg := loadConfig()
+	cfg.Hidden = hidden
+	var buf bytes.Buffer
+	snap := snapshot{Version: snapshotVersion, Config: cfg, Classes: []string{"amazon"}, HasLoRA: true}
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadBoundsAllocationByInput feeds Load headers under a kilobyte
+// whose configs ask for 1 M and 16.7 M parameter values: Load must
+// refuse them before it builds the models, having allocated under 4 MB.
+func TestLoadBoundsAllocationByInput(t *testing.T) {
+	for _, hidden := range []int{1024, 4096} {
+		data := forgedHeader(t, hidden)
+		if len(data) >= 1024 {
+			t.Fatalf("forged header is %d bytes, want under 1 KB", len(data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil || s != nil {
+			t.Fatalf("Hidden %d: synthesizer %v, error %v; want an error", hidden, s, err)
+		}
+		if !strings.Contains(err.Error(), "parameter values") {
+			t.Fatalf("Hidden %d: error %q is not the size check", hidden, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+			t.Fatalf("Hidden %d: Load allocated %d bytes on a %d-byte input", hidden, alloc, len(data))
+		}
+	}
+}
+
+// TestLoadRejectsBadClassState checks that Load refuses per-class state
+// that does not cover every class or does not fit the model, instead of
+// loading a synthesizer that would fail mid-generation.
+func TestLoadRejectsBadClassState(t *testing.T) {
+	s := tinyTrained(t, "amazon", "teams")
+	h, w := s.ModelShape()
+	for name, edit := range map[string]func(*snapshot){
+		"missing template": func(sn *snapshot) { sn.ClassTemplates = sn.ClassTemplates[:1] },
+		"missing gaps":     func(sn *snapshot) { sn.ClassGaps = sn.ClassGaps[:1] },
+		"short template":   func(sn *snapshot) { sn.ClassTemplates[1].Fill = sn.ClassTemplates[1].Fill[:8] },
+		"wrong control":    func(sn *snapshot) { sn.ClassControls[0] = *tensor.New(1, h+1, w) },
+		"ragged control":   func(sn *snapshot) { sn.ClassControls[0].Data = sn.ClassControls[0].Data[:1] },
+		"v1 missing class": func(sn *snapshot) {
+			sn.Version = 1
+			sn.Templates = map[int]*controlnet.Template{0: &sn.ClassTemplates[0]}
+			sn.Controls = map[int]*tensor.Tensor{0: &sn.ClassControls[0], 1: &sn.ClassControls[1]}
+			sn.ClassTemplates, sn.ClassControls, sn.ClassGaps = nil, nil, nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := s.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			r := bytes.NewReader(buf.Bytes())
+			var snap snapshot
+			if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			params := buf.Bytes()[buf.Len()-r.Len():]
+			edit(&snap)
+			var forged bytes.Buffer
+			if err := gob.NewEncoder(&forged).Encode(snap); err != nil {
+				t.Fatal(err)
+			}
+			forged.Write(params)
+			if got, err := Load(&forged); err == nil || got != nil {
+				t.Fatalf("synthesizer %v, error %v; want an error", got, err)
+			}
+		})
+	}
+}
+
+// tinyTrained trains about the smallest model the pipeline can: a
+// 1 x 17 image, a 4-wide MLP, rank-1 adapters and two steps per phase.
+// Its checkpoint is a few kilobytes, most of them the class templates.
+func tinyTrained(t testing.TB, classes ...string) *Synthesizer {
+	cfg := loadConfig()
+	cfg.Rows, cfg.DownH, cfg.DownW, cfg.Hidden, cfg.LoRARank = 2, 2, 64, 4, 1
+	cfg.TimeSteps, cfg.BaseSteps, cfg.FineTuneSteps, cfg.DDIMSteps = 10, 2, 2, 2
+	s, err := New(cfg, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FineTune(trainingFlows(t, classes, 2)); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// FuzzLoad feeds Load arbitrary bytes, seeded with a small trained
+// checkpoint as Save writes it, the same model in the version-1 layout
+// older builds wrote, and a forged header that asks for a 16.7 M-value
+// model. Load must return a synthesizer or an error, never panic, and
+// allocate no more than a fixed amount plus a multiple of the input.
+func FuzzLoad(f *testing.F) {
+	s := tinyTrained(f, "amazon")
+	var v3 bytes.Buffer
+	if err := s.Save(&v3); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3.Bytes())
+	f.Add(writePreRemoval(f, s, s.configSnapshot(), 0, true, s.allParams()).Bytes())
+	f.Add(forgedHeader(f, 4096))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if (err == nil) == (s == nil) {
+			t.Fatalf("synthesizer %v with error %v", s, err)
+		}
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<20+64*len(data)); alloc > limit {
+			t.Fatalf("Load allocated %d bytes on a %d-byte input (limit %d)", alloc, len(data), limit)
+		}
+	})
 }

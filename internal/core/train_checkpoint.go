@@ -35,7 +35,8 @@ const defaultCheckpointEvery = 50
 // followed by, in order: the frozen base weights (phaseFineTune only,
 // as a weights-only nn checkpoint — the fine-tune trainer state covers
 // only the adapter parameters it trains) and the diffusion.Trainer
-// state (a Version-2 nn checkpoint).
+// state (an nn training checkpoint). The nested streams carry their own
+// versions, so a change to their layout leaves this one alone.
 type trainEnvelope struct {
 	Version int
 	Config  Config
@@ -95,9 +96,9 @@ func (s *Synthesizer) writeTrainCheckpoint(path string, phase int, baseLosses []
 // envelope, and returns a reader positioned at the streams that
 // follow (base weights for phaseFineTune, then trainer state). The
 // caller must invoke the returned close function when done. A single
-// buffered reader is shared across the gob streams for the same
-// reason core.Load shares one: a per-decoder buffer would read ahead
-// past the stream boundary.
+// buffered reader is shared across the streams: a per-decoder buffer
+// would read ahead past a stream boundary, and the nn streams read
+// their raw value sections from the same reader as their headers.
 func openTrainCheckpoint(path string) (*trainEnvelope, *bufio.Reader, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {

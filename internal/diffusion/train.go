@@ -275,7 +275,7 @@ func (tr *Trainer) Run() ([]float64, error) {
 
 // Checkpoint serializes the trainer's complete mid-run state — the
 // trained parameter values plus the Adam moments, RNG position, loss
-// curve and step counter — as a Version-2 nn checkpoint. A Trainer
+// curve and step counter — as an nn training checkpoint. A Trainer
 // built with the same model/set/config and restored from this stream
 // continues training bit-identically.
 func (tr *Trainer) Checkpoint(w io.Writer) error {

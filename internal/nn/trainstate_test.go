@@ -132,7 +132,7 @@ func TestSaveTrainingRoundTrip(t *testing.T) {
 }
 
 func TestLoadParamsAcceptsTrainingCheckpoint(t *testing.T) {
-	// A Version-2 checkpoint is still a valid weights source for
+	// A training checkpoint is still a valid weights source for
 	// loaders that only care about parameters (e.g. traced).
 	r := stats.NewRNG(2)
 	l := NewLinear(r, 2, 3)
@@ -158,7 +158,7 @@ func TestLoadParamsAcceptsTrainingCheckpoint(t *testing.T) {
 }
 
 func TestLoadTrainingRejectsWeightsOnlyCheckpoint(t *testing.T) {
-	// Legacy Version-1 files carry no training state to resume from.
+	// Weights-only files carry no training state to resume from.
 	r := stats.NewRNG(2)
 	l := NewLinear(r, 2, 2)
 	var buf bytes.Buffer
