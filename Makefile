@@ -51,8 +51,8 @@ serve-smoke:
 # Cluster smoke test over the real binaries: tracerouter spreads load
 # across two traced replicas, serves a repeat seeded request from its
 # content-addressed cache byte-identically, survives a replica kill
-# with no 5xx leaked past the status-mapping table, autoscales its own
-# children in managed mode, and drains cleanly (exit 0) on SIGTERM.
+# with no 5xx leaked past the status-mapping table, and drains cleanly
+# (exit 0) on SIGTERM; without -replicas it refuses to start.
 cluster-smoke:
 	$(GO) test -run TestClusterEndToEnd -count=1 -v .
 
@@ -111,8 +111,9 @@ verify-determinism:
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds with no fused multiply-add in internal/"
 
 # Short fuzzing pass over the binary-format decoders, the checkpoint
-# loader, the CSV writer and the A·Bᵀ tiles (assembly that loads and
-# stores by computed offset).
+# loader, the CSV writer, the A·Bᵀ tiles (assembly that loads and
+# stores by computed offset), the workload-spec parser and the generate
+# handler's request body.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 15s ./internal/packet
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/pcap
@@ -121,6 +122,8 @@ fuzz:
 	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzLoad -fuzztime 15s ./internal/core
 	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s ./internal/tensor
+	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s ./internal/load
+	$(GO) test -fuzz FuzzGenerateRequest -fuzztime 15s ./internal/serve
 
 # Regenerate every paper table and figure, then the design-choice
 # ablations, into the recorded run log.

@@ -20,8 +20,9 @@ import (
 // real binaries: tracegen writes a checkpoint, two traced replicas
 // serve it, and tracerouter spreads load across them, serves repeat
 // seeded requests from its content-addressed cache byte-identically,
-// survives a replica kill without surfacing 5xx, autoscales its own
-// children in managed mode, and drains cleanly on SIGTERM.
+// survives a replica kill without surfacing 5xx, and drains cleanly on
+// SIGTERM. The router only fronts the replicas it is given: without
+// -replicas it refuses to start.
 // `make cluster-smoke` runs exactly this test.
 func TestClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -51,7 +52,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	t.Run("static-spread-cache-failover", func(t *testing.T) {
 		// Both replicas found via the machine-parseable ADDR= stdout
-		// line — the same contract the managed-mode spawner relies on.
+		// line — the contract any supervisor starting traced relies on.
 		rep0 := startAddrProc(t, traced, "-model", ckpt, "-addr", "127.0.0.1:0")
 		defer rep0.kill(t)
 		rep1 := startAddrProc(t, traced, "-model", ckpt, "-addr", "127.0.0.1:0")
@@ -146,38 +147,8 @@ func TestClusterEndToEnd(t *testing.T) {
 			}
 			return false
 		})
-	})
 
-	t.Run("managed-autoscale-drain", func(t *testing.T) {
-		router := startAddrProc(t, tracerouter,
-			"-addr", "127.0.0.1:0",
-			"-model", ckpt,
-			"-traced-bin", traced,
-			"-min-replicas", "2", "-max-replicas", "3",
-			"-scale-interval", "100ms",
-			"-probe-interval", "50ms")
-		defer router.kill(t)
-
-		// The scaler spawns to -min-replicas and the pool reports them.
-		waitUntil(t, "managed replicas healthy", func() bool {
-			healthy := 0
-			for _, st := range replicaSnapshots(t, router.url) {
-				if st.Healthy {
-					healthy++
-				}
-			}
-			return healthy == 2
-		})
-
-		code, body, hdr, err := postGenerate(router.url, `{"class":"teams","count":2,"seed":77}`)
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("managed-mode request: code=%d err=%v body=%q", code, err, body)
-		}
-		if hdr.Get("X-Traced-Checkpoint") == "" {
-			t.Fatal("managed replica response lacks checkpoint digest header")
-		}
-
-		// SIGTERM: the router drains, stops its children, and exits 0.
+		// SIGTERM after the failover: the router drains and exits 0.
 		if err := router.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatal(err)
 		}
@@ -186,6 +157,17 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 		if !strings.Contains(router.stderr(), "drained cleanly") {
 			t.Fatalf("missing drain log; stderr:\n%s", router.stderr())
+		}
+	})
+
+	t.Run("replicas-required", func(t *testing.T) {
+		out, err := exec.Command(tracerouter, "-addr", "127.0.0.1:0").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-replicas") {
+			t.Fatalf("tracerouter without -replicas: err=%v output=%q; want a non-zero exit naming -replicas", err, out)
+		}
+		out, err = exec.Command(tracerouter, "-model", ckpt).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: -model") {
+			t.Fatalf("tracerouter -model: err=%v output=%q; want the flag rejected", err, out)
 		}
 	})
 }

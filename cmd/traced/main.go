@@ -37,8 +37,8 @@
 //
 // On startup the bound address is printed to stdout as a single
 // machine-parseable line, "ADDR=host:port" — with -addr :0 this is how
-// a parent process (tracerouter's managed mode, scripts, tests)
-// discovers the ephemeral port.
+// a parent process (a supervisor, scripts, tests) discovers the
+// ephemeral port.
 package main
 
 import (

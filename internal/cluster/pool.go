@@ -63,7 +63,6 @@ type replica struct {
 	ready     serve.ReadyStatus // guarded by mu — last verbose readiness payload
 	lastClass string            // guarded by mu — last class routed here (affinity)
 	inFlight  int               // guarded by mu — router-side requests on this replica
-	removed   bool              // guarded by mu — withdrawn from the pool
 
 	requests  atomic.Int64 // proxied requests attempted
 	errors    atomic.Int64 // transport errors + upstream 5xx treated as failures
@@ -133,7 +132,7 @@ func NewPool(cfg PoolConfig) *Pool {
 }
 
 // Close stops the probe loop. It does not touch the replicas
-// themselves (the scaler owns managed processes).
+// themselves: whoever started them stops them.
 func (p *Pool) Close() {
 	close(p.stopCh)
 	p.wg.Wait()
@@ -150,24 +149,6 @@ func (p *Pool) Add(url string) {
 	p.replicas = append(p.replicas, r)
 	p.mu.Unlock()
 	p.Kick()
-}
-
-// Remove withdraws the replica with the given URL: it stops being a
-// routing candidate at once (requests already proxied to it finish).
-// Reports whether a replica was removed.
-func (p *Pool) Remove(url string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, r := range p.replicas {
-		if r.url == url {
-			p.replicas = append(p.replicas[:i], p.replicas[i+1:]...)
-			r.mu.Lock()
-			r.removed = true
-			r.mu.Unlock()
-			return true
-		}
-	}
-	return false
 }
 
 // Kick schedules an immediate probe round (non-blocking).
@@ -268,11 +249,11 @@ func (p *Pool) CacheCoordinates() (digest string, ddimSteps int, precision strin
 }
 
 // acquire reserves an in-flight slot on the replica, refusing when it
-// is unhealthy, withdrawn, or at the per-replica bound.
+// is unhealthy or at the per-replica bound.
 func (p *Pool) acquire(r *replica) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.healthy || r.removed || r.inFlight >= p.cfg.MaxInFlight {
+	if !r.healthy || r.inFlight >= p.cfg.MaxInFlight {
 		return false
 	}
 	r.inFlight++
@@ -315,7 +296,7 @@ func (p *Pool) backoff(fails int) time.Duration {
 }
 
 // probeLoop scrapes every replica due for a probe, on the configured
-// cadence plus explicit kicks (replica added, scaler event).
+// cadence plus explicit kicks (Add makes one; so may any caller).
 func (p *Pool) probeLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.cfg.ProbeInterval)

@@ -44,21 +44,6 @@ func TestPoolBackoffDoubles(t *testing.T) {
 	}
 }
 
-func TestPoolRemove(t *testing.T) {
-	rep := newFakeReplica(t, "sha256:aa", 6)
-	p := newTestPool(t, PoolConfig{}, rep)
-	waitUntil(t, 5*time.Second, "replica healthy", func() bool { return p.Healthy() == 1 })
-	if !p.Remove(rep.url()) {
-		t.Fatal("Remove reported no replica")
-	}
-	if p.Remove(rep.url()) {
-		t.Fatal("double Remove reported success")
-	}
-	if p.Size() != 0 || p.Healthy() != 0 {
-		t.Fatalf("pool after Remove: size=%d healthy=%d", p.Size(), p.Healthy())
-	}
-}
-
 func TestPoolCacheCoordinatesConsensus(t *testing.T) {
 	a := newFakeReplica(t, "sha256:aa", 6)
 	b := newFakeReplica(t, "sha256:aa", 6)
@@ -156,10 +141,6 @@ func TestPoolAcquireRelease(t *testing.T) {
 	r.healthy = false
 	if p.acquire(r) {
 		t.Fatal("acquired unhealthy replica")
-	}
-	r.healthy, r.removed = true, true
-	if p.acquire(r) {
-		t.Fatal("acquired removed replica")
 	}
 }
 

@@ -82,10 +82,10 @@ type ArrivalSpec struct {
 	// Process is "poisson", "gamma" or "weibull".
 	Process string
 	// CV is the gamma coefficient of variation (default 1; >1 bursty,
-	// <1 regular). Only meaningful for process gamma.
+	// <1 regular; at most maxGammaCV). Only meaningful for process gamma.
 	CV float64
-	// Shape is the weibull shape k (default 1; <1 bursty, >1 regular).
-	// Only meaningful for process weibull.
+	// Shape is the weibull shape k (default 1; <1 bursty, >1 regular; at
+	// least minWeibullShape). Only meaningful for process weibull.
 	Shape float64
 }
 
@@ -108,6 +108,16 @@ type SizeSpec struct {
 	Weight float64
 }
 
+// Burst-shape bounds within which float64 sampling still honours the
+// mean gap. Past them the gaps collapse toward zero — a gamma draw
+// underflows to 0 (44 % of draws at cv 30), a weibull's mean sits in a
+// tail 53-bit uniforms never reach (shape 0.05 samples a twelfth of
+// it) — and a duration-bounded schedule grows without end.
+const (
+	maxGammaCV      = 10
+	minWeibullShape = 0.2
+)
+
 // interArrival builds the client's inter-arrival gap distribution for
 // a per-client rate (requests/s), with mean gap 1/rate for every
 // process so the rate fraction is honored regardless of burst shape.
@@ -121,6 +131,9 @@ func (c *ClientSpec) interArrival(rate float64) (stats.Dist, error) {
 		if cv <= 0 {
 			cv = 1
 		}
+		if !(cv <= maxGammaCV) {
+			return nil, fmt.Errorf("client %q: gamma cv must be at most %v, got %v", c.ID, maxGammaCV, cv)
+		}
 		// CV of a gamma is 1/sqrt(shape): shape = 1/cv², scale chosen
 		// so shape*scale = mean.
 		shape := 1 / (cv * cv)
@@ -129,6 +142,9 @@ func (c *ClientSpec) interArrival(rate float64) (stats.Dist, error) {
 		shape := c.Arrival.Shape
 		if shape <= 0 {
 			shape = 1
+		}
+		if !(shape >= minWeibullShape) || math.IsInf(shape, 1) {
+			return nil, fmt.Errorf("client %q: weibull shape must be finite and at least %v, got %v", c.ID, minWeibullShape, shape)
 		}
 		// Mean of a weibull is scale*Γ(1+1/shape).
 		return stats.Weibull{Shape: shape, Scale: mean / math.Gamma(1+1/shape)}, nil
@@ -219,6 +235,7 @@ func (s *SizeSpec) Dist() (stats.Dist, error) {
 		}
 		dists := make([]stats.Dist, len(s.Components))
 		weights := make([]float64, len(s.Components))
+		total := 0.0
 		for i := range s.Components {
 			comp := &s.Components[i]
 			if comp.Type == "mixture" {
@@ -228,11 +245,17 @@ func (s *SizeSpec) Dist() (stats.Dist, error) {
 			if err != nil {
 				return nil, fmt.Errorf("component %d: %w", i, err)
 			}
-			if comp.Weight < 0 {
-				return nil, fmt.Errorf("component %d: negative weight %v", i, comp.Weight)
+			if !(comp.Weight >= 0) {
+				return nil, fmt.Errorf("component %d: weight must be a non-negative number, got %v", i, comp.Weight)
 			}
 			dists[i] = d
 			weights[i] = comp.Weight
+			total += comp.Weight
+		}
+		// stats.NewMixture panics on a zero total; an infinite one makes
+		// every draw land on the last component.
+		if !positiveFinite(total) {
+			return nil, fmt.Errorf("size distribution mixture: weights must sum to a positive finite value, got %v", total)
 		}
 		return stats.NewMixture(dists, weights), nil
 	default:
@@ -320,11 +343,13 @@ func (s *Spec) Validate() error {
 	if s.Version != "1" {
 		return fmt.Errorf("spec: unsupported version %q (want \"1\")", s.Version)
 	}
-	if s.AggregateRate <= 0 || math.IsInf(s.AggregateRate, 0) || math.IsNaN(s.AggregateRate) {
+	if !positiveFinite(s.AggregateRate) {
 		return fmt.Errorf("spec: aggregate_rate must be a positive rate in requests/s, got %v", s.AggregateRate)
 	}
-	if s.DurationS < 0 || s.NumRequests < 0 {
-		return fmt.Errorf("spec: duration_s and num_requests must be non-negative")
+	// NaN and +Inf slip past a sign test, and BuildSchedule's duration
+	// cut-off never fires on them: the schedule would grow forever.
+	if !(s.DurationS >= 0) || math.IsInf(s.DurationS, 1) || s.NumRequests < 0 {
+		return fmt.Errorf("spec: duration_s and num_requests must be finite and non-negative, got %v and %d", s.DurationS, s.NumRequests)
 	}
 	if s.DurationS <= 0 && s.NumRequests <= 0 {
 		return fmt.Errorf("spec: set duration_s and/or num_requests to bound the run")
@@ -353,8 +378,8 @@ func (s *Spec) Validate() error {
 		if c.SLOClass == "" {
 			return fmt.Errorf("client %q: slo_class is required", c.ID)
 		}
-		if c.SLOTargetMs <= 0 {
-			return fmt.Errorf("client %q: slo_target_ms must be positive, got %v", c.ID, c.SLOTargetMs)
+		if !positiveFinite(c.SLOTargetMs) {
+			return fmt.Errorf("client %q: slo_target_ms must be positive and finite, got %v", c.ID, c.SLOTargetMs)
 		}
 		if _, err := c.interArrival(1); err != nil {
 			return err
@@ -363,8 +388,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("client %q: %w", c.ID, err)
 		}
 		min, max := c.Size.clampBounds()
-		if min > max {
-			return fmt.Errorf("client %q: size min %v > max %v", c.ID, min, max)
+		if !(min <= max) || math.IsInf(max, 1) {
+			return fmt.Errorf("client %q: size min %v and max %v must be finite with min <= max", c.ID, min, max)
 		}
 	}
 	if !stats.ApproxEqual(total, 1, 1e-6) {
@@ -381,6 +406,12 @@ func (s *Spec) Validate() error {
 		targets[c.SLOClass] = c.SLOTargetMs
 	}
 	return nil
+}
+
+// positiveFinite reports whether v is a usable positive quantity: not
+// zero or negative, not NaN, not infinite.
+func positiveFinite(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }
 
 // clampBounds returns the effective [min, max] flow-count clamp.

@@ -2,6 +2,8 @@ package load
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -96,7 +98,9 @@ clients:
 	}
 }
 
-func TestParseSpecValidationErrors(t *testing.T) {
+// specValidationCases are specs ParseSpec must reject, each with a
+// substring of the error it must give.
+func specValidationCases() []struct{ name, doc, wantSub string } {
 	base := func(extra string) string {
 		return `
 version: "1"
@@ -110,9 +114,7 @@ clients:
     slo_target_ms: 100
 ` + extra
 	}
-	cases := []struct {
-		name, doc, wantSub string
-	}{
+	return []struct{ name, doc, wantSub string }{
 		{"fractions", strings.Replace(base(""), "rate_fraction: 1.0", "rate_fraction: 0.5", 1), "sum to"},
 		{"no bound", strings.Replace(base(""), "duration_s: 1", "duration_s: 0", 1), "bound the run"},
 		{"bad rate", strings.Replace(base(""), "aggregate_rate: 10", "aggregate_rate: 0", 1), "aggregate_rate"},
@@ -122,8 +124,26 @@ clients:
 		{"missing param", base("    size_distribution:\n      type: pareto\n"), "missing param"},
 		{"no clients", "version: \"1\"\naggregate_rate: 10\nduration_s: 1\nclients:\n", "clients"},
 		{"no slo target", strings.Replace(base(""), "slo_target_ms: 100", "slo_target_ms: 0", 1), "slo_target_ms"},
+		{"nan duration", strings.Replace(base(""), "duration_s: 1", "duration_s: nan", 1), "duration_s"},
+		{"NaN duration", strings.Replace(base(""), "duration_s: 1", "duration_s: NaN", 1), "duration_s"},
+		{"inf duration", strings.Replace(base(""), "duration_s: 1", "duration_s: inf", 1), "duration_s"},
+		{"+Inf duration", strings.Replace(base(""), "duration_s: 1", "duration_s: +Inf", 1), "duration_s"},
+		{"nan slo target", strings.Replace(base(""), "slo_target_ms: 100", "slo_target_ms: nan", 1), "slo_target_ms"},
+		{"inf slo target", strings.Replace(base(""), "slo_target_ms: 100", "slo_target_ms: inf", 1), "slo_target_ms"},
+		{"nan gamma cv", base("    arrival:\n      process: gamma\n      cv: nan\n"), "gamma cv"},
+		{"huge gamma cv", base("    arrival:\n      process: gamma\n      cv: 1e100\n"), "gamma cv"},
+		{"nan weibull shape", base("    arrival:\n      process: weibull\n      shape: nan\n"), "weibull shape"},
+		{"tiny weibull shape", base("    arrival:\n      process: weibull\n      shape: 0.001\n"), "weibull shape"},
+		{"inf weibull shape", base("    arrival:\n      process: weibull\n      shape: inf\n"), "weibull shape"},
+		{"nan size max", base("    size_distribution:\n      type: constant\n      params:\n        value: 2\n      max: nan\n"), "size min"},
+		{"inf size max", base("    size_distribution:\n      type: constant\n      params:\n        value: 2\n      max: inf\n"), "size min"},
+		{"unweighted mixture", base("    size_distribution:\n      type: mixture\n      components:\n        - type: constant\n          params:\n            value: 2\n"), "weights must sum"},
+		{"nan mixture weight", base("    size_distribution:\n      type: mixture\n      components:\n        - type: constant\n          params:\n            value: 2\n          weight: nan\n"), "weight must be a non-negative number"},
 	}
-	for _, tc := range cases {
+}
+
+func TestParseSpecValidationErrors(t *testing.T) {
+	for _, tc := range specValidationCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseSpec([]byte(tc.doc))
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
@@ -131,6 +151,56 @@ clients:
 			}
 		})
 	}
+}
+
+// FuzzParseSpec feeds arbitrary documents to ParseSpec: nothing may
+// panic, and a spec it accepts must expand into a schedule, the same
+// one twice. Specs asking for more than fuzzMaxRequests requests are
+// only parsed, to keep the harness small; the program sets no such cap.
+func FuzzParseSpec(f *testing.F) {
+	const fuzzMaxRequests = 10000
+	paths, err := filepath.Glob("../../examples/loadspec/*.yaml")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("example specs: %v (found %d)", err, len(paths))
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, tc := range specValidationCases() {
+		f.Add([]byte(tc.doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		// Each client stops at whichever bound it reaches first.
+		requests := math.Inf(1)
+		if spec.NumRequests > 0 {
+			requests = float64(spec.NumRequests)
+		}
+		if spec.DurationS > 0 {
+			requests = math.Min(requests, spec.AggregateRate*spec.DurationS)
+		}
+		if requests > fuzzMaxRequests {
+			return
+		}
+		a, err := BuildSchedule(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not build: %v", err)
+		}
+		b, err := BuildSchedule(spec)
+		if err != nil {
+			t.Fatalf("second build: %v", err)
+		}
+		if a.Digest() != b.Digest() {
+			t.Fatal("one spec built two different schedules")
+		}
+	})
 }
 
 func TestParseSpecConflictingSLOTargets(t *testing.T) {

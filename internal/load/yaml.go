@@ -115,6 +115,7 @@ func isSeqItem(text string) bool {
 
 // parseMap parses consecutive `key: ...` lines at exactly indent.
 func (p *yamlParser) parseMap(indent int) (map[string]any, error) {
+	first := p.lines[p.pos].num
 	m := map[string]any{}
 	for p.pos < len(p.lines) {
 		ln := p.lines[p.pos]
@@ -154,7 +155,9 @@ func (p *yamlParser) parseMap(indent int) (map[string]any, error) {
 		}
 	}
 	if len(m) == 0 {
-		return nil, fmt.Errorf("yaml: line %d: expected a mapping entry", p.lines[p.pos-1].num)
+		// Nothing consumed: the block's first line is a sequence item
+		// where a `key: value` entry belongs (`- - key: v` on one line).
+		return nil, fmt.Errorf("yaml: line %d: expected a mapping entry", first)
 	}
 	return m, nil
 }

@@ -77,6 +77,8 @@ func TestParseYAMLErrors(t *testing.T) {
 		{"empty", "\n# only a comment\n", "empty document"},
 		{"bad entry", "a: 1\nnot a mapping line", "expected `key: value`"},
 		{"stray indent", "a: 1\n   b: 2", "unexpected indent"},
+		{"inline nested sequence", "- - :", "line 1: expected a mapping entry"},
+		{"inline nested sequence after a line", "a:\n- - b: 1", "line 2: expected a mapping entry"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

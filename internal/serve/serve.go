@@ -260,10 +260,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	seed := s.deriveSeed(gr.Seed)
 	timeout := s.cfg.RequestTimeout
-	if gr.TimeoutMs > 0 {
-		if d := time.Duration(gr.TimeoutMs) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	// Compared in milliseconds before converting: a huge timeout_ms
+	// times time.Millisecond overflows to a negative, already expired
+	// deadline.
+	if ms := int64(gr.TimeoutMs); ms > 0 && ms <= int64(timeout/time.Millisecond) {
+		timeout = time.Duration(ms) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

@@ -8,8 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -344,6 +347,35 @@ func TestDeadlineExpiry(t *testing.T) {
 	if sizes := eng.callSizes(); len(sizes) != 1 || sizes[0] != 1 {
 		t.Fatalf("completed generations = %v, want exactly [1]", sizes)
 	}
+
+	// A timeout_ms at or past the server's deadline means the server's
+	// deadline, however large: it must not overflow into an expired one.
+	for _, ms := range []string{"10000000000000", strconv.FormatInt(math.MaxInt64, 10)} {
+		done := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(`{"class":"amazon","timeout_ms":`+ms+`}`))
+			if err != nil {
+				t.Error(err)
+				done <- 0
+				return
+			}
+			_ = resp.Body.Close() // status-only check
+			done <- resp.StatusCode
+		}()
+		// Released only once it waits inside the engine, so an already
+		// expired request answers first instead of racing the release.
+		waitFor(t, "request inside the engine or answered", func() bool {
+			return eng.inFlight.Load() == 1 || len(done) == 1
+		})
+		select {
+		case c := <-done:
+			t.Fatalf("timeout_ms %s: status %d before generation was released, want 200", ms, c)
+		case gate <- struct{}{}:
+			if c := <-done; c != http.StatusOK {
+				t.Fatalf("timeout_ms %s: status %d, want 200", ms, c)
+			}
+		}
+	}
 }
 
 // TestContinuousAdmission is the head-of-line regression test for the
@@ -466,6 +498,19 @@ func get(t *testing.T, url string) (int, []byte, http.Header) {
 	return resp.StatusCode, data, resp.Header
 }
 
+// requestValidationCases are generate bodies a server with
+// MaxFlowsPerRequest 4 and the one class "amazon" must refuse.
+var requestValidationCases = []struct {
+	body string
+	want int
+}{
+	{`{"class":"nope"}`, http.StatusBadRequest},
+	{`{"class":"amazon","count":5}`, http.StatusBadRequest},
+	{`{"class":"amazon","count":-1}`, http.StatusBadRequest},
+	{`{"class":"amazon","format":"exe"}`, http.StatusBadRequest},
+	{`not json`, http.StatusBadRequest},
+}
+
 // TestRequestValidation covers the 4xx surface.
 func TestRequestValidation(t *testing.T) {
 	eng := &fakeEngine{classes: []string{"amazon"}}
@@ -474,17 +519,7 @@ func TestRequestValidation(t *testing.T) {
 	defer ts.Close()
 	defer shutdownServer(t, s)
 
-	cases := []struct {
-		body string
-		want int
-	}{
-		{`{"class":"nope"}`, http.StatusBadRequest},
-		{`{"class":"amazon","count":5}`, http.StatusBadRequest},
-		{`{"class":"amazon","count":-1}`, http.StatusBadRequest},
-		{`{"class":"amazon","format":"exe"}`, http.StatusBadRequest},
-		{`not json`, http.StatusBadRequest},
-	}
-	for _, c := range cases {
+	for _, c := range requestValidationCases {
 		if code, _, _ := post(t, ts.URL, c.body); code != c.want {
 			t.Errorf("body %q: status %d, want %d", c.body, code, c.want)
 		}
@@ -499,6 +534,60 @@ func TestRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/generate = %d, want 405", resp.StatusCode)
 	}
+}
+
+// FuzzGenerateRequest sends raw bodies to the generate handler: nothing
+// may panic, the answer is 200 or 400, and exactly one terminal counter
+// moves — completed_total for a 200, bad_request_total for a 400. It
+// calls the handler in-process, skipping the loopback round trips that
+// would dominate each input.
+func FuzzGenerateRequest(f *testing.F) {
+	for _, c := range requestValidationCases {
+		f.Add(c.body)
+	}
+	f.Add(`{"class":"amazon","count":2,"seed":7,"format":"csv","timeout_ms":50}`)
+	s := NewWithEngine(&fakeEngine{classes: []string{"amazon"}}, Config{MaxFlowsPerRequest: 4})
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			f.Errorf("shutdown: %v", err)
+		}
+	})
+	h := s.Handler()
+	call := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	counters := func(t *testing.T) map[string]float64 {
+		var all map[string]any
+		if err := json.Unmarshal(call(http.MethodGet, "/metrics", "").Body.Bytes(), &all); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, k := range terminalCounters {
+			v, ok := all[k].(float64)
+			if !ok {
+				t.Fatalf("terminal counter %s missing from /metrics", k)
+			}
+			out[k] = v
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		before := counters(t)
+		code := call(http.MethodPost, "/v1/generate", body).Code
+		counter := "completed_total"
+		switch code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			counter = "bad_request_total"
+		default:
+			t.Fatalf("body %q: status %d, want 200 or 400", body, code)
+		}
+		assertOneBump(t, before, counters(t), counter, fmt.Sprintf("body %q", body))
+	})
 }
 
 // trainSynth fine-tunes a synthesizer on the standard test workload.
