@@ -99,8 +99,8 @@ verify-determinism:
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
 	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT|FuzzABT' -count=1 ./internal/tensor
-	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd' -count=1 ./internal/nn
-	@echo "determinism OK: pooled dispatch, all three A·Bᵀ loops (each counted as run), row-sharded ops, un-zeroed arena and the fused adapter epilogue are bit-identical"
+	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd|TestAddRepeatMatchesAddOfStackedRows' -count=1 ./internal/nn
+	@echo "determinism OK: pooled dispatch, all three A·Bᵀ loops (each counted as run), row-sharded ops, un-zeroed arena, the fused adapter epilogue and the shared-row add are bit-identical"
 	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage|TestGoldenEditDigests' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
 	$(GO) test -run 'TestGoldenSeededDigests|TestGoldenEditDigests|TestGenerateReplaysAsSeeded|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
@@ -112,8 +112,8 @@ verify-determinism:
 
 # Short fuzzing pass over the binary-format decoders, the checkpoint
 # loader, the CSV writer, the A·Bᵀ tiles (assembly that loads and
-# stores by computed offset), the workload-spec parser and the generate
-# handler's request body.
+# stores by computed offset), the workload-spec parser, the generate
+# handler's request body and the router's readiness-probe body.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 15s ./internal/packet
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/pcap
@@ -124,6 +124,7 @@ fuzz:
 	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s ./internal/tensor
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s ./internal/load
 	$(GO) test -fuzz FuzzGenerateRequest -fuzztime 15s ./internal/serve
+	$(GO) test -fuzz FuzzReadyStatus -fuzztime 15s ./internal/cluster
 
 # Regenerate every paper table and figure, then the design-choice
 # ablations, into the recorded run log.

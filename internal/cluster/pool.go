@@ -367,9 +367,19 @@ func (p *Pool) fetchReady(base string) (*serve.ReadyStatus, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("readyz: status %d", resp.StatusCode)
 	}
+	return decodeReady(body)
+}
+
+// decodeReady decodes a verbose readiness body. A replica's load is
+// never below zero, so negative QueueDepth and InFlightFlows (a buggy
+// or lying replica) read as 0: left negative they would make the
+// queue-depth score exceed 1, or be infinite, and win every pick.
+func decodeReady(body []byte) (*serve.ReadyStatus, error) {
 	var st serve.ReadyStatus
 	if err := json.Unmarshal(body, &st); err != nil {
 		return nil, fmt.Errorf("readyz: decoding body: %w", err)
 	}
+	st.QueueDepth = max(st.QueueDepth, 0)
+	st.InFlightFlows = max(st.InFlightFlows, 0)
 	return &st, nil
 }

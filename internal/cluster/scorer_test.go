@@ -81,6 +81,54 @@ func TestQueueDepthScorerPrefersIdle(t *testing.T) {
 	}
 }
 
+// TestQueueDepthScorerNegativeLoad: a probe reporting negative load
+// (an engine snapshot that once read −1 in-flight flows, or a lying
+// replica) is clamped at decode and scores as idle, not above it.
+func TestQueueDepthScorerNegativeLoad(t *testing.T) {
+	fn := builtinScorers["queue-depth"]
+	for _, body := range []string{
+		`{"queue_depth":-1}`,
+		`{"in_flight_flows":-1}`,
+		`{"queue_depth":-3,"in_flight_flows":-9223372036854775808}`,
+	} {
+		st, err := decodeReady([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		r := ReplicaStatus{QueueDepth: st.QueueDepth, InFlightFlows: st.InFlightFlows}
+		if s := fn(RouteInput{Class: "web", Count: 1}, r); !(s > 0 && s <= 1) {
+			t.Errorf("%s: score %v, want in (0, 1]", body, s)
+		}
+	}
+}
+
+// FuzzReadyStatus feeds arbitrary bodies to the router's verbose
+// readiness decode: each either errors or yields a replica whose
+// queue-depth score is finite and in (0, 1].
+func FuzzReadyStatus(f *testing.F) {
+	for _, body := range []string{
+		`{"ready":true,"queue_depth":2,"in_flight_flows":5,"checkpoint_digest":"ab","ddim_steps":4}`,
+		`{"queue_depth":-1,"in_flight_flows":-1}`,
+		`{"in_flight_flows":9223372036854775807,"queue_depth":9223372036854775807}`,
+		`{"queue_depth":1e3}`,
+		`null`,
+		`[]`,
+	} {
+		f.Add([]byte(body))
+	}
+	fn := builtinScorers["queue-depth"]
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, err := decodeReady(body)
+		if err != nil {
+			return
+		}
+		r := ReplicaStatus{QueueDepth: st.QueueDepth, InFlightFlows: st.InFlightFlows}
+		if s := fn(RouteInput{Class: "web", Count: 1}, r); !(s > 0 && s <= 1) || math.IsInf(s, 0) {
+			t.Fatalf("body %q: queue-depth score %v, want finite in (0, 1]", body, s)
+		}
+	})
+}
+
 func TestClassAffinityScorer(t *testing.T) {
 	fn := builtinScorers["class-affinity"]
 	in := RouteInput{Class: "web"}

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -652,28 +653,31 @@ func (s *Synthesizer) GenerateSeeded(class string, n int, seed uint64) (*Generat
 // GenerateWithFlowSeeds synthesizes one flow per seed: sampling plus
 // post-processing. Each flow's noise, packets and timestamps are a pure
 // function of its own seed — independent of how flows are batched —
-// which lets a serving layer coalesce concurrent same-class requests
-// into a single diffusion sampling call and still answer every seeded
-// request with bit-identical bytes (see internal/serve). diffusion.Sample
-// runs one denoiser forward per step over all the flows, so larger
-// batches amortize per-step costs.
+// which lets a serving layer run concurrent requests in one denoising
+// batch and still answer every seeded request with bit-identical bytes
+// (see Engine). The call is one Generate on a private engine with a
+// step loop per usable CPU and the flows dealt evenly across them:
+// offline synthesis runs on the same path as serving and keeps every
+// core busy.
 func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*GenerateResult, error) {
-	ci, err := s.lookupClass(class)
+	loops := usableCPUs()
+	eng, err := newEngine(s, EngineConfig{
+		MaxInFlight: (len(flowSeeds) + loops - 1) / loops,
+		PostWorkers: 1,
+	}, loops)
 	if err != nil {
 		return nil, err
 	}
-	if len(flowSeeds) == 0 {
-		return nil, fmt.Errorf("core: need at least one flow seed")
-	}
-	cfg := s.configSnapshot()
-	samples, err := diffusion.Sample(s.adapted, s.sched, diffusion.SampleConfig{
-		Class: ci, GuidanceScale: cfg.GuidanceScale, DDIMSteps: cfg.DDIMSteps,
-		Control: s.control(ci, cfg), FlowSeeds: flowSeeds,
-	})
+	job, err := eng.submit(context.Background(), class, flowSeeds, nil)
+	// Close at once: each loop exits, dropping its scheduler, as soon as
+	// its piece is done, so post-processing runs beside no sampler
+	// state. Close returns once the post worker has answered the job.
+	eng.Close()
 	if err != nil {
 		return nil, err
 	}
-	return s.postprocess(ci, class, cfg, samples.Data, flowSeeds)
+	out := <-job.done
+	return out.res, out.err
 }
 
 // control returns the ControlNet conditioning image class ci samples
@@ -723,11 +727,9 @@ func (s *Synthesizer) flowFromSample(ci int, class string, cfg Config, pix []flo
 
 // postprocess turns the sampled model-resolution images of the flows
 // with the given seeds (packed in samples, one h*w row per flow) into
-// replayable flows. It is the half of generation shared by
-// GenerateWithFlowSeeds, the edits, and the continuous-batching Engine,
-// which receives its samples from an incremental step scheduler
-// instead of one Sample call. Work is
-// independent per flow: each worker owns one result slot, and the
+// replayable flows. It is the half of generation shared by the
+// continuous-batching Engine and the edits. Work is independent per
+// flow: each worker owns one result slot, and the
 // aggregation below runs sequentially in flow order, so the result is
 // identical at any GOMAXPROCS. A lone flow runs on the caller.
 func (s *Synthesizer) postprocess(ci int, class string, cfg Config, samples []float32, seeds []uint64) (*GenerateResult, error) {

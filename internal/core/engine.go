@@ -9,16 +9,18 @@ import (
 
 	"trafficdiff/internal/diffusion"
 	"trafficdiff/internal/stats"
+	"trafficdiff/internal/tensor"
 )
 
 // EngineConfig parameterizes a continuous-batching Engine. Zero values
 // take the defaults noted on each field.
 type EngineConfig struct {
 	// MaxInFlight caps the flows simultaneously in each step loop's
-	// denoising batch (default 16). Requests are admitted from the head
-	// of the loop's FIFO while they fit under the cap; a request larger
-	// than the whole cap still runs, alone in an otherwise empty loop,
-	// so no request can starve.
+	// denoising batch (default 16). A request larger than the cap is
+	// dealt across the loops in pieces of at most MaxInFlight flows;
+	// each loop admits pieces from the head of its FIFO while they fit
+	// under the cap, and an empty loop always admits its head, so no
+	// request can starve.
 	MaxInFlight int
 	// PostWorkers is the number of goroutines running per-request
 	// post-processing (upscale, quantize, projection, back-transform)
@@ -65,7 +67,8 @@ type engineResult struct {
 	err error
 }
 
-// engineJob is one Generate call travelling through the engine.
+// engineJob is one Generate call travelling through the engine, dealt
+// to the loops as one or more pieces.
 type engineJob struct {
 	ctx     context.Context
 	ci      int
@@ -76,14 +79,29 @@ type engineJob struct {
 
 	// samples receives each flow's finished image, packed h*w per flow;
 	// the scheduler's per-flow Out buffers alias into it.
-	samples   []float32
-	ids       []diffusion.FlowID
-	remaining int // flows not yet completed (loop-goroutine state)
+	samples []float32
 
-	// done is buffered so the loop never blocks on a waiter that
-	// already gave up.
+	mu       sync.Mutex
+	pieces   int   // pieces not yet settled; guarded by mu
+	admitted bool  // onAdmit has run; guarded by mu
+	err      error // the first piece's failure; guarded by mu
+	expired  bool  // err is the context's; guarded by mu
+
+	// done is buffered so the settling loop never blocks on a waiter
+	// that already gave up.
 	done chan engineResult
 }
+
+// piece is one loop's share of a job: the flows of seeds[lo:hi]. Its
+// loop owns ids and remaining.
+type piece struct {
+	job       *engineJob
+	lo, hi    int
+	ids       []diffusion.FlowID
+	remaining int // flows not yet completed
+}
+
+func (p *piece) flows() int { return p.hi - p.lo }
 
 // Engine is the continuous-batching generation engine: each of its
 // step loops owns a diffusion.Scheduler and feeds it flows from
@@ -94,21 +112,22 @@ type engineJob struct {
 // dead work.
 //
 // There is one step loop per usable CPU, min(GOMAXPROCS, NumCPU) read
-// once at NewEngine, and each Generate goes to the loop with the
-// fewest flows queued or denoising. A 1–2-row step is a weight stream
-// that gains little from sharding its GEMMs over both cores, so a
-// second core does more running a second request's step beside the
-// first. Loops share the smallest-job-first post queue, its workers
-// and the stats counters; the tensor pool's rule (the first dispatcher
-// shards, a concurrent one runs on its own goroutine) keeps their
-// kernels off each other's helpers. With one loop this is the
-// single-loop engine exactly.
+// once at NewEngine. Generate deals a request to the loops in pieces of
+// at most MaxInFlight flows, each piece to the loop with the fewest
+// flows queued or denoising, and answers once, when the last piece
+// finishes: a 1–2-row request runs on one loop, a bulk one on all of
+// them. A loop steps under tensor.Serial while another loop has flows
+// queued or denoising, so busy loops are data-parallel over the cores
+// and never wake a kernel helper; a loop stepping alone shards its
+// kernels over the pool as before. Loops share the smallest-job-first post queue, its
+// workers and the stats counters. With one loop this is the single-loop
+// engine exactly.
 //
 // Every flow's bytes stay a pure function of its seed (the scheduler's
-// bit-identity contract), so Generate returns exactly what
-// Synthesizer.GenerateWithFlowSeeds would for the same seeds, no
-// matter which loop ran it or which other requests shared its
-// forwards.
+// bit-identity contract), so the result does not depend on which loop
+// ran which piece or which other requests shared its forwards.
+// Synthesizer.GenerateWithFlowSeeds is one Generate on a private
+// engine.
 //
 // Expiry uses only ctx.Err() — the engine itself never reads a clock,
 // keeping core free of wall-clock dependences (the walltime lint
@@ -133,12 +152,12 @@ type Engine struct {
 // lives on the loop's goroutine.
 type stepLoop struct {
 	mu      sync.Mutex
-	cond    *sync.Cond   // signals the loop that work arrived or Close was called
-	pending []*engineJob // FIFO of assigned, not yet admitted jobs; guarded by mu
-	closed  bool         // guarded by mu
+	cond    *sync.Cond // signals the loop that work arrived or Close was called
+	pending []*piece   // FIFO of assigned, not yet admitted pieces; guarded by mu
+	closed  bool       // guarded by mu
 
 	// load counts the flows queued on or denoising in this loop;
-	// Generate assigns each job to the loop with the least.
+	// Generate deals each piece to the loop with the least.
 	load atomic.Int64
 
 	steps, flowSteps, completed atomic.Uint64 // the scheduler's counters
@@ -148,8 +167,11 @@ type stepLoop struct {
 // must eventually Close it. The synthesizer's model must not be
 // retrained while the engine runs.
 func NewEngine(synth *Synthesizer, cfg EngineConfig) (*Engine, error) {
-	return newEngine(synth, cfg, min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
+	return newEngine(synth, cfg, usableCPUs())
 }
+
+// usableCPUs is the step-loop count: min(GOMAXPROCS, NumCPU).
+func usableCPUs() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 
 // newEngine is NewEngine with an explicit step-loop count.
 func newEngine(synth *Synthesizer, cfg EngineConfig, loops int) (*Engine, error) {
@@ -184,30 +206,43 @@ func (e *Engine) Classes() []string { return e.synth.Classes() }
 func (e *Engine) DDIMSteps() int { return e.synth.DDIMSteps() }
 
 // Stats returns a snapshot of the engine's work counters, summed over
-// its step loops.
+// its step loops. Completions and retirements are read before
+// admissions: every flow counted in the former was counted admitted
+// first, so a snapshot never shows more flows finished than admitted.
 func (e *Engine) Stats() EngineStats {
-	st := EngineStats{
-		FlowsAdmitted:   e.admitted.Load(),
-		FlowsRetired:    e.retired.Load(),
-		RequestsExpired: e.reqExpired.Load(),
-	}
+	var st EngineStats
 	for _, l := range e.loops {
 		st.Steps += l.steps.Load()
 		st.FlowSteps += l.flowSteps.Load()
 		st.FlowsCompleted += l.completed.Load()
 	}
+	st.FlowsRetired = e.retired.Load()
+	st.RequestsExpired = e.reqExpired.Load()
+	st.FlowsAdmitted = e.admitted.Load()
 	return st
 }
 
 // Generate synthesizes one flow per seed, equivalent byte-for-byte to
-// Synthesizer.GenerateWithFlowSeeds, but through a shared continuous
-// denoising batch: the flows join their loop's batch at the next step
-// boundary and other requests keep joining while these run. onAdmit,
-// when non-nil, is called from the step loop at the moment the flows
-// enter the batch (serving layers measure admission wait with it; it
-// must be fast). If ctx expires first, in-flight flows are retired at
-// the next boundary and the context error is returned.
+// Synthesizer.GenerateWithFlowSeeds, but through the shared continuous
+// denoising batches: the flows join their loops' batches at the next
+// step boundary and other requests keep joining while these run.
+// onAdmit, when non-nil, is called from a step loop at the moment the
+// request's first flows enter a batch (serving layers measure
+// admission wait with it; it must be fast). If ctx expires first,
+// in-flight flows are retired at the next boundary and the context
+// error is returned.
 func (e *Engine) Generate(ctx context.Context, class string, flowSeeds []uint64, onAdmit func()) (*GenerateResult, error) {
+	job, err := e.submit(ctx, class, flowSeeds, onAdmit)
+	if err != nil {
+		return nil, err
+	}
+	out := <-job.done
+	return out.res, out.err
+}
+
+// submit validates a request and deals it to the loops; its answer
+// arrives on the returned job's done channel.
+func (e *Engine) submit(ctx context.Context, class string, flowSeeds []uint64, onAdmit func()) (*engineJob, error) {
 	ci, err := e.synth.lookupClass(class)
 	if err != nil {
 		return nil, err
@@ -217,43 +252,51 @@ func (e *Engine) Generate(ctx context.Context, class string, flowSeeds []uint64,
 	}
 	h, w := e.synth.ModelShape()
 	job := &engineJob{
-		ctx:       ctx,
-		ci:        ci,
-		class:     class,
-		cfg:       e.synth.configSnapshot(),
-		seeds:     append([]uint64(nil), flowSeeds...),
-		onAdmit:   onAdmit,
-		samples:   make([]float32, len(flowSeeds)*h*w),
-		remaining: len(flowSeeds),
-		done:      make(chan engineResult, 1),
+		ctx:     ctx,
+		ci:      ci,
+		class:   class,
+		cfg:     e.synth.configSnapshot(),
+		seeds:   append([]uint64(nil), flowSeeds...),
+		onAdmit: onAdmit,
+		samples: make([]float32, len(flowSeeds)*h*w),
+		done:    make(chan engineResult, 1),
 	}
 	if err := e.enqueue(job); err != nil {
 		return nil, err
 	}
-	out := <-job.done
-	return out.res, out.err
+	return job, nil
 }
 
-// enqueue appends a job to the pending queue of the loop with the
-// fewest flows queued or denoising (ties to the lowest index) and
-// wakes that loop, refusing once the engine has closed.
+// enqueue deals a job into the fewest pieces of at most MaxInFlight
+// flows, as even as they come, and appends each to the pending queue of
+// the loop with the fewest flows queued or denoising (ties to the
+// lowest index), counting the pieces already dealt; it wakes each loop
+// it feeds and refuses once the engine has closed.
 func (e *Engine) enqueue(job *engineJob) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return fmt.Errorf("core: engine is closed")
 	}
-	l := e.loops[0]
-	for _, c := range e.loops[1:] {
-		if c.load.Load() < l.load.Load() {
-			l = c
+	n := len(job.seeds)
+	k := (n + e.cfg.MaxInFlight - 1) / e.cfg.MaxInFlight
+	job.mu.Lock() // before any piece is visible to a loop
+	job.pieces = k
+	job.mu.Unlock()
+	for i := 0; i < k; i++ {
+		p := &piece{job: job, lo: i * n / k, hi: (i + 1) * n / k}
+		l := e.loops[0]
+		for _, c := range e.loops[1:] {
+			if c.load.Load() < l.load.Load() {
+				l = c
+			}
 		}
+		l.load.Add(int64(p.flows()))
+		l.mu.Lock()
+		l.pending = append(l.pending, p)
+		l.cond.Signal()
+		l.mu.Unlock()
 	}
-	l.load.Add(int64(len(job.seeds)))
-	l.mu.Lock()
-	l.pending = append(l.pending, job)
-	l.cond.Signal()
-	l.mu.Unlock()
 	return nil
 }
 
@@ -277,81 +320,111 @@ func (e *Engine) Close() {
 	e.postWG.Wait()
 }
 
+// settle records that one of a job's pieces is done — finished when
+// err is nil, stopped by err otherwise — and answers the job when it
+// was the last: with the first failure recorded, or by handing the
+// samples to the post workers. Whatever the piece changed in the stats
+// counters is published before the call, so a waiter that observes its
+// answer also observes every piece's completions and retirements.
+func (e *Engine) settle(p *piece, err error) {
+	job := p.job
+	job.mu.Lock()
+	if err != nil && job.err == nil {
+		job.err, job.expired = err, job.ctx.Err() != nil
+	}
+	job.pieces--
+	last, err, expired := job.pieces == 0, job.err, job.expired
+	job.mu.Unlock()
+	switch {
+	case !last:
+	case err == nil:
+		// May block when post-processing falls behind — natural
+		// backpressure on the step loop. The queue hands workers the
+		// smallest job first, so a probe's cheap post never queues
+		// behind bulk work.
+		e.postQ.push(job)
+	default:
+		if expired {
+			e.reqExpired.Add(1)
+		}
+		job.done <- engineResult{err: err}
+	}
+}
+
 // run is the only goroutine touching its loop's scheduler: it admits
-// pending jobs under the flow cap, retires expired ones, steps the
-// batch, and hands completed jobs to the post workers.
+// pending pieces under the flow cap, retires expired ones, steps the
+// batch (serially while another loop has flows), and settles the
+// pieces whose flows have all completed.
 func (e *Engine) run(l *stepLoop) {
 	defer e.loopWG.Done()
 	eng := diffusion.NewScheduler(e.synth.adapted, e.synth.sched, nil)
 	eng.SetStepRows(e.cfg.MaxStepRows)
-	byID := map[diffusion.FlowID]*engineJob{} // active flow → its job
-	live := map[*engineJob]struct{}{}         // admitted, unfinished jobs
+	byID := map[diffusion.FlowID]*piece{} // active flow → its piece
+	live := map[*piece]struct{}{}         // admitted, unfinished pieces
 	inFlight := 0
+	var finished []diffusion.FlowID
+	step := func() { finished = eng.Step() }
 
 	for {
 		admit, ok := e.takePending(l, inFlight)
 		if !ok {
 			return
 		}
-		for _, job := range admit {
-			inFlight += len(job.seeds)
-			if !e.admitJob(eng, byID, job) {
-				inFlight -= len(job.seeds)
-				l.load.Add(-int64(len(job.seeds)))
+		for _, p := range admit {
+			if !e.admitPiece(eng, byID, p) {
+				l.load.Add(-int64(p.flows()))
 				continue
 			}
-			live[job] = struct{}{}
-			if job.onAdmit != nil {
-				job.onAdmit()
-			}
+			inFlight += p.flows()
+			live[p] = struct{}{}
 		}
 
 		// Retire flows of requests that expired after admission: their
 		// rows stop consuming forwards at this boundary.
-		for job := range live {
-			if job.ctx.Err() == nil {
+		for p := range live {
+			err := p.job.ctx.Err()
+			if err == nil {
 				continue
 			}
-			for _, id := range job.ids {
-				eng.Retire(id) // no-op for the job's already-completed flows
+			for _, id := range p.ids {
+				eng.Retire(id) // no-op for the piece's already-completed flows
 				delete(byID, id)
 			}
-			inFlight -= job.remaining
-			l.load.Add(-int64(job.remaining))
-			delete(live, job)
+			inFlight -= p.remaining
+			l.load.Add(-int64(p.remaining))
+			delete(live, p)
 			// Count retired flows at the decision, not after the next
 			// Step drops the rows, so a waiter that observes its error
 			// also observes the retirement in Stats.
-			e.retired.Add(uint64(job.remaining))
-			e.reqExpired.Add(1)
-			job.done <- engineResult{err: job.ctx.Err()}
+			e.retired.Add(uint64(p.remaining))
+			e.settle(p, err)
 		}
 
 		if eng.Active() == 0 {
 			continue
 		}
-		finished := eng.Step()
+		if e.othersBusy(l) {
+			tensor.Serial(step)
+		} else {
+			step()
+		}
 		// Publish the counters before any hand-off, so a waiter that
 		// observes its result also observes its completion in Stats.
 		st := eng.Stats()
 		l.steps.Store(st.Steps)
 		l.flowSteps.Store(st.FlowSteps)
 		l.completed.Store(st.Completed)
-		for _, id := range finished {
-			job := byID[id]
-			delete(byID, id)
-			job.remaining--
-			if job.remaining == 0 {
-				delete(live, job)
-				// May block when post-processing falls behind — natural
-				// backpressure on the step loop. The queue hands workers
-				// the smallest job first, so a probe's cheap post never
-				// queues behind bulk work.
-				e.postQ.push(job)
-			}
-		}
 		inFlight -= len(finished)
 		l.load.Add(-int64(len(finished)))
+		for _, id := range finished {
+			p := byID[id]
+			delete(byID, id)
+			p.remaining--
+			if p.remaining == 0 {
+				delete(live, p)
+				e.settle(p, nil)
+			}
+		}
 		// Yield the processor at every boundary. The loop is otherwise
 		// pure compute and would hold its P for a full scheduler slice
 		// (~10ms) spanning many boundaries; on a saturated single-CPU
@@ -363,16 +436,26 @@ func (e *Engine) run(l *stepLoop) {
 	}
 }
 
-// takePending blocks until the loop has work — queued jobs or
-// in-flight flows — then pops every admissible job off its queue head.
-// FIFO-stop admission: admit from the head while the loop's flow cap
-// allows. The head is always admitted into an empty loop even when it
-// alone exceeds MaxInFlight, so oversized requests run instead of
-// deadlocking, and no request can be starved by later smaller ones
-// jumping it. Heads that expired while queued are answered here and
-// never cost a step. Returns ok=false when the engine is closed and
-// the loop fully drained.
-func (e *Engine) takePending(l *stepLoop, inFlight int) (admit []*engineJob, ok bool) {
+// othersBusy reports whether a loop other than l has flows queued or
+// denoising: l then steps serially, leaving the other cores to them.
+func (e *Engine) othersBusy(l *stepLoop) bool {
+	for _, c := range e.loops {
+		if c != l && c.load.Load() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// takePending blocks until the loop has work — queued pieces or
+// in-flight flows — then drops every queued piece whose request has
+// expired (settled here, never costing a step) and pops every
+// admissible piece off the queue head. FIFO-stop admission: admit from
+// the head while the loop's flow cap allows; no piece exceeds the cap,
+// so an empty loop always admits its head, and no piece is starved by
+// later smaller ones jumping it. Returns ok=false when the engine is
+// closed and the loop fully drained.
+func (e *Engine) takePending(l *stepLoop, inFlight int) (admit []*piece, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for !l.closed && len(l.pending) == 0 && inFlight == 0 {
@@ -381,73 +464,78 @@ func (e *Engine) takePending(l *stepLoop, inFlight int) (admit []*engineJob, ok 
 	if l.closed && len(l.pending) == 0 && inFlight == 0 {
 		return nil, false
 	}
-	for len(l.pending) > 0 {
-		head := l.pending[0]
-		if head.ctx.Err() != nil {
-			l.popPendingLocked()
-			l.load.Add(-int64(len(head.seeds)))
-			e.reqExpired.Add(1)
-			head.done <- engineResult{err: head.ctx.Err()}
+	kept := l.pending[:0]
+	for _, p := range l.pending {
+		if err := p.job.ctx.Err(); err != nil {
+			l.load.Add(-int64(p.flows()))
+			e.settle(p, err)
 			continue
 		}
-		if inFlight > 0 && inFlight+len(head.seeds) > e.cfg.MaxInFlight {
-			break
-		}
-		l.popPendingLocked()
+		kept = append(kept, p)
+	}
+	clear(l.pending[len(kept):])
+	l.pending = kept
+	for len(l.pending) > 0 && inFlight+l.pending[0].flows() <= e.cfg.MaxInFlight {
+		head := l.pending[0]
+		l.pending[0] = nil
+		l.pending = l.pending[1:]
 		admit = append(admit, head)
-		inFlight += len(head.seeds)
+		inFlight += head.flows()
 	}
 	return admit, true
 }
 
-// popPendingLocked removes the queue head. Caller holds mu.
-//
-//tracelint:holds mu
-func (l *stepLoop) popPendingLocked() {
-	l.pending[0] = nil
-	l.pending = l.pending[1:]
-}
-
-// admitJob admits every flow of one job into the scheduler, with the
-// same per-flow spec GenerateWithFlowSeeds produces: RNG rooted at the
-// flow seed, the class's ControlNet conditioning when enabled, and the
-// config snapshot's guidance and DDIM budget. Reports whether the job
-// was admitted; on an admission error the job's flows are withdrawn
-// and its waiter gets the error.
-func (e *Engine) admitJob(eng *diffusion.Scheduler, byID map[diffusion.FlowID]*engineJob, job *engineJob) bool {
+// admitPiece admits every flow of one piece into the scheduler, with
+// the same per-flow spec for every piece of a request: RNG rooted at
+// the flow seed, the class's ControlNet conditioning when enabled, the
+// config snapshot's guidance and DDIM budget, and the request's size
+// as the scheduling hint. The request's first admitted piece runs
+// onAdmit. Reports whether the piece was admitted; on an admission
+// error its flows are withdrawn and the piece settles with the error,
+// which the request answers with once its other pieces settle (every
+// piece has the same spec, so they meet the same error).
+func (e *Engine) admitPiece(eng *diffusion.Scheduler, byID map[diffusion.FlowID]*piece, p *piece) bool {
+	job := p.job
 	h, w := e.synth.ModelShape()
 	d := h * w
 	control := e.synth.control(job.ci, job.cfg)
-	job.ids = make([]diffusion.FlowID, len(job.seeds))
-	for i, seed := range job.seeds {
+	p.ids = make([]diffusion.FlowID, 0, p.flows())
+	for i := p.lo; i < p.hi; i++ {
 		id, err := eng.Admit(diffusion.FlowSpec{
 			Class:         job.ci,
 			GuidanceScale: job.cfg.GuidanceScale,
 			DDIMSteps:     job.cfg.DDIMSteps,
-			RNG:           stats.NewRNG(seed),
+			RNG:           stats.NewRNG(job.seeds[i]),
 			Control:       control,
 			Out:           job.samples[i*d : (i+1)*d],
 			JobRows:       len(job.seeds),
 		})
 		if err != nil {
-			for _, prev := range job.ids[:i] {
+			for _, prev := range p.ids {
 				eng.Retire(prev)
 				delete(byID, prev)
 			}
-			job.done <- engineResult{err: err}
+			e.settle(p, err)
 			return false
 		}
-		job.ids[i] = id
-		byID[id] = job
+		p.ids = append(p.ids, id)
+		byID[id] = p
 	}
-	e.admitted.Add(uint64(len(job.seeds)))
+	p.remaining = p.flows()
+	e.admitted.Add(uint64(p.flows()))
+	job.mu.Lock()
+	first := !job.admitted
+	job.admitted = true
+	job.mu.Unlock()
+	if first && job.onAdmit != nil {
+		job.onAdmit()
+	}
 	return true
 }
 
 // postWorker turns completed jobs' samples into flows off the step
-// loop. It post-processes each flow from its seed, as
-// GenerateWithFlowSeeds does, so engine output is byte-identical to the
-// direct call.
+// loops. It post-processes each flow from its seed, as every generation
+// path does, so the result is a pure function of the seeds.
 func (e *Engine) postWorker() {
 	defer e.postWG.Done()
 	for job := e.postQ.pop(); job != nil; job = e.postQ.pop() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,9 +13,9 @@ import (
 
 // TestEngineMatchesDirectGenerate is the engine's bit-identity
 // contract: concurrent staggered Generate calls through the shared
-// continuous batch return byte-for-byte what GenerateWithFlowSeeds
-// returns for the same seeds, regardless of which requests shared
-// denoiser forwards.
+// continuous batch return byte-for-byte what one scheduler driven
+// directly (oracleGenerate) returns for the same seeds, regardless of
+// which requests shared denoiser forwards.
 func TestEngineMatchesDirectGenerate(t *testing.T) {
 	s := sharedSynth(t)
 	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 8, PostWorkers: 2})
@@ -59,12 +60,9 @@ func TestEngineMatchesDirectGenerate(t *testing.T) {
 		}
 	}
 	for i, r := range reqs {
-		want, err := s.GenerateWithFlowSeeds(r.class, r.seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleGenerate(t, s, r.class, r.seeds)
 		if !bytes.Equal(got[i], pcapBytes(t, want.Flows)) {
-			t.Errorf("request %d (%s, %d flows): engine bytes differ from direct GenerateWithFlowSeeds",
+			t.Errorf("request %d (%s, %d flows): engine bytes differ from the scheduler oracle",
 				i, r.class, len(r.seeds))
 		}
 	}
@@ -222,29 +220,86 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEngineOversizedRequest checks FIFO-stop admission: a request
-// larger than MaxInFlight still runs (alone) instead of deadlocking.
-func TestEngineOversizedRequest(t *testing.T) {
+// TestEngineSplitsLargeRequest deals an 11-flow request over three
+// loops with MaxInFlight 4: it is cut into three pieces (3, 4 and 4
+// flows: 11 = 3·4 − 1, as even as they come), one per loop by load, so
+// every loop steps flows, and the request answers once with the
+// oracle's bytes and exact counters.
+func TestEngineSplitsLargeRequest(t *testing.T) {
 	s := sharedSynth(t)
-	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 2})
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	seeds := DeriveFlowSeeds(99, 5)
+	seeds := DeriveFlowSeeds(99, 11)
 	res, err := eng.Generate(context.Background(), sharedClass[0], seeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Flows) != 5 {
-		t.Fatalf("got %d flows, want 5", len(res.Flows))
+	if len(res.Flows) != 11 {
+		t.Fatalf("got %d flows, want 11", len(res.Flows))
 	}
-	want, err := s.GenerateWithFlowSeeds(sharedClass[0], seeds)
+	want := oracleGenerate(t, s, sharedClass[0], seeds)
+	if !bytes.Equal(pcapBytes(t, res.Flows), pcapBytes(t, want.Flows)) {
+		t.Error("split request bytes differ from the scheduler oracle")
+	}
+	ddim := uint64(s.DDIMSteps())
+	for i, l := range eng.loops {
+		if got, want := l.flowSteps.Load(), []uint64{3, 4, 4}[i]*ddim; got != want {
+			t.Errorf("loop %d stepped %d flow-rows, want %d (its piece's flows × %d steps)", i, got, want, ddim)
+		}
+	}
+	st := eng.Stats()
+	if st.FlowsAdmitted != 11 || st.FlowsCompleted != 11 || st.FlowsRetired != 0 || st.RequestsExpired != 0 {
+		t.Errorf("stats %+v, want 11 admitted and completed, none retired or expired", st)
+	}
+}
+
+// TestEngineSplitExpiryRetiresEveryPiece cancels a 12-flow request dealt
+// as three 4-flow pieces once every piece has taken one step, from the
+// boundary hook of the loop that sees the third step: the request
+// answers once, with the context error, and every flow of every piece
+// that had not completed is retired — none of them runs its plan out.
+func TestEngineSplitExpiryRetiresEveryPiece(t *testing.T) {
+	s := sharedSynth(t)
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pcapBytes(t, res.Flows), pcapBytes(t, want.Flows)) {
-		t.Error("oversized request bytes differ from direct generation")
+	defer eng.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var boundaries atomic.Int32
+	expiring := boundaryCtx{ctx, func() {
+		// Every loop asks at every boundary; the request is cancelled
+		// once each loop has stepped its piece at least once.
+		if boundaries.Add(1) > 3 && slices.Min(loopSteps(eng)) > 0 {
+			cancel()
+		}
+	}}
+	_, err = eng.Generate(expiring, sharedClass[1], DeriveFlowSeeds(4321, 12), nil)
+	if err != context.Canceled {
+		t.Fatalf("split request returned %v, want context.Canceled", err)
+	}
+	st := eng.Stats()
+	if st.RequestsExpired != 1 {
+		t.Errorf("RequestsExpired = %d, want 1: the request answered once", st.RequestsExpired)
+	}
+	if st.FlowsAdmitted != 12 || st.FlowsCompleted+st.FlowsRetired != 12 {
+		t.Errorf("admitted %d, completed %d + retired %d, want 12 admitted and each settled once",
+			st.FlowsAdmitted, st.FlowsCompleted, st.FlowsRetired)
+	}
+	if st.FlowsRetired == 0 {
+		t.Error("no flow retired: the pieces ran to completion as dead work")
+	}
+	if full := uint64(12 * s.DDIMSteps()); st.FlowSteps >= full {
+		t.Errorf("FlowSteps = %d, want < %d (retired pieces kept stepping)", st.FlowSteps, full)
+	}
+	for i, steps := range loopSteps(eng) {
+		if steps == 0 {
+			t.Errorf("loop %d never stepped its piece", i)
+		}
 	}
 }
 
@@ -287,7 +342,7 @@ func TestEngineExpiredBeforeAdmission(t *testing.T) {
 // TestEngineMixedClassesShareBatch verifies the engine admits requests
 // for different classes into one in-flight batch (per-row class
 // conditioning makes same-class coalescing unnecessary) and each still
-// matches its direct generation.
+// matches the scheduler oracle.
 func TestEngineMixedClassesShareBatch(t *testing.T) {
 	s := sharedSynth(t)
 	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 8})
@@ -316,10 +371,7 @@ func TestEngineMixedClassesShareBatch(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		want, err := s.GenerateWithFlowSeeds(sharedClass[i%2], DeriveFlowSeeds(uint64(500+i), 2))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleGenerate(t, s, sharedClass[i%2], DeriveFlowSeeds(uint64(500+i), 2))
 		if !bytes.Equal(results[i], pcapBytes(t, want.Flows)) {
 			t.Errorf("request %d (%s): bytes differ from direct generation", i, sharedClass[i%2])
 		}
@@ -347,7 +399,7 @@ func loopSteps(eng *Engine) []uint64 {
 // 1- and 2-flow requests run to completion on the other loops (each
 // goes to the least-loaded loop, and neither of the others reaches
 // loop 0's eight flows); then loop 0 runs. Every request returns what
-// GenerateWithFlowSeeds returns for its seeds.
+// the scheduler oracle returns for its seeds.
 func TestEngineLoopsMatchDirectGenerate(t *testing.T) {
 	s := sharedSynth(t)
 	eng, err := newEngine(s, EngineConfig{MaxInFlight: 8}, 3)
@@ -408,12 +460,9 @@ func TestEngineLoopsMatchDirectGenerate(t *testing.T) {
 		t.Errorf("steps per loop %v: requests ran on %d loop(s), want ≥ 2", loopSteps(eng), spread)
 	}
 	for i := range seeds {
-		want, err := s.GenerateWithFlowSeeds(sharedClass[i%2], seeds[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleGenerate(t, s, sharedClass[i%2], seeds[i])
 		if !bytes.Equal(got[i], pcapBytes(t, want.Flows)) {
-			t.Errorf("request %d (%d flows): engine bytes differ from direct GenerateWithFlowSeeds", i, len(seeds[i]))
+			t.Errorf("request %d (%d flows): engine bytes differ from the scheduler oracle", i, len(seeds[i]))
 		}
 	}
 }
@@ -607,5 +656,65 @@ func TestEngineLoopCount(t *testing.T) {
 		if want := min(procs, runtime.NumCPU()); len(eng.loops) != want {
 			t.Errorf("GOMAXPROCS %d: %d loops, want %d", procs, len(eng.loops), want)
 		}
+	}
+}
+
+// TestEngineStatsSnapshotsNeverNegative polls Stats while requests,
+// some split into pieces and some cancelled mid-flight, complete and
+// retire on three loops: in every snapshot the admitted flows are at
+// least the completed plus retired ones, so a replica's reported
+// in-flight load (their difference) never reads negative.
+func TestEngineStatsSnapshotsNeverNegative(t *testing.T) {
+	s := sharedSynth(t)
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		defer func() { polled <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := eng.Stats()
+			if st.FlowsAdmitted < st.FlowsCompleted+st.FlowsRetired {
+				t.Errorf("snapshot admitted %d < completed %d + retired %d",
+					st.FlowsAdmitted, st.FlowsCompleted, st.FlowsRetired)
+				return
+			}
+			n++
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			onAdmit := func() {}
+			if i%4 == 0 {
+				onAdmit = cancel
+			}
+			_, err := eng.Generate(ctx, sharedClass[i%2], DeriveFlowSeeds(uint64(700+i), 1+i%5), onAdmit)
+			if err != nil && err != context.Canceled {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Error("no snapshot taken")
+	}
+	st := eng.Stats()
+	if st.FlowsAdmitted != st.FlowsCompleted+st.FlowsRetired {
+		t.Errorf("settled: admitted %d != completed %d + retired %d", st.FlowsAdmitted, st.FlowsCompleted, st.FlowsRetired)
 	}
 }

@@ -212,8 +212,9 @@ func TestGenerateReplaysAsSeeded(t *testing.T) {
 
 // TestFlowSeedBatchIndependence is the coalescing-safety property: a
 // flow's bytes depend only on its own seed, not on which other flows
-// share the sampling batch. The serve coalescer relies on this to
-// merge concurrent requests into one diffusion.Sample call.
+// share the sampling batch (here: one piece per loop of the private
+// engine, or a flow alone). The engine relies on this to deal requests
+// into pieces and batch them with others.
 func TestFlowSeedBatchIndependence(t *testing.T) {
 	s := sharedSynth(t)
 	seeds := DeriveFlowSeeds(7, 3)

@@ -14,21 +14,45 @@ import (
 )
 
 // seededSamples draws the raw model-resolution images of one seeded
-// request, exactly as GenerateWithFlowSeeds does before post-processing.
+// request on one diffusion.Scheduler driven here, flow i's image in
+// samples[i*h*w:]: the sampling oracle every generation path is held
+// to, outside the engine's pieces and loops (the golden digests anchor
+// the scheduler itself).
 func seededSamples(t *testing.T, s *Synthesizer, class string, flowSeeds []uint64, ddim int) (ci int, samples []float32) {
 	t.Helper()
 	ci, err := s.lookupClass(class)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := diffusion.Sample(s.adapted, s.sched, diffusion.SampleConfig{
-		FlowSeeds: flowSeeds, Class: ci,
-		GuidanceScale: s.cfg.GuidanceScale, DDIMSteps: ddim, Control: s.controls[ci],
-	})
+	h, w := s.ModelShape()
+	d := h * w
+	eng := diffusion.NewScheduler(s.adapted, s.sched, nil)
+	samples = make([]float32, len(flowSeeds)*d)
+	for i, seed := range flowSeeds {
+		if _, err := eng.Admit(diffusion.FlowSpec{
+			Class: ci, GuidanceScale: s.cfg.GuidanceScale, DDIMSteps: ddim,
+			RNG: stats.NewRNG(seed), Control: s.control(ci, s.cfg), Out: samples[i*d : (i+1)*d],
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for eng.Active() > 0 {
+		eng.Step()
+	}
+	return ci, samples
+}
+
+// oracleGenerate is what any generation call must return for the
+// seeds: seededSamples at the live DDIM budget, post-processed.
+func oracleGenerate(t *testing.T, s *Synthesizer, class string, flowSeeds []uint64) *GenerateResult {
+	t.Helper()
+	cfg := s.configSnapshot()
+	ci, samples := seededSamples(t, s, class, flowSeeds, cfg.DDIMSteps)
+	res, err := s.postprocess(ci, class, cfg, samples, flowSeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ci, out.Data
+	return res
 }
 
 // publicStepChain is post-processing as it was written before

@@ -192,7 +192,7 @@ func TestSampleClassConditioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	sideBias := func(class int) float64 {
-		out, err := Sample(model, sched, SampleConfig{
+		out, err := sample(model, sched, SampleConfig{
 			Class: class, GuidanceScale: 2, FlowSeeds: rootSeeds(9, 6),
 		})
 		if err != nil {
@@ -226,7 +226,7 @@ func TestSampleDDIMFewerSteps(t *testing.T) {
 	r := stats.NewRNG(4)
 	model := NewMLPDenoiser(r, 4, 4, 32, 2)
 	sched := NewSchedule(ScheduleCosine, 50)
-	out, err := Sample(model, sched, SampleConfig{Class: 0, GuidanceScale: 1, DDIMSteps: 5, FlowSeeds: []uint64{1, 2}})
+	out, err := sample(model, sched, SampleConfig{Class: 0, GuidanceScale: 1, DDIMSteps: 5, FlowSeeds: []uint64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +244,10 @@ func TestSampleRejectsBadConfig(t *testing.T) {
 	r := stats.NewRNG(5)
 	model := NewMLPDenoiser(r, 4, 4, 16, 2)
 	sched := NewSchedule(ScheduleLinear, 10)
-	if _, err := Sample(model, sched, SampleConfig{Class: 0}); err == nil {
-		t.Error("no flow seeds should fail")
-	}
-	if _, err := Sample(model, sched, SampleConfig{Class: 2, FlowSeeds: []uint64{1}}); err == nil {
+	if _, err := sample(model, sched, SampleConfig{Class: 2, FlowSeeds: []uint64{1}}); err == nil {
 		t.Error("null class as prompt should fail")
 	}
-	if _, err := Sample(model, sched, SampleConfig{Class: -1, FlowSeeds: []uint64{1}}); err == nil {
+	if _, err := sample(model, sched, SampleConfig{Class: -1, FlowSeeds: []uint64{1}}); err == nil {
 		t.Error("negative class should fail")
 	}
 }

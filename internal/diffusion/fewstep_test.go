@@ -16,7 +16,7 @@ func TestFewStepBudgets(t *testing.T) {
 	m.OutLayer().W.X.Randn(r, 0.05)
 	sched := NewSchedule(ScheduleCosine, 64)
 	for _, steps := range []int{4, 8, 16} {
-		x, err := Sample(m, sched, SampleConfig{Class: 0, GuidanceScale: 2, DDIMSteps: steps, FlowSeeds: []uint64{3, 4}})
+		x, err := sample(m, sched, SampleConfig{Class: 0, GuidanceScale: 2, DDIMSteps: steps, FlowSeeds: []uint64{3, 4}})
 		if err != nil {
 			t.Fatalf("steps=%d: %v", steps, err)
 		}

@@ -19,12 +19,12 @@ import (
 // head sees the class. The two halves of a classifier-free-guided pair
 // differ in nothing but the class row, and a flow's control image never
 // changes, so a sampler runs the trunk once per step for both halves,
-// the head once over the pair's stacked rows, and the control
-// projection once per flow (Scheduler does, when given no forward
-// override). Every method computes each output row from the matching
-// input rows alone, so stacking rows changes no row's bytes, and
-// Forward is this composition through the same methods (ForwardSplit):
-// there is one copy of the arithmetic.
+// the head once over the pair's 2n class rows reading the n shared rows
+// twice, and the control projection once per flow (Scheduler does, when
+// given no forward override). Every method computes each output row
+// from the matching input rows alone, so sharing rows changes no row's
+// bytes, and Forward is this composition through the same methods
+// (ForwardSplit): there is one copy of the arithmetic.
 type Denoiser interface {
 	Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V
 	// ControlFeatures projects control images (n·H·W elements, any
@@ -34,9 +34,11 @@ type Denoiser interface {
 	// timestep: the pre-class hidden rows h [n, hidden] and the
 	// time-gated input skip [n, H·W].
 	Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V)
-	// Head finishes the forward for one class per row: h, skip, class
-	// and ctrl (nil for no control) all have the same row count, and
-	// the result is ε [rows, 1, H, W].
+	// Head finishes the forward for one class per row. h, skip and
+	// ctrl (nil for no control) hold the same n shared rows; class
+	// holds n entries or a multiple of n, head row r reading shared row
+	// r mod n (a guided pair's 2n rows read each shared row twice, with
+	// no copy of it made), and the result is ε [len(class), 1, H, W].
 	Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V
 	// Params returns the trainable base parameters.
 	Params() []*nn.V
@@ -162,14 +164,14 @@ func (m *MLPDenoiser) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) 
 //
 //tracelint:hotpath
 func (m *MLPDenoiser) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V {
-	h = tp.Add(h, m.classEmb.Apply(tp, class))
+	h = tp.AddRepeat(m.classEmb.Apply(tp, class), h)
 	if ctrl != nil {
-		h = tp.Add(h, ctrl)
+		h = tp.AddRepeat(h, ctrl)
 	}
 	h = tp.SiLU(m.norm1.Apply(tp, h))
 	h2 := tp.SiLU(m.norm2.Apply(tp, m.hid.Apply(tp, h)))
 	h = tp.Add(h, h2) // residual
-	eps := tp.Add(m.out.Apply(tp, h), skip)
+	eps := tp.AddRepeat(m.out.Apply(tp, h), skip)
 	return tp.Reshape(eps, eps.X.Shape[0], 1, m.H, m.W)
 }
 

@@ -34,6 +34,38 @@ func rootSeeds(root uint64, n int) []uint64 {
 	return seeds
 }
 
+// SampleConfig is one batch of flows that share a class, guidance
+// scale, DDIM budget and control image, one flow per seed.
+type SampleConfig struct {
+	Class         int
+	GuidanceScale float64
+	DDIMSteps     int
+	Control       *tensor.Tensor
+	FlowSeeds     []uint64
+}
+
+// sample admits one flow per seed of cfg to a fresh split-path
+// Scheduler, steps it until every flow completes and returns the
+// images packed one h*w row per flow, [n,1,H,W].
+func sample(model Denoiser, sched *Schedule, cfg SampleConfig) (*tensor.Tensor, error) {
+	h, w := model.Shape()
+	d := h * w
+	eng := NewScheduler(model, sched, nil)
+	out := tensor.New(len(cfg.FlowSeeds), 1, h, w)
+	for i, seed := range cfg.FlowSeeds {
+		if _, err := eng.Admit(FlowSpec{
+			Class: cfg.Class, GuidanceScale: cfg.GuidanceScale, DDIMSteps: cfg.DDIMSteps,
+			RNG: stats.NewRNG(seed), Control: cfg.Control, Out: out.Data[i*d : (i+1)*d],
+		}); err != nil {
+			return nil, err
+		}
+	}
+	for eng.Active() > 0 {
+		eng.Step()
+	}
+	return out, nil
+}
+
 // SampleLegacy is the sequential reference the Scheduler is checked
 // against: each flow runs alone from the stream rooted at its seed —
 // x_T, then per step
@@ -89,11 +121,11 @@ func bitsEqual(a, b []float32) (int, bool) {
 
 // TestBatchedMatchesLegacy is the batched-timestep path's bit-identity
 // property test: for DDPM and DDIM, guidance 1 and 3, with and without
-// ControlNet conditioning, and at GOMAXPROCS 1 and 8, Sample
-// (step-serial, batch-wide) must produce byte-identical output to
+// ControlNet conditioning, and at GOMAXPROCS 1 and 8, a batch on one
+// Scheduler (step-serial, batch-wide) must produce byte-identical output to
 // SampleLegacy (flow by flow, batch-1 plain forwards) on the scheduler's
-// split path (trunk once, head over the stacked pair, control projected
-// at admission). This is what makes batching, and the shared trunk,
+// split path (trunk once, head over the pair's class rows, control
+// projected at admission). This is what makes batching, and the shared trunk,
 // purely scheduling decisions: no experiment or seeded serving request
 // can observe them.
 func TestBatchedMatchesLegacy(t *testing.T) {
@@ -116,9 +148,9 @@ func TestBatchedMatchesLegacy(t *testing.T) {
 					}
 					name := fmt.Sprintf("procs=%d/ddim=%d/w=%v/ctl=%v",
 						procs, ddim, guidance, ctl != nil)
-					got, err := Sample(model, sched, cfg)
+					got, err := sample(model, sched, cfg)
 					if err != nil {
-						t.Fatalf("%s: Sample: %v", name, err)
+						t.Fatalf("%s: sample: %v", name, err)
 					}
 					want := SampleLegacy(model, sched, cfg)
 					if i, ok := bitsEqual(got.Data, want); !ok {
@@ -314,13 +346,13 @@ func TestBatchCompositionInvariance(t *testing.T) {
 	sched := NewSchedule(ScheduleCosine, 10)
 	d := h * w
 	for _, ddim := range []int{0, 4} {
-		alone, err := Sample(model, sched, SampleConfig{
+		alone, err := sample(model, sched, SampleConfig{
 			Class: 1, GuidanceScale: 2, DDIMSteps: ddim, FlowSeeds: []uint64{424242},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		grouped, err := Sample(model, sched, SampleConfig{
+		grouped, err := sample(model, sched, SampleConfig{
 			Class: 1, GuidanceScale: 2, DDIMSteps: ddim,
 			FlowSeeds: []uint64{7, 424242, 99, 1},
 		})

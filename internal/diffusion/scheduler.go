@@ -141,8 +141,7 @@ func (f *schedFlow) curT() int {
 // (TestSchedulerSteadyStateAllocs).
 //
 // A Scheduler is NOT safe for concurrent use: one goroutine owns it
-// (the serving engine's step loop, or a Sample, Inpaint or Translate
-// call).
+// (an engine step loop, or an Inpaint or Translate call).
 type Scheduler struct {
 	sched *Schedule
 	model Denoiser
@@ -203,9 +202,10 @@ type Scheduler struct {
 // its result is scratch the step overwrites; neither may be kept. With
 // a nil forward the scheduler takes the split path instead: each flow's
 // control image is projected once at Admit, and a step runs the trunk
-// once over its n rows and the head once over the stacked conditional
-// and unconditional rows, which is bit-identical to the plain path
-// because every kernel computes a row from that row alone.
+// once over its n rows and the head once over the conditional and
+// unconditional class rows, both halves reading the same trunk rows,
+// which is bit-identical to the plain path because every kernel
+// computes a row from that row alone.
 func NewScheduler(model Denoiser, sched *Schedule, forward ForwardFunc) *Scheduler {
 	h, w := model.Shape()
 	s := &Scheduler{
@@ -537,8 +537,9 @@ func (s *Scheduler) views(n int) {
 //
 // Plain path: one forward, and a second under the null class when
 // guided. Split path: the trunk once; then the head once — over the n
-// rows when unguided, over 2n rows when guided, the trunk rows and
-// control features stacked twice under class[:n] ‖ class[n:2n].
+// rows when unguided, over 2n rows under class[:n] ‖ class[n:2n] when
+// guided, each half reading the same n trunk rows and control features
+// (see Denoiser.Head).
 //
 //tracelint:hotpath
 func (s *Scheduler) predict(n int, guided bool) (cond, uncond []float32) {
@@ -552,15 +553,10 @@ func (s *Scheduler) predict(n int, guided bool) (cond, uncond []float32) {
 		return cond, uncond
 	}
 	h, skip := s.model.Trunk(tp, s.xIn, s.steps[:n])
-	ctrl := s.cIn
 	if !guided {
-		return s.model.Head(tp, h, skip, s.class[:n], ctrl).X.Data, nil
+		return s.model.Head(tp, h, skip, s.class[:n], s.cIn).X.Data, nil
 	}
-	h, skip = tp.Concat0(h, h), tp.Concat0(skip, skip)
-	if ctrl != nil {
-		ctrl = tp.Concat0(ctrl, ctrl)
-	}
-	eps := s.model.Head(tp, h, skip, s.class[:2*n], ctrl).X.Data
+	eps := s.model.Head(tp, h, skip, s.class[:2*n], s.cIn).X.Data
 	return eps[:n*s.d], eps[n*s.d:]
 }
 

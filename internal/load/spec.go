@@ -279,7 +279,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 		Seed:          d.uint64(root, "seed", 1),
 		AggregateRate: d.float(root, "aggregate_rate", 0),
 		DurationS:     d.float(root, "duration_s", 0),
-		NumRequests:   int(d.float(root, "num_requests", 0)),
+		NumRequests:   d.int(root, "num_requests", 0),
 	}
 	clientsNode, ok := root["clients"]
 	if !ok {
@@ -301,7 +301,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 			Format:       d.str(cm, "format", "pcap"),
 			SLOClass:     d.str(cm, "slo_class", ""),
 			SLOTargetMs:  d.float(cm, "slo_target_ms", 0),
-			TimeoutMs:    int(d.float(cm, "timeout_ms", 0)),
+			TimeoutMs:    d.int(cm, "timeout_ms", 0),
 		}
 		if an, ok := cm["arrival"]; ok {
 			am, ok := an.(map[string]any)
@@ -467,6 +467,26 @@ func (d *specDecoder) float(m map[string]any, key string, def float64) float64 {
 		return def
 	}
 	return f
+}
+
+// int decodes a count: a base-10 integer that fits an int. A fraction
+// ("2.9") or an exponent ("1e19") is refused, not truncated or wrapped.
+func (d *specDecoder) int(m map[string]any, key string, def int) int {
+	v, ok := m[key]
+	if !ok || v == nil {
+		return def
+	}
+	s, ok := v.(string)
+	if !ok {
+		d.fail("spec: %s must be an integer, got %T", key, v)
+		return def
+	}
+	n, err := strconv.ParseInt(s, 10, 0)
+	if err != nil {
+		d.fail("spec: %s: %q is not an integer in range", key, s)
+		return def
+	}
+	return int(n)
 }
 
 func (d *specDecoder) uint64(m map[string]any, key string, def uint64) uint64 {

@@ -124,6 +124,9 @@ clients:
 		{"missing param", base("    size_distribution:\n      type: pareto\n"), "missing param"},
 		{"no clients", "version: \"1\"\naggregate_rate: 10\nduration_s: 1\nclients:\n", "clients"},
 		{"no slo target", strings.Replace(base(""), "slo_target_ms: 100", "slo_target_ms: 0", 1), "slo_target_ms"},
+		{"fractional num_requests", base("num_requests: 2.9\n"), "num_requests"},
+		{"num_requests past int", base("num_requests: 1e19\n"), "num_requests"},
+		{"fractional timeout", base("    timeout_ms: 2.9\n"), "timeout_ms"},
 		{"nan duration", strings.Replace(base(""), "duration_s: 1", "duration_s: nan", 1), "duration_s"},
 		{"NaN duration", strings.Replace(base(""), "duration_s: 1", "duration_s: NaN", 1), "duration_s"},
 		{"inf duration", strings.Replace(base(""), "duration_s: 1", "duration_s: inf", 1), "duration_s"},

@@ -86,14 +86,14 @@ func (a *AdaptedMLP) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) {
 //
 //tracelint:hotpath
 func (a *AdaptedMLP) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) *nn.V {
-	h = tp.Add(h, a.ClassEmb.Apply(tp, class))
+	h = tp.AddRepeat(a.ClassEmb.Apply(tp, class), h)
 	if ctrl != nil {
-		h = tp.Add(h, ctrl)
+		h = tp.AddRepeat(h, ctrl)
 	}
 	h = tp.SiLU(a.Base.Norm1Layer().Apply(tp, h))
 	h2 := tp.SiLU(a.Base.Norm2Layer().Apply(tp, a.Hid.Apply(tp, a.Base.HidLayer(), h)))
 	h = tp.Add(h, h2)
-	eps := tp.Add(a.Out.Apply(tp, a.Base.OutLayer(), h), skip)
+	eps := tp.AddRepeat(a.Out.Apply(tp, a.Base.OutLayer(), h), skip)
 	bh, bw := a.Base.Shape()
 	return tp.Reshape(eps, eps.X.Shape[0], 1, bh, bw)
 }

@@ -27,10 +27,10 @@ func goldenModel(r *stats.RNG, h, w int) *AdaptedMLP {
 	return ad
 }
 
-// goldenSampleDigests are sha256 digests of the raw float32 bits
-// diffusion.Sample returns for goldenModel, recorded on the commit
-// before the register-blocked A·Bᵀ kernel and the shared-trunk guided
-// forward landed. The in-binary oracles (the batch-1 reference loop, the
+// goldenSampleDigests are sha256 digests of the raw float32 bits one
+// scheduler batch (sampleFlows) returns for goldenModel, recorded on the
+// commit before the register-blocked A·Bᵀ kernel and the shared-trunk
+// guided forward landed. The in-binary oracles (the batch-1 reference loop, the
 // serial kernel reference) share kernels and forward helpers with the path
 // they check; these digests are what sees a change both sides share,
 // at single-ulp resolution (core's pcap digests sit behind
@@ -64,16 +64,13 @@ func TestGoldenSampleDigests(t *testing.T) {
 		if ddim > 0 {
 			key = "fp32/ddim4"
 		}
-		out, err := diffusion.Sample(model, sched, diffusion.SampleConfig{
-			Class: 1, GuidanceScale: 2, DDIMSteps: ddim,
-			Control: control, FlowSeeds: []uint64{5, 6, 7},
-		})
+		out, err := sampleFlows(model, sched, 1, 2, ddim, control, []uint64{5, 6, 7})
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
 		hash := sha256.New()
 		var b [4]byte
-		for _, v := range out.Data {
+		for _, v := range out {
 			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
 			hash.Write(b[:])
 		}

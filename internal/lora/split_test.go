@@ -52,9 +52,9 @@ func noGradTape() *nn.Tape {
 }
 
 // TestSplitForwardMatchesPlainPair: the trunk once, the head once over
-// the stacked conditional ‖ unconditional rows, and the control
-// projected one row at a time, give exactly the bytes of two plain
-// Forward calls.
+// the conditional ‖ unconditional class rows with both halves reading
+// the same n trunk rows, and the control projected one row at a time,
+// give exactly the bytes of two plain Forward calls.
 func TestSplitForwardMatchesPlainPair(t *testing.T) {
 	r := stats.NewRNG(61)
 	h, w := 4, 8
@@ -92,10 +92,8 @@ func TestSplitForwardMatchesPlainPair(t *testing.T) {
 				}
 				requireSameBits(t, label+" control features", feats.Data, batched.X.Data)
 				ctrl = tp.Input(feats)
-				ctrl = tp.Concat0(ctrl, ctrl)
 			}
-			eps := m.model.Head(tp, tp.Concat0(hv, hv), tp.Concat0(skip, skip),
-				append(append([]int(nil), classC...), classU...), ctrl)
+			eps := m.model.Head(tp, hv, skip, append(append([]int(nil), classC...), classU...), ctrl)
 			if got := eps.X.Shape; len(got) != 4 || got[0] != 2*n || got[2] != h || got[3] != w {
 				t.Fatalf("%s: head output shape %v", label, got)
 			}
@@ -227,10 +225,33 @@ func paperScaleAdapted() (*AdaptedMLP, *diffusion.Schedule, *tensor.Tensor) {
 	return ad, diffusion.NewSchedule(diffusion.ScheduleCosine, 120), tensor.New(1, h, w).Randn(r, 1)
 }
 
-// BenchmarkSampleAdapted times diffusion.Sample on the paper-scale
-// adapted model (16×136 image, hidden 192, rank 8, control on, guidance
-// 2, 15 DDIM steps of T=120, 64 flows — the benchmark's offline_bulk
-// shape) on the scheduler's split path.
+// sampleFlows admits one flow per seed, all of one class, guidance
+// scale, DDIM budget and control image, to a fresh split-path
+// diffusion.Scheduler and steps it until every flow completes,
+// returning the images packed one H*W row per flow.
+func sampleFlows(model diffusion.Denoiser, sched *diffusion.Schedule, class int, guidance float64, ddim int, control *tensor.Tensor, seeds []uint64) ([]float32, error) {
+	h, w := model.Shape()
+	d := h * w
+	eng := diffusion.NewScheduler(model, sched, nil)
+	out := make([]float32, len(seeds)*d)
+	for i, seed := range seeds {
+		if _, err := eng.Admit(diffusion.FlowSpec{
+			Class: class, GuidanceScale: guidance, DDIMSteps: ddim,
+			RNG: stats.NewRNG(seed), Control: control, Out: out[i*d : (i+1)*d],
+		}); err != nil {
+			return nil, err
+		}
+	}
+	for eng.Active() > 0 {
+		eng.Step()
+	}
+	return out, nil
+}
+
+// BenchmarkSampleAdapted times one 64-flow batch on one scheduler (the
+// split path) on the paper-scale adapted model (16×136 image, hidden
+// 192, rank 8, control on, guidance 2, 15 DDIM steps of T=120): the
+// benchmark's offline_bulk shape on a single step loop.
 func BenchmarkSampleAdapted(b *testing.B) {
 	ad, sched, control := paperScaleAdapted()
 	const n = 64
@@ -240,10 +261,7 @@ func BenchmarkSampleAdapted(b *testing.B) {
 		for j := range seeds {
 			seeds[j] = uint64(i*n + j + 1)
 		}
-		if _, err := diffusion.Sample(ad, sched, diffusion.SampleConfig{
-			Class: 1, GuidanceScale: 2, DDIMSteps: 15, Control: control,
-			FlowSeeds: seeds,
-		}); err != nil {
+		if _, err := sampleFlows(ad, sched, 1, 2, 15, control, seeds); err != nil {
 			b.Fatal(err)
 		}
 	}

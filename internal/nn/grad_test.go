@@ -118,13 +118,13 @@ func TestGradMulScalarBroadcast(t *testing.T) {
 	})
 }
 
-func TestGradConcat0(t *testing.T) {
+func TestGradAddRepeat(t *testing.T) {
 	r := stats.NewRNG(11)
-	a := NewV(tensor.New(2, 3).Randn(r, 1))
-	b := NewV(tensor.New(1, 3).Randn(r, 1))
-	target := tensor.New(3, 3).Randn(r, 1)
+	a := NewV(tensor.New(6, 3).Randn(r, 1))
+	b := NewV(tensor.New(2, 3).Randn(r, 1))
+	target := tensor.New(6, 3).Randn(r, 1)
 	checkGrad(t, []*V{a, b}, func(tp *Tape) *V {
-		return tp.MSE(tp.Concat0(a, b), target)
+		return tp.MSE(tp.AddRepeat(a, b), target)
 	})
 }
 

@@ -276,6 +276,51 @@ func (t *Tape) Add(a, b *V) *V {
 	return out
 }
 
+// AddRepeat returns a + b with b's rows repeated down a: a is [m, c],
+// b is [n, c] with n dividing m, and row r of the result is a's row r
+// plus b's row r mod n, each element one float32 add. With m == n it is
+// Add. A guided denoiser head adds the n rows its conditional and
+// unconditional halves share this way instead of adding a stacked copy
+// of them, with the same bits: each element's add keeps its operands,
+// and IEEE addition is commutative.
+func (t *Tape) AddRepeat(a, b *V) *V {
+	if len(a.X.Shape) != 2 || len(b.X.Shape) != 2 || a.X.Shape[1] != b.X.Shape[1] ||
+		b.X.Shape[0] == 0 || a.X.Shape[0]%b.X.Shape[0] != 0 {
+		panic(fmt.Sprintf("nn: AddRepeat shapes %v + %v", a.X.Shape, b.X.Shape))
+	}
+	if a.X.Shape[0] == b.X.Shape[0] {
+		return t.Add(a, b)
+	}
+	out := t.alloc(a.X.Shape...)
+	od, ad, bd := out.X.Data, a.X.Data, b.X.Data
+	if tensor.ParallelOK(len(od) * workAdd) {
+		//tracelint:allow hotalloc — parallel path only, behind the size check
+		tensor.Shard(len(od), func(lo, hi int) { addRepeatRange(od, ad, bd, lo, hi) })
+	} else {
+		addRepeatRange(od, ad, bd, 0, len(od))
+	}
+	if t.grad() {
+		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
+		t.record(func() {
+			a.G.AddInto(out.G)
+			for i, g := range out.G.Data {
+				b.G.Data[i%len(b.G.Data)] += g
+			}
+		})
+	}
+	return out
+}
+
+// addRepeatRange sets dst[i] = a[i] + b[i mod len(b)] for i in [lo, hi).
+func addRepeatRange(dst, a, b []float32, lo, hi int) {
+	for lo < hi {
+		off := lo % len(b)
+		end := min(hi, lo+len(b)-off)
+		addRange(dst[lo:end], a[lo:end], b[off:])
+		lo = end
+	}
+}
+
 // Scale returns s*a for a constant s.
 func (t *Tape) Scale(a *V, s float32) *V {
 	out := t.alloc(a.X.Shape...)
@@ -334,46 +379,6 @@ func (t *Tape) Reshape(a *V, shape ...int) *V {
 		w.v.G = &w.gt
 	}
 	return &w.v
-}
-
-// Concat0 concatenates along axis 0 (rows) for 2-D values with equal
-// column counts.
-func (t *Tape) Concat0(a, b *V) *V {
-	if len(a.X.Shape) != 2 || len(b.X.Shape) != 2 || a.X.Shape[1] != b.X.Shape[1] {
-		panic("nn: Concat0 needs 2-D inputs with equal columns")
-	}
-	rows := a.X.Shape[0] + b.X.Shape[0]
-	out := t.alloc(rows, a.X.Shape[1])
-	od, ad, bd := out.X.Data, a.X.Data, b.X.Data
-	if tensor.ParallelOK(len(od) * workAdd) {
-		//tracelint:allow hotalloc — parallel path only, behind the size check
-		tensor.Shard(len(od), func(lo, hi int) { concatRange(od, ad, bd, lo, hi) })
-	} else {
-		concatRange(od, ad, bd, 0, len(od))
-	}
-	if t.grad() {
-		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
-		t.record(func() {
-			for i := range a.G.Data {
-				a.G.Data[i] += out.G.Data[i]
-			}
-			off := len(a.G.Data)
-			for i := range b.G.Data {
-				b.G.Data[i] += out.G.Data[off+i]
-			}
-		})
-	}
-	return out
-}
-
-// concatRange copies elements [lo, hi) of a‖b into dst.
-func concatRange(dst, a, b []float32, lo, hi int) {
-	if lo < len(a) {
-		lo += copy(dst[lo:hi], a[lo:])
-	}
-	if lo < hi {
-		copy(dst[lo:hi], b[lo-len(a):])
-	}
 }
 
 // Linear computes x·wᵀ + bias for x [N,in], w [out,in], bias [out]. A

@@ -33,6 +33,7 @@ func sameBits(a, b []float32) (int, bool) {
 // dispatch threshold.
 type opInputs struct {
 	a, b, wide, gate *V // [rows,d], [rows,d], [rows,4d], [rows,1]
+	pair             *V // [2·rows,d]
 	w, bias          *V // Linear [d,d], [d]
 	gamma, beta      *V
 	table            *V
@@ -42,14 +43,14 @@ type opInputs struct {
 func newOpInputs(r *stats.RNG, rows, d int) *opInputs {
 	p := func(shape ...int) *V { return NewV(tensor.New(shape...).Randn(r, 1)) }
 	return &opInputs{
-		a: p(rows, d), b: p(rows, d), wide: p(rows, 4*d), gate: p(rows, 1),
+		a: p(rows, d), b: p(rows, d), wide: p(rows, 4*d), gate: p(rows, 1), pair: p(2*rows, d),
 		w: p(d, d), bias: p(d), gamma: p(d), beta: p(d), table: p(5, d),
 		target: tensor.New(rows, d).Randn(r, 1),
 	}
 }
 
 func (in *opInputs) params() []*V {
-	return []*V{in.a, in.b, in.wide, in.gate, in.w, in.bias, in.gamma, in.beta, in.table}
+	return []*V{in.a, in.b, in.wide, in.gate, in.pair, in.w, in.bias, in.gamma, in.beta, in.table}
 }
 
 // run calls each tape op once and returns the outputs.
@@ -64,7 +65,7 @@ func (in *opInputs) run(tp *Tape) []*V {
 		tp.Add(in.a, in.b),
 		tp.Scale(in.a, 1.7),
 		tp.AddScaled(in.a, in.b, 0.37),
-		tp.Concat0(in.a, in.b),
+		tp.AddRepeat(in.pair, in.a),
 		tp.Linear(in.a, in.w, in.bias),
 		tp.Linear(in.a, in.w, nil),
 		tp.SiLU(in.wide),
@@ -228,4 +229,30 @@ func TestGradAddScaled(t *testing.T) {
 	checkGrad(t, []*V{a, b}, func(tp *Tape) *V {
 		return tp.MSE(tp.AddScaled(a, b, -1.3), target)
 	})
+}
+
+// TestAddRepeatMatchesAddOfStackedRows: adding n shared rows to each of
+// the 2n rows of a pair stores exactly what Add stores against the
+// rows stacked twice — the copy a guided head used to make — at any
+// worker count, on either side of the dispatch threshold.
+func TestAddRepeatMatchesAddOfStackedRows(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, sz := range []struct{ rows, d int }{{3, 5}, {64, 2176}} {
+		r := stats.NewRNG(uint64(sz.d))
+		pair := NewV(tensor.New(2*sz.rows, sz.d).Randn(r, 1))
+		shared := NewV(tensor.New(sz.rows, sz.d).Randn(r, 1))
+		stacked := NewV(tensor.New(2*sz.rows, sz.d))
+		copy(stacked.X.Data, shared.X.Data)
+		copy(stacked.X.Data[len(shared.X.Data):], shared.X.Data)
+		tp := NewTape()
+		tp.SetNoGrad(true)
+		want := tp.Add(pair, stacked).X.Data
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			if i, ok := sameBits(tp.AddRepeat(pair, shared).X.Data, want); !ok {
+				t.Errorf("%dx%d procs=%d: differs from Add of the stacked rows at element %d", sz.rows, sz.d, procs, i)
+			}
+		}
+	}
 }

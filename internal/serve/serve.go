@@ -308,8 +308,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.met.flowsGenerated.Add(int64(len(res.Flows)))
 		s.met.latencyMsSum.Add(float64(time.Since(start)) / float64(time.Millisecond))
 		s.met.latencyCount.Add(1)
-		s.writeBody(w, seed, gr.Format, res)
+		// Count before writing: a client that has read its response
+		// then finds the completion in /metrics.
 		s.met.completed.Add(1)
+		s.writeBody(w, seed, gr.Format, res)
 	}
 }
 

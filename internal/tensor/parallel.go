@@ -84,17 +84,16 @@ const chunkAlign = 8
 // longer (the small serial ops in between), and a helper that parked
 // in a gap comes back a futex wake and tens of µs later. What it
 // costs: while a helper cycles through the global run queue the
-// scheduler on that P never reaches netpoll, so served requests wait
-// for their socket wake-ups. bench/run.sh medians by spin length (0 /
-// 32 / 64 / 256 / 512 yields; parent beside them): offline_bulk flows/s
-// 290 / 304 / 298 / 308 / 321 (parent 254–262), serve_contend flows/s
-// 656 / 671 / 660 / 710 / 719 (635–651), and serve_small
-// heavy_ms_tail 5.9 / 6.1 / 6.1 / 7.1 / 7.7 ms (6.6) with req_ms_tail
-// 7.5 / 7.8 / 7.4 / 8.7 / 9.3 ms (8.9). 256 is the longest spin that
-// leaves serve_small's tails at the parent's; 512 buys 4 % more bulk
-// throughput with them. (With the CPUs to itself a 1-flow Sample wants
-// ≈ 100 µs — 600 vs 450 flows/s — which is exactly the spin that costs
-// serve_small its tail.)
+// scheduler on that P never reaches netpoll. Serving used to pay that
+// in tail latency; now the engine's step loops run under Serial
+// whenever more than one of them holds flows, so only a loop stepping
+// alone (a lone request on an idle server) and training wake helpers.
+// Training does not separate the candidates: FineTune at paper
+// geometry (60+60 steps, 4 classes × 8 flows, GOMAXPROCS 2), three
+// alternated runs each, took 4.66 / 6.36 / 5.69 s at 64 yields,
+// 4.95 / 6.15 / 5.71 s at 256 and 5.41 / 5.74 / 5.54 s at 1024 (the
+// host drifts by more than the spread between them). 256 stays: it is
+// the spin a lone loop's step has been tuned and measured at.
 const spinYields = 256
 
 // workers returns the number of goroutines a job is sized for: the
@@ -106,18 +105,19 @@ func workers() int { return runtime.GOMAXPROCS(0) }
 // takes it from 0 to 1). While it is non-zero every kernel runs on its
 // calling goroutine — code inside a Serial region, inside a chunk of a
 // running job (a fused epilogue invoking a matmul), or dispatching
-// beside another goroutine's job (two replicas in one process) never
+// beside another goroutine's job (a second engine step loop) never
 // queues behind the pool and never contends with it. It changes only
 // where work runs, never what any kernel computes, so results stay
 // bit-identical either way.
 var serialDepth atomic.Int32
 
 // Serial runs fn with the parallel kernel layer disabled: every tensor
-// kernel invoked while any Serial region is active executes on its
-// calling goroutine. Wrap the per-item body of a caller-owned worker
-// pool in Serial when each item's tensor ops are small — the pool
-// already saturates the CPUs, and intra-kernel sharding on top of it
-// only adds dispatch overhead and contention (the PR 2 regression).
+// kernel invoked while any Serial region is active, on any goroutine,
+// executes on its calling goroutine. Wrap the per-item body of a
+// caller-owned worker pool in Serial when the pool already keeps the
+// CPUs busy — the engine's step loops step under it while more than
+// one of them holds flows — since intra-kernel sharding on top of it
+// only adds dispatch overhead, helper wakes and contention.
 func Serial(fn func()) {
 	serialDepth.Add(1)
 	defer serialDepth.Add(-1)
