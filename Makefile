@@ -73,7 +73,9 @@ resume-smoke:
 # End-to-end determinism guard: every seeded experiment (Table 2,
 # Figures 1-2, the per-class GAN and the fidelity study) must print
 # byte-identical output at smoke sizes at GOMAXPROCS=1 and
-# GOMAXPROCS=4, with a byte-identical Figure 2 PNG, the
+# GOMAXPROCS=4, with a byte-identical Figure 2 PNG, and again with the
+# host's FMA hidden from the runtime (GODEBUG=cpu.fma=off moves the bits
+# of math.Exp and friends on amd64; the golden digests must not move), the
 # kill-at-step-k resume property must hold across every combination of
 # kill step, batch size and trained set (whole model or LoRA adapters), the
 # helper pool and everything dispatched through it (kernels, row-wise
@@ -95,6 +97,8 @@ verify-determinism:
 	diff /tmp/det_p1.txt /tmp/det_p4.txt
 	cmp /tmp/det_fig2_p1.png /tmp/det_fig2.png
 	@echo "determinism OK: GOMAXPROCS=1 and 4 outputs and Figure 2 PNGs identical"
+	GODEBUG=cpu.fma=off $(GO) test -run 'TestGolden' -count=1 ./internal/core ./internal/diffusion ./internal/lora && GODEBUG=cpu.fma=off GOMAXPROCS=1 /tmp/traceval-det -fast -train 6 -test 3 -synth 3 -out /tmp/det_fig2.png table2 fig1a fig1b fig2 perclass-gan fidelity > /tmp/det_nofma.txt && diff /tmp/det_p1.txt /tmp/det_nofma.txt && cmp /tmp/det_fig2_p1.png /tmp/det_fig2.png
+	@echo "determinism OK: golden digests, outputs and Figure 2 PNG identical with the host's FMA switched off"
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
@@ -111,7 +115,7 @@ verify-determinism:
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds with no fused multiply-add in internal/"
 
 # Short fuzzing pass over the binary-format decoders, the checkpoint
-# loader, the CSV writer, the A·Bᵀ tiles (assembly that loads and
+# loader and the training-checkpoint resume path, the CSV writer, the A·Bᵀ tiles (assembly that loads and
 # stores by computed offset), the workload-spec parser, the generate
 # handler's request body and the router's readiness-probe body.
 fuzz:
@@ -121,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s ./internal/nprint
 	$(GO) test -fuzz FuzzLoad -fuzztime 15s ./internal/core
+	$(GO) test -fuzz FuzzTrainCheckpoint -fuzztime 15s ./internal/core
 	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s ./internal/tensor
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s ./internal/load
 	$(GO) test -fuzz FuzzGenerateRequest -fuzztime 15s ./internal/serve

@@ -19,11 +19,13 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,7 +37,6 @@ import (
 	"trafficdiff/internal/heuristic"
 	"trafficdiff/internal/imagerep"
 	"trafficdiff/internal/lora"
-	"trafficdiff/internal/nn"
 	"trafficdiff/internal/nprint"
 	"trafficdiff/internal/packet"
 	"trafficdiff/internal/stats"
@@ -425,15 +426,17 @@ func (s *Synthesizer) FineTuneWithOptions(flowsByClass map[string][]*flow.Flow, 
 	var env *trainEnvelope
 	var resumeR io.Reader
 	if opts.ResumeFrom != "" {
-		e, br, closeCkpt, err := openTrainCheckpoint(opts.ResumeFrom)
+		f, err := os.Open(opts.ResumeFrom)
 		if err != nil {
+			return nil, fmt.Errorf("core: opening checkpoint: %w", err)
+		}
+		// Read-only file: a close failure cannot lose data.
+		defer func() { _ = f.Close() }()
+		br := bufio.NewReader(f)
+		if env, err = s.readResume(br); err != nil {
 			return nil, err
 		}
-		defer closeCkpt()
-		if err := s.validateResume(e); err != nil {
-			return nil, err
-		}
-		env, resumeR = e, br
+		resumeR = br
 	}
 	phaseRestore := func(phase int) io.Reader {
 		if env != nil && env.Phase == phase {
@@ -443,12 +446,7 @@ func (s *Synthesizer) FineTuneWithOptions(flowsByClass map[string][]*flow.Flow, 
 	}
 
 	if env != nil && env.Phase == phaseFineTune {
-		// The base phase completed before the checkpoint was taken; its
-		// final weights ride along in the checkpoint instead of being
-		// retrained.
-		if err := nn.LoadParams(resumeR, s.base.Params()); err != nil {
-			return nil, fmt.Errorf("core: restoring base weights: %w", err)
-		}
+		// readResume restored the base phase's final weights.
 		report.BaseLosses = env.BaseLosses
 	} else if s.cfg.BaseSteps > 0 {
 		// Phase 1: unconditional base training (the "pretrained base
@@ -504,6 +502,10 @@ func (s *Synthesizer) trainPhase(model diffusion.Denoiser, set *diffusion.TrainS
 	if err != nil {
 		return nil, err
 	}
+	// The phase's parameters carry gradient buffers only while it runs:
+	// the next phase trains other parameters against them frozen, and
+	// sampling reads no gradient.
+	defer tr.Release()
 	if restore != nil {
 		if err := tr.Restore(restore); err != nil {
 			return nil, fmt.Errorf("core: restoring %s-phase trainer: %w", phaseName, err)

@@ -493,14 +493,19 @@ func TestLoadRejectsBadClassState(t *testing.T) {
 	}
 }
 
-// tinyTrained trains about the smallest model the pipeline can: a
+// tinyConfig is about the smallest model the pipeline can train: a
 // 1 x 17 image, a 4-wide MLP, rank-1 adapters and two steps per phase.
-// Its checkpoint is a few kilobytes, most of them the class templates.
-func tinyTrained(t testing.TB, classes ...string) *Synthesizer {
+func tinyConfig() Config {
 	cfg := loadConfig()
 	cfg.Rows, cfg.DownH, cfg.DownW, cfg.Hidden, cfg.LoRARank = 2, 2, 64, 4, 1
 	cfg.TimeSteps, cfg.BaseSteps, cfg.FineTuneSteps, cfg.DDIMSteps = 10, 2, 2, 2
-	s, err := New(cfg, classes)
+	return cfg
+}
+
+// tinyTrained trains a tinyConfig model. Its checkpoint is a few
+// kilobytes, most of them the class templates.
+func tinyTrained(t testing.TB, classes ...string) *Synthesizer {
+	s, err := New(tinyConfig(), classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,4 +541,59 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("Load allocated %d bytes on a %d-byte input (limit %d)", alloc, len(data), limit)
 		}
 	})
+}
+
+// TestModelsHoldNoGradients: a synthesizer that only generates holds
+// its weights and no gradient buffers — neither after FineTune, whose
+// phases release the buffers their optimizers allocated, nor after
+// Load — and loading one grows the live heap by about its weights.
+func TestModelsHoldNoGradients(t *testing.T) {
+	classes := []string{"amazon", "teams"}
+	s, err := New(loadConfig(), classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FineTune(trainingFlows(t, classes, 2)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	noGrads := func(which string, syn *Synthesizer) {
+		for i, p := range syn.allParams() {
+			if p.G != nil {
+				t.Fatalf("%s: parameter %d %v holds a gradient buffer", which, i, p.X.Shape)
+			}
+		}
+	}
+	noGrads("after FineTune", s)
+	s = nil // only the checkpoint bytes stay live across the measurement
+
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	loaded, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	noGrads("after Load", loaded)
+	var weights uint64
+	for _, p := range loaded.allParams() {
+		weights += 4 * uint64(len(p.X.Data))
+	}
+	// The slack covers the per-class state (templates, control images,
+	// gap distributions) and the headers around the weights; a gradient
+	// buffer per parameter would add the weights a second time.
+	const slack = 128 << 10
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap grew %d bytes for %d bytes of weights", growth, weights)
+	if growth > int64(weights+slack) {
+		t.Fatalf("Load grew the live heap by %d bytes, want at most the %d weight bytes + %d", growth, weights, slack)
+	}
+	runtime.KeepAlive(loaded)
+	runtime.KeepAlive(data)
 }

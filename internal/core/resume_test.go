@@ -1,13 +1,20 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"trafficdiff/internal/diffusion"
+	"trafficdiff/internal/lora"
+	"trafficdiff/internal/stats"
+	"trafficdiff/internal/tensor"
 )
 
 // resumeConfig is fastConfig shrunk further: resume tests retrain the
@@ -254,4 +261,90 @@ func TestCheckpointedTrainingMatchesPlain(t *testing.T) {
 			t.Fatalf("param elem %d differs when checkpointing is on", j)
 		}
 	}
+}
+
+// resumeTraining runs what FineTuneWithOptions runs on a resume
+// checkpoint's bytes before it trains: readResume (envelope, config
+// and class checks, the fine-tune phase's frozen base weights), then
+// the trainer state restored into the envelope's phase's trainer.
+func resumeTraining(s *Synthesizer, data []byte) error {
+	br := bufio.NewReader(bytes.NewReader(data))
+	env, err := s.readResume(br)
+	if err != nil {
+		return err
+	}
+	h, w := s.ModelShape()
+	set := &diffusion.TrainSet{Images: []*tensor.Tensor{tensor.New(1, h, w)}, Labels: []int{0}}
+	var model diffusion.Denoiser = s.base
+	params, steps := s.base.Params(), s.cfg.BaseSteps
+	if env.Phase == phaseFineTune {
+		ad := lora.NewAdaptedMLP(stats.NewRNG(s.cfg.Seed+2), s.base, s.cfg.LoRARank, s.cfg.LoRAAlpha, len(s.classes))
+		model, params, steps = ad, ad.Params(), s.cfg.FineTuneSteps
+	}
+	tr, err := diffusion.NewTrainer(model, s.sched, set, diffusion.TrainConfig{
+		Steps: steps, Batch: s.cfg.Batch, LR: s.cfg.LR, Params: params,
+	})
+	if err != nil {
+		return err
+	}
+	defer tr.Release()
+	return tr.Restore(br)
+}
+
+// FuzzTrainCheckpoint feeds the resume path arbitrary checkpoint bytes,
+// seeded with a real base-phase and a real fine-tune-phase checkpoint
+// of a tiny model. It must return an error or restore, never panic, and
+// allocate no more than a fixed amount plus a multiple of the input.
+func FuzzTrainCheckpoint(f *testing.F) {
+	classes := []string{"amazon"}
+	cfg := tinyConfig()
+	path := filepath.Join(f.TempDir(), "train.ckpt")
+	var basePhase []byte
+	s, err := New(cfg, classes)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.FineTuneWithOptions(trainingFlows(f, classes, 2), FineTuneOptions{
+		CheckpointPath: path, CheckpointEvery: 1,
+		Progress: func(p TrainProgress) {
+			if p.Phase == "finetune" && p.Step == 0 {
+				// The file still holds the base phase's boundary
+				// checkpoint; a failed read leaves basePhase nil.
+				basePhase, _ = os.ReadFile(path)
+			}
+		},
+	}); err != nil || basePhase == nil {
+		f.Fatalf("training: %v, base-phase checkpoint %d bytes", err, len(basePhase))
+	}
+	fineTunePhase, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for phase, seed := range [][]byte{phaseBase: basePhase, phaseFineTune: fineTunePhase} {
+		var env trainEnvelope
+		if err := gob.NewDecoder(bytes.NewReader(seed)).Decode(&env); err != nil || env.Phase != phase {
+			f.Fatalf("seed for phase %d: envelope %+v, error %v", phase, env, err)
+		}
+		fresh, err := New(cfg, classes)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := resumeTraining(fresh, seed); err != nil {
+			f.Fatalf("a real checkpoint does not resume: %v", err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := New(cfg, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = resumeTraining(s, data) // an error is a valid outcome; a panic is not
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<20+64*len(data)); alloc > limit {
+			t.Fatalf("resume allocated %d bytes on a %d-byte input (limit %d)", alloc, len(data), limit)
+		}
+	})
 }

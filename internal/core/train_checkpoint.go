@@ -92,35 +92,37 @@ func (s *Synthesizer) writeTrainCheckpoint(path string, phase int, baseLosses []
 	return nil
 }
 
-// openTrainCheckpoint opens a mid-run checkpoint, decodes its
-// envelope, and returns a reader positioned at the streams that
-// follow (base weights for phaseFineTune, then trainer state). The
-// caller must invoke the returned close function when done. A single
-// buffered reader is shared across the streams: a per-decoder buffer
-// would read ahead past a stream boundary, and the nn streams read
-// their raw value sections from the same reader as their headers.
-func openTrainCheckpoint(path string) (*trainEnvelope, *bufio.Reader, func() error, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: opening checkpoint: %w", err)
-	}
-	br := bufio.NewReader(f)
+// readResume reads a mid-run checkpoint's leading streams from r: it
+// decodes the envelope, checks it against this synthesizer
+// (validateResume) and, for a fine-tune-phase checkpoint, loads the
+// frozen base weights that follow. It leaves r at the trainer state,
+// which the envelope's phase restores. One buffered reader serves every
+// stream: a per-decoder buffer would read ahead past a stream boundary,
+// and the nn streams read their raw value sections from the same reader
+// as their headers.
+func (s *Synthesizer) readResume(r *bufio.Reader) (*trainEnvelope, error) {
 	var env trainEnvelope
-	if err := gob.NewDecoder(br).Decode(&env); err != nil {
-		// Read-only file: a close failure cannot lose data, and the
-		// decode error is the one worth reporting.
-		_ = f.Close()
-		return nil, nil, nil, fmt.Errorf("core: decoding checkpoint envelope: %w", err)
+	if err := gob.NewDecoder(r).Decode(&env); err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint envelope: %w", err)
 	}
 	if env.Version != trainCheckpointVersion {
-		_ = f.Close() // read-only file; the version error is what matters
-		return nil, nil, nil, fmt.Errorf("core: unsupported training checkpoint version %d", env.Version)
+		return nil, fmt.Errorf("core: unsupported training checkpoint version %d", env.Version)
 	}
 	if env.Phase != phaseBase && env.Phase != phaseFineTune {
-		_ = f.Close() // read-only file; the phase error is what matters
-		return nil, nil, nil, fmt.Errorf("core: training checkpoint has unknown phase %d", env.Phase)
+		return nil, fmt.Errorf("core: training checkpoint has unknown phase %d", env.Phase)
 	}
-	return &env, br, f.Close, nil
+	if err := s.validateResume(&env); err != nil {
+		return nil, err
+	}
+	if env.Phase == phaseFineTune {
+		// The base phase completed before the checkpoint was taken; its
+		// final weights ride along in the checkpoint instead of being
+		// retrained.
+		if err := nn.LoadParams(r, s.base.Params()); err != nil {
+			return nil, fmt.Errorf("core: restoring base weights: %w", err)
+		}
+	}
+	return &env, nil
 }
 
 // validateResume checks that a checkpoint was produced by a run with

@@ -226,7 +226,6 @@ func (tr *Trainer) Step() error {
 		}
 	}
 
-	tr.xv.ZeroGrad()
 	pred := tr.model.Forward(tr.tp, tr.xv, tr.stepIDs, tr.classIDs, tr.control)
 	loss := tr.tp.MSE(pred, tr.noise)
 	lv := float64(loss.X.Data[0])
@@ -272,6 +271,12 @@ func (tr *Trainer) Run() ([]float64, error) {
 	}
 	return tr.losses, nil
 }
+
+// Release drops the trained parameters' gradient buffers (see
+// nn.Adam.Release) once the run is over, finished or not, so the
+// trained model holds no gradients. The trainer must not Step
+// afterwards; Checkpoint still works.
+func (tr *Trainer) Release() { tr.opt.Release() }
 
 // Checkpoint serializes the trainer's complete mid-run state — the
 // trained parameter values plus the Adam moments, RNG position, loss
@@ -324,5 +329,6 @@ func Train(model Denoiser, sched *Schedule, set *TrainSet, cfg TrainConfig) ([]f
 	if err != nil {
 		return nil, err
 	}
+	defer tr.Release()
 	return tr.Run()
 }

@@ -144,6 +144,8 @@ func Train(features [][]float64, labels []int, k int, cfg Config) (*Model, error
 		optD.ZeroGrads()
 		optG.Step()
 	}
+	optG.Release()
+	optD.Release()
 	return m, nil
 }
 

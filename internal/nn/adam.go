@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"trafficdiff/internal/tensor"
 )
 
 // Adam implements the Adam optimizer with optional gradient clipping
@@ -20,14 +22,29 @@ type Adam struct {
 }
 
 // NewAdam creates an optimizer over params with standard defaults
-// (beta1=0.9, beta2=0.999, eps=1e-8).
+// (beta1=0.9, beta2=0.999, eps=1e-8), and gives each parameter that has
+// none a zeroed gradient buffer to accumulate into: parameters carry a
+// gradient only while an optimizer trains them (see Release).
 func NewAdam(lr float64, params []*V) *Adam {
 	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
 	for _, p := range params {
+		if p.G == nil {
+			p.G = tensor.New(p.X.Shape...)
+		}
 		a.m = append(a.m, make([]float32, len(p.X.Data)))
 		a.v = append(a.v, make([]float32, len(p.X.Data)))
 	}
 	return a
+}
+
+// Release drops the gradient buffers of the optimizer's parameters
+// once training is over, so a trained model holds its weights alone;
+// backward passes through it then skip those parameters. The optimizer
+// must not Step afterwards.
+func (a *Adam) Release() {
+	for _, p := range a.params {
+		p.G = nil
+	}
 }
 
 // Params returns the parameter set being optimized.

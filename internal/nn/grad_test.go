@@ -8,10 +8,21 @@ import (
 	"trafficdiff/internal/tensor"
 )
 
+// withGrads gives each of ps a zeroed gradient buffer, as NewAdam does
+// for the parameters it trains: a test that reads G after Backward
+// without an optimizer asks for the buffers with this.
+func withGrads(ps ...*V) []*V {
+	for _, p := range ps {
+		p.G = tensor.New(p.X.Shape...)
+	}
+	return ps
+}
+
 // checkGrad verifies analytic gradients of forward's scalar output
 // with respect to every parameter in params via central differences.
 func checkGrad(t *testing.T, params []*V, forward func(tp *Tape) *V) {
 	t.Helper()
+	withGrads(params...)
 	tp := NewTape()
 	loss := forward(tp)
 	tp.Backward(loss)
@@ -145,4 +156,100 @@ func TestGradReshapeFlows(t *testing.T) {
 	checkGrad(t, []*V{x}, func(tp *Tape) *V {
 		return tp.MSE(tp.Reshape(x, 3, 4), target)
 	})
+}
+
+// TestNilGradOperandsSkipped: every op that takes a parameter operand
+// leaves an operand without a gradient buffer without one after
+// Backward, and gives every other operand exactly the gradient bits of
+// a pass in which all operands have buffers — for each subset of
+// operands left without.
+func TestNilGradOperandsSkipped(t *testing.T) {
+	type opCase struct {
+		name   string
+		shapes [][]int
+		fwd    func(tp *Tape, o []*V) *V
+	}
+	cases := []opCase{
+		{"linear", [][]int{{4, 6}, {5, 6}, {5}}, func(tp *Tape, o []*V) *V { return tp.Linear(o[0], o[1], o[2]) }},
+		{"linear-nobias", [][]int{{4, 6}, {5, 6}}, func(tp *Tape, o []*V) *V { return tp.Linear(o[0], o[1], nil) }},
+		{"layernorm", [][]int{{4, 6}, {6}, {6}}, func(tp *Tape, o []*V) *V { return tp.LayerNorm(o[0], o[1], o[2]) }},
+		{"gather", [][]int{{5, 3}}, func(tp *Tape, o []*V) *V { return tp.Gather(o[0], []int{4, 0, 4, 2}) }},
+		{"add", [][]int{{4, 3}, {4, 3}}, func(tp *Tape, o []*V) *V { return tp.Add(o[0], o[1]) }},
+		{"addrepeat", [][]int{{6, 3}, {2, 3}}, func(tp *Tape, o []*V) *V { return tp.AddRepeat(o[0], o[1]) }},
+		{"addscaled", [][]int{{4, 3}, {4, 3}}, func(tp *Tape, o []*V) *V { return tp.AddScaled(o[0], o[1], 0.37) }},
+		{"mulscalar", [][]int{{4, 3}, {4, 1}}, func(tp *Tape, o []*V) *V { return tp.MulScalarBroadcast(o[0], o[1]) }},
+	}
+	for _, c := range cases {
+		r := stats.NewRNG(31)
+		ops := make([]*V, len(c.shapes))
+		for i, sh := range c.shapes {
+			ops[i] = NewV(tensor.New(sh...).Randn(r, 1))
+		}
+		// pass runs forward and backward with a buffer on the operands
+		// whose bit is set in mask and returns every operand's gradient.
+		pass := func(mask int) [][]float32 {
+			for i, o := range ops {
+				o.G = nil
+				if mask&(1<<i) != 0 {
+					withGrads(o)
+				}
+			}
+			tp := NewTape()
+			y := c.fwd(tp, ops)
+			// A SiLU between op and loss makes the upstream gradient
+			// differ per element.
+			tp.Backward(tp.Mean(tp.SiLU(y)))
+			got := make([][]float32, len(ops))
+			for i, o := range ops {
+				if o.G != nil {
+					got[i] = append([]float32(nil), o.G.Data...)
+				}
+			}
+			return got
+		}
+		all := 1<<len(ops) - 1
+		want := pass(all)
+		for mask := 0; mask < all; mask++ {
+			got := pass(mask)
+			for i := range ops {
+				switch {
+				case mask&(1<<i) == 0 && got[i] != nil:
+					t.Errorf("%s mask %b: operand %d gained a gradient buffer", c.name, mask, i)
+				case mask&(1<<i) != 0:
+					if k, ok := sameBits(got[i], want[i]); !ok {
+						t.Errorf("%s mask %b: operand %d gradient differs at element %d", c.name, mask, i, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdamOwnsGradients: a parameter has no gradient buffer until an
+// optimizer trains it, and none after the optimizer is released.
+func TestAdamOwnsGradients(t *testing.T) {
+	l := NewLinear(stats.NewRNG(2), 3, 2)
+	for _, p := range l.Params() {
+		if p.G != nil {
+			t.Fatal("a new parameter has a gradient buffer")
+		}
+	}
+	opt := NewAdam(0.1, l.Params())
+	for _, p := range l.Params() {
+		if p.G == nil || !p.G.SameShape(p.X) {
+			t.Fatal("NewAdam did not give its parameter a gradient buffer")
+		}
+	}
+	tp := NewTape()
+	tp.Backward(tp.Mean(l.Apply(tp, NewV(tensor.New(4, 3).Randn(stats.NewRNG(3), 1)))))
+	if opt.GradNorm() == 0 {
+		t.Fatal("no gradient reached the trained parameters")
+	}
+	opt.Step()
+	opt.Release()
+	for _, p := range l.Params() {
+		if p.G != nil {
+			t.Fatal("Release left a gradient buffer")
+		}
+	}
 }

@@ -118,9 +118,9 @@ func sinusoidalRows(data []float32, steps []int, dim, lo, hi int) {
 // TimeEmbed is SinusoidalEmbedding as a tape value: the encoding is
 // written into an arena-recycled buffer, so samplers that embed the
 // same batch shape every timestep stop allocating for it. The node is
-// a constant — no gradient flows from it.
+// a constant without a gradient buffer — no gradient flows into it.
 func (t *Tape) TimeEmbed(steps []int, dim int) *V {
-	v := t.alloc(len(steps), dim)
+	v := t.constant(len(steps), dim)
 	sinusoidalInto(v.X.Data, steps, dim)
 	return v
 }

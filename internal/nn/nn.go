@@ -7,8 +7,13 @@
 //
 // Usage follows the tape pattern: ops record their backward closures
 // onto a Tape; Backward(loss) seeds the loss gradient and unwinds the
-// tape. Parameters are persistent Vs whose gradients accumulate across
-// the step until an optimizer consumes them.
+// tape. A gradient buffer exists only where something reads it: the
+// outputs of a gradient-recording tape carry one, a parameter carries
+// one only while an optimizer trains it (NewAdam allocates it, Release
+// drops it), and a network input (NewV, Tape.Input, Tape.TimeEmbed)
+// carries none. Every backward closure skips an operand without a
+// buffer, so a frozen weight costs no weight-gradient GEMM and an input
+// no input-gradient GEMM.
 package nn
 
 import (
@@ -17,21 +22,23 @@ import (
 	"trafficdiff/internal/tensor"
 )
 
-// V is a tensor value in the autodiff graph with its gradient. G is
-// nil on values a no-grad tape produced (Tape.SetNoGrad): nothing
-// differentiates through them.
+// V is a tensor value in the autodiff graph with its gradient G. G is
+// non-nil on the outputs of a gradient-recording tape (allocated by the
+// tape) and on the parameters an optimizer trains (allocated by
+// NewAdam, dropped by Adam.Release). It is nil everywhere else: on
+// parameters no optimizer holds (a loaded or frozen model), on network
+// inputs (NewV, and a tape's Input and TimeEmbed values), and on values
+// a no-grad tape produced (Tape.SetNoGrad). Backward skips every nil G.
 type V struct {
 	X *tensor.Tensor
 	G *tensor.Tensor
 }
 
-// NewV wraps x as a graph value with a zero gradient.
-func NewV(x *tensor.Tensor) *V {
-	//tracelint:allow hotalloc — arena miss: hot callers hit Tape.alloc's free list in steady state
-	return &V{X: x, G: tensor.New(x.Shape...)}
-}
+// NewV wraps x as a graph value without a gradient buffer.
+func NewV(x *tensor.Tensor) *V { return &V{X: x} }
 
-// Param allocates a parameter with the given shape.
+// Param allocates a parameter with the given shape and no gradient
+// buffer; NewAdam gives it one when it trains it.
 func Param(shape ...int) *V { return NewV(tensor.New(shape...)) }
 
 // ZeroGrad clears the gradient.
@@ -101,16 +108,19 @@ func (t *Tape) SetNoGrad(on bool) { t.nograd = on }
 // pay the closure allocations.
 func (t *Tape) grad() bool { return !t.nograd }
 
-// newV wraps x as a value of this tape: with a zero gradient buffer on
-// a gradient-recording tape, with none (G nil) on a no-grad tape —
-// nothing reads a gradient there, so an inference loop neither
-// allocates nor re-zeroes a second tensor behind every op output.
-func (t *Tape) newV(x *tensor.Tensor) *V {
-	if t.nograd {
+// newV wraps x as a value of this tape, with a zero gradient buffer
+// when grad is set: on a gradient-recording tape, for every value but a
+// constant. A no-grad tape's values carry none — nothing reads a
+// gradient there, so an inference loop neither allocates nor re-zeroes
+// a second tensor behind every op output.
+func (t *Tape) newV(x *tensor.Tensor, grad bool) *V {
+	//tracelint:allow hotalloc — arena miss: hot callers hit Tape.alloc's free list in steady state
+	v := &V{X: x}
+	if grad {
 		//tracelint:allow hotalloc — arena miss: hot callers hit Tape.alloc's free list in steady state
-		return &V{X: x}
+		v.G = tensor.New(x.Shape...)
 	}
-	return NewV(x)
+	return v
 }
 
 // alloc returns a graph value of the given shape for an op that
@@ -125,9 +135,14 @@ func (t *Tape) newV(x *tensor.Tensor) *V {
 // tape the value carries no gradient buffer (see newV), and a recycled
 // one that has a buffer from an earlier gradient pass keeps it,
 // untouched.
-func (t *Tape) alloc(shape ...int) *V {
+func (t *Tape) alloc(shape ...int) *V { return t.allocGrad(!t.nograd, shape...) }
+
+// allocGrad is alloc with the gradient buffer's presence explicit: with
+// grad unset, a fresh value gets none and a recycled one keeps whatever
+// buffer it has, uncleared.
+func (t *Tape) allocGrad(grad bool, shape ...int) *V {
 	if !t.reuse {
-		return t.newV(tensor.New(shape...))
+		return t.newV(tensor.New(shape...), grad)
 	}
 	n := 1
 	for _, s := range shape {
@@ -136,7 +151,7 @@ func (t *Tape) alloc(shape ...int) *V {
 	if vs := t.free[n]; len(vs) > 0 {
 		base := vs[len(vs)-1]
 		t.free[n] = vs[:len(vs)-1]
-		if !t.nograd {
+		if grad {
 			if base.G == nil {
 				//tracelint:allow hotalloc — a value pooled by a no-grad pass meets its first gradient pass; once per buffer
 				base.G = tensor.New(base.X.Shape...)
@@ -148,7 +163,7 @@ func (t *Tape) alloc(shape ...int) *V {
 		if !shapeEq(base.X.Shape, shape) {
 			//tracelint:allow hotalloc — header-only rewrap when a reused buffer changes shape; data is shared
 			v = &V{X: base.X.Reshape(shape...)}
-			if !t.nograd {
+			if grad {
 				v.G = base.G.Reshape(shape...)
 			}
 		}
@@ -157,7 +172,7 @@ func (t *Tape) alloc(shape ...int) *V {
 		return v
 	}
 	//tracelint:allow hotalloc — arena miss: first step only, recycled afterwards
-	v := t.newV(tensor.New(shape...))
+	v := t.newV(tensor.New(shape...), grad)
 	//tracelint:allow hotalloc — bookkeeping append: taken reaches steady capacity after the first step
 	t.taken = append(t.taken, v)
 	return v
@@ -198,12 +213,29 @@ func (t *Tape) scratch(n int) []float32 {
 	return b
 }
 
+// constant returns a value of the given shape for an op whose output
+// is a network input (Input, TimeEmbed): nothing differentiates into
+// it, so on a gradient tape too it carries no gradient buffer, and the
+// layer that reads it skips its input-gradient GEMM. Its storage comes
+// from the arena like alloc's; a recycled value that has a buffer keeps
+// it for later gradient passes and is handed out through a view of its
+// X alone. On a no-grad tape it is alloc.
+func (t *Tape) constant(shape ...int) *V {
+	v := t.allocGrad(false, shape...)
+	if v.G == nil || t.nograd {
+		return v
+	}
+	w := t.view(shape)
+	w.xt.Data = v.X.Data
+	return &w.v
+}
+
 // Input copies x into a tape-owned value: the graph node for a
 // constant network input (a control image, a fixed embedding). Unlike
 // NewV it participates in the arena, so loops that feed the same-shape
 // input every step stop allocating for it after the first step.
 func (t *Tape) Input(x *tensor.Tensor) *V {
-	v := t.alloc(x.Shape...)
+	v := t.constant(x.Shape...)
 	copy(v.X.Data, x.Data)
 	return v
 }
@@ -269,8 +301,12 @@ func (t *Tape) Add(a, b *V) *V {
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
-			a.G.AddInto(out.G)
-			b.G.AddInto(out.G)
+			if a.G != nil {
+				a.G.AddInto(out.G)
+			}
+			if b.G != nil {
+				b.G.AddInto(out.G)
+			}
 		})
 	}
 	return out
@@ -302,7 +338,12 @@ func (t *Tape) AddRepeat(a, b *V) *V {
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
-			a.G.AddInto(out.G)
+			if a.G != nil {
+				a.G.AddInto(out.G)
+			}
+			if b.G == nil {
+				return
+			}
 			for i, g := range out.G.Data {
 				b.G.Data[i%len(b.G.Data)] += g
 			}
@@ -330,6 +371,9 @@ func (t *Tape) Scale(a *V, s float32) *V {
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
+			if a.G == nil {
+				return
+			}
 			for i, g := range out.G.Data {
 				a.G.Data[i] += float32(s * g)
 			}
@@ -358,6 +402,20 @@ func (t *Tape) Reshape(a *V, shape ...int) *V {
 	if n != a.X.Len() {
 		panic(fmt.Sprintf("tensor: reshape %v -> %v", a.X.Shape, shape))
 	}
+	w := t.view(shape)
+	w.xt.Data = a.X.Data
+	if a.G != nil { // values without a gradient have none to view
+		w.gt.Shape = w.xt.Shape
+		w.gt.Data = a.G.Data
+		w.v.G = &w.gt
+	}
+	return &w.v
+}
+
+// view returns a pooled view header of the given shape whose V points
+// at its X header and has no G; the caller sets the data it views. The
+// header returns to the pool at Recycle.
+func (t *Tape) view(shape []int) *viewV {
 	var w *viewV
 	if len(t.vfree) > 0 {
 		w = t.vfree[len(t.vfree)-1]
@@ -371,14 +429,8 @@ func (t *Tape) Reshape(a *V, shape ...int) *V {
 	// X and G share one shape slice; shapes are read-only by convention.
 	//tracelint:allow hotalloc — a pooled header's shape slice keeps its capacity across steps
 	w.xt.Shape = append(w.xt.Shape[:0], shape...)
-	w.xt.Data = a.X.Data
 	w.v.X, w.v.G = &w.xt, nil
-	if a.G != nil { // no-grad values carry no gradient to view
-		w.gt.Shape = w.xt.Shape
-		w.gt.Data = a.G.Data
-		w.v.G = &w.gt
-	}
-	return &w.v
+	return w
 }
 
 // Linear computes x·wᵀ + bias for x [N,in], w [out,in], bias [out]. A
@@ -403,10 +455,16 @@ func (t *Tape) Linear(x, w, bias *V) *V {
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
-			// dx = dout·w ; dw = doutᵀ·x ; db = column sums of dout
-			x.G.AddInto(tensor.MatMul(out.G, w.X))
-			w.G.AddInto(tensor.MatMulATB(out.G, x.X))
-			if bias == nil {
+			// dx = dout·w ; dw = doutᵀ·x ; db = column sums of dout.
+			// An operand without a gradient buffer (a network input, a
+			// frozen weight) skips its GEMM altogether.
+			if x.G != nil {
+				x.G.AddInto(tensor.MatMul(out.G, w.X))
+			}
+			if w.G != nil {
+				w.G.AddInto(tensor.MatMulATB(out.G, x.X))
+			}
+			if bias == nil || bias.G == nil {
 				return
 			}
 			for r := 0; r < n; r++ {

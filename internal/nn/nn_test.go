@@ -180,8 +180,9 @@ func TestTrainingLossIsFinite(t *testing.T) {
 // TestNoGradTapeCarriesNoGradients pins the arena contract the sampler
 // relies on: a no-grad tape's values have no gradient buffer at all —
 // fresh, recycled, reshaped or rewrapped to another shape — and compute
-// the same bytes as a gradient-recording tape, whose values still carry
-// a zeroed gradient, including ones first pooled by a no-grad pass.
+// the same bytes as a gradient-recording tape, whose values other than
+// constants still carry a zeroed gradient, including ones first pooled
+// by a no-grad pass.
 func TestNoGradTapeCarriesNoGradients(t *testing.T) {
 	r := stats.NewRNG(9)
 	x := NewV(tensor.New(3, 5).Randn(r, 1))
@@ -232,6 +233,9 @@ func TestNoGradTapeCarriesNoGradients(t *testing.T) {
 		}
 	}
 	for _, v := range ng.taken {
+		if v.X.Len() == x.X.Len() {
+			continue // the Input constant's value: it carries none (TestConstantsCarryNoGradient)
+		}
 		if v.G == nil || !v.G.SameShape(v.X) {
 			t.Fatalf("grad tape value %v has no gradient buffer", v.X.Shape)
 		}
@@ -243,5 +247,33 @@ func TestNoGradTapeCarriesNoGradients(t *testing.T) {
 	}
 	if tp := NewTape(); tp.alloc(2, 2).G == nil {
 		t.Fatal("plain grad tape value has no gradient buffer")
+	}
+}
+
+// TestConstantsCarryNoGradient: Input and TimeEmbed values have no
+// gradient buffer on a gradient tape either — fresh, or drawn from an
+// arena whose buffer of their size has one — and a backward pass
+// through them runs.
+func TestConstantsCarryNoGradient(t *testing.T) {
+	x := tensor.New(3, 5).Randn(stats.NewRNG(4), 1)
+	for _, reuse := range []bool{false, true} {
+		tp := NewTape()
+		if reuse {
+			tp.EnableReuse()
+		}
+		for pass := 0; pass < 3; pass++ {
+			// Scale's [3,5] output has a buffer; after Recycle the next
+			// pass's constants of that size may draw it.
+			scaled := tp.Scale(tp.Input(x), 2)
+			in, te := tp.Input(x), tp.TimeEmbed([]int{1, 2, 3}, 5)
+			if in.G != nil || te.G != nil {
+				t.Fatalf("reuse=%v pass %d: a constant carries a gradient buffer", reuse, pass)
+			}
+			if i, ok := sameBits(in.X.Data, x.Data); !ok {
+				t.Fatalf("reuse=%v pass %d: Input differs at element %d", reuse, pass, i)
+			}
+			tp.Backward(tp.Mean(tp.Add(scaled, tp.Add(in, te))))
+			tp.Recycle()
+		}
 	}
 }

@@ -74,7 +74,12 @@ func (t *Tape) AddScaled(a, b *V, s float32) *V {
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
-			a.G.AddInto(out.G)
+			if a.G != nil {
+				a.G.AddInto(out.G)
+			}
+			if b.G == nil {
+				return
+			}
 			for i, g := range out.G.Data {
 				b.G.Data[i] += float32(s * g)
 			}
@@ -109,6 +114,9 @@ func (t *Tape) SiLU(a *V) *V {
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
+			if a.G == nil {
+				return
+			}
 			for i, g := range out.G.Data {
 				s := sig[i]
 				v := a.X.Data[i]
@@ -140,6 +148,9 @@ func (t *Tape) Tanh(a *V) *V {
 	}
 	if t.grad() {
 		t.record(func() {
+			if a.G == nil {
+				return
+			}
 			for i, g := range out.G.Data {
 				y := out.X.Data[i]
 				a.G.Data[i] += float32(g * (1 - float32(y*y)))
@@ -161,6 +172,9 @@ func (t *Tape) LeakyReLU(a *V, alpha float32) *V {
 	}
 	if t.grad() {
 		t.record(func() {
+			if a.G == nil {
+				return
+			}
 			for i, g := range out.G.Data {
 				if a.X.Data[i] >= 0 {
 					a.G.Data[i] += g
@@ -196,19 +210,31 @@ func (t *Tape) LayerNorm(x, gamma, beta *V) *V {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for r := 0; r < n; r++ {
-				var sumG, sumGH float32
 				gRow := out.G.Data[r*d : (r+1)*d]
+				hRow := xhat[r*d : (r+1)*d]
+				if gamma.G != nil {
+					for j, g := range gRow {
+						gamma.G.Data[j] += float32(g * hRow[j])
+					}
+				}
+				if beta.G != nil {
+					for j, g := range gRow {
+						beta.G.Data[j] += g
+					}
+				}
+				if x.G == nil {
+					continue
+				}
+				var sumG, sumGH float32
 				for j, g := range gRow {
 					gg := float32(g * gamma.X.Data[j])
 					sumG += gg
-					sumGH += float32(gg * xhat[r*d+j])
-					gamma.G.Data[j] += float32(g * xhat[r*d+j])
-					beta.G.Data[j] += g
+					sumGH += float32(gg * hRow[j])
 				}
 				is := invStd[r]
 				for j, g := range gRow {
 					gg := float32(g * gamma.X.Data[j])
-					h := xhat[r*d+j]
+					h := hRow[j]
 					x.G.Data[r*d+j] += float32(is * (gg - sumG/float32(d) - h*sumGH/float32(d)))
 				}
 			}
@@ -268,6 +294,9 @@ func (t *Tape) Gather(table *V, idx []int) *V {
 		ids := append([]int(nil), idx...)
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
+			if table.G == nil {
+				return
+			}
 			for r, id := range ids {
 				dst := table.G.Data[id*d : (id+1)*d]
 				src := out.G.Data[r*d : (r+1)*d]
@@ -291,6 +320,9 @@ func (t *Tape) Mean(a *V) *V {
 	out.X.Data[0] = float32(sum) / n
 	if t.grad() {
 		t.record(func() {
+			if a.G == nil {
+				return
+			}
 			g := out.G.Data[0] / n
 			for i := range a.G.Data {
 				a.G.Data[i] += g
@@ -316,6 +348,9 @@ func (t *Tape) MSE(pred *V, target *tensor.Tensor) *V {
 	out.X.Data[0] = float32(sum) / n
 	if t.grad() {
 		t.record(func() {
+			if pred.G == nil {
+				return
+			}
 			g := out.G.Data[0] * 2 / n
 			for i := range pred.G.Data {
 				pred.G.Data[i] += float32(g * (pred.X.Data[i] - target.Data[i]))
@@ -342,6 +377,9 @@ func (t *Tape) BCEWithLogits(logits *V, target *tensor.Tensor) *V {
 	out.X.Data[0] = float32(sum) / n
 	if t.grad() {
 		t.record(func() {
+			if logits.G == nil {
+				return
+			}
 			g := out.G.Data[0] / n
 			for i, z := range logits.X.Data {
 				s := float32(1 / (1 + math.Exp(-float64(z))))
@@ -371,14 +409,20 @@ func (t *Tape) MulScalarBroadcast(a, s *V) *V {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			for r := 0; r < n; r++ {
-				sv := s.X.Data[r]
-				var acc float32
-				for j := 0; j < d; j++ {
-					g := out.G.Data[r*d+j]
-					a.G.Data[r*d+j] += float32(g * sv)
-					acc += float32(g * a.X.Data[r*d+j])
+				gRow := out.G.Data[r*d : (r+1)*d]
+				if a.G != nil {
+					sv := s.X.Data[r]
+					for j, g := range gRow {
+						a.G.Data[r*d+j] += float32(g * sv)
+					}
 				}
-				s.G.Data[r] += acc
+				if s.G != nil {
+					var acc float32
+					for j, g := range gRow {
+						acc += float32(g * a.X.Data[r*d+j])
+					}
+					s.G.Data[r] += acc
+				}
 			}
 		})
 	}

@@ -41,7 +41,7 @@ type opInputs struct {
 }
 
 func newOpInputs(r *stats.RNG, rows, d int) *opInputs {
-	p := func(shape ...int) *V { return NewV(tensor.New(shape...).Randn(r, 1)) }
+	p := func(shape ...int) *V { return withGrads(NewV(tensor.New(shape...).Randn(r, 1)))[0] }
 	return &opInputs{
 		a: p(rows, d), b: p(rows, d), wide: p(rows, 4*d), gate: p(rows, 1), pair: p(2*rows, d),
 		w: p(d, d), bias: p(d), gamma: p(d), beta: p(d), table: p(5, d),
@@ -187,6 +187,7 @@ func TestAddScaledMatchesScaleThenAdd(t *testing.T) {
 	const n, d = 37, 29
 	a := NewV(tensor.New(n, d).Randn(r, 1))
 	b := NewV(tensor.New(n, d).Randn(r, 1))
+	withGrads(a, b)
 	for i := 0; i < d; i++ {
 		b.X.Data[i] = -a.X.Data[i] / 0.3 // a + s·b ≈ 0: the cancellation case
 	}

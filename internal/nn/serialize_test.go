@@ -82,9 +82,10 @@ func TestLoadPreservesZeroGradState(t *testing.T) {
 	if err := SaveParams(&buf, []*V{p}); err != nil {
 		t.Fatal(err)
 	}
-	q := Param(3)
+	data := buf.Bytes()
+	q := withGrads(Param(3))[0]
 	q.G.Data[0] = 42 // stale gradient must survive untouched (values only)
-	if err := LoadParams(&buf, []*V{q}); err != nil {
+	if err := LoadParams(bytes.NewReader(data), []*V{q}); err != nil {
 		t.Fatal(err)
 	}
 	if q.X.Data[2] != 3 {
@@ -92,6 +93,14 @@ func TestLoadPreservesZeroGradState(t *testing.T) {
 	}
 	if q.G.Data[0] != 42 {
 		t.Fatal("LoadParams should not touch gradients")
+	}
+	// A parameter without a buffer gets none from loading.
+	bare := Param(3)
+	if err := LoadParams(bytes.NewReader(data), []*V{bare}); err != nil {
+		t.Fatal(err)
+	}
+	if bare.G != nil {
+		t.Fatal("LoadParams allocated a gradient buffer")
 	}
 }
 
