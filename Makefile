@@ -85,10 +85,11 @@ resume-smoke:
 # forward against plain forward pairs and the batch-1 reference loop,
 # and seeded and edit output against golden digests recorded on older
 # commits (the only check that sees a change the in-binary oracles
-# share). Last, the arm64 listing of internal/ must hold no fused
-# multiply-add: Go may fuse a*b+c there (amd64 never does), which
-# rounds once and moves bits, so every such site rounds its product
-# with an explicit conversion.
+# share). The non-Linux build (weights on the heap, not in mappings of
+# their own) must compile. Last, the arm64 listing of internal/ must
+# hold no fused multiply-add: Go may fuse a*b+c there (amd64 never
+# does), which rounds once and moves bits, so every such site rounds
+# its product with an explicit conversion.
 verify-determinism:
 	$(GO) build -o /tmp/traceval-det ./cmd/traceval
 	GOMAXPROCS=1 /tmp/traceval-det -fast -train 6 -test 3 -synth 3 -out /tmp/det_fig2.png table2 fig1a fig1b fig2 perclass-gan fidelity > /tmp/det_p1.txt
@@ -111,25 +112,26 @@ verify-determinism:
 	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical; unseeded calls replay from their root"
 	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/diffusion ./internal/lora ./internal/core
 	GOARCH=arm64 $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... 2>&1 | awk '/STEXT/ {fn = $$1} /\tF(N)?M(ADD|SUB)[SD]?\t/ {print "fused multiply-add in " fn; bad = 1} END {exit bad}'
-	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds with no fused multiply-add in internal/"
+	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds with no fused multiply-add in internal/; the non-Linux weight storage builds"
 
 # Short fuzzing pass over the binary-format decoders, the checkpoint
 # loader and the training-checkpoint resume path, the CSV writer, the A·Bᵀ tiles (assembly that loads and
 # stores by computed offset), the workload-spec parser, the generate
 # handler's request body and the router's readiness-probe body.
 fuzz:
-	$(GO) test -fuzz FuzzDecode -fuzztime 15s ./internal/packet
-	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/pcap
-	$(GO) test -fuzz FuzzDecodeRow -fuzztime 15s ./internal/nprint
-	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s ./internal/nprint
-	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s ./internal/nprint
-	$(GO) test -fuzz FuzzLoad -fuzztime 15s ./internal/core
-	$(GO) test -fuzz FuzzTrainCheckpoint -fuzztime 15s ./internal/core
-	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s ./internal/tensor
-	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s ./internal/load
-	$(GO) test -fuzz FuzzGenerateRequest -fuzztime 15s ./internal/serve
-	$(GO) test -fuzz FuzzReadyStatus -fuzztime 15s ./internal/cluster
+	$(GO) test -fuzz FuzzDecode -fuzztime 15s -fuzzminimizetime 1s ./internal/packet
+	$(GO) test -fuzz FuzzReader -fuzztime 15s -fuzzminimizetime 1s ./internal/pcap
+	$(GO) test -fuzz FuzzDecodeRow -fuzztime 15s -fuzzminimizetime 1s ./internal/nprint
+	$(GO) test -fuzz FuzzReadCSV -fuzztime 15s -fuzzminimizetime 1s ./internal/nprint
+	$(GO) test -fuzz FuzzWriteCSV -fuzztime 15s -fuzzminimizetime 1s ./internal/nprint
+	$(GO) test -fuzz FuzzLoad -fuzztime 15s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -fuzz FuzzTrainCheckpoint -fuzztime 15s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s -fuzzminimizetime 1s ./internal/tensor
+	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s -fuzzminimizetime 1s ./internal/load
+	$(GO) test -fuzz FuzzGenerateRequest -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -fuzz FuzzReadyStatus -fuzztime 15s -fuzzminimizetime 1s ./internal/cluster
 
 # Regenerate every paper table and figure, then the design-choice
 # ablations, into the recorded run log.

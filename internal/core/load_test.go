@@ -413,38 +413,57 @@ func TestParamValuesCountsTheModels(t *testing.T) {
 }
 
 // forgedHeader is a snapshot and nothing else, whose config asks for a
-// Hidden-wide model — the Hidden² layer alone is Hidden² values.
+// Hidden-wide model — the Hidden² layer alone is Hidden² values. Its
+// per-class lists have the right lengths, so only the size check stops
+// Load from building the models.
 func forgedHeader(t testing.TB, hidden int) []byte {
 	cfg := loadConfig()
 	cfg.Hidden = hidden
 	var buf bytes.Buffer
-	snap := snapshot{Version: snapshotVersion, Config: cfg, Classes: []string{"amazon"}, HasLoRA: true}
+	snap := snapshot{Version: snapshotVersion, Config: cfg, Classes: []string{"amazon"}, HasLoRA: true,
+		ClassTemplates: make([]controlnet.Template, 1), ClassControls: make([]tensor.Tensor, 1), ClassGaps: make([][]float64, 1)}
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// allocated returns the bytes the program has allocated since it
+// started: the Go heap's and those of the weight matrices mapped
+// outside it (tensor.NewLongLived), which TotalAlloc does not see.
+func allocated() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc + uint64(tensor.MappedTotal())
+}
+
 // TestLoadBoundsAllocationByInput feeds Load headers under a kilobyte
-// whose configs ask for 1 M and 16.7 M parameter values: Load must
-// refuse them before it builds the models, having allocated under 4 MB.
+// whose configs ask for 1 M and 16.7 M parameter values, in matrices
+// large enough to be mapped outside the heap: Load must refuse them
+// before it builds the models, having allocated under 4 MB.
 func TestLoadBoundsAllocationByInput(t *testing.T) {
+	h, w, err := checkConfig(loadConfig(), []string{"amazon"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, hidden := range []int{1024, 4096} {
+		if hidden*h*w < 16<<10 {
+			t.Fatalf("Hidden %d: a %d x %d projection would stay on the heap", hidden, hidden, h*w)
+		}
 		data := forgedHeader(t, hidden)
 		if len(data) >= 1024 {
 			t.Fatalf("forged header is %d bytes, want under 1 KB", len(data))
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		before := allocated()
 		s, err := Load(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
+		alloc := allocated() - before
 		if err == nil || s != nil {
 			t.Fatalf("Hidden %d: synthesizer %v, error %v; want an error", hidden, s, err)
 		}
 		if !strings.Contains(err.Error(), "parameter values") {
 			t.Fatalf("Hidden %d: error %q is not the size check", hidden, err)
 		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		if alloc >= 4<<20 {
 			t.Fatalf("Hidden %d: Load allocated %d bytes on a %d-byte input", hidden, alloc, len(data))
 		}
 	}
@@ -519,7 +538,8 @@ func tinyTrained(t testing.TB, classes ...string) *Synthesizer {
 // checkpoint as Save writes it, the same model in the version-1 layout
 // older builds wrote, and a forged header that asks for a 16.7 M-value
 // model. Load must return a synthesizer or an error, never panic, and
-// allocate no more than a fixed amount plus a multiple of the input.
+// allocate (heap and mapped weights) no more than a fixed amount plus a
+// multiple of the input.
 func FuzzLoad(f *testing.F) {
 	s := tinyTrained(f, "amazon")
 	var v3 bytes.Buffer
@@ -530,14 +550,13 @@ func FuzzLoad(f *testing.F) {
 	f.Add(writePreRemoval(f, s, s.configSnapshot(), 0, true, s.allParams()).Bytes())
 	f.Add(forgedHeader(f, 4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		before := allocated()
 		s, err := Load(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
+		alloc := allocated() - before
 		if (err == nil) == (s == nil) {
 			t.Fatalf("synthesizer %v with error %v", s, err)
 		}
-		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<20+64*len(data)); alloc > limit {
+		if limit := uint64(32<<20 + 64*len(data)); alloc > limit {
 			t.Fatalf("Load allocated %d bytes on a %d-byte input (limit %d)", alloc, len(data), limit)
 		}
 	})
@@ -568,32 +587,46 @@ func TestModelsHoldNoGradients(t *testing.T) {
 		}
 	}
 	noGrads("after FineTune", s)
-	s = nil // only the checkpoint bytes stay live across the measurement
 
+	// s stays live across the measurement, so no finalizer of its
+	// mappings runs inside it.
 	data := buf.Bytes()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	mappedBefore := tensor.MappedBytes()
 	loaded, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	mapped := tensor.MappedBytes() - mappedBefore
 	noGrads("after Load", loaded)
-	var weights uint64
+	var weights, big int64
 	for _, p := range loaded.allParams() {
-		weights += 4 * uint64(len(p.X.Data))
+		weights += 4 * int64(len(p.X.Data))
+		if len(p.X.Data) >= 16<<10 { // tensor.NewLongLived's mapping threshold
+			big += 4 * int64(len(p.X.Data))
+		}
 	}
-	// The slack covers the per-class state (templates, control images,
-	// gap distributions) and the headers around the weights; a gradient
-	// buffer per parameter would add the weights a second time.
-	const slack = 128 << 10
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("live heap grew %d bytes for %d bytes of weights", growth, weights)
-	if growth > int64(weights+slack) {
-		t.Fatalf("Load grew the live heap by %d bytes, want at most the %d weight bytes + %d", growth, weights, slack)
+	t.Logf("live heap grew %d bytes and mappings %d bytes for %d bytes of weights", growth, mapped, weights)
+	// The slack covers the per-class state (templates, control images,
+	// gap distributions), the headers around the weights and, on Linux,
+	// the small weights, which stay on the heap; a gradient buffer per
+	// parameter would add the weights a second time.
+	if runtime.GOOS == "linux" {
+		if mapped != big {
+			t.Fatalf("Load mapped %d bytes, want the %d bytes of its matrices of 16 Ki values or more", mapped, big)
+		}
+		if growth >= 256<<10 {
+			t.Fatalf("Load grew the live heap by %d bytes, want < 256 KB beside its mapped weights", growth)
+		}
+	} else if growth > weights+128<<10 {
+		t.Fatalf("Load grew the live heap by %d bytes, want at most the %d weight bytes + 128 KB", growth, weights)
 	}
+	runtime.KeepAlive(s)
 	runtime.KeepAlive(loaded)
 	runtime.KeepAlive(data)
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -294,7 +293,8 @@ func resumeTraining(s *Synthesizer, data []byte) error {
 // FuzzTrainCheckpoint feeds the resume path arbitrary checkpoint bytes,
 // seeded with a real base-phase and a real fine-tune-phase checkpoint
 // of a tiny model. It must return an error or restore, never panic, and
-// allocate no more than a fixed amount plus a multiple of the input.
+// allocate (heap and mapped weights) no more than a fixed amount plus a
+// multiple of the input.
 func FuzzTrainCheckpoint(f *testing.F) {
 	classes := []string{"amazon"}
 	cfg := tinyConfig()
@@ -339,11 +339,9 @@ func FuzzTrainCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		before := allocated()
 		_ = resumeTraining(s, data) // an error is a valid outcome; a panic is not
-		runtime.ReadMemStats(&after)
-		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<20+64*len(data)); alloc > limit {
+		if alloc, limit := allocated()-before, uint64(32<<20+64*len(data)); alloc > limit {
 			t.Fatalf("resume allocated %d bytes on a %d-byte input (limit %d)", alloc, len(data), limit)
 		}
 	})

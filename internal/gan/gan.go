@@ -107,6 +107,7 @@ func Train(features [][]float64, labels []int, k int, cfg Config) (*Model, error
 	ones := tensor.New(n, 1)
 	ones.Fill(1)
 	zeros := tensor.New(n, 1)
+	dGrads := make([]*tensor.Tensor, len(dParams))
 
 	for step := 0; step < cfg.Steps; step++ {
 		// ---- Discriminator update (generator detached). ----
@@ -129,6 +130,13 @@ func Train(features [][]float64, labels []int, k int, cfg Config) (*Model, error
 		optD.Step()
 
 		// ---- Generator update (non-saturating loss). ----
+		// D is frozen for the G step: its parameters give up their
+		// gradient buffers until the step is over, so the backward pass
+		// through D computes only the input gradients G needs and none
+		// of D's weight gradients.
+		for i, p := range dParams {
+			dGrads[i], p.G = p.G, nil
+		}
 		z := tensor.New(n, cfg.ZDim).Randn(r, 1)
 		tp2 := nn.NewTape()
 		out := m.generate(tp2, nn.NewV(z))
@@ -139,9 +147,9 @@ func Train(features [][]float64, labels []int, k int, cfg Config) (*Model, error
 		}
 		m.GLosses = append(m.GLosses, gv)
 		tp2.Backward(lossG)
-		// Freeze D for the G step: its gradients from this tape are
-		// discarded.
-		optD.ZeroGrads()
+		for i, p := range dParams {
+			p.G = dGrads[i]
+		}
 		optG.Step()
 	}
 	optG.Release()

@@ -116,10 +116,3 @@ func (a *Adam) SetState(step int, m, v [][]float32) error {
 	}
 	return nil
 }
-
-// ZeroGrads clears all parameter gradients without stepping.
-func (a *Adam) ZeroGrads() {
-	for _, p := range a.params {
-		p.ZeroGrad()
-	}
-}

@@ -37,9 +37,10 @@ type V struct {
 // NewV wraps x as a graph value without a gradient buffer.
 func NewV(x *tensor.Tensor) *V { return &V{X: x} }
 
-// Param allocates a parameter with the given shape and no gradient
-// buffer; NewAdam gives it one when it trains it.
-func Param(shape ...int) *V { return NewV(tensor.New(shape...)) }
+// Param allocates a parameter with the given shape in long-lived
+// storage (tensor.NewLongLived: a large one outside the Go heap) and
+// with no gradient buffer; NewAdam gives it one when it trains it.
+func Param(shape ...int) *V { return NewV(tensor.NewLongLived(shape...)) }
 
 // ZeroGrad clears the gradient.
 func (v *V) ZeroGrad() { v.G.Zero() }
@@ -226,7 +227,7 @@ func (t *Tape) constant(shape ...int) *V {
 		return v
 	}
 	w := t.view(shape)
-	w.xt.Data = v.X.Data
+	w.xt.ViewOf(v.X)
 	return &w.v
 }
 
@@ -403,10 +404,10 @@ func (t *Tape) Reshape(a *V, shape ...int) *V {
 		panic(fmt.Sprintf("tensor: reshape %v -> %v", a.X.Shape, shape))
 	}
 	w := t.view(shape)
-	w.xt.Data = a.X.Data
+	w.xt.ViewOf(a.X)
 	if a.G != nil { // values without a gradient have none to view
 		w.gt.Shape = w.xt.Shape
-		w.gt.Data = a.G.Data
+		w.gt.ViewOf(a.G)
 		w.v.G = &w.gt
 	}
 	return &w.v

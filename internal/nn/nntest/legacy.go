@@ -10,6 +10,7 @@ package nn
 import (
 	"encoding/gob"
 	"io"
+	"runtime"
 
 	"trafficdiff/internal/tensor"
 )
@@ -53,5 +54,8 @@ func write(w io.Writer, version int, params []*tensor.Tensor, st *TrainerState) 
 	for _, p := range params {
 		ck.Params = append(ck.Params, paramBlob{Shape: p.Shape, Data: p.Data})
 	}
-	return gob.NewEncoder(w).Encode(ck)
+	err := gob.NewEncoder(w).Encode(ck)
+	// ck holds bare Data slices; the headers own their storage.
+	runtime.KeepAlive(params)
+	return err
 }

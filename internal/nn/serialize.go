@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"runtime"
+	"unsafe"
 )
 
 // Checkpoint format versions. Version 1 carried weights only and
@@ -23,7 +26,7 @@ const (
 	versionRaw     = 3
 )
 
-// rawChunk is how many values the raw section moves per read or write.
+// rawChunk is how many values writeRaw encodes per write.
 const rawChunk = 8192
 
 // paramBlob is the on-disk form of one parameter tensor. Version 3
@@ -103,6 +106,9 @@ func save(w io.Writer, params []*V, st *TrainerState) error {
 			return err
 		}
 	}
+	// The headers own the storage writeRaw reads (tensor.NewLongLived);
+	// the caller may hold the model through params alone.
+	runtime.KeepAlive(params)
 	if st == nil {
 		return nil
 	}
@@ -172,14 +178,15 @@ func load(r io.Reader, params []*V, training bool) (*TrainerState, error) {
 		return ck.Train, nil
 	}
 
-	buf := make([]byte, 4*rawChunk)
 	values := 0
 	for i, p := range params {
-		if err := readRaw(br, buf, p.X.Data); err != nil {
+		if err := readRaw(br, p.X.Data); err != nil {
 			return nil, fmt.Errorf("nn: reading param %d: %w", i, err)
 		}
 		values += len(p.X.Data)
 	}
+	// As in save: the headers own the storage readRaw fills.
+	runtime.KeepAlive(params)
 	st := ck.Train
 	if !training {
 		if st != nil {
@@ -195,7 +202,7 @@ func load(r io.Reader, params []*V, training bool) (*TrainerState, error) {
 	for _, moments := range [][][]float32{st.AdamM, st.AdamV} {
 		for i, p := range params {
 			moments[i] = make([]float32, len(p.X.Data))
-			if err := readRaw(br, buf, moments[i]); err != nil {
+			if err := readRaw(br, moments[i]); err != nil {
 				return nil, fmt.Errorf("nn: reading moments of param %d: %w", i, err)
 			}
 		}
@@ -247,21 +254,27 @@ func writeRaw(w io.Writer, buf []byte, vals []float32) error {
 	return nil
 }
 
-// readRaw fills vals from r's little-endian float32s, len(buf)/4 at a
-// time.
-func readRaw(r io.Reader, buf []byte, vals []float32) error {
-	for len(vals) > 0 {
-		n := min(len(vals), len(buf)/4)
-		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
+// littleEndian reports whether the host stores a float32 in the raw
+// section's byte order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// readRaw fills vals from r's little-endian float32s, read in place
+// into vals' own bytes and byte-swapped afterwards on a big-endian
+// host: a model's load copies its weights once.
+func readRaw(r io.Reader, vals []float32) error {
+	if len(vals) == 0 {
+		return nil
+	}
+	if _, err := io.ReadFull(r, unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), 4*len(vals))); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		for i := range vals[:n] {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		return err
+	}
+	if !littleEndian {
+		for i, v := range vals {
+			vals[i] = math.Float32frombits(bits.ReverseBytes32(math.Float32bits(v)))
 		}
-		vals = vals[n:]
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"io"
 	"math"
 	"reflect"
@@ -337,6 +338,40 @@ func BenchmarkLoadParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := LoadParams(bytes.NewReader(buf.Bytes()), fresh); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestReadRawMatchesWriteRaw reads the raw section in place: the bits
+// writeRaw wrote (NaN payloads, signed zeros and subnormals included),
+// and io.ErrUnexpectedEOF for a section cut short.
+func TestReadRawMatchesWriteRaw(t *testing.T) {
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1.5, -3, math.MaxFloat32, math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffbfffff), float32(math.Inf(-1))}
+	r := stats.NewRNG(3)
+	for range 3*rawChunk + 5 {
+		vals = append(vals, math.Float32frombits(uint32(r.Uint64())))
+	}
+	var buf bytes.Buffer
+	if err := writeRaw(&buf, make([]byte, 4*rawChunk), vals); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{0, 3, buf.Len()} {
+		got := make([]float32, len(vals))
+		err := readRaw(bytes.NewReader(buf.Bytes()[:buf.Len()-cut]), got)
+		if cut > 0 {
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("cut %d: error %v, want io.ErrUnexpectedEOF", cut, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			if math.Float32bits(got[i]) != math.Float32bits(vals[i]) {
+				t.Fatalf("value %d: read %#x, written %#x", i, math.Float32bits(got[i]), math.Float32bits(vals[i]))
+			}
 		}
 	}
 }

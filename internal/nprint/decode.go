@@ -150,7 +150,8 @@ func resolveProtocol(row []int8, declared packet.IPProtocol, repair bool) (packe
 // packet-size distributions intact for replay. In repair mode the
 // total is clamped to a standard 1500-byte Ethernet MTU: generated
 // Length bits can decode to arbitrary values, and frames beyond the
-// MTU would not be replayable on a real link.
+// MTU would not be replayable on a real link. The payload is a view of
+// zeroPayload, which the builders only copy from.
 func payloadFor(ip packet.IPv4, transportHeaderLen int, repair bool) []byte {
 	total := int(ip.Length)
 	maxPayload := 65535
@@ -168,8 +169,12 @@ func payloadFor(ip packet.IPv4, transportHeaderLen int, repair bool) []byte {
 	if want > maxPayload {
 		want = maxPayload
 	}
-	return make([]byte, want)
+	return zeroPayload[:want]
 }
+
+// zeroPayload is the largest payload payloadFor sizes, all zeros; it is
+// never written.
+var zeroPayload [65535]byte
 
 // ToPackets back-transforms a matrix into packets. Rows that fail to
 // decode are skipped in Repair mode and counted in skipped; without

@@ -37,12 +37,3 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	e.PayloadBytes = data[EthernetHeaderLen:]
 	return nil
 }
-
-// SerializeTo appends the header followed by payload to buf and
-// returns the extended slice.
-func (e *Ethernet) SerializeTo(buf []byte, payload []byte) []byte {
-	buf = append(buf, e.DstMAC[:]...)
-	buf = append(buf, e.SrcMAC[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(e.EtherType))
-	return append(buf, payload...)
-}

@@ -1,12 +1,14 @@
 package packet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
 // FuzzDecode asserts the decoder never panics and that whatever it
-// does decode re-serializes into a decodable frame. Runs its seed
+// does decode rebuilds into a frame whose decode is the built Packet
+// itself (the builder's contract, TestBuildMatchesDecode). Runs its seed
 // corpus under plain `go test`; `go test -fuzz=FuzzDecode` explores
 // further.
 func FuzzDecode(f *testing.F) {
@@ -60,6 +62,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if re.IPv4.TTL != p.IPv4.TTL || re.IPv4.Protocol != p.IPv4.Protocol {
 			t.Fatal("rebuilt packet changed header fields")
+		}
+		if d, err := Decode(re.Data, re.Timestamp); err != nil || !reflect.DeepEqual(d, re) {
+			t.Fatalf("rebuilt packet is not its own decode (err %v)", err)
 		}
 	})
 }

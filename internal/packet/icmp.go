@@ -52,15 +52,3 @@ func (i *ICMPv4) DecodeFromBytes(data []byte) error {
 	i.PayloadBytes = data[ICMPv4HeaderLen:]
 	return nil
 }
-
-// SerializeTo appends the header (with recomputed Checksum) followed
-// by payload to buf.
-func (i *ICMPv4) SerializeTo(buf []byte, payload []byte) []byte {
-	start := len(buf)
-	buf = append(buf, i.Type, i.Code, 0, 0)
-	buf = append(buf, i.RestOfHeader[:]...)
-	buf = append(buf, payload...)
-	i.Checksum = Checksum(buf[start:])
-	binary.BigEndian.PutUint16(buf[start+2:], i.Checksum)
-	return buf
-}

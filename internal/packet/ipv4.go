@@ -89,36 +89,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo appends the header (with recomputed IHL, Length and
-// Checksum) followed by payload to buf and returns the extended slice.
-func (ip *IPv4) SerializeTo(buf []byte, payload []byte) []byte {
-	opts := ip.Options
-	if len(opts)%4 != 0 {
-		// Pad options to a 32-bit boundary with End-of-Options.
-		padded := make([]byte, (len(opts)+3)/4*4)
-		copy(padded, opts)
-		opts = padded
-	}
-	hlen := 20 + len(opts)
-	ip.IHL = uint8(hlen / 4)
-	ip.Version = 4
-	ip.Length = uint16(hlen + len(payload))
-
-	start := len(buf)
-	buf = append(buf, (4<<4)|ip.IHL, ip.TOS)
-	buf = binary.BigEndian.AppendUint16(buf, ip.Length)
-	buf = binary.BigEndian.AppendUint16(buf, ip.ID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(ip.Flags)<<13|ip.FragOffset&0x1fff)
-	buf = append(buf, ip.TTL, byte(ip.Protocol))
-	buf = append(buf, 0, 0) // checksum placeholder
-	buf = append(buf, ip.SrcIP[:]...)
-	buf = append(buf, ip.DstIP[:]...)
-	buf = append(buf, opts...)
-	ip.Checksum = Checksum(buf[start:])
-	binary.BigEndian.PutUint16(buf[start+10:], ip.Checksum)
-	return append(buf, payload...)
-}
-
 // VerifyChecksum reports whether the checksum in a decoded header is
 // consistent with the header bytes.
 func (ip *IPv4) VerifyChecksum(headerBytes []byte) bool {

@@ -3,9 +3,9 @@
 // and ICMPv4.
 //
 // The design follows the gopacket idioms: each layer type implements
-// DecodeFromBytes to parse itself out of a byte slice and SerializeTo
-// to append its wire form to a buffer, and a Packet bundles the decoded
-// layer stack with capture metadata. Unlike gopacket, the layer set is
+// DecodeFromBytes to parse itself out of a byte slice, a Builder writes
+// a layer stack's wire form into one frame, and a Packet bundles the
+// decoded layer stack with capture metadata. Unlike gopacket, the layer set is
 // closed (exactly the protocols nprint encodes), which lets decoding be
 // allocation-light and the bit-level round trip be total.
 package packet

@@ -94,33 +94,3 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	t.PayloadBytes = data[hlen:]
 	return nil
 }
-
-// SerializeTo appends the header (with recomputed DataOffset and
-// pseudo-header Checksum) followed by payload to buf. src and dst are
-// the enclosing IPv4 addresses used for the checksum.
-func (t *TCP) SerializeTo(buf []byte, payload []byte, src, dst [4]byte) []byte {
-	opts := t.Options
-	if len(opts)%4 != 0 {
-		padded := make([]byte, (len(opts)+3)/4*4)
-		copy(padded, opts)
-		opts = padded
-	}
-	hlen := 20 + len(opts)
-	t.DataOffset = uint8(hlen / 4)
-
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, t.SrcPort)
-	buf = binary.BigEndian.AppendUint16(buf, t.DstPort)
-	buf = binary.BigEndian.AppendUint32(buf, t.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, t.Ack)
-	offFlags := uint16(t.DataOffset)<<12 | uint16(t.Flags)&0x01ff
-	buf = binary.BigEndian.AppendUint16(buf, offFlags)
-	buf = binary.BigEndian.AppendUint16(buf, t.Window)
-	buf = append(buf, 0, 0) // checksum placeholder
-	buf = binary.BigEndian.AppendUint16(buf, t.Urgent)
-	buf = append(buf, opts...)
-	buf = append(buf, payload...)
-	t.Checksum = PseudoHeaderChecksum(src, dst, ProtoTCP, buf[start:])
-	binary.BigEndian.PutUint16(buf[start+16:], t.Checksum)
-	return buf
-}

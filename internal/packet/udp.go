@@ -36,21 +36,3 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	u.PayloadBytes = data[UDPHeaderLen:end]
 	return nil
 }
-
-// SerializeTo appends the header (with recomputed Length and
-// pseudo-header Checksum) followed by payload to buf.
-func (u *UDP) SerializeTo(buf []byte, payload []byte, src, dst [4]byte) []byte {
-	u.Length = uint16(UDPHeaderLen + len(payload))
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, u.SrcPort)
-	buf = binary.BigEndian.AppendUint16(buf, u.DstPort)
-	buf = binary.BigEndian.AppendUint16(buf, u.Length)
-	buf = append(buf, 0, 0) // checksum placeholder
-	buf = append(buf, payload...)
-	u.Checksum = PseudoHeaderChecksum(src, dst, ProtoUDP, buf[start:])
-	if u.Checksum == 0 {
-		u.Checksum = 0xffff // RFC 768: zero means "no checksum"
-	}
-	binary.BigEndian.PutUint16(buf[start+6:], u.Checksum)
-	return buf
-}

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -326,11 +327,28 @@ func (s *Server) deriveSeed(client *uint64) uint64 {
 	return s.cfg.SeedBase ^ (s.seedCtr.Add(1) * 0x9e3779b97f4a7c15)
 }
 
+// bodyBufs recycles reply buffers between requests: a 1-flow csv body
+// is about 100 KB, the largest allocation a request would otherwise
+// make. A buffer grown past maxPooledBody by a bulk reply goes to the
+// collector instead, so one large answer does not stay pinned.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// putBody returns a reply buffer to bodyBufs once its bytes are written.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}
+}
+
 // writeBody encodes the generated flows and streams them out. The body
 // is buffered first so a failed generation can never leave a
 // half-written success response.
 func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, res *core.GenerateResult) {
-	var buf bytes.Buffer
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBody(buf)
 	contentType := "application/vnd.tcpdump.pcap"
 	switch format {
 	case "csv":
@@ -340,14 +358,14 @@ func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, re
 		}
 		buf.Grow(3*cells + 128*len(res.Matrices)) // at most "-1," per cell and a header line: ~90 KB a flow, sized once
 		for _, m := range res.Matrices {
-			if err := nprint.WriteCSV(&buf, m); err != nil {
+			if err := nprint.WriteCSV(buf, m); err != nil {
 				http.Error(w, "encoding csv: "+err.Error(), http.StatusInternalServerError)
 				return
 			}
 		}
 		contentType = "text/csv"
 	default:
-		pw, err := pcap.NewWriter(&buf, pcap.LinkTypeEthernet)
+		pw, err := pcap.NewWriter(buf, pcap.LinkTypeEthernet)
 		if err != nil {
 			http.Error(w, "encoding pcap: "+err.Error(), http.StatusInternalServerError)
 			return

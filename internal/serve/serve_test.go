@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -967,5 +968,82 @@ func TestPrecisionAdvertised(t *testing.T) {
 	}
 	if st.Precision != "fp32" {
 		t.Fatalf("readyz precision = %q, want fp32", st.Precision)
+	}
+}
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// fixedEngine answers every request with the same result, so a test
+// measures what the handler itself allocates.
+type fixedEngine struct{ res *core.GenerateResult }
+
+func (e fixedEngine) Classes() []string       { return []string{"amazon"} }
+func (e fixedEngine) DDIMSteps() int          { return 0 }
+func (e fixedEngine) Stats() core.EngineStats { return core.EngineStats{} }
+func (e fixedEngine) Generate(_ context.Context, _ string, _ []uint64, onAdmit func()) (*core.GenerateResult, error) {
+	if onAdmit != nil {
+		onAdmit()
+	}
+	return e.res, nil
+}
+
+// discardWriter is a ResponseWriter that keeps headers and drops the
+// body, unlike httptest.ResponseRecorder, which copies it.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) WriteHeader(code int)        { d.status = code }
+func (d *discardWriter) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
+
+// TestCSVReplyReusesItsBuffer pins the reply buffer's reuse: a 1-flow
+// csv reply of a 32-packet flow is about 100 KB of text, and the
+// handler allocates a small fraction of that per request once its
+// buffer is recycled.
+func TestCSVReplyReusesItsBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	res := &core.GenerateResult{
+		Flows:    []*flow.Flow{{Label: "amazon"}},
+		Matrices: []*nprint.Matrix{nprint.NewMatrix(32)},
+	}
+	s := NewWithEngine(fixedEngine{res: res}, Config{})
+	defer shutdownServer(t, s)
+	h := s.Handler()
+	const n = 50
+	// The requests are built up front: only the handler is measured.
+	reqs := make([]*http.Request, n+1)
+	for i := range reqs {
+		body := `{"class":"amazon","count":1,"seed":5,"format":"csv"}`
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/generate", strings.NewReader(body))
+	}
+	serveOne := func(r *http.Request) int {
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, r)
+		if w.status != 0 && w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+		return w.n
+	}
+	size := serveOne(reqs[n])
+	if size < 64<<10 {
+		t.Fatalf("csv reply is %d bytes, want a ~100 KB body to measure", size)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, r := range reqs[:n] {
+		serveOne(r)
+	}
+	runtime.ReadMemStats(&after)
+	perReply := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes allocated per %d-byte csv reply", perReply, size)
+	if perReply >= 16<<10 {
+		t.Fatalf("%d bytes allocated per csv reply, want < 16 KB", perReply)
 	}
 }

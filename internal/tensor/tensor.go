@@ -6,6 +6,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"trafficdiff/internal/stats"
 )
@@ -14,10 +15,64 @@ import (
 type Tensor struct {
 	Shape []int
 	Data  []float32
+	// owner holds Data's mapping when it has one of its own (see
+	// NewLongLived); every view of the tensor carries it along.
+	owner *mapping
 }
+
+// mapping is one anonymous memory mapping outside the Go heap. A
+// finalizer unmaps it once no Tensor header refers to it.
+type mapping struct{ mem []byte }
+
+// mapMin is the element count from which NewLongLived maps a tensor's
+// storage; smaller tensors are not worth a mapping of their own.
+const mapMin = 16 << 10
+
+// mappedBytes counts the bytes of tensor data held in live mappings,
+// mappedTotal every byte ever mapped.
+var mappedBytes, mappedTotal atomic.Int64
 
 // New allocates a zero tensor with the given shape.
 func New(shape ...int) *Tensor {
+	//tracelint:allow hotalloc — construction API: hot callers reuse storage through the nn.Tape arena
+	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, numel(shape))}
+}
+
+// NewLongLived allocates a zero tensor for storage that lives as long
+// as a model does: its weights. On Linux a tensor of at least 16 Ki
+// elements gets an anonymous mapping of its own, outside the Go heap,
+// so the garbage collector's heap goal (a multiple of the live heap)
+// grows with what a program allocates and drops, not with the size of
+// the models it holds; smaller tensors, and every tensor elsewhere,
+// live on the heap as New's do. The values and every kernel's results
+// are the same either way.
+//
+// The mapping is freed once no Tensor header over it is reachable:
+// Reshape and ViewOf keep it alive and Clone copies out of it, but a
+// Data slice (or a FromSlice view of one, or a header whose Data was
+// assigned by hand) must not outlive every header over the tensor it
+// came from.
+func NewLongLived(shape ...int) *Tensor {
+	n := numel(shape)
+	if n < mapMin {
+		return New(shape...)
+	}
+	data, owner := mapFloats(n)
+	return &Tensor{Shape: append([]int(nil), shape...), Data: data, owner: owner}
+}
+
+// MappedBytes returns the bytes of tensor data NewLongLived currently
+// holds outside the Go heap.
+func MappedBytes() int64 { return mappedBytes.Load() }
+
+// MappedTotal returns the bytes of tensor data NewLongLived has mapped
+// outside the Go heap since the program started, freed or not: with
+// runtime.MemStats.TotalAlloc, what a piece of code allocated.
+func MappedTotal() int64 { return mappedTotal.Load() }
+
+// numel returns the element count of shape, which must have only
+// positive dimensions.
+func numel(shape []int) int {
 	n := 1
 	for _, s := range shape {
 		if s <= 0 {
@@ -25,8 +80,7 @@ func New(shape ...int) *Tensor {
 		}
 		n *= s
 	}
-	//tracelint:allow hotalloc — construction API: hot callers reuse storage through the nn.Tape arena
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
+	return n
 }
 
 // FromSlice wraps data with the given shape, validating the size.
@@ -73,12 +127,17 @@ func (t *Tensor) Clone() *Tensor {
 // count must match.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	//tracelint:allow hotalloc — header-only view sharing storage; the arena rewrap path pays it rarely
-	v := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	v := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data, owner: t.owner}
 	if v.Len() != t.Len() {
 		panic(fmt.Sprintf("tensor: reshape %v -> %v", t.Shape, shape))
 	}
 	return v
 }
+
+// ViewOf points t's storage at src's, keeping src's mapping (if any)
+// alive as long as t is reachable; t keeps its own shape. It lets a
+// reused header view another tensor's storage without an allocation.
+func (t *Tensor) ViewOf(src *Tensor) { t.Data, t.owner = src.Data, src.owner }
 
 // Zero sets all elements to 0.
 func (t *Tensor) Zero() {
