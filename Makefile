@@ -78,7 +78,8 @@ resume-smoke:
 # of math.Exp and friends on amd64; the golden digests must not move), the
 # kill-at-step-k resume property must hold across every combination of
 # kill step, batch size and trained set (whole model or LoRA adapters), the
-# helper pool and everything dispatched through it (kernels, row-wise
+# helper pool and everything dispatched through it (kernels, each A·Bᵀ
+# tile also with the 16-lane AVX-512 tile switched off, row-wise
 # ops, the fused adapter epilogue, an arena that no longer zeroes) must
 # match their serial references, and the
 # sampler must be bit-identical to its oracles: the shared-trunk split
@@ -103,12 +104,12 @@ verify-determinism:
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
-	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT|FuzzABT' -count=1 ./internal/tensor
+	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT|FuzzABT|TestWithoutAVX512|TestRowOps|FuzzRowOps' -count=1 ./internal/tensor
 	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd|TestAddRepeatMatchesAddOfStackedRows' -count=1 ./internal/nn
-	@echo "determinism OK: pooled dispatch, all three A·Bᵀ loops (each counted as run), row-sharded ops, un-zeroed arena, the fused adapter epilogue and the shared-row add are bit-identical"
+	@echo "determinism OK: pooled dispatch, all four A·Bᵀ loops (each counted as run, and again with AVX-512 switched off), the vector row-wise ops, row-sharded ops, un-zeroed arena, the fused adapter epilogue and the shared-row add are bit-identical"
 	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage|TestGoldenEditDigests' -count=1 ./internal/diffusion
-	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
-	$(GO) test -run 'TestGoldenSeededDigests|TestGoldenEditDigests|TestGenerateReplaysAsSeeded|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
+	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestGoldenWithoutAVX512|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora
+	$(GO) test -run 'TestGoldenSeededDigests|TestGoldenEditDigests|TestGoldenWithoutAVX512|TestGenerateReplaysAsSeeded|TestLoadCoversEveryParameter|TestLoadPreRemovalCheckpoints' -count=1 ./internal/core
 	@echo "determinism OK: split forward, scheduler and golden digests are bit-identical; unseeded calls replay from their root"
 	$(GO) test -tags purego -count=1 ./internal/tensor ./internal/diffusion ./internal/lora ./internal/core
 	GOARCH=arm64 $(GO) build ./...
@@ -117,8 +118,8 @@ verify-determinism:
 	@echo "determinism OK: the portable kernel alone (-tags purego) passes the same tests and golden digests; arm64 builds with no fused multiply-add in internal/; the non-Linux weight storage builds"
 
 # Short fuzzing pass over the binary-format decoders, the checkpoint
-# loader and the training-checkpoint resume path, the CSV writer, the A·Bᵀ tiles (assembly that loads and
-# stores by computed offset), the workload-spec parser, the generate
+# loader and the training-checkpoint resume path, the CSV writer, the A·Bᵀ tiles and the
+# row-wise kernels (assembly that loads and stores by computed offset), the workload-spec parser, the generate
 # handler's request body and the router's readiness-probe body.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 15s -fuzzminimizetime 1s ./internal/packet
@@ -129,6 +130,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoad -fuzztime 15s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -fuzz FuzzTrainCheckpoint -fuzztime 15s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -fuzz FuzzABTTiles -fuzztime 15s -fuzzminimizetime 1s ./internal/tensor
+	$(GO) test -fuzz FuzzRowOps -fuzztime 15s -fuzzminimizetime 1s ./internal/tensor
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s -fuzzminimizetime 1s ./internal/load
 	$(GO) test -fuzz FuzzGenerateRequest -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -fuzz FuzzReadyStatus -fuzztime 15s -fuzzminimizetime 1s ./internal/cluster

@@ -295,9 +295,9 @@ func (t *Tape) Add(a, b *V) *V {
 	od, ad, bd := out.X.Data, a.X.Data, b.X.Data
 	if tensor.ParallelOK(len(od) * workAdd) {
 		//tracelint:allow hotalloc — parallel path only, behind the size check
-		tensor.Shard(len(od), func(lo, hi int) { addRange(od[lo:hi], ad[lo:hi], bd[lo:hi]) })
+		tensor.Shard(len(od), func(lo, hi int) { tensor.Add(od[lo:hi], ad[lo:hi], bd[lo:hi]) })
 	} else {
-		addRange(od, ad, bd)
+		tensor.Add(od, ad, bd)
 	}
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
@@ -358,7 +358,7 @@ func addRepeatRange(dst, a, b []float32, lo, hi int) {
 	for lo < hi {
 		off := lo % len(b)
 		end := min(hi, lo+len(b)-off)
-		addRange(dst[lo:end], a[lo:end], b[off:])
+		tensor.Add(dst[lo:end], a[lo:end], b[off:])
 		lo = end
 	}
 }

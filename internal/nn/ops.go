@@ -11,28 +11,25 @@ import (
 // computes an output element from the matching input elements (or an
 // output row from its input row) alone, so cutting the range into
 // chunks changes no byte — the argument that makes the sharded GEMMs
-// bit-identical. The work* constants are each op's cost per element in
-// the multiply-add equivalents ParallelOK counts (one multiply-add of
-// the A·Bᵀ kernel is ≈ 0.22 ns on the reference host). Measured serial,
-// ns per element at 64×192 / 128×2176: Add 0.29 / 0.44, AddScaled 0.31 /
-// 0.45, bias 0.35 / 0.27, MulScalarBroadcast 0.36 / 0.29, LayerNorm
-// 2.0 / 1.7, SiLU 7.3 / 7.2. Sharded over two workers the 128×2176 Add
-// runs 120 → 78 µs (memory-bound), LayerNorm 480 → 290, SiLU 2000 →
-// 1190.
+// bit-identical. The adds and scales run on tensor's vector kernels
+// (tensor.Add, AddScaled, AddBias, ScaleRows). The work* constants are
+// each op's cost per element in the units ParallelOK counts, sized so
+// that an op shards where that pays on the reference host. Measured
+// serial, ns per element at 64×192 / 128×2176: LayerNorm 2.0 / 1.7,
+// SiLU 7.3 / 7.2; sharded over two workers the 128×2176 LayerNorm runs
+// 480 → 290 µs, SiLU 2000 → 1190.
+//
+// workAdd: a vector add costs ≈ 0.14 ns per element at 32×2176 (a Go
+// loop 0.29–0.45 ns). tensor.Add serial vs sharded over two workers,
+// median of five runs, µs: 48 K elements 6.4 vs 7.6, 64 K 8.6 vs 8.3,
+// 96 K 13.6 vs 10.8, 128 K 19.3 vs 15.5 — so an add shards from 64 K
+// elements, workAdd 1.
 const (
-	workAdd    = 2
+	workAdd    = 1
 	workNorm   = 8
 	workSiLU   = 32
 	workSinCos = 64 // TimeEmbed: one math.Sin or math.Cos per element, ≈ 15 ns
 )
-
-// addRange sets dst[i] = a[i] + b[i].
-func addRange(dst, a, b []float32) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
 
 // addBias adds bias [D] to each of the n rows of x [n,D] in place: the
 // second half of Linear.
@@ -40,19 +37,10 @@ func addBias(x, bias []float32, n int) {
 	d := len(bias)
 	if tensor.ParallelOK(n * d * workAdd) {
 		//tracelint:allow hotalloc — parallel path only, behind the size check
-		tensor.Shard(n, func(lo, hi int) { addBiasRows(x[lo*d:hi*d], bias) })
+		tensor.Shard(n, func(lo, hi int) { tensor.AddBias(x[lo*d:hi*d], bias) })
 		return
 	}
-	addBiasRows(x[:n*d], bias)
-}
-
-func addBiasRows(x, bias []float32) {
-	for d := len(bias); len(x) >= d; x = x[d:] {
-		row := x[:d]
-		for o, b := range bias {
-			row[o] += b
-		}
-	}
+	tensor.AddBias(x[:n*d], bias)
 }
 
 // AddScaled returns a + s·b for a constant s (same shapes) in one pass:
@@ -67,9 +55,9 @@ func (t *Tape) AddScaled(a, b *V, s float32) *V {
 	od, ad, bd := out.X.Data, a.X.Data, b.X.Data
 	if tensor.ParallelOK(len(od) * workAdd) {
 		//tracelint:allow hotalloc — parallel path only, behind the size check
-		tensor.Shard(len(od), func(lo, hi int) { addScaledRange(od[lo:hi], ad[lo:hi], bd[lo:hi], s) })
+		tensor.Shard(len(od), func(lo, hi int) { tensor.AddScaled(od[lo:hi], ad[lo:hi], bd[lo:hi], s) })
 	} else {
-		addScaledRange(od, ad, bd, s)
+		tensor.AddScaled(od, ad, bd, s)
 	}
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
@@ -86,13 +74,6 @@ func (t *Tape) AddScaled(a, b *V, s float32) *V {
 		})
 	}
 	return out
-}
-
-func addScaledRange(dst, a, b []float32, s float32) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] + float32(s*b[i])
-	}
 }
 
 // SiLU applies x*sigmoid(x) elementwise (the denoiser's activation).
@@ -401,9 +382,9 @@ func (t *Tape) MulScalarBroadcast(a, s *V) *V {
 	od, ad, sd := out.X.Data, a.X.Data, s.X.Data
 	if tensor.ParallelOK(n * d * workAdd) {
 		//tracelint:allow hotalloc — parallel path only, behind the size check
-		tensor.Shard(n, func(lo, hi int) { mulScalarRows(od, ad, sd, d, lo, hi) })
+		tensor.Shard(n, func(lo, hi int) { tensor.ScaleRows(od[lo*d:hi*d], ad[lo*d:hi*d], sd[lo:hi]) })
 	} else {
-		mulScalarRows(od, ad, sd, d, 0, n)
+		tensor.ScaleRows(od, ad, sd)
 	}
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
@@ -427,16 +408,4 @@ func (t *Tape) MulScalarBroadcast(a, s *V) *V {
 		})
 	}
 	return out
-}
-
-// mulScalarRows scales rows [lo, hi) of a [N,D] by s[row] into out.
-func mulScalarRows(out, a, s []float32, d, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		sv := s[r]
-		row := a[r*d : (r+1)*d]
-		dst := out[r*d : (r+1)*d]
-		for j, v := range row {
-			dst[j] = v * sv
-		}
-	}
 }

@@ -123,7 +123,7 @@ func requireSame(t *testing.T, label string, got, want [][]float32) {
 func TestRowOpsIdenticalAcrossWorkerCounts(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	for _, sz := range []struct{ rows, d int }{{5, 8}, {131, 256}} {
+	for _, sz := range []struct{ rows, d int }{{5, 8}, {131, 512}} {
 		for _, nograd := range []bool{false, true} {
 			in := newOpInputs(stats.NewRNG(uint64(sz.rows)), sz.rows, sz.d)
 			pass := func() [][]float32 {

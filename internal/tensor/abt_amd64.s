@@ -21,6 +21,30 @@ done:
 	SETEQ ret+0(FP)
 	RET
 
+// func cpuHasAVX512() bool
+// CPUID.7.0:EBX bit 16 (AVX512F), then XCR0 bits 5, 6 and 7: the OS
+// saves the opmask registers, the upper halves of ZMM0-15 and ZMM16-31.
+// Only called once cpuHasAVX has seen XSAVE enabled.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   none
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
+	JCC  none
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	SETEQ ret+0(FP)
+	RET
+none:
+	MOVB $0, ret+0(FP)
+	RET
+
 // TRANSPOSE8 transposes the 8×8 float32 matrix with rows a0..a7 into
 // b0..b7 and clobbers a0..a7: pairs of rows interleaved, then pairs of
 // pairs, then the two 128-bit halves.
@@ -44,23 +68,31 @@ done:
 #define STOREROW(l, base, y) MOVQ 8*l(R10), AX; VMOVUPS y, (base)(AX*1)
 
 // TERM is one term of one column: the B element in every lane times the
-// eight batch rows in Y8, rounded, then added to the column's sums,
+// batch rows in x (Y8 or Z8), rounded, then added to the column's sums,
 // rounded — the scalar loop's two operations, never fused.
-#define TERM(baddr, tmp, acc) VBROADCASTSS baddr, tmp; VMULPS Y8, tmp, tmp; VADDPS tmp, acc, acc
+#define TERM(baddr, x, tmp, acc) VBROADCASTSS baddr, tmp; VMULPS x, tmp, tmp; VADDPS tmp, acc, acc
 
-// func abtTile8(c *float32, off *[16]int, at, a, b *float32, k, kb, groups int, first bool)
-// The contract is in abt_amd64.go.
-TEXT ·abtTile8(SB), NOSPLIT, $0-65
+// TERMS8Y is one term of the group's eight columns, o bytes past SI
+// and BX, against the eight rows in x.
+#define TERMS8Y(o, x) \
+	TERM(o(SI), x, Y12, Y0); TERM(o(SI)(R8*1), x, Y13, Y1) \
+	TERM(o(SI)(R8*2), x, Y14, Y2); TERM(o(SI)(R9*1), x, Y15, Y3) \
+	TERM(o(BX), x, Y12, Y4); TERM(o(BX)(R8*1), x, Y13, Y5) \
+	TERM(o(BX)(R8*2), x, Y14, Y6); TERM(o(BX)(R9*1), x, Y15, Y7)
+
+// func abtTile8(c *float32, off *[16]int, a, b *float32, k, kb, groups int, first bool)
+// The contract is in abt_amd64.go. The frame is the scratch at, abtPanel
+// floats from SP, never cleared: the tile writes every float it reads.
+TEXT ·abtTile8(SB), $32768-57
 	MOVQ off+8(FP), R10
-	MOVQ kb+48(FP), R11
+	MOVQ kb+40(FP), R11
 
-	// at[p*8+lane] = the block's A rows, eight terms a round; the terms
-	// past the last whole round are already there.
-	MOVQ at+16(FP), DX
-	MOVQ a+24(FP), SI
+	// at[p*8+lane] = the block's A rows, eight terms a round.
+	MOVQ SP, DX
+	MOVQ a+16(FP), SI
 	MOVQ R11, CX
 	SHRQ $3, CX
-	JZ   packed
+	JZ   tail
 pack:
 	LOADROW(8, SI, Y0); LOADROW(9, SI, Y1); LOADROW(10, SI, Y2); LOADROW(11, SI, Y3)
 	LOADROW(12, SI, Y4); LOADROW(13, SI, Y5); LOADROW(14, SI, Y6); LOADROW(15, SI, Y7)
@@ -71,22 +103,40 @@ pack:
 	ADDQ $256, DX
 	DECQ CX
 	JNZ  pack
+tail:
+	// The terms past the last round of eight, one lane at a time.
+	MOVQ R11, CX
+	ANDQ $7, CX
+	JZ   packed
+tterm:
+	XORQ BX, BX
+tlane:
+	MOVQ 64(R10)(BX*8), AX
+	MOVL (SI)(AX*1), AX
+	MOVL AX, (DX)(BX*4)
+	INCQ BX
+	CMPQ BX, $8
+	JNE  tlane
+	ADDQ $4, SI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  tterm
 packed:
 	MOVQ c+0(FP), DI
-	MOVQ b+32(FP), R13
-	MOVQ k+40(FP), R8
+	MOVQ b+24(FP), R13
+	MOVQ k+32(FP), R8
 	SHLQ $2, R8            // one B row, in bytes
 	LEAQ (R8)(R8*2), R9    // three B rows
 	SHLQ $5, R11           // the scratch, in bytes
-	MOVQ groups+56(FP), R12
+	MOVQ groups+48(FP), R12
 
 group:
 	// Y0..Y7: the sums of the group's eight columns, lanes = batch rows.
-	MOVQ at+16(FP), DX
+	MOVQ SP, DX
 	LEAQ (DX)(R11*1), CX
 	MOVQ R13, SI           // B rows 0..3 of the group
 	LEAQ (R13)(R8*4), BX   // B rows 4..7
-	CMPB first+64(FP), $0
+	CMPB first+56(FP), $0
 	JNE  zero
 	LOADROW(0, DI, Y8); LOADROW(1, DI, Y9); LOADROW(2, DI, Y10); LOADROW(3, DI, Y11)
 	LOADROW(4, DI, Y12); LOADROW(5, DI, Y13); LOADROW(6, DI, Y14); LOADROW(7, DI, Y15)
@@ -95,21 +145,34 @@ group:
 zero:
 	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3
 	VXORPS Y4, Y4, Y4; VXORPS Y5, Y5, Y5; VXORPS Y6, Y6, Y6; VXORPS Y7, Y7, Y7
+	// Four terms an iteration while four are left, then one.
 term:
+	LEAQ 128(DX), AX
+	CMPQ AX, CX
+	JA   last
 	VMOVUPS (DX), Y8
-	TERM((SI), Y9, Y0)
-	TERM((SI)(R8*1), Y10, Y1)
-	TERM((SI)(R8*2), Y11, Y2)
-	TERM((SI)(R9*1), Y12, Y3)
-	TERM((BX), Y13, Y4)
-	TERM((BX)(R8*1), Y14, Y5)
-	TERM((BX)(R8*2), Y15, Y6)
-	TERM((BX)(R9*1), Y9, Y7)
+	VMOVUPS 32(DX), Y9
+	VMOVUPS 64(DX), Y10
+	VMOVUPS 96(DX), Y11
+	TERMS8Y(0, Y8)
+	TERMS8Y(4, Y9)
+	TERMS8Y(8, Y10)
+	TERMS8Y(12, Y11)
+	ADDQ $16, SI
+	ADDQ $16, BX
+	ADDQ $128, DX
+	CMPQ DX, CX
+	JNE  term
+	JMP  done
+last:
+	VMOVUPS (DX), Y8
+	TERMS8Y(0, Y8)
 	ADDQ $4, SI
 	ADDQ $4, BX
 	ADDQ $32, DX
 	CMPQ DX, CX
-	JNE  term
+	JNE  last
+done:
 
 	// Lanes past the block's rows share the last live row's offset:
 	// stored from lane 7 down, that row's own sums land last.
@@ -120,6 +183,148 @@ term:
 	LEAQ (R13)(R8*8), R13
 	DECQ R12
 	JNZ  group
+	VZEROUPPER
+	RET
+
+// TERMS8 is one term of the group's eight columns, o bytes past SI and
+// BX, against the sixteen rows in x.
+#define TERMS8(o, x) \
+	TERM(o(SI), x, Z24, Z0); TERM(o(SI)(R8*1), x, Z25, Z1) \
+	TERM(o(SI)(R8*2), x, Z26, Z2); TERM(o(SI)(R9*1), x, Z27, Z3) \
+	TERM(o(BX), x, Z28, Z4); TERM(o(BX)(R8*1), x, Z29, Z5) \
+	TERM(o(BX)(R8*2), x, Z30, Z6); TERM(o(BX)(R9*1), x, Z31, Z7)
+
+// func abtTile16(c *float32, off *[32]int, a, b *float32, k, kb, groups int, first bool)
+// The contract is in abt_amd64.go. abtTile8 at twice the width: lanes
+// are sixteen batch rows in a ZMM register, and every 16-row block of
+// A or C moves as two 8×8 transposes in Y0-Y15, rows 0-7 in the low
+// halves and rows 8-15 in the high. Only AVX512F instructions touch
+// Z16-Z31. The frame is the scratch, as in abtTile8.
+TEXT ·abtTile16(SB), $32768-57
+	MOVQ off+8(FP), R10
+	MOVQ kb+40(FP), R11
+
+	// at[p*16+lane] = the block's A rows, eight terms a round.
+	MOVQ SP, DX
+	MOVQ a+16(FP), SI
+	MOVQ R11, CX
+	SHRQ $3, CX
+	JZ   tail16
+pack16:
+	LOADROW(16, SI, Y0); LOADROW(17, SI, Y1); LOADROW(18, SI, Y2); LOADROW(19, SI, Y3)
+	LOADROW(20, SI, Y4); LOADROW(21, SI, Y5); LOADROW(22, SI, Y6); LOADROW(23, SI, Y7)
+	TRANSPOSE8(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	VMOVUPS Y8, (DX); VMOVUPS Y9, 64(DX); VMOVUPS Y10, 128(DX); VMOVUPS Y11, 192(DX)
+	VMOVUPS Y12, 256(DX); VMOVUPS Y13, 320(DX); VMOVUPS Y14, 384(DX); VMOVUPS Y15, 448(DX)
+	LOADROW(24, SI, Y0); LOADROW(25, SI, Y1); LOADROW(26, SI, Y2); LOADROW(27, SI, Y3)
+	LOADROW(28, SI, Y4); LOADROW(29, SI, Y5); LOADROW(30, SI, Y6); LOADROW(31, SI, Y7)
+	TRANSPOSE8(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	VMOVUPS Y8, 32(DX); VMOVUPS Y9, 96(DX); VMOVUPS Y10, 160(DX); VMOVUPS Y11, 224(DX)
+	VMOVUPS Y12, 288(DX); VMOVUPS Y13, 352(DX); VMOVUPS Y14, 416(DX); VMOVUPS Y15, 480(DX)
+	ADDQ $32, SI
+	ADDQ $512, DX
+	DECQ CX
+	JNZ  pack16
+tail16:
+	// The terms past the last round of eight, one lane at a time.
+	MOVQ R11, CX
+	ANDQ $7, CX
+	JZ   packed16
+tterm16:
+	XORQ BX, BX
+tlane16:
+	MOVQ 128(R10)(BX*8), AX
+	MOVL (SI)(AX*1), AX
+	MOVL AX, (DX)(BX*4)
+	INCQ BX
+	CMPQ BX, $16
+	JNE  tlane16
+	ADDQ $4, SI
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  tterm16
+packed16:
+	MOVQ c+0(FP), DI
+	MOVQ b+24(FP), R13
+	MOVQ k+32(FP), R8
+	SHLQ $2, R8            // one B row, in bytes
+	LEAQ (R8)(R8*2), R9    // three B rows
+	SHLQ $6, R11           // the scratch, in bytes
+	MOVQ groups+48(FP), R12
+
+group16:
+	// Z0..Z7: the sums of the group's eight columns, lanes = batch rows.
+	MOVQ SP, DX
+	LEAQ (DX)(R11*1), CX
+	MOVQ R13, SI           // B rows 0..3 of the group
+	LEAQ (R13)(R8*4), BX   // B rows 4..7
+	CMPB first+56(FP), $0
+	JNE  zero16
+	LOADROW(8, DI, Y8); LOADROW(9, DI, Y9); LOADROW(10, DI, Y10); LOADROW(11, DI, Y11)
+	LOADROW(12, DI, Y12); LOADROW(13, DI, Y13); LOADROW(14, DI, Y14); LOADROW(15, DI, Y15)
+	TRANSPOSE8(Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VMOVAPS Z0, Z16; VMOVAPS Z1, Z17; VMOVAPS Z2, Z18; VMOVAPS Z3, Z19
+	VMOVAPS Z4, Z20; VMOVAPS Z5, Z21; VMOVAPS Z6, Z22; VMOVAPS Z7, Z23
+	LOADROW(0, DI, Y8); LOADROW(1, DI, Y9); LOADROW(2, DI, Y10); LOADROW(3, DI, Y11)
+	LOADROW(4, DI, Y12); LOADROW(5, DI, Y13); LOADROW(6, DI, Y14); LOADROW(7, DI, Y15)
+	TRANSPOSE8(Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VINSERTF64X4 $1, Y16, Z0, Z0; VINSERTF64X4 $1, Y17, Z1, Z1
+	VINSERTF64X4 $1, Y18, Z2, Z2; VINSERTF64X4 $1, Y19, Z3, Z3
+	VINSERTF64X4 $1, Y20, Z4, Z4; VINSERTF64X4 $1, Y21, Z5, Z5
+	VINSERTF64X4 $1, Y22, Z6, Z6; VINSERTF64X4 $1, Y23, Z7, Z7
+	JMP  term16
+zero16:
+	VXORPS Z0, Z0, Z0; VXORPS Z1, Z1, Z1; VXORPS Z2, Z2, Z2; VXORPS Z3, Z3, Z3
+	VXORPS Z4, Z4, Z4; VXORPS Z5, Z5, Z5; VXORPS Z6, Z6, Z6; VXORPS Z7, Z7, Z7
+	// Four terms an iteration while four are left, then one.
+term16:
+	LEAQ 256(DX), AX
+	CMPQ AX, CX
+	JA   last16
+	VMOVUPS (DX), Z8
+	VMOVUPS 64(DX), Z9
+	VMOVUPS 128(DX), Z10
+	VMOVUPS 192(DX), Z11
+	TERMS8(0, Z8)
+	TERMS8(4, Z9)
+	TERMS8(8, Z10)
+	TERMS8(12, Z11)
+	ADDQ $16, SI
+	ADDQ $16, BX
+	ADDQ $256, DX
+	CMPQ DX, CX
+	JNE  term16
+	JMP  done16
+last16:
+	VMOVUPS (DX), Z8
+	TERMS8(0, Z8)
+	ADDQ $4, SI
+	ADDQ $4, BX
+	ADDQ $64, DX
+	CMPQ DX, CX
+	JNE  last16
+done16:
+
+	// Stored from lane 15 down, as in abtTile8: rows 8..15 (the high
+	// halves) first, then rows 0..7.
+	VMOVAPS Z0, Z16; VMOVAPS Z1, Z17; VMOVAPS Z2, Z18; VMOVAPS Z3, Z19
+	VMOVAPS Z4, Z20; VMOVAPS Z5, Z21; VMOVAPS Z6, Z22; VMOVAPS Z7, Z23
+	VEXTRACTF64X4 $1, Z16, Y0; VEXTRACTF64X4 $1, Z17, Y1
+	VEXTRACTF64X4 $1, Z18, Y2; VEXTRACTF64X4 $1, Z19, Y3
+	VEXTRACTF64X4 $1, Z20, Y4; VEXTRACTF64X4 $1, Z21, Y5
+	VEXTRACTF64X4 $1, Z22, Y6; VEXTRACTF64X4 $1, Z23, Y7
+	TRANSPOSE8(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	STOREROW(15, DI, Y15); STOREROW(14, DI, Y14); STOREROW(13, DI, Y13); STOREROW(12, DI, Y12)
+	STOREROW(11, DI, Y11); STOREROW(10, DI, Y10); STOREROW(9, DI, Y9); STOREROW(8, DI, Y8)
+	VMOVAPS Z16, Z0; VMOVAPS Z17, Z1; VMOVAPS Z18, Z2; VMOVAPS Z19, Z3
+	VMOVAPS Z20, Z4; VMOVAPS Z21, Z5; VMOVAPS Z22, Z6; VMOVAPS Z23, Z7
+	TRANSPOSE8(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	STOREROW(7, DI, Y15); STOREROW(6, DI, Y14); STOREROW(5, DI, Y13); STOREROW(4, DI, Y12)
+	STOREROW(3, DI, Y11); STOREROW(2, DI, Y10); STOREROW(1, DI, Y9); STOREROW(0, DI, Y8)
+	ADDQ $32, DI
+	LEAQ (R13)(R8*8), R13
+	DECQ R12
+	JNZ  group16
 	VZEROUPPER
 	RET
 

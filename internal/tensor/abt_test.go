@@ -18,7 +18,7 @@ import (
 // the same code and the test pins only the dispatch.
 
 var (
-	abtPropRows = 17
+	abtPropRows = 40
 	abtPropCols = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 192}
 	abtPropKs   = []int{1, 7, 8, 9, 31, 32, 255, 256, 257, 2176}
 )
@@ -66,27 +66,39 @@ func abtPropBuffers(seed uint64, special bool) (apool, bpool []float32) {
 
 func TestABTBitIdenticalToScalarLoop(t *testing.T) {
 	for _, special := range []bool{false, true} {
+		if special && testing.Short() {
+			t.Log("special values: run without -short")
+			continue
+		}
+		// The oracle and matmulABTRange do not depend on GOMAXPROCS: each
+		// case runs them once, and only the dispatch at every count.
+		type abtCase struct {
+			m, n, k    int
+			a, b, want []float32
+			label      string
+		}
+		var cases []abtCase
 		apool, bpool := abtPropBuffers(71, special)
-		withGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
-			if special && testing.Short() {
-				t.Skip("special values: run without -short")
-			}
-			for ci, n := range abtPropCols {
-				for ki, k := range abtPropKs {
-					for m := 1; m <= abtPropRows; m++ {
-						a := apool[1+(m+ki)%7:][:m*k]
-						b := bpool[1+(ci+ki)%7:][:n*k]
-						label := fmt.Sprintf("%dx%dx%d special=%v", m, n, k, special)
-						want := make([]float32, m*n)
-						matmulABTScalar(want, a, b, 0, m, k, n, 0, n)
-						got := make([]float32, m*n+3)[3:]
-						matmulABTRange(got, a, b, 0, m, k, n, 0, n)
-						requireSameBits(t, got, want, "matmulABTRange "+label)
-						c := New(m, n)
-						MatMulABTInto(c, FromSlice(a, m, k), FromSlice(b, n, k))
-						requireSameBits(t, c.Data, want, "MatMulABTInto "+label)
-					}
+		for ci, n := range abtPropCols {
+			for ki, k := range abtPropKs {
+				for m := 1; m <= abtPropRows; m++ {
+					a := apool[1+(m+ki)%7:][:m*k]
+					b := bpool[1+(ci+ki)%7:][:n*k]
+					label := fmt.Sprintf("%dx%dx%d special=%v", m, n, k, special)
+					want := make([]float32, m*n)
+					matmulABTScalar(want, a, b, 0, m, k, n, 0, n)
+					got := make([]float32, m*n+3)[3:]
+					matmulABTRange(got, a, b, 0, m, k, n, 0, n)
+					requireSameBits(t, got, want, "matmulABTRange "+label)
+					cases = append(cases, abtCase{m, n, k, a, b, want, label})
 				}
+			}
+		}
+		withGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
+			for _, tc := range cases {
+				c := New(tc.m, tc.n)
+				MatMulABTInto(c, FromSlice(tc.a, tc.m, tc.k), FromSlice(tc.b, tc.n, tc.k))
+				requireSameBits(t, c.Data, tc.want, "MatMulABTInto "+tc.label)
 			}
 		})
 	}
@@ -108,7 +120,7 @@ func FuzzABTTiles(f *testing.F) {
 	f.Add(uint8(17), uint8(23), uint16(8), uint8(5), uint8(18), uint8(8), uint8(24), uint8(0), uint64(4), uint8(10))
 	f.Add(uint8(12), uint8(39), uint16(518), uint8(2), uint8(9), uint8(1), uint8(35), uint8(7), uint64(5), uint8(90))
 	f.Fuzz(func(t *testing.T, m8, n8 uint8, k16 uint16, ilo8, ihi8, jlo8, jhi8, off8 uint8, seed uint64, odd8 uint8) {
-		m, n, k := 1+int(m8)%20, 1+int(n8)%40, 1+int(k16)%520
+		m, n, k := 1+int(m8)%40, 1+int(n8)%40, 1+int(k16)%520
 		ilo, ihi := int(ilo8)%(m+1), int(ihi8)%(m+1)
 		jlo, jhi := int(jlo8)%(n+1), int(jhi8)%(n+1)
 		if ilo > ihi {

@@ -36,25 +36,29 @@ func BenchmarkMatMul(b *testing.B) {
 
 // BenchmarkMatMulABT times the inference GEMM on the generic sizes and
 // on the paper-scale adapted forward's four products at the row counts
-// offline synthesis (64) and the served path (1, 2, 4, 8, 9, 16, 18:
-// a guided flow is two rows, a probe beside an 8-flow request 18)
-// produce, and at 3, 5 and 12, the rows on either side of the line
-// between the two vector tiles and eight plus a short block, reporting
-// GFLOP/s so tiles compare across shapes. One matrix stays in L2 here;
-// a served step cycles three (internal/lora's BenchmarkStepSmallBatch). Names are
-// rows, then the weight's shape as out × in — C[rows,out] =
-// A[rows,in]·B[out,in]ᵀ — spelled out, because 2176×192 and 192×2176
-// are both in the list.
+// the served path (1, 2, 4, 8, 9, 16, 18: a guided flow is two rows, a
+// probe beside an 8-flow request 18) and offline synthesis (16 and 32:
+// a 16-flow piece's trunk and its guided head; 64) produce, and at 3,
+// 5 and 12, the rows on either side of the line between two tiles and
+// a short block, reporting GFLOP/s so tiles compare across shapes.
+// Each iteration takes the next of three weight matrices, as a served
+// step's products do, so no one weight stays in L2 from one iteration
+// to the next where a step would not keep it. Names are rows, then the
+// weight's shape as out × in — C[rows,out] = A[rows,in]·B[out,in]ᵀ —
+// spelled out, because 2176×192 and 192×2176 are both in the list.
 func BenchmarkMatMulABT(b *testing.B) {
 	r := stats.NewRNG(2)
-	for _, sz := range slices.Concat(benchMatMulSizes, abtPaperShapes(1, 2, 3, 4, 5, 8, 9, 12, 16, 18, 64)) {
+	for _, sz := range slices.Concat(benchMatMulSizes, abtPaperShapes(1, 2, 3, 4, 5, 8, 9, 12, 16, 18, 32, 64)) {
 		a := New(sz.m, sz.k).Randn(r, 1)
-		bb := New(sz.n, sz.k).Randn(r, 1)
+		var ws [3]*Tensor
+		for w := range ws {
+			ws[w] = New(sz.n, sz.k).Randn(r, 1)
+		}
 		c := New(sz.m, sz.n)
 		b.Run(fmt.Sprintf("r%d_out%d_in%d", sz.m, sz.n, sz.k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMulABTInto(c, a, bb)
+				MatMulABTInto(c, a, ws[i%len(ws)])
 			}
 			flops := 2 * float64(sz.m) * float64(sz.k) * float64(sz.n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
