@@ -14,7 +14,7 @@
 //	GET  /healthz            liveness
 //	GET  /readyz             readiness (503 while draining); bare probes get plain text
 //	GET  /readyz?verbose=1   JSON: queue depth, in-flight flows, checkpoint coordinate,
-//	                         DDIM steps, precision, classes, uptime — what tracerouter scores on
+//	                         DDIM steps, classes, uptime — what tracerouter scores on
 //	GET  /metrics            expvar counters: occupancy, admission wait, latency
 //
 // Requests carrying a seed are replayable: the body is a pure function
@@ -22,15 +22,17 @@
 // continuous batching never leaks batch composition into the bytes.
 // Responses stamp X-Traced-Seed, X-Traced-Flows, X-Traced-Checkpoint
 // (sha256 of the model file, plus "/v<N>" from core.OutputVersion 2
-// on, so code that changes served bytes changes the coordinate),
-// X-Traced-DDIM-Steps and X-Traced-Precision, the coordinates
-// tracerouter keys its content-addressed response cache on.
+// on, so code that changes served bytes changes the coordinate) and
+// X-Traced-DDIM-Steps, the coordinates tracerouter keys its
+// content-addressed response cache on.
 //
 // -ddim-steps overrides the checkpoint's sampler budget — the
 // fidelity-vs-speed lever `traceval frontier` measures. Replicas behind
 // one router must agree on it, or the router refuses to cache (mixed
-// budgets produce different bytes for the same seed). Weights always
-// run at fp32; X-Traced-Precision stays on the wire as that constant.
+// budgets produce different bytes for the same seed). The rest of the
+// serving configuration is fixed: fp32 weights, a step-row budget of 8
+// and 2 post-processing workers (serve.New), GOGC 400 and a GOMAXPROCS
+// floor of 2 (below).
 // Overload answers 429 with Retry-After (bounded admission gate);
 // SIGTERM/SIGINT closes the same gate and waits for every request that
 // holds a slot before the engine and the listener stop.
@@ -71,14 +73,10 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (:0 picks an ephemeral port)")
 		queue    = flag.Int("queue", 64, "max requests concurrently inside the service; overflow gets 429")
 		inflight = flag.Int("max-inflight", 16, "max flows simultaneously in each step loop's denoising batch (one loop per CPU)")
-		postWk   = flag.Int("post-workers", 2, "post-processing workers behind the step loops")
-		stepRows = flag.Int("step-rows", 8, "max rows per denoiser forward in each step loop, least-remaining-work first (negative = unlimited)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-request deadline ceiling")
 		maxFlows = flag.Int("max-flows", 64, "max flows per request")
 		seedBase = flag.Uint64("seed-base", 1, "seed base for requests without an explicit seed")
 		drain    = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget")
-		gcPct    = flag.Int("gc-percent", 400, "GOGC for the serving process (heap is small; fewer GC cycles = less tail latency)")
-		procs    = flag.Int("procs", 0, "GOMAXPROCS floor; 0 = raise to 2 so the network gets polled while compute runs")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 		ddim     = flag.Int("ddim-steps", -1, "override the checkpoint's DDIM step budget (0 = full DDPM; negative = keep checkpoint setting)")
 	)
@@ -87,18 +85,14 @@ func main() {
 	// run every ~25ms under load, and on a single-CPU host each
 	// concurrent mark phase steals up to ~12ms of wall clock — pure p95
 	// tail. Trading heap headroom for fewer cycles is free here.
-	debug.SetGCPercent(*gcPct)
+	debug.SetGCPercent(400)
 	// With GOMAXPROCS=1 the Go scheduler only reaches its netpoll check
 	// when the run queues are empty — and under load the step loop keeps
 	// them full, so socket readiness is discovered by sysmon's ~10ms
 	// fallback poll instead. A second P keeps a thread free to poll the
 	// network, halving observed request p50 on single-CPU hosts.
-	floor := *procs
-	if floor <= 0 {
-		floor = 2
-	}
-	if runtime.GOMAXPROCS(0) < floor {
-		runtime.GOMAXPROCS(floor)
+	if runtime.GOMAXPROCS(0) < 2 {
+		runtime.GOMAXPROCS(2)
 	}
 	if *pprofA != "" {
 		// Separate listener from the API so profiling is never exposed
@@ -110,8 +104,6 @@ func main() {
 	cfg := serve.Config{
 		QueueDepth:         *queue,
 		MaxInFlight:        *inflight,
-		PostWorkers:        *postWk,
-		MaxStepRows:        *stepRows,
 		RequestTimeout:     *timeout,
 		MaxFlowsPerRequest: *maxFlows,
 		SeedBase:           *seedBase,

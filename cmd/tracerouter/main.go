@@ -12,15 +12,15 @@
 // Endpoints mirror traced's (POST /v1/generate, /healthz, /readyz,
 // /metrics) plus GET /replicas (pool state as JSON); the HTTP shell
 // behind them — drain gate, metrics map, plain handlers — is traced's
-// own, and requests decode into traced's request type. Routing policy is
-// pluggable: -routing-scorers "class-affinity:3,queue-depth:2" sends
-// same-class requests where the engine's continuous batch can merge
-// them; "p2c" selects power-of-two-choices. Backpressure propagates
-// honestly: when every replica sheds with 429 the router answers 429
-// with the max Retry-After seen, never 502.
+// own, and requests decode into traced's request type. The routing
+// policy is fixed: class affinity at weight 3 plus queue depth at
+// weight 2 sends same-class requests where the engine's continuous
+// batch can merge them, until that replica's load outweighs the merge.
+// Backpressure propagates honestly: when every replica sheds with 429
+// the router answers 429 with the max Retry-After seen, never 502.
 //
 // Seeded generation is a pure function of (checkpoint digest, class,
-// count, seed, DDIM steps, precision), so cached responses are byte-identical to
+// count, seed, DDIM steps), so cached responses are byte-identical to
 // replica-served ones; -cache-validate N re-proves that against a live
 // replica on every Nth hit. The digest is the replica's
 // X-Traced-Checkpoint: the model file's sha256, plus "/v<N>" from
@@ -52,7 +52,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8090", "listen address (:0 picks an ephemeral port)")
 		replicas = flag.String("replicas", "", "comma-separated replica base URLs (required)")
 
-		scorers  = flag.String("routing-scorers", "class-affinity:3,queue-depth:2", `weighted routing policy, e.g. "class-affinity:3,queue-depth:2"; "p2c" = power-of-two-choices`)
 		maxInfl  = flag.Int("replica-max-inflight", 32, "max requests the router keeps in flight per replica")
 		probeInt = flag.Duration("probe-interval", 250*time.Millisecond, "replica health-probe cadence")
 
@@ -69,39 +68,17 @@ func main() {
 			log.Printf("pprof: %v", http.ListenAndServe(*pprofA, nil))
 		}()
 	}
-	if err := run(routerOptions{
-		addr: *addr, replicas: *replicas,
-		scorers: *scorers, maxInflight: *maxInfl, probeInterval: *probeInt,
-		cacheEntries: *cacheEntries, cacheBytes: *cacheBytes, cacheValidate: *cacheValidate,
-		drain: *drain,
-	}); err != nil {
+	poolCfg := cluster.PoolConfig{ProbeInterval: *probeInt, MaxInFlight: *maxInfl}
+	cfg := cluster.Config{CacheEntries: *cacheEntries, CacheBytes: *cacheBytes, ValidateEvery: *cacheValidate}
+	if err := run(*addr, *replicas, poolCfg, cfg, *drain); err != nil {
 		log.Fatal(err)
 	}
 }
 
-type routerOptions struct {
-	addr, replicas string
-	scorers        string
-	maxInflight    int
-	probeInterval  time.Duration
-	cacheEntries   int
-	cacheBytes     int64
-	cacheValidate  int
-	drain          time.Duration
-}
-
-func run(o routerOptions) error {
-	policy, err := cluster.ParseScorers(o.scorers)
-	if err != nil {
-		return err
-	}
-
-	pool := cluster.NewPool(cluster.PoolConfig{
-		ProbeInterval: o.probeInterval,
-		MaxInFlight:   o.maxInflight,
-	})
+func run(addr, replicas string, poolCfg cluster.PoolConfig, cfg cluster.Config, drain time.Duration) error {
+	pool := cluster.NewPool(poolCfg)
 	defer pool.Close()
-	for _, u := range strings.Split(o.replicas, ",") {
+	for _, u := range strings.Split(replicas, ",") {
 		u = strings.TrimSpace(strings.TrimSuffix(u, "/"))
 		if u == "" {
 			continue
@@ -110,21 +87,16 @@ func run(o routerOptions) error {
 		log.Printf("replica: %s", u)
 	}
 	if pool.Size() == 0 {
-		return fmt.Errorf("-replicas is required: no usable replica URLs in %q", o.replicas)
+		return fmt.Errorf("-replicas is required: no usable replica URLs in %q", replicas)
 	}
 
-	rt := cluster.NewRouter(pool, cluster.Config{
-		Scorers:       policy,
-		CacheEntries:  o.cacheEntries,
-		CacheBytes:    o.cacheBytes,
-		ValidateEvery: o.cacheValidate,
-	})
+	rt := cluster.NewRouter(pool, cfg)
 	rt.PublishExpvar("tracerouter")
-	ln, err := net.Listen("tcp", o.addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("listening on %s (policy %q)", ln.Addr(), o.scorers)
+	log.Printf("listening on %s", ln.Addr())
 	// Same machine-parseable contract as traced: supervisors read one
 	// ADDR= line from stdout to find an ephemeral port without races.
 	fmt.Printf("ADDR=%s\n", ln.Addr())
@@ -139,7 +111,7 @@ func run(o routerOptions) error {
 		return err
 	case got := <-sig:
 		log.Printf("received %s; draining", got)
-		ctx, cancel := context.WithTimeout(context.Background(), o.drain)
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := rt.Shutdown(ctx); err != nil {
 			return fmt.Errorf("drain: %w", err)

@@ -1,13 +1,12 @@
 // Package cluster implements tracerouter's multi-replica serving tier:
-// a replica pool with health probing and backoff ejection (pool.go), a
-// pluggable weighted routing policy (scorer.go), a content-addressed
-// response cache (cache.go), a queue-depth autoscaler over local traced
-// child processes (scaler.go), and the HTTP front tier that ties them
-// together (proxy.go).
+// a replica pool with health probing and backoff ejection (pool.go),
+// the weighted routing policy (scorer.go), a content-addressed response
+// cache (cache.go), and the HTTP front tier that ties them together
+// (proxy.go).
 //
 // The cache is the "millions of users" lever: a seeded generation is a
 // pure function of (checkpoint digest, class, count, seed, DDIM steps,
-// precision), so a repeat seeded request is served from router memory
+// format), so a repeat seeded request is served from router memory
 // without touching a replica at all, byte-identical to what any replica
 // would have produced.
 package cluster
@@ -34,9 +33,8 @@ type CacheKey struct {
 	// DDIMSteps is the sampler budget the replica reported for the
 	// response (0 = full DDPM).
 	DDIMSteps int
-	// Precision is the inference weight precision the replica reported
-	// ("fp32" or "int8"). int8 bytes differ from fp32 bytes for the same
-	// digest and seed, so precision must participate in equality.
+	// Precision is unused: every replica serves fp32, and the router
+	// leaves it empty.
 	Precision string
 	// Format is the response encoding ("pcap" or "csv").
 	Format string

@@ -10,7 +10,7 @@ func testResp(n int) *CachedResponse {
 }
 
 func testKey(seed uint64) CacheKey {
-	return CacheKey{Digest: "sha256:aa", Class: "web", Count: 1, Seed: seed, DDIMSteps: 6, Precision: "fp32", Format: "pcap"}
+	return CacheKey{Digest: "sha256:aa", Class: "web", Count: 1, Seed: seed, DDIMSteps: 6, Format: "pcap"}
 }
 
 func TestCacheGetPut(t *testing.T) {

@@ -40,7 +40,6 @@ type fakeReplica struct {
 	mu         sync.Mutex
 	digest     string
 	ddim       int
-	precision  string // "" reported as fp32, like a real traced
 	queueDepth int
 	readyFail  bool
 	genStatus  int // 0 → 200
@@ -72,7 +71,7 @@ func (f *fakeReplica) set(mutate func(*fakeReplica)) {
 
 func (f *fakeReplica) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
-	fail, digest, ddim, prec, depth := f.readyFail, f.digest, f.ddim, f.precisionLocked(), f.queueDepth
+	fail, digest, ddim, depth := f.readyFail, f.digest, f.ddim, f.queueDepth
 	f.mu.Unlock()
 	if fail {
 		http.Error(w, "not ready", http.StatusServiceUnavailable)
@@ -88,22 +87,13 @@ func (f *fakeReplica) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:       depth,
 		CheckpointDigest: digest,
 		DDIMSteps:        ddim,
-		Precision:        prec,
 	})
-}
-
-// precisionLocked reads the effective precision; callers hold f.mu.
-func (f *fakeReplica) precisionLocked() string {
-	if f.precision == "" {
-		return "fp32"
-	}
-	return f.precision
 }
 
 func (f *fakeReplica) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	f.genCalls.Add(1)
 	f.mu.Lock()
-	status, retryAfter, digest, ddim, prec, salt, block := f.genStatus, f.retryAfter, f.digest, f.ddim, f.precisionLocked(), f.salt, f.block
+	status, retryAfter, digest, ddim, salt, block := f.genStatus, f.retryAfter, f.digest, f.ddim, f.salt, f.block
 	f.mu.Unlock()
 	if block != nil {
 		select {
@@ -133,11 +123,10 @@ func (f *fakeReplica) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		seed = strconv.FormatUint(*req.Seed, 10)
 	}
-	body := fmt.Sprintf("gen|%s|%s|%d|%s|%d|%s|%s|%s", digest, req.Class, req.Count, seed, ddim, prec, req.Format, salt)
+	body := fmt.Sprintf("gen|%s|%s|%d|%s|%d|%s|%s", digest, req.Class, req.Count, seed, ddim, req.Format, salt)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Traced-Checkpoint", digest)
 	w.Header().Set("X-Traced-DDIM-Steps", strconv.Itoa(ddim))
-	w.Header().Set("X-Traced-Precision", prec)
 	if req.Seed != nil {
 		w.Header().Set("X-Traced-Seed", seed)
 	}

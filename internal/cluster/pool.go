@@ -85,7 +85,6 @@ type ReplicaStatus struct {
 	InFlight         int    `json:"router_in_flight"`
 	CheckpointDigest string `json:"checkpoint_digest,omitempty"`
 	DDIMSteps        int    `json:"ddim_steps"`
-	Precision        string `json:"precision,omitempty"`
 	LastClass        string `json:"last_class,omitempty"`
 	Requests         int64  `json:"requests_total"`
 	Errors           int64  `json:"errors_total"`
@@ -182,7 +181,6 @@ func (r *replica) status() ReplicaStatus {
 		InFlight:         r.inFlight,
 		CheckpointDigest: r.ready.CheckpointDigest,
 		DDIMSteps:        r.ready.DDIMSteps,
-		Precision:        r.ready.Precision,
 		LastClass:        r.lastClass,
 		Requests:         r.requests.Load(),
 		Errors:           r.errors.Load(),
@@ -218,34 +216,32 @@ func (p *Pool) Size() int {
 	return len(p.replicas)
 }
 
-// CacheCoordinates returns the (checkpoint digest, DDIM steps,
-// precision) triple every healthy replica agrees on, or ok=false while
-// replicas disagree, report no digest, or none are healthy. The router
-// only keys its cache under consensus — a mixed-configuration pool
-// (including one mixing int8 and fp32 replicas) must not alias
-// entries. Replicas predating the precision field report "" and agree
-// only with each other; the proxy normalizes "" to "fp32" when keying.
-func (p *Pool) CacheCoordinates() (digest string, ddimSteps int, precision string, ok bool) {
+// CacheCoordinates returns the (checkpoint digest, DDIM steps) pair
+// every healthy replica agrees on, or ok=false while replicas
+// disagree, report no digest, or none are healthy. The router only
+// keys its cache under consensus — a mixed-configuration pool must not
+// alias entries.
+func (p *Pool) CacheCoordinates() (digest string, ddimSteps int, ok bool) {
 	seen := false
 	for _, r := range p.all() {
 		r.mu.Lock()
-		d, steps, prec, healthy := r.ready.CheckpointDigest, r.ready.DDIMSteps, r.ready.Precision, r.healthy
+		d, steps, healthy := r.ready.CheckpointDigest, r.ready.DDIMSteps, r.healthy
 		r.mu.Unlock()
 		if !healthy {
 			continue
 		}
 		if d == "" {
-			return "", 0, "", false
+			return "", 0, false
 		}
 		if !seen {
-			digest, ddimSteps, precision, seen = d, steps, prec, true
+			digest, ddimSteps, seen = d, steps, true
 			continue
 		}
-		if digest != d || ddimSteps != steps || precision != prec {
-			return "", 0, "", false
+		if digest != d || ddimSteps != steps {
+			return "", 0, false
 		}
 	}
-	return digest, ddimSteps, precision, seen
+	return digest, ddimSteps, seen
 }
 
 // acquire reserves an in-flight slot on the replica, refusing when it

@@ -50,67 +50,50 @@ func TestPoolCacheCoordinatesConsensus(t *testing.T) {
 	p := newTestPool(t, PoolConfig{}, a, b)
 	waitUntil(t, 5*time.Second, "both healthy", func() bool { return p.Healthy() == 2 })
 
-	digest, ddim, prec, ok := p.CacheCoordinates()
-	if !ok || digest != "sha256:aa" || ddim != 6 || prec != "fp32" {
-		t.Fatalf("consensus coordinates: %q %d %q %v", digest, ddim, prec, ok)
+	digest, ddim, ok := p.CacheCoordinates()
+	if !ok || digest != "sha256:aa" || ddim != 6 {
+		t.Fatalf("consensus coordinates: %q %d %v", digest, ddim, ok)
 	}
 
 	// DDIM disagreement breaks consensus even with identical digests.
 	b.set(func(f *fakeReplica) { f.ddim = 12 })
 	waitUntil(t, 5*time.Second, "ddim disagreement noticed", func() bool {
-		_, _, _, ok := p.CacheCoordinates()
+		_, _, ok := p.CacheCoordinates()
 		return !ok
 	})
 
 	// Digest disagreement likewise.
 	b.set(func(f *fakeReplica) { f.ddim = 6; f.digest = "sha256:bb" })
 	waitUntil(t, 5*time.Second, "digest disagreement noticed", func() bool {
-		_, _, _, ok := p.CacheCoordinates()
+		_, _, ok := p.CacheCoordinates()
 		return !ok
 	})
 
-	// Precision disagreement likewise: an int8 replica next to an fp32
-	// one produces different bytes for the same seed, so the pool must
-	// refuse cache coordinates rather than alias them.
-	b.set(func(f *fakeReplica) { f.digest = "sha256:aa"; f.precision = "int8" })
-	waitUntil(t, 5*time.Second, "precision disagreement noticed", func() bool {
-		_, _, _, ok := p.CacheCoordinates()
-		return !ok
+	// Agreement again restores consensus.
+	b.set(func(f *fakeReplica) { f.digest = "sha256:aa" })
+	waitUntil(t, 5*time.Second, "agreement restored", func() bool {
+		digest, ddim, ok := p.CacheCoordinates()
+		return ok && digest == "sha256:aa" && ddim == 6
 	})
-	b.set(func(f *fakeReplica) { f.precision = "" })
-	waitUntil(t, 5*time.Second, "precision agreement restored", func() bool {
-		_, _, prec, ok := p.CacheCoordinates()
-		return ok && prec == "fp32"
-	})
-
-	// A uniformly int8 pool has consensus — at int8 coordinates.
-	a.set(func(f *fakeReplica) { f.precision = "int8" })
-	b.set(func(f *fakeReplica) { f.precision = "int8" })
-	waitUntil(t, 5*time.Second, "int8 consensus", func() bool {
-		digest, ddim, prec, ok := p.CacheCoordinates()
-		return ok && digest == "sha256:aa" && ddim == 6 && prec == "int8"
-	})
-	a.set(func(f *fakeReplica) { f.precision = "" })
-	b.set(func(f *fakeReplica) { f.precision = "" })
 
 	// An unidentified replica (no digest) disables caching outright.
 	b.set(func(f *fakeReplica) { f.digest = "" })
 	waitUntil(t, 5*time.Second, "empty digest noticed", func() bool {
-		_, _, _, ok := p.CacheCoordinates()
+		_, _, ok := p.CacheCoordinates()
 		return !ok
 	})
 
 	// Ejecting the dissenter restores consensus over the remainder.
 	b.set(func(f *fakeReplica) { f.readyFail = true })
 	waitUntil(t, 5*time.Second, "consensus restored", func() bool {
-		digest, ddim, _, ok := p.CacheCoordinates()
+		digest, ddim, ok := p.CacheCoordinates()
 		return ok && digest == "sha256:aa" && ddim == 6
 	})
 
 	// No healthy replicas at all: no coordinates.
 	a.set(func(f *fakeReplica) { f.readyFail = true })
 	waitUntil(t, 5*time.Second, "no healthy → no coordinates", func() bool {
-		_, _, _, ok := p.CacheCoordinates()
+		_, _, ok := p.CacheCoordinates()
 		return !ok
 	})
 }

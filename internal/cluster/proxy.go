@@ -19,8 +19,7 @@ import (
 // on each field.
 type Config struct {
 	// Scorers is the weighted routing policy (ParseScorers). Nil
-	// selects the power-of-two-choices fallback: two candidates are
-	// drawn per request and the less loaded one wins.
+	// selects the default "class-affinity:3,queue-depth:2".
 	Scorers []WeightedScorer
 	// CacheEntries / CacheBytes bound the content-addressed response
 	// cache (defaults 4096 entries, 256 MiB). CacheEntries < 0
@@ -51,13 +50,15 @@ type Router struct {
 	met    *routerMetrics
 	client *http.Client
 
-	p2cCtr atomic.Uint64
 	hitCtr atomic.Uint64
 }
 
 // NewRouter builds a Router over a caller-owned pool (the caller
 // closes the pool after Shutdown).
 func NewRouter(pool *Pool, cfg Config) *Router {
+	if cfg.Scorers == nil {
+		cfg.Scorers = defaultPolicy
+	}
 	var cache *Cache
 	if cfg.CacheEntries >= 0 {
 		cache = NewCache(cfg.CacheEntries, cfg.CacheBytes)
@@ -107,19 +108,15 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	rt.met.requests.Add(1)
 
 	// Cache lookup: only seeded requests are content-addressed, and
-	// only while every healthy replica agrees on (digest, DDIM steps,
-	// precision) — a mixed pool must not alias entries across
-	// configurations.
+	// only while every healthy replica agrees on (digest, DDIM steps)
+	// — a mixed pool must not alias entries across configurations.
 	var key CacheKey
 	cacheable := false
 	if gr.Seed != nil && rt.cache != nil {
-		if digest, ddim, prec, ok := rt.pool.CacheCoordinates(); ok {
-			if prec == "" {
-				prec = "fp32" // replicas predating the precision field
-			}
+		if digest, ddim, ok := rt.pool.CacheCoordinates(); ok {
 			key = CacheKey{
 				Digest: digest, Class: gr.Class, Count: gr.Count,
-				Seed: *gr.Seed, DDIMSteps: ddim, Precision: prec, Format: gr.Format,
+				Seed: *gr.Seed, DDIMSteps: ddim, Format: gr.Format,
 			}
 			cacheable = true
 		}
@@ -299,30 +296,13 @@ func (rt *Router) next(in RouteInput, tried map[int]bool) *replica {
 	if len(cands) == 0 {
 		return nil
 	}
-	scorers := rt.cfg.Scorers
-	if scorers == nil {
-		// Power-of-two-choices: draw two distinct candidates from a
-		// splitmix64-spread counter, then let the queue-depth score
-		// settle it. No RNG state crosses handler goroutines.
-		if len(cands) > 2 {
-			c := rt.p2cCtr.Add(1)
-			i := int(splitmix64(c) % uint64(len(cands)))
-			j := int(splitmix64(splitmix64(c)) % uint64(len(cands)-1))
-			if j >= i {
-				j++
-			}
-			cands = []*replica{cands[i], cands[j]}
-			stats = []ReplicaStatus{stats[i], stats[j]}
-		}
-		scorers = []WeightedScorer{{Name: "queue-depth", Weight: 1, Fn: builtinScorers["queue-depth"]}}
-	}
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i
 	}
 	scores := make([]float64, len(cands))
 	for i, st := range stats {
-		scores[i] = scoreReplica(scorers, in, st)
+		scores[i] = scoreReplica(rt.cfg.Scorers, in, st)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if scores[order[a]] != scores[order[b]] { //tracelint:allow floateq — exact tie detection for deterministic id ordering, not numeric comparison
@@ -368,13 +348,8 @@ func (rt *Router) forward(ctx context.Context, rep *replica, class string, body 
 // checkpoints between the probe and the response must not poison the
 // cache.
 func (rt *Router) storeResponse(key CacheKey, hdr http.Header, body []byte) {
-	prec := hdr.Get("X-Traced-Precision")
-	if prec == "" {
-		prec = "fp32" // replicas predating the precision header
-	}
 	if hdr.Get("X-Traced-Checkpoint") != key.Digest ||
-		hdr.Get("X-Traced-DDIM-Steps") != strconv.Itoa(key.DDIMSteps) ||
-		prec != key.Precision {
+		hdr.Get("X-Traced-DDIM-Steps") != strconv.Itoa(key.DDIMSteps) {
 		rt.met.coordMismatches.Add(1)
 		return
 	}

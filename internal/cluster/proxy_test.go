@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"trafficdiff/internal/serve"
 )
 
 // TestMapFailure pins the router's status-mapping table: exhausted
@@ -93,8 +95,7 @@ func TestRouterProxiesAndCachesSeeded(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("cache hit not byte-identical:\n miss: %q\n hit:  %q", body1, body2)
 	}
-	if hdr.Get("X-Traced-Checkpoint") != "sha256:aa" || hdr.Get("X-Traced-DDIM-Steps") != "6" ||
-		hdr.Get("X-Traced-Precision") != "fp32" {
+	if hdr.Get("X-Traced-Checkpoint") != "sha256:aa" || hdr.Get("X-Traced-DDIM-Steps") != "6" {
 		t.Fatalf("hit lost generation headers: %v", hdr)
 	}
 	if got := a.genCalls.Load() + b.genCalls.Load(); got != upstream {
@@ -537,5 +538,62 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 	}
 	if got := a.genCalls.Load(); got != 0 {
 		t.Fatalf("bad requests reached the replica %d times", got)
+	}
+}
+
+// TestRouterDefaultPolicy: a router built with nil Scorers runs the
+// policy tracerouter and the benchmark run, "class-affinity:3,
+// queue-depth:2", and picks the same replica as one built from that
+// spec, over cold, warm, busy and mixed pools.
+func TestRouterDefaultPolicy(t *testing.T) {
+	type rep struct {
+		lastClass  string
+		queueDepth int
+		flows      int64
+		inFlight   int
+	}
+	cases := []struct {
+		name     string
+		replicas []rep
+		want     int
+	}{
+		{name: "cold", replicas: []rep{{}, {}, {}}, want: 0},
+		{name: "warm", replicas: []rep{{}, {lastClass: "web"}, {lastClass: "video"}}, want: 1},
+		// 3·1 + 2/9 for the warm replica loses to 3·0.5 + 2 for the cold one.
+		{name: "busy", replicas: []rep{{lastClass: "web", queueDepth: 8}, {}}, want: 1},
+		{name: "mixed", replicas: []rep{
+			{lastClass: "video"},
+			{lastClass: "web", flows: 2},
+			{inFlight: 1},
+			{lastClass: "web", queueDepth: 1, flows: 4},
+		}, want: 1},
+	}
+	parsed, err := ParseScorers("class-affinity:3,queue-depth:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := RouteInput{Class: "web", Count: 1}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(PoolConfig{ProbeInterval: time.Hour})
+			defer p.Close()
+			for i, r := range tc.replicas {
+				p.replicas = append(p.replicas, &replica{
+					id: i, url: "http://replica", healthy: true,
+					ready:     serve.ReadyStatus{QueueDepth: r.queueDepth, InFlightFlows: r.flows},
+					lastClass: r.lastClass, inFlight: r.inFlight,
+				})
+			}
+			for name, cfg := range map[string]Config{"nil": {}, "parsed": {Scorers: parsed}} {
+				got := NewRouter(p, cfg).next(in, map[int]bool{})
+				if got == nil {
+					t.Fatalf("%s policy picked no replica", name)
+				}
+				p.release(got, "")
+				if got.id != tc.want {
+					t.Errorf("%s policy picked replica %d, want %d", name, got.id, tc.want)
+				}
+			}
+		})
 	}
 }

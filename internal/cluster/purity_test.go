@@ -82,23 +82,31 @@ func TestCacheHitByteIdentity(t *testing.T) {
 					for _, format := range []string{"pcap", "csv"} {
 						req := fmt.Sprintf(`{"class":%q,"count":%d,"seed":%d,"format":%q}`, class, count, seed, format)
 
-						status, missBody, hdr := postJSON(t, base, req)
-						if status != 200 || hdr.Get("X-Cache") != "miss" {
-							t.Fatalf("%s: first request status=%d X-Cache=%q", req, status, hdr.Get("X-Cache"))
+						status, missBody, missHdr := postJSON(t, base, req)
+						if status != 200 || missHdr.Get("X-Cache") != "miss" {
+							t.Fatalf("%s: first request status=%d X-Cache=%q", req, status, missHdr.Get("X-Cache"))
 						}
 
-						status, hitBody, hdr := postJSON(t, base, req)
-						if status != 200 || hdr.Get("X-Cache") != "hit" {
-							t.Fatalf("%s: repeat status=%d X-Cache=%q", req, status, hdr.Get("X-Cache"))
+						status, hitBody, hitHdr := postJSON(t, base, req)
+						if status != 200 || hitHdr.Get("X-Cache") != "hit" {
+							t.Fatalf("%s: repeat status=%d X-Cache=%q", req, status, hitHdr.Get("X-Cache"))
 						}
 						if !bytes.Equal(missBody, hitBody) {
 							t.Fatalf("%s: cache hit differs from replica-served response", req)
 						}
-						if hdr.Get("X-Traced-DDIM-Steps") != fmt.Sprint(ddim) {
-							t.Fatalf("%s: hit DDIM header = %q, want %d", req, hdr.Get("X-Traced-DDIM-Steps"), ddim)
+						// Every generation header the replica sent is
+						// replayed on the hit, whatever the list holds.
+						for _, name := range serve.GenerationHeaders {
+							if missHdr.Get(name) == "" {
+								t.Fatalf("%s: replica sent no %s", req, name)
+							}
+							if got, want := hitHdr.Get(name), missHdr.Get(name); got != want {
+								t.Fatalf("%s: hit %s = %q, miss had %q", req, name, got, want)
+							}
 						}
-						if hdr.Get("X-Traced-Checkpoint") != digest {
-							t.Fatalf("%s: hit checkpoint header = %q, want %q", req, hdr.Get("X-Traced-Checkpoint"), digest)
+						if missHdr.Get("X-Traced-DDIM-Steps") != fmt.Sprint(ddim) || missHdr.Get("X-Traced-Checkpoint") != digest {
+							t.Fatalf("%s: replica coordinates %q %q, want %d %q", req,
+								missHdr.Get("X-Traced-DDIM-Steps"), missHdr.Get("X-Traced-Checkpoint"), ddim, digest)
 						}
 
 						// Direct round trips against both replicas: every

@@ -25,8 +25,8 @@ type WeightedScorer struct {
 	Fn     Scorer
 }
 
-// builtinScorers maps policy names (the -routing-scorers vocabulary)
-// to their implementations.
+// builtinScorers maps the policy names ParseScorers accepts to their
+// implementations.
 //
 //   - queue-depth: prefer replicas with shallow admission queues and
 //     few in-flight flows — the classic load-balancing term.
@@ -34,8 +34,6 @@ type WeightedScorer struct {
 //     so the engine's continuous batch can merge same-class requests
 //     into shared denoiser forwards (the BLIS prefix-affinity idiom
 //     mapped onto trace classes).
-//   - least-inflight: prefer replicas with the fewest router-side
-//     in-flight requests, ignoring replica-reported load.
 var builtinScorers = map[string]Scorer{
 	"queue-depth": func(in RouteInput, r ReplicaStatus) float64 {
 		return 1 / (1 + float64(r.QueueDepth) + float64(r.InFlightFlows) + float64(r.InFlight))
@@ -53,20 +51,20 @@ var builtinScorers = map[string]Scorer{
 			return 0
 		}
 	},
-	"least-inflight": func(in RouteInput, r ReplicaStatus) float64 {
-		return 1 / (1 + float64(r.InFlight))
-	},
 }
 
-// ParseScorers parses a -routing-scorers spec like
-// "class-affinity:3,queue-depth:2" into a weighted policy. The empty
-// spec and the literal "p2c" select the power-of-two-choices fallback
-// (nil policy). Unknown names and non-positive weights are errors.
+// defaultPolicy is the routing policy a Router with nil Config.Scorers
+// runs: affinity at weight 3 outranks a moderate queue, so same-class
+// requests gather on one replica until its load outweighs the merge.
+var defaultPolicy = []WeightedScorer{
+	{Name: "class-affinity", Weight: 3, Fn: builtinScorers["class-affinity"]},
+	{Name: "queue-depth", Weight: 2, Fn: builtinScorers["queue-depth"]},
+}
+
+// ParseScorers parses a spec like "class-affinity:3,queue-depth:2"
+// into a weighted policy. Unknown names, non-positive weights and an
+// empty spec are errors.
 func ParseScorers(spec string) ([]WeightedScorer, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "p2c" {
-		return nil, nil
-	}
 	var out []WeightedScorer
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -87,7 +85,7 @@ func ParseScorers(spec string) ([]WeightedScorer, error) {
 		}
 		fn, ok := builtinScorers[name]
 		if !ok {
-			return nil, fmt.Errorf("cluster: unknown scorer %q (have: class-affinity, queue-depth, least-inflight)", name)
+			return nil, fmt.Errorf("cluster: unknown scorer %q (have: class-affinity, queue-depth)", name)
 		}
 		out = append(out, WeightedScorer{Name: name, Weight: weight, Fn: fn})
 	}
@@ -104,15 +102,4 @@ func scoreReplica(scorers []WeightedScorer, in RouteInput, r ReplicaStatus) floa
 		total += float64(ws.Weight * ws.Fn(in, r))
 	}
 	return total
-}
-
-// splitmix64 is the same mixing function stats.NewRNG seeds with; the
-// router uses it to turn a monotone counter into well-spread replica
-// picks for power-of-two-choices, with no RNG state shared across
-// handler goroutines.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

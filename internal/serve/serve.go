@@ -76,15 +76,6 @@ type Config struct {
 	// values raise throughput under load; smaller ones bound per-step
 	// latency.
 	MaxInFlight int
-	// PostWorkers is the number of post-processing workers behind the
-	// step loops, shared by all of them (default 2).
-	PostWorkers int
-	// MaxStepRows caps the rows per denoiser forward in each step loop
-	// (default 8; negative for unlimited). Stepping the requests with the least
-	// remaining work first keeps a fresh request's time-to-first-result
-	// small even when the batch is full of bulk work; see
-	// core.EngineConfig.MaxStepRows.
-	MaxStepRows int
 	// RequestTimeout is the per-request deadline ceiling; a request's
 	// timeout_ms may shorten it but never extend it (default 60s).
 	RequestTimeout time.Duration
@@ -111,15 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 16
 	}
-	if c.PostWorkers <= 0 {
-		c.PostWorkers = 2
-	}
-	if c.MaxStepRows == 0 {
-		c.MaxStepRows = 8
-	}
-	if c.MaxStepRows < 0 {
-		c.MaxStepRows = 0 // explicit "unlimited"
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
@@ -144,6 +126,17 @@ type Server struct {
 	seedCtr atomic.Uint64
 }
 
+// The engine New builds steps at most stepRows rows per denoiser
+// forward in each loop, the requests with the least remaining work
+// first, so a fresh 1-flow request reaches its result through cheap
+// forwards even when the batch is full of bulk work
+// (core.EngineConfig.MaxStepRows). postWorkers goroutines post-process
+// finished requests behind the step loops, shared by all of them.
+const (
+	stepRows    = 8
+	postWorkers = 2
+)
+
 // New builds a Server over a fine-tuned synthesizer, starting a
 // continuous-batching core.Engine sized by cfg. Callers must
 // eventually Shutdown, which drains the server and then closes the
@@ -152,8 +145,8 @@ func New(synth *core.Synthesizer, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng, err := core.NewEngine(synth, core.EngineConfig{
 		MaxInFlight: cfg.MaxInFlight,
-		PostWorkers: cfg.PostWorkers,
-		MaxStepRows: cfg.MaxStepRows,
+		PostWorkers: postWorkers,
+		MaxStepRows: stepRows,
 	})
 	if err != nil {
 		return nil, err
@@ -384,7 +377,7 @@ func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, re
 	// One value per GenerationHeaders entry, in its order.
 	values := [len(GenerationHeaders)]string{
 		contentType, strconv.FormatUint(seed, 10), strconv.Itoa(len(res.Flows)),
-		s.checkpoint, strconv.Itoa(s.eng.DDIMSteps()), Precision,
+		s.checkpoint, strconv.Itoa(s.eng.DDIMSteps()),
 	}
 	for i, name := range GenerationHeaders {
 		if values[i] != "" {
@@ -395,7 +388,7 @@ func (s *Server) writeBody(w http.ResponseWriter, seed uint64, format string, re
 }
 
 // GenerationHeaders are the headers a successful generate response
-// carries besides Content-Length. The last three are the coordinates a
+// carries besides Content-Length. The last two are the coordinates a
 // routing tier checks before caching the bytes; it replays a cached
 // answer from this list. X-Traced-Checkpoint is absent when the replica
 // has no checkpoint identity.
@@ -405,14 +398,7 @@ var GenerationHeaders = [...]string{
 	"X-Traced-Flows",
 	"X-Traced-Checkpoint",
 	"X-Traced-DDIM-Steps",
-	"X-Traced-Precision",
 }
-
-// Precision is the inference weight precision every response is
-// produced at, stamped as X-Traced-Precision and reported on
-// /readyz?verbose=1. It is a constant, but routers still key caches on
-// it, so it stays on the wire.
-const Precision = "fp32"
 
 // ReadyStatus is the JSON body of GET /readyz?verbose=1: everything a
 // routing tier needs to score a replica (queue depth, in-flight flows)
@@ -425,7 +411,6 @@ type ReadyStatus struct {
 	InFlightFlows    int64    `json:"in_flight_flows"`
 	CheckpointDigest string   `json:"checkpoint_digest,omitempty"`
 	DDIMSteps        int      `json:"ddim_steps"`
-	Precision        string   `json:"precision"`
 	Classes          []string `json:"classes,omitempty"`
 	UptimeMs         int64    `json:"uptime_ms"`
 }
@@ -446,7 +431,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		InFlightFlows:    int64(st.FlowsAdmitted) - int64(st.FlowsCompleted) - int64(st.FlowsRetired),
 		CheckpointDigest: s.checkpoint,
 		DDIMSteps:        s.eng.DDIMSteps(),
-		Precision:        Precision,
 		Classes:          s.eng.Classes(),
 		UptimeMs:         time.Since(s.start).Milliseconds(),
 	})

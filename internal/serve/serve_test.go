@@ -936,38 +936,24 @@ func TestTerminalPathCounters(t *testing.T) {
 	})
 }
 
-// TestPrecisionAdvertised pins the precision surfaces a routing tier
-// keys on: the X-Traced-Precision response header and the
-// /readyz?verbose=1 field both carry the constant "fp32" (never empty —
-// a router in a mixed pool keys cache entries on it).
-func TestPrecisionAdvertised(t *testing.T) {
-	s := NewWithEngine(&fakeEngine{classes: []string{"amazon"}}, Config{CheckpointDigest: "sha256:ab"})
+// TestServeEngineStepRows pins the engine New builds: one 16-flow
+// request steps at most 8 rows per denoiser forward, so batch
+// occupancy reads exactly 8 (16 with no row budget). serve_contend's
+// probe latency rests on that budget, which nothing else checks short
+// of the benchmark.
+func TestServeEngineStepRows(t *testing.T) {
+	s := realServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer shutdownServer(t, s)
 
-	code, _, hdr := post(t, ts.URL, `{"class":"amazon","count":1,"seed":9}`)
-	if code != http.StatusOK {
-		t.Fatalf("generate status %d", code)
+	if code, body, _ := post(t, ts.URL, `{"class":"amazon","count":16,"seed":5}`); code != http.StatusOK {
+		t.Fatalf("16-flow request: %d %s", code, body)
 	}
-	if got := hdr.Get("X-Traced-Precision"); got != "fp32" {
-		t.Fatalf("X-Traced-Precision = %q, want fp32", got)
-	}
-
-	resp, err := http.Get(ts.URL + "/readyz?verbose=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st ReadyStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	if cerr := resp.Body.Close(); cerr != nil {
-		t.Error(cerr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Precision != "fp32" {
-		t.Fatalf("readyz precision = %q, want fp32", st.Precision)
+	m := metricsSnapshot(t, ts.URL)
+	steps, rows := m["batch_occupancy_count"], m["batch_occupancy_sum"]
+	if steps <= 0 || rows/steps != 8 {
+		t.Fatalf("batch occupancy %v/%v, want 8 rows per forward", rows, steps)
 	}
 }
 
