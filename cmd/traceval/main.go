@@ -20,9 +20,10 @@
 // -seed the one seed each experiment offsets, and -fast shrinks the
 // diffusion model for a quick smoke run. Figure 2's PNG lands in -out
 // (default fig2_amazon.png). ablate sweeps every knob of eval.RunSweep
-// but steps on that Config. frontier ignores the flags: it sweeps steps
-// on the fixed CPU-budget Config CI gates on and exits non-zero when a
-// point loses fidelity.
+// but steps on that Config, in one call that fine-tunes each distinct
+// training configuration once and trains the GAN once. frontier ignores
+// the flags: it sweeps steps, one fine-tune, on the fixed CPU-budget
+// Config CI gates on and exits non-zero when a point loses fidelity.
 package main
 
 import (
@@ -133,27 +134,27 @@ func main() {
 			fmt.Print(eval.FidelityReport(res))
 		case "frontier":
 			log.Printf("running fidelity-vs-speed frontier...")
-			rep, err := eval.RunSweep(frontierConfig(), "steps")
+			reps, err := eval.RunSweep(frontierConfig(), "steps")
 			if err != nil {
 				return err
 			}
 			fmt.Println("== §4: generative speed, DDPM to few-step DDIM and the GAN (fidelity vs speed) ==")
-			fmt.Print(eval.SweepReportString(rep))
-			if err := eval.GateFrontier(rep, frontierFidelityTol); err != nil {
+			fmt.Print(eval.SweepReportString(reps[0]))
+			fmt.Printf("gan (one-shot netflow records): %.0f records/s\n", reps[0].GANRecordsPerS)
+			if err := eval.GateFrontier(reps[0], frontierFidelityTol); err != nil {
 				return err
 			}
 		case "ablate":
-			sep := ""
-			for _, knob := range []string{"controlnet", "constantsnap", "guidance", "lorarank", "downw", "schedule"} {
-				log.Printf("running ablation %s...", knob)
-				rep, err := eval.RunSweep(c, knob)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("%s== ablation: %s, Synthetic/Real RF and pre-projection compliance per value ==\n%s",
-					sep, knob, eval.SweepReportString(rep))
-				sep = "\n"
+			log.Printf("running ablations...")
+			reps, err := eval.RunSweep(c, "controlnet", "constantsnap", "guidance", "lorarank", "downw", "schedule")
+			if err != nil {
+				return err
 			}
+			for _, rep := range reps {
+				fmt.Printf("== ablation: %s, Synthetic/Real RF and pre-projection compliance per value ==\n%s\n",
+					rep.Knob, eval.SweepReportString(rep))
+			}
+			fmt.Printf("gan (one-shot netflow records): %.0f records/s\n", reps[0].GANRecordsPerS)
 		case "perclass-gan":
 			res, err := eval.RunPerClassGAN(c)
 			if err != nil {

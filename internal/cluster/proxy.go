@@ -142,11 +142,10 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 // proxy runs the attempt loop over scored candidates and writes the
 // outcome (success passthrough or the status-mapping table's verdict).
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, gr serve.GenerateRequest, body []byte, key CacheKey, cacheable bool) {
-	in := RouteInput{Class: gr.Class, Count: gr.Count}
 	tried := map[int]bool{}
 	fail := routeFailure{Healthy: rt.pool.Healthy()}
 	for {
-		rep := rt.next(in, tried)
+		rep := rt.next(gr.Class, tried)
 		if rep == nil {
 			break
 		}
@@ -279,7 +278,7 @@ func failureBody(status int, f routeFailure) string {
 // next ranks the untried replicas under the routing policy and
 // reserves the best one that still has in-flight headroom. Nil when no
 // candidate can be reserved.
-func (rt *Router) next(in RouteInput, tried map[int]bool) *replica {
+func (rt *Router) next(class string, tried map[int]bool) *replica {
 	var cands []*replica
 	var stats []ReplicaStatus
 	for _, r := range rt.pool.all() {
@@ -302,7 +301,7 @@ func (rt *Router) next(in RouteInput, tried map[int]bool) *replica {
 	}
 	scores := make([]float64, len(cands))
 	for i, st := range stats {
-		scores[i] = scoreReplica(rt.cfg.Scorers, in, st)
+		scores[i] = scoreReplica(rt.cfg.Scorers, class, st)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if scores[order[a]] != scores[order[b]] { //tracelint:allow floateq — exact tie detection for deterministic id ordering, not numeric comparison
@@ -366,8 +365,7 @@ func (rt *Router) storeResponse(key CacheKey, hdr http.Header, body []byte) {
 // answer, the cached bytes are served as usual.
 func (rt *Router) validateHit(w http.ResponseWriter, r *http.Request, gr serve.GenerateRequest, body []byte, key CacheKey, ent *CachedResponse) {
 	rt.met.validations.Add(1)
-	in := RouteInput{Class: gr.Class, Count: gr.Count}
-	rep := rt.next(in, map[int]bool{})
+	rep := rt.next(gr.Class, map[int]bool{})
 	if rep == nil {
 		rt.writeCached(w, ent, "hit")
 		return

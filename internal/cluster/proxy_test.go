@@ -572,7 +572,7 @@ func TestRouterDefaultPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := RouteInput{Class: "web", Count: 1}
+	const class = "web"
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPool(PoolConfig{ProbeInterval: time.Hour})
@@ -585,7 +585,7 @@ func TestRouterDefaultPolicy(t *testing.T) {
 				})
 			}
 			for name, cfg := range map[string]Config{"nil": {}, "parsed": {Scorers: parsed}} {
-				got := NewRouter(p, cfg).next(in, map[int]bool{})
+				got := NewRouter(p, cfg).next(class, map[int]bool{})
 				if got == nil {
 					t.Fatalf("%s policy picked no replica", name)
 				}

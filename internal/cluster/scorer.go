@@ -6,17 +6,10 @@ import (
 	"strings"
 )
 
-// RouteInput is what a scorer may condition on: the request's class
-// and flow count.
-type RouteInput struct {
-	Class string
-	Count int
-}
-
-// Scorer rates one replica for one request; higher is better. Scorers
-// must be pure functions of their inputs so routing decisions are
-// explainable from a pool snapshot.
-type Scorer func(in RouteInput, r ReplicaStatus) float64
+// Scorer rates one replica for a request of the given class; higher is
+// better. Scorers must be pure functions of their inputs so routing
+// decisions are explainable from a pool snapshot.
+type Scorer func(class string, r ReplicaStatus) float64
 
 // WeightedScorer is one term of a weighted routing policy.
 type WeightedScorer struct {
@@ -35,12 +28,12 @@ type WeightedScorer struct {
 //     into shared denoiser forwards (the BLIS prefix-affinity idiom
 //     mapped onto trace classes).
 var builtinScorers = map[string]Scorer{
-	"queue-depth": func(in RouteInput, r ReplicaStatus) float64 {
+	"queue-depth": func(_ string, r ReplicaStatus) float64 {
 		return 1 / (1 + float64(r.QueueDepth) + float64(r.InFlightFlows) + float64(r.InFlight))
 	},
-	"class-affinity": func(in RouteInput, r ReplicaStatus) float64 {
+	"class-affinity": func(class string, r ReplicaStatus) float64 {
 		switch r.LastClass {
-		case in.Class:
+		case class:
 			return 1
 		case "":
 			// A cold replica is a better affinity target than one warm
@@ -96,10 +89,10 @@ func ParseScorers(spec string) ([]WeightedScorer, error) {
 }
 
 // scoreReplica evaluates the weighted policy for one candidate.
-func scoreReplica(scorers []WeightedScorer, in RouteInput, r ReplicaStatus) float64 {
+func scoreReplica(scorers []WeightedScorer, class string, r ReplicaStatus) float64 {
 	total := 0.0
 	for _, ws := range scorers {
-		total += float64(ws.Weight * ws.Fn(in, r))
+		total += float64(ws.Weight * ws.Fn(class, r))
 	}
 	return total
 }

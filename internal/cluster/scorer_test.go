@@ -59,11 +59,11 @@ func TestParseScorers(t *testing.T) {
 
 func TestQueueDepthScorerPrefersIdle(t *testing.T) {
 	fn := builtinScorers["queue-depth"]
-	in := RouteInput{Class: "web", Count: 1}
-	idle := fn(in, ReplicaStatus{})
-	queued := fn(in, ReplicaStatus{QueueDepth: 4})
-	flowing := fn(in, ReplicaStatus{InFlightFlows: 4})
-	routing := fn(in, ReplicaStatus{InFlight: 4})
+	const class = "web"
+	idle := fn(class, ReplicaStatus{})
+	queued := fn(class, ReplicaStatus{QueueDepth: 4})
+	flowing := fn(class, ReplicaStatus{InFlightFlows: 4})
+	routing := fn(class, ReplicaStatus{InFlight: 4})
 	if idle != 1 {
 		t.Fatalf("idle score = %v, want 1", idle)
 	}
@@ -89,7 +89,7 @@ func TestQueueDepthScorerNegativeLoad(t *testing.T) {
 			t.Fatalf("%s: %v", body, err)
 		}
 		r := ReplicaStatus{QueueDepth: st.QueueDepth, InFlightFlows: st.InFlightFlows}
-		if s := fn(RouteInput{Class: "web", Count: 1}, r); !(s > 0 && s <= 1) {
+		if s := fn("web", r); !(s > 0 && s <= 1) {
 			t.Errorf("%s: score %v, want in (0, 1]", body, s)
 		}
 	}
@@ -116,7 +116,7 @@ func FuzzReadyStatus(f *testing.F) {
 			return
 		}
 		r := ReplicaStatus{QueueDepth: st.QueueDepth, InFlightFlows: st.InFlightFlows}
-		if s := fn(RouteInput{Class: "web", Count: 1}, r); !(s > 0 && s <= 1) || math.IsInf(s, 0) {
+		if s := fn("web", r); !(s > 0 && s <= 1) || math.IsInf(s, 0) {
 			t.Fatalf("body %q: queue-depth score %v, want finite in (0, 1]", body, s)
 		}
 	})
@@ -124,14 +124,14 @@ func FuzzReadyStatus(f *testing.F) {
 
 func TestClassAffinityScorer(t *testing.T) {
 	fn := builtinScorers["class-affinity"]
-	in := RouteInput{Class: "web"}
-	if got := fn(in, ReplicaStatus{LastClass: "web"}); got != 1 {
+	const class = "web"
+	if got := fn(class, ReplicaStatus{LastClass: "web"}); got != 1 {
 		t.Fatalf("same-class score = %v, want 1", got)
 	}
-	if got := fn(in, ReplicaStatus{}); got != 0.5 {
+	if got := fn(class, ReplicaStatus{}); got != 0.5 {
 		t.Fatalf("cold score = %v, want 0.5", got)
 	}
-	if got := fn(in, ReplicaStatus{LastClass: "video"}); got != 0 {
+	if got := fn(class, ReplicaStatus{LastClass: "video"}); got != 0 {
 		t.Fatalf("cross-class score = %v, want 0", got)
 	}
 }
@@ -141,18 +141,18 @@ func TestScoreReplicaWeightedSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := RouteInput{Class: "web"}
-	warmIdle := scoreReplica(policy, in, ReplicaStatus{LastClass: "web"})
+	const class = "web"
+	warmIdle := scoreReplica(policy, class, ReplicaStatus{LastClass: "web"})
 	if math.Abs(warmIdle-5) > 1e-12 { // 3*1 + 2*1
 		t.Fatalf("warm idle = %v, want 5", warmIdle)
 	}
-	coldIdle := scoreReplica(policy, in, ReplicaStatus{})
+	coldIdle := scoreReplica(policy, class, ReplicaStatus{})
 	if math.Abs(coldIdle-3.5) > 1e-12 { // 3*0.5 + 2*1
 		t.Fatalf("cold idle = %v, want 3.5", coldIdle)
 	}
 	// Affinity at weight 3 should outrank a moderate queue: a warm
 	// replica with 2 queued still beats a cold idle one.
-	warmBusy := scoreReplica(policy, in, ReplicaStatus{LastClass: "web", QueueDepth: 2})
+	warmBusy := scoreReplica(policy, class, ReplicaStatus{LastClass: "web", QueueDepth: 2})
 	if warmBusy <= coldIdle {
 		t.Fatalf("warm busy %v should beat cold idle %v under affinity:3", warmBusy, coldIdle)
 	}

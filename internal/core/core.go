@@ -104,6 +104,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// TrainingKey returns cfg with its sampler-only fields zeroed:
+// DDIMSteps, GuidanceScale and ConstantSnap, which core reads only when
+// it generates or edits. Configs with one key fine-tune to the same
+// weights, so one trained model serves them all (see WithSampling).
+func (cfg Config) TrainingKey() Config {
+	cfg.DDIMSteps, cfg.GuidanceScale, cfg.ConstantSnap = 0, 0, false
+	return cfg
+}
+
 // Synthesizer is the trained text-to-traffic pipeline.
 //
 // Once training (FineTune or Load) has completed, Generate,
@@ -829,6 +838,24 @@ func (s *Synthesizer) SetDDIMSteps(steps int) {
 	s.mu.Lock()
 	s.ddimSteps = steps
 	s.mu.Unlock()
+}
+
+// WithSampling returns a synthesizer that samples the trained s under
+// cfg, whose TrainingKey must be s's. It shares s's weights, templates,
+// controls and gap distributions, and its call counter starts at zero:
+// its Generate draws exactly what s fine-tuned with cfg would.
+func (s *Synthesizer) WithSampling(cfg Config) (*Synthesizer, error) {
+	if !s.Trained() {
+		return nil, fmt.Errorf("core: synthesizer not fine-tuned")
+	}
+	if cfg.TrainingKey() != s.cfg.TrainingKey() {
+		return nil, fmt.Errorf("core: sampler config %+v trains other weights than %+v", cfg, s.cfg)
+	}
+	return &Synthesizer{
+		ddimSteps: cfg.DDIMSteps, cfg: cfg, classes: s.classes, index: s.index,
+		base: s.base, adapted: s.adapted, sched: s.sched,
+		templates: s.templates, controls: s.controls, gapDists: s.gapDists,
+	}, nil
 }
 
 // DDIMSteps reports the sampler's live step budget (0 = full DDPM

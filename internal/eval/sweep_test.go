@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -71,15 +72,16 @@ func TestGateFrontierRejectsMalformedReports(t *testing.T) {
 func TestRunFrontierSweep(t *testing.T) {
 	cfg := frontierTestConfig()
 	cfg.Train, cfg.Test = 6, 4
-	// Each point's throughput is one wall-clock reading, and "faster
-	// than the reference" below compares two of them: keep the timed
-	// work long enough (tens of ms at the reference) that a scheduler
-	// stall on a busy host cannot flip the order.
+	// Each point's throughput is the median of a few wall-clock passes,
+	// and "faster than the reference" below compares two of them: keep
+	// each pass long enough (tens of ms at the reference) that a
+	// scheduler stall on a busy host cannot flip the order.
 	cfg.Synth = 12
-	rep, err := RunSweep(cfg, "steps")
+	reps, err := RunSweep(cfg, "steps")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := reps[0]
 	evals := map[string]int{"64-step": 64, "ddpm": cfg.Model.TimeSteps, "4-step": 4, "8-step": 8, "16-step": 16}
 	if len(rep.Points) != len(evals) {
 		t.Fatalf("points = %d, want %d", len(rep.Points), len(evals))
@@ -114,15 +116,15 @@ func TestRunFrontierSweep(t *testing.T) {
 		t.Errorf("gan records/s (%v) should exceed the fastest point's flows/s (%v)", rep.GANRecordsPerS, fastest)
 	}
 	out := SweepReportString(rep)
-	for _, want := range []string{"steps", "(ref)", "rf-micro", "raw-cell", "ddpm", "gan"} {
+	for _, want := range []string{"steps", "(ref)", "rf-micro", "raw-cell", "ddpm"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frontier report missing %q:\n%s", want, out)
 		}
 	}
 	// Throughput is wall-clock; the RF columns are seeded. This digest
-	// pins the 64-step, ddpm, 4- and 8-step rows, and holds only because
-	// training reads no sampler setting: every point samples from the
-	// same weights. TestRunSweepAllKnobs pins the whole knob.
+	// pins the 64-step, ddpm, 4- and 8-step rows, all sampled from one
+	// fine-tune: the budget is a sampler-only field. TestRunSweepAllKnobs
+	// pins the whole knob.
 	var rfCols strings.Builder
 	for i, p := range rep.Points[:4] {
 		fmt.Fprintf(&rfCols, "%s %v %v %v\n", p.Value, p.RFMicro, p.RFMacro, i == 0)
@@ -166,10 +168,16 @@ func TestRunSweepValidation(t *testing.T) {
 			}
 		})
 	}
+	// A later knob is checked before the first one's work starts.
+	if _, err := RunSweep(frontierTestConfig(), "steps", "dropout"); err == nil || !strings.HasPrefix(err.Error(), "eval: ") {
+		t.Fatalf("RunSweep(steps, dropout) = %v, want an eval: error before any work", err)
+	}
 }
 
 // TestRunSweepAllKnobs pins every knob's seeded columns at one seed,
-// natively and under -tags purego.
+// natively and under -tags purego, from one call over the whole table:
+// points that share a training key sample one fine-tune, and each
+// column must still equal what a fine-tune of its own would give.
 func TestRunSweepAllKnobs(t *testing.T) {
 	want := map[string]string{
 		"steps":        "eec8e343cde65dd6a73d7938405e961284f9d17aafec971baa86e7b6a4e0d878",
@@ -183,18 +191,23 @@ func TestRunSweepAllKnobs(t *testing.T) {
 	if len(want) != len(sweepKnobs) {
 		t.Fatalf("digests for %d knobs, table has %d", len(want), len(sweepKnobs))
 	}
+	var knobs []string
 	for _, k := range sweepKnobs {
-		knob := k.name
-		t.Run(knob, func(t *testing.T) {
-			t.Parallel()
-			cfg := frontierTestConfig()
-			cfg.Train, cfg.Test, cfg.Synth = 6, 4, 4
-			cfg.GAN.Steps = 1 // its records/s is wall-clock, pinned nowhere
-			rep, err := RunSweep(cfg, knob)
-			if err != nil {
-				t.Fatal(err)
+		knobs = append(knobs, k.name)
+	}
+	cfg := frontierTestConfig()
+	cfg.Train, cfg.Test, cfg.Synth = 6, 4, 4
+	cfg.GAN.Steps = 1 // its records/s is wall-clock, pinned nowhere
+	reps, err := RunSweep(cfg, knobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reps {
+		t.Run(knobs[i], func(t *testing.T) {
+			if rep.Knob != knobs[i] {
+				t.Fatalf("report %d is knob %q", i, rep.Knob)
 			}
-			checkDigest(t, knob+" seeded columns", seededColumns(rep), want[knob])
+			checkDigest(t, rep.Knob+" seeded columns", seededColumns(rep), want[rep.Knob])
 		})
 	}
 }
@@ -209,20 +222,27 @@ func TestRunSweepShapes(t *testing.T) {
 	for _, knob := range knobs {
 		reps[knob] = make([]*SweepReport, seeds)
 	}
+	// One sweep per seed covers every knob; the first of a seed's
+	// subtests to run makes it, and the others wait for it.
+	var once [seeds]sync.Once
+	var got [seeds][]*SweepReport
+	var errs [seeds]error
 	t.Run("sweeps", func(t *testing.T) {
-		for _, knob := range knobs {
+		for ki, knob := range knobs {
 			for seed := range seeds {
 				t.Run(fmt.Sprintf("%s/seed%d", knob, seed), func(t *testing.T) {
 					t.Parallel()
-					cfg := tinyConfig("netflix", "amazon", "teams", "other")
-					cfg.Train, cfg.Test, cfg.Synth, cfg.Packets = 10, 4, 4, 8
-					cfg.Seed, cfg.Model.Seed = uint64(seed), uint64(seed)
-					cfg.GAN.Steps = 1 // its records/s is wall-clock, asserted nowhere
-					rep, err := RunSweep(cfg, knob)
-					if err != nil {
-						t.Fatal(err)
+					once[seed].Do(func() {
+						cfg := tinyConfig("netflix", "amazon", "teams", "other")
+						cfg.Train, cfg.Test, cfg.Synth, cfg.Packets = 10, 4, 4, 8
+						cfg.Seed, cfg.Model.Seed = uint64(seed), uint64(seed)
+						cfg.GAN.Steps = 1 // its records/s is wall-clock, asserted nowhere
+						got[seed], errs[seed] = RunSweep(cfg, knobs...)
+					})
+					if errs[seed] != nil {
+						t.Fatal(errs[seed])
 					}
-					reps[knob][seed] = rep
+					reps[knob][seed] = got[seed][ki]
 				})
 			}
 		}
