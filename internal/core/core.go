@@ -169,11 +169,19 @@ func New(cfg Config, classes []string) (*Synthesizer, error) {
 // them.
 const maxTimeSteps = 1 << 16
 
-// checkConfig rejects a config or class list the models cannot be built
-// from and returns the model image shape (h, w).
-func checkConfig(cfg Config, classes []string) (h, w int, err error) {
+// CheckConfig rejects a config or class list the models cannot be built
+// from and returns the model image shape (h, w). It is New's check,
+// without the models.
+func CheckConfig(cfg Config, classes []string) (h, w int, err error) {
 	if len(classes) == 0 {
 		return 0, 0, fmt.Errorf("core: need at least one class")
+	}
+	seen := make(map[string]bool, len(classes))
+	for _, c := range classes {
+		if seen[c] {
+			return 0, 0, fmt.Errorf("core: duplicate class %q", c)
+		}
+		seen[c] = true
 	}
 	if cfg.Rows <= 0 || cfg.DownH <= 0 || cfg.DownW <= 0 {
 		return 0, 0, fmt.Errorf("core: non-positive geometry in config")
@@ -239,7 +247,7 @@ func paramValues(cfg Config, h, w, k int) uint64 {
 // overwrites every parameter at once and drawing 1.3 M Gaussians first
 // was a third of a replica's start-up time.
 func build(cfg Config, classes []string, r *stats.RNG) (*Synthesizer, error) {
-	h, w, err := checkConfig(cfg, classes)
+	h, w, err := CheckConfig(cfg, classes)
 	if err != nil {
 		return nil, err
 	}
@@ -255,9 +263,6 @@ func build(cfg Config, classes []string, r *stats.RNG) (*Synthesizer, error) {
 		gapDists:  map[int]*heuristic.Empirical{},
 	}
 	for i, c := range classes {
-		if _, dup := s.index[c]; dup {
-			return nil, fmt.Errorf("core: duplicate class %q", c)
-		}
 		s.index[c] = i
 	}
 	s.base = diffusion.NewMLPDenoiser(r, h, w, cfg.Hidden, len(classes))

@@ -442,7 +442,7 @@ func allocated() uint64 {
 // large enough to be mapped outside the heap: Load must refuse them
 // before it builds the models, having allocated under 4 MB.
 func TestLoadBoundsAllocationByInput(t *testing.T) {
-	h, w, err := checkConfig(loadConfig(), []string{"amazon"})
+	h, w, err := CheckConfig(loadConfig(), []string{"amazon"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func Load(r io.Reader) (*Synthesizer, error) {
 	if !snap.HasLoRA {
 		return nil, fmt.Errorf("core: checkpoint has no LoRA adapter; base-only checkpoints are not supported")
 	}
-	h, w, err := checkConfig(snap.Config, snap.Classes)
+	h, w, err := CheckConfig(snap.Config, snap.Classes)
 	if err != nil {
 		return nil, err
 	}

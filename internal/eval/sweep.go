@@ -62,11 +62,14 @@ type SweepReport struct {
 
 // RunSweep measures every value of each knob at seed c.Seed. It first
 // checks every point: an unknown knob, a sampler budget beyond the
-// schedule or a model core.New refuses is an error before any work.
-// Each point then copies c.Model with the knob's field set and samples
-// Synth flows per class from it fine-tuned on Table 2's split, once per
-// training key (core.Config.TrainingKey); those flows train the point's
-// forest, judged against the Test split. The GAN trains once per call.
+// schedule or a model core.CheckConfig refuses is an error before any
+// work. Each point then copies c.Model with the knob's field set and
+// samples Synth flows per class from it fine-tuned on Table 2's split,
+// once per training key (core.Config.TrainingKey); those flows train
+// the point's forest, judged against the Test split. A configuration
+// is measured once per call: the knobs' reference points are one
+// configuration, and every table divides by that one reading. The GAN
+// trains once per call.
 func RunSweep(c Config, knobs ...string) ([]*SweepReport, error) {
 	if err := c.validate(false); err != nil {
 		return nil, err
@@ -84,7 +87,7 @@ func RunSweep(c Config, knobs ...string) ([]*SweepReport, error) {
 			if m.DDIMSteps > m.TimeSteps {
 				return nil, fmt.Errorf("eval: %s %s: budget beyond schedule T=%d", knob, value, m.TimeSteps)
 			}
-			if _, err := core.New(m, c.Classes); err != nil {
+			if _, _, err := core.CheckConfig(m, c.Classes); err != nil {
 				return nil, fmt.Errorf("eval: %s %s: %w", knob, value, err)
 			}
 		}
@@ -99,6 +102,7 @@ func RunSweep(c Config, knobs ...string) ([]*SweepReport, error) {
 	}
 	testNprint := c.features(test.Flows, GranularityNprint)
 	trained, losses := map[core.Config]*core.Synthesizer{}, map[core.Config]float64{}
+	measured := map[core.Config]SweepPoint{}
 	var reps []*SweepReport
 	for _, k := range ks {
 		rep := &SweepReport{Knob: k.name, GANRecordsPerS: gan}
@@ -113,9 +117,12 @@ func RunSweep(c Config, knobs ...string) ([]*SweepReport, error) {
 				}
 				trained[key], losses[key] = synth, tr.FineTuneLosses[len(tr.FineTuneLosses)-1]
 			}
-			p, err := pc.measurePoint(trained[key], testNprint)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", k.name, value, err)
+			p, ok := measured[pc.Model]
+			if !ok {
+				if p, err = pc.measurePoint(trained[key], testNprint); err != nil {
+					return nil, fmt.Errorf("%s %s: %w", k.name, value, err)
+				}
+				measured[pc.Model] = p
 			}
 			p.Value, p.FineTuneLoss = value, losses[key]
 			rep.Points = append(rep.Points, p)

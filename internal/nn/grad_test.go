@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"trafficdiff/internal/stats"
@@ -74,6 +76,114 @@ func TestGradLinear(t *testing.T) {
 	checkGrad(t, []*V{x, w, b}, func(tp *Tape) *V {
 		return tp.MSE(tp.Linear(x, w, b), target)
 	})
+}
+
+// linearBackwardLoops is the reference for Linear's weight and input
+// gradients: the A·B and Aᵀ·B loops the backward once ran on. Each
+// element sums its products, each rounded, over p in ascending order
+// from +0, skipping a term whose dy factor is exactly 0; the sum is then
+// added to the gradient already there.
+func linearBackwardLoops(xg, wg, x, w, dy []float32, n, in, out int) {
+	if xg != nil {
+		for i := 0; i < n; i++ {
+			for j := 0; j < in; j++ {
+				var s float32
+				for p := 0; p < out; p++ {
+					if dy[i*out+p] == 0 {
+						continue
+					}
+					s += float32(dy[i*out+p] * w[p*in+j])
+				}
+				xg[i*in+j] += s
+			}
+		}
+	}
+	if wg != nil {
+		for o := 0; o < out; o++ {
+			for j := 0; j < in; j++ {
+				var s float32
+				for p := 0; p < n; p++ {
+					if dy[p*out+o] == 0 {
+						continue
+					}
+					s += float32(dy[p*out+o] * x[p*in+j])
+				}
+				wg[o*in+j] += s
+			}
+		}
+	}
+}
+
+// TestLinearBackwardMatchesLoops holds Linear's x.G and w.G to
+// linearBackwardLoops bit for bit: rows 1–40, widths that are not
+// multiples of eight (the last large enough to shard), dy with exact
+// zeros and negative values, gradients that already hold values, either
+// gradient buffer absent, at GOMAXPROCS 1 and 2. One reusing tape runs
+// every case, its recycled buffers filled with NaN in between, so a
+// stale scratch buffer would show.
+func TestLinearBackwardMatchesLoops(t *testing.T) {
+	nan := float32(math.NaN())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			r := stats.NewRNG(11)
+			tp := NewTape()
+			tp.EnableReuse()
+			for n := 1; n <= 40; n++ {
+				for _, wd := range []struct{ in, out int }{{3, 5}, {13, 9}, {67, 33}, {259, 71}} {
+					for _, grads := range []string{"both", "nil x.G", "nil w.G"} {
+						x := NewV(tensor.New(n, wd.in).Randn(r, 1))
+						w := NewV(tensor.New(wd.out, wd.in).Randn(r, 1))
+						if grads != "nil x.G" {
+							x.G = tensor.New(n, wd.in).Randn(r, 1)
+						}
+						if grads != "nil w.G" {
+							w.G = tensor.New(wd.out, wd.in).Randn(r, 1)
+						}
+						dy := tensor.New(n, wd.out).Randn(r, 1)
+						for i := range dy.Data {
+							if r.Bool(0.2) {
+								dy.Data[i] = 0
+							}
+						}
+						var wantX, wantW []float32
+						if x.G != nil {
+							wantX = append([]float32(nil), x.G.Data...)
+						}
+						if w.G != nil {
+							wantW = append([]float32(nil), w.G.Data...)
+						}
+						linearBackwardLoops(wantX, wantW, x.X.Data, w.X.Data, dy.Data, n, wd.in, wd.out)
+
+						out := tp.Linear(x, w, nil)
+						copy(out.G.Data, dy.Data)
+						tp.steps[0]()
+						tp.Reset()
+						label := fmt.Sprintf("%d rows, in %d, out %d, %s", n, wd.in, wd.out, grads)
+						if x.G != nil {
+							if i, ok := sameBits(x.G.Data, wantX); !ok {
+								t.Fatalf("%s: x.G element %d = %v, want %v", label, i, x.G.Data[i], wantX[i])
+							}
+						}
+						if w.G != nil {
+							if i, ok := sameBits(w.G.Data, wantW); !ok {
+								t.Fatalf("%s: w.G element %d = %v, want %v", label, i, w.G.Data[i], wantW[i])
+							}
+						}
+						tp.Recycle()
+						for _, bs := range tp.sfree {
+							for _, b := range bs {
+								for i := range b {
+									b[i] = nan
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestGradActivations(t *testing.T) {

@@ -303,10 +303,10 @@ func (t *Tape) Add(a, b *V) *V {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			if a.G != nil {
-				a.G.AddInto(out.G)
+				tensor.Add(a.G.Data, a.G.Data, out.G.Data)
 			}
 			if b.G != nil {
-				b.G.AddInto(out.G)
+				tensor.Add(b.G.Data, b.G.Data, out.G.Data)
 			}
 		})
 	}
@@ -340,7 +340,7 @@ func (t *Tape) AddRepeat(a, b *V) *V {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			if a.G != nil {
-				a.G.AddInto(out.G)
+				tensor.Add(a.G.Data, a.G.Data, out.G.Data)
 			}
 			if b.G == nil {
 				return
@@ -439,6 +439,13 @@ func (t *Tape) view(shape []int) *viewV {
 // bit-identical to adding a zero bias — a dot product accumulated from
 // +0 is never -0, and v + 0 == v for every other v — without the
 // caller keeping a zero parameter (and its gradient) around.
+//
+// The backward runs both of its products on the A·Bᵀ kernel over
+// transposed operands. Each gradient element is the sum of its rounded
+// products in ascending order from +0, as an A·B loop that skips the
+// terms whose left factor is exactly 0 would make it: adding a ±0 term
+// to such a sum never changes it. That holds for finite operands; a
+// zero times ±Inf or NaN is NaN, which such a loop would have skipped.
 func (t *Tape) Linear(x, w, bias *V) *V {
 	n, in := x.X.Shape[0], x.X.Shape[1]
 	outDim := w.X.Shape[0]
@@ -456,14 +463,20 @@ func (t *Tape) Linear(x, w, bias *V) *V {
 	if t.grad() {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
-			// dx = dout·w ; dw = doutᵀ·x ; db = column sums of dout.
-			// An operand without a gradient buffer (a network input, a
-			// frozen weight) skips its GEMM altogether.
+			// dx = dout·w = dout·(wᵀ)ᵀ ; dw = doutᵀ·x = doutᵀ·(xᵀ)ᵀ ; db =
+			// column sums of dout. Each product is made apart and then
+			// added into the gradient. An operand without a gradient
+			// buffer (a network input, a frozen weight) skips its GEMM
+			// altogether.
 			if x.G != nil {
-				x.G.AddInto(tensor.MatMul(out.G, w.X))
+				dx := tensor.FromSlice(t.scratch(n*in), n, in)
+				tensor.MatMulABTInto(dx, out.G, t.transpose(w.X))
+				tensor.Add(x.G.Data, x.G.Data, dx.Data)
 			}
 			if w.G != nil {
-				w.G.AddInto(tensor.MatMulATB(out.G, x.X))
+				dw := tensor.FromSlice(t.scratch(outDim*in), outDim, in)
+				tensor.MatMulABTInto(dw, t.transpose(out.G), t.transpose(x.X))
+				tensor.Add(w.G.Data, w.G.Data, dw.Data)
 			}
 			if bias == nil || bias.G == nil {
 				return
@@ -478,3 +491,24 @@ func (t *Tape) Linear(x, w, bias *V) *V {
 	}
 	return out
 }
+
+// transpose returns the transpose of the 2-D tensor m in a scratch
+// buffer of the tape. It copies blocks of transposeBlock columns, so
+// the rows it writes stay in cache while a block is read.
+func (t *Tape) transpose(m *tensor.Tensor) *tensor.Tensor {
+	rows, cols := m.Shape[0], m.Shape[1]
+	mt := tensor.FromSlice(t.scratch(rows*cols), cols, rows)
+	for j0 := 0; j0 < cols; j0 += transposeBlock {
+		j1 := min(j0+transposeBlock, cols)
+		for i := 0; i < rows; i++ {
+			for j, v := range m.Data[i*cols+j0 : i*cols+j1] {
+				mt.Data[(j0+j)*rows+i] = v
+			}
+		}
+	}
+	return mt
+}
+
+// transposeBlock is transpose's column block: 16 output rows of a
+// 2176-wide weight take 136 KB, which stays in L2.
+const transposeBlock = 16

@@ -63,7 +63,7 @@ func (t *Tape) AddScaled(a, b *V, s float32) *V {
 		//tracelint:allow hotalloc — gradient tapes only: guarded by t.grad(), never built on a no-grad sampler tape
 		t.record(func() {
 			if a.G != nil {
-				a.G.AddInto(out.G)
+				tensor.Add(a.G.Data, a.G.Data, out.G.Data)
 			}
 			if b.G == nil {
 				return

@@ -20,21 +20,7 @@ var benchMatMulSizes = []struct{ m, k, n int }{
 	{1, 2176, 128},   // batch-1 inference row
 }
 
-func BenchmarkMatMul(b *testing.B) {
-	r := stats.NewRNG(1)
-	for _, sz := range benchMatMulSizes {
-		a := New(sz.m, sz.k).Randn(r, 1)
-		bb := New(sz.k, sz.n).Randn(r, 1)
-		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.k, sz.n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMul(a, bb)
-			}
-		})
-	}
-}
-
-// BenchmarkMatMulABT times the inference GEMM on the generic sizes and
+// BenchmarkMatMulABT times the GEMM on the generic sizes and
 // on the paper-scale adapted forward's four products at the row counts
 // the served path (1, 2, 4, 8, 9, 16, 18: a guided flow is two rows, a
 // probe beside an 8-flow request 18) and offline synthesis (16 and 32:
@@ -62,20 +48,6 @@ func BenchmarkMatMulABT(b *testing.B) {
 			}
 			flops := 2 * float64(sz.m) * float64(sz.k) * float64(sz.n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
-		})
-	}
-}
-
-func BenchmarkMatMulATB(b *testing.B) {
-	r := stats.NewRNG(3)
-	for _, sz := range benchMatMulSizes {
-		a := New(sz.k, sz.m).Randn(r, 1)
-		bb := New(sz.k, sz.n).Randn(r, 1)
-		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.k, sz.n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulATB(a, bb)
-			}
 		})
 	}
 }

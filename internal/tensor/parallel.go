@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// This file is the parallel kernel layer: every heavy kernel (the matrix
-// multiply variants) and the row-wise ops above it (nn's
+// This file is the parallel kernel layer: the heavy kernel (the A·Bᵀ
+// matrix multiply) and the row-wise ops above it (nn's
 // LayerNorm/SiLU/Add, the sampler's per-flow update) split their
 // *independent* work — output rows or output columns — into chunks
 // that the calling goroutine and a pool of GOMAXPROCS−1 long-lived
@@ -14,7 +14,7 @@ import (
 //
 // Determinism contract: chunking never reorders the floating-point
 // accumulation that produces any single output element. Each element's
-// value is a sum over the contraction index p, and every kernel below
+// value is a sum over the contraction index p, and the kernel below
 // visits p in strictly increasing order no matter how the independent
 // dimension is cut or which goroutine runs a chunk. Chunks write
 // disjoint index ranges of the output slice, so results are
@@ -50,12 +50,6 @@ import (
 // (74 K) 6.9 vs 5.5, 4×192×192 (147 K) 10.8 vs 6.8, 1×192×2176 (418 K)
 // 53 vs 36: break-even still near 1<<15, every shape gains from 1<<16.
 const minParallelWork = 1 << 16
-
-// kBlock is the contraction-axis tile: panels of B this tall stay hot
-// in cache while a row block of the output accumulates. Tiles are
-// visited in increasing order, which preserves per-element accumulation
-// order exactly.
-const kBlock = 256
 
 // chunksPerWorker is how many chunks a job is cut into per
 // participant. One chunk each is the static split: a core that is
@@ -276,14 +270,14 @@ func ParallelOK(work int) bool {
 	return work >= minParallelWork && workers() > 1 && serialDepth.Load() == 0
 }
 
-// dispatch runs a kernel over an output of rows x cols elements costing
-// work multiply-adds: serially when small (or when the pool is taken),
-// chunked over rows when they make a whole block of rowBlock rows (one
-// pass of the kernel's tile at its full height) for every worker, over
+// dispatch runs C = A·Bᵀ (A [m,k], B [n,k]) through the pool: chunked
+// over rows when they make a whole block of abtRowBlock rows (one pass
+// of the kernel's tile at its full height) for every worker, over
 // columns when not (the batch-1 inference shape) and every worker can
 // have chunkAlign of them, over rows in blocks of chunkAlign when those
-// give every worker one, and serially otherwise. Both kernels must
-// produce bit-identical elements; only the split differs.
+// give every worker one, and serially otherwise. Every split makes each
+// element by the same operations in the same order; only who computes
+// it differs. The caller has already asked ParallelOK.
 //
 // A·Bᵀ on the vector tiles, 2 workers, median of 5 rounds and then of
 // four runs, µs serial / by rows / by columns (rows×out×in): 1×192×2176
@@ -302,114 +296,20 @@ func ParallelOK(work int) bool {
 // by columns is cut into blocks of chunkAlign rows when that gives every
 // worker one: 16×8×2176 at two workers ran 31.6 GFLOP/s as one 16-lane
 // block against 39.2 as two 8-lane blocks side by side.
-func dispatch(work, rows, rowBlock, cols int, rowKernel, colKernel func(lo, hi int)) {
-	w := workers()
+func dispatch(c, a, b []float32, m, k, n int) {
+	w, rowBlock := workers(), abtRowBlock(m, n)
+	rows := func(lo, hi int) { matmulABTRange(c, a, b, lo, hi, k, n, 0, n) } //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
 	switch {
-	case !ParallelOK(work):
-		rowKernel(0, rows)
-	case rows/rowBlock >= w:
-		shard(rows, max(rowBlock, chunkAlign), rowKernel)
-	case cols >= chunkAlign*w:
-		Shard(cols, colKernel)
-	case rows/chunkAlign >= w:
-		Shard(rows, rowKernel)
+	case m/rowBlock >= w:
+		shard(m, max(rowBlock, chunkAlign), rows)
+	case n >= chunkAlign*w:
+		Shard(n, func(lo, hi int) { matmulABTRange(c, a, b, 0, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
+	case m/chunkAlign >= w:
+		Shard(m, rows)
 	default:
-		rowKernel(0, rows)
+		rows(0, m)
 	}
 }
-
-// --- C = A·B -----------------------------------------------------------
-
-// matmulRows computes rows [lo, hi) of C = A·B with C pre-zeroed, in
-// cache-blocked ikj order. For each element, the contraction index p
-// advances strictly monotonically (tile by tile, then within the tile),
-// so accumulation order matches the serial kernel exactly.
-func matmulRows(c, a, b []float32, lo, hi, k, n int) {
-	for p0 := 0; p0 < k; p0 += kBlock {
-		p1 := p0 + kBlock
-		if p1 > k {
-			p1 = k
-		}
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : (i+1)*n]
-			ai := a[i*k : (i+1)*k]
-			for p := p0; p < p1; p++ {
-				av := ai[p]
-				//tracelint:allow floateq — exact-zero sparse skip: av*x adds exactly 0, so skipping is lossless; an epsilon here would change results
-				if av == 0 {
-					continue
-				}
-				bp := b[p*n : (p+1)*n]
-				for j, bv := range bp {
-					ci[j] += float32(av * bv)
-				}
-			}
-		}
-	}
-}
-
-// matmulCols computes columns [jlo, jhi) of every row of C = A·B. Same
-// per-element accumulation order as matmulRows: p strictly increasing.
-func matmulCols(c, a, b []float32, m, k, n, jlo, jhi int) {
-	for i := 0; i < m; i++ {
-		ci := c[i*n+jlo : i*n+jhi]
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			//tracelint:allow floateq — exact-zero sparse skip, see matmulRows
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n+jlo : p*n+jhi]
-			for j, bv := range bp {
-				ci[j] += float32(av * bv)
-			}
-		}
-	}
-}
-
-// --- C = Aᵀ·B ----------------------------------------------------------
-
-// matmulATBRows computes rows [lo, hi) of C = Aᵀ·B (A is [k,m], so row
-// i of C reads column i of A). p increases strictly per element.
-func matmulATBRows(c, a, b []float32, lo, hi, k, m, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := a[p*m+i]
-			//tracelint:allow floateq — exact-zero sparse skip, see matmulRows
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += float32(av * bv)
-			}
-		}
-	}
-}
-
-// matmulATBCols computes columns [jlo, jhi) of C = Aᵀ·B in the serial
-// kernel's p-outer order (A rows stream sequentially); per element the
-// accumulation is still p-increasing.
-func matmulATBCols(c, a, b []float32, k, m, n, jlo, jhi int) {
-	for p := 0; p < k; p++ {
-		ap := a[p*m : (p+1)*m]
-		bp := b[p*n+jlo : p*n+jhi]
-		for i, av := range ap {
-			//tracelint:allow floateq — exact-zero sparse skip, see matmulRows
-			if av == 0 {
-				continue
-			}
-			cs := c[i*n+jlo : i*n+jhi]
-			for j, bv := range bp {
-				cs[j] += float32(av * bv)
-			}
-		}
-	}
-}
-
-// --- C = A·Bᵀ ----------------------------------------------------------
 
 // matmulABTScalar is the portable A·Bᵀ loop, all of matmulABTRange on
 // most builds (abt_generic.go), its edge loop beside the vector tiles on

@@ -14,10 +14,16 @@ import (
 // The parallel kernel layer's hard contract is exact (bit-level)
 // equivalence with the serial reference at every GOMAXPROCS value —
 // not approximate equality. These tests pin that contract across odd
-// shapes (1×N, N×1, sizes that are not multiples of the k tile or the
+// shapes (1×N, N×1, sizes that are not multiples of a tile or the
 // worker count) and across worker counts.
 
-// --- serial references: the pre-parallel kernels, verbatim -----------
+// --- serial references: the pre-parallel kernels ---------------------
+//
+// refMatMul and refMatMulATB are the A·B and Aᵀ·B loops nn's Linear
+// backward once ran on, zero skip included: it now runs both products
+// on the A·Bᵀ kernel over transposed operands, which must give these
+// bits for finite operands. Every product is rounded before it is
+// added, as the kernels round it, so no target fuses the two.
 
 func refMatMul(a, b *Tensor) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
@@ -33,7 +39,7 @@ func refMatMul(a, b *Tensor) *Tensor {
 			}
 			bp := b.Data[p*n : (p+1)*n]
 			for j := range bp {
-				ci[j] += av * bp[j]
+				ci[j] += float32(av * bp[j])
 			}
 		}
 	}
@@ -53,7 +59,7 @@ func refMatMulATB(a, b *Tensor) *Tensor {
 			}
 			ci := c.Data[i*n : (i+1)*n]
 			for j, bv := range bp {
-				ci[j] += av * bv
+				ci[j] += float32(av * bv)
 			}
 		}
 	}
@@ -71,7 +77,7 @@ func refMatMulABT(a, b *Tensor) *Tensor {
 			bj := b.Data[j*k : (j+1)*k]
 			var sum float32
 			for p := range ai {
-				sum += ai[p] * bj[p]
+				sum += float32(ai[p] * bj[p])
 			}
 			ci[j] = sum
 		}
@@ -80,6 +86,18 @@ func refMatMulABT(a, b *Tensor) *Tensor {
 }
 
 // --- helpers ---------------------------------------------------------
+
+// transposed returns a copy of the 2-D tensor m transposed.
+func transposed(m *Tensor) *Tensor {
+	rows, cols := m.Shape[0], m.Shape[1]
+	mt := New(cols, rows)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			mt.Data[j*rows+i] = m.Data[i*cols+j]
+		}
+	}
+	return mt
+}
 
 // randTensor fills a tensor with noise plus exact zeros, so the sparse
 // skip path is exercised.
@@ -119,8 +137,8 @@ func withGOMAXPROCS(t *testing.T, counts []int, fn func(t *testing.T)) {
 }
 
 // matmulShapes covers degenerate rows/cols, shapes below and above the
-// serial threshold, sizes that are not multiples of kBlock or any
-// worker count, and the small edges the A·Bᵀ kernel's 1×4 tile
+// serial threshold, contractions that are not multiples of eight and
+// sizes that are not multiples of any worker count, and the small edges the A·Bᵀ kernel's 1×4 tile
 // introduces: column counts on both sides of a multiple of four, a
 // one-term contraction, and column-sharded products (fewer rows than
 // workers, above the threshold) whose shard boundaries at GOMAXPROCS 3
@@ -130,8 +148,8 @@ var matmulShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 513},     // single row, wide (below the threshold: serial)
 	{513, 7, 1},     // single column output
-	{1, 300, 300},   // k spans two tiles on one row
-	{3, 257, 129},   // k just past one tile, odd everything
+	{1, 300, 300},   // single row, square weight
+	{3, 257, 129},   // odd everything
 	{8, 64, 64},     // small, below threshold: serial path
 	{65, 2176, 5},   // tall-thin above threshold
 	{12, 2176, 128}, // the MLP training shape
@@ -180,26 +198,32 @@ func abtPaperShapes(rows ...int) []struct{ m, k, n int } {
 	return out
 }
 
+// TestMatMulMatchesSerialReference holds an A·B product made as nn's
+// Linear backward makes dx = dy·w — A·Bᵀ against B transposed — to the
+// A·B loop, bit for bit, exact zeros in A included.
 func TestMatMulMatchesSerialReference(t *testing.T) {
 	withGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
 		r := stats.NewRNG(42)
 		for _, sh := range matmulShapes {
 			a := randTensor(r, sh.m, sh.k)
 			b := randTensor(r, sh.k, sh.n)
-			requireIdentical(t, MatMul(a, b), refMatMul(a, b),
-				fmt.Sprintf("MatMul %dx%dx%d", sh.m, sh.k, sh.n))
+			requireIdentical(t, MatMulABT(a, transposed(b)), refMatMul(a, b),
+				fmt.Sprintf("A·B %dx%dx%d", sh.m, sh.k, sh.n))
 		}
 	})
 }
 
+// TestMatMulATBMatchesSerialReference does the same for an Aᵀ·B product
+// made as the backward makes dw = dyᵀ·x: A·Bᵀ over both operands
+// transposed.
 func TestMatMulATBMatchesSerialReference(t *testing.T) {
 	withGOMAXPROCS(t, []int{1, 2, 3, 8}, func(t *testing.T) {
 		r := stats.NewRNG(43)
 		for _, sh := range matmulShapes {
 			a := randTensor(r, sh.k, sh.m)
 			b := randTensor(r, sh.k, sh.n)
-			requireIdentical(t, MatMulATB(a, b), refMatMulATB(a, b),
-				fmt.Sprintf("MatMulATB %dx%dx%d", sh.m, sh.k, sh.n))
+			requireIdentical(t, MatMulABT(transposed(a), transposed(b)), refMatMulATB(a, b),
+				fmt.Sprintf("Aᵀ·B %dx%dx%d", sh.m, sh.k, sh.n))
 		}
 	})
 }
@@ -230,13 +254,12 @@ func TestMatMulABTMatchesSerialReference(t *testing.T) {
 // TestMatMulABTRangeMatchesSerialReference drives the kernel's range
 // function directly over every sub-block of a product small enough to
 // enumerate and large enough that blocks start and end inside, on and
-// across the vector tile's eight rows and eight columns, with k past
-// one k-block so partial sums make the trip through C: whichever block
-// a shard is handed, it writes exactly that block, and every element
-// equals the serial reference bit for bit.
+// across the vector tile's eight rows and eight columns, with an odd k:
+// whichever block a shard is handed, it writes exactly that block, and
+// every element equals the serial reference bit for bit.
 func TestMatMulABTRangeMatchesSerialReference(t *testing.T) {
 	r := stats.NewRNG(48)
-	const m, k, n = 11, kBlock + 3, 18
+	const m, k, n = 11, 259, 18
 	a := randTensor(r, m, k)
 	b := randTensor(r, n, k)
 	want := refMatMulABT(a, b)
@@ -267,8 +290,9 @@ func TestMatMulABTRangeMatchesSerialReference(t *testing.T) {
 }
 
 // TestKernelsIdenticalAcrossWorkerCounts is the direct GOMAXPROCS=1 vs
-// GOMAXPROCS=N statement: one big op computed at both settings, bytes
-// compared.
+// GOMAXPROCS=N statement: one big product of each form the kernel
+// serves (A·Bᵀ, and A·B and Aᵀ·B over transposed operands) computed at
+// both settings, bytes compared.
 func TestKernelsIdenticalAcrossWorkerCounts(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -276,14 +300,26 @@ func TestKernelsIdenticalAcrossWorkerCounts(t *testing.T) {
 	a := randTensor(r, 123, 517)
 	b := randTensor(r, 517, 89)
 	bT := randTensor(r, 89, 517)
+	c := randTensor(r, 123, 89)
+	products := []struct {
+		label string
+		a, b  *Tensor
+	}{
+		{"A·Bᵀ", a, bT},
+		{"A·B", a, transposed(b)},
+		{"Aᵀ·B", transposed(a), transposed(c)},
+	}
 
 	runtime.GOMAXPROCS(1)
-	serialAB := MatMul(a, b)
-	serialABT := MatMulABT(a, bT)
+	serial := make([]*Tensor, len(products))
+	for i, p := range products {
+		serial[i] = MatMulABT(p.a, p.b)
+	}
 	for _, procs := range []int{2, 4, 16} {
 		runtime.GOMAXPROCS(procs)
-		requireIdentical(t, MatMul(a, b), serialAB, fmt.Sprintf("MatMul procs=%d", procs))
-		requireIdentical(t, MatMulABT(a, bT), serialABT, fmt.Sprintf("MatMulABT procs=%d", procs))
+		for i, p := range products {
+			requireIdentical(t, MatMulABT(p.a, p.b), serial[i], fmt.Sprintf("%s procs=%d", p.label, procs))
+		}
 	}
 }
 
@@ -296,30 +332,28 @@ func TestKernelsIdenticalAcrossWorkerCounts(t *testing.T) {
 // dispatch at once, a kernel inside a chunk stays on its goroutine, and
 // a finished job leaves nothing of itself in the pool.
 
-// TestPoolShrinkingGOMAXPROCSMatchesSerialReference runs every kernel
-// family at GOMAXPROCS 8 first — which starts seven helpers — and then
-// at 2, 1 and 3 in the same process: the surplus helpers only ever park
-// or claim chunks like any other, so every result stays exact.
+// TestPoolShrinkingGOMAXPROCSMatchesSerialReference runs every product
+// form at GOMAXPROCS 8 first — which starts seven helpers — and then at
+// 2, 1 and 3 in the same process: the surplus helpers only ever park or
+// claim chunks like any other, so every result stays exact.
 func TestPoolShrinkingGOMAXPROCSMatchesSerialReference(t *testing.T) {
 	r := stats.NewRNG(49)
-	type product struct{ a, aT, b, bT, ab, atb, abt *Tensor }
+	type product struct{ a, b, want *Tensor }
 	var cases []product
 	for _, sh := range []struct{ m, k, n int }{
 		{1, 2176, 192}, {8, 2176, 192}, {9, 192, 2177}, {65, 517, 89}, {2, 257, 301},
 	} {
-		c := product{
-			a: randTensor(r, sh.m, sh.k), aT: randTensor(r, sh.k, sh.m),
-			b: randTensor(r, sh.k, sh.n), bT: randTensor(r, sh.n, sh.k),
-		}
-		c.ab, c.atb, c.abt = refMatMul(c.a, c.b), refMatMulATB(c.aT, c.b), refMatMulABT(c.a, c.bT)
-		cases = append(cases, c)
+		a, aT := randTensor(r, sh.m, sh.k), randTensor(r, sh.k, sh.m)
+		b, bT := randTensor(r, sh.k, sh.n), randTensor(r, sh.n, sh.k)
+		cases = append(cases,
+			product{a, bT, refMatMulABT(a, bT)},
+			product{a, transposed(b), refMatMul(a, b)},
+			product{transposed(aT), transposed(b), refMatMulATB(aT, b)})
 	}
 
 	withGOMAXPROCS(t, []int{8, 2, 1, 3}, func(t *testing.T) {
 		for i, c := range cases {
-			requireIdentical(t, MatMul(c.a, c.b), c.ab, fmt.Sprintf("MatMul case %d", i))
-			requireIdentical(t, MatMulATB(c.aT, c.b), c.atb, fmt.Sprintf("MatMulATB case %d", i))
-			requireIdentical(t, MatMulABT(c.a, c.bT), c.abt, fmt.Sprintf("MatMulABT case %d", i))
+			requireIdentical(t, MatMulABT(c.a, c.b), c.want, fmt.Sprintf("case %d", i))
 		}
 	})
 }

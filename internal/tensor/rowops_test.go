@@ -33,12 +33,13 @@ func requireBits(t *testing.T, got, want []float32, label string) {
 	}
 }
 
-// rowOpCase runs one exported row-wise op against its Go loop: every
+// rowOpCase runs each exported row-wise op against its Go loop: every
 // operand is a window at a fuzzed float offset into a buffer of
 // canaries, dst starts as canaries too, and inside dst's window the op
 // must store the loop's bits while every other float of every buffer
 // stays as it was. rows × d elements; d is the bias and scale row
-// length.
+// length. "AddInPlace" is Add with dst aliasing a, the way nn's
+// backward passes accumulate a gradient.
 func rowOpCase(t *testing.T, rows, d int, off uint8, seed uint64, odd uint8, s float32) {
 	const margin = 16
 	canary := math.Float32frombits(0x7fc5a5a5)
@@ -61,7 +62,7 @@ func rowOpCase(t *testing.T, rows, d int, off uint8, seed uint64, odd uint8, s f
 		}
 		return buf, window
 	}
-	for _, op := range []string{"Add", "AddScaled", "AddBias", "ScaleRows"} {
+	for _, op := range []string{"Add", "AddInPlace", "AddScaled", "AddBias", "ScaleRows"} {
 		abuf, a := operand(n, int(off)&7, true)
 		bbuf, b := operand(n, int(off>>3)&7, true)
 		biasbuf, bias := operand(d, int(off>>6), true)
@@ -72,6 +73,10 @@ func rowOpCase(t *testing.T, rows, d int, off uint8, seed uint64, odd uint8, s f
 		case "Add":
 			addLoop(want, a, b)
 			Add(dst, a, b)
+		case "AddInPlace": // dst is a
+			addLoop(want, a, b)
+			dbuf, dst = abuf, a
+			Add(dst, dst, b)
 		case "AddScaled":
 			addScaledLoop(want, a, b, s)
 			AddScaled(dst, a, b, s)
@@ -93,9 +98,10 @@ func rowOpCase(t *testing.T, rows, d int, off uint8, seed uint64, odd uint8, s f
 		for i := range dst {
 			dst[i] = canary
 		}
+		inPlace := op == "AddInPlace" || op == "AddBias"
 		for _, buf := range [][]float32{abuf, bbuf, biasbuf, sbuf, dbuf} {
-			if op == "AddBias" && &buf[0] == &abuf[0] {
-				continue // a is AddBias's dst: its window is now canaries, its margins are checked below
+			if inPlace && &buf[0] == &abuf[0] {
+				continue // a is the op's dst: its window is now canaries, its margins are checked below
 			}
 			for i, v := range buf {
 				if math.Float32bits(v) != 0x7fc5a5a5 && (i < margin || i >= len(buf)-margin) {

@@ -1,6 +1,6 @@
 // Package tensor provides the dense float32 tensor type and the
-// numeric kernels (the three matrix-multiply variants) that the nn
-// autodiff package builds on. It is deliberately small: just what a
+// numeric kernels (one matrix multiply, C = A·Bᵀ, and the row-wise
+// ops) that the nn autodiff package builds on. It is deliberately small: just what a
 // CPU-trained DDPM and GAN need, with reference-checked kernels.
 package tensor
 
@@ -161,84 +161,10 @@ func (t *Tensor) Randn(r *stats.RNG, std float64) *Tensor {
 	return t
 }
 
-// AddInto accumulates o into t elementwise.
-//
-//tracelint:hotpath
-func (t *Tensor) AddInto(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: AddInto size mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
-}
-
-// MatMul computes C = A·B for A [m,k] and B [k,n], writing into a new
-// [m,n] tensor. Output rows (or columns, when the batch is narrow) are
-// sharded across GOMAXPROCS workers; results are bit-identical at any
-// worker count (see parallel.go).
-func MatMul(a, b *Tensor) *Tensor {
-	c := New(a.Shape[0], b.Shape[1])
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulInto computes C = A·B into c, which must be [m,n] and
-// zero-filled (the kernels accumulate). Lets callers with an arena
-// (nn.Tape reuse) avoid reallocating the output every step.
-//
-//tracelint:hotpath
-func MatMulInto(c, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: matmul %v x %v", a.Shape, b.Shape))
-	}
-	if c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: matmul out %v, want [%d %d]", c.Shape, m, n))
-	}
-	// Serial fast path before any closure is built: the kernel closure
-	// pair heap-allocates, which an inference loop pays every step.
-	if !ParallelOK(m * k * n) {
-		matmulRows(c.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
-	dispatch(m*k*n, m, 1, n,
-		func(lo, hi int) { matmulRows(c.Data, a.Data, b.Data, lo, hi, k, n) },    //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
-		func(lo, hi int) { matmulCols(c.Data, a.Data, b.Data, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
-}
-
-// MatMulATB computes C = Aᵀ·B for A [k,m] and B [k,n] → C [m,n],
-// sharded like MatMul.
-func MatMulATB(a, b *Tensor) *Tensor {
-	c := New(a.Shape[1], b.Shape[1])
-	MatMulATBInto(c, a, b)
-	return c
-}
-
-// MatMulATBInto computes C = Aᵀ·B into a zero-filled c [m,n].
-//
-//tracelint:hotpath
-func MatMulATBInto(c, a, b *Tensor) {
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: matmulATB %v x %v", a.Shape, b.Shape))
-	}
-	if c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: matmulATB out %v, want [%d %d]", c.Shape, m, n))
-	}
-	if !ParallelOK(m * k * n) {
-		matmulATBRows(c.Data, a.Data, b.Data, 0, m, k, m, n)
-		return
-	}
-	dispatch(m*k*n, m, 1, n,
-		func(lo, hi int) { matmulATBRows(c.Data, a.Data, b.Data, lo, hi, k, m, n) }, //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
-		func(lo, hi int) { matmulATBCols(c.Data, a.Data, b.Data, k, m, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
-}
-
 // MatMulABT computes C = A·Bᵀ for A [m,k] and B [n,k] → C [m,n],
-// sharded like MatMul.
+// writing into a new tensor. Output rows (or columns, when the batch is
+// narrow) are sharded across GOMAXPROCS workers; results are
+// bit-identical at any worker count (see parallel.go).
 func MatMulABT(a, b *Tensor) *Tensor {
 	c := New(a.Shape[0], b.Shape[0])
 	MatMulABTInto(c, a, b)
@@ -258,11 +184,11 @@ func MatMulABTInto(c, a, b *Tensor) {
 	if c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulABT out %v, want [%d %d]", c.Shape, m, n))
 	}
+	// Serial fast path before any closure is built: dispatch's closures
+	// heap-allocate, which an inference loop would pay every step.
 	if !ParallelOK(m * k * n) {
 		matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, 0, n)
 		return
 	}
-	dispatch(m*k*n, m, abtRowBlock(m, n), n,
-		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, lo, hi, k, n, 0, n) }, //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
-		func(lo, hi int) { matmulABTRange(c.Data, a.Data, b.Data, 0, m, k, n, lo, hi) }) //tracelint:allow hotalloc — parallel path only, gated by ParallelOK
+	dispatch(c.Data, a.Data, b.Data, m, k, n)
 }

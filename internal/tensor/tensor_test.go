@@ -58,8 +58,8 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestMatMulReference(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	bT := FromSlice([]float32{7, 9, 11, 8, 10, 12}, 2, 3) // [[7 8] [9 10] [11 12]] transposed
+	c := MatMulABT(a, bT)
 	want := []float32{58, 64, 139, 154}
 	for i := range want {
 		if !almostEqual(c.Data[i], want[i]) {
@@ -69,7 +69,7 @@ func TestMatMulReference(t *testing.T) {
 }
 
 // naiveMatMul is the reference implementation used to cross-check the
-// optimized kernels property-style.
+// optimized kernel property-style.
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	c := New(m, n)
@@ -91,7 +91,7 @@ func TestQuickMatMulMatchesNaive(t *testing.T) {
 		m, k, n := 1+int(seed%4), 1+int(seed/4%5), 1+int(seed/20%3)
 		a := New(m, k).Randn(r, 1)
 		b := New(k, n).Randn(r, 1)
-		got, want := MatMul(a, b), naiveMatMul(a, b)
+		got, want := MatMulABT(a, transposed(b)), naiveMatMul(a, b)
 		for i := range want.Data {
 			if !almostEqual(got.Data[i], want.Data[i]) {
 				return false
@@ -104,19 +104,14 @@ func TestQuickMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMatMulATB makes Aᵀ·B as nn's Linear backward makes a weight
+// gradient: A·Bᵀ over both operands transposed.
 func TestMatMulATB(t *testing.T) {
 	r := stats.NewRNG(2)
 	a := New(4, 3).Randn(r, 1) // k=4, m=3
 	b := New(4, 2).Randn(r, 1) // k=4, n=2
-	got := MatMulATB(a, b)
-	// Reference: transpose a then naive.
-	at := New(3, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			at.Data[j*4+i] = a.Data[i*3+j]
-		}
-	}
-	want := naiveMatMul(at, b)
+	got := MatMulABT(transposed(a), transposed(b))
+	want := naiveMatMul(transposed(a), b)
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i]) {
 			t.Fatalf("ATB mismatch: %v vs %v", got.Data, want.Data)
@@ -129,13 +124,7 @@ func TestMatMulABT(t *testing.T) {
 	a := New(3, 4).Randn(r, 1)
 	b := New(2, 4).Randn(r, 1)
 	got := MatMulABT(a, b)
-	bt := New(4, 2)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 4; j++ {
-			bt.Data[j*2+i] = b.Data[i*4+j]
-		}
-	}
-	want := naiveMatMul(a, bt)
+	want := naiveMatMul(a, transposed(b))
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i]) {
 			t.Fatalf("ABT mismatch")
@@ -149,15 +138,16 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulABT(New(2, 3), New(4, 2))
 }
 
+// TestAddInto accumulates into the first operand in place, as nn's
+// backward passes add into a gradient.
 func TestAddInto(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{10, 20}, 2)
-	a.AddInto(b)
-	if a.Data[0] != 11 || a.Data[1] != 22 {
-		t.Fatalf("AddInto = %v", a.Data)
+	a := []float32{1, 2}
+	Add(a, a, []float32{10, 20})
+	if a[0] != 11 || a[1] != 22 {
+		t.Fatalf("Add in place = %v", a)
 	}
 }
 
