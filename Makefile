@@ -73,7 +73,10 @@ resume-smoke:
 # End-to-end determinism guard: every seeded experiment (Table 2,
 # Figures 1-2, the per-class GAN and the fidelity study) must print
 # byte-identical output at smoke sizes at GOMAXPROCS=1 and
-# GOMAXPROCS=4, with a byte-identical Figure 2 PNG, and again with the
+# GOMAXPROCS=4, with a byte-identical Figure 2 PNG, a 200-flow offline
+# call (dealt in pieces of at most 16 flows, as many per step loop, so
+# 13 pieces on one loop and 14 or 16 on more) must write the same pcap
+# at both, and again with the
 # host's FMA hidden from the runtime (GODEBUG=cpu.fma=off moves the bits
 # of math.Exp and friends on amd64; the golden digests must not move), the
 # kill-at-step-k resume property must hold across every combination of
@@ -99,13 +102,18 @@ verify-determinism:
 	diff /tmp/det_p1.txt /tmp/det_p4.txt
 	cmp /tmp/det_fig2_p1.png /tmp/det_fig2.png
 	@echo "determinism OK: GOMAXPROCS=1 and 4 outputs and Figure 2 PNGs identical"
+	$(GO) build -o /tmp/tracegen-det ./cmd/tracegen
+	GOMAXPROCS=1 /tmp/tracegen-det -classes amazon -train 4 -steps 60 -rows 16 -write-real=false -per-class 200 -out /tmp/det_gen_p1
+	GOMAXPROCS=4 /tmp/tracegen-det -classes amazon -train 4 -steps 60 -rows 16 -write-real=false -per-class 200 -out /tmp/det_gen_p4
+	cmp /tmp/det_gen_p1/synthetic_amazon.pcap /tmp/det_gen_p4/synthetic_amazon.pcap
+	@echo "determinism OK: a 200-flow offline call split into 16-flow pieces writes the same pcap at GOMAXPROCS=1 and 4"
 	GODEBUG=cpu.fma=off $(GO) test -run 'TestGolden' -count=1 ./internal/core ./internal/diffusion ./internal/lora ./internal/gan && GODEBUG=cpu.fma=off GOMAXPROCS=1 /tmp/traceval-det -fast -train 6 -test 3 -synth 3 -out /tmp/det_fig2.png table2 fig1a fig1b fig2 perclass-gan fidelity > /tmp/det_nofma.txt && diff /tmp/det_p1.txt /tmp/det_nofma.txt && cmp /tmp/det_fig2_p1.png /tmp/det_fig2.png
 	@echo "determinism OK: golden digests, outputs and Figure 2 PNG identical with the host's FMA switched off"
 	$(GO) test -run 'TestTrainerResumeBitIdentity' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestFineTuneResumeEquivalence|TestCheckpointedTrainingMatchesPlain' -count=1 ./internal/core
 	@echo "determinism OK: resumed training is bit-identical to uninterrupted training"
 	$(GO) test -run 'TestPool|TestKernelsIdenticalAcrossWorkerCounts|TestABT|FuzzABT|TestWithoutAVX512|TestRowOps|FuzzRowOps' -count=1 ./internal/tensor
-	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd|TestAddRepeatMatchesAddOfStackedRows|TestLinearBackwardMatchesLoops' -count=1 ./internal/nn
+	$(GO) test -run 'TestRowOpsIdenticalAcrossWorkerCounts|TestArenaReuseWithoutZeroingIsInvisible|TestAddScaledMatchesScaleThenAdd|TestAddRepeatMatchesAddOfStackedRows|TestLinearBackwardMatchesLoops|TestHoldFrozenTransposesOnce' -count=1 ./internal/nn
 	@echo "determinism OK: pooled dispatch, all four A·Bᵀ loops (each counted as run, and again with AVX-512 switched off), the vector row-wise ops, row-sharded ops, un-zeroed arena, the fused adapter epilogue, the shared-row add and Linear's backward on the A·Bᵀ kernel are bit-identical"
 	$(GO) test -run 'TestBatchedMatchesLegacy|TestSchedulerChurnBitIdentity|TestBatchCompositionInvariance|TestSchedulerSplitStepWork|TestSchedulerControlProjectedPerDistinctImage|TestGoldenEditDigests' -count=1 ./internal/diffusion
 	$(GO) test -run 'TestSplitForwardMatchesPlainPair|TestSplitSchedulerMatchesLegacy|TestGoldenSampleDigests|TestGoldenWithoutAVX512|TestAdapterApplyMatchesScaleAddComposition' -count=1 ./internal/lora

@@ -135,10 +135,10 @@ func (f *schedFlow) curT() int {
 // byte-for-byte under admission/retire churn against a sequential
 // batch-1 reference loop kept in the tests.
 //
-// Steady-state allocation: the packed row buffers, index slices and the
-// reuse-enabled no-grad tape arena all persist across steps, so a stable
-// batch steps with only small tensor headers allocated
-// (TestSchedulerSteadyStateAllocs).
+// Steady-state allocation: the packed row buffers, index slices, view
+// headers and the reuse-enabled no-grad tape arena all persist across
+// steps, so a stable batch steps without allocating; only a sharded op's
+// dispatch closure allocates (TestSchedulerSteadyStateAllocs).
 //
 // A Scheduler is NOT safe for concurrent use: one goroutine owns it
 // (an engine step loop, or an Inpaint or Translate call).

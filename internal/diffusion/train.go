@@ -172,6 +172,8 @@ func NewTrainer(model Denoiser, sched *Schedule, set *TrainSet, cfg TrainConfig)
 	}
 	tr.xv = nn.NewV(tr.xt)
 	tr.tp.EnableReuse()
+	// Everything outside cfg.Params is frozen for the trainer's life.
+	tr.tp.HoldFrozen()
 	return tr, nil
 }
 

@@ -186,6 +186,55 @@ func TestLinearBackwardMatchesLoops(t *testing.T) {
 	}
 }
 
+// TestHoldFrozenTransposesOnce runs Linear's backward over a frozen
+// and a trained weight for three steps on a tape that holds frozen
+// weights: x.G and w.G match the A·B / Aᵀ·B loops bit for bit at every
+// step, the frozen weight is transposed once and kept, and the trained
+// one never is (its transpose changes with it).
+func TestHoldFrozenTransposesOnce(t *testing.T) {
+	r := stats.NewRNG(12)
+	const n, in, out = 7, 67, 33
+	tp := NewTape()
+	tp.EnableReuse()
+	tp.HoldFrozen()
+	frozen := NewV(tensor.New(out, in).Randn(r, 1))
+	trained := NewV(tensor.New(out, in).Randn(r, 1))
+	trained.G = tensor.New(out, in)
+	for step := 0; step < 3; step++ {
+		for _, w := range []*V{frozen, trained} {
+			x := NewV(tensor.New(n, in).Randn(r, 1))
+			x.G = tensor.New(n, in).Randn(r, 1)
+			dy := tensor.New(n, out).Randn(r, 1)
+			wantX := append([]float32(nil), x.G.Data...)
+			var wantW []float32
+			if w.G != nil {
+				wantW = append([]float32(nil), w.G.Data...)
+			}
+			linearBackwardLoops(wantX, wantW, x.X.Data, w.X.Data, dy.Data, n, in, out)
+			y := tp.Linear(x, w, nil)
+			copy(y.G.Data, dy.Data)
+			tp.steps[0]()
+			tp.Reset()
+			if i, ok := sameBits(x.G.Data, wantX); !ok {
+				t.Fatalf("step %d, trained %v: x.G element %d = %v, want %v", step, w.G != nil, i, x.G.Data[i], wantX[i])
+			}
+			if w.G != nil {
+				if i, ok := sameBits(w.G.Data, wantW); !ok {
+					t.Fatalf("step %d: w.G element %d = %v, want %v", step, i, w.G.Data[i], wantW[i])
+				}
+			}
+		}
+		tp.Recycle()
+		// The trained weight moves between steps, as an optimizer moves it.
+		for i := range trained.X.Data {
+			trained.X.Data[i] -= 0.01 * trained.G.Data[i]
+		}
+	}
+	if _, ok := tp.frozenT[frozen.X]; !ok || len(tp.frozenT) != 1 {
+		t.Errorf("tape holds %d transposes, want the frozen weight's alone", len(tp.frozenT))
+	}
+}
+
 func TestGradActivations(t *testing.T) {
 	r := stats.NewRNG(4)
 	for name, act := range map[string]func(tp *Tape, v *V) *V{

@@ -52,9 +52,9 @@ func (v *V) ZeroGrad() { v.G.Zero() }
 // pool instead of garbage-collecting them. With no-grad mode on
 // (SetNoGrad) ops compute values only — no backward closures are
 // built and no gradient buffers are allocated or cleared, which makes
-// a reuse-enabled tape's steady state essentially allocation-free for
-// inference loops whose shapes repeat every step (the batched
-// diffusion sampler).
+// a reuse-enabled tape's steady state allocation-free for inference
+// loops whose shapes repeat every step (the batched diffusion sampler),
+// but for the dispatch closures of ops that shard.
 type Tape struct {
 	steps []func()
 
@@ -71,6 +71,9 @@ type Tape struct {
 	// shares storage, so only its V/Tensor headers need pooling.
 	vfree  []*viewV
 	vtaken []*viewV
+	// frozenT holds the transpose of each gradient-free weight Linear's
+	// backward has read, by weight, once HoldFrozen is called.
+	frozenT map[*tensor.Tensor]*tensor.Tensor
 }
 
 // viewV owns the headers of one pooled Reshape result: the V plus the
@@ -93,6 +96,18 @@ func (t *Tape) EnableReuse() {
 	if t.free == nil {
 		t.free = make(map[int][]*V)
 		t.sfree = make(map[int][][]float32)
+	}
+}
+
+// HoldFrozen declares that every weight without a gradient buffer that
+// Linear reads on this tape (the frozen base of a fine-tune) keeps its
+// values for as long as the tape is used. Linear's backward then
+// transposes such a weight once, on the first step that needs it, and
+// keeps the transpose, where it would otherwise make it again on every
+// step.
+func (t *Tape) HoldFrozen() {
+	if t.frozenT == nil {
+		t.frozenT = make(map[*tensor.Tensor]*tensor.Tensor)
 	}
 }
 
@@ -401,7 +416,8 @@ func (t *Tape) Reshape(a *V, shape ...int) *V {
 		n *= s
 	}
 	if n != a.X.Len() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v", a.X.Shape, shape))
+		// A copy: shape must not escape (see tensor's numel).
+		panic(fmt.Sprintf("tensor: reshape %v -> %v", a.X.Shape, append([]int(nil), shape...)))
 	}
 	w := t.view(shape)
 	w.xt.ViewOf(a.X)
@@ -467,14 +483,23 @@ func (t *Tape) Linear(x, w, bias *V) *V {
 			// column sums of dout. Each product is made apart and then
 			// added into the gradient. An operand without a gradient
 			// buffer (a network input, a frozen weight) skips its GEMM
-			// altogether.
+			// altogether. A trained weight's wᵀ is dead once dx is made,
+			// and dw has as many elements, so dw is made in its buffer.
+			var spare []float32
 			if x.G != nil {
+				wt := t.weightT(w)
+				if w.G != nil {
+					spare = wt.Data
+				}
 				dx := tensor.FromSlice(t.scratch(n*in), n, in)
-				tensor.MatMulABTInto(dx, out.G, t.transpose(w.X))
+				tensor.MatMulABTInto(dx, out.G, wt)
 				tensor.Add(x.G.Data, x.G.Data, dx.Data)
 			}
 			if w.G != nil {
-				dw := tensor.FromSlice(t.scratch(outDim*in), outDim, in)
+				if spare == nil {
+					spare = t.scratch(outDim * in)
+				}
+				dw := tensor.FromSlice(spare, outDim, in)
 				tensor.MatMulABTInto(dw, t.transpose(out.G), t.transpose(x.X))
 				tensor.Add(w.G.Data, w.G.Data, dw.Data)
 			}
@@ -492,12 +517,37 @@ func (t *Tape) Linear(x, w, bias *V) *V {
 	return out
 }
 
+// weightT returns Linear's weight transposed: in a scratch buffer of
+// the tape, or, for a frozen weight on a tape that holds them (see
+// HoldFrozen), the transpose kept since its first backward.
+func (t *Tape) weightT(w *V) *tensor.Tensor {
+	if w.G != nil || t.frozenT == nil {
+		return t.transpose(w.X)
+	}
+	wt, ok := t.frozenT[w.X]
+	if !ok {
+		rows, cols := w.X.Shape[0], w.X.Shape[1]
+		wt = tensor.New(cols, rows)
+		transposeInto(wt, w.X)
+		t.frozenT[w.X] = wt
+	}
+	return wt
+}
+
 // transpose returns the transpose of the 2-D tensor m in a scratch
-// buffer of the tape. It copies blocks of transposeBlock columns, so
-// the rows it writes stay in cache while a block is read.
+// buffer of the tape.
 func (t *Tape) transpose(m *tensor.Tensor) *tensor.Tensor {
 	rows, cols := m.Shape[0], m.Shape[1]
 	mt := tensor.FromSlice(t.scratch(rows*cols), cols, rows)
+	transposeInto(mt, m)
+	return mt
+}
+
+// transposeInto writes the transpose of the 2-D tensor m into mt. It
+// copies blocks of transposeBlock columns, so the rows it writes stay
+// in cache while a block is read.
+func transposeInto(mt, m *tensor.Tensor) {
+	rows, cols := m.Shape[0], m.Shape[1]
 	for j0 := 0; j0 < cols; j0 += transposeBlock {
 		j1 := min(j0+transposeBlock, cols)
 		for i := 0; i < rows; i++ {
@@ -506,7 +556,6 @@ func (t *Tape) transpose(m *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return mt
 }
 
 // transposeBlock is transpose's column block: 16 output rows of a

@@ -76,7 +76,9 @@ func numel(shape []int) int {
 	n := 1
 	for _, s := range shape {
 		if s <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dim %v", shape))
+			// Format a copy: shape itself must not escape, so that a
+			// variadic shape stays on its caller's stack.
+			panic(fmt.Sprintf("tensor: non-positive dim %v", append([]int(nil), shape...)))
 		}
 		n *= s
 	}
@@ -88,7 +90,7 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	//tracelint:allow hotalloc — header-only wrapper over caller storage; hot callers cache the returned header
 	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
 	if len(data) != t.Len() {
-		panic(fmt.Sprintf("tensor: %d elements for shape %v", len(data), shape))
+		panic(fmt.Sprintf("tensor: %d elements for shape %v", len(data), t.Shape))
 	}
 	return t
 }
@@ -129,7 +131,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	//tracelint:allow hotalloc — header-only view sharing storage; the arena rewrap path pays it rarely
 	v := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data, owner: t.owner}
 	if v.Len() != t.Len() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v", t.Shape, shape))
+		panic(fmt.Sprintf("tensor: reshape %v -> %v", t.Shape, v.Shape))
 	}
 	return v
 }
