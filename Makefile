@@ -1,8 +1,9 @@
 # trafficdiff build targets.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test vet lint lint-fast race bench serve-smoke cluster-smoke load-smoke resume-smoke verify-determinism fuzz experiments examples clean
+.PHONY: all build test vet fmt-check lint lint-fast race bench serve-smoke cluster-smoke load-smoke resume-smoke verify-determinism fuzz experiments examples clean
 
 all: build test
 
@@ -12,14 +13,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus the project's own tracelint pass — all
-# nine analyzers (determinism, concurrency, wall-clock, hot-path
+# Static analysis: gofmt, go vet, then the project's own tracelint pass —
+# all nine analyzers (determinism, concurrency, wall-clock, hot-path
 # allocations) run in parallel over one shared type-checked load. The
-# run fails on any finding not recorded in the committed baseline, and
-# always writes the machine-readable report (CI uploads it as an
-# artifact). See DESIGN.md "Static analysis & determinism invariants".
-lint: vet
+# run fails on any file gofmt would reformat (and lists them), and on
+# any finding not recorded in the committed baseline, and always writes
+# the machine-readable report (CI uploads it as an artifact). See
+# DESIGN.md "Static analysis & determinism invariants".
+lint: fmt-check vet
 	$(GO) run ./cmd/tracelint -baseline .tracelint-baseline.json -out tracelint-findings.json
+
+fmt-check:
+	@files=$$($(GOFMT) -l .); if [ -n "$$files" ]; then echo "gofmt -l lists files that are not gofmt-formatted:"; echo "$$files"; exit 1; fi
 
 # Quick pre-commit loop: skip go vet and the module-wide call-graph
 # analyzer (hotalloc dominates single-package edits the least but costs

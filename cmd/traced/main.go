@@ -72,7 +72,7 @@ func main() {
 		model    = flag.String("model", "", "checkpoint written by tracegen -save (required)")
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (:0 picks an ephemeral port)")
 		queue    = flag.Int("queue", 64, "max requests concurrently inside the service; overflow gets 429")
-		inflight = flag.Int("max-inflight", 16, "max flows simultaneously in each step loop's denoising batch (one loop per CPU)")
+		inflight = flag.Int("max-inflight", core.DefaultMaxInFlight, "max flows simultaneously in each step loop's denoising batch (one loop per CPU)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-request deadline ceiling")
 		maxFlows = flag.Int("max-flows", 64, "max flows per request")
 		seedBase = flag.Uint64("seed-base", 1, "seed base for requests without an explicit seed")
@@ -132,7 +132,13 @@ func run(model, addr string, cfg serve.Config, drain time.Duration, ddimSteps in
 	}
 	cfg.CheckpointDigest = digest
 	if ddimSteps >= 0 {
-		synth.SetDDIMSteps(ddimSteps)
+		// Serve a view sampling under the override; the loaded
+		// synthesizer itself is never changed.
+		sc := synth.Config()
+		sc.DDIMSteps = ddimSteps
+		if synth, err = synth.WithSampling(sc); err != nil {
+			return fmt.Errorf("-ddim-steps: %w", err)
+		}
 	}
 	log.Printf("loaded checkpoint %s (classes: %s, digest %s, ddim %d)",
 		model, strings.Join(synth.Classes(), ","), digest, synth.DDIMSteps())

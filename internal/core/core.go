@@ -674,7 +674,8 @@ func (s *Synthesizer) GenerateSeeded(class string, n int, seed uint64) (*Generat
 // (see Engine). The call is one Generate on a private engine with a
 // step loop per usable CPU (offlineEngine): offline synthesis runs on
 // the same path as serving, keeps every core busy, and steps at most
-// offlinePiece flows at a time on each loop, however many it makes.
+// DefaultMaxInFlight flows at a time on each loop, however many it
+// makes.
 func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*GenerateResult, error) {
 	eng, err := s.offlineEngine(len(flowSeeds), usableCPUs())
 	if err != nil {
@@ -692,27 +693,23 @@ func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*
 	return out.res, out.err
 }
 
-// offlinePiece is the most flows one piece of an offline call holds:
-// the engine's default MaxInFlight, and one 16-lane tile of trunk rows.
-// A loop keeps every activation of its step live in its tape arena, and
-// the GC lets the heap grow to (1 + GOGC/100) times what is live, so a
-// loop stepping all of its ⌈n/L⌉ flows at once would set the heap of
-// a large call by n. Run back to back, its pieces reuse one warm arena
-// the size of a piece's step.
-const offlinePiece = 16
-
 // offlineEngine starts the private engine of one offline call of n
 // flows over the given number of step loops: one post worker, and a
 // flow cap that cuts a loop's share of the call, ⌈n/loops⌉ flows, into
-// the fewest pieces of at most offlinePiece flows, as even as they
-// come. Up to offlinePiece·loops flows the cap is the share itself; a
-// larger call is dealt in pieces of at most offlinePiece flows, no loop
-// given more of them than its share needs, and each loop steps one at
-// a time. With n = 0 the cap takes the engine default and submit
+// the fewest pieces of at most DefaultMaxInFlight flows, as even as
+// they come. Up to DefaultMaxInFlight·loops flows the cap is the share
+// itself; a larger call is dealt in pieces of at most
+// DefaultMaxInFlight flows, no loop given more of them than its share
+// needs, and each loop steps one at a time. A loop keeps every
+// activation of its step live in its tape arena, and the GC lets the
+// heap grow to (1 + GOGC/100) times what is live, so a loop stepping
+// all of its share at once would set the heap of a large call by n;
+// run back to back, its pieces reuse one warm arena the size of a
+// piece's step. With n = 0 the cap takes the engine default and submit
 // refuses the call.
 func (s *Synthesizer) offlineEngine(n, loops int) (*Engine, error) {
 	share := (n + loops - 1) / loops
-	pieces := max(1, (share+offlinePiece-1)/offlinePiece)
+	pieces := max(1, (share+DefaultMaxInFlight-1)/DefaultMaxInFlight)
 	return newEngine(s, EngineConfig{MaxInFlight: (share + pieces - 1) / pieces, PostWorkers: 1}, loops)
 }
 
@@ -864,6 +861,10 @@ func (s *Synthesizer) SetDDIMSteps(steps int) {
 	s.ddimSteps = steps
 	s.mu.Unlock()
 }
+
+// Config returns a copy of the configuration s samples under, its live
+// DDIM budget included: the starting point of a WithSampling view.
+func (s *Synthesizer) Config() Config { return s.configSnapshot() }
 
 // WithSampling returns a synthesizer that samples the trained s under
 // cfg, whose TrainingKey must be s's. It shares s's weights, templates,

@@ -12,15 +12,21 @@ import (
 	"trafficdiff/internal/tensor"
 )
 
+// DefaultMaxInFlight is the flow cap of a step loop when
+// EngineConfig.MaxInFlight is unset, the default of the serving layer's
+// cap too, and the most flows one piece of an offline call holds (see
+// offlineEngine): one 16-lane tile of trunk rows.
+const DefaultMaxInFlight = 16
+
 // EngineConfig parameterizes a continuous-batching Engine. Zero values
 // take the defaults noted on each field.
 type EngineConfig struct {
 	// MaxInFlight caps the flows simultaneously in each step loop's
-	// denoising batch (default 16). A request larger than the cap is
-	// dealt across the loops in pieces of at most MaxInFlight flows;
-	// each loop admits pieces from the head of its FIFO while they fit
-	// under the cap, and an empty loop always admits its head, so no
-	// request can starve.
+	// denoising batch (default DefaultMaxInFlight). A request larger
+	// than the cap is dealt across the loops in pieces of at most
+	// MaxInFlight flows; each loop admits pieces from the head of its
+	// FIFO while they fit under the cap, and an empty loop always admits
+	// its head, so no request can starve.
 	MaxInFlight int
 	// PostWorkers is the number of goroutines running per-request
 	// post-processing (upscale, quantize, projection, back-transform)
@@ -39,7 +45,7 @@ type EngineConfig struct {
 
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 16
+		c.MaxInFlight = DefaultMaxInFlight
 	}
 	if c.PostWorkers <= 0 {
 		c.PostWorkers = 2

@@ -742,7 +742,7 @@ func TestOfflinePieces(t *testing.T) {
 			}
 			eng.Close()
 			flowCap, share := eng.cfg.MaxInFlight, (n+loops-1)/loops
-			if n <= offlinePiece*loops && flowCap != share {
+			if n <= DefaultMaxInFlight*loops && flowCap != share {
 				t.Errorf("n=%d L=%d: flow cap %d, want ⌈n/L⌉ = %d", n, loops, flowCap, share)
 			}
 			if got := (n + flowCap - 1) / flowCap; got != k {
@@ -757,10 +757,10 @@ func TestOfflinePieces(t *testing.T) {
 				}
 				small, large, lo = min(small, phi-plo), max(large, phi-plo), phi
 			}
-			if lo != n || large > offlinePiece || large-small > 1 {
+			if lo != n || large > DefaultMaxInFlight || large-small > 1 {
 				t.Errorf("n=%d L=%d: pieces cover %d flows, sizes %d–%d", n, loops, lo, small, large)
 			}
-			if perLoop := (share + offlinePiece - 1) / offlinePiece; k > loops*perLoop {
+			if perLoop := (share + DefaultMaxInFlight - 1) / DefaultMaxInFlight; k > loops*perLoop {
 				t.Errorf("n=%d L=%d: %d pieces, more than %d per loop", n, loops, k, perLoop)
 			}
 		}

@@ -23,8 +23,8 @@ import (
 // twice, and the control projection once per flow (Scheduler does, when
 // given no forward override). Every method computes each output row
 // from the matching input rows alone, so sharing rows changes no row's
-// bytes, and Forward is this composition through the same methods
-// (ForwardSplit): there is one copy of the arithmetic.
+// bytes, and Forward is this composition through the same methods:
+// there is one copy of the arithmetic.
 type Denoiser interface {
 	Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V
 	// ControlFeatures projects control images (n·H·W elements, any
@@ -51,14 +51,20 @@ type Denoiser interface {
 // timeEmbedDim is the sinusoidal timestep feature width.
 const timeEmbedDim = 64
 
+// Delta changes what one linear projection of the model computes: Apply
+// returns the adapted output of base layer l on x (a LoRA adapter, for
+// instance, adds its low-rank product to l's).
+type Delta interface {
+	Apply(tp *nn.Tape, l *nn.LinearLayer, x *nn.V) *nn.V
+}
+
 // MLPDenoiser is a compact fully-connected ε-predictor: fast enough to
 // train in seconds on CPU, used by tests and the default pipeline.
 type MLPDenoiser struct {
 	H, W   int
 	Hidden int
-	K      int // real classes; table has K+1 rows (null last)
 
-	classEmb *nn.EmbeddingLayer
+	classEmb *nn.EmbeddingLayer // K+1 rows for K classes, null last
 	timeProj *nn.LinearLayer
 	xProj    *nn.LinearLayer
 	ctrlProj *nn.LinearLayer // zero-init: ControlNet hook
@@ -72,6 +78,10 @@ type MLPDenoiser struct {
 	// narrow MLP would have to squeeze all of x_t through its hidden
 	// bottleneck just to reproduce the first term.
 	gate *nn.LinearLayer
+
+	// xDelta, hidDelta and outDelta, when set, adapt the x, hidden
+	// and output projections (see Adapted); nil runs the layer alone.
+	xDelta, hidDelta, outDelta Delta
 }
 
 // NewMLPDenoiser builds a denoiser for h x w single-channel images
@@ -80,7 +90,7 @@ type MLPDenoiser struct {
 func NewMLPDenoiser(r *stats.RNG, h, w, hidden, k int) *MLPDenoiser {
 	d := h * w
 	m := &MLPDenoiser{
-		H: h, W: w, Hidden: hidden, K: k,
+		H: h, W: w, Hidden: hidden,
 		classEmb: nn.NewEmbedding(r, k+1, hidden),
 		timeProj: nn.NewLinear(r, timeEmbedDim, hidden),
 		xProj:    nn.NewLinear(r, d, hidden),
@@ -101,8 +111,28 @@ func NewMLPDenoiser(r *stats.RNG, h, w, hidden, k int) *MLPDenoiser {
 	return m
 }
 
-// NullClass implements Denoiser.
-func (m *MLPDenoiser) NullClass() int { return m.K }
+// Adapted returns a view of m whose x, hidden and output projections
+// run through the given deltas and whose class table is classEmb; every
+// other layer is m's own, shared, so the view runs m's forward with
+// the deltas attached. Its Params still lists the shared layers.
+func (m *MLPDenoiser) Adapted(x, hid, out Delta, classEmb *nn.EmbeddingLayer) *MLPDenoiser {
+	v := *m
+	v.xDelta, v.hidDelta, v.outDelta, v.classEmb = x, hid, out, classEmb
+	return &v
+}
+
+// project applies linear layer l to x through delta d, if any.
+//
+//tracelint:hotpath
+func project(tp *nn.Tape, l *nn.LinearLayer, d Delta, x *nn.V) *nn.V {
+	if d == nil {
+		return l.Apply(tp, x)
+	}
+	return d.Apply(tp, l, x)
+}
+
+// NullClass implements Denoiser: the class table's last row.
+func (m *MLPDenoiser) NullClass() int { return m.classEmb.Table.X.Shape[0] - 1 }
 
 // Shape implements Denoiser.
 func (m *MLPDenoiser) Shape() (int, int) { return m.H, m.W }
@@ -122,16 +152,11 @@ func (m *MLPDenoiser) Params() []*nn.V {
 	return ps
 }
 
-// Forward implements Denoiser as head∘trunk.
-func (m *MLPDenoiser) Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
-	return ForwardSplit(m, tp, xt, steps, class, control)
-}
-
-// ForwardSplit is the plain forward of a Denoiser: trunk, control
+// Forward implements Denoiser as head∘trunk: trunk, control
 // projection, head, each over the same rows.
 //
 //tracelint:hotpath
-func ForwardSplit(m Denoiser, tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
+func (m *MLPDenoiser) Forward(tp *nn.Tape, xt *nn.V, steps []int, class []int, control *tensor.Tensor) *nn.V {
 	h, skip := m.Trunk(tp, xt, steps)
 	var ctrl *nn.V
 	if control != nil {
@@ -155,7 +180,7 @@ func (m *MLPDenoiser) ControlFeatures(tp *nn.Tape, control *tensor.Tensor) *nn.V
 func (m *MLPDenoiser) Trunk(tp *nn.Tape, xt *nn.V, steps []int) (h, skip *nn.V) {
 	x2 := tp.Reshape(xt, xt.X.Shape[0], m.H*m.W)
 	tfeat := tp.TimeEmbed(steps, timeEmbedDim)
-	h = tp.Add(m.xProj.Apply(tp, x2), m.timeProj.Apply(tp, tfeat))
+	h = tp.Add(project(tp, m.xProj, m.xDelta, x2), m.timeProj.Apply(tp, tfeat))
 	skip = tp.MulScalarBroadcast(x2, m.gate.Apply(tp, tfeat))
 	return h, skip
 }
@@ -169,42 +194,23 @@ func (m *MLPDenoiser) Head(tp *nn.Tape, h, skip *nn.V, class []int, ctrl *nn.V) 
 		h = tp.AddRepeat(h, ctrl)
 	}
 	h = tp.SiLU(m.norm1.Apply(tp, h))
-	h2 := tp.SiLU(m.norm2.Apply(tp, m.hid.Apply(tp, h)))
+	h2 := tp.SiLU(m.norm2.Apply(tp, project(tp, m.hid, m.hidDelta, h)))
 	h = tp.Add(h, h2) // residual
-	eps := tp.AddRepeat(m.out.Apply(tp, h), skip)
+	eps := tp.AddRepeat(project(tp, m.out, m.outDelta, h), skip)
 	return tp.Reshape(eps, eps.X.Shape[0], 1, m.H, m.W)
 }
 
-// TimeEmbedDim exposes the sinusoidal feature width so wrappers (e.g.
-// LoRA-adapted denoisers) can rebuild the conditioning path.
+// TimeEmbedDim exposes the sinusoidal feature width, the fan-in of the
+// time projection and the skip gate.
 func TimeEmbedDim() int { return timeEmbedDim }
 
-// Layer accessors let adapter wrappers (package lora) reuse the frozen
-// base layers while substituting their own deltas.
-
-// XProjLayer returns the input projection layer.
-func (m *MLPDenoiser) XProjLayer() *nn.LinearLayer { return m.xProj }
-
-// TimeProjLayer returns the timestep projection layer.
-func (m *MLPDenoiser) TimeProjLayer() *nn.LinearLayer { return m.timeProj }
+// Layer accessors let tests set base weights directly.
 
 // CtrlProjLayer returns the control (ControlNet hook) projection.
 func (m *MLPDenoiser) CtrlProjLayer() *nn.LinearLayer { return m.ctrlProj }
 
-// Norm1Layer returns the first normalization layer.
-func (m *MLPDenoiser) Norm1Layer() *nn.NormLayer { return m.norm1 }
-
-// Norm2Layer returns the second normalization layer.
-func (m *MLPDenoiser) Norm2Layer() *nn.NormLayer { return m.norm2 }
-
-// HidLayer returns the hidden layer.
-func (m *MLPDenoiser) HidLayer() *nn.LinearLayer { return m.hid }
-
 // OutLayer returns the output projection layer.
 func (m *MLPDenoiser) OutLayer() *nn.LinearLayer { return m.out }
 
-// ClassEmbLayer returns the base class-embedding table.
+// ClassEmbLayer returns the class-embedding table.
 func (m *MLPDenoiser) ClassEmbLayer() *nn.EmbeddingLayer { return m.classEmb }
-
-// GateLayer returns the time-gated input-skip layer.
-func (m *MLPDenoiser) GateLayer() *nn.LinearLayer { return m.gate }

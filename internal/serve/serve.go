@@ -72,9 +72,9 @@ type Config struct {
 	// 429 (default 64).
 	QueueDepth int
 	// MaxInFlight caps the flows simultaneously in each engine step
-	// loop's denoising batch (default 16; one loop per CPU). Larger
-	// values raise throughput under load; smaller ones bound per-step
-	// latency.
+	// loop's denoising batch (0 takes core.DefaultMaxInFlight; one loop
+	// per CPU). Larger values raise throughput under load; smaller ones
+	// bound per-step latency.
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline ceiling; a request's
 	// timeout_ms may shorten it but never extend it (default 60s).
@@ -98,9 +98,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 16
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second

@@ -86,8 +86,8 @@ func TestParetoMeanFiniteProxy(t *testing.T) {
 		{1, 1, 1e6},
 		{3, 0.5, 3e6},
 		{2, 1.0, 2e6},
-		{1, 2, 2},          // alpha > 1: exact mean alpha*xm/(alpha-1)
-		{3, 2.5, 2.5 * 2},  // 2.5*3/1.5
+		{1, 2, 2},         // alpha > 1: exact mean alpha*xm/(alpha-1)
+		{3, 2.5, 2.5 * 2}, // 2.5*3/1.5
 	}
 	for _, c := range cases {
 		got := Pareto{Xm: c.xm, Alpha: c.alpha}.Mean()

@@ -77,6 +77,45 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	})
 
+	// -ddim-steps serves the checkpoint under another sampler budget:
+	// readiness and every reply's coordinate name the override.
+	t.Run("ddim-steps-override", func(t *testing.T) {
+		srv := startTraced(t, traced, ckpt, "-ddim-steps", "8")
+		defer srv.kill(t)
+
+		resp, err := http.Get(srv.url + "/readyz?verbose=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ready := struct {
+			DDIMSteps int `json:"ddim_steps"`
+		}{DDIMSteps: -1} // -1: the field is missing
+		err = json.NewDecoder(resp.Body).Decode(&ready)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ready.DDIMSteps != 8 {
+			t.Fatalf("readyz ddim_steps = %d, want 8", ready.DDIMSteps)
+		}
+
+		code, body, hdr, err := postGenerate(srv.url, `{"class":"amazon","count":1,"seed":7}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusOK {
+			t.Fatalf("status %d body %q", code, body)
+		}
+		if got := hdr.Get("X-Traced-DDIM-Steps"); got != "8" {
+			t.Errorf("X-Traced-DDIM-Steps = %q, want 8", got)
+		}
+		if got := hdr.Get("X-Traced-Seed"); got != "7" {
+			t.Errorf("X-Traced-Seed = %q, want 7", got)
+		}
+	})
+
 	t.Run("concurrent-generation", func(t *testing.T) {
 		srv := startTraced(t, traced, ckpt, "-queue", "64", "-max-inflight", "16")
 		defer srv.kill(t)
