@@ -31,8 +31,8 @@
 // one router must agree on it, or the router refuses to cache (mixed
 // budgets produce different bytes for the same seed). The rest of the
 // serving configuration is fixed: fp32 weights, a step-row budget of 8
-// and 2 post-processing workers (serve.New), GOGC 400 and a GOMAXPROCS
-// floor of 2 (below).
+// (serve.New), each request post-processed on its own handler, GOGC 400
+// and a GOMAXPROCS floor of 2 (below).
 // Overload answers 429 with Retry-After (bounded admission gate);
 // SIGTERM/SIGINT closes the same gate and waits for every request that
 // holds a slot before the engine and the listener stop.

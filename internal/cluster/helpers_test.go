@@ -46,6 +46,7 @@ type fakeReplica struct {
 	retryAfter string
 	salt       string
 	block      chan struct{} // when non-nil, generate waits for a receive
+	truncate   bool          // declare a longer Content-Length than the body sent
 
 	genCalls atomic.Int64
 }
@@ -93,7 +94,7 @@ func (f *fakeReplica) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (f *fakeReplica) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	f.genCalls.Add(1)
 	f.mu.Lock()
-	status, retryAfter, digest, ddim, salt, block := f.genStatus, f.retryAfter, f.digest, f.ddim, f.salt, f.block
+	status, retryAfter, digest, ddim, salt, block, truncate := f.genStatus, f.retryAfter, f.digest, f.ddim, f.salt, f.block, f.truncate
 	f.mu.Unlock()
 	if block != nil {
 		select {
@@ -131,6 +132,11 @@ func (f *fakeReplica) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Traced-Seed", seed)
 	}
 	w.Header().Set("X-Traced-Flows", strconv.Itoa(req.Count))
+	if truncate {
+		// The server closes the connection once the handler returns
+		// short of the declared length, so the client reads a short body.
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)+16))
+	}
 	_, _ = w.Write([]byte(body))
 }
 

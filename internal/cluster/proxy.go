@@ -331,7 +331,7 @@ func (rt *Router) forward(ctx context.Context, rep *replica, class string, body 
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if cerr := resp.Body.Close(); err == nil {
 		err = cerr
 	}
@@ -339,6 +339,25 @@ func (rt *Router) forward(ctx context.Context, rep *replica, class string, body 
 		return 0, nil, nil, err
 	}
 	return resp.StatusCode, resp.Header, data, nil
+}
+
+// maxPresizedBody is the largest declared Content-Length readBody
+// allocates up front.
+const maxPresizedBody = 1 << 20
+
+// readBody reads an upstream body into a buffer of exactly its declared
+// length when that is at most maxPresizedBody, so a cached entry keeps
+// no spare capacity; a body that ends short of its length is an error
+// (io.ErrUnexpectedEOF). An unknown or larger length grows through
+// io.ReadAll instead, so a replica that declares a huge length cannot
+// make the router allocate it before any byte arrives.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // storeResponse caches a successful seeded response, but only when the

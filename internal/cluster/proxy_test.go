@@ -297,6 +297,55 @@ func TestRouterTransportFailureFailsOverAndEjects(t *testing.T) {
 	}
 }
 
+// A replica that sends less body than its Content-Length declares has
+// failed in transport: the router retries the healthy replica, or
+// answers 502 when there is none, and caches nothing from the short
+// body. A normal miss is cached in a buffer of exactly its size.
+func TestRouterTruncatedBodyIsTransportFailure(t *testing.T) {
+	a := newFakeReplica(t, "sha256:aa", 6)
+	a.set(func(f *fakeReplica) { f.truncate = true })
+	lone := newTestPool(t, PoolConfig{ProbeInterval: time.Hour}, a)
+	waitUntil(t, 5*time.Second, "healthy", func() bool {
+		lone.Kick()
+		return lone.Healthy() == 1
+	})
+	rt, base := newTestRouter(t, lone, Config{})
+	if status, _, _ := postJSON(t, base, `{"class":"web","count":1,"seed":1}`); status != http.StatusBadGateway {
+		t.Fatalf("lone truncating replica: status = %d, want 502", status)
+	}
+	if n := rt.cache.Stats().Entries; n != 0 {
+		t.Fatalf("short body cached: %d entries", n)
+	}
+
+	b := newFakeReplica(t, "sha256:aa", 6)
+	// a ranks first: both are idle and cold, and ties go to the replica
+	// added first.
+	p := newTestPool(t, PoolConfig{ProbeInterval: time.Hour}, a, b)
+	waitUntil(t, 5*time.Second, "both healthy", func() bool {
+		p.Kick()
+		return p.Healthy() == 2
+	})
+	rt, base = newTestRouter(t, p, Config{})
+	calls := a.genCalls.Load()
+	status, body, hdr := postJSON(t, base, `{"class":"web","count":1,"seed":1}`)
+	if status != 200 || hdr.Get("X-Cluster-Replica") != b.url() {
+		t.Fatalf("status = %d from %q, want 200 from %q", status, hdr.Get("X-Cluster-Replica"), b.url())
+	}
+	if got := a.genCalls.Load() - calls; got != 1 {
+		t.Fatalf("truncating replica tried %d times, want 1", got)
+	}
+	ent, ok := rt.cache.Get(testKey(1))
+	if !ok {
+		t.Fatal("healthy replica's answer not cached")
+	}
+	if !bytes.Equal(ent.Body, body) {
+		t.Fatalf("cached %q, served %q", ent.Body, body)
+	}
+	if cap(ent.Body) != len(ent.Body) {
+		t.Errorf("cached body: len %d, cap %d", len(ent.Body), cap(ent.Body))
+	}
+}
+
 // A client disconnect mid-proxy makes the upstream attempt fail with a
 // canceled context. The replica is not at fault: it must not be
 // ejected, and the rest of the pool must not be burned through (and

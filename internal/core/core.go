@@ -683,24 +683,23 @@ func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*
 	}
 	job, err := eng.submit(context.Background(), class, flowSeeds, nil)
 	// Close at once: each loop exits, dropping its scheduler, as soon as
-	// its pieces are done, so post-processing runs beside no sampler
-	// state. Close returns once the post worker has answered the job.
+	// its pieces are done. Close returns once every sample is in, so
+	// post-processing below runs beside no sampler state.
 	eng.Close()
 	if err != nil {
 		return nil, err
 	}
-	out := <-job.done
-	return out.res, out.err
+	return job.wait(s)
 }
 
 // offlineEngine starts the private engine of one offline call of n
-// flows over the given number of step loops: one post worker, and a
-// flow cap that cuts a loop's share of the call, ⌈n/loops⌉ flows, into
-// the fewest pieces of at most DefaultMaxInFlight flows, as even as
-// they come. Up to DefaultMaxInFlight·loops flows the cap is the share
-// itself; a larger call is dealt in pieces of at most
-// DefaultMaxInFlight flows, no loop given more of them than its share
-// needs, and each loop steps one at a time. A loop keeps every
+// flows over the given number of step loops, with a flow cap that cuts
+// a loop's share of the call, ⌈n/loops⌉ flows, into the fewest pieces
+// of at most DefaultMaxInFlight flows, as even as they come. Up to
+// DefaultMaxInFlight·loops flows the cap is the share itself; a larger
+// call is dealt in pieces of at most DefaultMaxInFlight flows, no loop
+// given more of them than its share needs, and each loop steps one at a
+// time. A loop keeps every
 // activation of its step live in its tape arena, and the GC lets the
 // heap grow to (1 + GOGC/100) times what is live, so a loop stepping
 // all of its share at once would set the heap of a large call by n;
@@ -710,7 +709,7 @@ func (s *Synthesizer) GenerateWithFlowSeeds(class string, flowSeeds []uint64) (*
 func (s *Synthesizer) offlineEngine(n, loops int) (*Engine, error) {
 	share := (n + loops - 1) / loops
 	pieces := max(1, (share+DefaultMaxInFlight-1)/DefaultMaxInFlight)
-	return newEngine(s, EngineConfig{MaxInFlight: (share + pieces - 1) / pieces, PostWorkers: 1}, loops)
+	return newEngine(s, EngineConfig{MaxInFlight: (share + pieces - 1) / pieces}, loops)
 }
 
 // control returns the ControlNet conditioning image class ci samples
@@ -761,10 +760,10 @@ func (s *Synthesizer) flowFromSample(ci int, class string, cfg Config, pix []flo
 // postprocess turns the sampled model-resolution images of the flows
 // with the given seeds (packed in samples, one h*w row per flow) into
 // replayable flows. It is the half of generation shared by the
-// continuous-batching Engine and the edits. Work is independent per
-// flow: each worker owns one result slot, and the
-// aggregation below runs sequentially in flow order, so the result is
-// identical at any GOMAXPROCS. A lone flow runs on the caller.
+// continuous-batching Engine and the edits, and runs on their caller.
+// Work is independent per flow: each worker owns one result slot, and
+// the aggregation below runs sequentially in flow order, so the result
+// is identical at any GOMAXPROCS. A lone flow runs on the caller.
 func (s *Synthesizer) postprocess(ci int, class string, cfg Config, samples []float32, seeds []uint64) (*GenerateResult, error) {
 	n := len(seeds)
 	h, w := s.ModelShape()

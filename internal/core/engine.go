@@ -28,9 +28,9 @@ type EngineConfig struct {
 	// FIFO while they fit under the cap, and an empty loop always admits
 	// its head, so no request can starve.
 	MaxInFlight int
-	// PostWorkers is the number of goroutines running per-request
-	// post-processing (upscale, quantize, projection, back-transform)
-	// off the step loops, shared by all of them (default 2).
+	// PostWorkers is ignored: each request post-processes on the
+	// goroutine that called Generate. The field remains only for
+	// callers that still set it.
 	PostWorkers int
 	// MaxStepRows caps the rows advanced per denoiser forward in each
 	// step loop (0 = all the loop's in-flight rows every step). When
@@ -47,9 +47,6 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = DefaultMaxInFlight
 	}
-	if c.PostWorkers <= 0 {
-		c.PostWorkers = 2
-	}
 	return c
 }
 
@@ -65,12 +62,6 @@ type EngineStats struct {
 	// RequestsExpired counts requests that hit their context deadline,
 	// whether before or after admission.
 	RequestsExpired uint64
-}
-
-// engineResult is what a job's waiter receives.
-type engineResult struct {
-	res *GenerateResult
-	err error
 }
 
 // engineJob is one Generate call travelling through the engine, dealt
@@ -93,9 +84,11 @@ type engineJob struct {
 	err      error // the first piece's failure; guarded by mu
 	expired  bool  // err is the context's; guarded by mu
 
-	// done is buffered so the settling loop never blocks on a waiter
-	// that already gave up.
-	done chan engineResult
+	// done receives the job's sampling outcome once its last piece
+	// settles: nil when every sample is in, else the first failure. It
+	// is buffered so the settling loop never blocks on a waiter that
+	// already gave up.
+	done chan error
 }
 
 // piece is one loop's share of a job: the flows of seeds[lo:hi]. Its
@@ -125,9 +118,10 @@ func (p *piece) flows() int { return p.hi - p.lo }
 // them. A loop steps under tensor.Serial while another loop has flows
 // queued or denoising, so busy loops are data-parallel over the cores
 // and never wake a kernel helper; a loop stepping alone shards its
-// kernels over the pool as before. Loops share the smallest-job-first post queue, its
-// workers and the stats counters. With one loop this is the single-loop
-// engine exactly.
+// kernels over the pool as before. Loops share the stats counters. Once
+// its samples are in, a request is post-processed on the goroutine that
+// called Generate, so the engine runs no goroutine besides its step
+// loops. With one loop this is the single-loop engine exactly.
 //
 // Every flow's bytes stay a pure function of its seed (the scheduler's
 // bit-identity contract), so the result does not depend on which loop
@@ -146,9 +140,7 @@ type Engine struct {
 	mu     sync.Mutex // serializes loop assignment against Close
 	closed bool       // guarded by mu
 
-	postQ     *postQueue
 	loopWG    sync.WaitGroup
-	postWG    sync.WaitGroup
 	closeOnce sync.Once
 
 	admitted, retired, reqExpired atomic.Uint64
@@ -188,7 +180,6 @@ func newEngine(synth *Synthesizer, cfg EngineConfig, loops int) (*Engine, error)
 		synth: synth,
 		cfg:   cfg.withDefaults(),
 		loops: make([]*stepLoop, loops),
-		postQ: newPostQueue(16),
 	}
 	for i := range e.loops {
 		l := &stepLoop{}
@@ -196,10 +187,6 @@ func newEngine(synth *Synthesizer, cfg EngineConfig, loops int) (*Engine, error)
 		e.loops[i] = l
 		e.loopWG.Add(1)
 		go e.run(l)
-	}
-	for i := 0; i < e.cfg.PostWorkers; i++ {
-		e.postWG.Add(1)
-		go e.postWorker()
 	}
 	return e, nil
 }
@@ -236,14 +223,24 @@ func (e *Engine) Stats() EngineStats {
 // request's first flows enter a batch (serving layers measure
 // admission wait with it; it must be fast). If ctx expires first,
 // in-flight flows are retired at the next boundary and the context
-// error is returned.
+// error is returned. Post-processing runs on the calling goroutine once
+// every sample is in.
 func (e *Engine) Generate(ctx context.Context, class string, flowSeeds []uint64, onAdmit func()) (*GenerateResult, error) {
 	job, err := e.submit(ctx, class, flowSeeds, onAdmit)
 	if err != nil {
 		return nil, err
 	}
-	out := <-job.done
-	return out.res, out.err
+	return job.wait(e.synth)
+}
+
+// wait blocks until the job's samples are in, then post-processes them
+// on the caller. Each flow is post-processed from its seed, as every
+// generation path does, so the result is a pure function of the seeds.
+func (job *engineJob) wait(s *Synthesizer) (*GenerateResult, error) {
+	if err := <-job.done; err != nil {
+		return nil, err
+	}
+	return s.postprocess(job.ci, job.class, job.cfg, job.samples, job.seeds)
 }
 
 // submit validates a request and deals it to the loops; its answer
@@ -265,7 +262,7 @@ func (e *Engine) submit(ctx context.Context, class string, flowSeeds []uint64, o
 		seeds:   append([]uint64(nil), flowSeeds...),
 		onAdmit: onAdmit,
 		samples: make([]float32, len(flowSeeds)*h*w),
-		done:    make(chan engineResult, 1),
+		done:    make(chan error, 1),
 	}
 	if err := e.enqueue(job); err != nil {
 		return nil, err
@@ -308,7 +305,7 @@ func (e *Engine) enqueue(job *engineJob) error {
 
 // Close drains the engine: no new Generate calls are accepted, already
 // submitted requests run to completion (or expiry) on every loop, then
-// the step loops and post workers exit. Safe to call more than once.
+// the step loops exit. Safe to call more than once.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		e.mu.Lock()
@@ -322,16 +319,14 @@ func (e *Engine) Close() {
 		}
 	})
 	e.loopWG.Wait()
-	e.postQ.close() // every push came from a loop, and they have all returned
-	e.postWG.Wait()
 }
 
 // settle records that one of a job's pieces is done — finished when
 // err is nil, stopped by err otherwise — and answers the job when it
-// was the last: with the first failure recorded, or by handing the
-// samples to the post workers. Whatever the piece changed in the stats
-// counters is published before the call, so a waiter that observes its
-// answer also observes every piece's completions and retirements.
+// was the last, with the first failure recorded or nil. It never
+// blocks. Whatever the piece changed in the stats counters is published
+// before the call, so a waiter that observes its answer also observes
+// every piece's completions and retirements.
 func (e *Engine) settle(p *piece, err error) {
 	job := p.job
 	job.mu.Lock()
@@ -341,20 +336,13 @@ func (e *Engine) settle(p *piece, err error) {
 	job.pieces--
 	last, err, expired := job.pieces == 0, job.err, job.expired
 	job.mu.Unlock()
-	switch {
-	case !last:
-	case err == nil:
-		// May block when post-processing falls behind — natural
-		// backpressure on the step loop. The queue hands workers the
-		// smallest job first, so a probe's cheap post never queues
-		// behind bulk work.
-		e.postQ.push(job)
-	default:
-		if expired {
-			e.reqExpired.Add(1)
-		}
-		job.done <- engineResult{err: err}
+	if !last {
+		return
 	}
+	if expired {
+		e.reqExpired.Add(1)
+	}
+	job.done <- err
 }
 
 // run is the only goroutine touching its loop's scheduler: it admits
@@ -537,16 +525,4 @@ func (e *Engine) admitPiece(eng *diffusion.Scheduler, byID map[diffusion.FlowID]
 		job.onAdmit()
 	}
 	return true
-}
-
-// postWorker turns completed jobs' samples into flows off the step
-// loops. It post-processes each flow from its seed, as every generation
-// path does, so the result is a pure function of the seeds.
-func (e *Engine) postWorker() {
-	defer e.postWG.Done()
-	for job := e.postQ.pop(); job != nil; job = e.postQ.pop() {
-		res, err := e.synth.postprocess(job.ci, job.class, job.cfg, job.samples, job.seeds)
-		job.done <- engineResult{res: res, err: err}
-		runtime.Gosched() // same courtesy as the step loop: don't hog the P between jobs
-	}
 }

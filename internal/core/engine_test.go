@@ -5,6 +5,7 @@ import (
 	"context"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // which requests shared denoiser forwards.
 func TestEngineMatchesDirectGenerate(t *testing.T) {
 	s := sharedSynth(t)
-	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 8, PostWorkers: 2})
+	eng, err := NewEngine(s, EngineConfig{MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,6 +658,67 @@ func TestEngineLoopCount(t *testing.T) {
 			t.Errorf("GOMAXPROCS %d: %d loops, want %d", procs, len(eng.loops), want)
 		}
 	}
+}
+
+// TestEngineStartsOnlyItsStepLoops checks that the engine runs no
+// goroutine besides its step loops: NewEngine starts exactly one per
+// loop, serving a request leaves none behind (post-processing runs on
+// the caller), and Close takes every one back. It counts the goroutines
+// this package's non-test code started, so the kernel helper pool and
+// other tests' goroutines do not enter the count.
+func TestEngineStartsOnlyItsStepLoops(t *testing.T) {
+	s := sharedSynth(t)
+	// settle polls until the count reaches want: a goroutine that has
+	// signalled its WaitGroup may not have exited yet.
+	settle := func(want int) int {
+		got := coreGoroutines()
+		for deadline := time.Now().Add(5 * time.Second); got != want && time.Now().Before(deadline); got = coreGoroutines() {
+			time.Sleep(time.Millisecond)
+		}
+		return got
+	}
+	if got := settle(0); got != 0 {
+		t.Fatalf("%d goroutines started by core before the engine", got)
+	}
+	const loops = 3
+	eng, err := newEngine(s, EngineConfig{MaxInFlight: 1}, loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := coreGoroutines(); got != loops {
+		t.Errorf("NewEngine with %d loops started %d goroutines", loops, got)
+	}
+	if _, err := eng.Generate(context.Background(), sharedClass[0], DeriveFlowSeeds(61, loops), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := settle(loops); got != loops {
+		t.Errorf("after a request: %d goroutines, want %d", got, loops)
+	}
+	eng.Close()
+	if got := settle(0); got != 0 {
+		t.Errorf("after Close: %d goroutines left", got)
+	}
+}
+
+// coreGoroutines counts the live goroutines that this package's non-test
+// code started, by the "created by" line of each goroutine's stack.
+func coreGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, line := range strings.Split(string(buf), "\n") {
+		if strings.HasPrefix(line, "created by trafficdiff/internal/core.") && !strings.Contains(line, "core.Test") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestEngineStatsSnapshotsNeverNegative polls Stats while requests,

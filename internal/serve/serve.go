@@ -127,12 +127,8 @@ type Server struct {
 // forward in each loop, the requests with the least remaining work
 // first, so a fresh 1-flow request reaches its result through cheap
 // forwards even when the batch is full of bulk work
-// (core.EngineConfig.MaxStepRows). postWorkers goroutines post-process
-// finished requests behind the step loops, shared by all of them.
-const (
-	stepRows    = 8
-	postWorkers = 2
-)
+// (core.EngineConfig.MaxStepRows).
+const stepRows = 8
 
 // New builds a Server over a fine-tuned synthesizer, starting a
 // continuous-batching core.Engine sized by cfg. Callers must
@@ -142,7 +138,6 @@ func New(synth *core.Synthesizer, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng, err := core.NewEngine(synth, core.EngineConfig{
 		MaxInFlight: cfg.MaxInFlight,
-		PostWorkers: postWorkers,
 		MaxStepRows: stepRows,
 	})
 	if err != nil {

@@ -359,7 +359,12 @@ done16:
 
 // func abtTileCol(c, a, b *float32, k, n, rows, groups int)
 // The contract is in abt_amd64.go. No AVX instruction writes the flags,
-// so one CMPQ of the row count serves the jumps after it.
+// so one CMPQ of the row count serves the jumps after it. Each quad also
+// prefetches two lines of the next group's eight B rows, which follow
+// this group's in memory: k/4 quads of 128 bytes cover their 32·k bytes,
+// so the next group's rows are in L1 before it starts even when they
+// are too short for the hardware prefetcher to ramp up (k = 192). A
+// prefetch past the last group is a hint and never faults.
 TEXT ·abtTileCol(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ b+16(FP), R13
@@ -378,10 +383,14 @@ cgroup:
 	MOVQ a+8(FP), DX
 	MOVQ R13, SI           // B rows 0..3 of the group
 	LEAQ (R13)(R8*4), BX   // B rows 4..7
+	LEAQ (R13)(R8*8), R14  // the next group's B rows
 	MOVQ k+24(FP), CX
 	SHRQ $2, CX
 	JZ   ctail
 cquad:
+	PREFETCHT0 (R14)
+	PREFETCHT0 64(R14)
+	ADDQ $128, R14
 	QUAD
 	CTERM4((DX), 4(DX), 8(DX), 12(DX), Y0)
 	CMPQ AX, $2
